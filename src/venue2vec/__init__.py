@@ -70,9 +70,7 @@ from .metrics import (
 from .modelio import (
     export_text_vectors,
     load_embedding_model,
-    load_factor_model,
     save_embedding_model,
-    save_factor_model,
 )
 from .recommend import (
     RecommendationList,

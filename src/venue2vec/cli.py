@@ -68,7 +68,6 @@ def _add_experiment_flags(parser, with_method=True) -> None:
     parser.add_argument("--filter-seen", action="store_true", default=None)
     parser.add_argument("--binary-votes", action="store_true", default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--rank", type=int, default=None, help="factorization rank (default F)")
     parser.add_argument("--regularization", type=float, default=None)
     parser.add_argument("--mf-iterations", type=int, default=None)
@@ -79,7 +78,7 @@ def _add_experiment_flags(parser, with_method=True) -> None:
 
 _INT_KEYS = {
     "boundary", "features", "epochs", "negative", "min_count", "neighbors",
-    "topk", "seed", "workers", "rank", "mf_iterations", "random_runs",
+    "topk", "seed", "rank", "mf_iterations", "random_runs",
     "user_col", "venue_col", "time_col",
 }
 _FLOAT_KEYS = {"regularization"}
@@ -100,7 +99,6 @@ _CONFIG_FIELDS = {
     "filter_seen": "filter_seen",
     "binary_votes": "binary_votes",
     "seed": "seed",
-    "workers": "workers",
     "rank": "rank",
     "regularization": "regularization",
     "mf_iterations": "mf_iterations",
@@ -243,16 +241,12 @@ def _cmd_recommend(args) -> int:
             neighbors=config.neighbors,
             filter_seen=config.filter_seen,
         )
-        if config.method == recommend.KNI:
-            results.append(recommend.recommend_kni(model, request, interactions))
-        elif config.method == recommend.NN:
-            results.append(
-                recommend.recommend_nn(
-                    model, interactions, request, binary_votes=config.binary_votes
-                )
+        results.append(
+            recommend.recommend_by_method(
+                config.method, model, interactions, request,
+                binary_votes=config.binary_votes,
             )
-        else:
-            results.append(recommend.recommend_kiu(model, interactions, request))
+        )
     recommend.write_batch_recommendations(results, args.out)
     misses = sum(1 for r in results if not r.predicted)
     print(f"wrote {len(results)} recommendation lines to {args.out} ({misses} no-prediction)")

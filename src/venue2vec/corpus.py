@@ -218,9 +218,6 @@ class Vocabulary:
     def venue_indices(self) -> np.ndarray:
         return np.arange(self.user_count, len(self), dtype=np.int64)
 
-    def is_user_index(self, index: int) -> bool:
-        return index < self.user_count
-
     @staticmethod
     def user_token(user_id: str) -> str:
         return USER_PREFIX + user_id

@@ -10,10 +10,9 @@ exactly like the classic word2vec reduced-window trick.
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Literal, Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -46,7 +45,6 @@ class TrainingConfig:
     min_learning_rate: float = 1e-4
     noise_exponent: float = 0.75
     seed: int = 1
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.architecture not in (SKIP_GRAM, CBOW):
@@ -65,8 +63,6 @@ class TrainingConfig:
             raise ConfigError(
                 "need initial_learning_rate > min_learning_rate > 0"
             )
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
 
 @dataclass
@@ -148,6 +144,28 @@ class NegativeSamplingTable:
         return draws
 
 
+def _sgns_update(
+    hidden: np.ndarray, rows: np.ndarray, positives: int, rate: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The one SGNS step of a hidden vector against its target output rows.
+
+    The first `positives` rows are positive targets, the rest negatives; the
+    loss is -Σ log σ(±row·hidden) with each dot clamped to ±DOT_CLAMP.
+    Returns (loss, per-row step, hidden step), the steps already scaled by
+    rate and signed so that adding them descends the loss.
+    """
+    dots = np.clip(rows @ hidden, -DOT_CLAMP, DOT_CLAMP)
+    sig = 1.0 / (1.0 + np.exp(-dots))
+    loss = float(
+        np.logaddexp(0.0, -dots[:positives]).sum()
+        + np.logaddexp(0.0, dots[positives:]).sum()
+    )
+    labels = np.zeros(rows.shape[0], dtype=rows.dtype)
+    labels[:positives] = 1.0
+    scaled = (labels - sig) * rate
+    return loss, scaled[:, None] * hidden[None, :], scaled @ rows
+
+
 def negative_sampling_gradient(
     center: np.ndarray,
     context: np.ndarray,
@@ -155,52 +173,44 @@ def negative_sampling_gradient(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Loss and exact gradients for one positive pair and its negative draws.
 
-    loss = -log σ(center·context) - Σ_i log σ(-center·negative_i), with each
-    dot product clamped to ±DOT_CLAMP before the sigmoid.
+    The training update at rate 1 with its sign flipped: loss =
+    -log σ(center·context) - Σ_i log σ(-center·negative_i), with each dot
+    product clamped to ±DOT_CLAMP before the sigmoid.
 
     Returns:
         (loss, d/d center, d/d context, d/d negatives) with the last entry
         shaped (len(negatives), F). Works in whatever float precision the
         inputs carry.
     """
-    center = np.asarray(center)
-    context = np.asarray(context)
-    negative_matrix = np.atleast_2d(np.asarray(negatives))
-    pos_dot = np.clip(center @ context, -DOT_CLAMP, DOT_CLAMP)
-    neg_dots = np.clip(negative_matrix @ center, -DOT_CLAMP, DOT_CLAMP)
-    pos_sig = 1.0 / (1.0 + np.exp(-pos_dot))
-    neg_sig = 1.0 / (1.0 + np.exp(-neg_dots))
-    loss = float(np.logaddexp(0.0, -pos_dot) + np.logaddexp(0.0, neg_dots).sum())
-    grad_center = (pos_sig - 1.0) * context + neg_sig @ negative_matrix
-    grad_context = (pos_sig - 1.0) * center
-    grad_negatives = np.outer(neg_sig, center)
-    return loss, grad_center, grad_context, grad_negatives
+    rows = np.vstack((np.asarray(context), np.asarray(negatives)))
+    loss, row_steps, center_step = _sgns_update(np.asarray(center), rows, 1, 1.0)
+    return loss, -center_step, -row_steps[0], -row_steps[1:]
 
 
-class _Progress:
-    """Shared token counter driving the linear learning-rate schedule."""
-
-    def __init__(self, config: TrainingConfig, schedule_length: int):
-        self.initial = config.initial_learning_rate
-        self.floor = config.min_learning_rate
-        self.schedule_length = max(schedule_length, 1)
-        self.count = 0
-        self._lock = threading.Lock()
-
-    def advance(self, tokens: int) -> float:
-        """Consume tokens; returns the rate as of before this batch."""
-        with self._lock:
-            before = self.count
-            self.count += tokens
-        fraction = min(before / self.schedule_length, 1.0)
-        return max(self.floor, self.initial - (self.initial - self.floor) * fraction)
-
-    def current_rate(self) -> float:
-        fraction = min(self.count / self.schedule_length, 1.0)
-        return max(self.floor, self.initial - (self.initial - self.floor) * fraction)
+def _learning_rate(config: TrainingConfig, tokens_done: int, schedule: int) -> float:
+    """Linear decay from the initial to the minimum rate over schedule tokens."""
+    initial, floor = config.initial_learning_rate, config.min_learning_rate
+    return max(floor, initial - (initial - floor) * min(tokens_done / schedule, 1.0))
 
 
-PairHook = Callable[[int, np.ndarray], None]
+def context_windows(
+    sentence: np.ndarray, window: int, rng: np.random.Generator
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(center, context indices) for each position with a non-empty context.
+
+    Each position's radius is drawn uniformly from [1, window], the classic
+    word2vec reduced-window trick. All radii of the sentence are drawn from
+    rng before the first pair is yielded, ahead of any negatives the caller
+    draws from the same stream.
+    """
+    length = len(sentence)
+    radii = rng.integers(1, window + 1, size=length)
+    for pos in range(length):
+        lo = max(0, pos - int(radii[pos]))
+        hi = min(length, pos + int(radii[pos]) + 1)
+        context = np.concatenate((sentence[lo:pos], sentence[pos + 1 : hi]))
+        if context.size:
+            yield int(sentence[pos]), context
 
 
 def _train_sentence_sg(
@@ -212,37 +222,19 @@ def _train_sentence_sg(
     rate: float,
     table: NegativeSamplingTable,
     rng: np.random.Generator,
-    on_pairs: PairHook | None,
 ) -> tuple[float, int]:
-    length = len(sentence)
-    radii = rng.integers(1, window + 1, size=length)
     loss = 0.0
     pairs = 0
-    for pos in range(length):
-        lo = max(0, pos - int(radii[pos]))
-        hi = min(length, pos + int(radii[pos]) + 1)
-        context = np.concatenate((sentence[lo:pos], sentence[pos + 1 : hi]))
+    for center, context in context_windows(sentence, window, rng):
         n_ctx = context.size
-        if n_ctx == 0:
-            continue
-        center = int(sentence[pos])
-        if on_pairs is not None:
-            on_pairs(center, context)
         negatives = table.sample_excluding(rng, np.repeat(context, k), n_ctx * k)
         targets = np.concatenate((context, negatives))
-        rows = outputs[targets]
-        center_vec = inputs[center]
-        dots = np.clip(rows @ center_vec, -DOT_CLAMP, DOT_CLAMP)
-        sig = 1.0 / (1.0 + np.exp(-dots))
-        loss += float(
-            np.logaddexp(0.0, -dots[:n_ctx]).sum()
-            + np.logaddexp(0.0, dots[n_ctx:]).sum()
+        step_loss, row_steps, center_step = _sgns_update(
+            inputs[center], outputs[targets], n_ctx, rate
         )
-        labels = np.zeros(targets.size, dtype=rows.dtype)
-        labels[:n_ctx] = 1.0
-        scaled = (labels - sig) * rate
-        np.add.at(outputs, targets, scaled[:, None] * center_vec[None, :])
-        inputs[center] += scaled @ rows
+        np.add.at(outputs, targets, row_steps)
+        inputs[center] += center_step
+        loss += step_loss
         pairs += n_ctx
     return loss, pairs
 
@@ -256,37 +248,20 @@ def _train_sentence_cbow(
     rate: float,
     table: NegativeSamplingTable,
     rng: np.random.Generator,
-    on_pairs: PairHook | None,
 ) -> tuple[float, int]:
-    length = len(sentence)
-    radii = rng.integers(1, window + 1, size=length)
     loss = 0.0
     pairs = 0
-    for pos in range(length):
-        lo = max(0, pos - int(radii[pos]))
-        hi = min(length, pos + int(radii[pos]) + 1)
-        context = np.concatenate((sentence[lo:pos], sentence[pos + 1 : hi]))
-        if context.size == 0:
-            continue
-        center = int(sentence[pos])
-        if on_pairs is not None:
-            on_pairs(center, context)
+    for center, context in context_windows(sentence, window, rng):
         hidden = inputs[context].mean(axis=0)
         negatives = table.sample_excluding(rng, center, k)
         targets = np.concatenate(([center], negatives))
-        rows = outputs[targets]
-        dots = np.clip(rows @ hidden, -DOT_CLAMP, DOT_CLAMP)
-        sig = 1.0 / (1.0 + np.exp(-dots))
-        loss += float(
-            np.logaddexp(0.0, -dots[0]) + np.logaddexp(0.0, dots[1:]).sum()
+        step_loss, row_steps, hidden_step = _sgns_update(
+            hidden, outputs[targets], 1, rate
         )
-        labels = np.zeros(targets.size, dtype=rows.dtype)
-        labels[0] = 1.0
-        scaled = (labels - sig) * rate
-        np.add.at(outputs, targets, scaled[:, None] * hidden[None, :])
-        hidden_grad = scaled @ rows
+        np.add.at(outputs, targets, row_steps)
         # like word2vec's averaged-CBOW update: full gradient to every context row
-        np.add.at(inputs, context, np.broadcast_to(hidden_grad, (context.size,) + hidden_grad.shape))
+        np.add.at(inputs, context, np.broadcast_to(hidden_step, (context.size,) + hidden_step.shape))
+        loss += step_loss
         pairs += 1
     return loss, pairs
 
@@ -299,26 +274,25 @@ def resolve_window(context_count: int | str, max_sentence_length: int) -> int:
 
 
 def train(
-    model: EmbeddingModel,
-    corpus: SentenceCorpus,
-    on_pairs: PairHook | None = None,
+    model: EmbeddingModel, corpus: SentenceCorpus
 ) -> tuple[EmbeddingModel, list[EpochStats]]:
     """Train the model in place over the sentence corpus.
 
-    Runs config.epoch_count epochs; the learning rate decays linearly from
-    the initial to the minimum rate across total_tokens * epochs. With
-    workers > 1 sentences are partitioned across threads that update the
-    shared matrices without locks, so results are only bit-reproducible at
-    workers=1.
+    Runs config.epoch_count epochs in one thread; the learning rate decays
+    linearly from the initial to the minimum rate across total_tokens *
+    epochs. Results are bit-reproducible at a fixed seed.
 
     Args:
         model: freshly initialized or previously trained model; mutated.
         corpus: sentences of vocabulary indices.
-        on_pairs: optional debug hook called with (center, context indices)
-            at every position; used by instrumentation tests.
 
     Returns:
         (the same model, per-epoch loss trace)
+
+    Raises:
+        TrainingError: on an empty corpus, out-of-vocabulary tokens, or an
+            epoch that leaves a non-finite loss or weight (for example a
+            learning rate too large for the data).
     """
     config = model.config
     if len(corpus) == 0:
@@ -328,21 +302,22 @@ def train(
         raise TrainingError("sentence token index outside the model vocabulary")
     window = resolve_window(config.context_count, corpus.max_length)
     table = NegativeSamplingTable(model.vocab.frequency, config.noise_exponent)
-    progress = _Progress(config, corpus.total_tokens * config.epoch_count)
+    schedule = max(corpus.total_tokens * config.epoch_count, 1)
+    tokens_done = 0
     step = (
         _train_sentence_sg if config.architecture == SKIP_GRAM else _train_sentence_cbow
     )
     k = config.negative_samples
     trace: list[EpochStats] = []
-
-    def run_partition(
-        sentences: list[np.ndarray], epoch: int, worker: int, sink: list
-    ) -> None:
-        rng = np.random.default_rng([config.seed, epoch, worker])
-        loss = 0.0
-        pairs = 0
-        for sentence in sentences:
-            rate = progress.advance(len(sentence))
+    for epoch in range(config.epoch_count):
+        started = time.perf_counter()
+        # the trailing 0 keeps the stream, and so the models, of earlier releases
+        rng = np.random.default_rng([config.seed, epoch, 0])
+        total_loss = 0.0
+        total_pairs = 0
+        for sentence in corpus.sentences:
+            rate = _learning_rate(config, tokens_done, schedule)
+            tokens_done += len(sentence)
             sentence_loss, sentence_pairs = step(
                 model.input_vectors,
                 model.output_vectors,
@@ -352,36 +327,20 @@ def train(
                 rate,
                 table,
                 rng,
-                on_pairs,
             )
-            loss += sentence_loss
-            pairs += sentence_pairs
-        sink.append((loss, pairs))
-
-    for epoch in range(config.epoch_count):
-        started = time.perf_counter()
-        results: list[tuple[float, int]] = []
-        if config.workers == 1:
-            run_partition(corpus.sentences, epoch, 0, results)
-        else:
-            threads = [
-                threading.Thread(
-                    target=run_partition,
-                    args=(corpus.sentences[w :: config.workers], epoch, w, results),
-                )
-                for w in range(config.workers)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        total_loss = sum(loss for loss, _ in results)
-        total_pairs = sum(pairs for _, pairs in results)
+            total_loss += sentence_loss
+            total_pairs += sentence_pairs
+        average_loss = total_loss / max(total_pairs, 1)
+        weights = (model.input_vectors, model.output_vectors)
+        if not (np.isfinite(average_loss) and all(np.isfinite(w).all() for w in weights)):
+            raise TrainingError(
+                f"training diverged in epoch {epoch}: non-finite loss or weights"
+            )
         trace.append(
             EpochStats(
                 epoch=epoch,
-                average_loss=total_loss / max(total_pairs, 1),
-                learning_rate_end=progress.current_rate(),
+                average_loss=average_loss,
+                learning_rate_end=_learning_rate(config, tokens_done, schedule),
                 seconds=time.perf_counter() - started,
             )
         )
@@ -455,13 +414,3 @@ def write_loss_trace(trace: list[EpochStats], path) -> None:
                 f"{row.epoch},{row.average_loss!r},"
                 f"{row.learning_rate_end!r},{row.seconds!r}\n"
             )
-
-
-def double_precision_copy(model: EmbeddingModel) -> EmbeddingModel:
-    """Float64 view of a model for numerically exacting checks."""
-    return replace(
-        model,
-        input_vectors=model.input_vectors.astype(np.float64),
-        output_vectors=model.output_vectors.astype(np.float64),
-        _input_norms=None,
-    )

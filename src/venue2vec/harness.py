@@ -97,7 +97,6 @@ class ExperimentConfig:
     filter_seen: bool = False
     binary_votes: bool = False
     seed: int = 1
-    workers: int = 1
     rank: int | None = None
     regularization: float = 0.1
     mf_iterations: int = 15
@@ -131,7 +130,6 @@ class ExperimentConfig:
             epoch_count=self.epoch_count,
             negative_samples=self.negative_samples,
             seed=self.seed,
-            workers=self.workers,
         )
 
     def latent_rank(self) -> int:
@@ -171,13 +169,10 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
                 neighbors=config.neighbors,
                 filter_seen=config.filter_seen,
             )
-            if config.method == recommend.KNI:
-                return recommend.recommend_kni(model, request, interactions)
-            if config.method == recommend.NN:
-                return recommend.recommend_nn(
-                    model, interactions, request, binary_votes=config.binary_votes
-                )
-            return recommend.recommend_kiu(model, interactions, request)
+            return recommend.recommend_by_method(
+                config.method, model, interactions, request,
+                binary_votes=config.binary_votes,
+            )
 
     elif config.method == baselines.CF:
         im = baselines.build_interaction_matrix(dataset.train, config.binary_votes)

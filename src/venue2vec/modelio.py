@@ -1,11 +1,12 @@
-"""Binary and text persistence for embedding and factor models.
+"""Binary and text persistence for embedding models.
 
-Both binary formats share one scheme: a versioned header, length-prefixed
-UTF-8 token tables, then row-major little-endian float32 matrices.
+The binary format is a versioned header, a length-prefixed UTF-8 token
+table with frequencies, then row-major little-endian float32 matrices.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from .embedding import CBOW, SKIP_GRAM, EmbeddingModel, TrainingConfig
 from .errors import FormatError
 
 EMBEDDING_MAGIC = b"V2VM"
-FACTOR_MAGIC = b"V2VF"
 FORMAT_VERSION = 1
 
 _ARCH_FLAGS = {SKIP_GRAM: 0, CBOW: 1}
@@ -88,6 +88,14 @@ def load_embedding_model(path: str | Path) -> EmbeddingModel:
             raise FormatError(f"unsupported model format version {version}")
         if arch_flag not in _FLAG_ARCHS:
             raise FormatError(f"unknown architecture flag {arch_flag}")
+        # each token takes at least its 4-byte length and 8-byte frequency;
+        # checked before allocating so a corrupt header cannot ask for terabytes
+        remaining = os.fstat(handle.fileno()).st_size - handle.tell()
+        if vocab_size * (12 + 2 * feature_count * 4) > remaining:
+            raise FormatError(
+                f"header claims {vocab_size} tokens of {feature_count} features, "
+                f"more than the {remaining} bytes left in {path}"
+            )
         tokens: list[str] = []
         frequencies = np.empty(vocab_size, dtype=np.int64)
         for index in range(vocab_size):
@@ -115,50 +123,3 @@ def export_text_vectors(model: EmbeddingModel, path: str | Path) -> None:
         for index in range(len(model.vocab)):
             values = " ".join(f"{x:.6f}" for x in model.input_vectors[index])
             handle.write(f"{model.vocab.token(index)} {values}\n")
-
-
-def save_factor_model(factors, path: str | Path) -> None:
-    """FactorModel persistence; mirrors the embedding layout."""
-    with open(path, "wb") as handle:
-        handle.write(FACTOR_MAGIC)
-        handle.write(
-            struct.pack(
-                "<IQQId",
-                FORMAT_VERSION,
-                len(factors.users),
-                len(factors.venues),
-                factors.rank,
-                factors.regularization,
-            )
-        )
-        for user in factors.users:
-            _write_token(handle, user)
-        for venue in factors.venues:
-            _write_token(handle, venue)
-        _write_matrix(handle, factors.user_factors)
-        _write_matrix(handle, factors.venue_factors)
-
-
-def load_factor_model(path: str | Path):
-    from .baselines import FactorModel
-
-    with open(path, "rb") as handle:
-        if _read_exact(handle, 4) != FACTOR_MAGIC:
-            raise FormatError(f"{path} is not a factor model file")
-        version, n_users, n_venues, rank, regularization = struct.unpack(
-            "<IQQId", _read_exact(handle, 32)
-        )
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported model format version {version}")
-        users = [_read_token(handle) for _ in range(n_users)]
-        venues = [_read_token(handle) for _ in range(n_venues)]
-        user_factors = _read_matrix(handle, n_users, rank)
-        venue_factors = _read_matrix(handle, n_venues, rank)
-    return FactorModel(
-        user_factors=user_factors,
-        venue_factors=venue_factors,
-        rank=rank,
-        regularization=regularization,
-        users=users,
-        venues=venues,
-    )

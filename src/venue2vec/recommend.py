@@ -239,6 +239,25 @@ def recommend_kiu(
     return _rank_venues_by_query(model, query, request, interactions, KIU)
 
 
+def recommend_by_method(
+    method: str,
+    model: EmbeddingModel,
+    interactions: Interactions,
+    request: RecommendationRequest,
+    *,
+    binary_votes: bool = False,
+) -> RecommendationList:
+    """Run the KNI, NN or KIU recommender named by method for one request."""
+    # looked up at call time, so wrappers installed on the module attributes apply
+    if method == KNI:
+        return recommend_kni(model, request, interactions)
+    if method == NN:
+        return recommend_nn(model, interactions, request, binary_votes=binary_votes)
+    if method == KIU:
+        return recommend_kiu(model, interactions, request)
+    raise ValueError(f"unknown embedding method {method!r}")
+
+
 def format_batch_line(result: RecommendationList) -> str:
     if not result.predicted:
         return f"{result.user}\t{result.method}\t{NO_PREDICTION}"

@@ -511,7 +511,7 @@ def test_criterion_10_reproducibility(tmp_path):
         run_experiment(
             ExperimentConfig(fixture=fixture, method="kni", feature_count=16,
                              context_count=5, epoch_count=8, neighbors=5,
-                             k=10, seed=3, workers=1, out_dir=str(out))
+                             k=10, seed=3, out_dir=str(out))
         )
         return out
 

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from venue2vec.cli import main
+from venue2vec.harness import ExperimentConfig
 from venue2vec.metrics import read_report_csv
 from venue2vec.recommend import read_batch_recommendations
 
@@ -242,3 +244,30 @@ def test_cbow_default_window_is_max(fixture_file, tmp_path):
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
     assert report["C"] == 13  # max sentence length: user + 12 train check-ins
+
+
+def test_workers_flag_is_config_error(fixture_file, tmp_path, capsys):
+    base = ["run", "--input", str(fixture_file), "--method", "kni"]
+    assert main(base + ["--workers", "2"]) == 1
+    assert "config error" in capsys.readouterr().err
+    conf = tmp_path / "exp.conf"
+    conf.write_text("workers = 2\n")
+    assert main(base + ["--config", str(conf)]) == 1
+
+
+def test_diverging_training_is_runtime_error(fixture_file, tmp_path, monkeypatch):
+    """No flag sets the learning rate, so the test raises it behind the CLI."""
+    make_config = ExperimentConfig.training_config
+    monkeypatch.setattr(
+        ExperimentConfig,
+        "training_config",
+        lambda self: replace(make_config(self), initial_learning_rate=1e6),
+    )
+    rc = main(
+        [
+            "train", "--input", str(fixture_file), "--features", "8",
+            "--epochs", "2", "--model-out", str(tmp_path / "model.bin"),
+        ]
+    )
+    assert rc == 2
+    assert not (tmp_path / "model.bin").exists()

@@ -13,6 +13,7 @@ from venue2vec.embedding import (
     EmbeddingModel,
     NegativeSamplingTable,
     TrainingConfig,
+    context_windows,
     get_vector,
     init_model,
     resolve_window,
@@ -216,51 +217,43 @@ def test_single_worker_training_bit_reproducible(toy_records):
     assert np.array_equal(a.output_vectors, b.output_vectors)
 
 
-def test_multi_worker_training_runs(toy_records):
-    vocab = build_vocabulary(toy_records, 1)
-    corpus = build_sentences(toy_records, vocab)
-    config = TrainingConfig(
-        feature_count=8, context_count=3, epoch_count=3, seed=1, workers=3
-    )
-    model, trace = train(init_model(vocab, config), corpus)
-    assert np.isfinite(model.input_vectors).all()
-    assert len(trace) == 3
-
-
 def test_window_contract_skip_gram_distance_one(toy_records):
     """With C=1 no pair may span a distance greater than one position."""
     records = make_records({"u": [f"w{i}" for i in range(8)]})
     vocab = build_vocabulary(records, 1)
-    corpus = build_sentences(records, vocab)
-    sentence = corpus.sentences[0]
+    sentence = build_sentences(records, vocab).sentences[0]
     position = {int(token): i for i, token in enumerate(sentence)}
-    config = TrainingConfig(feature_count=4, context_count=1, epoch_count=2, seed=0)
-    model = init_model(vocab, config)
+    rng = np.random.default_rng(0)
     pair_count = 0
-
-    def recorder(center, context):
-        nonlocal pair_count
-        for token in context:
-            pair_count += 1
-            assert abs(position[int(token)] - position[center]) <= 1
-
-    train(model, corpus, on_pairs=recorder)
+    for _ in range(2):
+        for center, context in context_windows(sentence, 1, rng):
+            for token in context:
+                pair_count += 1
+                assert abs(position[int(token)] - position[center]) <= 1
     assert pair_count > 0
 
 
 def test_window_radius_never_exceeds_configured():
     records = make_records({"u": [f"w{i}" for i in range(12)]})
     vocab = build_vocabulary(records, 1)
-    corpus = build_sentences(records, vocab)
-    sentence = corpus.sentences[0]
+    sentence = build_sentences(records, vocab).sentences[0]
     position = {int(token): i for i, token in enumerate(sentence)}
-    config = TrainingConfig(feature_count=4, context_count=2, epoch_count=2, seed=0)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        for center, context in context_windows(sentence, 2, rng):
+            for token in context:
+                assert abs(position[int(token)] - position[center]) <= 2
 
-    def recorder(center, context):
-        for token in context:
-            assert abs(position[int(token)] - position[center]) <= 2
 
-    train(init_model(vocab, config), corpus, on_pairs=recorder)
+def test_diverging_training_raises_naming_the_epoch(toy_records):
+    vocab = build_vocabulary(toy_records, 1)
+    corpus = build_sentences(toy_records, vocab)
+    config = TrainingConfig(
+        feature_count=8, context_count=3, epoch_count=3, seed=1,
+        initial_learning_rate=1e6,
+    )
+    with pytest.raises(TrainingError, match="epoch 0"):
+        train(init_model(vocab, config), corpus)
 
 
 def test_cbow_training_brings_co_occurring_tokens_close(toy_records):

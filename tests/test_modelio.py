@@ -3,18 +3,13 @@ import struct
 import numpy as np
 import pytest
 
-from venue2vec.baselines import build_interaction_matrix, svd_factorize
 from venue2vec.errors import FormatError
 from venue2vec.modelio import (
     EMBEDDING_MAGIC,
     export_text_vectors,
     load_embedding_model,
-    load_factor_model,
     save_embedding_model,
-    save_factor_model,
 )
-
-from conftest import make_records
 
 
 def test_embedding_model_roundtrip(tmp_path, toy_model):
@@ -81,20 +76,14 @@ def test_text_export_one_line_per_token(tmp_path, toy_model):
     float(values[0])  # parseable decimals
 
 
-def test_factor_model_roundtrip(tmp_path):
-    im = build_interaction_matrix(
-        make_records({"a": ["x", "y"], "b": ["y", "z"], "c": ["x", "z"]})
-    )
-    factors = svd_factorize(im, 2, seed=0)
-    path = tmp_path / "factors.bin"
-    save_factor_model(factors, path)
-    loaded = load_factor_model(path)
-    assert loaded.rank == factors.rank
-    assert loaded.users == factors.users
-    assert loaded.venues == factors.venues
-    np.testing.assert_allclose(
-        loaded.user_factors, factors.user_factors.astype(np.float32), rtol=1e-6
-    )
-    np.testing.assert_allclose(
-        loaded.venue_factors, factors.venue_factors.astype(np.float32), rtol=1e-6
-    )
+def test_load_rejects_header_claiming_more_than_the_file_holds(tmp_path, toy_model):
+    """A header claiming 2^40 tokens must fail on the size check, not by
+    trying to allocate terabytes."""
+    path = tmp_path / "model.bin"
+    save_embedding_model(toy_model, path)
+    blob = bytearray(path.read_bytes())
+    blob[8:16] = struct.pack("<Q", 2**40)
+    corrupt = tmp_path / "corrupt.bin"
+    corrupt.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="header claims"):
+        load_embedding_model(corrupt)
