@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Time one SGNS training epoch on the paper-shaped synthetic fixture.
+
+Usage:
+    python scripts/time_epoch.py [--epochs 1]
+
+The fixture is the ROADMAP's paper shape: 40 communities x 208 users x 1238
+venues, 10 train check-ins per user (8320 users, 49520 venues, 91520
+sentence tokens). It trains skip-gram (F=100, C=20) and CBOW (F=100, window
+"max") and prints, per architecture, the seconds per epoch and the (center,
+context) pairs per second. The pair count is the expectation over the
+reduced-window radius draw, the same for any implementation, so pairs per
+second compares training kernels on equal work.
+"""
+
+import argparse
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from venue2vec.corpus import build_sentences, build_vocabulary, split_train_test
+from venue2vec.embedding import CBOW, SKIP_GRAM, TrainingConfig, init_model, resolve_window, train
+from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
+
+PAPER_SHAPE = FixtureSpec(
+    seed=1,
+    communities=40,
+    users_per_community=208,
+    venues_per_community=1238,
+    train_checkins_per_user=10,
+    test_checkins_per_user=3,
+)
+
+
+def expected_pairs(lengths: np.ndarray, window: int) -> float:
+    """Expected (center, context) pairs per epoch with radii uniform in [1, window]."""
+    total = 0.0
+    for length, count in zip(*np.unique(lengths, return_counts=True)):
+        pos = np.arange(length)[:, None]
+        radius = np.arange(1, window + 1)[None, :]
+        per_radius = np.minimum(pos, radius) + np.minimum(length - 1 - pos, radius)
+        total += count * per_radius.mean(axis=1).sum()
+    return total
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--epochs", type=int, default=1)
+    args = parser.parse_args()
+
+    records, _ = generate_fixture(PAPER_SHAPE)
+    train_records = split_train_test(records, FEB_2011).train
+    vocab = build_vocabulary(train_records, 1)
+    corpus = build_sentences(train_records, vocab)
+    lengths = np.array([len(s) for s in corpus.sentences])
+    print(f"{len(corpus)} sentences, {corpus.total_tokens} tokens, {len(vocab)} tokens in vocab")
+    for architecture, context_count in ((SKIP_GRAM, 20), (CBOW, "max")):
+        config = TrainingConfig(
+            architecture=architecture,
+            feature_count=100,
+            context_count=context_count,
+            epoch_count=args.epochs,
+            seed=1,
+        )
+        _, trace = train(init_model(vocab, config), corpus)
+        seconds = float(np.mean([row.seconds for row in trace]))
+        pairs = expected_pairs(lengths, resolve_window(context_count, corpus.max_length))
+        print(
+            f"{architecture:<9} C={context_count!s:<4} {seconds:7.2f} s/epoch "
+            f"{pairs / seconds:10.0f} pairs/s ({pairs:.0f} pairs/epoch)"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,9 +3,10 @@
 Two weight matrices are kept: input (center) vectors and output (context)
 vectors. All similarity queries run against the input matrix for users and
 venues alike, so the three vector-space recommenders stay mutually
-consistent. Training is plain SGD over sentences with a linearly decaying
-learning rate; a per-position window radius is drawn uniformly from [1, C]
-exactly like the classic word2vec reduced-window trick.
+consistent. Training is minibatched SGD over sentences with a linearly
+decaying learning rate; a per-position window radius is drawn uniformly from
+[1, C] exactly like the classic word2vec reduced-window trick. Each
+minibatch is one matrix-form SGNS step (Ji et al., arXiv 1604.04661).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import SentenceCorpus, Vocabulary
 from .errors import ConfigError, SimilarityError, TrainingError
@@ -25,6 +27,20 @@ MAX_WINDOW: Literal["max"] = "max"
 
 # Dot products are clamped here before the sigmoid; standard SGNS overflow guard.
 DOT_CLAMP = 30.0
+
+# Rows per SGNS step: (center, context) pairs for skip-gram, windows for
+# CBOW. A step gathers a (rows, 1 + k, F) block of output vectors, so much
+# larger steps cost memory (4096 CBOW windows at F=100 took 46 MB more).
+BATCH_ROWS = 256
+# Window radii and pairs are drawn for blocks of whole sentences of at most
+# this many tokens (or one longer sentence), so training memory is bounded by
+# the block, not the epoch; a block's CBOW windows then fit in one step.
+BLOCK_TOKENS = 256
+# Steps hold at most total_tokens / MIN_STEPS_PER_EPOCH rows, so an epoch
+# takes at least about this many steps even on a tiny corpus. A diverging
+# learning rate then leaves non-finite weights in the epoch where it starts:
+# a single step per epoch can grow the weights to 1e18 and leave them finite.
+MIN_STEPS_PER_EPOCH = 16
 
 
 @dataclass(frozen=True)
@@ -145,25 +161,25 @@ class NegativeSamplingTable:
 
 
 def _sgns_update(
-    hidden: np.ndarray, rows: np.ndarray, positives: int, rate: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """The one SGNS step of a hidden vector against its target output rows.
+    hidden: np.ndarray, rows: np.ndarray, rates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SGNS step of a minibatch of hidden vectors against their target rows.
 
-    The first `positives` rows are positive targets, the rest negatives; the
-    loss is -Σ log σ(±row·hidden) with each dot clamped to ±DOT_CLAMP.
-    Returns (loss, per-row step, hidden step), the steps already scaled by
-    rate and signed so that adding them descends the loss.
+    hidden is (B, F); rows is (B, 1 + k, F), each hidden vector's positive
+    target first and its k negatives after it; rates is (B,). The loss of
+    row b is -log σ(rows[b, 0]·hidden[b]) - Σ_j log σ(-rows[b, j]·hidden[b])
+    with each dot clamped to ±DOT_CLAMP.
+    Returns (per-row loss, target coefficients (B, 1 + k), hidden step
+    (B, F)). Target j of row b steps by coefficients[b, j] * hidden[b]. The
+    steps are scaled by each row's rate and signed so that adding them
+    descends the loss.
     """
-    dots = np.clip(rows @ hidden, -DOT_CLAMP, DOT_CLAMP)
-    sig = 1.0 / (1.0 + np.exp(-dots))
-    loss = float(
-        np.logaddexp(0.0, -dots[:positives]).sum()
-        + np.logaddexp(0.0, dots[positives:]).sum()
-    )
-    labels = np.zeros(rows.shape[0], dtype=rows.dtype)
-    labels[:positives] = 1.0
-    scaled = (labels - sig) * rate
-    return loss, scaled[:, None] * hidden[None, :], scaled @ rows
+    dots = np.clip(np.matmul(rows, hidden[:, :, None])[:, :, 0], -DOT_CLAMP, DOT_CLAMP)
+    losses = np.logaddexp(0.0, -dots[:, 0]) + np.logaddexp(0.0, dots[:, 1:]).sum(axis=1)
+    coefficients = -1.0 / (1.0 + np.exp(-dots))
+    coefficients[:, 0] += 1.0
+    coefficients *= rates[:, None]
+    return losses, coefficients, np.matmul(coefficients[:, None, :], rows)[:, 0, :]
 
 
 def negative_sampling_gradient(
@@ -173,97 +189,174 @@ def negative_sampling_gradient(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Loss and exact gradients for one positive pair and its negative draws.
 
-    The training update at rate 1 with its sign flipped: loss =
-    -log σ(center·context) - Σ_i log σ(-center·negative_i), with each dot
-    product clamped to ±DOT_CLAMP before the sigmoid.
+    The training update on a minibatch of one, at rate 1 with its sign
+    flipped: loss = -log σ(center·context) - Σ_i log σ(-center·negative_i),
+    with each dot product clamped to ±DOT_CLAMP before the sigmoid.
 
     Returns:
         (loss, d/d center, d/d context, d/d negatives) with the last entry
         shaped (len(negatives), F). Works in whatever float precision the
         inputs carry.
     """
+    center = np.asarray(center)
     rows = np.vstack((np.asarray(context), np.asarray(negatives)))
-    loss, row_steps, center_step = _sgns_update(np.asarray(center), rows, 1, 1.0)
-    return loss, -center_step, -row_steps[0], -row_steps[1:]
+    losses, coefficients, center_steps = _sgns_update(
+        center[None], rows[None], np.ones(1, dtype=center.dtype)
+    )
+    row_gradients = -coefficients[0, :, None] * center[None, :]
+    return float(losses[0]), -center_steps[0], row_gradients[0], row_gradients[1:]
 
 
-def _learning_rate(config: TrainingConfig, tokens_done: int, schedule: int) -> float:
+def _by_token(
+    tokens: np.ndarray, indptr: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, sparse.csc_matrix]:
+    """The distinct tokens of a minibatch and a (distinct x rows) weight matrix.
+
+    Row r of the minibatch holds tokens[indptr[r]:indptr[r + 1]] with
+    weights[indptr[r]:indptr[r + 1]]. The matrix times per-row vectors adds
+    each row's vector, times its weight, to each of its tokens, a token
+    repeated within or across rows once per occurrence, in a fixed order.
+    """
+    distinct, index = np.unique(tokens, return_inverse=True)
+    matrix = sparse.csc_matrix(
+        (weights, index, indptr), shape=(distinct.size, indptr.size - 1)
+    )
+    return distinct, matrix
+
+
+def _sgns_step(
+    inputs: np.ndarray,
+    outputs: np.ndarray,
+    members: np.ndarray,
+    indptr: np.ndarray,
+    targets: np.ndarray,
+    rates: np.ndarray,
+) -> float:
+    """Apply one minibatch SGNS step in place; returns the summed loss.
+
+    Row r's hidden vector is the mean of the input vectors of
+    members[indptr[r]:indptr[r + 1]] (its center token for skip-gram, its
+    context tokens for CBOW); targets[r] holds its positive then its
+    negative tokens. As in word2vec's averaged CBOW, each member gets the
+    row's full hidden step. Every row reads the weights as they stood
+    before the step.
+    """
+    dtype = inputs.dtype
+    distinct_in, in_rows = _by_token(members, indptr, np.ones(members.size, dtype=dtype))
+    sizes = np.diff(indptr).astype(dtype)
+    hidden = (in_rows.T @ inputs[distinct_in]) / sizes[:, None]
+    losses, coefficients, hidden_steps = _sgns_update(hidden, outputs[targets], rates)
+    rows, width = targets.shape
+    distinct_out, out_rows = _by_token(
+        targets.ravel(), np.arange(0, rows * width + 1, width), coefficients.ravel()
+    )
+    outputs[distinct_out] += out_rows @ hidden
+    inputs[distinct_in] += in_rows @ hidden_steps
+    return float(losses.sum(dtype=np.float64))
+
+
+def _learning_rate(
+    config: TrainingConfig, tokens_done: int | np.ndarray, schedule: int
+) -> np.ndarray:
     """Linear decay from the initial to the minimum rate over schedule tokens."""
     initial, floor = config.initial_learning_rate, config.min_learning_rate
-    return max(floor, initial - (initial - floor) * min(tokens_done / schedule, 1.0))
+    return np.maximum(
+        floor, initial - (initial - floor) * np.minimum(np.asarray(tokens_done) / schedule, 1.0)
+    )
 
 
-def context_windows(
-    sentence: np.ndarray, window: int, rng: np.random.Generator
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(center, context indices) for each position with a non-empty context.
+def context_pairs(
+    lengths: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (center, context) position pair of a block of sentences.
 
-    Each position's radius is drawn uniformly from [1, window], the classic
-    word2vec reduced-window trick. All radii of the sentence are drawn from
-    rng before the first pair is yielded, ahead of any negatives the caller
-    draws from the same stream.
+    The block is its sentences laid end to end: lengths holds each
+    sentence's token count and radii each position's window radius, drawn
+    uniformly from [1, C] by the caller (the classic word2vec
+    reduced-window trick). A position pairs with every other position of
+    its own sentence at most its radius away. Pairs come ordered by center
+    position, then by context position.
     """
-    length = len(sentence)
-    radii = rng.integers(1, window + 1, size=length)
-    for pos in range(length):
-        lo = max(0, pos - int(radii[pos]))
-        hi = min(length, pos + int(radii[pos]) + 1)
-        context = np.concatenate((sentence[lo:pos], sentence[pos + 1 : hi]))
-        if context.size:
-            yield int(sentence[pos]), context
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.repeat(np.cumsum(lengths), lengths)
+    starts = ends - np.repeat(lengths, lengths)
+    positions = np.arange(ends.size)
+    lo = np.maximum(starts, positions - radii)
+    counts = np.minimum(ends, positions + radii + 1) - lo - 1
+    centers = np.repeat(positions, counts)
+    # a pair's offset within its center's run of pairs, then skip the center
+    first = np.cumsum(counts) - counts
+    contexts = np.repeat(lo - first, counts) + np.arange(centers.size)
+    contexts += contexts >= centers
+    return centers, contexts
 
 
-def _train_sentence_sg(
-    inputs: np.ndarray,
-    outputs: np.ndarray,
-    sentence: np.ndarray,
+def _sentence_blocks(sentences: Sequence[np.ndarray]) -> Iterator[list[np.ndarray]]:
+    """Consecutive sentences, as many as fit in BLOCK_TOKENS tokens (at least one)."""
+    block: list[np.ndarray] = []
+    size = 0
+    for sentence in sentences:
+        if block and size + len(sentence) > BLOCK_TOKENS:
+            yield block
+            block, size = [], 0
+        block.append(sentence)
+        size += len(sentence)
+    if block:
+        yield block
+
+
+def _train_block(
+    model: EmbeddingModel,
+    block: list[np.ndarray],
+    tokens_done: int,
     window: int,
-    k: int,
-    rate: float,
+    schedule: int,
     table: NegativeSamplingTable,
     rng: np.random.Generator,
+    batch: int,
 ) -> tuple[float, int]:
-    loss = 0.0
-    pairs = 0
-    for center, context in context_windows(sentence, window, rng):
-        n_ctx = context.size
-        negatives = table.sample_excluding(rng, np.repeat(context, k), n_ctx * k)
-        targets = np.concatenate((context, negatives))
-        step_loss, row_steps, center_step = _sgns_update(
-            inputs[center], outputs[targets], n_ctx, rate
-        )
-        np.add.at(outputs, targets, row_steps)
-        inputs[center] += center_step
-        loss += step_loss
-        pairs += n_ctx
-    return loss, pairs
+    """Train on one block of sentences in minibatches of batch rows.
 
-
-def _train_sentence_cbow(
-    inputs: np.ndarray,
-    outputs: np.ndarray,
-    sentence: np.ndarray,
-    window: int,
-    k: int,
-    rate: float,
-    table: NegativeSamplingTable,
-    rng: np.random.Generator,
-) -> tuple[float, int]:
+    Draws every position's window radius for the whole block, then each
+    minibatch's negatives. A skip-gram row is one (center, context) pair:
+    the center predicts the context token. A CBOW row is one window: the
+    mean of its context vectors predicts the center token. Each row trains
+    at its sentence's rate. Returns (summed loss, rows).
+    """
+    config = model.config
+    lengths = np.array([len(s) for s in block])
+    tokens = np.concatenate(block)
+    sentence_starts = tokens_done + np.cumsum(lengths) - lengths
+    rates = np.repeat(_learning_rate(config, sentence_starts, schedule), lengths)
+    radii = rng.integers(1, window + 1, size=tokens.size)
+    centers, contexts = context_pairs(lengths, radii)
+    if config.architecture == SKIP_GRAM:
+        row_positions, row_of_pair = centers, np.arange(centers.size)
+        members, positives = tokens[centers], tokens[contexts]
+    else:
+        row_positions, row_of_pair = np.unique(centers, return_inverse=True)
+        members, positives = tokens[contexts], tokens[row_positions]
+    rows = positives.size
+    row_rates = rates[row_positions].astype(model.input_vectors.dtype)
+    # pairs come sorted by row, so row r's members are members[indptr[r]:indptr[r + 1]]
+    indptr = np.searchsorted(row_of_pair, np.arange(rows + 1))
+    k = config.negative_samples
     loss = 0.0
-    pairs = 0
-    for center, context in context_windows(sentence, window, rng):
-        hidden = inputs[context].mean(axis=0)
-        negatives = table.sample_excluding(rng, center, k)
-        targets = np.concatenate(([center], negatives))
-        step_loss, row_steps, hidden_step = _sgns_update(
-            hidden, outputs[targets], 1, rate
+    for first in range(0, rows, batch):
+        last = min(first + batch, rows)
+        batch_positives = positives[first:last]
+        negatives = table.sample_excluding(
+            rng, np.repeat(batch_positives, k), batch_positives.size * k
         )
-        np.add.at(outputs, targets, row_steps)
-        # like word2vec's averaged-CBOW update: full gradient to every context row
-        np.add.at(inputs, context, np.broadcast_to(hidden_step, (context.size,) + hidden_step.shape))
-        loss += step_loss
-        pairs += 1
-    return loss, pairs
+        loss += _sgns_step(
+            model.input_vectors,
+            model.output_vectors,
+            members[indptr[first] : indptr[last]],
+            indptr[first : last + 1] - indptr[first],
+            np.column_stack((batch_positives, negatives.reshape(-1, k))),
+            row_rates[first:last],
+        )
+    return loss, rows
 
 
 def resolve_window(context_count: int | str, max_sentence_length: int) -> int:
@@ -278,9 +371,13 @@ def train(
 ) -> tuple[EmbeddingModel, list[EpochStats]]:
     """Train the model in place over the sentence corpus.
 
-    Runs config.epoch_count epochs in one thread; the learning rate decays
-    linearly from the initial to the minimum rate across total_tokens *
-    epochs. Results are bit-reproducible at a fixed seed.
+    Runs config.epoch_count epochs in one thread. Sentences are taken a
+    block at a time: the block's window radii and pairs, then each
+    minibatch's negatives, are drawn as arrays, and each minibatch of at
+    most BATCH_ROWS rows is one SGNS step that reads the weights as they
+    stood before it. The learning rate decays linearly from the initial to
+    the minimum rate across total_tokens * epochs, per sentence. Results are
+    bit-reproducible at a fixed seed.
 
     Args:
         model: freshly initialized or previously trained model; mutated.
@@ -303,34 +400,24 @@ def train(
     window = resolve_window(config.context_count, corpus.max_length)
     table = NegativeSamplingTable(model.vocab.frequency, config.noise_exponent)
     schedule = max(corpus.total_tokens * config.epoch_count, 1)
+    batch = max(1, min(BATCH_ROWS, corpus.total_tokens // MIN_STEPS_PER_EPOCH))
     tokens_done = 0
-    step = (
-        _train_sentence_sg if config.architecture == SKIP_GRAM else _train_sentence_cbow
-    )
-    k = config.negative_samples
     trace: list[EpochStats] = []
     for epoch in range(config.epoch_count):
         started = time.perf_counter()
-        # the trailing 0 keeps the stream, and so the models, of earlier releases
         rng = np.random.default_rng([config.seed, epoch, 0])
         total_loss = 0.0
-        total_pairs = 0
-        for sentence in corpus.sentences:
-            rate = _learning_rate(config, tokens_done, schedule)
-            tokens_done += len(sentence)
-            sentence_loss, sentence_pairs = step(
-                model.input_vectors,
-                model.output_vectors,
-                sentence,
-                window,
-                k,
-                rate,
-                table,
-                rng,
-            )
-            total_loss += sentence_loss
-            total_pairs += sentence_pairs
-        average_loss = total_loss / max(total_pairs, 1)
+        total_rows = 0
+        # overflow in a diverging run is reported by the check after the epoch
+        with np.errstate(all="ignore"):
+            for block in _sentence_blocks(corpus.sentences):
+                block_loss, block_rows = _train_block(
+                    model, block, tokens_done, window, schedule, table, rng, batch
+                )
+                tokens_done += sum(len(s) for s in block)
+                total_loss += block_loss
+                total_rows += block_rows
+        average_loss = total_loss / max(total_rows, 1)
         weights = (model.input_vectors, model.output_vectors)
         if not (np.isfinite(average_loss) and all(np.isfinite(w).all() for w in weights)):
             raise TrainingError(
@@ -340,7 +427,7 @@ def train(
             EpochStats(
                 epoch=epoch,
                 average_loss=average_loss,
-                learning_rate_end=_learning_rate(config, tokens_done, schedule),
+                learning_rate_end=float(_learning_rate(config, tokens_done, schedule)),
                 seconds=time.perf_counter() - started,
             )
         )

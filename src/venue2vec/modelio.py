@@ -23,10 +23,20 @@ _ARCH_FLAGS = {SKIP_GRAM: 0, CBOW: 1}
 _FLAG_ARCHS = {flag: arch for arch, flag in _ARCH_FLAGS.items()}
 
 
-def _write_token(handle, token: str) -> None:
-    data = token.encode("utf-8")
-    handle.write(struct.pack("<I", len(data)))
-    handle.write(data)
+def _token_table(tokens: list[str], frequencies: np.ndarray) -> bytes:
+    """Per token: its UTF-8 byte length as <u4, the bytes, its frequency as <u8."""
+    encoded = [token.encode("utf-8") for token in tokens]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    ends = np.cumsum(lengths + 12)
+    length_at = (ends - lengths - 12)[:, None] + np.arange(4)
+    frequency_at = (ends - 8)[:, None] + np.arange(8)
+    table = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
+    text = np.ones(table.size, dtype=bool)
+    text[length_at] = text[frequency_at] = False
+    table[length_at] = lengths.astype("<u4").view(np.uint8).reshape(-1, 4)
+    table[frequency_at] = frequencies.astype("<u8").view(np.uint8).reshape(-1, 8)
+    table[text] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    return table.tobytes()
 
 
 def _read_exact(handle, size: int) -> bytes:
@@ -36,9 +46,29 @@ def _read_exact(handle, size: int) -> bytes:
     return data
 
 
-def _read_token(handle) -> str:
-    (length,) = struct.unpack("<I", _read_exact(handle, 4))
-    return _read_exact(handle, length).decode("utf-8")
+def _read_token_table(table: bytes, count: int) -> tuple[list[str], np.ndarray, int]:
+    """Inverse of _token_table over the first count records of table.
+
+    Returns (tokens, frequencies, bytes the records take). Each record's
+    offset depends on the length before it, so the records are walked one
+    at a time in memory; the frequencies are then read as one array.
+    """
+    tokens: list[str] = []
+    frequency_at: list[int] = []
+    offset = 0
+    try:
+        for _ in range(count):
+            end = offset + 4 + int.from_bytes(table[offset : offset + 4], "little")
+            tokens.append(table[offset + 4 : end].decode("utf-8"))
+            frequency_at.append(end)
+            offset = end + 8
+    except UnicodeDecodeError as error:
+        raise FormatError(f"token table holds invalid UTF-8: {error}") from None
+    if offset > len(table):
+        raise FormatError("model file truncated inside the token table")
+    raw = np.frombuffer(table, dtype=np.uint8)
+    frequencies = raw[np.array(frequency_at, dtype=np.int64)[:, None] + np.arange(8)]
+    return tokens, frequencies.view("<u8")[:, 0].astype(np.int64), offset
 
 
 def _write_matrix(handle, matrix: np.ndarray) -> None:
@@ -46,8 +76,10 @@ def _write_matrix(handle, matrix: np.ndarray) -> None:
 
 
 def _read_matrix(handle, rows: int, cols: int) -> np.ndarray:
-    data = _read_exact(handle, rows * cols * 4)
-    return np.frombuffer(data, dtype="<f4").reshape(rows, cols).copy()
+    matrix = np.fromfile(handle, dtype="<f4", count=rows * cols)
+    if matrix.size != rows * cols:
+        raise FormatError("model file truncated")
+    return matrix.reshape(rows, cols)
 
 
 def save_embedding_model(model: EmbeddingModel, path: str | Path) -> None:
@@ -64,9 +96,7 @@ def save_embedding_model(model: EmbeddingModel, path: str | Path) -> None:
                 _ARCH_FLAGS[model.config.architecture],
             )
         )
-        for index in range(len(vocab)):
-            _write_token(handle, vocab.token(index))
-            handle.write(struct.pack("<Q", int(vocab.frequency[index])))
+        handle.write(_token_table(vocab.index_to_token, vocab.frequency))
         _write_matrix(handle, model.input_vectors)
         _write_matrix(handle, model.output_vectors)
 
@@ -90,17 +120,19 @@ def load_embedding_model(path: str | Path) -> EmbeddingModel:
             raise FormatError(f"unknown architecture flag {arch_flag}")
         # each token takes at least its 4-byte length and 8-byte frequency;
         # checked before allocating so a corrupt header cannot ask for terabytes
-        remaining = os.fstat(handle.fileno()).st_size - handle.tell()
-        if vocab_size * (12 + 2 * feature_count * 4) > remaining:
+        table_start = handle.tell()
+        remaining = os.fstat(handle.fileno()).st_size - table_start
+        matrix_bytes = 2 * vocab_size * feature_count * 4
+        if vocab_size * 12 + matrix_bytes > remaining:
             raise FormatError(
                 f"header claims {vocab_size} tokens of {feature_count} features, "
                 f"more than the {remaining} bytes left in {path}"
             )
-        tokens: list[str] = []
-        frequencies = np.empty(vocab_size, dtype=np.int64)
-        for index in range(vocab_size):
-            tokens.append(_read_token(handle))
-            (frequencies[index],) = struct.unpack("<Q", _read_exact(handle, 8))
+        # the table is what the matrices leave, unless the file has a tail
+        tokens, frequencies, table_size = _read_token_table(
+            handle.read(remaining - matrix_bytes), vocab_size
+        )
+        handle.seek(table_start + table_size)
         user_count = sum(1 for t in tokens if t.startswith(USER_PREFIX))
         prefix_width = len(USER_PREFIX)
         vocab = Vocabulary(

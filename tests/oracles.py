@@ -144,6 +144,25 @@ def als_final_objective(
     )
 
 
+def context_pairs_reference(lengths, radii):
+    """(center, context) position pairs by a loop over positions.
+
+    Sentences lie end to end; each position pairs with every other position
+    of its own sentence at most its radius away, centers in order, then
+    contexts in order.
+    """
+    pairs = []
+    start = 0
+    for length in lengths:
+        for pos in range(start, start + length):
+            radius = int(radii[pos])
+            for ctx in range(max(start, pos - radius), min(start + length, pos + radius + 1)):
+                if ctx != pos:
+                    pairs.append((pos, ctx))
+        start += length
+    return pairs
+
+
 def two_token_scalar_reference(
     epochs: int = 1500,
     dim: int = 16,

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from venue2vec.corpus import (
+    SentenceCorpus,
     build_sentences,
     build_vocabulary,
+    split_train_test,
 )
 from venue2vec.embedding import (
     CBOW,
@@ -13,7 +17,10 @@ from venue2vec.embedding import (
     EmbeddingModel,
     NegativeSamplingTable,
     TrainingConfig,
-    context_windows,
+    _sgns_step,
+    _sgns_update,
+    context_pairs,
+    negative_sampling_gradient,
     get_vector,
     init_model,
     resolve_window,
@@ -26,9 +33,10 @@ from venue2vec.errors import (
     TokenNotFoundError,
     TrainingError,
 )
+from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 
 from conftest import make_records
-from oracles import brute_force_top_k, two_token_scalar_reference
+from oracles import brute_force_top_k, context_pairs_reference, two_token_scalar_reference
 
 
 def small_vocab(n_users=2, n_venues=3):
@@ -217,6 +225,14 @@ def test_single_worker_training_bit_reproducible(toy_records):
     assert np.array_equal(a.output_vectors, b.output_vectors)
 
 
+def _sentence_pairs(sentence, window, rng):
+    """(center token, context tokens) per position, as training draws them."""
+    radii = rng.integers(1, window + 1, size=len(sentence))
+    centers, contexts = context_pairs([len(sentence)], radii)
+    for center in np.unique(centers):
+        yield int(sentence[center]), sentence[contexts[centers == center]]
+
+
 def test_window_contract_skip_gram_distance_one(toy_records):
     """With C=1 no pair may span a distance greater than one position."""
     records = make_records({"u": [f"w{i}" for i in range(8)]})
@@ -226,7 +242,7 @@ def test_window_contract_skip_gram_distance_one(toy_records):
     rng = np.random.default_rng(0)
     pair_count = 0
     for _ in range(2):
-        for center, context in context_windows(sentence, 1, rng):
+        for center, context in _sentence_pairs(sentence, 1, rng):
             for token in context:
                 pair_count += 1
                 assert abs(position[int(token)] - position[center]) <= 1
@@ -240,9 +256,82 @@ def test_window_radius_never_exceeds_configured():
     position = {int(token): i for i, token in enumerate(sentence)}
     rng = np.random.default_rng(0)
     for _ in range(2):
-        for center, context in context_windows(sentence, 2, rng):
+        for center, context in _sentence_pairs(sentence, 2, rng):
             for token in context:
                 assert abs(position[int(token)] - position[center]) <= 2
+
+
+@st.composite
+def _block_radii(draw):
+    lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    window = draw(st.integers(1, 10))
+    radii = draw(
+        st.lists(st.integers(1, window), min_size=sum(lengths), max_size=sum(lengths))
+    )
+    return lengths, np.array(radii, dtype=np.int64)
+
+
+@given(_block_radii())
+@settings(max_examples=200, deadline=None)
+def test_context_pairs_match_reference_loop(block):
+    lengths, radii = block
+    centers, contexts = context_pairs(np.array(lengths), radii)
+    assert list(zip(centers.tolist(), contexts.tolist())) == context_pairs_reference(
+        lengths, radii
+    )
+
+
+def test_batched_step_rows_match_negative_sampling_gradient(rng):
+    """Each row of the batched update is the checked single-pair gradient,
+    scaled by its own rate."""
+    batch, targets, dim = 7, 4, 5
+    hidden = rng.normal(size=(batch, dim))
+    rows = rng.normal(size=(batch, targets, dim))
+    rows[0] *= 40.0  # dots beyond the clamp
+    rates = rng.uniform(0.01, 2.0, size=batch)
+    losses, coefficients, hidden_steps = _sgns_update(hidden, rows, rates)
+    row_steps = coefficients[:, :, None] * hidden[:, None, :]
+    for b in range(batch):
+        loss, g_center, g_context, g_negatives = negative_sampling_gradient(
+            hidden[b], rows[b, 0], rows[b, 1:]
+        )
+        assert losses[b] == pytest.approx(loss, abs=1e-12)
+        np.testing.assert_allclose(hidden_steps[b], -rates[b] * g_center, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row_steps[b, 0], -rates[b] * g_context, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row_steps[b, 1:], -rates[b] * g_negatives, rtol=0, atol=1e-12)
+
+
+def test_minibatch_step_matches_add_at_oracle(rng):
+    """Repeated tokens, within a row and across rows, each get their step:
+    the step equals per-row gradients scattered with np.add.at."""
+    vocab_size, dim = 6, 4
+    inputs = rng.normal(size=(vocab_size, dim))
+    outputs = rng.normal(size=(vocab_size, dim))
+    # CBOW-shaped rows of 1 to 4 members, tokens 0, 4 and 2 twice in a row
+    rows_of_members = [[2], [0, 0, 5], [1, 3], [4, 4, 1, 0], [5], [2, 5, 2]]
+    sizes = np.array([len(row) for row in rows_of_members])
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    members = np.concatenate(rows_of_members)
+    targets = rng.integers(0, vocab_size, size=(sizes.size, 4))
+    rates = rng.uniform(0.1, 1.0, size=sizes.size)
+    assert np.unique(targets).size < targets.size
+
+    expected_in, expected_out = inputs.copy(), outputs.copy()
+    expected_loss = 0.0
+    for r, rate in enumerate(rates):
+        row_members = members[indptr[r] : indptr[r + 1]]
+        hidden = inputs[row_members].mean(axis=0)
+        loss, g_hidden, g_context, g_negatives = negative_sampling_gradient(
+            hidden, outputs[targets[r, 0]], outputs[targets[r, 1:]]
+        )
+        expected_loss += loss
+        np.add.at(expected_out, targets[r], -rate * np.vstack((g_context, g_negatives)))
+        np.add.at(expected_in, row_members, -rate * np.broadcast_to(g_hidden, (row_members.size, dim)))
+
+    loss = _sgns_step(inputs, outputs, members, indptr, targets, rates)
+    assert loss == pytest.approx(expected_loss, abs=1e-12)
+    np.testing.assert_allclose(outputs, expected_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(inputs, expected_in, rtol=0, atol=1e-12)
 
 
 def test_diverging_training_raises_naming_the_epoch(toy_records):
@@ -254,6 +343,34 @@ def test_diverging_training_raises_naming_the_epoch(toy_records):
     )
     with pytest.raises(TrainingError, match="epoch 0"):
         train(init_model(vocab, config), corpus)
+
+
+@pytest.mark.parametrize("architecture,window", [(SKIP_GRAM, 10), (CBOW, "max")])
+def test_training_memory_bounded_by_block_not_corpus(architecture, window):
+    """Peak training allocations on the planted corpus repeated 4x stay
+    near those on 1x: pairs and negatives are drawn a block at a time."""
+    spec = FixtureSpec(seed=11, communities=4, users_per_community=50,
+                       venues_per_community=100, train_checkins_per_user=20,
+                       test_checkins_per_user=5, noise_rate=0.0)
+    records, _ = generate_fixture(spec)
+    train_records = split_train_test(records, FEB_2011).train
+    vocab = build_vocabulary(train_records, 1)
+    corpus = build_sentences(train_records, vocab)
+    config = TrainingConfig(architecture=architecture, feature_count=32,
+                            context_count=window, epoch_count=1, seed=5)
+
+    def peak(repeats):
+        repeated = SentenceCorpus(corpus.sentences * repeats, corpus.max_length,
+                                  corpus.total_tokens * repeats)
+        model = init_model(vocab, config)
+        tracemalloc.start()
+        try:
+            train(model, repeated)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4) < 1.5 * peak(1)
 
 
 def test_cbow_training_brings_co_occurring_tokens_close(toy_records):

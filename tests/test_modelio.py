@@ -87,3 +87,25 @@ def test_load_rejects_header_claiming_more_than_the_file_holds(tmp_path, toy_mod
     corrupt.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="header claims"):
         load_embedding_model(corrupt)
+
+
+def test_load_rejects_file_cut_inside_token_table(tmp_path, toy_model):
+    path = tmp_path / "model.bin"
+    save_embedding_model(toy_model, path)
+    blob = path.read_bytes()
+    clipped = tmp_path / "clipped.bin"
+    clipped.write_bytes(blob[: 21 + 30])  # header plus part of the token table
+    with pytest.raises(FormatError):
+        load_embedding_model(clipped)
+
+
+def test_load_rejects_token_length_past_the_table(tmp_path, toy_model):
+    """A token length that runs past the table fails the table walk."""
+    path = tmp_path / "model.bin"
+    save_embedding_model(toy_model, path)
+    blob = bytearray(path.read_bytes())
+    blob[21:25] = struct.pack("<I", 10_000)
+    corrupt = tmp_path / "corrupt.bin"
+    corrupt.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="token table"):
+        load_embedding_model(corrupt)
