@@ -23,6 +23,10 @@ RANDOM = "random"
 SVD = "svd"
 CCDPP = "ccdpp"
 
+SVD_OVERSAMPLING = 10  # extra sketch columns beyond the rank
+SVD_POWER_ITERATIONS = 2  # subspace iterations that sharpen the sketch
+CCDPP_INNER_SWEEPS = 2  # alternating u/v updates per latent index
+
 
 @dataclass
 class InteractionMatrix:
@@ -83,15 +87,14 @@ def recommend_cf(
     user: str,
     neighbors: int,
     k: int,
-    *,
-    exclude_seen: bool = True,
 ) -> RecommendationList:
     """Classic user-based CF over raw visit-count rows.
 
     Neighbors are the top-N users by cosine with strictly positive
     similarity; venues are scored by the similarity-weighted sum of neighbor
     entries. A user sharing no venue with anyone gets no prediction, which
-    is what drags CF coverage below 1.
+    is what drags CF coverage below 1. The user's own venues are never
+    recommended.
     """
     index = im.user_index.get(user)
     if index is None:
@@ -112,8 +115,7 @@ def recommend_cf(
     for i in chosen:
         neighbor_row = im.matrix.getrow(i)
         scores[neighbor_row.indices] += sims[i] * neighbor_row.data
-    if exclude_seen:
-        scores[row.indices] = 0.0
+    scores[row.indices] = 0.0
     positive = np.flatnonzero(scores > 0.0)
     if positive.size == 0:
         return RecommendationList(user, CF)
@@ -151,8 +153,6 @@ def svd_factorize(
     im: InteractionMatrix,
     rank: int,
     *,
-    oversampling: int = 10,
-    power_iterations: int = 2,
     seed: int = 0,
 ) -> FactorModel:
     """Rank-r truncated SVD by randomized subspace iteration.
@@ -172,11 +172,11 @@ def svd_factorize(
         )
         rank = min(m, n)
     rng = np.random.default_rng(seed)
-    sketch = min(rank + oversampling, min(m, n))
+    sketch = min(rank + SVD_OVERSAMPLING, min(m, n))
     matrix = im.matrix
     probe = rng.standard_normal((n, sketch))
     basis, _ = np.linalg.qr(matrix @ probe)
-    for _ in range(power_iterations):
+    for _ in range(SVD_POWER_ITERATIONS):
         basis, _ = np.linalg.qr(matrix.T @ basis)
         basis, _ = np.linalg.qr(matrix @ basis)
     projected = basis.T @ matrix  # (sketch, n) dense
@@ -209,7 +209,6 @@ def ccdpp_factorize(
     regularization: float = 0.1,
     iterations: int = 15,
     *,
-    inner_sweeps: int = 2,
     seed: int = 0,
 ) -> tuple[FactorModel, list[float]]:
     """CCD++ factorization of the observed entries.
@@ -242,7 +241,7 @@ def ccdpp_factorize(
             u = U[:, t].copy()
             v = V[:, t].copy()
             local = residual + u[rows] * v[cols]
-            for _ in range(inner_sweeps):
+            for _ in range(CCDPP_INNER_SWEEPS):
                 denom_u = regularization + np.bincount(
                     rows, weights=v[cols] ** 2, minlength=m
                 )

@@ -14,28 +14,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness, modelio, recommend
-from .corpus import (
-    FieldLayout,
-    build_interactions,
-    build_sentences,
-    build_vocabulary,
-    read_checkins,
-    split_train_test,
-)
-from .embedding import init_model, train, write_loss_trace
+from .corpus import FieldLayout, write_checkins
+from .embedding import write_loss_trace
 from .errors import ConfigError
 from .fixtures import FixtureSpec, generate_fixture, parse_fixture_spec
 from .harness import ExperimentConfig, SweepSpec, default_context_count
-from .metrics import (
-    PhaseTimings,
-    aggregate,
-    build_ground_truth,
-    read_report_csv,
-    score_user,
-    write_per_user_csv,
-    write_report_csv,
-    write_report_json,
-)
+from .metrics import build_ground_truth, read_report_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,8 +165,6 @@ def _cmd_generate_fixture(args) -> int:
         spec_kwargs["favorites_per_user"] = args.favorites
     spec = FixtureSpec(**spec_kwargs)
     records, summary = generate_fixture(spec)
-    from .corpus import write_checkins
-
     write_checkins(records, args.out)
     print(
         f"wrote {args.out}: {summary.user_count} users, "
@@ -194,14 +176,7 @@ def _cmd_generate_fixture(args) -> int:
 
 def _cmd_train(args) -> int:
     config = build_experiment_config(args)
-    if config.input_path is None and config.fixture is None:
-        raise ConfigError("train needs --input or --fixture")
-    records = harness.load_records(config)
-    dataset = split_train_test(records, config.boundary)
-    vocab = build_vocabulary(dataset.train, config.min_word_count)
-    corpus = build_sentences(dataset.train, vocab)
-    model = init_model(vocab, config.training_config())
-    model, trace = train(model, corpus)
+    model, corpus, trace = harness.fit_embedding(config, harness.load_dataset(config))
     modelio.save_embedding_model(model, args.model_out)
     if args.loss_csv:
         write_loss_trace(trace, args.loss_csv)
@@ -209,7 +184,7 @@ def _cmd_train(args) -> int:
         modelio.export_text_vectors(model, args.text_out)
     print(
         f"trained {config.architecture} F={config.feature_count} on "
-        f"{len(corpus)} sentences ({len(vocab)} tokens); model -> {args.model_out}"
+        f"{len(corpus)} sentences ({len(model.vocab)} tokens); model -> {args.model_out}"
     )
     return 0
 
@@ -224,29 +199,15 @@ def _cmd_recommend(args) -> int:
     if config.method not in harness.EMBEDDING_METHODS:
         raise ConfigError("recommend supports the kni, nn and kiu methods")
     model = modelio.load_embedding_model(args.model)
-    records = harness.load_records(config)
-    dataset = split_train_test(records, config.boundary)
-    interactions = build_interactions(dataset.train)
+    dataset = harness.load_dataset(config)
     if args.users:
         users = _read_users_file(args.users)
     else:
         users = sorted(build_ground_truth(dataset))
     if not users:
         raise ConfigError("no target users: supply --users or test-period data")
-    results = []
-    for user in users:
-        request = recommend.RecommendationRequest(
-            user=user,
-            k=config.k,
-            neighbors=config.neighbors,
-            filter_seen=config.filter_seen,
-        )
-        results.append(
-            recommend.recommend_by_method(
-                config.method, model, interactions, request,
-                binary_votes=config.binary_votes,
-            )
-        )
+    recommend_one = harness.embedding_recommender(config, model, dataset)
+    results = [recommend_one(user) for user in users]
     recommend.write_batch_recommendations(results, args.out)
     misses = sum(1 for r in results if not r.predicted)
     print(f"wrote {len(results)} recommendation lines to {args.out} ({misses} no-prediction)")
@@ -256,35 +217,12 @@ def _cmd_recommend(args) -> int:
 def _cmd_evaluate(args) -> int:
     config = build_experiment_config(args)
     results = recommend.read_batch_recommendations(args.recommendations)
-    records = harness.load_records(config)
-    dataset = split_train_test(records, config.boundary)
-    truth = build_ground_truth(dataset)
-    rows = []
-    for result in results:
-        if result.user not in truth:
-            continue
-        rows.append(
-            score_user(result.user, result.venues(), truth[result.user], config.k)
-        )
-    if not rows:
-        raise ConfigError("no overlap between recommendations and evaluation users")
-    method = results[0].method if results else "unknown"
-    report = aggregate(
-        rows,
-        PhaseTimings(0.0, 0.0),
-        method=method,
-        k=config.k,
-        neighbors=config.neighbors,
-    )
     out_dir = Path(config.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_per_user_csv(report.per_user, out_dir / "per_user.csv")
-    write_report_csv([report.to_row()], out_dir / "report.csv")
-    write_report_json(report.to_row(), out_dir / "report.json")
+    report = harness.evaluate_recommendations(config, results, out_dir)
     print(
-        f"{method}: precision={report.precision:.4f} ndcg={report.ndcg:.4f} "
+        f"{report.method}: precision={report.precision:.4f} ndcg={report.ndcg:.4f} "
         f"hitrate={report.hitrate:.4f} coverage={report.coverage:.4f} "
-        f"({len(rows)} users) -> {out_dir}"
+        f"({len(report.per_user)} users) -> {out_dir}"
     )
     return 0
 

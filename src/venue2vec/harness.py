@@ -1,8 +1,12 @@
 """Experiment orchestration: end-to-end runs, parameter sweeps, plot data.
 
 A run executes corpus construction, model building (embedding training,
-matrix factorization, or nothing for CF/Random), per-user recommendation and
-evaluation, with the modeling and recommendation phases timed separately.
+matrix factorization, or the interaction matrix for CF/Random), per-user
+recommendation and evaluation, with the modeling and recommendation phases
+timed separately. Random makes random_runs seeded runs and reports their
+mean; every other method makes one. The CLI's train, recommend and evaluate
+stages reuse the same steps (load_dataset, fit_embedding,
+embedding_recommender, evaluate_recommendations).
 Only training records ever reach vocabulary, sentence or matrix construction;
 test records are consumed exclusively by ground-truth building.
 """
@@ -15,20 +19,24 @@ import traceback
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import baselines, recommend
 from .corpus import (
     Dataset,
     FieldLayout,
+    SentenceCorpus,
     build_interactions,
     build_sentences,
     build_vocabulary,
     read_checkins,
+    split_train_test,
 )
 from .embedding import (
     MAX_WINDOW,
     SKIP_GRAM,
+    EmbeddingModel,
+    EpochStats,
     TrainingConfig,
     init_model,
     resolve_window,
@@ -137,58 +145,85 @@ class ExperimentConfig:
         return self.rank if self.rank is not None else self.feature_count
 
 
-def load_records(config: ExperimentConfig):
+def load_dataset(config: ExperimentConfig) -> Dataset:
+    """The configured check-ins (input file or fixture), split at the boundary."""
     if config.fixture is not None:
         records, _ = generate_fixture(config.fixture)
-        return records
-    records, _ = read_checkins(config.input_path, config.layout)
-    return records
+    elif config.input_path is not None:
+        records, _ = read_checkins(config.input_path, config.layout)
+    else:
+        raise ConfigError("either an input file or a fixture spec is required")
+    return split_train_test(records, config.boundary)
+
+
+def fit_embedding(
+    config: ExperimentConfig, dataset: Dataset
+) -> tuple[EmbeddingModel, SentenceCorpus, list[EpochStats]]:
+    """Train the configured embedding on the training records only."""
+    vocab = build_vocabulary(dataset.train, config.min_word_count)
+    corpus = build_sentences(dataset.train, vocab)
+    model, trace = train(init_model(vocab, config.training_config()), corpus)
+    return model, corpus, trace
+
+
+def embedding_recommender(
+    config: ExperimentConfig, model: EmbeddingModel, dataset: Dataset
+) -> Callable[[str], recommend.RecommendationList]:
+    """The per-user KNI/NN/KIU recommend callable over a trained model."""
+    interactions = build_interactions(dataset.train)
+
+    def recommend_one(user: str) -> recommend.RecommendationList:
+        request = recommend.RecommendationRequest(
+            user=user,
+            k=config.k,
+            neighbors=config.neighbors,
+            filter_seen=config.filter_seen,
+        )
+        return recommend.recommend_by_method(
+            config.method, model, interactions, request,
+            binary_votes=config.binary_votes,
+        )
+
+    return recommend_one
 
 
 def _recommender_for(config: ExperimentConfig, dataset: Dataset):
-    """Build the per-user recommend callable; returns (fn, train_seconds, extras)."""
+    """Build the method's model.
+
+    Returns (one recommend callable per seeded run, train_seconds, the
+    report's echo fields, traces to write). Random has random_runs runs,
+    seeded config.seed + run; every other method has one.
+    """
     started = time.perf_counter()
-    extras: dict = {}
+    traces: dict = {}
 
     if config.method in EMBEDDING_METHODS:
-        vocab = build_vocabulary(dataset.train, config.min_word_count)
-        corpus = build_sentences(dataset.train, vocab)
-        model = init_model(vocab, config.training_config())
-        model, trace = train(model, corpus)
-        interactions = build_interactions(dataset.train)
-        extras["loss_trace"] = trace
-        extras["model"] = model
-        extras["context_resolved"] = resolve_window(
-            config.context_count, corpus.max_length
+        model, corpus, traces["loss_trace"] = fit_embedding(config, dataset)
+        runs = [embedding_recommender(config, model, dataset)]
+        echo = dict(
+            arch=config.architecture,
+            feature_count=config.feature_count,
+            context_count=resolve_window(config.context_count, corpus.max_length),
+            epoch_count=config.epoch_count,
+            neighbors=config.neighbors,
         )
-
-        def recommend_one(user: str) -> recommend.RecommendationList:
-            request = recommend.RecommendationRequest(
-                user=user,
-                k=config.k,
-                neighbors=config.neighbors,
-                filter_seen=config.filter_seen,
-            )
-            return recommend.recommend_by_method(
-                config.method, model, interactions, request,
-                binary_votes=config.binary_votes,
-            )
 
     elif config.method == baselines.CF:
         im = baselines.build_interaction_matrix(dataset.train, config.binary_votes)
-
-        def recommend_one(user: str) -> recommend.RecommendationList:
-            return baselines.recommend_cf(im, user, config.neighbors, config.k)
+        runs = [lambda user: baselines.recommend_cf(im, user, config.neighbors, config.k)]
+        echo = dict(neighbors=config.neighbors)
 
     elif config.method == baselines.RANDOM:
-        im = baselines.build_interaction_matrix(dataset.train)
-        catalog = im.venues
+        catalog = baselines.build_interaction_matrix(dataset.train).venues
 
-        def recommend_one(user: str) -> recommend.RecommendationList:
+        def random_run(seed: int):
             # per-user sub-seed so one run's draws are independent across users
-            return baselines.recommend_random(
-                catalog, user, config.k, seed=_user_seed(config.seed, user)
+            return lambda user: baselines.recommend_random(
+                catalog, user, config.k, seed=_user_seed(seed, user)
             )
+
+        runs = [random_run(config.seed + run) for run in range(config.random_runs)]
+        echo = {}
 
     else:  # svd / ccdpp
         im = baselines.build_interaction_matrix(dataset.train, config.binary_votes)
@@ -196,18 +231,15 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
         if config.method == baselines.SVD:
             factors = baselines.svd_factorize(im, rank, seed=config.seed)
         else:
-            factors, objective = baselines.ccdpp_factorize(
+            factors, traces["objective_trace"] = baselines.ccdpp_factorize(
                 im,
                 rank,
                 config.regularization,
                 config.mf_iterations,
                 seed=config.seed,
             )
-            extras["objective_trace"] = objective
-        extras["factors"] = factors
-
-        def recommend_one(user: str) -> recommend.RecommendationList:
-            return baselines.recommend_latent_neighbors(
+        runs = [
+            lambda user: baselines.recommend_latent_neighbors(
                 factors,
                 im,
                 user,
@@ -216,42 +248,44 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
                 method=config.method,
                 exclude_seen=config.filter_seen,
             )
+        ]
+        echo = dict(feature_count=config.latent_rank(), neighbors=config.neighbors)
 
-    return recommend_one, time.perf_counter() - started, extras
+    return runs, time.perf_counter() - started, echo, traces
 
 
 def _evaluate_users(
     recommend_one,
     ground_truth: dict[str, set[str]],
     k: int,
-    rows: list[UserResult] | None = None,
-) -> tuple[list[UserResult], list[recommend.RecommendationList], float]:
+    rows: list[UserResult],
+) -> tuple[list[recommend.RecommendationList], float]:
     """Recommend and score every eligible user, in sorted user order.
 
-    rows may be passed in so the caller still holds the partial results if a
-    recommender raises mid-run.
+    The scored rows are appended to rows, so the caller still holds the
+    partial results if a recommender raises mid-run.
     """
-    rows = [] if rows is None else rows
     results: list[recommend.RecommendationList] = []
     started = time.perf_counter()
     for user in sorted(ground_truth):
         result = recommend_one(user)
         results.append(result)
         rows.append(score_user(user, result.venues(), ground_truth[user], k))
-    return rows, results, time.perf_counter() - started
+    return results, time.perf_counter() - started
 
 
 def run_experiment(config: ExperimentConfig) -> MetricsReport:
     """Execute one full run and write artifacts into config.out_dir if set.
 
-    On a mid-run failure the partial per-user CSV plus an ERROR marker file
-    are left in the output directory before the exception propagates.
+    On a failure, invalid configuration included, an ERROR marker file (plus
+    the partial per-user CSV of a run that died mid-way) is left in the
+    output directory before the exception propagates.
     """
-    config.validate()
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        config.validate()
         return _run_experiment(config, out_dir)
     except Exception as exc:
         if out_dir is not None:
@@ -262,111 +296,104 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
 
 
 def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsReport:
-    from .corpus import split_train_test
+    """Every run of the method, then their mean (a single run is its own mean).
 
-    records = load_records(config)
-    dataset = split_train_test(records, config.boundary)
+    With more than one run each run's rows go to per_user_run{i}.csv;
+    per_user.csv and recommendations.tsv are run 0's.
+    """
+    dataset = load_dataset(config)
     ground_truth = build_ground_truth(dataset)
     if not ground_truth:
         raise ConfigError("no user has both train and test records")
 
-    if config.method == baselines.RANDOM and config.random_runs > 1:
-        return _run_random_averaged(config, dataset, ground_truth, out_dir)
-
-    recommend_one, train_seconds, extras = _recommender_for(config, dataset)
-    rows: list[UserResult] = []
-    try:
-        rows, results, rec_seconds = _evaluate_users(
-            recommend_one, ground_truth, config.k, rows
-        )
-    except Exception:
-        # keep the partial per-user rows for post-mortem; the caller adds
-        # the ERROR marker next to them
-        if out_dir is not None and rows:
-            write_per_user_csv(rows, out_dir / "per_user.csv")
-        raise
-    if out_dir is not None:
-        write_per_user_csv(rows, out_dir / "per_user.csv")
-    report = aggregate(
-        rows,
-        PhaseTimings(train_seconds, rec_seconds),
-        method=config.method,
-        arch=config.architecture if config.method in EMBEDDING_METHODS else "",
-        feature_count=(
-            config.feature_count
-            if config.method in EMBEDDING_METHODS
-            else (config.latent_rank() if config.method in (baselines.SVD, baselines.CCDPP) else 0)
-        ),
-        context_count=int(extras.get("context_resolved", 0)),
-        epoch_count=config.epoch_count if config.method in EMBEDDING_METHODS else 0,
-        neighbors=config.neighbors if config.method != baselines.RANDOM else 0,
-        k=config.k,
-    )
-    if out_dir is not None:
-        _write_artifacts(report, results, extras, out_dir)
-    return report
-
-
-def _run_random_averaged(
-    config: ExperimentConfig,
-    dataset: Dataset,
-    ground_truth: dict[str, set[str]],
-    out_dir: Path | None,
-) -> MetricsReport:
-    """Random baseline averaged over random_runs seeded runs."""
-    started = time.perf_counter()
-    im = baselines.build_interaction_matrix(dataset.train)
-    catalog = im.venues
-    build_seconds = time.perf_counter() - started
+    runs, train_seconds, echo, traces = _recommender_for(config, dataset)
+    many = len(runs) > 1
     reports: list[MetricsReport] = []
-    rec_seconds = 0.0
-    for run in range(config.random_runs):
-        def recommend_one(user: str, _run=run) -> recommend.RecommendationList:
-            return baselines.recommend_random(
-                catalog, user, config.k, seed=_user_seed(config.seed + _run, user)
+    for index, recommend_one in enumerate(runs):
+        per_user = f"per_user_run{index}.csv" if many else "per_user.csv"
+        rows: list[UserResult] = []
+        try:
+            results, seconds = _evaluate_users(
+                recommend_one, ground_truth, config.k, rows
             )
-
-        rows, _, seconds = _evaluate_users(recommend_one, ground_truth, config.k)
-        rec_seconds += seconds
-        if out_dir is not None:
-            write_per_user_csv(rows, out_dir / f"per_user_run{run}.csv")
+        except Exception:
+            # keep the partial per-user rows for post-mortem; the caller adds
+            # the ERROR marker next to them
+            if out_dir is not None and rows:
+                write_per_user_csv(rows, out_dir / per_user)
+            raise
+        if out_dir is not None and many:
+            write_per_user_csv(rows, out_dir / per_user)
+        if out_dir is not None and index == 0:
+            recommend.write_batch_recommendations(
+                results, out_dir / "recommendations.tsv"
+            )
         reports.append(
             aggregate(
                 rows,
-                PhaseTimings(0.0, seconds),
-                method=baselines.RANDOM,
+                PhaseTimings(train_seconds, seconds),
+                method=config.method,
                 k=config.k,
+                **echo,
             )
         )
-    if out_dir is not None:
-        write_per_user_csv(reports[0].per_user, out_dir / "per_user.csv")
     count = len(reports)
-    mean = replace(
+    rec_seconds = sum(r.rec_s_total for r in reports)
+    report = replace(
         reports[0],
         precision=sum(r.precision for r in reports) / count,
         ndcg=sum(r.ndcg for r in reports) / count,
         hitrate=sum(r.hitrate for r in reports) / count,
         coverage=sum(r.coverage for r in reports) / count,
-        train_s=build_seconds,
         rec_s_total=rec_seconds,
-        rec_s_per_user=rec_seconds / max(len(ground_truth) * count, 1),
+        rec_s_per_user=rec_seconds / (len(ground_truth) * count),
     )
     if out_dir is not None:
-        _write_artifacts(mean, [], {}, out_dir)
-    return mean
+        _write_artifacts(report, out_dir, traces)
+    return report
 
 
-def _write_artifacts(report, results, extras, out_dir: Path) -> None:
+def evaluate_recommendations(
+    config: ExperimentConfig,
+    results: Sequence[recommend.RecommendationList],
+    out_dir: Path,
+) -> MetricsReport:
+    """Score saved recommendation lists against the test split, in list order.
+
+    Lists of users outside the evaluation population are skipped; the
+    report is written into out_dir.
+    """
+    truth = build_ground_truth(load_dataset(config))
+    rows = [
+        score_user(result.user, result.venues(), truth[result.user], config.k)
+        for result in results
+        if result.user in truth
+    ]
+    if not rows:
+        raise ConfigError("no overlap between recommendations and evaluation users")
+    report = aggregate(
+        rows,
+        PhaseTimings(),
+        method=results[0].method,
+        k=config.k,
+        neighbors=config.neighbors,
+    )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_artifacts(report, out_dir, {})
+    return report
+
+
+def _write_artifacts(report: MetricsReport, out_dir: Path, traces: dict) -> None:
+    """per_user.csv, report.csv and report.json, plus the traces given."""
+    write_per_user_csv(report.per_user, out_dir / "per_user.csv")
     write_report_csv([report.to_row()], out_dir / "report.csv")
     write_report_json(report.to_row(), out_dir / "report.json")
-    if results:
-        recommend.write_batch_recommendations(results, out_dir / "recommendations.tsv")
-    if "loss_trace" in extras:
-        write_loss_trace(extras["loss_trace"], out_dir / "loss_trace.csv")
-    if "objective_trace" in extras:
+    if "loss_trace" in traces:
+        write_loss_trace(traces["loss_trace"], out_dir / "loss_trace.csv")
+    if "objective_trace" in traces:
         with open(out_dir / "objective_trace.csv", "w", encoding="utf-8") as handle:
             handle.write("iteration,objective\n")
-            for iteration, value in enumerate(extras["objective_trace"]):
+            for iteration, value in enumerate(traces["objective_trace"]):
                 handle.write(f"{iteration},{value!r}\n")
 
 
@@ -407,9 +434,6 @@ def run_sweep(
         try:
             report = run_experiment(run_config)
         except Exception:
-            if out_dir is not None:
-                failed_dir = out_dir / f"{spec.axis}={value}"
-                failed_dir.mkdir(parents=True, exist_ok=True)
             reports.append(None)
             continue
         reports.append(report)

@@ -215,7 +215,8 @@ def read_per_user_csv(path: str | Path) -> list[UserResult]:
         if header != PER_USER_COLUMNS:
             raise EvaluationError(f"unexpected per-user CSV header {header}")
         for line in handle:
-            user, precision, ndcg, hit, predicted = line.rstrip("\n").split(",")
+            # from the right: a user id may itself contain commas
+            user, precision, ndcg, hit, predicted = line.rstrip("\n").rsplit(",", 4)
             rows.append(
                 UserResult(user, float(precision), float(ndcg), int(hit), int(predicted))
             )

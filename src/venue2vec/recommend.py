@@ -34,17 +34,12 @@ NO_PREDICTION = "no-prediction"
 
 @dataclass(frozen=True)
 class RecommendationRequest:
-    """One recommendation query.
-
-    seed=None keeps the deterministic tie-break (ascending token index); an
-    integer seed switches NN vote ties to the seeded-random choice.
-    """
+    """One recommendation query; ties break by ascending token index."""
 
     user: str
     k: int = 10
     neighbors: int = 30
     filter_seen: bool = False
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -157,21 +152,12 @@ def vote_by_visit_counts(
 
 
 def rank_votes(
-    votes: Counter,
-    k: int,
-    index_of: Callable[[str], int],
-    seed: int | None = None,
+    votes: Counter, k: int, index_of: Callable[[str], int]
 ) -> list[tuple[str, float]]:
-    """Top-k venues by vote, ties by ascending index or seeded-random choice."""
+    """Top-k venues by vote, ties by ascending index."""
     if not votes:
         return []
-    if seed is None:
-        key = lambda venue: (-votes[venue], index_of(venue))
-    else:
-        rng = np.random.default_rng(seed)
-        jitter = {venue: rng.random() for venue in sorted(votes, key=index_of)}
-        key = lambda venue: (-votes[venue], jitter[venue])
-    ranked = sorted(votes, key=key)[:k]
+    ranked = sorted(votes, key=lambda venue: (-votes[venue], index_of(venue)))[:k]
     return [(venue, float(votes[venue])) for venue in ranked]
 
 
@@ -199,8 +185,7 @@ def recommend_nn(
         excluded=excluded,
     )
     items = rank_votes(
-        votes, request.k, lambda v: model.vocab.index(Vocabulary.venue_token(v)),
-        seed=request.seed,
+        votes, request.k, lambda v: model.vocab.index(Vocabulary.venue_token(v))
     )
     return RecommendationList(request.user, NN, items)
 
@@ -209,14 +194,10 @@ def recommend_kiu(
     model: EmbeddingModel,
     interactions: Interactions,
     request: RecommendationRequest,
-    *,
-    similarity_weighted: bool = False,
 ) -> RecommendationList:
     """Combined query: venues ranked by cosine to the target+neighbors mean.
 
-    similarity_weighted switches the plain mean to a similarity-weighted one
-    (the target keeps weight 1). interactions is only consulted for
-    filter_seen.
+    interactions is only consulted for filter_seen.
     """
     token = Vocabulary.user_token(request.user)
     if token not in model.vocab:
@@ -226,16 +207,11 @@ def recommend_kiu(
     except SimilarityError:
         return RecommendationList(request.user, KIU)
     vectors = [np.asarray(get_vector(model, token), dtype=np.float64)]
-    weights = [1.0]
-    for neighbor, score in neighbors:
+    for neighbor, _ in neighbors:
         vectors.append(
             np.asarray(get_vector(model, Vocabulary.user_token(neighbor)), dtype=np.float64)
         )
-        weights.append(score if similarity_weighted else 1.0)
-    try:
-        query = np.average(np.stack(vectors), axis=0, weights=np.asarray(weights))
-    except ZeroDivisionError:
-        return RecommendationList(request.user, KIU)
+    query = np.stack(vectors).mean(axis=0)
     return _rank_venues_by_query(model, query, request, interactions, KIU)
 
 

@@ -520,4 +520,4 @@ def test_criterion_10_reproducibility(tmp_path):
     assert (first / "recommendations.tsv").read_bytes() == (
         second / "recommendations.tsv"
     ).read_bytes()
-    _line(10, True, "two seeded single-worker runs byte-identical")
+    _line(10, True, "two seeded runs byte-identical")

@@ -269,6 +269,39 @@ def test_dataset_roundtrip_exact(tmp_path_factory, records):
     assert back == records
 
 
+@st.composite
+def layouts_with_records(draw):
+    """A layout with a non-alphanumeric delimiter, plus records it can hold:
+    ids without the delimiter or line breaks, and without surrounding
+    whitespace, which the parser strips."""
+    delimiter = draw(
+        st.characters(exclude_categories=("L", "N", "Cs"), exclude_characters="\r\n")
+    )
+    width = draw(st.integers(3, 6))
+    user_col, venue_col, time_col = draw(st.permutations(range(width)))[:3]
+    ids = st.text(
+        alphabet=st.characters(
+            exclude_categories=("Cs",), exclude_characters="\r\n" + delimiter
+        ),
+        min_size=1,
+    ).filter(lambda text: text == text.strip())
+    records = draw(
+        st.lists(st.builds(CheckinRecord, ids, ids, st.integers(0, 2**40)), max_size=8)
+    )
+    return FieldLayout(delimiter, user_col, venue_col, time_col), records
+
+
+@given(layouts_with_records())
+@settings(max_examples=60, deadline=None)
+def test_checkins_roundtrip_under_any_layout(tmp_path_factory, case):
+    layout, records = case
+    path = tmp_path_factory.mktemp("layout") / "data.txt"
+    write_checkins(records, path, layout)
+    back, skipped = read_checkins(path, layout)
+    assert skipped == 0
+    assert back == records
+
+
 def test_fixture_zero_noise_stays_in_community():
     spec = FixtureSpec(seed=3, communities=3, users_per_community=5,
                        venues_per_community=10, train_checkins_per_user=8,

@@ -14,7 +14,13 @@ from venue2vec.harness import (
     run_experiment,
     run_sweep,
 )
-from venue2vec.metrics import read_report_csv
+from venue2vec.metrics import (
+    build_ground_truth,
+    read_per_user_csv,
+    read_report_csv,
+    score_user,
+)
+from venue2vec.recommend import read_batch_recommendations
 
 SMALL_FIXTURE = FixtureSpec(
     seed=7,
@@ -97,6 +103,48 @@ def test_random_run_has_coverage_one():
     assert report.method == "random"
 
 
+def _means(rows):
+    count = len(rows)
+    return {
+        "precision": sum(r.precision for r in rows) / count,
+        "ndcg": sum(r.ndcg for r in rows) / count,
+        "hitrate": sum(r.hit for r in rows) / count,
+        "coverage": sum(r.predicted for r in rows) / count,
+    }
+
+
+def test_random_runs_fold_into_one_report(tmp_path):
+    """Averaged Random goes through the general runner: the report is the
+    mean of the per-run files, per_user.csv and recommendations.tsv are run
+    0's, and a single run is run 0 of a longer one."""
+    out = tmp_path / "three"
+    report = run_experiment(
+        small_config(method="random", random_runs=3, out_dir=str(out))
+    )
+    runs = [read_per_user_csv(out / f"per_user_run{i}.csv") for i in range(3)]
+    per_run = [_means(rows) for rows in runs]
+    for metric in ("precision", "ndcg", "hitrate", "coverage"):
+        assert getattr(report, metric) == sum(m[metric] for m in per_run) / 3
+    assert (out / "per_user.csv").read_bytes() == (out / "per_user_run0.csv").read_bytes()
+
+    truth = build_ground_truth(harness.load_dataset(small_config()))
+    rescored = [
+        score_user(result.user, result.venues(), truth[result.user], 10)
+        for result in read_batch_recommendations(out / "recommendations.tsv")
+    ]
+    assert rescored == read_per_user_csv(out / "per_user.csv")
+
+    one = tmp_path / "one"
+    single = run_experiment(
+        small_config(method="random", random_runs=1, out_dir=str(one))
+    )
+    assert not (one / "per_user_run0.csv").exists()
+    for name in ("per_user.csv", "recommendations.tsv"):
+        assert (one / name).read_bytes() == (out / name).read_bytes()
+    for metric in ("precision", "ndcg", "hitrate", "coverage"):
+        assert getattr(single, metric) == per_run[0][metric]
+
+
 def test_cf_and_factorization_methods_run(tmp_path):
     for method in ("cf", "svd", "ccdpp"):
         report = run_experiment(
@@ -143,7 +191,7 @@ def test_partial_per_user_csv_on_mid_run_failure(tmp_path, monkeypatch):
     real = harness._recommender_for
 
     def wrapped(cfg, dataset):
-        recommend_one, seconds, extras = real(cfg, dataset)
+        (recommend_one,), seconds, echo, traces = real(cfg, dataset)
         calls = {"n": 0}
 
         def flaky(user):
@@ -152,15 +200,13 @@ def test_partial_per_user_csv_on_mid_run_failure(tmp_path, monkeypatch):
                 raise RuntimeError("recommender died")
             return recommend_one(user)
 
-        return flaky, seconds, extras
+        return [flaky], seconds, echo, traces
 
     monkeypatch.setattr(harness, "_recommender_for", wrapped)
     with pytest.raises(RuntimeError):
         run_experiment(config)
     out = tmp_path / "partial"
     assert (out / ERROR_MARKER).exists()
-    from venue2vec.metrics import read_per_user_csv
-
     partial = read_per_user_csv(out / "per_user.csv")
     assert len(partial) == 5
 
@@ -245,6 +291,14 @@ def test_sweep_continues_after_failure(tmp_path, monkeypatch):
     assert [r is None for r in reports] == [False, True, False]
     assert len(rows) == 2
     assert (tmp_path / "E=3" / ERROR_MARKER).exists()
+
+
+def test_sweep_value_failing_validation_says_why(tmp_path):
+    spec = SweepSpec(axis="F", values=[0, 8])
+    reports, rows = run_sweep(spec, small_config(epoch_count=2, out_dir=str(tmp_path)))
+    assert [r is None for r in reports] == [True, False]
+    assert len(rows) == 1
+    assert "ConfigError" in (tmp_path / "F=0" / ERROR_MARKER).read_text()
 
 
 def test_sweep_default_grids():

@@ -231,6 +231,39 @@ def test_per_user_csv_roundtrip(tmp_path):
     assert read_per_user_csv(path) == rows
 
 
+# any id that fits on one line, commas included (legal in tab-delimited input)
+single_line_ids = st.text(
+    alphabet=st.characters(exclude_categories=("Cs",), exclude_characters="\r\n")
+)
+
+
+@given(
+    rows=st.lists(
+        st.builds(
+            UserResult,
+            single_line_ids,
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 1.0),
+            st.integers(0, 1),
+            st.integers(0, 1),
+        ),
+        max_size=8,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_per_user_csv_roundtrip_any_single_line_id(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("per_user") / "per_user.csv"
+    write_per_user_csv(rows, path)
+    assert read_per_user_csv(path) == rows
+
+
+def test_per_user_csv_user_id_with_commas(tmp_path):
+    rows = [UserResult("a,b,,c", 0.1, 0.2, 1, 1)]
+    path = tmp_path / "per_user.csv"
+    write_per_user_csv(rows, path)
+    assert read_per_user_csv(path) == rows
+
+
 def test_report_csv_and_json_mirror(tmp_path):
     report = aggregate(_rows(), PhaseTimings(1.5, 0.5), method="kni",
                        arch="skip-gram", feature_count=100, context_count=20,

@@ -45,21 +45,8 @@ def test_nn_toy_recommends_from_neighbor_history(toy_model, toy_interactions):
     result = recommend_nn(toy_model, toy_interactions, request)
     u1_venues = {"Loc0", "Loc4", "Loc2", "Loc3", "Loc5", "Loc6"}
     assert set(result.venues()) <= u1_venues
-    # all votes tie at one visit, so deterministic mode orders by token index
+    # all votes tie at one visit, so ties order by token index
     assert result.venues() == ["Loc0", "Loc2"]
-
-
-def test_nn_toy_randomized_ties_stay_within_neighbor_history(
-    toy_model, toy_interactions
-):
-    u1_venues = {"Loc0", "Loc4", "Loc2", "Loc3", "Loc5", "Loc6"}
-    seen = set()
-    for seed in range(6):
-        request = RecommendationRequest(user="u0", k=2, neighbors=1, seed=seed)
-        result = recommend_nn(toy_model, toy_interactions, request)
-        assert set(result.venues()) <= u1_venues
-        seen.add(tuple(result.venues()))
-    assert len(seen) > 1  # different seeds really reshuffle the tie
 
 
 def test_kiu_toy_recommends_shared_pair(toy_model, toy_interactions):
@@ -97,12 +84,10 @@ def test_vote_excluded_venues_removed():
 
 def test_forced_outcome_neighbor_with_two_venues(toy_model):
     interactions = {"u1": Counter({"a": 1, "b": 1})}
-    for seed in (None, 0, 1):
-        request = RecommendationRequest(user="u0", k=2, neighbors=1, seed=seed)
-        # vocab lookups only happen through the allowed filter, disabled here
-        votes = vote_by_visit_counts(["u1"], interactions)
-        ranked = rank_votes(votes, 2, {"a": 0, "b": 1}.__getitem__, seed=seed)
-        assert {v for v, _ in ranked} == {"a", "b"}
+    # vocab lookups only happen through the allowed filter, disabled here
+    votes = vote_by_visit_counts(["u1"], interactions)
+    ranked = rank_votes(votes, 2, {"a": 0, "b": 1}.__getitem__)
+    assert {v for v, _ in ranked} == {"a", "b"}
 
 
 # ------------------------------------------------------------- contracts
@@ -159,17 +144,6 @@ def test_kiu_all_users_uniform_vectors_degrades_gracefully():
     assert first.predicted
     assert first.items == second.items  # deterministic under total ties
     assert first.venues() == ["x", "y"]  # ascending token index
-
-
-def test_kiu_similarity_weighted_flag(toy_model, toy_interactions):
-    request = RecommendationRequest(user="u0", k=3, neighbors=2)
-    weighted = recommend_kiu(
-        toy_model, toy_interactions, request, similarity_weighted=True
-    )
-    assert weighted.predicted
-    assert len(weighted.items) == 3
-    scores = [s for _, s in weighted.items]
-    assert scores == sorted(scores, reverse=True)
 
 
 def test_nn_binary_votes_flag(toy_model, toy_interactions):
@@ -306,3 +280,38 @@ def test_batch_venue_ids_with_colons(tmp_path):
     write_batch_recommendations(results, path)
     back = read_batch_recommendations(path)
     assert back[0].items[0][0] == "loc:4:a"
+
+
+# a batch line is tab-separated, so ids may hold anything but tabs and line breaks
+batch_ids = st.text(
+    alphabet=st.sampled_from(": é漢ü") | st.characters(
+        exclude_categories=("Cs",), exclude_characters="\t\r\n"
+    )
+)
+
+
+@given(
+    results=st.lists(
+        st.builds(
+            RecommendationList,
+            batch_ids,
+            st.sampled_from(["kni", "nn", "kiu", "cf", "random", "svd", "ccdpp"]),
+            st.lists(
+                st.tuples(batch_ids, st.floats(-1e6, 1e6, allow_nan=False)),
+                max_size=5,
+            ),
+        ),
+        max_size=6,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_batch_roundtrip_any_ids(tmp_path_factory, results):
+    path = tmp_path_factory.mktemp("batch") / "batch.tsv"
+    write_batch_recommendations(results, path)
+    expected = [
+        RecommendationList(
+            r.user, r.method, [(venue, float(f"{score:.6f}")) for venue, score in r.items]
+        )
+        for r in results
+    ]
+    assert read_batch_recommendations(path) == expected
