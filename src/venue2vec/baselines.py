@@ -8,14 +8,15 @@ visit counts exactly like the NN strategy does in embedding space.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
-from .corpus import CheckinRecord
+from .corpus import InteractionMatrix
+from .embedding import cosine_top_k
+from .errors import SimilarityError
 from .recommend import RecommendationList, rank_votes, vote_by_visit_counts
 
 CF = "cf"
@@ -28,58 +29,18 @@ SVD_POWER_ITERATIONS = 2  # subspace iterations that sharpen the sketch
 CCDPP_INNER_SWEEPS = 2  # alternating u/v updates per latent index
 
 
-@dataclass
-class InteractionMatrix:
-    """Sparse user x venue visit-count matrix with token index maps."""
+def _neighbor_rows(
+    rows, norms: np.ndarray, query: np.ndarray, index: int, neighbors: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the rows most cosine-similar to row index, whose values the
+    query holds, and their similarities: at most neighbors, row index excluded.
 
-    matrix: sparse.csr_matrix
-    users: list[str]
-    venues: list[str]
-    user_index: dict[str, int]
-    venue_index: dict[str, int]
-    binary: bool = False
-    _row_norms: np.ndarray | None = field(default=None, repr=False)
-
-    def row_norms(self) -> np.ndarray:
-        if self._row_norms is None:
-            self._row_norms = np.sqrt(
-                np.asarray(self.matrix.multiply(self.matrix).sum(axis=1)).ravel()
-            )
-        return self._row_norms
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-
-def build_interaction_matrix(
-    records: Iterable[CheckinRecord], binary: bool = False
-) -> InteractionMatrix:
-    """Count visits per (user, venue); binary mode stores 1.0 for any visit."""
-    users: list[str] = []
-    venues: list[str] = []
-    user_index: dict[str, int] = {}
-    venue_index: dict[str, int] = {}
-    counts: Counter[tuple[int, int]] = Counter()
-    for record in records:
-        u = user_index.setdefault(record.user_id, len(users))
-        if u == len(users):
-            users.append(record.user_id)
-        v = venue_index.setdefault(record.venue_id, len(venues))
-        if v == len(venues):
-            venues.append(record.venue_id)
-        counts[(u, v)] += 1
-    if not counts:
-        raise ValueError("cannot build an interaction matrix from zero records")
-    rows = np.fromiter((u for u, _ in counts), dtype=np.int64, count=len(counts))
-    cols = np.fromiter((v for _, v in counts), dtype=np.int64, count=len(counts))
-    data = np.ones(len(counts)) if binary else np.fromiter(
-        (float(c) for c in counts.values()), dtype=np.float64, count=len(counts)
-    )
-    matrix = sparse.csr_matrix(
-        (data, (rows, cols)), shape=(len(users), len(venues))
-    )
-    return InteractionMatrix(matrix, users, venues, user_index, venue_index, binary)
+    Raises:
+        SimilarityError: if the query has zero norm.
+    """
+    top, sims = cosine_top_k(rows, norms, query, neighbors + 1)
+    keep = top != index
+    return top[keep][:neighbors], sims[keep][:neighbors]
 
 
 def recommend_cf(
@@ -99,29 +60,15 @@ def recommend_cf(
     index = im.user_index.get(user)
     if index is None:
         return RecommendationList(user, CF)
-    row = im.matrix.getrow(index)
-    row_norm = im.row_norms()[index]
-    if row_norm == 0.0:
+    try:
+        rows, sims = _neighbor_rows(
+            im.matrix, im.row_norms, im.matrix[index].toarray().ravel(), index, neighbors
+        )
+    except SimilarityError:
         return RecommendationList(user, CF)
-    sims = np.asarray(im.matrix.dot(row.T).todense()).ravel()
-    norms = im.row_norms()
-    sims = sims / (np.where(norms == 0.0, 1.0, norms) * row_norm)
-    sims[index] = 0.0
-    if not (sims > 0.0).any():
-        return RecommendationList(user, CF)
-    order = np.lexsort((np.arange(len(sims)), -sims))
-    chosen = [i for i in order[:neighbors] if sims[i] > 0.0]
-    scores = np.zeros(im.shape[1])
-    for i in chosen:
-        neighbor_row = im.matrix.getrow(i)
-        scores[neighbor_row.indices] += sims[i] * neighbor_row.data
-    scores[row.indices] = 0.0
-    positive = np.flatnonzero(scores > 0.0)
-    if positive.size == 0:
-        return RecommendationList(user, CF)
-    ranked = positive[np.lexsort((positive, -scores[positive]))][:k]
-    items = [(im.venues[int(i)], float(scores[i])) for i in ranked]
-    return RecommendationList(user, CF, items)
+    positive = sims > 0.0
+    votes = vote_by_visit_counts(im.matrix, rows[positive], sims[positive], im.venues_of(user))
+    return RecommendationList(user, CF, rank_votes(votes, k, im.venues))
 
 
 def recommend_random(
@@ -147,6 +94,10 @@ class FactorModel:
     users: list[str]
     venues: list[str]
     singular_values: np.ndarray | None = None
+
+    @cached_property
+    def user_norms(self) -> np.ndarray:
+        return np.linalg.norm(self.user_factors, axis=1)
 
 
 def svd_factorize(
@@ -284,28 +235,11 @@ def recommend_latent_neighbors(
     index = im.user_index.get(user)
     if index is None or index >= len(factors.user_factors):
         return RecommendationList(user, method)
-    latent = factors.user_factors
-    query = latent[index]
-    query_norm = float(np.linalg.norm(query))
-    if query_norm == 0.0:
+    try:
+        latent = factors.user_factors
+        rows, _ = _neighbor_rows(latent, factors.user_norms, latent[index], index, neighbors)
+    except SimilarityError:
         return RecommendationList(user, method)
-    norms = np.linalg.norm(latent, axis=1)
-    sims = (latent @ query) / (np.where(norms == 0.0, 1.0, norms) * query_norm)
-    order = np.lexsort((np.arange(len(sims)), -sims))
-    order = order[order != index][:neighbors]
-    interactions = {}
-    for i in order:
-        row = im.matrix.getrow(int(i))
-        interactions[factors.users[int(i)]] = Counter(
-            {im.venues[int(v)]: float(c) for v, c in zip(row.indices, row.data)}
-        )
-    excluded = (
-        {im.venues[int(v)] for v in im.matrix.getrow(index).indices}
-        if exclude_seen
-        else set()
-    )
-    votes = vote_by_visit_counts(
-        (factors.users[int(i)] for i in order), interactions, excluded=excluded
-    )
-    items = rank_votes(votes, k, lambda venue: im.venue_index[venue])
-    return RecommendationList(user, method, items)
+    excluded = im.venues_of(user) if exclude_seen else ()
+    votes = vote_by_visit_counts(im.matrix, rows, np.ones(len(rows)), excluded)
+    return RecommendationList(user, method, rank_votes(votes, k, im.venues))

@@ -12,10 +12,12 @@ import gzip
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
+from scipy import sparse
 
 from .errors import EmptyVocabularyError, FormatError, TokenNotFoundError
 
@@ -326,11 +328,55 @@ def build_sentences(
     return SentenceCorpus(sentences, max_length, total_tokens)
 
 
+@dataclass
+class InteractionMatrix:
+    """Sparse user x venue visit-count matrix with index maps.
+
+    Rows and columns are numbered in order of first occurrence in the
+    records, so a venue's column follows the same order as its vocabulary
+    index. The one visit-history table: every neighbor recommender votes
+    from its rows.
+    """
+
+    matrix: sparse.csr_matrix
+    users: list[str]
+    venues: list[str]
+    user_index: dict[str, int]
+    venue_index: dict[str, int]
+
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        return np.sqrt(np.asarray(self.matrix.multiply(self.matrix).sum(axis=1)).ravel())
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+    def venues_of(self, user: str) -> np.ndarray:
+        """Column indices of the user's visited venues (empty when unknown)."""
+        row = self.user_index.get(user)
+        if row is None:
+            return np.empty(0, dtype=np.int64)
+        return self.matrix.indices[self.matrix.indptr[row] : self.matrix.indptr[row + 1]]
+
+
 def build_interactions(
-    records: Iterable[CheckinRecord],
-) -> dict[str, Counter[str]]:
-    """Per-user venue visit counts; the vote table for neighbor recommenders."""
-    interactions: dict[str, Counter[str]] = {}
+    records: Iterable[CheckinRecord], binary: bool = False
+) -> InteractionMatrix:
+    """Count visits per (user, venue); binary mode stores 1.0 for any visit."""
+    user_index: dict[str, int] = {}
+    venue_index: dict[str, int] = {}
+    rows: list[int] = []
+    cols: list[int] = []
     for record in records:
-        interactions.setdefault(record.user_id, Counter())[record.venue_id] += 1
-    return interactions
+        rows.append(user_index.setdefault(record.user_id, len(user_index)))
+        cols.append(venue_index.setdefault(record.venue_id, len(venue_index)))
+    if not rows:
+        raise ValueError("cannot build an interaction matrix from zero records")
+    # duplicate (user, venue) pairs are summed into one visit count
+    matrix = sparse.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(len(user_index), len(venue_index))
+    )
+    if binary:
+        matrix.data[:] = 1.0
+    return InteractionMatrix(matrix, list(user_index), list(venue_index), user_index, venue_index)

@@ -452,6 +452,33 @@ def _resolve_candidates(
     )
 
 
+def cosine_top_k(
+    rows, norms: np.ndarray, query: np.ndarray, k: int, ids: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the k rows most cosine-similar to the query, and their scores.
+
+    rows is a dense array or a scipy sparse matrix and norms its precomputed
+    row norms, so a matrix's norms are computed once, not per query. Ranking
+    is by descending score, ties by ascending ids[position] (the position
+    itself when ids is None); fewer than k rows returns them all, ranked.
+
+    Raises:
+        SimilarityError: if the query has zero norm.
+    """
+    query = np.asarray(query, dtype=np.float64)
+    query_norm = float(np.linalg.norm(query))
+    if query_norm == 0.0:
+        raise SimilarityError("query vector has zero norm")
+    dots = rows @ query.astype(rows.dtype, copy=False)
+    scores = np.asarray(dots, dtype=np.float64) / (
+        np.where(norms == 0.0, 1.0, norms) * query_norm
+    )
+    if ids is None:
+        ids = np.arange(scores.size)
+    top = np.lexsort((ids, -scores))[:k]
+    return top, scores[top]
+
+
 def top_k_similar(
     model: EmbeddingModel,
     query: np.ndarray,
@@ -468,16 +495,11 @@ def top_k_similar(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    query = np.asarray(query, dtype=np.float64)
-    query_norm = float(np.linalg.norm(query))
-    if query_norm == 0.0:
-        raise SimilarityError("query vector has zero norm")
     indices = _resolve_candidates(model, candidates)
-    if indices.size == 0:
-        return []
     matrix = model.input_vectors
     if (
-        indices[-1] - indices[0] + 1 == indices.size
+        indices.size
+        and indices[-1] - indices[0] + 1 == indices.size
         and bool((np.diff(indices) > 0).all())
     ):
         # contiguous candidate range (the common whole-venue-block case):
@@ -485,11 +507,8 @@ def top_k_similar(
         rows = matrix[int(indices[0]) : int(indices[-1]) + 1]
     else:
         rows = matrix[indices]
-    norms = model.input_norms()[indices]
-    dots = rows @ query.astype(matrix.dtype, copy=False)
-    scores = dots.astype(np.float64) / (np.where(norms == 0.0, 1.0, norms) * query_norm)
-    order = np.lexsort((indices, -scores))[:k]
-    return [(model.vocab.token(int(indices[i])), float(scores[i])) for i in order]
+    top, scores = cosine_top_k(rows, model.input_norms()[indices], query, k, indices)
+    return [(model.vocab.token(int(indices[i])), float(s)) for i, s in zip(top, scores)]
 
 
 def write_loss_trace(trace: list[EpochStats], path) -> None:

@@ -170,7 +170,10 @@ def embedding_recommender(
     config: ExperimentConfig, model: EmbeddingModel, dataset: Dataset
 ) -> Callable[[str], recommend.RecommendationList]:
     """The per-user KNI/NN/KIU recommend callable over a trained model."""
-    interactions = build_interactions(dataset.train)
+    interactions = build_interactions(dataset.train, config.binary_votes)
+    # looked up once here, not at import, so wrappers installed on the
+    # module attribute still see every call
+    recommend_method = getattr(recommend, f"recommend_{config.method}")
 
     def recommend_one(user: str) -> recommend.RecommendationList:
         request = recommend.RecommendationRequest(
@@ -179,10 +182,7 @@ def embedding_recommender(
             neighbors=config.neighbors,
             filter_seen=config.filter_seen,
         )
-        return recommend.recommend_by_method(
-            config.method, model, interactions, request,
-            binary_votes=config.binary_votes,
-        )
+        return recommend_method(model, interactions, request)
 
     return recommend_one
 
@@ -209,12 +209,12 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
         )
 
     elif config.method == baselines.CF:
-        im = baselines.build_interaction_matrix(dataset.train, config.binary_votes)
+        im = build_interactions(dataset.train, config.binary_votes)
         runs = [lambda user: baselines.recommend_cf(im, user, config.neighbors, config.k)]
         echo = dict(neighbors=config.neighbors)
 
     elif config.method == baselines.RANDOM:
-        catalog = baselines.build_interaction_matrix(dataset.train).venues
+        catalog = build_interactions(dataset.train).venues
 
         def random_run(seed: int):
             # per-user sub-seed so one run's draws are independent across users
@@ -226,7 +226,7 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
         echo = {}
 
     else:  # svd / ccdpp
-        im = baselines.build_interaction_matrix(dataset.train, config.binary_votes)
+        im = build_interactions(dataset.train, config.binary_votes)
         rank = min(config.latent_rank(), min(im.shape))
         if config.method == baselines.SVD:
             factors = baselines.svd_factorize(im, rank, seed=config.seed)

@@ -12,18 +12,16 @@ All venue ids in results are raw (unprefixed) ids.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
-from .corpus import Vocabulary
+from .corpus import InteractionMatrix, Vocabulary
 from .embedding import EmbeddingModel, get_vector, top_k_similar
 from .errors import SimilarityError
-
-Interactions = Mapping[str, Counter]
 
 KNI = "kni"
 NN = "nn"
@@ -62,35 +60,29 @@ class RecommendationList:
         return [venue for venue, _ in self.items]
 
 
-def _seen_venues(interactions: Interactions | None, user: str) -> set[str]:
-    if interactions is None:
-        return set()
-    return set(interactions.get(user, ()))
-
-
 def _venue_candidates(
-    model: EmbeddingModel, request: RecommendationRequest, interactions: Interactions | None
+    model: EmbeddingModel, interactions: InteractionMatrix, request: RecommendationRequest
 ) -> np.ndarray:
     candidates = model.vocab.venue_indices()
     if request.filter_seen:
-        seen = {
-            model.vocab.index(Vocabulary.venue_token(v))
-            for v in _seen_venues(interactions, request.user)
-            if Vocabulary.venue_token(v) in model.vocab
-        }
+        tokens = (
+            Vocabulary.venue_token(interactions.venues[j])
+            for j in interactions.venues_of(request.user)
+        )
+        seen = [model.vocab.index(t) for t in tokens if t in model.vocab]
         if seen:
-            candidates = candidates[~np.isin(candidates, np.fromiter(seen, dtype=np.int64))]
+            candidates = candidates[~np.isin(candidates, seen)]
     return candidates
 
 
 def _rank_venues_by_query(
     model: EmbeddingModel,
     query: np.ndarray,
+    interactions: InteractionMatrix,
     request: RecommendationRequest,
-    interactions: Interactions | None,
     method: str,
 ) -> RecommendationList:
-    candidates = _venue_candidates(model, request, interactions)
+    candidates = _venue_candidates(model, interactions, request)
     try:
         top = top_k_similar(model, query, candidates, request.k)
     except SimilarityError:
@@ -101,18 +93,18 @@ def _rank_venues_by_query(
 
 def recommend_kni(
     model: EmbeddingModel,
+    interactions: InteractionMatrix,
     request: RecommendationRequest,
-    interactions: Interactions | None = None,
 ) -> RecommendationList:
     """k-nearest items: venues ranked by cosine to the user's own vector.
 
-    interactions is only needed when request.filter_seen is set.
+    interactions is only consulted for filter_seen.
     """
     token = Vocabulary.user_token(request.user)
     if token not in model.vocab:
         return RecommendationList(request.user, KNI)
     return _rank_venues_by_query(
-        model, get_vector(model, token), request, interactions, KNI
+        model, get_vector(model, token), interactions, request, KNI
     )
 
 
@@ -131,44 +123,41 @@ def nearest_users(
 
 
 def vote_by_visit_counts(
-    neighbor_ids: Iterable[str],
-    interactions: Interactions,
-    *,
-    binary: bool = False,
-    allowed: Callable[[str], bool] | None = None,
-    excluded: set[str] | None = None,
-) -> Counter:
-    """Sum neighbor votes per venue: visit counts, or 1 per pair in binary mode."""
-    votes: Counter = Counter()
-    excluded = excluded or set()
-    for neighbor in neighbor_ids:
-        for venue, count in interactions.get(neighbor, {}).items():
-            if venue in excluded:
-                continue
-            if allowed is not None and not allowed(venue):
-                continue
-            votes[venue] += 1.0 if binary else float(count)
+    matrix: sparse.csr_matrix,
+    rows: Sequence[int],
+    weights: np.ndarray,
+    excluded: np.ndarray | Sequence[int],
+) -> np.ndarray:
+    """Per-venue votes: the neighbor rows' entries summed, each row scaled by
+    its weight (1 for a plain visit-count vote, the similarity for CF).
+
+    A binary matrix makes every visited venue one vote. Excluded columns
+    score 0, so rank_votes never returns them.
+    """
+    votes = np.asarray(weights, dtype=np.float64) @ matrix[rows]
+    votes[np.asarray(excluded, dtype=np.int64)] = 0.0
     return votes
 
 
 def rank_votes(
-    votes: Counter, k: int, index_of: Callable[[str], int]
+    votes: np.ndarray, k: int, venues: Sequence[str]
 ) -> list[tuple[str, float]]:
-    """Top-k venues by vote, ties by ascending index."""
-    if not votes:
-        return []
-    ranked = sorted(votes, key=lambda venue: (-votes[venue], index_of(venue)))[:k]
-    return [(venue, float(votes[venue])) for venue in ranked]
+    """The k venues with the highest positive votes, ties by ascending column."""
+    positive = np.flatnonzero(votes > 0.0)
+    top = positive[np.lexsort((positive, -votes[positive]))][:k]
+    return [(venues[j], float(votes[j])) for j in top]
 
 
 def recommend_nn(
     model: EmbeddingModel,
-    interactions: Interactions,
+    interactions: InteractionMatrix,
     request: RecommendationRequest,
-    *,
-    binary_votes: bool = False,
 ) -> RecommendationList:
-    """N-nearest users: venues voted by the most similar users' histories."""
+    """N-nearest users: venues voted by the most similar users' histories.
+
+    Venues pruned from the model's vocabulary get no vote; a binary
+    interaction matrix votes 1 per visited venue.
+    """
     token = Vocabulary.user_token(request.user)
     if token not in model.vocab:
         return RecommendationList(request.user, NN)
@@ -176,23 +165,23 @@ def recommend_nn(
         neighbors = nearest_users(model, request.user, request.neighbors)
     except SimilarityError:
         return RecommendationList(request.user, NN)
-    excluded = _seen_venues(interactions, request.user) if request.filter_seen else set()
-    votes = vote_by_visit_counts(
-        (n for n, _ in neighbors),
-        interactions,
-        binary=binary_votes,
-        allowed=lambda v: Vocabulary.venue_token(v) in model.vocab,
-        excluded=excluded,
-    )
-    items = rank_votes(
-        votes, request.k, lambda v: model.vocab.index(Vocabulary.venue_token(v))
-    )
+    # a neighbor without visit history (a model trained on other records) votes nothing
+    rows = [interactions.user_index[n] for n, _ in neighbors if n in interactions.user_index]
+    excluded = interactions.venues_of(request.user) if request.filter_seen else ()
+    votes = vote_by_visit_counts(interactions.matrix, rows, np.ones(len(rows)), excluded)
+    pruned = [
+        j
+        for j in np.flatnonzero(votes)
+        if Vocabulary.venue_token(interactions.venues[j]) not in model.vocab
+    ]
+    votes[pruned] = 0.0
+    items = rank_votes(votes, request.k, interactions.venues)
     return RecommendationList(request.user, NN, items)
 
 
 def recommend_kiu(
     model: EmbeddingModel,
-    interactions: Interactions,
+    interactions: InteractionMatrix,
     request: RecommendationRequest,
 ) -> RecommendationList:
     """Combined query: venues ranked by cosine to the target+neighbors mean.
@@ -212,26 +201,7 @@ def recommend_kiu(
             np.asarray(get_vector(model, Vocabulary.user_token(neighbor)), dtype=np.float64)
         )
     query = np.stack(vectors).mean(axis=0)
-    return _rank_venues_by_query(model, query, request, interactions, KIU)
-
-
-def recommend_by_method(
-    method: str,
-    model: EmbeddingModel,
-    interactions: Interactions,
-    request: RecommendationRequest,
-    *,
-    binary_votes: bool = False,
-) -> RecommendationList:
-    """Run the KNI, NN or KIU recommender named by method for one request."""
-    # looked up at call time, so wrappers installed on the module attributes apply
-    if method == KNI:
-        return recommend_kni(model, request, interactions)
-    if method == NN:
-        return recommend_nn(model, interactions, request, binary_votes=binary_votes)
-    if method == KIU:
-        return recommend_kiu(model, interactions, request)
-    raise ValueError(f"unknown embedding method {method!r}")
+    return _rank_venues_by_query(model, query, interactions, request, KIU)
 
 
 def format_batch_line(result: RecommendationList) -> str:

@@ -3,13 +3,15 @@
 Everything here deliberately avoids the library's own code paths: losses are
 written from the formula, top-k selection is a plain scored sort, the SVD
 oracle is one-sided Jacobi, the factorization oracle is full alternating
-least squares, and report recomputation reads the raw CSV text.
+least squares, the neighbor vote sums per-user Counters, and report
+recomputation reads the raw CSV text.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 
@@ -142,6 +144,37 @@ def als_final_objective(
     return float(
         (residual**2).sum() + regularization * ((U**2).sum() + (V**2).sum())
     )
+
+
+def interactions_reference(records) -> dict[str, Counter]:
+    """Per-user venue visit counts as a dict of Counters."""
+    interactions: dict[str, Counter] = {}
+    for record in records:
+        interactions.setdefault(record.user_id, Counter())[record.venue_id] += 1
+    return interactions
+
+
+def vote_reference(
+    neighbor_ids, interactions, *, weights=None, binary=False, allowed=None, excluded=()
+) -> Counter:
+    """Sum neighbor votes per venue, neighbor by neighbor: each visit count
+    (1 per visited venue in binary mode) times the neighbor's weight."""
+    votes: Counter = Counter()
+    weights = [1.0] * len(neighbor_ids) if weights is None else weights
+    for neighbor, weight in zip(neighbor_ids, weights):
+        for venue, count in interactions.get(neighbor, {}).items():
+            if venue in excluded:
+                continue
+            if allowed is not None and not allowed(venue):
+                continue
+            votes[venue] += weight * (1.0 if binary else float(count))
+    return votes
+
+
+def rank_votes_reference(votes: Counter, k: int, index_of) -> list[tuple[str, float]]:
+    """Top-k venues by vote, ties by ascending index_of(venue)."""
+    ranked = sorted(votes, key=lambda venue: (-votes[venue], index_of(venue)))[:k]
+    return [(venue, float(votes[venue])) for venue in ranked]
 
 
 def context_pairs_reference(lengths, radii):

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from venue2vec.baselines import (
-    build_interaction_matrix,
     ccdpp_factorize,
     recommend_cf,
     svd_factorize,
@@ -139,7 +138,7 @@ def _random_model(rng, n_venues, features):
     model = init_model(vocab, config, dtype=np.float64)
     model.input_vectors = rng.normal(size=model.input_vectors.shape)
     model.invalidate_caches()
-    return model
+    return model, build_interactions(records)
 
 
 def test_criterion_2_top_k_oracle_equivalence():
@@ -148,10 +147,10 @@ def test_criterion_2_top_k_oracle_equivalence():
     for trial in range(100):
         n_venues = 10_000 if trial < 2 else int(rng.integers(100, 10_001))
         features = int(rng.integers(4, 101))
-        model = _random_model(rng, n_venues, features)
+        model, interactions = _random_model(rng, n_venues, features)
         user = "u0"
         request = RecommendationRequest(user=user, k=10)
-        ours = recommend_kni(model, request)
+        ours = recommend_kni(model, interactions, request)
         query = get_vector(model, "U:" + user)
         reference = brute_force_top_k(
             model.input_vectors, query, model.vocab.venue_indices(), 10
@@ -229,7 +228,7 @@ def planted_run():
     reports = {
         "kni": evaluate(
             lambda u: recommend_kni(
-                model, RecommendationRequest(user=u, k=10, neighbors=30)
+                model, interactions, RecommendationRequest(user=u, k=10, neighbors=30)
             ),
             "kni",
         ),
@@ -307,7 +306,7 @@ def test_criterion_4b_random_precision_bound(planted_run):
         fixture=ACCEPTANCE_FIXTURE, method="random", random_runs=runs, k=k, seed=5
     )
     report = run_experiment(config)
-    catalog = set(build_interaction_matrix(dataset.train).venues)
+    catalog = set(build_interactions(dataset.train).venues)
     expected, stderr = _chance_precision(truth, catalog, k, runs)
     z = (report.precision - expected) / stderr
     kni = reports["kni"].precision
@@ -422,7 +421,7 @@ def test_criterion_7_coverage_contract(planted_run):
         CheckinRecord("loner", "hermitage2", 151),
     ]
     test.append(CheckinRecord("loner", "hub", FEB_2011 + 50))
-    im = build_interaction_matrix(train)
+    im = build_interactions(train)
     truth = build_ground_truth(Dataset(train, test))
     assert len(truth) == 20
     predicted = [
@@ -448,12 +447,13 @@ def test_criterion_8_kni_timing_budget():
     model = init_model(vocab, TrainingConfig(feature_count=features, seed=0))
     model.input_vectors = rng.normal(size=model.input_vectors.shape).astype(np.float32)
     model.invalidate_caches()
+    interactions = build_interactions(records)
 
     samples = []
     for i in range(100):
         request = RecommendationRequest(user=users[i], k=10)
         begin = time.perf_counter()
-        result = recommend_kni(model, request)
+        result = recommend_kni(model, interactions, request)
         samples.append(time.perf_counter() - begin)
         assert len(result.items) == 10
     median = float(np.median(samples))

@@ -3,20 +3,20 @@ import pytest
 
 from venue2vec.baselines import (
     FactorModel,
-    build_interaction_matrix,
     ccdpp_factorize,
     recommend_cf,
     recommend_latent_neighbors,
     recommend_random,
     svd_factorize,
 )
+from venue2vec.corpus import build_interactions
 
 from conftest import community_of, make_records
 from oracles import als_final_objective, jacobi_singular_values
 
 
 def matrix_from(visits):
-    return build_interaction_matrix(make_records(visits))
+    return build_interactions(make_records(visits))
 
 
 def wrap_dense(dense):
@@ -25,7 +25,7 @@ def wrap_dense(dense):
     from scipy import sparse
 
     m, n = dense.shape
-    im = build_interaction_matrix(
+    im = build_interactions(
         make_records({f"u{i}": [f"v{j}" for j in range(n)] for i in range(m)})
     )
     im.matrix = sparse.csr_matrix(dense)
@@ -43,7 +43,7 @@ def test_matrix_counts_and_shape():
 
 
 def test_matrix_binary_mode():
-    im = build_interaction_matrix(
+    im = build_interactions(
         make_records({"a": ["x", "x", "y"]}), binary=True
     )
     assert im.matrix.max() == 1.0
@@ -93,7 +93,7 @@ def test_cf_all_neighbors_binary_matches_brute_force(rng):
     for user in users:
         picks = rng.choice(15, size=int(rng.integers(1, 6)), replace=False)
         users[user] = [venues[int(p)] for p in picks]
-    im = build_interaction_matrix(make_records(users), binary=True)
+    im = build_interactions(make_records(users), binary=True)
 
     target = "u0"
     result = recommend_cf(im, target, neighbors=len(users), k=5)
@@ -315,7 +315,7 @@ def test_latent_neighbor_exact_k_forced():
 
 def test_latent_pipeline_stays_in_community(community_dataset):
     dataset, _ = community_dataset
-    im = build_interaction_matrix(dataset.train)
+    im = build_interactions(dataset.train)
     factors = svd_factorize(im, 8, seed=0)
     for user in ("c0u1", "c1u2"):
         result = recommend_latent_neighbors(factors, im, user, neighbors=5, k=10)

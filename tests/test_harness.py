@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 import venue2vec.harness as harness
+from venue2vec.baselines import svd_factorize
+from venue2vec.corpus import Vocabulary, build_interactions
 from venue2vec.errors import ConfigError, EmitError
 from venue2vec.fixtures import FEB_2011, FixtureSpec
 from venue2vec.harness import (
@@ -20,7 +23,14 @@ from venue2vec.metrics import (
     read_report_csv,
     score_user,
 )
-from venue2vec.recommend import read_batch_recommendations
+from venue2vec.recommend import nearest_users, read_batch_recommendations
+
+from oracles import (
+    brute_force_top_k,
+    interactions_reference,
+    rank_votes_reference,
+    vote_reference,
+)
 
 SMALL_FIXTURE = FixtureSpec(
     seed=7,
@@ -219,7 +229,7 @@ def test_no_test_record_reaches_model_construction(monkeypatch):
 
     real_vocab = harness.build_vocabulary
     real_sentences = harness.build_sentences
-    real_matrix = harness.baselines.build_interaction_matrix
+    real_matrix = harness.build_interactions
 
     def spy_vocab(records, *args, **kwargs):
         records = list(records)
@@ -240,12 +250,73 @@ def test_no_test_record_reaches_model_construction(monkeypatch):
         seen.extend(records)
         return real_matrix(records, *args, **kwargs)
 
-    monkeypatch.setattr(harness.baselines, "build_interaction_matrix", spy_matrix)
+    monkeypatch.setattr(harness, "build_interactions", spy_matrix)
     run_experiment(small_config(method="cf"))
     run_experiment(small_config(method="svd", rank=4))
 
     assert seen
     assert all(record.timestamp < config.boundary for record in seen)
+
+
+def _presence_vote_lists(config: ExperimentConfig, dataset) -> dict:
+    """Per evaluated user, the oracle's binary-vote list for config.method:
+    neighbors picked by brute-force cosine (the embedding's nearest users
+    for NN), then the Counter vote over visit presence."""
+    visits = interactions_reference(dataset.train)
+    users = list(dict.fromkeys(r.user_id for r in dataset.train))
+    venues = list(dict.fromkeys(r.venue_id for r in dataset.train))
+    column = {venue: j for j, venue in enumerate(venues)}
+    if config.method == "nn":
+        model, _, _ = harness.fit_embedding(config, dataset)
+        index_of = lambda v: model.vocab.index(Vocabulary.venue_token(v))  # noqa: E731
+    else:
+        index_of = column.__getitem__
+        presence = np.array([[float(v in visits[u]) for v in venues] for u in users])
+        rows = presence if config.method == "cf" else svd_factorize(
+            build_interactions(dataset.train, binary=True), config.latent_rank(), seed=config.seed
+        ).user_factors
+    lists = {}
+    for user in build_ground_truth(dataset):
+        weights, excluded = None, ()
+        if config.method == "nn":
+            neighbors = [n for n, _ in nearest_users(model, user, config.neighbors)]
+        else:
+            t = users.index(user)
+            others = [i for i in range(len(users)) if i != t]
+            top = brute_force_top_k(rows, rows[t], others, config.neighbors)
+            if config.method == "cf":  # positive similarities, own venues dropped
+                top = [(i, sim) for i, sim in top if sim > 0.0]
+                weights, excluded = [sim for _, sim in top], set(visits[user])
+            neighbors = [users[i] for i, _ in top]
+        votes = vote_reference(
+            neighbors, visits, weights=weights, binary=True, excluded=excluded
+        )
+        lists[user] = [
+            (venue, float(f"{score:.6f}"))
+            for venue, score in rank_votes_reference(votes, config.k, index_of)
+        ]
+    return lists
+
+
+@pytest.mark.parametrize("method", ["nn", "cf", "svd"])
+def test_binary_votes_vote_visit_presence(tmp_path, method):
+    """binary_votes reaches the vote of NN, CF and the latent rule: each list
+    equals the oracle vote over visit presence and, because the fixture has
+    repeat visits, differs from the visit-count vote."""
+    dataset = harness.load_dataset(small_config())
+    assert build_interactions(dataset.train).matrix.data.max() > 1  # repeat visits
+    lists = {}
+    for binary in (False, True):
+        config = small_config(
+            method=method, binary_votes=binary, rank=4, out_dir=str(tmp_path / f"b{binary}")
+        )
+        run_experiment(config)
+        lists[binary] = {
+            r.user: r.items
+            for r in read_batch_recommendations(tmp_path / f"b{binary}" / "recommendations.tsv")
+        }
+    assert lists[True] == _presence_vote_lists(config, dataset)
+    assert lists[True] != lists[False]
 
 
 # ------------------------------------------------------------- sweeps

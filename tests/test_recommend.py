@@ -1,12 +1,17 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from venue2vec.corpus import build_sentences, build_vocabulary
+from venue2vec.corpus import (
+    Vocabulary,
+    build_interactions,
+    build_sentences,
+    build_vocabulary,
+    split_train_test,
+)
 from venue2vec.embedding import TrainingConfig, init_model, train
+from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 from venue2vec.recommend import (
     NO_PREDICTION,
     RecommendationList,
@@ -23,14 +28,15 @@ from venue2vec.recommend import (
 )
 
 from conftest import community_of, make_records
+from oracles import interactions_reference, rank_votes_reference, vote_reference
 
 
 # ------------------------------------------------------------- toy examples
 
 
-def test_kni_toy_top2_are_the_users_own_cluster(toy_model):
+def test_kni_toy_top2_are_the_users_own_cluster(toy_model, toy_interactions):
     request = RecommendationRequest(user="u0", k=2, neighbors=1)
-    result = recommend_kni(toy_model, request)
+    result = recommend_kni(toy_model, toy_interactions, request)
     venues = result.venues()
     assert venues[0] == "Loc1"  # visited twice by u0 and nobody else
     assert set(venues) < {"Loc0", "Loc1", "Loc2"}
@@ -58,36 +64,81 @@ def test_kiu_toy_recommends_shared_pair(toy_model, toy_interactions):
 # ------------------------------------------------------------- vote rule
 
 
+def _vote(visits, neighbors, excluded=(), binary=False):
+    """vote_by_visit_counts over the matrix of a {user: [venues...]} table,
+    as {venue: votes} plus the ranked top 2."""
+    im = build_interactions(make_records(visits), binary)
+    rows = [im.user_index[n] for n in neighbors]
+    columns = [im.venue_index[v] for v in excluded]
+    votes = vote_by_visit_counts(im.matrix, rows, np.ones(len(rows)), columns)
+    voted = {im.venues[j]: float(votes[j]) for j in np.flatnonzero(votes)}
+    return voted, rank_votes(votes, 2, im.venues)
+
+
 def test_vote_sums_visit_counts():
-    interactions = {
-        "n1": Counter({"v1": 3}),
-        "n2": Counter({"v1": 1, "v2": 2}),
-        "n3": Counter({"v2": 1}),
-    }
-    votes = vote_by_visit_counts(["n1", "n2", "n3"], interactions)
-    assert votes == Counter({"v1": 4.0, "v2": 3.0})
-    ranked = rank_votes(votes, 2, {"v1": 0, "v2": 1}.__getitem__)
+    votes, ranked = _vote(
+        {"n1": ["v1", "v1", "v1"], "n2": ["v1", "v2", "v2"], "n3": ["v2"]},
+        ["n1", "n2", "n3"],
+    )
+    assert votes == {"v1": 4.0, "v2": 3.0}
     assert ranked == [("v1", 4.0), ("v2", 3.0)]
 
 
 def test_vote_binary_mode_counts_presence():
-    interactions = {"n1": Counter({"v1": 9, "v2": 1})}
-    votes = vote_by_visit_counts(["n1"], interactions, binary=True)
-    assert votes == Counter({"v1": 1.0, "v2": 1.0})
+    votes, _ = _vote({"n1": ["v1"] * 9 + ["v2"]}, ["n1"], binary=True)
+    assert votes == {"v1": 1.0, "v2": 1.0}
 
 
 def test_vote_excluded_venues_removed():
-    interactions = {"n1": Counter({"v1": 2, "v2": 5})}
-    votes = vote_by_visit_counts(["n1"], interactions, excluded={"v2"})
-    assert votes == Counter({"v1": 2.0})
+    votes, _ = _vote({"n1": ["v1", "v1"] + ["v2"] * 5}, ["n1"], excluded={"v2"})
+    assert votes == {"v1": 2.0}
 
 
-def test_forced_outcome_neighbor_with_two_venues(toy_model):
-    interactions = {"u1": Counter({"a": 1, "b": 1})}
-    # vocab lookups only happen through the allowed filter, disabled here
-    votes = vote_by_visit_counts(["u1"], interactions)
-    ranked = rank_votes(votes, 2, {"a": 0, "b": 1}.__getitem__)
+def test_forced_outcome_neighbor_with_two_venues():
+    _, ranked = _vote({"u1": ["a", "b"]}, ["u1"])
     assert {v for v, _ in ranked} == {"a", "b"}
+
+
+@given(
+    visits=st.dictionaries(
+        st.sampled_from([f"u{i}" for i in range(6)]),
+        st.lists(st.sampled_from([f"v{j}" for j in range(8)]), min_size=1, max_size=12),
+        min_size=1,
+    ),
+    data=st.data(),
+    binary=st.booleans(),
+    weighted=st.booleans(),
+    k=st.integers(1, 9),
+)
+@settings(max_examples=150, deadline=None)
+def test_vote_matches_counter_oracle(visits, data, binary, weighted, k):
+    """The sparse vote and its ranking equal the per-user Counter vote, ties
+    included, for count or presence tables, unit or float (CF) weights, and
+    excluded (seen) or disallowed (pruned) venues."""
+    records = make_records(visits)
+    im = build_interactions(records, binary)
+    users, venues = sorted(visits), sorted(im.venues)
+    neighbors = data.draw(st.lists(st.sampled_from(users), unique=True))
+    # a few repeated weights, so float votes tie too
+    weight = st.sampled_from([0.25, 0.5, 1.0]) | st.floats(1e-3, 1.0)
+    weights = [data.draw(weight) for _ in neighbors] if weighted else [1.0] * len(neighbors)
+    excluded = data.draw(st.sets(st.sampled_from(venues)))
+    pruned = data.draw(st.sets(st.sampled_from(venues)))
+
+    rows = [im.user_index[n] for n in neighbors]
+    columns = [im.venue_index[v] for v in excluded | pruned]
+    votes = vote_by_visit_counts(im.matrix, rows, np.array(weights), columns)
+    ours = rank_votes(votes, k, im.venues)
+
+    expected_votes = vote_reference(
+        neighbors,
+        interactions_reference(records),
+        weights=weights,
+        binary=binary,
+        allowed=lambda v: v not in pruned,
+        excluded=excluded,
+    )
+    assert ours == rank_votes_reference(expected_votes, k, im.venue_index.__getitem__)
 
 
 # ------------------------------------------------------------- contracts
@@ -96,7 +147,7 @@ def test_forced_outcome_neighbor_with_two_venues(toy_model):
 def test_unknown_user_is_no_prediction(toy_model, toy_interactions):
     request = RecommendationRequest(user="stranger", k=3, neighbors=1)
     for result in (
-        recommend_kni(toy_model, request),
+        recommend_kni(toy_model, toy_interactions, request),
         recommend_nn(toy_model, toy_interactions, request),
         recommend_kiu(toy_model, toy_interactions, request),
     ):
@@ -104,9 +155,9 @@ def test_unknown_user_is_no_prediction(toy_model, toy_interactions):
         assert result.items == []
 
 
-def test_kni_saturation_returns_all_venues(toy_model):
+def test_kni_saturation_returns_all_venues(toy_model, toy_interactions):
     request = RecommendationRequest(user="u0", k=100, neighbors=1)
-    result = recommend_kni(toy_model, request)
+    result = recommend_kni(toy_model, toy_interactions, request)
     assert len(result.items) == 8
     scores = [s for _, s in result.items]
     assert scores == sorted(scores, reverse=True)
@@ -114,7 +165,7 @@ def test_kni_saturation_returns_all_venues(toy_model):
 
 def test_filter_seen_removes_training_venues(toy_model, toy_interactions):
     request = RecommendationRequest(user="u0", k=8, neighbors=1, filter_seen=True)
-    result = recommend_kni(toy_model, request, toy_interactions)
+    result = recommend_kni(toy_model, toy_interactions, request)
     assert set(result.venues()).isdisjoint({"Loc0", "Loc1", "Loc2"})
 
 
@@ -124,10 +175,10 @@ def test_kiu_without_other_users_reduces_to_kni():
     corpus = build_sentences(records, vocab)
     config = TrainingConfig(feature_count=4, context_count=2, epoch_count=30, seed=0)
     model, _ = train(init_model(vocab, config), corpus)
-    interactions = {"only": Counter({"a": 2, "b": 1})}
+    interactions = build_interactions(records)
     request = RecommendationRequest(user="only", k=2, neighbors=5)
     kiu = recommend_kiu(model, interactions, request)
-    kni = recommend_kni(model, request)
+    kni = recommend_kni(model, interactions, request)
     assert kiu.venues() == kni.venues()
 
 
@@ -137,7 +188,7 @@ def test_kiu_all_users_uniform_vectors_degrades_gracefully():
     model = init_model(vocab, TrainingConfig(feature_count=4, seed=0), dtype=np.float64)
     model.input_vectors = np.ones_like(model.input_vectors)  # every cosine ties
     model.invalidate_caches()
-    interactions = {"a": Counter({"x": 1}), "b": Counter({"y": 1}), "c": Counter({"z": 1})}
+    interactions = build_interactions(records)
     request = RecommendationRequest(user="a", k=2, neighbors=50)
     first = recommend_kiu(model, interactions, request)
     second = recommend_kiu(model, interactions, request)
@@ -146,11 +197,11 @@ def test_kiu_all_users_uniform_vectors_degrades_gracefully():
     assert first.venues() == ["x", "y"]  # ascending token index
 
 
-def test_nn_binary_votes_flag(toy_model, toy_interactions):
+def test_nn_binary_votes_flag(toy_model, toy_records, toy_interactions):
     # u2 visited Loc7 twice; binary votes flatten that to one
     request = RecommendationRequest(user="u1", k=8, neighbors=2)
     counted = recommend_nn(toy_model, toy_interactions, request)
-    binary = recommend_nn(toy_model, toy_interactions, request, binary_votes=True)
+    binary = recommend_nn(toy_model, build_interactions(toy_records, binary=True), request)
     assert set(binary.venues()) <= set(counted.venues()) | {"Loc7"}
     assert all(score == int(score) for _, score in binary.items)
     counted_scores = dict(counted.items)
@@ -168,7 +219,7 @@ def test_kiu_zero_norm_query_is_no_prediction():
     model.input_vectors[vocab.index("U:b")] = np.array([-1.0, 0.0, 0.0, 0.0])
     model.input_vectors[vocab.index("V:x")] = np.ones(4)
     model.invalidate_caches()
-    interactions = {"a": Counter({"x": 1}), "b": Counter({"x": 1})}
+    interactions = build_interactions(records)
     request = RecommendationRequest(user="a", k=1, neighbors=1)
     result = recommend_kiu(model, interactions, request)
     assert not result.predicted
@@ -181,10 +232,48 @@ def test_community_fixture_recommendations_stay_in_community(
     request_users = ["c0u0", "c1u3"]
     for user in request_users:
         request = RecommendationRequest(user=user, k=10, neighbors=5)
-        result = recommend_kni(model, request)
+        result = recommend_kni(model, community_interactions, request)
         assert len(result.items) == 10
         for venue, _ in result.items:
             assert community_of(venue) == community_of(user)
+
+
+def test_pruned_venues_are_never_recommended():
+    """With min_word_count=2 no method returns a venue the vocabulary pruned,
+    and NN's list is the oracle vote over in-vocabulary venues only."""
+    spec = FixtureSpec(
+        seed=5, communities=3, users_per_community=20, venues_per_community=120,
+        train_checkins_per_user=12, test_checkins_per_user=4, noise_rate=0.3,
+        favorites_per_user=30,
+    )
+    records, _ = generate_fixture(spec)
+    train_records = split_train_test(records, FEB_2011).train
+    vocab = build_vocabulary(train_records, 2)
+    interactions = build_interactions(train_records)
+    kept = {Vocabulary.strip_prefix(vocab.token(i)) for i in vocab.venue_indices()}
+    assert len(kept) < len(interactions.venues)  # some venues were pruned
+    config = TrainingConfig(feature_count=8, context_count=5, epoch_count=3, seed=1)
+    model, _ = train(init_model(vocab, config), build_sentences(train_records, vocab))
+    visits = interactions_reference(train_records)
+    for index in vocab.user_indices():
+        user = Vocabulary.strip_prefix(vocab.token(int(index)))
+        for filter_seen in (False, True):
+            request = RecommendationRequest(
+                user=user, k=10, neighbors=5, filter_seen=filter_seen
+            )
+            for recommender in (recommend_kni, recommend_nn, recommend_kiu):
+                result = recommender(model, interactions, request)
+                assert set(result.venues()) <= kept
+            votes = vote_reference(
+                [n for n, _ in nearest_users(model, user, 5)],
+                visits,
+                allowed=kept.__contains__,
+                excluded=set(visits[user]) if filter_seen else (),
+            )
+            expected = rank_votes_reference(
+                votes, 10, lambda v: vocab.index(Vocabulary.venue_token(v))
+            )
+            assert recommend_nn(model, interactions, request).items == expected
 
 
 def test_requests_validate_bounds():
@@ -209,7 +298,7 @@ def test_recommendation_invariants(toy_model, toy_interactions, k, n, filter_see
         user=user, k=k, neighbors=n, filter_seen=filter_seen
     )
     for result in (
-        recommend_kni(toy_model, request, toy_interactions),
+        recommend_kni(toy_model, toy_interactions, request),
         recommend_nn(toy_model, toy_interactions, request),
         recommend_kiu(toy_model, toy_interactions, request),
     ):
@@ -219,7 +308,8 @@ def test_recommendation_invariants(toy_model, toy_interactions, k, n, filter_see
         scores = [s for _, s in result.items]
         assert scores == sorted(scores, reverse=True)
         if filter_seen:
-            assert set(venues).isdisjoint(toy_interactions[user])
+            seen = {toy_interactions.venues[j] for j in toy_interactions.venues_of(user)}
+            assert set(venues).isdisjoint(seen)
 
 
 def test_deterministic_across_calls(toy_model, toy_interactions):
@@ -256,7 +346,7 @@ def test_concurrent_readers_agree(toy_model, toy_interactions):
 def test_batch_roundtrip(tmp_path, toy_model, toy_interactions):
     request = RecommendationRequest(user="u0", k=3, neighbors=1)
     results = [
-        recommend_kni(toy_model, request),
+        recommend_kni(toy_model, toy_interactions, request),
         RecommendationList("ghost", "kni"),
     ]
     path = tmp_path / "batch.tsv"

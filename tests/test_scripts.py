@@ -1,5 +1,7 @@
-"""Smoke runs of the experiment scripts, which drive run_experiment and run_sweep."""
+"""Smoke runs of the experiment scripts, which drive run_experiment and run_sweep,
+and a check that README's Library example imports what the package exports."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,8 @@ from pathlib import Path
 from venue2vec.harness import ALL_METHODS
 from venue2vec.metrics import read_report_csv
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _run(script: str, *args: str) -> subprocess.CompletedProcess:
@@ -38,3 +41,21 @@ def test_sweep_axes_writes_one_row_per_axis_value(tmp_path):
     rows = read_report_csv(tmp_path / "sweep_E" / "sweep_E.csv")
     assert [row["E"] for row in rows] == [5, 10, 15, 20, 25]
     assert (tmp_path / "plots" / "kni_E.csv").exists()
+
+
+def test_readme_library_imports_are_the_package_exports():
+    """README's Library example imports resolve, and they are exactly the
+    names the package root re-exports."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library", 1)[1]
+    code = section.split("```python", 1)[1].split("```", 1)[0]
+    imports = [node for node in ast.parse(code).body if isinstance(node, ast.ImportFrom)]
+    assert [node.module for node in imports] == ["venue2vec"]
+    exec(compile(ast.Module(body=imports, type_ignores=[]), "README.md", "exec"), {})
+    init = ast.parse((ROOT / "src" / "venue2vec" / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert {alias.name for alias in imports[0].names} == exported
