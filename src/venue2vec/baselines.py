@@ -15,9 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import InteractionMatrix
-from .embedding import cosine_top_k
 from .errors import SimilarityError
-from .recommend import RecommendationList, rank_votes, vote_by_visit_counts
+from .recommend import RecommendationList, _neighbor_rows, rank_votes, vote_by_visit_counts
 
 CF = "cf"
 RANDOM = "random"
@@ -27,20 +26,6 @@ CCDPP = "ccdpp"
 SVD_OVERSAMPLING = 10  # extra sketch columns beyond the rank
 SVD_POWER_ITERATIONS = 2  # subspace iterations that sharpen the sketch
 CCDPP_INNER_SWEEPS = 2  # alternating u/v updates per latent index
-
-
-def _neighbor_rows(
-    rows, norms: np.ndarray, query: np.ndarray, index: int, neighbors: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the rows most cosine-similar to row index, whose values the
-    query holds, and their similarities: at most neighbors, row index excluded.
-
-    Raises:
-        SimilarityError: if the query has zero norm.
-    """
-    top, sims = cosine_top_k(rows, norms, query, neighbors + 1)
-    keep = top != index
-    return top[keep][:neighbors], sims[keep][:neighbors]
 
 
 def recommend_cf(
@@ -67,7 +52,8 @@ def recommend_cf(
     except SimilarityError:
         return RecommendationList(user, CF)
     positive = sims > 0.0
-    votes = vote_by_visit_counts(im.matrix, rows[positive], sims[positive], im.venues_of(user))
+    votes = vote_by_visit_counts(im.matrix, rows[positive], sims[positive])
+    votes[im.venues_of(user)] = 0.0
     return RecommendationList(user, CF, rank_votes(votes, k, im.venues))
 
 
@@ -229,7 +215,6 @@ def recommend_latent_neighbors(
     k: int,
     *,
     method: str = SVD,
-    exclude_seen: bool = False,
 ) -> RecommendationList:
     """Neighbors by cosine over user-latent rows, then the NN vote rule."""
     index = im.user_index.get(user)
@@ -240,6 +225,5 @@ def recommend_latent_neighbors(
         rows, _ = _neighbor_rows(latent, factors.user_norms, latent[index], index, neighbors)
     except SimilarityError:
         return RecommendationList(user, method)
-    excluded = im.venues_of(user) if exclude_seen else ()
-    votes = vote_by_visit_counts(im.matrix, rows, np.ones(len(rows)), excluded)
+    votes = vote_by_visit_counts(im.matrix, rows, np.ones(len(rows)))
     return RecommendationList(user, method, rank_votes(votes, k, im.venues))

@@ -91,12 +91,22 @@ _CONFIG_FIELDS = {
 }
 
 
+_LAYOUT_KEYS = ("delimiter", "user_col", "venue_col", "time_col")
+
+
+def _parse(key: str, value: str, kind):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"cannot parse {key}={value!r}") from None
+
+
 def _coerce(key: str, value):
     if isinstance(value, str):
-        if key in _INT_KEYS:
-            return int(value)
+        if key in _INT_KEYS or (key == "window" and value != "max"):
+            return _parse(key, value, int)
         if key in _FLOAT_KEYS:
-            return float(value)
+            return _parse(key, value, float)
         if key in _BOOL_KEYS:
             lowered = value.lower()
             if lowered in ("1", "true", "yes", "on"):
@@ -104,8 +114,6 @@ def _coerce(key: str, value):
             if lowered in ("0", "false", "no", "off"):
                 return False
             raise ConfigError(f"cannot parse boolean {key}={value!r}")
-        if key == "window" and value != "max":
-            return int(value)
     return value
 
 
@@ -117,12 +125,10 @@ def build_experiment_config(args) -> ExperimentConfig:
             if key == "fixture":
                 merged["fixture"] = parse_fixture_spec(value)
                 continue
-            if key not in _CONFIG_FIELDS and key not in (
-                "delimiter", "user_col", "venue_col", "time_col", "window",
-            ):
+            if key not in _CONFIG_FIELDS and key not in _LAYOUT_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             merged[key] = _coerce(key, value)
-    for key in list(_CONFIG_FIELDS) + ["delimiter", "user_col", "venue_col", "time_col"]:
+    for key in (*_CONFIG_FIELDS, *_LAYOUT_KEYS):
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = _coerce(key, flag)
@@ -135,9 +141,7 @@ def build_experiment_config(args) -> ExperimentConfig:
     for key, value in merged.items():
         if key == "fixture":
             kwargs["fixture"] = value
-        elif key == "delimiter":
-            layout_kwargs["delimiter"] = value
-        elif key in ("user_col", "venue_col", "time_col"):
+        elif key in _LAYOUT_KEYS:
             layout_kwargs[key] = value
         else:
             kwargs[_CONFIG_FIELDS[key]] = value
@@ -243,7 +247,7 @@ def _cmd_sweep(args) -> int:
     values = (
         [v.strip() for v in args.values.split(",") if v.strip()] if args.values else ()
     )
-    parsed = [v if v == "max" else int(v) for v in values]
+    parsed = [v if v == "max" else _parse("values", v, int) for v in values]
     spec = SweepSpec(axis=args.axis, values=parsed)
     reports, rows = harness.run_sweep(spec, config)
     failed = sum(1 for r in reports if r is None)

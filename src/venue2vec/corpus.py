@@ -214,9 +214,6 @@ class Vocabulary:
     def token(self, index: int) -> str:
         return self.index_to_token[index]
 
-    def user_indices(self) -> np.ndarray:
-        return np.arange(self.user_count, dtype=np.int64)
-
     def venue_indices(self) -> np.ndarray:
         return np.arange(self.user_count, len(self), dtype=np.int64)
 

@@ -25,6 +25,7 @@ from . import baselines, recommend
 from .corpus import (
     Dataset,
     FieldLayout,
+    InteractionMatrix,
     SentenceCorpus,
     build_interactions,
     build_sentences,
@@ -129,6 +130,12 @@ class ExperimentConfig:
             raise ConfigError("random_runs must be >= 1")
         if self.method in EMBEDDING_METHODS:
             self.training_config()  # raises ConfigError on bad values
+        if self.method in (baselines.SVD, baselines.CCDPP) and self.latent_rank() < 1:
+            raise ConfigError("rank must be >= 1")
+        if self.method == baselines.CCDPP and not (
+            self.regularization > 0 and self.mf_iterations >= 1
+        ):
+            raise ConfigError("ccdpp needs regularization > 0 and mf_iterations >= 1")
 
     def training_config(self) -> TrainingConfig:
         return TrainingConfig(
@@ -166,6 +173,27 @@ def fit_embedding(
     return model, corpus, trace
 
 
+def _per_user(
+    config: ExperimentConfig,
+    interactions: InteractionMatrix,
+    recommend_k: Callable[[str, int], recommend.RecommendationList],
+) -> Callable[[str], recommend.RecommendationList]:
+    """One run's per-user callable from recommend_k(user, depth), the first
+    depth entries of one fixed ranking. Under filter_seen it reads k + |seen|
+    deep and drops the user's training venues: exactly the top k of the
+    unseen venues, ties included."""
+    if not config.filter_seen:
+        return lambda user: recommend_k(user, config.k)
+
+    def recommend_unseen(user: str) -> recommend.RecommendationList:
+        seen = {interactions.venues[j] for j in interactions.venues_of(user)}
+        result = recommend_k(user, config.k + len(seen))
+        items = [item for item in result.items if item[0] not in seen][: config.k]
+        return recommend.RecommendationList(user, result.method, items)
+
+    return recommend_unseen
+
+
 def embedding_recommender(
     config: ExperimentConfig, model: EmbeddingModel, dataset: Dataset
 ) -> Callable[[str], recommend.RecommendationList]:
@@ -175,16 +203,13 @@ def embedding_recommender(
     # module attribute still see every call
     recommend_method = getattr(recommend, f"recommend_{config.method}")
 
-    def recommend_one(user: str) -> recommend.RecommendationList:
+    def recommend_k(user: str, depth: int) -> recommend.RecommendationList:
         request = recommend.RecommendationRequest(
-            user=user,
-            k=config.k,
-            neighbors=config.neighbors,
-            filter_seen=config.filter_seen,
+            user=user, k=depth, neighbors=config.neighbors
         )
         return recommend_method(model, interactions, request)
 
-    return recommend_one
+    return _per_user(config, interactions, recommend_k)
 
 
 def _recommender_for(config: ExperimentConfig, dataset: Dataset):
@@ -207,26 +232,27 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
             epoch_count=config.epoch_count,
             neighbors=config.neighbors,
         )
+        return runs, time.perf_counter() - started, echo, traces
 
-    elif config.method == baselines.CF:
-        im = build_interactions(dataset.train, config.binary_votes)
-        runs = [lambda user: baselines.recommend_cf(im, user, config.neighbors, config.k)]
+    im = build_interactions(dataset.train, config.binary_votes)
+    if config.method == baselines.CF:
+        ranked = [
+            lambda user, depth: baselines.recommend_cf(im, user, config.neighbors, depth)
+        ]
         echo = dict(neighbors=config.neighbors)
 
     elif config.method == baselines.RANDOM:
-        catalog = build_interactions(dataset.train).venues
 
         def random_run(seed: int):
             # per-user sub-seed so one run's draws are independent across users
-            return lambda user: baselines.recommend_random(
-                catalog, user, config.k, seed=_user_seed(seed, user)
+            return lambda user, depth: baselines.recommend_random(
+                im.venues, user, depth, seed=_user_seed(seed, user)
             )
 
-        runs = [random_run(config.seed + run) for run in range(config.random_runs)]
+        ranked = [random_run(config.seed + run) for run in range(config.random_runs)]
         echo = {}
 
     else:  # svd / ccdpp
-        im = build_interactions(dataset.train, config.binary_votes)
         rank = min(config.latent_rank(), min(im.shape))
         if config.method == baselines.SVD:
             factors = baselines.svd_factorize(im, rank, seed=config.seed)
@@ -238,19 +264,14 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
                 config.mf_iterations,
                 seed=config.seed,
             )
-        runs = [
-            lambda user: baselines.recommend_latent_neighbors(
-                factors,
-                im,
-                user,
-                config.neighbors,
-                config.k,
-                method=config.method,
-                exclude_seen=config.filter_seen,
+        ranked = [
+            lambda user, depth: baselines.recommend_latent_neighbors(
+                factors, im, user, config.neighbors, depth, method=config.method
             )
         ]
         echo = dict(feature_count=config.latent_rank(), neighbors=config.neighbors)
 
+    runs = [_per_user(config, im, recommend_k) for recommend_k in ranked]
     return runs, time.perf_counter() - started, echo, traces
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import InteractionMatrix, Vocabulary
-from .embedding import EmbeddingModel, get_vector, top_k_similar
+from .embedding import EmbeddingModel, cosine_top_k, get_vector, top_k_similar
 from .errors import SimilarityError
 
 KNI = "kni"
@@ -37,7 +37,6 @@ class RecommendationRequest:
     user: str
     k: int = 10
     neighbors: int = 30
-    filter_seen: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -60,31 +59,29 @@ class RecommendationList:
         return [venue for venue, _ in self.items]
 
 
-def _venue_candidates(
-    model: EmbeddingModel, interactions: InteractionMatrix, request: RecommendationRequest
-) -> np.ndarray:
-    candidates = model.vocab.venue_indices()
-    if request.filter_seen:
-        tokens = (
-            Vocabulary.venue_token(interactions.venues[j])
-            for j in interactions.venues_of(request.user)
-        )
-        seen = [model.vocab.index(t) for t in tokens if t in model.vocab]
-        if seen:
-            candidates = candidates[~np.isin(candidates, seen)]
-    return candidates
+def _neighbor_rows(
+    rows, norms: np.ndarray, query: np.ndarray, index: int, neighbors: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the rows most cosine-similar to row index, whose values the
+    query holds, and their similarities: at most neighbors, row index excluded,
+    ties by ascending position.
+
+    Raises:
+        SimilarityError: if the query has zero norm.
+    """
+    top, sims = cosine_top_k(rows, norms, query, neighbors + 1)
+    keep = top != index
+    return top[keep][:neighbors], sims[keep][:neighbors]
 
 
 def _rank_venues_by_query(
     model: EmbeddingModel,
     query: np.ndarray,
-    interactions: InteractionMatrix,
     request: RecommendationRequest,
     method: str,
 ) -> RecommendationList:
-    candidates = _venue_candidates(model, interactions, request)
     try:
-        top = top_k_similar(model, query, candidates, request.k)
+        top = top_k_similar(model, query, model.vocab.venue_indices(), request.k)
     except SimilarityError:
         return RecommendationList(request.user, method)
     items = [(Vocabulary.strip_prefix(token), score) for token, score in top]
@@ -98,45 +95,39 @@ def recommend_kni(
 ) -> RecommendationList:
     """k-nearest items: venues ranked by cosine to the user's own vector.
 
-    interactions is only consulted for filter_seen.
+    interactions is not read; it keeps the signature every embedding
+    recommender shares.
     """
     token = Vocabulary.user_token(request.user)
     if token not in model.vocab:
         return RecommendationList(request.user, KNI)
-    return _rank_venues_by_query(
-        model, get_vector(model, token), interactions, request, KNI
-    )
+    return _rank_venues_by_query(model, get_vector(model, token), request, KNI)
 
 
 def nearest_users(
     model: EmbeddingModel, user: str, count: int
 ) -> list[tuple[str, float]]:
     """The count most cosine-similar users to the target, target excluded."""
-    token = Vocabulary.user_token(user)
-    index = model.vocab.index(token)
-    candidates = model.vocab.user_indices()
-    candidates = candidates[candidates != index]
-    if candidates.size == 0:
-        return []
-    top = top_k_similar(model, get_vector(model, token), candidates, count)
-    return [(Vocabulary.strip_prefix(t), score) for t, score in top]
+    index = model.vocab.index(Vocabulary.user_token(user))
+    users = model.input_vectors[: model.vocab.user_count]
+    top, sims = _neighbor_rows(
+        users, model.input_norms()[: model.vocab.user_count], users[index], index, count
+    )
+    return [
+        (Vocabulary.strip_prefix(model.vocab.token(int(i))), float(s))
+        for i, s in zip(top, sims)
+    ]
 
 
 def vote_by_visit_counts(
-    matrix: sparse.csr_matrix,
-    rows: Sequence[int],
-    weights: np.ndarray,
-    excluded: np.ndarray | Sequence[int],
+    matrix: sparse.csr_matrix, rows: Sequence[int], weights: np.ndarray
 ) -> np.ndarray:
     """Per-venue votes: the neighbor rows' entries summed, each row scaled by
     its weight (1 for a plain visit-count vote, the similarity for CF).
 
-    A binary matrix makes every visited venue one vote. Excluded columns
-    score 0, so rank_votes never returns them.
+    A binary matrix makes every visited venue one vote.
     """
-    votes = np.asarray(weights, dtype=np.float64) @ matrix[rows]
-    votes[np.asarray(excluded, dtype=np.int64)] = 0.0
-    return votes
+    return np.asarray(weights, dtype=np.float64) @ matrix[rows]
 
 
 def rank_votes(
@@ -167,8 +158,7 @@ def recommend_nn(
         return RecommendationList(request.user, NN)
     # a neighbor without visit history (a model trained on other records) votes nothing
     rows = [interactions.user_index[n] for n, _ in neighbors if n in interactions.user_index]
-    excluded = interactions.venues_of(request.user) if request.filter_seen else ()
-    votes = vote_by_visit_counts(interactions.matrix, rows, np.ones(len(rows)), excluded)
+    votes = vote_by_visit_counts(interactions.matrix, rows, np.ones(len(rows)))
     pruned = [
         j
         for j in np.flatnonzero(votes)
@@ -186,7 +176,8 @@ def recommend_kiu(
 ) -> RecommendationList:
     """Combined query: venues ranked by cosine to the target+neighbors mean.
 
-    interactions is only consulted for filter_seen.
+    interactions is not read; it keeps the signature every embedding
+    recommender shares.
     """
     token = Vocabulary.user_token(request.user)
     if token not in model.vocab:
@@ -201,7 +192,7 @@ def recommend_kiu(
             np.asarray(get_vector(model, Vocabulary.user_token(neighbor)), dtype=np.float64)
         )
     query = np.stack(vectors).mean(axis=0)
-    return _rank_venues_by_query(model, query, interactions, request, KIU)
+    return _rank_venues_by_query(model, query, request, KIU)
 
 
 def format_batch_line(result: RecommendationList) -> str:

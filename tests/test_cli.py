@@ -271,3 +271,34 @@ def test_diverging_training_is_runtime_error(fixture_file, tmp_path, monkeypatch
     )
     assert rc == 2
     assert not (tmp_path / "model.bin").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--method", "svd", "--rank", "0"],
+        ["--method", "ccdpp", "--rank", "0"],
+        ["--method", "svd", "--features", "0"],
+        ["--method", "ccdpp", "--regularization", "0"],
+        ["--method", "ccdpp", "--regularization", "-1"],
+        ["--method", "ccdpp", "--mf-iterations", "0"],
+    ],
+)
+def test_bad_factorization_setting_is_config_error(fixture_file, capsys, flags):
+    assert main(["run", "--input", str(fixture_file), *flags]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_unparseable_value_is_config_error(fixture_file, tmp_path, capsys):
+    base = ["--input", str(fixture_file), "--method", "kni", "--out-dir", str(tmp_path)]
+    for key, value in (("features", "abc"), ("regularization", "x1"), ("window", "wide")):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"{key} = {value}\n")
+        assert main(["run", "--config", str(conf), *base]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{key}={value!r}" in err
+    assert main(["run", "--window", "wide", *base]) == 1
+    assert "window='wide'" in capsys.readouterr().err
+    assert main(["sweep", "--axis", "F", "--values", "10,x", *base]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "values='x'" in err

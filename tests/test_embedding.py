@@ -196,7 +196,7 @@ def test_toy_corpus_co_visited_venues_mutually_nearest(toy_model):
 def test_toy_corpus_exclusive_venue_sits_with_its_user(toy_model):
     model = toy_model
     query = get_vector(model, "V:Loc7")
-    nearest = top_k_similar(model, query, model.vocab.user_indices(), 1)[0][0]
+    nearest = top_k_similar(model, query, np.arange(model.vocab.user_count), 1)[0][0]
     assert nearest == "U:u2"
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -261,7 +263,8 @@ def test_no_test_record_reaches_model_construction(monkeypatch):
 def _presence_vote_lists(config: ExperimentConfig, dataset) -> dict:
     """Per evaluated user, the oracle's binary-vote list for config.method:
     neighbors picked by brute-force cosine (the embedding's nearest users
-    for NN), then the Counter vote over visit presence."""
+    for NN), then the Counter vote over visit presence, without the user's
+    own venues for CF or under filter_seen."""
     visits = interactions_reference(dataset.train)
     users = list(dict.fromkeys(r.user_id for r in dataset.train))
     venues = list(dict.fromkeys(r.venue_id for r in dataset.train))
@@ -288,6 +291,8 @@ def _presence_vote_lists(config: ExperimentConfig, dataset) -> dict:
                 top = [(i, sim) for i, sim in top if sim > 0.0]
                 weights, excluded = [sim for _, sim in top], set(visits[user])
             neighbors = [users[i] for i, _ in top]
+        if config.filter_seen:
+            excluded = set(visits[user])
         votes = vote_reference(
             neighbors, visits, weights=weights, binary=True, excluded=excluded
         )
@@ -298,25 +303,59 @@ def _presence_vote_lists(config: ExperimentConfig, dataset) -> dict:
     return lists
 
 
+def _run_lists(config: ExperimentConfig) -> dict:
+    """{user: items} of the recommendations.tsv a run writes to config.out_dir."""
+    run_experiment(config)
+    path = Path(config.out_dir) / "recommendations.tsv"
+    return {r.user: r.items for r in read_batch_recommendations(path)}
+
+
 @pytest.mark.parametrize("method", ["nn", "cf", "svd"])
 def test_binary_votes_vote_visit_presence(tmp_path, method):
-    """binary_votes reaches the vote of NN, CF and the latent rule: each list
-    equals the oracle vote over visit presence and, because the fixture has
-    repeat visits, differs from the visit-count vote."""
+    """binary_votes reaches the vote of NN, CF and the latent rule, with
+    filter_seen off and on: each list equals the oracle vote over visit
+    presence and, because the fixture has repeat visits, differs from the
+    visit-count vote."""
     dataset = harness.load_dataset(small_config())
     assert build_interactions(dataset.train).matrix.data.max() > 1  # repeat visits
-    lists = {}
-    for binary in (False, True):
+    for filter_seen in (False, True):
+        lists = {}
+        for binary in (False, True):
+            config = small_config(
+                method=method,
+                binary_votes=binary,
+                filter_seen=filter_seen,
+                rank=4,
+                out_dir=str(tmp_path / f"s{filter_seen}b{binary}"),
+            )
+            lists[binary] = _run_lists(config)
+        assert lists[True] == _presence_vote_lists(config, dataset)
+        assert lists[True] != lists[False]
+
+
+def test_filter_seen_holds_for_every_method(tmp_path):
+    """Under filter_seen no method lists a training venue of its user, and
+    Random draws min(k, |catalog - seen|) venues from the rest of the catalog.
+    k is catalog size minus 7 seen venues, so some users have fewer unseen
+    venues than k and some more."""
+    dataset = harness.load_dataset(small_config())
+    im = build_interactions(dataset.train)
+    seen = {user: {im.venues[j] for j in im.venues_of(user)} for user in im.users}
+    k = len(im.venues) - 7
+    assert {len(venues) > 7 for venues in seen.values()} == {False, True}
+    for method in harness.ALL_METHODS:
         config = small_config(
-            method=method, binary_votes=binary, rank=4, out_dir=str(tmp_path / f"b{binary}")
+            method=method, k=k, filter_seen=True, rank=4, random_runs=2,
+            out_dir=str(tmp_path / method),
         )
-        run_experiment(config)
-        lists[binary] = {
-            r.user: r.items
-            for r in read_batch_recommendations(tmp_path / f"b{binary}" / "recommendations.tsv")
-        }
-    assert lists[True] == _presence_vote_lists(config, dataset)
-    assert lists[True] != lists[False]
+        lists = _run_lists(config)
+        assert set(lists) == set(build_ground_truth(dataset))
+        for user, items in lists.items():
+            venues = [venue for venue, _ in items]
+            assert seen[user].isdisjoint(venues)
+            if method == "random":
+                assert len(set(venues)) == len(venues) == min(k, len(im.venues) - len(seen[user]))
+                assert set(venues) <= set(im.venues)
 
 
 # ------------------------------------------------------------- sweeps

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from venue2vec import harness
+from venue2vec.baselines import svd_factorize
 from venue2vec.corpus import (
+    Dataset,
     Vocabulary,
     build_interactions,
     build_sentences,
@@ -12,10 +15,13 @@ from venue2vec.corpus import (
 )
 from venue2vec.embedding import TrainingConfig, init_model, train
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
+from venue2vec.harness import EMBEDDING_METHODS, ExperimentConfig, embedding_recommender
 from venue2vec.recommend import (
+    NN,
     NO_PREDICTION,
     RecommendationList,
     RecommendationRequest,
+    _neighbor_rows,
     format_batch_line,
     nearest_users,
     rank_votes,
@@ -28,7 +34,25 @@ from venue2vec.recommend import (
 )
 
 from conftest import community_of, make_records
-from oracles import interactions_reference, rank_votes_reference, vote_reference
+from oracles import (
+    brute_force_top_k,
+    interactions_reference,
+    rank_votes_reference,
+    vote_reference,
+)
+
+
+def _serve(model, records, method, **overrides):
+    """The per-user callable a run builds for method, over these training
+    records (the seen rule included when filter_seen is set)."""
+    config = ExperimentConfig(method=method, **overrides)
+    return embedding_recommender(config, model, Dataset(train=records, test=[]))
+
+
+def _unseen(recommend_k, interactions, user, k):
+    """The seen rule of every run, applied to recommend_k(user, depth)."""
+    config = ExperimentConfig(k=k, filter_seen=True)
+    return harness._per_user(config, interactions, recommend_k)(user)
 
 
 # ------------------------------------------------------------- toy examples
@@ -44,6 +68,73 @@ def test_kni_toy_top2_are_the_users_own_cluster(toy_model, toy_interactions):
 
 def test_nearest_user_of_u0_is_u1(toy_model):
     assert nearest_users(toy_model, "u0", 1)[0][0] == "u1"
+
+
+# ------------------------------------------------------------- neighbour pick
+
+
+def _user_model(user_rows):
+    """A float64 model whose user vectors are user_rows (users u0, u1, ...)."""
+    records = make_records({f"u{i}": [f"v{i % 2}"] for i in range(len(user_rows))})
+    vocab = build_vocabulary(records, 1)
+    config = TrainingConfig(feature_count=user_rows.shape[1], seed=0)
+    model = init_model(vocab, config, dtype=np.float64)
+    model.input_vectors[: vocab.user_count] = user_rows
+    model.invalidate_caches()
+    return model
+
+
+def _assert_pick_is_brute_force(pick, dense, neighbors):
+    """pick(index) ranks every row but index exactly as the brute-force scan."""
+    for index in range(len(dense)):
+        others = [i for i in range(len(dense)) if i != index]
+        expected = brute_force_top_k(dense, dense[index], others, neighbors)
+        top, sims = pick(index)
+        assert list(top) == [i for i, _ in expected]
+        assert list(sims) == pytest.approx([s for _, s in expected], abs=1e-12)
+
+
+def test_neighbor_pick_matches_brute_force_on_embedding_rows():
+    users = np.random.default_rng(3).normal(size=(15, 5))
+    model = _user_model(users)
+
+    def pick(index):
+        ranked = nearest_users(model, f"u{index}", 4)
+        return [int(user[1:]) for user, _ in ranked], [sim for _, sim in ranked]
+
+    _assert_pick_is_brute_force(pick, users, 4)
+
+
+def test_neighbor_pick_matches_brute_force_on_count_and_latent_rows(
+    community_interactions,
+):
+    im = community_interactions
+    dense = im.matrix.toarray()
+    _assert_pick_is_brute_force(
+        lambda i: _neighbor_rows(im.matrix, im.row_norms, dense[i], i, 7), dense, 7
+    )
+    latent = svd_factorize(im, 6, seed=1)
+    rows = latent.user_factors
+    _assert_pick_is_brute_force(
+        lambda i: _neighbor_rows(rows, latent.user_norms, rows[i], i, 7), rows, 7
+    )
+
+
+def test_neighbor_pick_returns_n_when_lower_rows_tie_the_target():
+    """Rows 0 and 1 point the target's way, so they tie its self-similarity
+    and rank ahead of it: top N+1 then drop self still leaves N neighbours,
+    in (-score, index) order."""
+    users = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    model = _user_model(users)
+    visits = {"a": ["x", "y"], "b": ["x", "y"], "c": ["x", "y"], "d": ["z"]}
+    im = build_interactions(make_records(visits))
+    dense = im.matrix.toarray()
+    for n in range(1, 5):
+        expected = brute_force_top_k(users, users[2], [0, 1, 3, 4], n)
+        ranked = nearest_users(model, "u2", n)
+        assert [user for user, _ in ranked] == [f"u{i}" for i, _ in expected]
+        top, _ = _neighbor_rows(im.matrix, im.row_norms, dense[2], 2, min(n, 3))
+        assert list(top) == [0, 1, 3][: min(n, 3)]
 
 
 def test_nn_toy_recommends_from_neighbor_history(toy_model, toy_interactions):
@@ -64,13 +155,12 @@ def test_kiu_toy_recommends_shared_pair(toy_model, toy_interactions):
 # ------------------------------------------------------------- vote rule
 
 
-def _vote(visits, neighbors, excluded=(), binary=False):
+def _vote(visits, neighbors, binary=False):
     """vote_by_visit_counts over the matrix of a {user: [venues...]} table,
     as {venue: votes} plus the ranked top 2."""
     im = build_interactions(make_records(visits), binary)
     rows = [im.user_index[n] for n in neighbors]
-    columns = [im.venue_index[v] for v in excluded]
-    votes = vote_by_visit_counts(im.matrix, rows, np.ones(len(rows)), columns)
+    votes = vote_by_visit_counts(im.matrix, rows, np.ones(len(rows)))
     voted = {im.venues[j]: float(votes[j]) for j in np.flatnonzero(votes)}
     return voted, rank_votes(votes, 2, im.venues)
 
@@ -90,8 +180,16 @@ def test_vote_binary_mode_counts_presence():
 
 
 def test_vote_excluded_venues_removed():
-    votes, _ = _vote({"n1": ["v1", "v1"] + ["v2"] * 5}, ["n1"], excluded={"v2"})
-    assert votes == {"v1": 2.0}
+    """The seen rule drops the target's own venues from a ranked vote."""
+    im = build_interactions(make_records({"u": ["v2"], "n1": ["v1", "v1"] + ["v2"] * 5}))
+    votes = vote_by_visit_counts(im.matrix, [im.user_index["n1"]], np.ones(1))
+    ranked = _unseen(
+        lambda user, depth: RecommendationList(user, NN, rank_votes(votes, depth, im.venues)),
+        im,
+        "u",
+        2,
+    )
+    assert dict(ranked.items) == {"v1": 2.0}
 
 
 def test_forced_outcome_neighbor_with_two_venues():
@@ -113,8 +211,9 @@ def test_forced_outcome_neighbor_with_two_venues():
 @settings(max_examples=150, deadline=None)
 def test_vote_matches_counter_oracle(visits, data, binary, weighted, k):
     """The sparse vote and its ranking equal the per-user Counter vote, ties
-    included, for count or presence tables, unit or float (CF) weights, and
-    excluded (seen) or disallowed (pruned) venues."""
+    included, for count or presence tables, unit or float (CF) weights,
+    disallowed (pruned) venues zeroed as NN does, and the target's own
+    (seen) venues dropped by the seen rule."""
     records = make_records(visits)
     im = build_interactions(records, binary)
     users, venues = sorted(visits), sorted(im.venues)
@@ -122,13 +221,22 @@ def test_vote_matches_counter_oracle(visits, data, binary, weighted, k):
     # a few repeated weights, so float votes tie too
     weight = st.sampled_from([0.25, 0.5, 1.0]) | st.floats(1e-3, 1.0)
     weights = [data.draw(weight) for _ in neighbors] if weighted else [1.0] * len(neighbors)
-    excluded = data.draw(st.sets(st.sampled_from(venues)))
+    target = data.draw(st.sampled_from(users))
+    excluded = set(visits[target]) if data.draw(st.booleans()) else set()
     pruned = data.draw(st.sets(st.sampled_from(venues)))
 
     rows = [im.user_index[n] for n in neighbors]
-    columns = [im.venue_index[v] for v in excluded | pruned]
-    votes = vote_by_visit_counts(im.matrix, rows, np.array(weights), columns)
-    ours = rank_votes(votes, k, im.venues)
+    votes = vote_by_visit_counts(im.matrix, rows, np.array(weights))
+    votes[[im.venue_index[v] for v in pruned]] = 0.0
+    if excluded:
+        ours = _unseen(
+            lambda user, depth: RecommendationList(user, NN, rank_votes(votes, depth, im.venues)),
+            im,
+            target,
+            k,
+        ).items
+    else:
+        ours = rank_votes(votes, k, im.venues)
 
     expected_votes = vote_reference(
         neighbors,
@@ -163,9 +271,9 @@ def test_kni_saturation_returns_all_venues(toy_model, toy_interactions):
     assert scores == sorted(scores, reverse=True)
 
 
-def test_filter_seen_removes_training_venues(toy_model, toy_interactions):
-    request = RecommendationRequest(user="u0", k=8, neighbors=1, filter_seen=True)
-    result = recommend_kni(toy_model, toy_interactions, request)
+def test_filter_seen_removes_training_venues(toy_model, toy_records):
+    serve = _serve(toy_model, toy_records, "kni", k=8, neighbors=1, filter_seen=True)
+    result = serve("u0")
     assert set(result.venues()).isdisjoint({"Loc0", "Loc1", "Loc2"})
 
 
@@ -255,15 +363,17 @@ def test_pruned_venues_are_never_recommended():
     config = TrainingConfig(feature_count=8, context_count=5, epoch_count=3, seed=1)
     model, _ = train(init_model(vocab, config), build_sentences(train_records, vocab))
     visits = interactions_reference(train_records)
-    for index in vocab.user_indices():
-        user = Vocabulary.strip_prefix(vocab.token(int(index)))
-        for filter_seen in (False, True):
-            request = RecommendationRequest(
-                user=user, k=10, neighbors=5, filter_seen=filter_seen
+    for filter_seen in (False, True):
+        serve = {
+            method: _serve(
+                model, train_records, method, k=10, neighbors=5, filter_seen=filter_seen
             )
-            for recommender in (recommend_kni, recommend_nn, recommend_kiu):
-                result = recommender(model, interactions, request)
-                assert set(result.venues()) <= kept
+            for method in EMBEDDING_METHODS
+        }
+        for index in range(vocab.user_count):
+            user = Vocabulary.strip_prefix(vocab.token(index))
+            for recommend_one in serve.values():
+                assert set(recommend_one(user).venues()) <= kept
             votes = vote_reference(
                 [n for n, _ in nearest_users(model, user, 5)],
                 visits,
@@ -273,7 +383,7 @@ def test_pruned_venues_are_never_recommended():
             expected = rank_votes_reference(
                 votes, 10, lambda v: vocab.index(Vocabulary.venue_token(v))
             )
-            assert recommend_nn(model, interactions, request).items == expected
+            assert serve[NN](user).items == expected
 
 
 def test_requests_validate_bounds():
@@ -293,15 +403,12 @@ def test_requests_validate_bounds():
     user=st.sampled_from(["u0", "u1", "u2"]),
 )
 @settings(max_examples=40, deadline=None)
-def test_recommendation_invariants(toy_model, toy_interactions, k, n, filter_seen, user):
-    request = RecommendationRequest(
-        user=user, k=k, neighbors=n, filter_seen=filter_seen
-    )
-    for result in (
-        recommend_kni(toy_model, toy_interactions, request),
-        recommend_nn(toy_model, toy_interactions, request),
-        recommend_kiu(toy_model, toy_interactions, request),
-    ):
+def test_recommendation_invariants(
+    toy_model, toy_records, toy_interactions, k, n, filter_seen, user
+):
+    for method in EMBEDDING_METHODS:
+        serve = _serve(toy_model, toy_records, method, k=k, neighbors=n, filter_seen=filter_seen)
+        result = serve(user)
         venues = result.venues()
         assert len(venues) == len(set(venues))
         assert len(venues) <= k

@@ -1,11 +1,15 @@
 """Smoke runs of the experiment scripts, which drive run_experiment and run_sweep,
-and a check that README's Library example imports what the package exports."""
+and checks that README's Library example imports what the package exports and
+that its command lines parse."""
 
 import ast
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+from venue2vec.cli import build_parser
 from venue2vec.harness import ALL_METHODS
 from venue2vec.metrics import read_report_csv
 
@@ -59,3 +63,18 @@ def test_readme_library_imports_are_the_package_exports():
         for alias in node.names
     }
     assert {alias.name for alias in imports[0].names} == exported
+
+
+def test_readme_command_lines_parse():
+    """Every venue2vec command in README's bash blocks parses with the CLI's
+    parser; nothing is run."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["venue2vec"]:
+                commands.append(words[1:])
+    assert {argv[0] for argv in commands} >= {"generate-fixture", "run", "sweep"}
+    for argv in commands:
+        build_parser().parse_args(argv)
