@@ -1,8 +1,9 @@
 """Classical comparison recommenders: user CF, Random, SVD and CCD++ factorization.
 
-The two factorization baselines share the latent-neighbor recommendation rule:
-find neighbors in the user-latent space, then vote venues by the neighbors'
-visit counts exactly like the NN strategy does in embedding space.
+CF and the two factorization baselines rank through NN's neighbor rule
+(recommend.recommend_neighbors): CF picks neighbors among visit-count rows
+and weights their votes by similarity, SVD and CCD++ pick them among
+user-latent rows and vote like NN.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import InteractionMatrix
-from .errors import SimilarityError
-from .recommend import RecommendationList, _neighbor_rows, rank_votes, vote_by_visit_counts
+from .recommend import RecommendationList
 
 CF = "cf"
 RANDOM = "random"
@@ -26,35 +26,6 @@ CCDPP = "ccdpp"
 SVD_OVERSAMPLING = 10  # extra sketch columns beyond the rank
 SVD_POWER_ITERATIONS = 2  # subspace iterations that sharpen the sketch
 CCDPP_INNER_SWEEPS = 2  # alternating u/v updates per latent index
-
-
-def recommend_cf(
-    im: InteractionMatrix,
-    user: str,
-    neighbors: int,
-    k: int,
-) -> RecommendationList:
-    """Classic user-based CF over raw visit-count rows.
-
-    Neighbors are the top-N users by cosine with strictly positive
-    similarity; venues are scored by the similarity-weighted sum of neighbor
-    entries. A user sharing no venue with anyone gets no prediction, which
-    is what drags CF coverage below 1. The user's own venues are never
-    recommended.
-    """
-    index = im.user_index.get(user)
-    if index is None:
-        return RecommendationList(user, CF)
-    try:
-        rows, sims = _neighbor_rows(
-            im.matrix, im.row_norms, im.matrix[index].toarray().ravel(), index, neighbors
-        )
-    except SimilarityError:
-        return RecommendationList(user, CF)
-    positive = sims > 0.0
-    votes = vote_by_visit_counts(im.matrix, rows[positive], sims[positive])
-    votes[im.venues_of(user)] = 0.0
-    return RecommendationList(user, CF, rank_votes(votes, k, im.venues))
 
 
 def recommend_random(
@@ -206,24 +177,3 @@ def ccdpp_factorize(
     )
     return model, trace
 
-
-def recommend_latent_neighbors(
-    factors: FactorModel,
-    im: InteractionMatrix,
-    user: str,
-    neighbors: int,
-    k: int,
-    *,
-    method: str = SVD,
-) -> RecommendationList:
-    """Neighbors by cosine over user-latent rows, then the NN vote rule."""
-    index = im.user_index.get(user)
-    if index is None or index >= len(factors.user_factors):
-        return RecommendationList(user, method)
-    try:
-        latent = factors.user_factors
-        rows, _ = _neighbor_rows(latent, factors.user_norms, latent[index], index, neighbors)
-    except SimilarityError:
-        return RecommendationList(user, method)
-    votes = vote_by_visit_counts(im.matrix, rows, np.ones(len(rows)))
-    return RecommendationList(user, method, rank_votes(votes, k, im.venues))

@@ -356,6 +356,23 @@ class InteractionMatrix:
             return np.empty(0, dtype=np.int64)
         return self.matrix.indices[self.matrix.indptr[row] : self.matrix.indptr[row + 1]]
 
+    def aligned_to(self, vocab: Vocabulary) -> InteractionMatrix:
+        """This table re-indexed to the vocabulary: row i is user token i and
+        column j venue token user_count + j. Vocabulary users without visits
+        here get empty rows; venues the vocabulary lacks are dropped."""
+        users = [Vocabulary.strip_prefix(t) for t in vocab.index_to_token[: vocab.user_count]]
+        venues = [Vocabulary.strip_prefix(t) for t in vocab.index_to_token[vocab.user_count :]]
+        user_index = {u: i for i, u in enumerate(users)}
+        venue_index = {v: j for j, v in enumerate(venues)}
+        entries = self.matrix.tocoo()
+        rows = np.array([user_index.get(u, -1) for u in self.users], dtype=np.int64)[entries.row]
+        cols = np.array([venue_index.get(v, -1) for v in self.venues], dtype=np.int64)[entries.col]
+        kept = (rows >= 0) & (cols >= 0)
+        matrix = sparse.csr_matrix(
+            (entries.data[kept], (rows[kept], cols[kept])), shape=(len(users), len(venues))
+        )
+        return InteractionMatrix(matrix, users, venues, user_index, venue_index)
+
 
 def build_interactions(
     records: Iterable[CheckinRecord], binary: bool = False

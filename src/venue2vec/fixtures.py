@@ -189,7 +189,10 @@ def parse_fixture_spec(text: str) -> FixtureSpec:
         key = aliases.get(key.strip(), key.strip())
         if key not in FixtureSpec.__dataclass_fields__:
             raise ConfigError(f"unknown fixture spec key {key!r}")
-        kwargs[key] = float(value) if key == "noise_rate" else int(value)
+        try:
+            kwargs[key] = float(value) if key == "noise_rate" else int(value)
+        except ValueError:
+            raise ConfigError(f"cannot parse fixture {key}={value.strip()!r}") from None
     spec = FixtureSpec(**kwargs)  # type: ignore[arg-type]
     spec.validate()
     return spec

@@ -194,20 +194,48 @@ def _per_user(
     return recommend_unseen
 
 
+def _neighbor_recommender(
+    config: ExperimentConfig, rows, norms, votes: InteractionMatrix, weighted: bool
+) -> Callable[[str, int], recommend.RecommendationList]:
+    """recommend_k for NN, CF, SVD and CCD++: the one neighbor rule over these
+    user rows and the vote table whose rows line up with them."""
+
+    def recommend_k(user: str, depth: int) -> recommend.RecommendationList:
+        request = recommend.RecommendationRequest(user, depth, config.neighbors)
+        return recommend.recommend_neighbors(
+            rows, norms, votes, request, config.method, weighted
+        )
+
+    return recommend_k
+
+
 def embedding_recommender(
     config: ExperimentConfig, model: EmbeddingModel, dataset: Dataset
 ) -> Callable[[str], recommend.RecommendationList]:
-    """The per-user KNI/NN/KIU recommend callable over a trained model."""
-    interactions = build_interactions(dataset.train, config.binary_votes)
-    # looked up once here, not at import, so wrappers installed on the
-    # module attribute still see every call
-    recommend_method = getattr(recommend, f"recommend_{config.method}")
+    """The per-user KNI/NN/KIU recommend callable over a trained model.
 
-    def recommend_k(user: str, depth: int) -> recommend.RecommendationList:
-        request = recommend.RecommendationRequest(
-            user=user, k=depth, neighbors=config.neighbors
+    NN votes from the training visits aligned to the model's vocabulary, so
+    pruned venues and users without history vote nothing and ties break by
+    ascending vocabulary index.
+    """
+    interactions = build_interactions(dataset.train, config.binary_votes)
+    if config.method == recommend.NN:
+        count = model.vocab.user_count
+        recommend_k = _neighbor_recommender(
+            config,
+            model.input_vectors[:count],
+            model.input_norms()[:count],
+            interactions.aligned_to(model.vocab),
+            weighted=False,
         )
-        return recommend_method(model, interactions, request)
+    else:
+        # looked up once here, not at import, so wrappers installed on the
+        # module attribute still see every call
+        recommend_method = getattr(recommend, f"recommend_{config.method}")
+
+        def recommend_k(user: str, depth: int) -> recommend.RecommendationList:
+            request = recommend.RecommendationRequest(user, depth, config.neighbors)
+            return recommend_method(model, request)
 
     return _per_user(config, interactions, recommend_k)
 
@@ -236,9 +264,7 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
 
     im = build_interactions(dataset.train, config.binary_votes)
     if config.method == baselines.CF:
-        ranked = [
-            lambda user, depth: baselines.recommend_cf(im, user, config.neighbors, depth)
-        ]
+        ranked = [_neighbor_recommender(config, im.matrix, im.row_norms, im, weighted=True)]
         echo = dict(neighbors=config.neighbors)
 
     elif config.method == baselines.RANDOM:
@@ -265,8 +291,8 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
                 seed=config.seed,
             )
         ranked = [
-            lambda user, depth: baselines.recommend_latent_neighbors(
-                factors, im, user, config.neighbors, depth, method=config.method
+            _neighbor_recommender(
+                config, factors.user_factors, factors.user_norms, im, weighted=False
             )
         ]
         echo = dict(feature_count=config.latent_rank(), neighbors=config.neighbors)
@@ -428,7 +454,10 @@ class SweepSpec:
     def resolved_values(self) -> list:
         if self.axis not in _AXIS_FIELDS:
             raise ConfigError(f"sweep axis must be one of {sorted(_AXIS_FIELDS)}")
-        return list(self.values) if self.values else list(SWEEP_GRIDS[self.axis])
+        values = list(self.values) if self.values else list(SWEEP_GRIDS[self.axis])
+        if self.axis != "C" and MAX_WINDOW in values:
+            raise ConfigError(f"sweep axis {self.axis} takes integers; only C accepts 'max'")
+        return values
 
 
 def run_sweep(

@@ -5,6 +5,9 @@ Three strategies:
   NN   collect the venues of the N most similar users and sum their votes.
   KIU  rank venues by cosine to the mean of the target's and neighbors' vectors.
 
+NN's rule is also CF's and the latent-factor baselines' (recommend_neighbors):
+only the user space the neighbors are picked in differs.
+
 An unknown user or an undefined similarity query is never an error here: it
 yields an empty list, which the evaluation layer books as a coverage miss.
 All venue ids in results are raw (unprefixed) ids.
@@ -20,7 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import InteractionMatrix, Vocabulary
-from .embedding import EmbeddingModel, cosine_top_k, get_vector, top_k_similar
+from .embedding import EmbeddingModel, cosine_top_k, top_k_similar
 from .errors import SimilarityError
 
 KNI = "kni"
@@ -74,6 +77,11 @@ def _neighbor_rows(
     return top[keep][:neighbors], sims[keep][:neighbors]
 
 
+def _user_row(model: EmbeddingModel, user: str) -> int | None:
+    """The user's row in the model's user block, None when not in the vocabulary."""
+    return model.vocab.token_to_index.get(Vocabulary.user_token(user))
+
+
 def _rank_venues_by_query(
     model: EmbeddingModel,
     query: np.ndarray,
@@ -89,34 +97,13 @@ def _rank_venues_by_query(
 
 
 def recommend_kni(
-    model: EmbeddingModel,
-    interactions: InteractionMatrix,
-    request: RecommendationRequest,
+    model: EmbeddingModel, request: RecommendationRequest
 ) -> RecommendationList:
-    """k-nearest items: venues ranked by cosine to the user's own vector.
-
-    interactions is not read; it keeps the signature every embedding
-    recommender shares.
-    """
-    token = Vocabulary.user_token(request.user)
-    if token not in model.vocab:
+    """k-nearest items: venues ranked by cosine to the user's own vector."""
+    index = _user_row(model, request.user)
+    if index is None:
         return RecommendationList(request.user, KNI)
-    return _rank_venues_by_query(model, get_vector(model, token), request, KNI)
-
-
-def nearest_users(
-    model: EmbeddingModel, user: str, count: int
-) -> list[tuple[str, float]]:
-    """The count most cosine-similar users to the target, target excluded."""
-    index = model.vocab.index(Vocabulary.user_token(user))
-    users = model.input_vectors[: model.vocab.user_count]
-    top, sims = _neighbor_rows(
-        users, model.input_norms()[: model.vocab.user_count], users[index], index, count
-    )
-    return [
-        (Vocabulary.strip_prefix(model.vocab.token(int(i))), float(s))
-        for i, s in zip(top, sims)
-    ]
+    return _rank_venues_by_query(model, model.input_vectors[index], request, KNI)
 
 
 def vote_by_visit_counts(
@@ -139,59 +126,55 @@ def rank_votes(
     return [(venues[j], float(votes[j])) for j in top]
 
 
-def recommend_nn(
-    model: EmbeddingModel,
-    interactions: InteractionMatrix,
+def recommend_neighbors(
+    rows,
+    norms: np.ndarray,
+    votes: InteractionMatrix,
     request: RecommendationRequest,
+    method: str,
+    weighted: bool,
 ) -> RecommendationList:
-    """N-nearest users: venues voted by the most similar users' histories.
+    """NN, CF, SVD and CCD++: venues voted by the request.neighbors users most
+    cosine-similar to the target in some user space.
 
-    Venues pruned from the model's vocabulary get no vote; a binary
-    interaction matrix votes 1 per visited venue.
+    rows are the users' vectors (embedding, visit-count or latent rows) with
+    their norms, and votes' rows line up with them. Each neighbor adds its
+    vote row, scaled by its similarity when weighted (CF, which keeps only
+    positive similarities) and by 1 otherwise. A user without a row or with a
+    zero-norm row gets an empty list.
     """
-    token = Vocabulary.user_token(request.user)
-    if token not in model.vocab:
-        return RecommendationList(request.user, NN)
+    index = votes.user_index.get(request.user)
+    if index is None:
+        return RecommendationList(request.user, method)
+    query = rows[index]
+    if sparse.issparse(query):
+        query = query.toarray().ravel()
     try:
-        neighbors = nearest_users(model, request.user, request.neighbors)
+        top, sims = _neighbor_rows(rows, norms, query, index, request.neighbors)
     except SimilarityError:
-        return RecommendationList(request.user, NN)
-    # a neighbor without visit history (a model trained on other records) votes nothing
-    rows = [interactions.user_index[n] for n, _ in neighbors if n in interactions.user_index]
-    votes = vote_by_visit_counts(interactions.matrix, rows, np.ones(len(rows)))
-    pruned = [
-        j
-        for j in np.flatnonzero(votes)
-        if Vocabulary.venue_token(interactions.venues[j]) not in model.vocab
-    ]
-    votes[pruned] = 0.0
-    items = rank_votes(votes, request.k, interactions.venues)
-    return RecommendationList(request.user, NN, items)
+        return RecommendationList(request.user, method)
+    if weighted:
+        top, weights = top[sims > 0.0], sims[sims > 0.0]
+    else:
+        weights = np.ones(len(top))
+    items = rank_votes(vote_by_visit_counts(votes.matrix, top, weights), request.k, votes.venues)
+    return RecommendationList(request.user, method, items)
 
 
 def recommend_kiu(
-    model: EmbeddingModel,
-    interactions: InteractionMatrix,
-    request: RecommendationRequest,
+    model: EmbeddingModel, request: RecommendationRequest
 ) -> RecommendationList:
-    """Combined query: venues ranked by cosine to the target+neighbors mean.
-
-    interactions is not read; it keeps the signature every embedding
-    recommender shares.
-    """
-    token = Vocabulary.user_token(request.user)
-    if token not in model.vocab:
+    """Combined query: venues ranked by cosine to the target+neighbors mean."""
+    index = _user_row(model, request.user)
+    if index is None:
         return RecommendationList(request.user, KIU)
+    count = model.vocab.user_count
+    users, norms = model.input_vectors[:count], model.input_norms()[:count]
     try:
-        neighbors = nearest_users(model, request.user, request.neighbors)
+        top, _ = _neighbor_rows(users, norms, users[index], index, request.neighbors)
     except SimilarityError:
         return RecommendationList(request.user, KIU)
-    vectors = [np.asarray(get_vector(model, token), dtype=np.float64)]
-    for neighbor, _ in neighbors:
-        vectors.append(
-            np.asarray(get_vector(model, Vocabulary.user_token(neighbor)), dtype=np.float64)
-        )
-    query = np.stack(vectors).mean(axis=0)
+    query = users[np.r_[index, top]].astype(np.float64).mean(axis=0)
     return _rank_venues_by_query(model, query, request, KIU)
 
 

@@ -10,6 +10,7 @@ from venue2vec.corpus import (
 )
 from venue2vec.embedding import TrainingConfig, init_model, train
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
+from venue2vec.recommend import _neighbor_rows
 
 
 def make_records(visits: dict[str, list[str]], start: int = 1294000000):
@@ -21,6 +22,18 @@ def make_records(visits: dict[str, list[str]], start: int = 1294000000):
             records.append(CheckinRecord(user, venue, t))
             t += 3600
     return records
+
+
+def nearest_users(model, user: str, count: int) -> list[tuple[str, float]]:
+    """The count users nearest the target in the model's user block, as
+    (user, similarity), by the neighbor pick every method uses."""
+    vocab = model.vocab
+    users = model.input_vectors[: vocab.user_count]
+    index = vocab.index("U:" + user)
+    top, sims = _neighbor_rows(
+        users, model.input_norms()[: vocab.user_count], users[index], index, count
+    )
+    return [(vocab.token(int(i))[2:], float(s)) for i, s in zip(top, sims)]
 
 
 TOY_VISITS = {

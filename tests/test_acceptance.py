@@ -10,16 +10,13 @@ by criterion 9 when the real data set is supplied.
 import math
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from venue2vec.baselines import (
-    ccdpp_factorize,
-    recommend_cf,
-    svd_factorize,
-)
+from venue2vec.baselines import CF, ccdpp_factorize, svd_factorize
 from venue2vec.corpus import (
     CheckinRecord,
     Dataset,
@@ -37,7 +34,13 @@ from venue2vec.embedding import (
     train,
 )
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
-from venue2vec.harness import ExperimentConfig, run_experiment
+from venue2vec.harness import (
+    ExperimentConfig,
+    embedding_recommender,
+    fit_embedding,
+    load_dataset,
+    run_experiment,
+)
 from venue2vec.metrics import (
     PhaseTimings,
     aggregate,
@@ -49,9 +52,8 @@ from venue2vec.metrics import (
 )
 from venue2vec.recommend import (
     RecommendationRequest,
-    recommend_kiu,
     recommend_kni,
-    recommend_nn,
+    recommend_neighbors,
 )
 
 from oracles import (
@@ -138,7 +140,7 @@ def _random_model(rng, n_venues, features):
     model = init_model(vocab, config, dtype=np.float64)
     model.input_vectors = rng.normal(size=model.input_vectors.shape)
     model.invalidate_caches()
-    return model, build_interactions(records)
+    return model
 
 
 def test_criterion_2_top_k_oracle_equivalence():
@@ -147,10 +149,10 @@ def test_criterion_2_top_k_oracle_equivalence():
     for trial in range(100):
         n_venues = 10_000 if trial < 2 else int(rng.integers(100, 10_001))
         features = int(rng.integers(4, 101))
-        model, interactions = _random_model(rng, n_venues, features)
+        model = _random_model(rng, n_venues, features)
         user = "u0"
         request = RecommendationRequest(user=user, k=10)
-        ours = recommend_kni(model, interactions, request)
+        ours = recommend_kni(model, request)
         query = get_vector(model, "U:" + user)
         reference = brute_force_top_k(
             model.input_vectors, query, model.vocab.venue_indices(), 10
@@ -207,6 +209,15 @@ def test_criterion_3_metric_correctness(tmp_path):
 # ---------------------------------------------------------------- criterion 4
 
 
+def _evaluate(recommender, truth, method):
+    """The run report of recommender's lists at k = 10 over truth's users."""
+    rows = [
+        score_user(user, recommender(user).venues(), truth[user], 10)
+        for user in sorted(truth)
+    ]
+    return aggregate(rows, PhaseTimings(0, 0), method=method, k=10)
+
+
 @pytest.fixture(scope="module")
 def planted_run():
     records, _ = generate_fixture(ACCEPTANCE_FIXTURE)
@@ -216,34 +227,15 @@ def planted_run():
     vocab = build_vocabulary(dataset.train, 1)
     corpus = build_sentences(dataset.train, vocab)
     model, _ = train(init_model(vocab, ACCEPTANCE_TRAINING), corpus)
-    interactions = build_interactions(dataset.train)
-
-    def evaluate(recommender, method):
-        rows = [
-            score_user(user, recommender(user).venues(), truth[user], 10)
-            for user in sorted(truth)
-        ]
-        return aggregate(rows, PhaseTimings(0, 0), method=method, k=10)
-
     reports = {
-        "kni": evaluate(
-            lambda u: recommend_kni(
-                model, interactions, RecommendationRequest(user=u, k=10, neighbors=30)
+        method: _evaluate(
+            embedding_recommender(
+                ExperimentConfig(method=method, k=10, neighbors=30), model, dataset
             ),
-            "kni",
-        ),
-        "nn": evaluate(
-            lambda u: recommend_nn(
-                model, interactions, RecommendationRequest(user=u, k=10, neighbors=30)
-            ),
-            "nn",
-        ),
-        "kiu": evaluate(
-            lambda u: recommend_kiu(
-                model, interactions, RecommendationRequest(user=u, k=10, neighbors=30)
-            ),
-            "kiu",
-        ),
+            truth,
+            method,
+        )
+        for method in ("kni", "nn", "kiu")
     }
     elapsed = time.perf_counter() - started
     return reports, dataset, truth, elapsed
@@ -327,6 +319,46 @@ def test_criterion_4b_random_precision_bound(planted_run):
         f"random precision {report.precision:.4f} is not 10x below "
         f"KNI precision {kni:.3f}"
     )
+
+
+def test_criterion_4c_novel_venues_beat_random():
+    """Under filter_seen every embedding method beats Random at novel venues.
+
+    Each user's favorite set holds 40 venues, more than the 20 training
+    draws, so most test venues are new to the user. With the user's own
+    venues dropped from every list (Random then draws from the catalog
+    minus them), KNI, NN and KIU must each reach 5x Random's 10-run mean
+    precision. One model serves all three.
+    """
+    config = ExperimentConfig(
+        fixture=replace(ACCEPTANCE_FIXTURE, favorites_per_user=40),
+        feature_count=32, context_count=10, epoch_count=25, neighbors=30,
+        k=10, seed=1, filter_seen=True,
+    )
+    dataset = load_dataset(config)
+    truth = build_ground_truth(dataset)
+    model, _, _ = fit_embedding(config, dataset)
+    precision = {
+        method: _evaluate(
+            embedding_recommender(replace(config, method=method), model, dataset),
+            truth,
+            method,
+        ).precision
+        for method in ("kni", "nn", "kiu")
+    }
+    random = run_experiment(replace(config, method="random", random_runs=10)).precision
+    ok = all(value >= 5 * random for value in precision.values())
+    _line(
+        "4c",
+        ok,
+        ", ".join(f"{m.upper()} {v:.4f}" for m, v in precision.items())
+        + f" >= 5x random {random:.4f} on novel venues",
+    )
+    for method, value in precision.items():
+        assert value >= 5 * random, (
+            f"{method} novel-venue precision {value:.4f} is not 5x "
+            f"random's {random:.4f}"
+        )
 
 
 # ---------------------------------------------------------------- criterion 5
@@ -425,7 +457,11 @@ def test_criterion_7_coverage_contract(planted_run):
     truth = build_ground_truth(Dataset(train, test))
     assert len(truth) == 20
     predicted = [
-        int(recommend_cf(im, user, neighbors=5, k=10).predicted)
+        int(
+            recommend_neighbors(
+                im.matrix, im.row_norms, im, RecommendationRequest(user, 10, 5), CF, True
+            ).predicted
+        )
         for user in sorted(truth)
     ]
     coverage = prediction_coverage(predicted)
@@ -447,13 +483,12 @@ def test_criterion_8_kni_timing_budget():
     model = init_model(vocab, TrainingConfig(feature_count=features, seed=0))
     model.input_vectors = rng.normal(size=model.input_vectors.shape).astype(np.float32)
     model.invalidate_caches()
-    interactions = build_interactions(records)
 
     samples = []
     for i in range(100):
         request = RecommendationRequest(user=users[i], k=10)
         begin = time.perf_counter()
-        result = recommend_kni(model, interactions, request)
+        result = recommend_kni(model, request)
         samples.append(time.perf_counter() - begin)
         assert len(result.items) == 10
     median = float(np.median(samples))

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from venue2vec import harness
 from venue2vec.baselines import (
+    CF,
+    SVD,
     FactorModel,
     ccdpp_factorize,
-    recommend_cf,
-    recommend_latent_neighbors,
     recommend_random,
     svd_factorize,
 )
 from venue2vec.corpus import build_interactions
+from venue2vec.harness import ExperimentConfig
+from venue2vec.recommend import RecommendationRequest, recommend_neighbors
 
 from conftest import community_of, make_records
 from oracles import als_final_objective, jacobi_singular_values
@@ -52,9 +55,24 @@ def test_matrix_binary_mode():
 # ------------------------------------------------------------- CF
 
 
+def recommend_cf(im, user, neighbors, k):
+    """CF's list: the neighbor rule over visit-count rows, weighted by
+    similarity."""
+    request = RecommendationRequest(user=user, k=k, neighbors=neighbors)
+    return recommend_neighbors(im.matrix, im.row_norms, im, request, CF, True)
+
+
+def recommend_cf_unseen(im, user, neighbors, k):
+    """CF's list without the user's own venues, by the seen rule of a run
+    with filter_seen."""
+    config = ExperimentConfig(k=k, filter_seen=True)
+    recommend_k = lambda user, depth: recommend_cf(im, user, neighbors, depth)  # noqa: E731
+    return harness._per_user(config, im, recommend_k)(user)
+
+
 def test_cf_twin_users_recommend_missing_venue():
     im = matrix_from({"a": ["x", "y"], "b": ["x", "y", "z"]})
-    result = recommend_cf(im, "a", neighbors=1, k=1)
+    result = recommend_cf_unseen(im, "a", neighbors=1, k=1)
     assert result.venues() == ["z"]
     assert result.items[0][1] == pytest.approx(2 / (np.sqrt(2) * np.sqrt(3)))
 
@@ -74,7 +92,7 @@ def test_cf_isolated_user_gets_no_prediction():
 
 def test_cf_hand_computed_scores():
     im = matrix_from({"A": ["x", "y"], "B": ["x", "z"], "C": ["y", "z", "w"]})
-    result = recommend_cf(im, "A", neighbors=2, k=3)
+    result = recommend_cf_unseen(im, "A", neighbors=2, k=3)
     cos_ab = 0.5
     cos_ac = 1 / np.sqrt(6)
     assert result.venues() == ["z", "w"]
@@ -96,7 +114,7 @@ def test_cf_all_neighbors_binary_matches_brute_force(rng):
     im = build_interactions(make_records(users), binary=True)
 
     target = "u0"
-    result = recommend_cf(im, target, neighbors=len(users), k=5)
+    result = recommend_cf_unseen(im, target, neighbors=len(users), k=5)
 
     dense = im.matrix.toarray()
     t = im.user_index[target]
@@ -280,6 +298,14 @@ def test_ccdpp_parameter_validation():
 
 
 # ------------------------------------------------------------- latent neighbors
+
+
+def recommend_latent_neighbors(factors, im, user, neighbors, k):
+    """The latent rule: the neighbor rule over user-latent rows, unit votes."""
+    request = RecommendationRequest(user=user, k=k, neighbors=neighbors)
+    return recommend_neighbors(
+        factors.user_factors, factors.user_norms, im, request, SVD, False
+    )
 
 
 def test_latent_neighbor_takes_neighbors_venues():

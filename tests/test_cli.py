@@ -302,3 +302,25 @@ def test_unparseable_value_is_config_error(fixture_file, tmp_path, capsys):
     assert main(["sweep", "--axis", "F", "--values", "10,x", *base]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "values='x'" in err
+
+
+def test_unparseable_fixture_value_is_config_error(tmp_path, capsys):
+    assert main(["run", "--fixture", "communities=x", "--method", "kni"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "communities='x'" in err
+    conf = tmp_path / "exp.conf"
+    conf.write_text("fixture = communities=2,noise=lots\nmethod = kni\n")
+    assert main(["run", "--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "noise_rate='lots'" in err
+
+
+@pytest.mark.parametrize("axis", ["F", "E"])
+def test_sweep_max_on_integer_axis_is_config_error(fixture_file, tmp_path, capsys, axis):
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--input", str(fixture_file), "--method", "kni", "--axis", axis,
+            "--values", "4,max", "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"axis {axis}" in err
+    assert not out_dir.exists()  # rejected before any run started

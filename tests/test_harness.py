@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import venue2vec.harness as harness
-from venue2vec.baselines import svd_factorize
+from venue2vec.baselines import ccdpp_factorize, svd_factorize
 from venue2vec.corpus import Vocabulary, build_interactions
 from venue2vec.errors import ConfigError, EmitError
 from venue2vec.fixtures import FEB_2011, FixtureSpec
@@ -25,7 +25,9 @@ from venue2vec.metrics import (
     read_report_csv,
     score_user,
 )
-from venue2vec.recommend import nearest_users, read_batch_recommendations
+from venue2vec.recommend import read_batch_recommendations
+
+from conftest import nearest_users
 
 from oracles import (
     brute_force_top_k,
@@ -264,7 +266,7 @@ def _presence_vote_lists(config: ExperimentConfig, dataset) -> dict:
     """Per evaluated user, the oracle's binary-vote list for config.method:
     neighbors picked by brute-force cosine (the embedding's nearest users
     for NN), then the Counter vote over visit presence, without the user's
-    own venues for CF or under filter_seen."""
+    own venues under filter_seen."""
     visits = interactions_reference(dataset.train)
     users = list(dict.fromkeys(r.user_id for r in dataset.train))
     venues = list(dict.fromkeys(r.venue_id for r in dataset.train))
@@ -275,9 +277,19 @@ def _presence_vote_lists(config: ExperimentConfig, dataset) -> dict:
     else:
         index_of = column.__getitem__
         presence = np.array([[float(v in visits[u]) for v in venues] for u in users])
-        rows = presence if config.method == "cf" else svd_factorize(
-            build_interactions(dataset.train, binary=True), config.latent_rank(), seed=config.seed
-        ).user_factors
+        binary = build_interactions(dataset.train, binary=True)
+        if config.method == "cf":
+            rows = presence
+        elif config.method == "svd":
+            rows = svd_factorize(binary, config.latent_rank(), seed=config.seed).user_factors
+        else:
+            rows = ccdpp_factorize(
+                binary,
+                config.latent_rank(),
+                config.regularization,
+                config.mf_iterations,
+                seed=config.seed,
+            )[0].user_factors
     lists = {}
     for user in build_ground_truth(dataset):
         weights, excluded = None, ()
@@ -287,9 +299,9 @@ def _presence_vote_lists(config: ExperimentConfig, dataset) -> dict:
             t = users.index(user)
             others = [i for i in range(len(users)) if i != t]
             top = brute_force_top_k(rows, rows[t], others, config.neighbors)
-            if config.method == "cf":  # positive similarities, own venues dropped
+            if config.method == "cf":  # positive similarities, similarity-weighted
                 top = [(i, sim) for i, sim in top if sim > 0.0]
-                weights, excluded = [sim for _, sim in top], set(visits[user])
+                weights = [sim for _, sim in top]
             neighbors = [users[i] for i, _ in top]
         if config.filter_seen:
             excluded = set(visits[user])
@@ -310,9 +322,9 @@ def _run_lists(config: ExperimentConfig) -> dict:
     return {r.user: r.items for r in read_batch_recommendations(path)}
 
 
-@pytest.mark.parametrize("method", ["nn", "cf", "svd"])
+@pytest.mark.parametrize("method", ["nn", "cf", "svd", "ccdpp"])
 def test_binary_votes_vote_visit_presence(tmp_path, method):
-    """binary_votes reaches the vote of NN, CF and the latent rule, with
+    """binary_votes reaches the vote of NN, CF, SVD and CCD++, with
     filter_seen off and on: each list equals the oracle vote over visit
     presence and, because the fixture has repeat visits, differs from the
     visit-count vote."""

@@ -23,17 +23,15 @@ from venue2vec.recommend import (
     RecommendationRequest,
     _neighbor_rows,
     format_batch_line,
-    nearest_users,
     rank_votes,
     read_batch_recommendations,
     recommend_kiu,
     recommend_kni,
-    recommend_nn,
     vote_by_visit_counts,
     write_batch_recommendations,
 )
 
-from conftest import community_of, make_records
+from conftest import community_of, make_records, nearest_users
 from oracles import (
     brute_force_top_k,
     interactions_reference,
@@ -58,9 +56,9 @@ def _unseen(recommend_k, interactions, user, k):
 # ------------------------------------------------------------- toy examples
 
 
-def test_kni_toy_top2_are_the_users_own_cluster(toy_model, toy_interactions):
+def test_kni_toy_top2_are_the_users_own_cluster(toy_model):
     request = RecommendationRequest(user="u0", k=2, neighbors=1)
-    result = recommend_kni(toy_model, toy_interactions, request)
+    result = recommend_kni(toy_model, request)
     venues = result.venues()
     assert venues[0] == "Loc1"  # visited twice by u0 and nobody else
     assert set(venues) < {"Loc0", "Loc1", "Loc2"}
@@ -137,18 +135,17 @@ def test_neighbor_pick_returns_n_when_lower_rows_tie_the_target():
         assert list(top) == [0, 1, 3][: min(n, 3)]
 
 
-def test_nn_toy_recommends_from_neighbor_history(toy_model, toy_interactions):
-    request = RecommendationRequest(user="u0", k=2, neighbors=1)
-    result = recommend_nn(toy_model, toy_interactions, request)
+def test_nn_toy_recommends_from_neighbor_history(toy_model, toy_records):
+    result = _serve(toy_model, toy_records, NN, k=2, neighbors=1)("u0")
     u1_venues = {"Loc0", "Loc4", "Loc2", "Loc3", "Loc5", "Loc6"}
     assert set(result.venues()) <= u1_venues
     # all votes tie at one visit, so ties order by token index
     assert result.venues() == ["Loc0", "Loc2"]
 
 
-def test_kiu_toy_recommends_shared_pair(toy_model, toy_interactions):
+def test_kiu_toy_recommends_shared_pair(toy_model):
     request = RecommendationRequest(user="u0", k=2, neighbors=1)
-    result = recommend_kiu(toy_model, toy_interactions, request)
+    result = recommend_kiu(toy_model, request)
     assert set(result.venues()) == {"Loc0", "Loc2"}
 
 
@@ -252,20 +249,20 @@ def test_vote_matches_counter_oracle(visits, data, binary, weighted, k):
 # ------------------------------------------------------------- contracts
 
 
-def test_unknown_user_is_no_prediction(toy_model, toy_interactions):
+def test_unknown_user_is_no_prediction(toy_model, toy_records):
     request = RecommendationRequest(user="stranger", k=3, neighbors=1)
     for result in (
-        recommend_kni(toy_model, toy_interactions, request),
-        recommend_nn(toy_model, toy_interactions, request),
-        recommend_kiu(toy_model, toy_interactions, request),
+        recommend_kni(toy_model, request),
+        _serve(toy_model, toy_records, NN, k=3, neighbors=1)("stranger"),
+        recommend_kiu(toy_model, request),
     ):
         assert not result.predicted
         assert result.items == []
 
 
-def test_kni_saturation_returns_all_venues(toy_model, toy_interactions):
+def test_kni_saturation_returns_all_venues(toy_model):
     request = RecommendationRequest(user="u0", k=100, neighbors=1)
-    result = recommend_kni(toy_model, toy_interactions, request)
+    result = recommend_kni(toy_model, request)
     assert len(result.items) == 8
     scores = [s for _, s in result.items]
     assert scores == sorted(scores, reverse=True)
@@ -283,10 +280,9 @@ def test_kiu_without_other_users_reduces_to_kni():
     corpus = build_sentences(records, vocab)
     config = TrainingConfig(feature_count=4, context_count=2, epoch_count=30, seed=0)
     model, _ = train(init_model(vocab, config), corpus)
-    interactions = build_interactions(records)
     request = RecommendationRequest(user="only", k=2, neighbors=5)
-    kiu = recommend_kiu(model, interactions, request)
-    kni = recommend_kni(model, interactions, request)
+    kiu = recommend_kiu(model, request)
+    kni = recommend_kni(model, request)
     assert kiu.venues() == kni.venues()
 
 
@@ -296,20 +292,18 @@ def test_kiu_all_users_uniform_vectors_degrades_gracefully():
     model = init_model(vocab, TrainingConfig(feature_count=4, seed=0), dtype=np.float64)
     model.input_vectors = np.ones_like(model.input_vectors)  # every cosine ties
     model.invalidate_caches()
-    interactions = build_interactions(records)
     request = RecommendationRequest(user="a", k=2, neighbors=50)
-    first = recommend_kiu(model, interactions, request)
-    second = recommend_kiu(model, interactions, request)
+    first = recommend_kiu(model, request)
+    second = recommend_kiu(model, request)
     assert first.predicted
     assert first.items == second.items  # deterministic under total ties
     assert first.venues() == ["x", "y"]  # ascending token index
 
 
-def test_nn_binary_votes_flag(toy_model, toy_records, toy_interactions):
+def test_nn_binary_votes_flag(toy_model, toy_records):
     # u2 visited Loc7 twice; binary votes flatten that to one
-    request = RecommendationRequest(user="u1", k=8, neighbors=2)
-    counted = recommend_nn(toy_model, toy_interactions, request)
-    binary = recommend_nn(toy_model, build_interactions(toy_records, binary=True), request)
+    counted = _serve(toy_model, toy_records, NN, k=8, neighbors=2)("u1")
+    binary = _serve(toy_model, toy_records, NN, k=8, neighbors=2, binary_votes=True)("u1")
     assert set(binary.venues()) <= set(counted.venues()) | {"Loc7"}
     assert all(score == int(score) for _, score in binary.items)
     counted_scores = dict(counted.items)
@@ -327,20 +321,17 @@ def test_kiu_zero_norm_query_is_no_prediction():
     model.input_vectors[vocab.index("U:b")] = np.array([-1.0, 0.0, 0.0, 0.0])
     model.input_vectors[vocab.index("V:x")] = np.ones(4)
     model.invalidate_caches()
-    interactions = build_interactions(records)
     request = RecommendationRequest(user="a", k=1, neighbors=1)
-    result = recommend_kiu(model, interactions, request)
+    result = recommend_kiu(model, request)
     assert not result.predicted
 
 
-def test_community_fixture_recommendations_stay_in_community(
-    community_model, community_interactions
-):
+def test_community_fixture_recommendations_stay_in_community(community_model):
     model, _ = community_model
     request_users = ["c0u0", "c1u3"]
     for user in request_users:
         request = RecommendationRequest(user=user, k=10, neighbors=5)
-        result = recommend_kni(model, community_interactions, request)
+        result = recommend_kni(model, request)
         assert len(result.items) == 10
         for venue, _ in result.items:
             assert community_of(venue) == community_of(user)
@@ -386,6 +377,36 @@ def test_pruned_venues_are_never_recommended():
             assert serve[NN](user).items == expected
 
 
+def test_nn_and_kiu_serve_a_model_trained_on_other_records():
+    """The recommend command's case: the model's vocabulary is not the
+    dataset's. Model user u3 has no history in the dataset, dataset venue z
+    and user u9 are not in the model, and the dataset meets the venues in
+    another order than the vocabulary. NN is the oracle vote over venues in
+    the vocabulary, ties by vocabulary index, and u3 votes nothing; KIU does
+    not read the dataset."""
+    model_visits = {"u0": ["a", "b"], "u1": ["b", "c"], "u2": ["c", "d"], "u3": ["d", "a"]}
+    vocab = build_vocabulary(make_records(model_visits), 1)
+    model = init_model(vocab, TrainingConfig(feature_count=3, seed=0), dtype=np.float64)
+    model.input_vectors = np.random.default_rng(5).normal(size=model.input_vectors.shape)
+    model.invalidate_caches()
+    records = make_records(
+        {"u2": ["d", "b", "z"], "u1": ["z", "c", "c", "a"], "u0": ["b", "z"], "u9": ["a", "z"]}
+    )
+    visits = interactions_reference(records)
+    nn = _serve(model, records, NN, k=10, neighbors=3)
+    kiu = _serve(model, records, "kiu", k=10, neighbors=3)
+    for user in ("u0", "u1", "u2", "u3"):
+        neighbors = [n for n, _ in nearest_users(model, user, 3)]
+        assert user == "u3" or "u3" in neighbors
+        votes = vote_reference(neighbors, visits, allowed=lambda v: "V:" + v in vocab)
+        expected = rank_votes_reference(votes, 10, lambda v: vocab.index("V:" + v))
+        assert nn(user).items == expected
+        request = RecommendationRequest(user=user, k=10, neighbors=3)
+        assert kiu(user).items == recommend_kiu(model, request).items
+    assert not nn("u9").predicted
+    assert not kiu("u9").predicted
+
+
 def test_requests_validate_bounds():
     with pytest.raises(ValueError):
         RecommendationRequest(user="u", k=0)
@@ -419,25 +440,25 @@ def test_recommendation_invariants(
             assert set(venues).isdisjoint(seen)
 
 
-def test_deterministic_across_calls(toy_model, toy_interactions):
-    request = RecommendationRequest(user="u0", k=4, neighbors=2)
-    first = recommend_nn(toy_model, toy_interactions, request)
-    second = recommend_nn(toy_model, toy_interactions, request)
+def test_deterministic_across_calls(toy_model, toy_records):
+    serve = _serve(toy_model, toy_records, NN, k=4, neighbors=2)
+    first = serve("u0")
+    second = serve("u0")
     assert first.items == second.items
 
 
-def test_concurrent_readers_agree(toy_model, toy_interactions):
+def test_concurrent_readers_agree(toy_model):
     """Recommendation queries are read-only: many threads, one answer."""
     import threading
 
     toy_model.invalidate_caches()  # force the norm cache race too
     request = RecommendationRequest(user="u0", k=4, neighbors=2)
-    expected = recommend_kiu(toy_model, toy_interactions, request).items
+    expected = recommend_kiu(toy_model, request).items
     outputs = []
 
     def worker():
         for _ in range(20):
-            outputs.append(recommend_kiu(toy_model, toy_interactions, request).items)
+            outputs.append(recommend_kiu(toy_model, request).items)
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:
@@ -450,10 +471,10 @@ def test_concurrent_readers_agree(toy_model, toy_interactions):
 # ------------------------------------------------------------- batch format
 
 
-def test_batch_roundtrip(tmp_path, toy_model, toy_interactions):
+def test_batch_roundtrip(tmp_path, toy_model):
     request = RecommendationRequest(user="u0", k=3, neighbors=1)
     results = [
-        recommend_kni(toy_model, toy_interactions, request),
+        recommend_kni(toy_model, request),
         RecommendationList("ghost", "kni"),
     ]
     path = tmp_path / "batch.tsv"
