@@ -51,7 +51,7 @@ def main() -> int:
             out_dir=str(out_root / f"sweep_{axis}"),
         )
         reports, rows = run_sweep(SweepSpec(axis=axis), base)
-        failed = sum(1 for r in reports if r is None)
+        failed = len(reports) - len(rows)
         written = emit_plot_data(rows, out_root / "plots", axis=axis)
         print(f"axis {axis}: {len(rows)} runs ({failed} failed)")
         for key, path in sorted(written.items()):

@@ -14,6 +14,6 @@ from .corpus import build_sentences, build_vocabulary
 from .embedding import TrainingConfig, init_model, train
 from .fixtures import FixtureSpec
 from .harness import ExperimentConfig, run_experiment
-from .recommend import RecommendationRequest, recommend_kni
+from .recommend import RecommendationRequest, recommend_kiu
 
 __version__ = "0.1.0"

@@ -250,7 +250,10 @@ def _cmd_sweep(args) -> int:
     parsed = [v if v == "max" else _parse("values", v, int) for v in values]
     spec = SweepSpec(axis=args.axis, values=parsed)
     reports, rows = harness.run_sweep(spec, config)
-    failed = sum(1 for r in reports if r is None)
+    failed = len(reports) - len(rows)
+    for value, report in zip(spec.resolved_values(), reports):
+        if isinstance(report, Exception):
+            print(f"{args.axis}={value}: {report}", file=sys.stderr)
     print(f"sweep {args.axis}: {len(rows)} runs ok, {failed} failed")
     if config.out_dir:
         print(f"combined CSV -> {Path(config.out_dir) / f'sweep_{args.axis}.csv'}")

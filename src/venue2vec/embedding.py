@@ -435,32 +435,15 @@ def train(
     return model, trace
 
 
-def get_vector(model: EmbeddingModel, token: str) -> np.ndarray:
-    """Input-matrix row for a token; raises TokenNotFoundError when unknown."""
-    return model.input_vectors[model.vocab.index(token)]
-
-
-def _resolve_candidates(
-    model: EmbeddingModel, candidates: np.ndarray | Sequence[str] | None
-) -> np.ndarray:
-    if candidates is None:
-        return np.arange(len(model.vocab), dtype=np.int64)
-    if isinstance(candidates, np.ndarray) and candidates.dtype != object:
-        return candidates.astype(np.int64, copy=False)
-    return np.fromiter(
-        (model.vocab.index(t) for t in candidates), dtype=np.int64
-    )
-
-
 def cosine_top_k(
-    rows, norms: np.ndarray, query: np.ndarray, k: int, ids: np.ndarray | None = None
+    rows, norms: np.ndarray, query: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the k rows most cosine-similar to the query, and their scores.
 
     rows is a dense array or a scipy sparse matrix and norms its precomputed
     row norms, so a matrix's norms are computed once, not per query. Ranking
-    is by descending score, ties by ascending ids[position] (the position
-    itself when ids is None); fewer than k rows returns them all, ranked.
+    is by descending score, ties by ascending position; fewer than k rows
+    returns them all, ranked.
 
     Raises:
         SimilarityError: if the query has zero norm.
@@ -473,42 +456,8 @@ def cosine_top_k(
     scores = np.asarray(dots, dtype=np.float64) / (
         np.where(norms == 0.0, 1.0, norms) * query_norm
     )
-    if ids is None:
-        ids = np.arange(scores.size)
-    top = np.lexsort((ids, -scores))[:k]
+    top = np.lexsort((np.arange(scores.size), -scores))[:k]
     return top, scores[top]
-
-
-def top_k_similar(
-    model: EmbeddingModel,
-    query: np.ndarray,
-    candidates: np.ndarray | Sequence[str] | None,
-    k: int,
-) -> list[tuple[str, float]]:
-    """The k candidate tokens most cosine-similar to the query vector.
-
-    Ties are broken by ascending token index so results are deterministic;
-    fewer than k candidates simply returns them all, ranked.
-
-    Args:
-        candidates: token names, vocabulary indices, or None for every token.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    indices = _resolve_candidates(model, candidates)
-    matrix = model.input_vectors
-    if (
-        indices.size
-        and indices[-1] - indices[0] + 1 == indices.size
-        and bool((np.diff(indices) > 0).all())
-    ):
-        # contiguous candidate range (the common whole-venue-block case):
-        # slice instead of gathering a copy
-        rows = matrix[int(indices[0]) : int(indices[-1]) + 1]
-    else:
-        rows = matrix[indices]
-    top, scores = cosine_top_k(rows, model.input_norms()[indices], query, k, indices)
-    return [(model.vocab.token(int(indices[i])), float(s)) for i, s in zip(top, scores)]
 
 
 def write_loss_trace(trace: list[EpochStats], path) -> None:

@@ -216,7 +216,7 @@ def embedding_recommender(
 
     NN votes from the training visits aligned to the model's vocabulary, so
     pruned venues and users without history vote nothing and ties break by
-    ascending vocabulary index.
+    ascending vocabulary index. KNI is KIU with no neighbors.
     """
     interactions = build_interactions(dataset.train, config.binary_votes)
     if config.method == recommend.NN:
@@ -229,13 +229,11 @@ def embedding_recommender(
             weighted=False,
         )
     else:
-        # looked up once here, not at import, so wrappers installed on the
-        # module attribute still see every call
-        recommend_method = getattr(recommend, f"recommend_{config.method}")
+        neighbors = config.neighbors if config.method == recommend.KIU else 0
 
         def recommend_k(user: str, depth: int) -> recommend.RecommendationList:
-            request = recommend.RecommendationRequest(user, depth, config.neighbors)
-            return recommend_method(model, request)
+            request = recommend.RecommendationRequest(user, depth, neighbors)
+            return recommend.recommend_kiu(model, request)
 
     return _per_user(config, interactions, recommend_k)
 
@@ -409,12 +407,21 @@ def evaluate_recommendations(
 
     Lists of users outside the evaluation population are skipped; the
     report is written into out_dir.
+
+    Raises:
+        ConfigError: if a scored list is longer than config.k.
     """
     truth = build_ground_truth(load_dataset(config))
+    scored = [result for result in results if result.user in truth]
+    for result in scored:
+        if len(result.items) > config.k:
+            raise ConfigError(
+                f"the list of user {result.user!r} holds {len(result.items)} "
+                f"venues, more than k={config.k}"
+            )
     rows = [
         score_user(result.user, result.venues(), truth[result.user], config.k)
-        for result in results
-        if result.user in truth
+        for result in scored
     ]
     if not rows:
         raise ConfigError("no overlap between recommendations and evaluation users")
@@ -462,18 +469,18 @@ class SweepSpec:
 
 def run_sweep(
     spec: SweepSpec, base: ExperimentConfig
-) -> tuple[list[MetricsReport | None], list[dict]]:
+) -> tuple[list[MetricsReport | Exception], list[dict]]:
     """One run per axis value; failures are recorded and the sweep continues.
 
-    Returns the reports (None where a run failed) and the combined rows, and
-    writes sweep_<axis>.csv under base.out_dir when set.
+    Returns the reports (the exception where a run failed) and the combined
+    rows, and writes sweep_<axis>.csv under base.out_dir when set.
     """
     values = spec.resolved_values()
     if not values:
         raise ConfigError("sweep needs at least one value")
     field_name = _AXIS_FIELDS[spec.axis]
     out_dir = Path(base.out_dir) if base.out_dir else None
-    reports: list[MetricsReport | None] = []
+    reports: list[MetricsReport | Exception] = []
     rows: list[dict] = []
     for value in values:
         run_config = dataclasses.replace(
@@ -483,8 +490,8 @@ def run_sweep(
         )
         try:
             report = run_experiment(run_config)
-        except Exception:
-            reports.append(None)
+        except Exception as exc:
+            reports.append(exc)
             continue
         reports.append(report)
         rows.append(report.to_row())

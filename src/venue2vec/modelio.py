@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import USER_PREFIX, Vocabulary
+from .corpus import USER_PREFIX, VENUE_PREFIX, Vocabulary
 from .embedding import CBOW, SKIP_GRAM, EmbeddingModel, TrainingConfig
 from .errors import FormatError
 
@@ -69,6 +69,27 @@ def _read_token_table(table: bytes, count: int) -> tuple[list[str], np.ndarray, 
     raw = np.frombuffer(table, dtype=np.uint8)
     frequencies = raw[np.array(frequency_at, dtype=np.int64)[:, None] + np.arange(8)]
     return tokens, frequencies.view("<u8")[:, 0].astype(np.int64), offset
+
+
+def _vocabulary(tokens: list[str], frequencies: np.ndarray, path) -> Vocabulary:
+    """The vocabulary of a token table: U: tokens, then V: tokens, none twice."""
+    user_count = sum(1 for t in tokens if t.startswith(USER_PREFIX))
+    for position, token in enumerate(tokens):
+        prefix = USER_PREFIX if position < user_count else VENUE_PREFIX
+        if not token.startswith(prefix):
+            raise FormatError(
+                f"{path}: token {position} ({token!r}) must start with {prefix}; "
+                "the table holds U: tokens, then V: tokens"
+            )
+    if len(set(tokens)) != len(tokens):
+        raise FormatError(f"{path}: the token table holds a token twice")
+    prefix_width = len(USER_PREFIX)
+    return Vocabulary(
+        [t[prefix_width:] for t in tokens[:user_count]],
+        [t[prefix_width:] for t in tokens[user_count:]],
+        frequencies,
+        min_word_count=1,
+    )
 
 
 def _write_matrix(handle, matrix: np.ndarray) -> None:
@@ -133,14 +154,7 @@ def load_embedding_model(path: str | Path) -> EmbeddingModel:
             handle.read(remaining - matrix_bytes), vocab_size
         )
         handle.seek(table_start + table_size)
-        user_count = sum(1 for t in tokens if t.startswith(USER_PREFIX))
-        prefix_width = len(USER_PREFIX)
-        vocab = Vocabulary(
-            [t[prefix_width:] for t in tokens[:user_count]],
-            [t[prefix_width:] for t in tokens[user_count:]],
-            frequencies,
-            min_word_count=1,
-        )
+        vocab = _vocabulary(tokens, frequencies, path)
         input_vectors = _read_matrix(handle, vocab_size, feature_count)
         output_vectors = _read_matrix(handle, vocab_size, feature_count)
     config = TrainingConfig(

@@ -5,6 +5,7 @@ Three strategies:
   NN   collect the venues of the N most similar users and sum their votes.
   KIU  rank venues by cosine to the mean of the target's and neighbors' vectors.
 
+KNI is KIU with no neighbors, so one function (recommend_kiu) serves both.
 NN's rule is also CF's and the latent-factor baselines' (recommend_neighbors):
 only the user space the neighbors are picked in differs.
 
@@ -23,8 +24,8 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import InteractionMatrix, Vocabulary
-from .embedding import EmbeddingModel, cosine_top_k, top_k_similar
-from .errors import SimilarityError
+from .embedding import EmbeddingModel, cosine_top_k
+from .errors import FormatError, SimilarityError
 
 KNI = "kni"
 NN = "nn"
@@ -35,7 +36,10 @@ NO_PREDICTION = "no-prediction"
 
 @dataclass(frozen=True)
 class RecommendationRequest:
-    """One recommendation query; ties break by ascending token index."""
+    """One recommendation query; ties break by ascending token index.
+
+    neighbors=0 means the target alone: KIU with no neighbors is KNI.
+    """
 
     user: str
     k: int = 10
@@ -44,8 +48,8 @@ class RecommendationRequest:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.neighbors < 1:
-            raise ValueError("neighbors must be >= 1")
+        if self.neighbors < 0:
+            raise ValueError("neighbors must be >= 0")
 
 
 @dataclass
@@ -75,35 +79,6 @@ def _neighbor_rows(
     top, sims = cosine_top_k(rows, norms, query, neighbors + 1)
     keep = top != index
     return top[keep][:neighbors], sims[keep][:neighbors]
-
-
-def _user_row(model: EmbeddingModel, user: str) -> int | None:
-    """The user's row in the model's user block, None when not in the vocabulary."""
-    return model.vocab.token_to_index.get(Vocabulary.user_token(user))
-
-
-def _rank_venues_by_query(
-    model: EmbeddingModel,
-    query: np.ndarray,
-    request: RecommendationRequest,
-    method: str,
-) -> RecommendationList:
-    try:
-        top = top_k_similar(model, query, model.vocab.venue_indices(), request.k)
-    except SimilarityError:
-        return RecommendationList(request.user, method)
-    items = [(Vocabulary.strip_prefix(token), score) for token, score in top]
-    return RecommendationList(request.user, method, items)
-
-
-def recommend_kni(
-    model: EmbeddingModel, request: RecommendationRequest
-) -> RecommendationList:
-    """k-nearest items: venues ranked by cosine to the user's own vector."""
-    index = _user_row(model, request.user)
-    if index is None:
-        return RecommendationList(request.user, KNI)
-    return _rank_venues_by_query(model, model.input_vectors[index], request, KNI)
 
 
 def vote_by_visit_counts(
@@ -164,18 +139,32 @@ def recommend_neighbors(
 def recommend_kiu(
     model: EmbeddingModel, request: RecommendationRequest
 ) -> RecommendationList:
-    """Combined query: venues ranked by cosine to the target+neighbors mean."""
-    index = _user_row(model, request.user)
+    """KIU and KNI: venues ranked by cosine to the mean of the target's user
+    vector and its request.neighbors nearest users' vectors.
+
+    With no neighbors the query is the target's own vector (the float64 mean
+    of one row is that row), which is KNI, and the list is labelled kni.
+    """
+    method = KIU if request.neighbors else KNI
+    index = model.vocab.token_to_index.get(Vocabulary.user_token(request.user))
     if index is None:
-        return RecommendationList(request.user, KIU)
+        return RecommendationList(request.user, method)
     count = model.vocab.user_count
-    users, norms = model.input_vectors[:count], model.input_norms()[:count]
+    vectors, norms = model.input_vectors, model.input_norms()
+    rows = [index]
     try:
-        top, _ = _neighbor_rows(users, norms, users[index], index, request.neighbors)
+        if request.neighbors:
+            near, _ = _neighbor_rows(
+                vectors[:count], norms[:count], vectors[index], index, request.neighbors
+            )
+            rows = np.r_[index, near]
+        query = vectors[rows].astype(np.float64).mean(axis=0)
+        top, scores = cosine_top_k(vectors[count:], norms[count:], query, request.k)
     except SimilarityError:
-        return RecommendationList(request.user, KIU)
-    query = users[np.r_[index, top]].astype(np.float64).mean(axis=0)
-    return _rank_venues_by_query(model, query, request, KIU)
+        return RecommendationList(request.user, method)
+    venues = model.vocab.index_to_token[count:]
+    items = [(Vocabulary.strip_prefix(venues[j]), float(s)) for j, s in zip(top, scores)]
+    return RecommendationList(request.user, method, items)
 
 
 def format_batch_line(result: RecommendationList) -> str:
@@ -194,20 +183,35 @@ def write_batch_recommendations(
             handle.write(format_batch_line(result) + "\n")
 
 
+def _venue_score(pair: str) -> tuple[str, float]:
+    venue, colon, score = pair.rpartition(":")
+    if not colon:
+        raise ValueError(pair)
+    return venue, float(score)
+
+
 def read_batch_recommendations(path: str | Path) -> list[RecommendationList]:
+    """Inverse of write_batch_recommendations.
+
+    Raises:
+        FormatError: naming the path and line of a line with fewer than two
+            tab-separated fields or a pair that is not venue:score.
+    """
     results = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            user, method, *rest = line.split("\t")
-            if rest == [NO_PREDICTION]:
-                results.append(RecommendationList(user, method))
-                continue
-            items = []
-            for pair in rest:
-                venue, _, score = pair.rpartition(":")
-                items.append((venue, float(score)))
+            try:
+                user, method, *rest = line.split("\t")
+                if rest == [NO_PREDICTION]:
+                    rest = []
+                items = [_venue_score(pair) for pair in rest]
+            except ValueError:
+                raise FormatError(
+                    f"{path} line {number}: expected user, method and venue:score "
+                    f"fields separated by tabs, got {line!r}"
+                ) from None
             results.append(RecommendationList(user, method, items))
     return results

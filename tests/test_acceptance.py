@@ -27,10 +27,8 @@ from venue2vec.corpus import (
 )
 from venue2vec.embedding import (
     TrainingConfig,
-    get_vector,
     init_model,
     negative_sampling_gradient,
-    top_k_similar,
     train,
 )
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
@@ -52,7 +50,7 @@ from venue2vec.metrics import (
 )
 from venue2vec.recommend import (
     RecommendationRequest,
-    recommend_kni,
+    recommend_kiu,
     recommend_neighbors,
 )
 
@@ -151,9 +149,9 @@ def test_criterion_2_top_k_oracle_equivalence():
         features = int(rng.integers(4, 101))
         model = _random_model(rng, n_venues, features)
         user = "u0"
-        request = RecommendationRequest(user=user, k=10)
-        ours = recommend_kni(model, request)
-        query = get_vector(model, "U:" + user)
+        request = RecommendationRequest(user=user, k=10, neighbors=0)
+        ours = recommend_kiu(model, request)
+        query = model.input_vectors[model.vocab.index("U:" + user)]
         reference = brute_force_top_k(
             model.input_vectors, query, model.vocab.venue_indices(), 10
         )
@@ -486,9 +484,9 @@ def test_criterion_8_kni_timing_budget():
 
     samples = []
     for i in range(100):
-        request = RecommendationRequest(user=users[i], k=10)
+        request = RecommendationRequest(user=users[i], k=10, neighbors=0)
         begin = time.perf_counter()
-        result = recommend_kni(model, request)
+        result = recommend_kiu(model, request)
         samples.append(time.perf_counter() - begin)
         assert len(result.items) == 10
     median = float(np.median(samples))

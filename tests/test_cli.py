@@ -324,3 +324,27 @@ def test_sweep_max_on_integer_axis_is_config_error(fixture_file, tmp_path, capsy
     err = capsys.readouterr().err
     assert "config error" in err and f"axis {axis}" in err
     assert not out_dir.exists()  # rejected before any run started
+
+
+def test_evaluate_topk_below_list_length_is_config_error(fixture_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["--input", str(fixture_file), "--method", "cf", "--neighbors", "5"]
+    assert main(["run", *argv, "--topk", "10", "--out-dir", str(out)]) == 0
+    batch = out / "recommendations.tsv"
+    first = next(r for r in read_batch_recommendations(batch) if len(r.items) > 5)
+    capsys.readouterr()
+    evaluate = ["evaluate", "--recommendations", str(batch), "--input", str(fixture_file)]
+    assert main([*evaluate, "--topk", "5", "--out-dir", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"user {first.user!r} holds {len(first.items)} venues, more than k=5" in err
+    assert not (tmp_path / "eval").exists()  # rejected before scoring
+
+
+def test_sweep_names_each_failed_value(fixture_file, tmp_path, capsys):
+    argv = ["sweep", "--input", str(fixture_file), "--method", "kni", "--features", "4",
+            "--epochs", "1", "--axis", "C", "--values", "5,0", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "sweep C: 1 runs ok, 1 failed" in captured.out
+    assert 'C=0: context_count must be an int >= 1 or "max"' in captured.err.splitlines()

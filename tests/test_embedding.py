@@ -20,11 +20,10 @@ from venue2vec.embedding import (
     _sgns_step,
     _sgns_update,
     context_pairs,
+    cosine_top_k,
     negative_sampling_gradient,
-    get_vector,
     init_model,
     resolve_window,
-    top_k_similar,
     train,
 )
 from venue2vec.errors import (
@@ -43,6 +42,19 @@ def small_vocab(n_users=2, n_venues=3):
     visits = {f"u{i}": [f"v{j}" for j in range(n_venues)] for i in range(n_users)}
     records = make_records(visits)
     return build_vocabulary(records, 1), records
+
+
+def row(model, token):
+    return model.input_vectors[model.vocab.index(token)]
+
+
+def nearest(model, query, candidates, k):
+    """The k candidate tokens whose model rows are most cosine-similar to
+    query, with their scores, through cosine_top_k over those rows."""
+    candidates = np.asarray(candidates)
+    rows, norms = model.input_vectors[candidates], model.input_norms()[candidates]
+    top, scores = cosine_top_k(rows, norms, query, k)
+    return [(model.vocab.token(int(candidates[i])), float(s)) for i, s in zip(top, scores)]
 
 
 # ---------------------------------------------------------------- config
@@ -187,17 +199,15 @@ def test_toy_corpus_co_visited_venues_mutually_nearest(toy_model):
     vocab = model.vocab
     venue_idx = vocab.venue_indices()
     for venue, expected in (("Loc0", "Loc2"), ("Loc2", "Loc0")):
-        query = get_vector(model, "V:" + venue)
+        query = row(model, "V:" + venue)
         candidates = venue_idx[venue_idx != vocab.index("V:" + venue)]
-        nearest = top_k_similar(model, query, candidates, 1)[0][0]
-        assert nearest == "V:" + expected
+        assert nearest(model, query, candidates, 1)[0][0] == "V:" + expected
 
 
 def test_toy_corpus_exclusive_venue_sits_with_its_user(toy_model):
     model = toy_model
-    query = get_vector(model, "V:Loc7")
-    nearest = top_k_similar(model, query, np.arange(model.vocab.user_count), 1)[0][0]
-    assert nearest == "U:u2"
+    query = row(model, "V:Loc7")
+    assert nearest(model, query, np.arange(model.vocab.user_count), 1)[0][0] == "U:u2"
 
 
 def test_loss_trace_smoothed_non_increasing(community_model):
@@ -384,9 +394,9 @@ def test_cbow_training_brings_co_occurring_tokens_close(toy_records):
     assert np.isfinite(model.input_vectors).all()
     assert trace[-1].average_loss < trace[0].average_loss
     venue_idx = vocab.venue_indices()
-    query = get_vector(model, "V:Loc0")
+    query = row(model, "V:Loc0")
     candidates = venue_idx[venue_idx != vocab.index("V:Loc0")]
-    top2 = {t for t, _ in top_k_similar(model, query, candidates, 2)}
+    top2 = {t for t, _ in nearest(model, query, candidates, 2)}
     assert "V:Loc2" in top2
 
 
@@ -400,15 +410,15 @@ def test_training_output_finite_and_nonzero(community_model):
 # ---------------------------------------------------------------- lookup
 
 
-def test_get_vector_known_token(toy_model):
-    vector = get_vector(toy_model, "U:u0")
+def test_vocabulary_index_known_token(toy_model):
+    vector = row(toy_model, "U:u0")
     assert vector.shape == (2,)
     assert np.isfinite(vector).all()
 
 
-def test_get_vector_unknown_token(toy_model):
+def test_vocabulary_index_unknown_token(toy_model):
     with pytest.raises(TokenNotFoundError):
-        get_vector(toy_model, "V:nowhere")
+        toy_model.vocab.index("V:nowhere")
 
 
 # ---------------------------------------------------------------- top-k
@@ -416,8 +426,8 @@ def test_get_vector_unknown_token(toy_model):
 
 def test_self_similarity_is_one(toy_model):
     vocab = toy_model.vocab
-    query = get_vector(toy_model, "V:Loc3")
-    top = top_k_similar(toy_model, query, vocab.venue_indices(), 1)
+    query = row(toy_model, "V:Loc3")
+    top = nearest(toy_model, query, vocab.venue_indices(), 1)
     assert top[0][0] == "V:Loc3"
     assert top[0][1] == pytest.approx(1.0)
 
@@ -430,7 +440,7 @@ def test_top_k_matches_brute_force(rng):
     model.invalidate_caches()
     query = rng.normal(size=12)
     candidates = vocab.venue_indices()
-    ours = top_k_similar(model, query, candidates, 10)
+    ours = nearest(model, query, candidates, 10)
     reference = brute_force_top_k(model.input_vectors, query, candidates, 10)
     assert [vocab.index(t) for t, _ in ours] == [i for i, _ in reference]
     for (_, a), (_, b) in zip(ours, reference):
@@ -440,9 +450,9 @@ def test_top_k_matches_brute_force(rng):
 @given(scale=st.floats(min_value=1e-6, max_value=1e6))
 @settings(max_examples=40, deadline=None)
 def test_top_k_invariant_under_positive_scaling(toy_model, scale):
-    query = np.asarray(get_vector(toy_model, "U:u0"), dtype=np.float64)
-    base = top_k_similar(toy_model, query, toy_model.vocab.venue_indices(), 4)
-    scaled = top_k_similar(toy_model, query * scale, toy_model.vocab.venue_indices(), 4)
+    query = np.asarray(row(toy_model, "U:u0"), dtype=np.float64)
+    base = nearest(toy_model, query, toy_model.vocab.venue_indices(), 4)
+    scaled = nearest(toy_model, query * scale, toy_model.vocab.venue_indices(), 4)
     assert [t for t, _ in base] == [t for t, _ in scaled]
 
 
@@ -452,13 +462,13 @@ def test_top_k_tie_break_ascending_index():
     model = init_model(vocab, config, dtype=np.float64)
     model.input_vectors = np.ones((5, 2))  # every cosine identical
     model.invalidate_caches()
-    top = top_k_similar(model, np.ones(2), vocab.venue_indices(), 3)
+    top = nearest(model, np.ones(2), vocab.venue_indices(), 3)
     assert [t for t, _ in top] == ["V:v0", "V:v1", "V:v2"]
 
 
 def test_top_k_saturation_returns_all_candidates(toy_model):
     venues = toy_model.vocab.venue_indices()
-    top = top_k_similar(toy_model, get_vector(toy_model, "U:u0"), venues, 50)
+    top = nearest(toy_model, row(toy_model, "U:u0"), venues, 50)
     assert len(top) == len(venues)
     scores = [s for _, s in top]
     assert scores == sorted(scores, reverse=True)
@@ -466,11 +476,4 @@ def test_top_k_saturation_returns_all_candidates(toy_model):
 
 def test_top_k_zero_norm_query_raises(toy_model):
     with pytest.raises(SimilarityError):
-        top_k_similar(toy_model, np.zeros(2), None, 3)
-
-
-def test_top_k_accepts_token_names(toy_model):
-    top = top_k_similar(
-        toy_model, get_vector(toy_model, "U:u0"), ["V:Loc0", "V:Loc7"], 2
-    )
-    assert {t for t, _ in top} == {"V:Loc0", "V:Loc7"}
+        cosine_top_k(toy_model.input_vectors, toy_model.input_norms(), np.zeros(2), 3)

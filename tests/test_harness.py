@@ -410,7 +410,8 @@ def test_sweep_continues_after_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_recommender_for", flaky)
     spec = SweepSpec(axis="E", values=[2, 3, 4])
     reports, rows = run_sweep(spec, small_config(out_dir=str(tmp_path)))
-    assert [r is None for r in reports] == [False, True, False]
+    assert [isinstance(r, Exception) for r in reports] == [False, True, False]
+    assert str(reports[1]) == "boom"
     assert len(rows) == 2
     assert (tmp_path / "E=3" / ERROR_MARKER).exists()
 
@@ -418,7 +419,7 @@ def test_sweep_continues_after_failure(tmp_path, monkeypatch):
 def test_sweep_value_failing_validation_says_why(tmp_path):
     spec = SweepSpec(axis="F", values=[0, 8])
     reports, rows = run_sweep(spec, small_config(epoch_count=2, out_dir=str(tmp_path)))
-    assert [r is None for r in reports] == [True, False]
+    assert isinstance(reports[0], ConfigError) and not isinstance(reports[1], Exception)
     assert len(rows) == 1
     assert "ConfigError" in (tmp_path / "F=0" / ERROR_MARKER).read_text()
 

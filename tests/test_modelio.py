@@ -3,6 +3,8 @@ import struct
 import numpy as np
 import pytest
 
+from venue2vec.corpus import build_vocabulary
+from venue2vec.embedding import TrainingConfig, init_model
 from venue2vec.errors import FormatError
 from venue2vec.modelio import (
     EMBEDDING_MAGIC,
@@ -10,6 +12,8 @@ from venue2vec.modelio import (
     load_embedding_model,
     save_embedding_model,
 )
+
+from conftest import make_records
 
 
 def test_embedding_model_roundtrip(tmp_path, toy_model):
@@ -109,3 +113,28 @@ def test_load_rejects_token_length_past_the_table(tmp_path, toy_model):
     corrupt.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="token table"):
         load_embedding_model(corrupt)
+
+
+def _model_file_with_tokens(path, tokens):
+    """A well-formed two-token model file whose token table reads tokens."""
+    vocab = build_vocabulary(make_records({"u1": ["v1"]}), 1)
+    model = init_model(vocab, TrainingConfig(feature_count=2, seed=0))
+    vocab.index_to_token = tokens
+    save_embedding_model(model, path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "tokens, reason",
+    [
+        (["U:u1", "v1"], r"token 1 \('v1'\) must start with V:"),
+        (["V:v1", "U:u1"], r"token 0 \('V:v1'\) must start with U:"),
+        (["U:u1", "U:u1"], "holds a token twice"),
+    ],
+    ids=["no-prefix", "user-after-venue", "duplicate"],
+)
+def test_load_rejects_bad_token_table(tmp_path, tokens, reason):
+    path = _model_file_with_tokens(tmp_path / "model.bin", tokens)
+    with pytest.raises(FormatError, match=reason) as error:
+        load_embedding_model(path)
+    assert str(path) in str(error.value)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from venue2vec.corpus import (
     split_train_test,
 )
 from venue2vec.embedding import TrainingConfig, init_model, train
+from venue2vec.errors import FormatError
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 from venue2vec.harness import EMBEDDING_METHODS, ExperimentConfig, embedding_recommender
 from venue2vec.recommend import (
@@ -26,7 +29,6 @@ from venue2vec.recommend import (
     rank_votes,
     read_batch_recommendations,
     recommend_kiu,
-    recommend_kni,
     vote_by_visit_counts,
     write_batch_recommendations,
 )
@@ -57,8 +59,9 @@ def _unseen(recommend_k, interactions, user, k):
 
 
 def test_kni_toy_top2_are_the_users_own_cluster(toy_model):
-    request = RecommendationRequest(user="u0", k=2, neighbors=1)
-    result = recommend_kni(toy_model, request)
+    request = RecommendationRequest(user="u0", k=2, neighbors=0)
+    result = recommend_kiu(toy_model, request)
+    assert result.method == "kni"
     venues = result.venues()
     assert venues[0] == "Loc1"  # visited twice by u0 and nobody else
     assert set(venues) < {"Loc0", "Loc1", "Loc2"}
@@ -250,19 +253,18 @@ def test_vote_matches_counter_oracle(visits, data, binary, weighted, k):
 
 
 def test_unknown_user_is_no_prediction(toy_model, toy_records):
-    request = RecommendationRequest(user="stranger", k=3, neighbors=1)
     for result in (
-        recommend_kni(toy_model, request),
+        recommend_kiu(toy_model, RecommendationRequest(user="stranger", k=3, neighbors=0)),
         _serve(toy_model, toy_records, NN, k=3, neighbors=1)("stranger"),
-        recommend_kiu(toy_model, request),
+        recommend_kiu(toy_model, RecommendationRequest(user="stranger", k=3, neighbors=1)),
     ):
         assert not result.predicted
         assert result.items == []
 
 
 def test_kni_saturation_returns_all_venues(toy_model):
-    request = RecommendationRequest(user="u0", k=100, neighbors=1)
-    result = recommend_kni(toy_model, request)
+    request = RecommendationRequest(user="u0", k=100, neighbors=0)
+    result = recommend_kiu(toy_model, request)
     assert len(result.items) == 8
     scores = [s for _, s in result.items]
     assert scores == sorted(scores, reverse=True)
@@ -280,9 +282,8 @@ def test_kiu_without_other_users_reduces_to_kni():
     corpus = build_sentences(records, vocab)
     config = TrainingConfig(feature_count=4, context_count=2, epoch_count=30, seed=0)
     model, _ = train(init_model(vocab, config), corpus)
-    request = RecommendationRequest(user="only", k=2, neighbors=5)
-    kiu = recommend_kiu(model, request)
-    kni = recommend_kni(model, request)
+    kiu = recommend_kiu(model, RecommendationRequest(user="only", k=2, neighbors=5))
+    kni = recommend_kiu(model, RecommendationRequest(user="only", k=2, neighbors=0))
     assert kiu.venues() == kni.venues()
 
 
@@ -298,6 +299,71 @@ def test_kiu_all_users_uniform_vectors_degrades_gracefully():
     assert first.predicted
     assert first.items == second.items  # deterministic under total ties
     assert first.venues() == ["x", "y"]  # ascending token index
+
+
+def _integer_model(rng, n_users, n_venues, features):
+    """A float64 model whose every mean, dot and norm is exact: user entries
+    are multiples of n_users (so a mean over 1, 2, 6 or n_users rows is an
+    integer when n_users is 12) and venue entries small integers, drawn from
+    few values so that equal cosines, and so ties, are common."""
+    visits = {f"u{i}": ["v0"] for i in range(n_users)}
+    visits["u0"] = [f"v{j}" for j in range(n_venues)]
+    vocab = build_vocabulary(make_records(visits), 1)
+    model = init_model(vocab, TrainingConfig(feature_count=features, seed=0), dtype=np.float64)
+    model.input_vectors[:n_users] = n_users * rng.integers(-1, 2, (n_users, features))
+    model.input_vectors[n_users:] = rng.integers(-2, 3, (n_venues, features))
+    model.invalidate_caches()
+    return model
+
+
+def test_kiu_matches_brute_force_oracle():
+    """KIU, and KNI at N = 0, equal brute force over the venue block, ties
+    included: the query is the float64 mean of the target's row and its N
+    nearest users' rows, also picked by brute force."""
+    rng = np.random.default_rng(23)
+    n_users = 12
+    neighbor_ties = venue_ties = 0
+    for _ in range(25):
+        n_venues, features = int(rng.integers(5, 40)), int(rng.integers(2, 5))
+        model = _integer_model(rng, n_users, n_venues, features)
+        vectors = model.input_vectors
+        for n in (0, 1, 5, n_users - 1):
+            for target in range(n_users):
+                k = int(rng.integers(1, n_venues + 3))
+                result = recommend_kiu(model, RecommendationRequest(f"u{target}", k, n))
+                assert result.method == ("kni" if n == 0 else "kiu")
+                if not vectors[target].any():
+                    assert not result.predicted
+                    continue
+                others = [i for i in range(n_users) if i != target]
+                neighbors = brute_force_top_k(vectors, vectors[target], others, n)
+                query = vectors[[target, *(i for i, _ in neighbors)]].mean(axis=0)
+                if not query.any():
+                    assert not result.predicted
+                    continue
+                expected = brute_force_top_k(vectors, query, model.vocab.venue_indices(), k)
+                assert result.items == [(model.vocab.token(i)[2:], s) for i, s in expected]
+                neighbor_ties += len(neighbors) - len({s for _, s in neighbors})
+                venue_ties += len(expected) - len({s for _, s in expected})
+    assert neighbor_ties > 0 and venue_ties > 0  # ties were exercised
+
+
+def test_kni_lists_do_not_depend_on_neighbors(community_model, community_dataset):
+    """The neighbors setting reaches KIU but not KNI: KNI serves every user
+    the N = 0 list whatever N the run is configured with."""
+    model, _ = community_model
+    dataset, _ = community_dataset
+    users = [Vocabulary.strip_prefix(t) for t in model.vocab.index_to_token[: model.vocab.user_count]]
+
+    def lists(method, neighbors):
+        serve = _serve(model, dataset.train, method, k=10, neighbors=neighbors)
+        return [serve(user) for user in users]
+
+    kni = lists("kni", 1)
+    assert kni == [recommend_kiu(model, RecommendationRequest(u, 10, 0)) for u in users]
+    for neighbors in (5, len(users) - 1):
+        assert lists("kni", neighbors) == kni
+    assert lists("kiu", 1) != lists("kiu", len(users) - 1)
 
 
 def test_nn_binary_votes_flag(toy_model, toy_records):
@@ -330,8 +396,8 @@ def test_community_fixture_recommendations_stay_in_community(community_model):
     model, _ = community_model
     request_users = ["c0u0", "c1u3"]
     for user in request_users:
-        request = RecommendationRequest(user=user, k=10, neighbors=5)
-        result = recommend_kni(model, request)
+        request = RecommendationRequest(user=user, k=10, neighbors=0)
+        result = recommend_kiu(model, request)
         assert len(result.items) == 10
         for venue, _ in result.items:
             assert community_of(venue) == community_of(user)
@@ -411,7 +477,8 @@ def test_requests_validate_bounds():
     with pytest.raises(ValueError):
         RecommendationRequest(user="u", k=0)
     with pytest.raises(ValueError):
-        RecommendationRequest(user="u", neighbors=0)
+        RecommendationRequest(user="u", neighbors=-1)
+    assert RecommendationRequest(user="u", neighbors=0).neighbors == 0
 
 
 # ------------------------------------------------------------- properties
@@ -472,9 +539,9 @@ def test_concurrent_readers_agree(toy_model):
 
 
 def test_batch_roundtrip(tmp_path, toy_model):
-    request = RecommendationRequest(user="u0", k=3, neighbors=1)
+    request = RecommendationRequest(user="u0", k=3, neighbors=0)
     results = [
-        recommend_kni(toy_model, request),
+        recommend_kiu(toy_model, request),
         RecommendationList("ghost", "kni"),
     ]
     path = tmp_path / "batch.tsv"
@@ -485,6 +552,18 @@ def test_batch_roundtrip(tmp_path, toy_model):
     for (_, a), (_, b) in zip(back[0].items, results[0].items):
         assert a == pytest.approx(b, abs=1e-6)
     assert not back[1].predicted
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["u0", "u0\tkni\tLoc1:0.5\tLoc2:high", "u0\tkni\tLoc1", "u0\tkni\tLoc1:0.5\t"],
+    ids=["one-field", "bad-score", "no-colon", "empty-pair"],
+)
+def test_malformed_batch_line_is_format_error(tmp_path, line):
+    path = tmp_path / "batch.tsv"
+    path.write_text(f"u1\tkni\t{NO_PREDICTION}\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path} line 3")):
+        read_batch_recommendations(path)
 
 
 def test_batch_no_prediction_line():
