@@ -10,10 +10,8 @@ The package root exports what the README's Library example uses; everything
 else is imported from its module (venue2vec.corpus, venue2vec.baselines, ...).
 """
 
-from .corpus import build_sentences, build_vocabulary
-from .embedding import TrainingConfig, init_model, train
+from .corpus import Dataset
 from .fixtures import FixtureSpec
-from .harness import ExperimentConfig, run_experiment
-from .recommend import RecommendationRequest, recommend_kiu
+from .harness import ExperimentConfig, embedding_recommender, fit_embedding, run_experiment
 
 __version__ = "0.1.0"

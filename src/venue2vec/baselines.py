@@ -1,7 +1,7 @@
 """Classical comparison recommenders: user CF, Random, SVD and CCD++ factorization.
 
-CF and the two factorization baselines rank through NN's neighbor rule
-(recommend.recommend_neighbors): CF picks neighbors among visit-count rows
+CF and the two factorization baselines score through NN's neighbor rule
+(recommend.vote_scores): CF picks neighbors among visit-count rows
 and weights their votes by similarity, SVD and CCD++ pick them among
 user-latent rows and vote like NN.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Container, Sequence
 
 import numpy as np
 
@@ -29,15 +29,18 @@ CCDPP_INNER_SWEEPS = 2  # alternating u/v updates per latent index
 
 
 def recommend_random(
-    catalog: Sequence[str], user: str, k: int, seed: int
+    catalog: Sequence[str], user: str, k: int, seed: int, seen: Container[int]
 ) -> RecommendationList:
-    """k distinct venues drawn uniformly without replacement from the catalog."""
+    """k distinct venues drawn uniformly without replacement from the catalog
+    minus the seen positions: the first k unseen venues of one seeded
+    permutation, each scored 1 / (1 + its place in the permutation)."""
     if not catalog:
         raise ValueError("random recommender needs a non-empty venue catalog")
-    rng = np.random.default_rng(seed)
-    picks = rng.permutation(len(catalog))[:k]
-    items = [(catalog[int(i)], 1.0 / (rank + 1)) for rank, i in enumerate(picks)]
-    return RecommendationList(user, RANDOM, items)
+    order = np.random.default_rng(seed).permutation(len(catalog))
+    # the first k + |seen| draws hold k unseen venues, or every one there is
+    head = order[: k + len(seen)].tolist()
+    items = [(catalog[i], 1.0 / (p + 1)) for p, i in enumerate(head) if i not in seen]
+    return RecommendationList(user, RANDOM, items[:k])
 
 
 @dataclass
@@ -47,9 +50,6 @@ class FactorModel:
     user_factors: np.ndarray
     venue_factors: np.ndarray
     rank: int
-    regularization: float
-    users: list[str]
-    venues: list[str]
     singular_values: np.ndarray | None = None
 
     @cached_property
@@ -104,9 +104,6 @@ def svd_factorize(
         user_factors=left[:, :rank] * scale,
         venue_factors=right[:rank].T * scale,
         rank=rank,
-        regularization=0.0,
-        users=list(im.users),
-        venues=list(im.venues),
         singular_values=values.copy(),
     )
 
@@ -167,13 +164,5 @@ def ccdpp_factorize(
         )
         trace.append(objective)
 
-    model = FactorModel(
-        user_factors=U,
-        venue_factors=V,
-        rank=rank,
-        regularization=regularization,
-        users=list(im.users),
-        venues=list(im.venues),
-    )
-    return model, trace
+    return FactorModel(user_factors=U, venue_factors=V, rank=rank), trace
 

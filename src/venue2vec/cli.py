@@ -194,8 +194,10 @@ def _cmd_train(args) -> int:
 
 
 def _read_users_file(path: str) -> list[str]:
+    """The file's users in first-seen order, each once, so that every user
+    gets one list and evaluate accepts the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return [line.strip() for line in handle if line.strip()]
+        return list(dict.fromkeys(line.strip() for line in handle if line.strip()))
 
 
 def _cmd_recommend(args) -> int:
@@ -296,7 +298,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("recommend", help="batch recommendations from a saved model")
     _add_experiment_flags(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--users", default=None, help="file with one target user per line")
+    p.add_argument("--users", default=None, help="file with one target user per line; repeats are listed once")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_recommend)
 

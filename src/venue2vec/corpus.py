@@ -214,9 +214,6 @@ class Vocabulary:
     def token(self, index: int) -> str:
         return self.index_to_token[index]
 
-    def venue_indices(self) -> np.ndarray:
-        return np.arange(self.user_count, len(self), dtype=np.int64)
-
     @staticmethod
     def user_token(user_id: str) -> str:
         return USER_PREFIX + user_id

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import SentenceCorpus, Vocabulary
-from .errors import ConfigError, SimilarityError, TrainingError
+from .errors import ConfigError, TrainingError
 
 SKIP_GRAM = "skip-gram"
 CBOW = "cbow"
@@ -433,31 +433,6 @@ def train(
         )
     model.invalidate_caches()
     return model, trace
-
-
-def cosine_top_k(
-    rows, norms: np.ndarray, query: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the k rows most cosine-similar to the query, and their scores.
-
-    rows is a dense array or a scipy sparse matrix and norms its precomputed
-    row norms, so a matrix's norms are computed once, not per query. Ranking
-    is by descending score, ties by ascending position; fewer than k rows
-    returns them all, ranked.
-
-    Raises:
-        SimilarityError: if the query has zero norm.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    query_norm = float(np.linalg.norm(query))
-    if query_norm == 0.0:
-        raise SimilarityError("query vector has zero norm")
-    dots = rows @ query.astype(rows.dtype, copy=False)
-    scores = np.asarray(dots, dtype=np.float64) / (
-        np.where(norms == 0.0, 1.0, norms) * query_norm
-    )
-    top = np.lexsort((np.arange(scores.size), -scores))[:k]
-    return top, scores[top]
 
 
 def write_loss_trace(trace: list[EpochStats], path) -> None:

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import baselines, recommend
 from .corpus import (
     Dataset,
@@ -44,7 +46,7 @@ from .embedding import (
     train,
     write_loss_trace,
 )
-from .errors import ConfigError, EmitError
+from .errors import ConfigError, EmitError, FormatError, SimilarityError
 from .fixtures import FEB_2011, FixtureSpec, generate_fixture
 from .metrics import (
     MetricsReport,
@@ -173,40 +175,36 @@ def fit_embedding(
     return model, corpus, trace
 
 
-def _per_user(
+def serve(
     config: ExperimentConfig,
-    interactions: InteractionMatrix,
-    recommend_k: Callable[[str, int], recommend.RecommendationList],
+    table: InteractionMatrix,
+    score_row: Callable[[int], np.ndarray],
 ) -> Callable[[str], recommend.RecommendationList]:
-    """One run's per-user callable from recommend_k(user, depth), the first
-    depth entries of one fixed ranking. Under filter_seen it reads k + |seen|
-    deep and drops the user's training venues: exactly the top k of the
-    unseen venues, ties included."""
-    if not config.filter_seen:
-        return lambda user: recommend_k(user, config.k)
+    """The per-user callable of a score rule: score_row(i) is a fresh score
+    row over table's venues for the user in table row i, -inf where a venue
+    cannot be listed.
 
-    def recommend_unseen(user: str) -> recommend.RecommendationList:
-        seen = {interactions.venues[j] for j in interactions.venues_of(user)}
-        result = recommend_k(user, config.k + len(seen))
-        items = [item for item in result.items if item[0] not in seen][: config.k]
-        return recommend.RecommendationList(user, result.method, items)
+    A user without a row, or whose similarity query is undefined, gets an
+    empty list, which evaluation books as a coverage miss. Under filter_seen
+    the user's training venues are masked to -inf before the one top-k, so
+    the list is exactly the top k of the unseen venues, ties included.
+    """
 
-    return recommend_unseen
+    def recommend_one(user: str) -> recommend.RecommendationList:
+        index = table.user_index.get(user)
+        if index is None:
+            return recommend.RecommendationList(user, config.method)
+        try:
+            scores = score_row(index)
+        except SimilarityError:
+            return recommend.RecommendationList(user, config.method)
+        if config.filter_seen:
+            scores[table.venues_of(user)] = -np.inf
+        top = recommend.top_k(scores, config.k)
+        items = [(table.venues[j], float(scores[j])) for j in top]
+        return recommend.RecommendationList(user, config.method, items)
 
-
-def _neighbor_recommender(
-    config: ExperimentConfig, rows, norms, votes: InteractionMatrix, weighted: bool
-) -> Callable[[str, int], recommend.RecommendationList]:
-    """recommend_k for NN, CF, SVD and CCD++: the one neighbor rule over these
-    user rows and the vote table whose rows line up with them."""
-
-    def recommend_k(user: str, depth: int) -> recommend.RecommendationList:
-        request = recommend.RecommendationRequest(user, depth, config.neighbors)
-        return recommend.recommend_neighbors(
-            rows, norms, votes, request, config.method, weighted
-        )
-
-    return recommend_k
+    return recommend_one
 
 
 def embedding_recommender(
@@ -214,28 +212,26 @@ def embedding_recommender(
 ) -> Callable[[str], recommend.RecommendationList]:
     """The per-user KNI/NN/KIU recommend callable over a trained model.
 
-    NN votes from the training visits aligned to the model's vocabulary, so
-    pruned venues and users without history vote nothing and ties break by
-    ascending vocabulary index. KNI is KIU with no neighbors.
+    The training visits are aligned to the model's vocabulary, so table row
+    i is user row i and column j venue row user_count + j: NN votes from
+    them, pruned venues and users without history vote nothing, and ties
+    break by ascending vocabulary index. KNI is KIU with no neighbors.
     """
-    interactions = build_interactions(dataset.train, config.binary_votes)
+    table = build_interactions(dataset.train, config.binary_votes).aligned_to(model.vocab)
     if config.method == recommend.NN:
         count = model.vocab.user_count
-        recommend_k = _neighbor_recommender(
+        rows, norms = model.input_vectors[:count], model.input_norms()[:count]
+        return serve(
             config,
-            model.input_vectors[:count],
-            model.input_norms()[:count],
-            interactions.aligned_to(model.vocab),
-            weighted=False,
+            table,
+            lambda index: recommend.vote_scores(
+                rows, norms, table.matrix, index, config.neighbors, weighted=False
+            ),
         )
-    else:
-        neighbors = config.neighbors if config.method == recommend.KIU else 0
-
-        def recommend_k(user: str, depth: int) -> recommend.RecommendationList:
-            request = recommend.RecommendationRequest(user, depth, neighbors)
-            return recommend.recommend_kiu(model, request)
-
-    return _per_user(config, interactions, recommend_k)
+    neighbors = config.neighbors if config.method == recommend.KIU else 0
+    return serve(
+        config, table, lambda index: recommend.kiu_scores(model, index, neighbors)
+    )
 
 
 def _recommender_for(config: ExperimentConfig, dataset: Dataset):
@@ -261,21 +257,24 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
         return runs, time.perf_counter() - started, echo, traces
 
     im = build_interactions(dataset.train, config.binary_votes)
-    if config.method == baselines.CF:
-        ranked = [_neighbor_recommender(config, im.matrix, im.row_norms, im, weighted=True)]
-        echo = dict(neighbors=config.neighbors)
-
-    elif config.method == baselines.RANDOM:
+    if config.method == baselines.RANDOM:
 
         def random_run(seed: int):
             # per-user sub-seed so one run's draws are independent across users
-            return lambda user, depth: baselines.recommend_random(
-                im.venues, user, depth, seed=_user_seed(seed, user)
+            return lambda user: baselines.recommend_random(
+                im.venues,
+                user,
+                config.k,
+                _user_seed(seed, user),
+                set(im.venues_of(user).tolist()) if config.filter_seen else (),
             )
 
-        ranked = [random_run(config.seed + run) for run in range(config.random_runs)]
-        echo = {}
+        runs = [random_run(config.seed + run) for run in range(config.random_runs)]
+        return runs, time.perf_counter() - started, {}, traces
 
+    if config.method == baselines.CF:
+        rows, norms, weighted = im.matrix, im.row_norms, True
+        echo = dict(neighbors=config.neighbors)
     else:  # svd / ccdpp
         rank = min(config.latent_rank(), min(im.shape))
         if config.method == baselines.SVD:
@@ -288,14 +287,17 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
                 config.mf_iterations,
                 seed=config.seed,
             )
-        ranked = [
-            _neighbor_recommender(
-                config, factors.user_factors, factors.user_norms, im, weighted=False
-            )
-        ]
+        rows, norms, weighted = factors.user_factors, factors.user_norms, False
         echo = dict(feature_count=config.latent_rank(), neighbors=config.neighbors)
-
-    runs = [_per_user(config, im, recommend_k) for recommend_k in ranked]
+    runs = [
+        serve(
+            config,
+            im,
+            lambda index: recommend.vote_scores(
+                rows, norms, im.matrix, index, config.neighbors, weighted
+            ),
+        )
+    ]
     return runs, time.perf_counter() - started, echo, traces
 
 
@@ -403,14 +405,25 @@ def evaluate_recommendations(
     results: Sequence[recommend.RecommendationList],
     out_dir: Path,
 ) -> MetricsReport:
-    """Score saved recommendation lists against the test split, in list order.
+    """Score saved recommendation lists of one method against the test
+    split, in list order.
 
     Lists of users outside the evaluation population are skipped; the
     report is written into out_dir.
 
     Raises:
+        FormatError: if the lists come from more than one method, naming
+            them, or a user has more than one list, naming the user.
         ConfigError: if a scored list is longer than config.k.
     """
+    methods = sorted({result.method for result in results})
+    if len(methods) > 1:
+        raise FormatError(f"the lists mix methods {methods}; evaluate one method at a time")
+    users: set[str] = set()
+    for result in results:
+        if result.user in users:
+            raise FormatError(f"user {result.user!r} has more than one list")
+        users.add(result.user)
     truth = build_ground_truth(load_dataset(config))
     scored = [result for result in results if result.user in truth]
     for result in scored:

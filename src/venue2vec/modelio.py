@@ -128,6 +128,10 @@ def load_embedding_model(path: str | Path) -> EmbeddingModel:
     Only architecture and feature count survive the round trip; the other
     training hyperparameters are not needed for querying and are restored
     as defaults.
+
+    Raises:
+        FormatError: if the file is not a well-formed model file, or a weight
+            is NaN or infinite.
     """
     with open(path, "rb") as handle:
         if _read_exact(handle, 4) != EMBEDDING_MAGIC:
@@ -157,6 +161,8 @@ def load_embedding_model(path: str | Path) -> EmbeddingModel:
         vocab = _vocabulary(tokens, frequencies, path)
         input_vectors = _read_matrix(handle, vocab_size, feature_count)
         output_vectors = _read_matrix(handle, vocab_size, feature_count)
+    if not (np.isfinite(input_vectors).all() and np.isfinite(output_vectors).all()):
+        raise FormatError(f"{path} holds a non-finite weight (NaN or inf)")
     config = TrainingConfig(
         architecture=_FLAG_ARCHS[arch_flag], feature_count=feature_count
     )

@@ -5,12 +5,12 @@ Three strategies:
   NN   collect the venues of the N most similar users and sum their votes.
   KIU  rank venues by cosine to the mean of the target's and neighbors' vectors.
 
-KNI is KIU with no neighbors, so one function (recommend_kiu) serves both.
-NN's rule is also CF's and the latent-factor baselines' (recommend_neighbors):
+Every method is a score rule: given the target's row it returns a fresh
+float64 score per catalog venue, -inf for a venue it cannot list, and
+top_k picks the list. KNI is KIU with no neighbors, so kiu_scores serves
+both. NN's rule is also CF's and the latent-factor baselines' (vote_scores):
 only the user space the neighbors are picked in differs.
 
-An unknown user or an undefined similarity query is never an error here: it
-yields an empty list, which the evaluation layer books as a coverage miss.
 All venue ids in results are raw (unprefixed) ids.
 """
 
@@ -23,8 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import InteractionMatrix, Vocabulary
-from .embedding import EmbeddingModel, cosine_top_k
+from .embedding import EmbeddingModel
 from .errors import FormatError, SimilarityError
 
 KNI = "kni"
@@ -33,23 +32,15 @@ KIU = "kiu"
 
 NO_PREDICTION = "no-prediction"
 
-
-@dataclass(frozen=True)
-class RecommendationRequest:
-    """One recommendation query; ties break by ascending token index.
-
-    neighbors=0 means the target alone: KIU with no neighbors is KNI.
-    """
-
-    user: str
-    k: int = 10
-    neighbors: int = 30
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.neighbors < 0:
-            raise ValueError("neighbors must be >= 0")
+# Below this many candidates top_k sorts them all at once; from it on, it
+# partitions first. Measured on one Xeon vCPU (k = 10 and 30, random cosines):
+# 256 candidates sort in 15 us against 16 us for partition and sort, 1,024 in
+# 45-52 us against 23-24, 9,904 in 1,220-1,240 us against 82-89. In the
+# perfbench workloads, cbow-serve's 9,904-venue rows and 1,664-user neighbour
+# picks partition (its recommend_s fell 0.78 -> 0.46 s, 10 of 10 pairs), while
+# planted-embed's 400-venue rows and baselines-run's 416-user picks and vote
+# rows of at most a few hundred venues take the one sort.
+PARTITION_MIN = 1024
 
 
 @dataclass
@@ -66,19 +57,66 @@ class RecommendationList:
         return [venue for venue, _ in self.items]
 
 
-def _neighbor_rows(
-    rows, norms: np.ndarray, query: np.ndarray, index: int, neighbors: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the rows most cosine-similar to row index, whose values the
-    query holds, and their similarities: at most neighbors, row index excluded,
-    ties by ascending position.
+def cosines(rows, norms: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Cosine of each row to the query, as a fresh float64 array.
+
+    rows is a dense array or a scipy sparse matrix and norms its precomputed
+    row norms, so a matrix's norms are computed once, not per query. The
+    query is cast to the rows' dtype for the product; a zero-norm row scores 0.
 
     Raises:
         SimilarityError: if the query has zero norm.
     """
-    top, sims = cosine_top_k(rows, norms, query, neighbors + 1)
-    keep = top != index
-    return top[keep][:neighbors], sims[keep][:neighbors]
+    query = np.asarray(query, dtype=np.float64)
+    query_norm = float(np.linalg.norm(query))
+    if query_norm == 0.0:
+        raise SimilarityError("query vector has zero norm")
+    dots = rows @ query.astype(rows.dtype, copy=False)
+    return np.asarray(dots, dtype=np.float64) / (
+        np.where(norms == 0.0, 1.0, norms) * query_norm
+    )
+
+
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k highest scores above -inf, by descending score,
+    ties by ascending position; fewer when fewer are above -inf.
+
+    Past PARTITION_MIN entries above -inf, a partition of those entries finds
+    the k-th highest score and only the entries at or above it are sorted,
+    exactly, so ties at the cut are ordered like the rest. Partitioning only
+    the entries above -inf keeps vote rows, mostly -inf, off numpy's slow
+    path for many equal values.
+
+    Raises:
+        ValueError: if k < 1.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    survivors = np.flatnonzero(scores > -np.inf)
+    if PARTITION_MIN < survivors.size and k < survivors.size:
+        values = scores[survivors]
+        floor = np.partition(values, values.size - k)[values.size - k]
+        survivors = survivors[values >= floor]
+    return survivors[np.lexsort((survivors, -scores[survivors]))][:k]
+
+
+def nearest_users(
+    rows, norms: np.ndarray, index: int, neighbors: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the at most neighbors rows most cosine-similar to row
+    index, itself excluded, ties by ascending position, and their similarities.
+
+    Raises:
+        SimilarityError: if row index has zero norm.
+        ValueError: if neighbors < 1 (top_k's k).
+    """
+    query = rows[index]
+    if sparse.issparse(query):
+        query = query.toarray().ravel()
+    sims = cosines(rows, norms, query)
+    sims[index] = -np.inf
+    near = top_k(sims, neighbors)
+    return near, sims[near]
 
 
 def vote_by_visit_counts(
@@ -92,79 +130,56 @@ def vote_by_visit_counts(
     return np.asarray(weights, dtype=np.float64) @ matrix[rows]
 
 
-def rank_votes(
-    votes: np.ndarray, k: int, venues: Sequence[str]
-) -> list[tuple[str, float]]:
-    """The k venues with the highest positive votes, ties by ascending column."""
-    positive = np.flatnonzero(votes > 0.0)
-    top = positive[np.lexsort((positive, -votes[positive]))][:k]
-    return [(venues[j], float(votes[j])) for j in top]
-
-
-def recommend_neighbors(
+def vote_scores(
     rows,
     norms: np.ndarray,
-    votes: InteractionMatrix,
-    request: RecommendationRequest,
-    method: str,
+    votes: sparse.csr_matrix,
+    index: int,
+    neighbors: int,
     weighted: bool,
-) -> RecommendationList:
-    """NN, CF, SVD and CCD++: venues voted by the request.neighbors users most
-    cosine-similar to the target in some user space.
+) -> np.ndarray:
+    """NN, CF, SVD and CCD++: each venue's vote from the neighbors users most
+    cosine-similar to user index in some user space, -inf without a positive vote.
 
     rows are the users' vectors (embedding, visit-count or latent rows) with
-    their norms, and votes' rows line up with them. Each neighbor adds its
-    vote row, scaled by its similarity when weighted (CF, which keeps only
-    positive similarities) and by 1 otherwise. A user without a row or with a
-    zero-norm row gets an empty list.
+    their norms, and the rows of the votes matrix line up with them. Each
+    neighbor adds its vote row, scaled by its similarity when weighted (CF,
+    which keeps only positive similarities) and by 1 otherwise.
+
+    Raises:
+        SimilarityError: if user index's row has zero norm.
+        ValueError: if neighbors < 1 (top_k's k).
     """
-    index = votes.user_index.get(request.user)
-    if index is None:
-        return RecommendationList(request.user, method)
-    query = rows[index]
-    if sparse.issparse(query):
-        query = query.toarray().ravel()
-    try:
-        top, sims = _neighbor_rows(rows, norms, query, index, request.neighbors)
-    except SimilarityError:
-        return RecommendationList(request.user, method)
+    near, sims = nearest_users(rows, norms, index, neighbors)
     if weighted:
-        top, weights = top[sims > 0.0], sims[sims > 0.0]
+        near, weights = near[sims > 0.0], sims[sims > 0.0]
     else:
-        weights = np.ones(len(top))
-    items = rank_votes(vote_by_visit_counts(votes.matrix, top, weights), request.k, votes.venues)
-    return RecommendationList(request.user, method, items)
+        weights = np.ones(len(near))
+    tally = vote_by_visit_counts(votes, near, weights)
+    return np.where(tally > 0.0, tally, -np.inf)
 
 
-def recommend_kiu(
-    model: EmbeddingModel, request: RecommendationRequest
-) -> RecommendationList:
-    """KIU and KNI: venues ranked by cosine to the mean of the target's user
-    vector and its request.neighbors nearest users' vectors.
+def kiu_scores(model: EmbeddingModel, index: int, neighbors: int) -> np.ndarray:
+    """KIU and KNI: the cosine of each venue row of the model's venue block
+    to the float64 mean of user row index and its neighbors nearest user rows.
 
-    With no neighbors the query is the target's own vector (the float64 mean
-    of one row is that row), which is KNI, and the list is labelled kni.
+    With no neighbors the query is the user's own row (the float64 mean of
+    one row is that row), which is KNI.
+
+    Raises:
+        SimilarityError: if the user's row or the mean has zero norm.
+        ValueError: if index is not a user row, or neighbors < 0 (top_k's k).
     """
-    method = KIU if request.neighbors else KNI
-    index = model.vocab.token_to_index.get(Vocabulary.user_token(request.user))
-    if index is None:
-        return RecommendationList(request.user, method)
     count = model.vocab.user_count
+    if not 0 <= index < count:
+        raise ValueError(f"{index} is not a user row in [0, {count})")
     vectors, norms = model.input_vectors, model.input_norms()
     rows = [index]
-    try:
-        if request.neighbors:
-            near, _ = _neighbor_rows(
-                vectors[:count], norms[:count], vectors[index], index, request.neighbors
-            )
-            rows = np.r_[index, near]
-        query = vectors[rows].astype(np.float64).mean(axis=0)
-        top, scores = cosine_top_k(vectors[count:], norms[count:], query, request.k)
-    except SimilarityError:
-        return RecommendationList(request.user, method)
-    venues = model.vocab.index_to_token[count:]
-    items = [(Vocabulary.strip_prefix(venues[j]), float(s)) for j, s in zip(top, scores)]
-    return RecommendationList(request.user, method, items)
+    if neighbors:
+        near, _ = nearest_users(vectors[:count], norms[:count], index, neighbors)
+        rows = np.r_[index, near]
+    query = vectors[rows].astype(np.float64).mean(axis=0)
+    return cosines(vectors[count:], norms[count:], query)
 
 
 def format_batch_line(result: RecommendationList) -> str:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from venue2vec import recommend
 from venue2vec.corpus import (
     CheckinRecord,
     build_interactions,
@@ -10,7 +11,6 @@ from venue2vec.corpus import (
 )
 from venue2vec.embedding import TrainingConfig, init_model, train
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
-from venue2vec.recommend import _neighbor_rows
 
 
 def make_records(visits: dict[str, list[str]], start: int = 1294000000):
@@ -29,9 +29,8 @@ def nearest_users(model, user: str, count: int) -> list[tuple[str, float]]:
     (user, similarity), by the neighbor pick every method uses."""
     vocab = model.vocab
     users = model.input_vectors[: vocab.user_count]
-    index = vocab.index("U:" + user)
-    top, sims = _neighbor_rows(
-        users, model.input_norms()[: vocab.user_count], users[index], index, count
+    top, sims = recommend.nearest_users(
+        users, model.input_norms()[: vocab.user_count], vocab.index("U:" + user), count
     )
     return [(vocab.token(int(i))[2:], float(s)) for i, s in zip(top, sims)]
 

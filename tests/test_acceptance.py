@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from venue2vec.baselines import CF, ccdpp_factorize, svd_factorize
+from venue2vec.baselines import ccdpp_factorize, svd_factorize
 from venue2vec.corpus import (
     CheckinRecord,
     Dataset,
@@ -48,11 +48,7 @@ from venue2vec.metrics import (
     prediction_coverage,
     score_user,
 )
-from venue2vec.recommend import (
-    RecommendationRequest,
-    recommend_kiu,
-    recommend_neighbors,
-)
+from venue2vec.recommend import top_k, vote_scores
 
 from oracles import (
     als_final_objective,
@@ -138,7 +134,7 @@ def _random_model(rng, n_venues, features):
     model = init_model(vocab, config, dtype=np.float64)
     model.input_vectors = rng.normal(size=model.input_vectors.shape)
     model.invalidate_caches()
-    return model
+    return model, records
 
 
 def test_criterion_2_top_k_oracle_equivalence():
@@ -147,16 +143,15 @@ def test_criterion_2_top_k_oracle_equivalence():
     for trial in range(100):
         n_venues = 10_000 if trial < 2 else int(rng.integers(100, 10_001))
         features = int(rng.integers(4, 101))
-        model = _random_model(rng, n_venues, features)
-        user = "u0"
-        request = RecommendationRequest(user=user, k=10, neighbors=0)
-        ours = recommend_kiu(model, request)
-        query = model.input_vectors[model.vocab.index("U:" + user)]
+        model, records = _random_model(rng, n_venues, features)
+        config = ExperimentConfig(method="kni", k=10)
+        ours = embedding_recommender(config, model, Dataset(records, []))("u0")
+        count = model.vocab.user_count
+        query = model.input_vectors[model.vocab.index("U:u0")]
         reference = brute_force_top_k(
-            model.input_vectors, query, model.vocab.venue_indices(), 10
+            model.input_vectors, query, np.arange(count, len(model.vocab)), 10
         )
-        expected = [model.vocab.token(i)[2:] for i, _ in reference]
-        assert ours.venues() == expected
+        assert ours.venues() == [model.vocab.token(i)[2:] for i, _ in reference]
         for (_, score), (_, ref_score) in zip(ours.items, reference):
             assert score == pytest.approx(ref_score, abs=1e-9)
     elapsed = time.perf_counter() - started
@@ -456,9 +451,11 @@ def test_criterion_7_coverage_contract(planted_run):
     assert len(truth) == 20
     predicted = [
         int(
-            recommend_neighbors(
-                im.matrix, im.row_norms, im, RecommendationRequest(user, 10, 5), CF, True
-            ).predicted
+            top_k(
+                vote_scores(im.matrix, im.row_norms, im.matrix, im.user_index[user], 5, True),
+                10,
+            ).size
+            > 0
         )
         for user in sorted(truth)
     ]
@@ -482,11 +479,13 @@ def test_criterion_8_kni_timing_budget():
     model.input_vectors = rng.normal(size=model.input_vectors.shape).astype(np.float32)
     model.invalidate_caches()
 
+    recommend_one = embedding_recommender(
+        ExperimentConfig(method="kni", k=10), model, Dataset(records, [])
+    )
     samples = []
     for i in range(100):
-        request = RecommendationRequest(user=users[i], k=10, neighbors=0)
         begin = time.perf_counter()
-        result = recommend_kiu(model, request)
+        result = recommend_one(users[i])
         samples.append(time.perf_counter() - begin)
         assert len(result.items) == 10
     median = float(np.median(samples))

@@ -12,7 +12,7 @@ from venue2vec.baselines import (
 )
 from venue2vec.corpus import build_interactions
 from venue2vec.harness import ExperimentConfig
-from venue2vec.recommend import RecommendationRequest, recommend_neighbors
+from venue2vec.recommend import vote_scores
 
 from conftest import community_of, make_records
 from oracles import als_final_objective, jacobi_singular_values
@@ -55,24 +55,20 @@ def test_matrix_binary_mode():
 # ------------------------------------------------------------- CF
 
 
-def recommend_cf(im, user, neighbors, k):
-    """CF's list: the neighbor rule over visit-count rows, weighted by
-    similarity."""
-    request = RecommendationRequest(user=user, k=k, neighbors=neighbors)
-    return recommend_neighbors(im.matrix, im.row_norms, im, request, CF, True)
-
-
-def recommend_cf_unseen(im, user, neighbors, k):
-    """CF's list without the user's own venues, by the seen rule of a run
-    with filter_seen."""
-    config = ExperimentConfig(k=k, filter_seen=True)
-    recommend_k = lambda user, depth: recommend_cf(im, user, neighbors, depth)  # noqa: E731
-    return harness._per_user(config, im, recommend_k)(user)
+def recommend_cf(im, user, neighbors, k, filter_seen=False):
+    """CF's list as a run serves it: the neighbor rule over visit-count rows,
+    weighted by similarity, without the user's own venues under filter_seen."""
+    config = ExperimentConfig(method=CF, k=k, neighbors=neighbors, filter_seen=filter_seen)
+    return harness.serve(
+        config,
+        im,
+        lambda index: vote_scores(im.matrix, im.row_norms, im.matrix, index, neighbors, True),
+    )(user)
 
 
 def test_cf_twin_users_recommend_missing_venue():
     im = matrix_from({"a": ["x", "y"], "b": ["x", "y", "z"]})
-    result = recommend_cf_unseen(im, "a", neighbors=1, k=1)
+    result = recommend_cf(im, "a", neighbors=1, k=1, filter_seen=True)
     assert result.venues() == ["z"]
     assert result.items[0][1] == pytest.approx(2 / (np.sqrt(2) * np.sqrt(3)))
 
@@ -92,7 +88,7 @@ def test_cf_isolated_user_gets_no_prediction():
 
 def test_cf_hand_computed_scores():
     im = matrix_from({"A": ["x", "y"], "B": ["x", "z"], "C": ["y", "z", "w"]})
-    result = recommend_cf_unseen(im, "A", neighbors=2, k=3)
+    result = recommend_cf(im, "A", neighbors=2, k=3, filter_seen=True)
     cos_ab = 0.5
     cos_ac = 1 / np.sqrt(6)
     assert result.venues() == ["z", "w"]
@@ -114,7 +110,7 @@ def test_cf_all_neighbors_binary_matches_brute_force(rng):
     im = build_interactions(make_records(users), binary=True)
 
     target = "u0"
-    result = recommend_cf_unseen(im, target, neighbors=len(users), k=5)
+    result = recommend_cf(im, target, neighbors=len(users), k=5, filter_seen=True)
 
     dense = im.matrix.toarray()
     t = im.user_index[target]
@@ -141,21 +137,32 @@ def test_cf_all_neighbors_binary_matches_brute_force(rng):
 
 
 def test_random_full_catalog_is_permutation():
-    result = recommend_random(["a", "b", "c"], "u", k=3, seed=1)
+    result = recommend_random(["a", "b", "c"], "u", k=3, seed=1, seen=())
     assert sorted(result.venues()) == ["a", "b", "c"]
 
 
 def test_random_k_above_catalog_returns_all():
-    result = recommend_random(["a", "b"], "u", k=10, seed=0)
+    result = recommend_random(["a", "b"], "u", k=10, seed=0, seen=())
     assert sorted(result.venues()) == ["a", "b"]
 
 
 def test_random_seeded_determinism():
-    first = recommend_random(list("abcdefgh"), "u", k=4, seed=7)
-    second = recommend_random(list("abcdefgh"), "u", k=4, seed=7)
+    first = recommend_random(list("abcdefgh"), "u", k=4, seed=7, seen=())
+    second = recommend_random(list("abcdefgh"), "u", k=4, seed=7, seen=())
     assert first.venues() == second.venues()
-    third = recommend_random(list("abcdefgh"), "u", k=4, seed=8)
+    third = recommend_random(list("abcdefgh"), "u", k=4, seed=8, seen=())
     assert first.venues() != third.venues()
+
+
+def test_random_seen_venues_are_skipped_in_permutation_order():
+    """With seen positions the list is the unfiltered permutation without
+    them, each venue keeping its score 1 / (1 + place in the permutation)."""
+    catalog = list("abcdefgh")
+    full = recommend_random(catalog, "u", k=8, seed=3, seen=())
+    seen = [catalog.index(v) for v in full.venues()[:5:2]]
+    unseen = recommend_random(catalog, "u", k=3, seed=3, seen=seen)
+    expected = [(v, s) for v, s in full.items if catalog.index(v) not in seen][:3]
+    assert unseen.items == expected
 
 
 def test_random_precision_matches_analytic_expectation(rng):
@@ -165,7 +172,7 @@ def test_random_precision_matches_analytic_expectation(rng):
     k = 10
     hits = []
     for seed in range(2000):
-        picks = recommend_random(catalog, "u", k=k, seed=seed).venues()
+        picks = recommend_random(catalog, "u", k=k, seed=seed, seen=()).venues()
         hits.append(len(set(picks) & relevant) / k)
     expected = len(relevant) / len(catalog)
     assert np.mean(hits) == pytest.approx(expected, abs=3e-3)
@@ -302,10 +309,13 @@ def test_ccdpp_parameter_validation():
 
 def recommend_latent_neighbors(factors, im, user, neighbors, k):
     """The latent rule: the neighbor rule over user-latent rows, unit votes."""
-    request = RecommendationRequest(user=user, k=k, neighbors=neighbors)
-    return recommend_neighbors(
-        factors.user_factors, factors.user_norms, im, request, SVD, False
-    )
+    config = ExperimentConfig(method=SVD, k=k, neighbors=neighbors)
+    rows, norms = factors.user_factors, factors.user_norms
+    return harness.serve(
+        config,
+        im,
+        lambda index: vote_scores(rows, norms, im.matrix, index, neighbors, False),
+    )(user)
 
 
 def test_latent_neighbor_takes_neighbors_venues():
@@ -315,9 +325,6 @@ def test_latent_neighbor_takes_neighbors_venues():
         user_factors=latent,
         venue_factors=np.zeros((4, 2)),
         rank=2,
-        regularization=0.0,
-        users=im.users,
-        venues=im.venues,
     )
     result = recommend_latent_neighbors(factors, im, "a", neighbors=1, k=2)
     assert set(result.venues()) == {"x", "z"}  # b's venues, vote weight 1 each
@@ -326,7 +333,7 @@ def test_latent_neighbor_takes_neighbors_venues():
 def test_latent_identical_rows_are_top_neighbors():
     im = matrix_from({"a": ["x"], "b": ["y"], "c": ["z"]})
     latent = np.array([[0.5, 0.5], [0.5, 0.5], [-0.9, 0.1]])
-    factors = FactorModel(latent, np.zeros((3, 2)), 2, 0.0, im.users, im.venues)
+    factors = FactorModel(latent, np.zeros((3, 2)), 2)
     result = recommend_latent_neighbors(factors, im, "a", neighbors=1, k=1)
     assert result.venues() == ["y"]  # b is a's perfect cosine twin
 
@@ -334,7 +341,7 @@ def test_latent_identical_rows_are_top_neighbors():
 def test_latent_neighbor_exact_k_forced():
     im = matrix_from({"a": ["x"], "b": ["p", "q"]})
     latent = np.array([[1.0, 0.0], [0.8, 0.2]])
-    factors = FactorModel(latent, np.zeros((3, 2)), 2, 0.0, im.users, im.venues)
+    factors = FactorModel(latent, np.zeros((3, 2)), 2)
     result = recommend_latent_neighbors(factors, im, "a", neighbors=1, k=2)
     assert set(result.venues()) == {"p", "q"}
 

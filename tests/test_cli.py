@@ -1,11 +1,13 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from venue2vec.cli import main
 from venue2vec.harness import ExperimentConfig
 from venue2vec.metrics import read_report_csv
+from venue2vec.modelio import load_embedding_model, save_embedding_model
 from venue2vec.recommend import read_batch_recommendations
 
 
@@ -339,6 +341,67 @@ def test_evaluate_topk_below_list_length_is_config_error(fixture_file, tmp_path,
     assert "config error" in err
     assert f"user {first.user!r} holds {len(first.items)} venues, more than k=5" in err
     assert not (tmp_path / "eval").exists()  # rejected before scoring
+
+
+def test_evaluate_mixed_methods_is_format_error(fixture_file, tmp_path, capsys):
+    argv = ["--input", str(fixture_file), "--neighbors", "5", "--topk", "5"]
+    for method in ("cf", "svd"):
+        assert main(["run", *argv, "--method", method, "--out-dir", str(tmp_path / method)]) == 0
+    batch = tmp_path / "mixed.tsv"
+    batch.write_text(
+        "".join((tmp_path / m / "recommendations.tsv").read_text() for m in ("cf", "svd"))
+    )
+    capsys.readouterr()
+    evaluate = ["evaluate", "--recommendations", str(batch), *argv[:2], "--topk", "5"]
+    assert main([*evaluate, "--out-dir", str(tmp_path / "eval")]) == 2
+    assert "mix methods ['cf', 'svd']" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_evaluate_repeated_user_is_format_error(fixture_file, tmp_path, capsys):
+    argv = ["--input", str(fixture_file), "--neighbors", "5", "--topk", "5"]
+    assert main(["run", *argv, "--method", "cf", "--out-dir", str(tmp_path / "cf")]) == 0
+    lines = (tmp_path / "cf" / "recommendations.tsv").read_text().splitlines(keepends=True)
+    batch = tmp_path / "repeated.tsv"
+    batch.write_text("".join(lines + lines[3:4]))
+    capsys.readouterr()
+    evaluate = ["evaluate", "--recommendations", str(batch), *argv[:2], "--topk", "5"]
+    assert main([*evaluate, "--out-dir", str(tmp_path / "eval")]) == 2
+    user = lines[3].split("\t")[0]
+    assert f"user {user!r} has more than one list" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_recommend_lists_a_repeated_user_once_and_evaluate_accepts_it(
+    fixture_file, tmp_path, capsys
+):
+    model_path = tmp_path / "model.bin"
+    common = ["--input", str(fixture_file), "--features", "4", "--epochs", "1"]
+    assert main(["train", *common, "--model-out", str(model_path)]) == 0
+    users_file = tmp_path / "users.txt"
+    users_file.write_text("c0u1\nc1u0\nc0u1\n")
+    out = tmp_path / "recs.tsv"
+    argv = ["recommend", *common, "--model", str(model_path), "--method", "kni"]
+    assert main([*argv, "--users", str(users_file), "--out", str(out)]) == 0
+    assert [r.user for r in read_batch_recommendations(out)] == ["c0u1", "c1u0"]
+    evaluate = ["evaluate", "--recommendations", str(out), "--input", str(fixture_file)]
+    assert main([*evaluate, "--out-dir", str(tmp_path / "eval")]) == 0
+    assert "(2 users)" in capsys.readouterr().out
+
+
+def test_recommend_with_nan_weight_is_format_error(fixture_file, tmp_path, capsys):
+    model_path = tmp_path / "model.bin"
+    common = ["--input", str(fixture_file), "--features", "4", "--epochs", "1"]
+    assert main(["train", *common, "--model-out", str(model_path)]) == 0
+    model = load_embedding_model(model_path)
+    model.input_vectors[0, 1] = np.nan  # one user row
+    save_embedding_model(model, model_path)
+    capsys.readouterr()
+    out = tmp_path / "recs.tsv"
+    argv = ["recommend", *common, "--model", str(model_path), "--method", "kni"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"{model_path} holds a non-finite weight" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_names_each_failed_value(fixture_file, tmp_path, capsys):

@@ -20,7 +20,6 @@ from venue2vec.embedding import (
     _sgns_step,
     _sgns_update,
     context_pairs,
-    cosine_top_k,
     negative_sampling_gradient,
     init_model,
     resolve_window,
@@ -33,6 +32,7 @@ from venue2vec.errors import (
     TrainingError,
 )
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
+from venue2vec.recommend import cosines, top_k
 
 from conftest import make_records
 from oracles import brute_force_top_k, context_pairs_reference, two_token_scalar_reference
@@ -48,13 +48,17 @@ def row(model, token):
     return model.input_vectors[model.vocab.index(token)]
 
 
+def venue_indices(vocab):
+    return np.arange(vocab.user_count, len(vocab))
+
+
 def nearest(model, query, candidates, k):
     """The k candidate tokens whose model rows are most cosine-similar to
-    query, with their scores, through cosine_top_k over those rows."""
+    query, with their scores, through cosines and top_k over those rows."""
     candidates = np.asarray(candidates)
     rows, norms = model.input_vectors[candidates], model.input_norms()[candidates]
-    top, scores = cosine_top_k(rows, norms, query, k)
-    return [(model.vocab.token(int(candidates[i])), float(s)) for i, s in zip(top, scores)]
+    scores = cosines(rows, norms, query)
+    return [(model.vocab.token(int(candidates[i])), float(scores[i])) for i in top_k(scores, k)]
 
 
 # ---------------------------------------------------------------- config
@@ -197,7 +201,7 @@ def test_toy_corpus_co_visited_venues_mutually_nearest(toy_model):
     other's nearest venue."""
     model = toy_model
     vocab = model.vocab
-    venue_idx = vocab.venue_indices()
+    venue_idx = venue_indices(vocab)
     for venue, expected in (("Loc0", "Loc2"), ("Loc2", "Loc0")):
         query = row(model, "V:" + venue)
         candidates = venue_idx[venue_idx != vocab.index("V:" + venue)]
@@ -393,7 +397,7 @@ def test_cbow_training_brings_co_occurring_tokens_close(toy_records):
     model, trace = train(init_model(vocab, config), corpus)
     assert np.isfinite(model.input_vectors).all()
     assert trace[-1].average_loss < trace[0].average_loss
-    venue_idx = vocab.venue_indices()
+    venue_idx = venue_indices(vocab)
     query = row(model, "V:Loc0")
     candidates = venue_idx[venue_idx != vocab.index("V:Loc0")]
     top2 = {t for t, _ in nearest(model, query, candidates, 2)}
@@ -427,7 +431,7 @@ def test_vocabulary_index_unknown_token(toy_model):
 def test_self_similarity_is_one(toy_model):
     vocab = toy_model.vocab
     query = row(toy_model, "V:Loc3")
-    top = nearest(toy_model, query, vocab.venue_indices(), 1)
+    top = nearest(toy_model, query, venue_indices(vocab), 1)
     assert top[0][0] == "V:Loc3"
     assert top[0][1] == pytest.approx(1.0)
 
@@ -439,7 +443,7 @@ def test_top_k_matches_brute_force(rng):
     model.input_vectors = rng.normal(size=model.input_vectors.shape)
     model.invalidate_caches()
     query = rng.normal(size=12)
-    candidates = vocab.venue_indices()
+    candidates = venue_indices(vocab)
     ours = nearest(model, query, candidates, 10)
     reference = brute_force_top_k(model.input_vectors, query, candidates, 10)
     assert [vocab.index(t) for t, _ in ours] == [i for i, _ in reference]
@@ -451,8 +455,8 @@ def test_top_k_matches_brute_force(rng):
 @settings(max_examples=40, deadline=None)
 def test_top_k_invariant_under_positive_scaling(toy_model, scale):
     query = np.asarray(row(toy_model, "U:u0"), dtype=np.float64)
-    base = nearest(toy_model, query, toy_model.vocab.venue_indices(), 4)
-    scaled = nearest(toy_model, query * scale, toy_model.vocab.venue_indices(), 4)
+    base = nearest(toy_model, query, venue_indices(toy_model.vocab), 4)
+    scaled = nearest(toy_model, query * scale, venue_indices(toy_model.vocab), 4)
     assert [t for t, _ in base] == [t for t, _ in scaled]
 
 
@@ -462,12 +466,12 @@ def test_top_k_tie_break_ascending_index():
     model = init_model(vocab, config, dtype=np.float64)
     model.input_vectors = np.ones((5, 2))  # every cosine identical
     model.invalidate_caches()
-    top = nearest(model, np.ones(2), vocab.venue_indices(), 3)
+    top = nearest(model, np.ones(2), venue_indices(vocab), 3)
     assert [t for t, _ in top] == ["V:v0", "V:v1", "V:v2"]
 
 
 def test_top_k_saturation_returns_all_candidates(toy_model):
-    venues = toy_model.vocab.venue_indices()
+    venues = venue_indices(toy_model.vocab)
     top = nearest(toy_model, row(toy_model, "U:u0"), venues, 50)
     assert len(top) == len(venues)
     scores = [s for _, s in top]
@@ -476,4 +480,4 @@ def test_top_k_saturation_returns_all_candidates(toy_model):
 
 def test_top_k_zero_norm_query_raises(toy_model):
     with pytest.raises(SimilarityError):
-        cosine_top_k(toy_model.input_vectors, toy_model.input_norms(), np.zeros(2), 3)
+        cosines(toy_model.input_vectors, toy_model.input_norms(), np.zeros(2))

@@ -370,6 +370,29 @@ def test_filter_seen_holds_for_every_method(tmp_path):
                 assert set(venues) <= set(im.venues)
 
 
+@pytest.mark.parametrize("method", ["kni", "nn", "kiu", "cf", "svd", "ccdpp"])
+def test_seen_mask_equals_full_depth_recut(method):
+    """Masking the seen venues before the top-k lists what a full-depth
+    re-rank would: the filter_seen list is the unfiltered list at k =
+    catalog size, the user's training venues removed, cut to k."""
+    dataset = harness.load_dataset(small_config())
+    im = build_interactions(dataset.train)
+
+    def lists(**overrides):
+        config = small_config(method=method, rank=4, **overrides)
+        (recommend_one,), *_ = harness._recommender_for(config, dataset)
+        return {user: recommend_one(user).items for user in im.users}
+
+    full, masked = lists(k=len(im.venues)), lists(filter_seen=True)
+    dropped = 0
+    for user in im.users:
+        seen = {im.venues[j] for j in im.venues_of(user)}
+        unseen = [item for item in full[user] if item[0] not in seen]
+        assert masked[user] == unseen[:10]
+        dropped += len(full[user]) - len(unseen)
+    assert dropped > 0  # the mask removed listed venues
+
+
 # ------------------------------------------------------------- sweeps
 
 

@@ -2,10 +2,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from venue2vec import harness
+from venue2vec import harness, recommend
 from venue2vec.baselines import svd_factorize
 from venue2vec.corpus import (
     Dataset,
@@ -16,19 +16,16 @@ from venue2vec.corpus import (
     split_train_test,
 )
 from venue2vec.embedding import TrainingConfig, init_model, train
-from venue2vec.errors import FormatError
+from venue2vec.errors import ConfigError, FormatError
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 from venue2vec.harness import EMBEDDING_METHODS, ExperimentConfig, embedding_recommender
 from venue2vec.recommend import (
     NN,
     NO_PREDICTION,
     RecommendationList,
-    RecommendationRequest,
-    _neighbor_rows,
     format_batch_line,
-    rank_votes,
     read_batch_recommendations,
-    recommend_kiu,
+    top_k,
     vote_by_visit_counts,
     write_batch_recommendations,
 )
@@ -49,18 +46,29 @@ def _serve(model, records, method, **overrides):
     return embedding_recommender(config, model, Dataset(train=records, test=[]))
 
 
-def _unseen(recommend_k, interactions, user, k):
-    """The seen rule of every run, applied to recommend_k(user, depth)."""
-    config = ExperimentConfig(k=k, filter_seen=True)
-    return harness._per_user(config, interactions, recommend_k)(user)
+def kiu_list(model, records, user, k, neighbors):
+    """KIU's list for user, KNI's at neighbors=0, as a run serves it."""
+    method = recommend.KIU if neighbors else recommend.KNI
+    return _serve(model, records, method, k=k, neighbors=neighbors)(user)
+
+
+def _ranked(scores, table, user, k, filter_seen=False):
+    """The items a run lists for user from a fixed score row over table's
+    venues, the seen mask included under filter_seen."""
+    config = ExperimentConfig(method=NN, k=k, filter_seen=filter_seen)
+    return harness.serve(config, table, lambda index: scores.copy())(user).items
+
+
+def _vote_row(votes):
+    """A vote tally as a score row: -inf where no positive vote."""
+    return np.where(votes > 0.0, votes, -np.inf)
 
 
 # ------------------------------------------------------------- toy examples
 
 
-def test_kni_toy_top2_are_the_users_own_cluster(toy_model):
-    request = RecommendationRequest(user="u0", k=2, neighbors=0)
-    result = recommend_kiu(toy_model, request)
+def test_kni_toy_top2_are_the_users_own_cluster(toy_model, toy_records):
+    result = kiu_list(toy_model, toy_records, "u0", 2, 0)
     assert result.method == "kni"
     venues = result.venues()
     assert venues[0] == "Loc1"  # visited twice by u0 and nobody else
@@ -112,12 +120,12 @@ def test_neighbor_pick_matches_brute_force_on_count_and_latent_rows(
     im = community_interactions
     dense = im.matrix.toarray()
     _assert_pick_is_brute_force(
-        lambda i: _neighbor_rows(im.matrix, im.row_norms, dense[i], i, 7), dense, 7
+        lambda i: recommend.nearest_users(im.matrix, im.row_norms, i, 7), dense, 7
     )
     latent = svd_factorize(im, 6, seed=1)
     rows = latent.user_factors
     _assert_pick_is_brute_force(
-        lambda i: _neighbor_rows(rows, latent.user_norms, rows[i], i, 7), rows, 7
+        lambda i: recommend.nearest_users(rows, latent.user_norms, i, 7), rows, 7
     )
 
 
@@ -129,12 +137,11 @@ def test_neighbor_pick_returns_n_when_lower_rows_tie_the_target():
     model = _user_model(users)
     visits = {"a": ["x", "y"], "b": ["x", "y"], "c": ["x", "y"], "d": ["z"]}
     im = build_interactions(make_records(visits))
-    dense = im.matrix.toarray()
     for n in range(1, 5):
         expected = brute_force_top_k(users, users[2], [0, 1, 3, 4], n)
         ranked = nearest_users(model, "u2", n)
         assert [user for user, _ in ranked] == [f"u{i}" for i, _ in expected]
-        top, _ = _neighbor_rows(im.matrix, im.row_norms, dense[2], 2, min(n, 3))
+        top, _ = recommend.nearest_users(im.matrix, im.row_norms, 2, min(n, 3))
         assert list(top) == [0, 1, 3][: min(n, 3)]
 
 
@@ -146,9 +153,8 @@ def test_nn_toy_recommends_from_neighbor_history(toy_model, toy_records):
     assert result.venues() == ["Loc0", "Loc2"]
 
 
-def test_kiu_toy_recommends_shared_pair(toy_model):
-    request = RecommendationRequest(user="u0", k=2, neighbors=1)
-    result = recommend_kiu(toy_model, request)
+def test_kiu_toy_recommends_shared_pair(toy_model, toy_records):
+    result = kiu_list(toy_model, toy_records, "u0", 2, 1)
     assert set(result.venues()) == {"Loc0", "Loc2"}
 
 
@@ -162,7 +168,7 @@ def _vote(visits, neighbors, binary=False):
     rows = [im.user_index[n] for n in neighbors]
     votes = vote_by_visit_counts(im.matrix, rows, np.ones(len(rows)))
     voted = {im.venues[j]: float(votes[j]) for j in np.flatnonzero(votes)}
-    return voted, rank_votes(votes, 2, im.venues)
+    return voted, [(im.venues[j], float(votes[j])) for j in top_k(_vote_row(votes), 2)]
 
 
 def test_vote_sums_visit_counts():
@@ -183,13 +189,7 @@ def test_vote_excluded_venues_removed():
     """The seen rule drops the target's own venues from a ranked vote."""
     im = build_interactions(make_records({"u": ["v2"], "n1": ["v1", "v1"] + ["v2"] * 5}))
     votes = vote_by_visit_counts(im.matrix, [im.user_index["n1"]], np.ones(1))
-    ranked = _unseen(
-        lambda user, depth: RecommendationList(user, NN, rank_votes(votes, depth, im.venues)),
-        im,
-        "u",
-        2,
-    )
-    assert dict(ranked.items) == {"v1": 2.0}
+    assert dict(_ranked(_vote_row(votes), im, "u", 2, filter_seen=True)) == {"v1": 2.0}
 
 
 def test_forced_outcome_neighbor_with_two_venues():
@@ -228,15 +228,7 @@ def test_vote_matches_counter_oracle(visits, data, binary, weighted, k):
     rows = [im.user_index[n] for n in neighbors]
     votes = vote_by_visit_counts(im.matrix, rows, np.array(weights))
     votes[[im.venue_index[v] for v in pruned]] = 0.0
-    if excluded:
-        ours = _unseen(
-            lambda user, depth: RecommendationList(user, NN, rank_votes(votes, depth, im.venues)),
-            im,
-            target,
-            k,
-        ).items
-    else:
-        ours = rank_votes(votes, k, im.venues)
+    ours = _ranked(_vote_row(votes), im, target, k, filter_seen=bool(excluded))
 
     expected_votes = vote_reference(
         neighbors,
@@ -254,17 +246,16 @@ def test_vote_matches_counter_oracle(visits, data, binary, weighted, k):
 
 def test_unknown_user_is_no_prediction(toy_model, toy_records):
     for result in (
-        recommend_kiu(toy_model, RecommendationRequest(user="stranger", k=3, neighbors=0)),
+        kiu_list(toy_model, toy_records, "stranger", 3, 0),
         _serve(toy_model, toy_records, NN, k=3, neighbors=1)("stranger"),
-        recommend_kiu(toy_model, RecommendationRequest(user="stranger", k=3, neighbors=1)),
+        kiu_list(toy_model, toy_records, "stranger", 3, 1),
     ):
         assert not result.predicted
         assert result.items == []
 
 
-def test_kni_saturation_returns_all_venues(toy_model):
-    request = RecommendationRequest(user="u0", k=100, neighbors=0)
-    result = recommend_kiu(toy_model, request)
+def test_kni_saturation_returns_all_venues(toy_model, toy_records):
+    result = kiu_list(toy_model, toy_records, "u0", 100, 0)
     assert len(result.items) == 8
     scores = [s for _, s in result.items]
     assert scores == sorted(scores, reverse=True)
@@ -282,8 +273,8 @@ def test_kiu_without_other_users_reduces_to_kni():
     corpus = build_sentences(records, vocab)
     config = TrainingConfig(feature_count=4, context_count=2, epoch_count=30, seed=0)
     model, _ = train(init_model(vocab, config), corpus)
-    kiu = recommend_kiu(model, RecommendationRequest(user="only", k=2, neighbors=5))
-    kni = recommend_kiu(model, RecommendationRequest(user="only", k=2, neighbors=0))
+    kiu = kiu_list(model, records, "only", 2, 5)
+    kni = kiu_list(model, records, "only", 2, 0)
     assert kiu.venues() == kni.venues()
 
 
@@ -293,9 +284,8 @@ def test_kiu_all_users_uniform_vectors_degrades_gracefully():
     model = init_model(vocab, TrainingConfig(feature_count=4, seed=0), dtype=np.float64)
     model.input_vectors = np.ones_like(model.input_vectors)  # every cosine ties
     model.invalidate_caches()
-    request = RecommendationRequest(user="a", k=2, neighbors=50)
-    first = recommend_kiu(model, request)
-    second = recommend_kiu(model, request)
+    first = kiu_list(model, records, "a", 2, 50)
+    second = kiu_list(model, records, "a", 2, 50)
     assert first.predicted
     assert first.items == second.items  # deterministic under total ties
     assert first.venues() == ["x", "y"]  # ascending token index
@@ -305,15 +295,17 @@ def _integer_model(rng, n_users, n_venues, features):
     """A float64 model whose every mean, dot and norm is exact: user entries
     are multiples of n_users (so a mean over 1, 2, 6 or n_users rows is an
     integer when n_users is 12) and venue entries small integers, drawn from
-    few values so that equal cosines, and so ties, are common."""
+    few values so that equal cosines, and so ties, are common. Returns the
+    model and the records its vocabulary was built from."""
     visits = {f"u{i}": ["v0"] for i in range(n_users)}
     visits["u0"] = [f"v{j}" for j in range(n_venues)]
-    vocab = build_vocabulary(make_records(visits), 1)
+    records = make_records(visits)
+    vocab = build_vocabulary(records, 1)
     model = init_model(vocab, TrainingConfig(feature_count=features, seed=0), dtype=np.float64)
     model.input_vectors[:n_users] = n_users * rng.integers(-1, 2, (n_users, features))
     model.input_vectors[n_users:] = rng.integers(-2, 3, (n_venues, features))
     model.invalidate_caches()
-    return model
+    return model, records
 
 
 def test_kiu_matches_brute_force_oracle():
@@ -325,12 +317,12 @@ def test_kiu_matches_brute_force_oracle():
     neighbor_ties = venue_ties = 0
     for _ in range(25):
         n_venues, features = int(rng.integers(5, 40)), int(rng.integers(2, 5))
-        model = _integer_model(rng, n_users, n_venues, features)
+        model, records = _integer_model(rng, n_users, n_venues, features)
         vectors = model.input_vectors
         for n in (0, 1, 5, n_users - 1):
             for target in range(n_users):
                 k = int(rng.integers(1, n_venues + 3))
-                result = recommend_kiu(model, RecommendationRequest(f"u{target}", k, n))
+                result = kiu_list(model, records, f"u{target}", k, n)
                 assert result.method == ("kni" if n == 0 else "kiu")
                 if not vectors[target].any():
                     assert not result.predicted
@@ -341,7 +333,8 @@ def test_kiu_matches_brute_force_oracle():
                 if not query.any():
                     assert not result.predicted
                     continue
-                expected = brute_force_top_k(vectors, query, model.vocab.venue_indices(), k)
+                venues = np.arange(n_users, len(model.vocab))
+                expected = brute_force_top_k(vectors, query, venues, k)
                 assert result.items == [(model.vocab.token(i)[2:], s) for i, s in expected]
                 neighbor_ties += len(neighbors) - len({s for _, s in neighbors})
                 venue_ties += len(expected) - len({s for _, s in expected})
@@ -360,7 +353,7 @@ def test_kni_lists_do_not_depend_on_neighbors(community_model, community_dataset
         return [serve(user) for user in users]
 
     kni = lists("kni", 1)
-    assert kni == [recommend_kiu(model, RecommendationRequest(u, 10, 0)) for u in users]
+    assert kni == [kiu_list(model, dataset.train, u, 10, 0) for u in users]
     for neighbors in (5, len(users) - 1):
         assert lists("kni", neighbors) == kni
     assert lists("kiu", 1) != lists("kiu", len(users) - 1)
@@ -387,17 +380,17 @@ def test_kiu_zero_norm_query_is_no_prediction():
     model.input_vectors[vocab.index("U:b")] = np.array([-1.0, 0.0, 0.0, 0.0])
     model.input_vectors[vocab.index("V:x")] = np.ones(4)
     model.invalidate_caches()
-    request = RecommendationRequest(user="a", k=1, neighbors=1)
-    result = recommend_kiu(model, request)
-    assert not result.predicted
+    assert not kiu_list(model, records, "a", 1, 1).predicted
 
 
-def test_community_fixture_recommendations_stay_in_community(community_model):
+def test_community_fixture_recommendations_stay_in_community(
+    community_model, community_dataset
+):
     model, _ = community_model
+    dataset, _ = community_dataset
     request_users = ["c0u0", "c1u3"]
     for user in request_users:
-        request = RecommendationRequest(user=user, k=10, neighbors=0)
-        result = recommend_kiu(model, request)
+        result = kiu_list(model, dataset.train, user, 10, 0)
         assert len(result.items) == 10
         for venue, _ in result.items:
             assert community_of(venue) == community_of(user)
@@ -415,7 +408,7 @@ def test_pruned_venues_are_never_recommended():
     train_records = split_train_test(records, FEB_2011).train
     vocab = build_vocabulary(train_records, 2)
     interactions = build_interactions(train_records)
-    kept = {Vocabulary.strip_prefix(vocab.token(i)) for i in vocab.venue_indices()}
+    kept = {Vocabulary.strip_prefix(vocab.token(i)) for i in range(vocab.user_count, len(vocab))}
     assert len(kept) < len(interactions.venues)  # some venues were pruned
     config = TrainingConfig(feature_count=8, context_count=5, epoch_count=3, seed=1)
     model, _ = train(init_model(vocab, config), build_sentences(train_records, vocab))
@@ -467,21 +460,59 @@ def test_nn_and_kiu_serve_a_model_trained_on_other_records():
         votes = vote_reference(neighbors, visits, allowed=lambda v: "V:" + v in vocab)
         expected = rank_votes_reference(votes, 10, lambda v: vocab.index("V:" + v))
         assert nn(user).items == expected
-        request = RecommendationRequest(user=user, k=10, neighbors=3)
-        assert kiu(user).items == recommend_kiu(model, request).items
+        assert kiu(user).items == kiu_list(model, make_records(model_visits), user, 10, 3).items
     assert not nn("u9").predicted
     assert not kiu("u9").predicted
 
 
-def test_requests_validate_bounds():
+def test_requests_validate_bounds(toy_model):
+    """k and N below 1 are config errors for a run, and the library calls
+    reject them too: top_k takes k >= 1, kiu_scores a user row and N >= 0
+    (N = 0 is KNI) and nearest_users N >= 1."""
+    for overrides in ({"k": 0}, {"neighbors": 0}):
+        config = ExperimentConfig(method="kiu", fixture=FixtureSpec(), **overrides)
+        with pytest.raises(ConfigError):
+            config.validate()
+    vocab = toy_model.vocab
+    index = vocab.index("U:u0")
+    scores = recommend.kiu_scores(toy_model, index, 0)
+    assert scores.shape == (len(vocab) - vocab.user_count,)
+    assert np.isfinite(scores).all()
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            top_k(scores, k)
+    for bad_index, neighbors in ((index, -1), (-1, 0), (vocab.user_count, 1)):
+        with pytest.raises(ValueError):
+            recommend.kiu_scores(toy_model, bad_index, neighbors)
+    users = toy_model.input_vectors[: vocab.user_count]
     with pytest.raises(ValueError):
-        RecommendationRequest(user="u", k=0)
-    with pytest.raises(ValueError):
-        RecommendationRequest(user="u", neighbors=-1)
-    assert RecommendationRequest(user="u", neighbors=0).neighbors == 0
+        recommend.nearest_users(users, np.linalg.norm(users, axis=1), index, 0)
 
 
 # ------------------------------------------------------------- properties
+
+
+@given(
+    scores=st.lists(
+        st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0]) | st.floats(-3.0, 3.0),
+        max_size=40,
+    ),
+    k=st.integers(1, 45),
+    copies=st.sampled_from([1, 60]),
+)
+@example(scores=[-np.inf] * 4, k=2, copies=1)
+@example(scores=[1.0, -np.inf, 1.0, 0.0, 1.0], k=9, copies=1)
+@example(scores=[-np.inf] * 30 + [1.0], k=45, copies=60)
+@settings(max_examples=300, deadline=None)
+def test_top_k_equals_full_lexsort(scores, k, copies):
+    """top_k is the full (-score, position) sort of the entries above -inf,
+    cut to k: under heavy ties, -inf entries, all--inf rows and k past the
+    number of candidates, both for short rows and for rows past
+    PARTITION_MIN candidates (60 copies), where top_k partitions first."""
+    scores = np.tile(np.array(scores, dtype=np.float64), copies)
+    live = np.flatnonzero(scores > -np.inf)
+    expected = live[np.lexsort((live, -scores[live]))][:k]
+    assert top_k(scores, k).tolist() == expected.tolist()
 
 
 @given(
@@ -514,18 +545,19 @@ def test_deterministic_across_calls(toy_model, toy_records):
     assert first.items == second.items
 
 
-def test_concurrent_readers_agree(toy_model):
-    """Recommendation queries are read-only: many threads, one answer."""
+def test_concurrent_readers_agree(toy_model, toy_records):
+    """Recommendation queries are read-only: many threads sharing one
+    served KIU callable, one answer."""
     import threading
 
+    serve = _serve(toy_model, toy_records, "kiu", k=4, neighbors=2)
     toy_model.invalidate_caches()  # force the norm cache race too
-    request = RecommendationRequest(user="u0", k=4, neighbors=2)
-    expected = recommend_kiu(toy_model, request).items
+    expected = kiu_list(toy_model, toy_records, "u0", 4, 2).items
     outputs = []
 
     def worker():
         for _ in range(20):
-            outputs.append(recommend_kiu(toy_model, request).items)
+            outputs.append(serve("u0").items)
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:
@@ -538,10 +570,9 @@ def test_concurrent_readers_agree(toy_model):
 # ------------------------------------------------------------- batch format
 
 
-def test_batch_roundtrip(tmp_path, toy_model):
-    request = RecommendationRequest(user="u0", k=3, neighbors=0)
+def test_batch_roundtrip(tmp_path, toy_model, toy_records):
     results = [
-        recommend_kiu(toy_model, request),
+        kiu_list(toy_model, toy_records, "u0", 3, 0),
         RecommendationList("ghost", "kni"),
     ]
     path = tmp_path / "batch.tsv"
