@@ -212,8 +212,8 @@ def _cmd_recommend(args) -> int:
         users = sorted(build_ground_truth(dataset))
     if not users:
         raise ConfigError("no target users: supply --users or test-period data")
-    recommend_one = harness.embedding_recommender(config, model, dataset)
-    results = [recommend_one(user) for user in users]
+    recommend_users = harness.embedding_recommender(config, model, dataset)
+    results = list(recommend_users(users))
     recommend.write_batch_recommendations(results, args.out)
     misses = sum(1 for r in results if not r.predicted)
     print(f"wrote {len(results)} recommendation lines to {args.out} ({misses} no-prediction)")

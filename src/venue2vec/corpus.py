@@ -70,8 +70,10 @@ class Dataset:
         return self.test_users() - self.train_users()
 
 
-def _record_from_parts(parts: list[str], layout: FieldLayout) -> CheckinRecord | None:
-    if len(parts) < layout.width:
+def _record_from_parts(
+    parts: list[str], layout: FieldLayout, width: int
+) -> CheckinRecord | None:
+    if len(parts) < width:
         return None
     user = parts[layout.user_col].strip()
     venue = parts[layout.venue_col].strip()
@@ -105,13 +107,14 @@ def parse_checkins(
     records: list[CheckinRecord] = []
     skipped = 0
     total = 0
+    width = layout.width
     for raw in source:
         line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
         line = line.rstrip("\r\n")
         if not line.strip():
             continue
         total += 1
-        record = _record_from_parts(line.split(layout.delimiter), layout)
+        record = _record_from_parts(line.split(layout.delimiter), layout, width)
         if record is None:
             skipped += 1
         else:
@@ -147,9 +150,10 @@ def write_checkins(
     """Serialize records under the given layout; .gz suffix enables gzip."""
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
+    width = layout.width
     with opener(path, "wt", encoding="utf-8") as handle:
         for record in records:
-            fields = [""] * layout.width
+            fields = [""] * width
             fields[layout.user_col] = record.user_id
             fields[layout.venue_col] = record.venue_id
             fields[layout.time_col] = str(record.timestamp)
@@ -353,22 +357,34 @@ class InteractionMatrix:
             return np.empty(0, dtype=np.int64)
         return self.matrix.indices[self.matrix.indptr[row] : self.matrix.indptr[row + 1]]
 
-    def aligned_to(self, vocab: Vocabulary) -> InteractionMatrix:
-        """This table re-indexed to the vocabulary: row i is user token i and
-        column j venue token user_count + j. Vocabulary users without visits
-        here get empty rows; venues the vocabulary lacks are dropped."""
+    @classmethod
+    def of_vocabulary(cls, vocab: Vocabulary) -> InteractionMatrix:
+        """The vocabulary's users and venues with no visits: row i is user
+        token i and column j venue token user_count + j."""
         users = [Vocabulary.strip_prefix(t) for t in vocab.index_to_token[: vocab.user_count]]
         venues = [Vocabulary.strip_prefix(t) for t in vocab.index_to_token[vocab.user_count :]]
-        user_index = {u: i for i, u in enumerate(users)}
-        venue_index = {v: j for j, v in enumerate(venues)}
-        entries = self.matrix.tocoo()
-        rows = np.array([user_index.get(u, -1) for u in self.users], dtype=np.int64)[entries.row]
-        cols = np.array([venue_index.get(v, -1) for v in self.venues], dtype=np.int64)[entries.col]
-        kept = (rows >= 0) & (cols >= 0)
-        matrix = sparse.csr_matrix(
-            (entries.data[kept], (rows[kept], cols[kept])), shape=(len(users), len(venues))
+        return cls(
+            sparse.csr_matrix((len(users), len(venues))),
+            users,
+            venues,
+            {u: i for i, u in enumerate(users)},
+            {v: j for j, v in enumerate(venues)},
         )
-        return InteractionMatrix(matrix, users, venues, user_index, venue_index)
+
+    def aligned_to(self, vocab: Vocabulary) -> InteractionMatrix:
+        """This table re-indexed to the vocabulary, as of_vocabulary lays it
+        out. Vocabulary users without visits here get empty rows; venues the
+        vocabulary lacks are dropped."""
+        aligned = InteractionMatrix.of_vocabulary(vocab)
+        entries = self.matrix.tocoo()
+        rows = np.array([aligned.user_index.get(u, -1) for u in self.users], dtype=np.int64)
+        cols = np.array([aligned.venue_index.get(v, -1) for v in self.venues], dtype=np.int64)
+        rows, cols = rows[entries.row], cols[entries.col]
+        kept = (rows >= 0) & (cols >= 0)
+        aligned.matrix = sparse.csr_matrix(
+            (entries.data[kept], (rows[kept], cols[kept])), shape=aligned.shape
+        )
+        return aligned
 
 
 def build_interactions(

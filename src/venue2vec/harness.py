@@ -19,7 +19,7 @@ import traceback
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .embedding import (
     train,
     write_loss_trace,
 )
-from .errors import ConfigError, EmitError, FormatError, SimilarityError
+from .errors import ConfigError, EmitError, FormatError
 from .fixtures import FEB_2011, FixtureSpec, generate_fixture
 from .metrics import (
     MetricsReport,
@@ -77,6 +77,12 @@ _AXIS_FIELDS = {"F": "feature_count", "C": "context_count", "E": "epoch_count"}
 METRIC_COLUMNS = ["precision", "ndcg", "hitrate", "coverage"]
 
 ERROR_MARKER = "ERROR"
+
+# Users are served a block at a time, one score-rule call per block, and a
+# block's float64 arrays (its similarities to every user, its scores over the
+# catalog) hold about BLOCK_BYTES each, 2^17 entries: serving memory does not
+# grow with the population, and per-call overhead is paid per block.
+BLOCK_BYTES = 1 << 20
 
 
 def default_context_count(architecture: str) -> int | str:
@@ -178,59 +184,80 @@ def fit_embedding(
 def serve(
     config: ExperimentConfig,
     table: InteractionMatrix,
-    score_row: Callable[[int], np.ndarray],
-) -> Callable[[str], recommend.RecommendationList]:
-    """The per-user callable of a score rule: score_row(i) is a fresh score
-    row over table's venues for the user in table row i, -inf where a venue
-    cannot be listed.
+    score_block: Callable[[np.ndarray], np.ndarray],
+) -> Callable[[Sequence[str]], Iterator[recommend.RecommendationList]]:
+    """The recommend callable of a score rule: score_block(rows) is a fresh
+    (len(rows) x venues) score array for the users in those table rows,
+    -inf where a venue cannot be listed.
 
-    A user without a row, or whose similarity query is undefined, gets an
-    empty list, which evaluation books as a coverage miss. Under filter_seen
-    the user's training venues are masked to -inf before the one top-k, so
-    the list is exactly the top k of the unseen venues, ties included.
+    The callable lists the given users in order, a block at a time: one
+    score_block call per block of users, as many as BLOCK_BYTES holds rows
+    of the table's width (at most the table's user count). Every call gets
+    exactly that many rows, a short block repeating its rows and the
+    repeats' scores dropped: BLAS picks its kernel by product shape (numpy
+    sends one row to gemv, OpenBLAS small products to another kernel), the
+    kernels round differently, and a user's list must not depend on which
+    users share its block.
+
+    A user without a row gets an empty list, as does one whose row is all
+    -inf (an undefined similarity query); evaluation books both as coverage
+    misses. Under filter_seen each user's training venues are masked to -inf
+    before the one top-k per row, so the list is exactly the top k of the
+    unseen venues, ties included.
     """
+    width = max(len(table.users), len(table.venues))
+    size = max(1, min(BLOCK_BYTES // (8 * width), len(table.users)))
 
-    def recommend_one(user: str) -> recommend.RecommendationList:
-        index = table.user_index.get(user)
-        if index is None:
-            return recommend.RecommendationList(user, config.method)
-        try:
-            scores = score_row(index)
-        except SimilarityError:
-            return recommend.RecommendationList(user, config.method)
-        if config.filter_seen:
-            scores[table.venues_of(user)] = -np.inf
-        top = recommend.top_k(scores, config.k)
-        items = [(table.venues[j], float(scores[j])) for j in top]
-        return recommend.RecommendationList(user, config.method, items)
+    def recommend_users(users: Sequence[str]) -> Iterator[recommend.RecommendationList]:
+        for start in range(0, len(users), size):
+            block = users[start : start + size]
+            known = [user for user in block if user in table.user_index]
+            scores = {}
+            if known:
+                rows = np.array([table.user_index[user] for user in known], dtype=np.int64)
+                block_scores = score_block(np.resize(rows, size))[: len(rows)]
+                if config.filter_seen:
+                    block_scores[table.matrix[rows].nonzero()] = -np.inf
+                scores = dict(zip(known, block_scores))
+            for user in block:
+                items = []
+                if user in scores:
+                    row = scores[user]
+                    top = recommend.top_k(row, config.k)
+                    items = [(table.venues[j], float(row[j])) for j in top]
+                yield recommend.RecommendationList(user, config.method, items)
 
-    return recommend_one
+    return recommend_users
 
 
 def embedding_recommender(
     config: ExperimentConfig, model: EmbeddingModel, dataset: Dataset
-) -> Callable[[str], recommend.RecommendationList]:
-    """The per-user KNI/NN/KIU recommend callable over a trained model.
+) -> Callable[[Sequence[str]], Iterator[recommend.RecommendationList]]:
+    """The KNI/NN/KIU recommend callable over a trained model (see serve).
 
-    The training visits are aligned to the model's vocabulary, so table row
-    i is user row i and column j venue row user_count + j: NN votes from
-    them, pruned venues and users without history vote nothing, and ties
-    break by ascending vocabulary index. KNI is KIU with no neighbors.
+    Table row i is user row i and column j venue row user_count + j, and
+    ties break by ascending vocabulary index. The training visits are read
+    only where they are used, NN's votes and the seen mask: they are aligned
+    to the model's vocabulary, so pruned venues and users without history
+    vote nothing. KNI is KIU with no neighbors.
     """
-    table = build_interactions(dataset.train, config.binary_votes).aligned_to(model.vocab)
+    if config.method == recommend.NN or config.filter_seen:
+        table = build_interactions(dataset.train, config.binary_votes).aligned_to(model.vocab)
+    else:
+        table = InteractionMatrix.of_vocabulary(model.vocab)
     if config.method == recommend.NN:
         count = model.vocab.user_count
         rows, norms = model.input_vectors[:count], model.input_norms()[:count]
         return serve(
             config,
             table,
-            lambda index: recommend.vote_scores(
-                rows, norms, table.matrix, index, config.neighbors, weighted=False
+            lambda block: recommend.vote_scores(
+                rows, norms, table.matrix, block, config.neighbors, weighted=False
             ),
         )
     neighbors = config.neighbors if config.method == recommend.KIU else 0
     return serve(
-        config, table, lambda index: recommend.kiu_scores(model, index, neighbors)
+        config, table, lambda block: recommend.kiu_scores(model, block, neighbors)
     )
 
 
@@ -261,12 +288,15 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
 
         def random_run(seed: int):
             # per-user sub-seed so one run's draws are independent across users
-            return lambda user: baselines.recommend_random(
-                im.venues,
-                user,
-                config.k,
-                _user_seed(seed, user),
-                set(im.venues_of(user).tolist()) if config.filter_seen else (),
+            return lambda users: (
+                baselines.recommend_random(
+                    im.venues,
+                    user,
+                    config.k,
+                    _user_seed(seed, user),
+                    set(im.venues_of(user).tolist()) if config.filter_seen else (),
+                )
+                for user in users
             )
 
         runs = [random_run(config.seed + run) for run in range(config.random_runs)]
@@ -293,8 +323,8 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
         serve(
             config,
             im,
-            lambda index: recommend.vote_scores(
-                rows, norms, im.matrix, index, config.neighbors, weighted
+            lambda block: recommend.vote_scores(
+                rows, norms, im.matrix, block, config.neighbors, weighted
             ),
         )
     ]
@@ -302,20 +332,20 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
 
 
 def _evaluate_users(
-    recommend_one,
+    recommend_users,
     ground_truth: dict[str, set[str]],
     k: int,
     rows: list[UserResult],
 ) -> tuple[list[recommend.RecommendationList], float]:
     """Recommend and score every eligible user, in sorted user order.
 
-    The scored rows are appended to rows, so the caller still holds the
-    partial results if a recommender raises mid-run.
+    The scored rows are appended to rows as each list arrives, so the
+    caller still holds the partial results if a recommender raises mid-run.
     """
     results: list[recommend.RecommendationList] = []
     started = time.perf_counter()
-    for user in sorted(ground_truth):
-        result = recommend_one(user)
+    users = sorted(ground_truth)
+    for user, result in zip(users, recommend_users(users)):
         results.append(result)
         rows.append(score_user(user, result.venues(), ground_truth[user], k))
     return results, time.perf_counter() - started
@@ -356,12 +386,12 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
     runs, train_seconds, echo, traces = _recommender_for(config, dataset)
     many = len(runs) > 1
     reports: list[MetricsReport] = []
-    for index, recommend_one in enumerate(runs):
+    for index, recommend_users in enumerate(runs):
         per_user = f"per_user_run{index}.csv" if many else "per_user.csv"
         rows: list[UserResult] = []
         try:
             results, seconds = _evaluate_users(
-                recommend_one, ground_truth, config.k, rows
+                recommend_users, ground_truth, config.k, rows
             )
         except Exception:
             # keep the partial per-user rows for post-mortem; the caller adds

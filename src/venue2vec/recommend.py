@@ -5,10 +5,10 @@ Three strategies:
   NN   collect the venues of the N most similar users and sum their votes.
   KIU  rank venues by cosine to the mean of the target's and neighbors' vectors.
 
-Every method is a score rule: given the target's row it returns a fresh
-float64 score per catalog venue, -inf for a venue it cannot list, and
-top_k picks the list. KNI is KIU with no neighbors, so kiu_scores serves
-both. NN's rule is also CF's and the latent-factor baselines' (vote_scores):
+Every method is a score rule: given a block of target rows it returns a
+fresh float64 score per target and catalog venue, -inf for a venue it cannot
+list, and top_k picks each target's list. KNI is KIU with no neighbors, so
+kiu_scores serves both. NN's rule is also CF's and the latent-factor baselines' (vote_scores):
 only the user space the neighbors are picked in differs.
 
 All venue ids in results are raw (unprefixed) ids.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -101,85 +101,110 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def nearest_users(
-    rows, norms: np.ndarray, index: int, neighbors: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the at most neighbors rows most cosine-similar to row
-    index, itself excluded, ties by ascending position, and their similarities.
+    rows, norms: np.ndarray, block: np.ndarray, neighbors: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each row index in block, the positions of the at most neighbors
+    rows most cosine-similar to it, itself excluded, ties by ascending
+    position, and their similarities; none for a zero-norm row.
+
+    rows is a dense array or a scipy sparse matrix and norms its precomputed
+    row norms. One product gives the block's similarities to every row, a
+    zero-norm row scoring 0.
 
     Raises:
-        SimilarityError: if row index has zero norm.
-        ValueError: if neighbors < 1 (top_k's k).
+        ValueError: if neighbors < 1 (top_k's k) and block is not empty.
     """
-    query = rows[index]
-    if sparse.issparse(query):
-        query = query.toarray().ravel()
-    sims = cosines(rows, norms, query)
-    sims[index] = -np.inf
-    near = top_k(sims, neighbors)
-    return near, sims[near]
-
-
-def vote_by_visit_counts(
-    matrix: sparse.csr_matrix, rows: Sequence[int], weights: np.ndarray
-) -> np.ndarray:
-    """Per-venue votes: the neighbor rows' entries summed, each row scaled by
-    its weight (1 for a plain visit-count vote, the similarity for CF).
-
-    A binary matrix makes every visited venue one vote.
-    """
-    return np.asarray(weights, dtype=np.float64) @ matrix[rows]
+    block = np.asarray(block, dtype=np.int64)
+    # rows times the block's rows, transposed: numpy and scipy multiply this
+    # way round faster than rows[block] @ rows.T, whose operand is all rows
+    sims = (rows @ rows[block].T).T
+    if sparse.issparse(sims):
+        sims = sims.toarray()
+    sims = np.asarray(sims, dtype=np.float64, order="C")
+    query_norms = norms[block]
+    sims /= np.where(norms == 0.0, 1.0, norms) * np.where(
+        query_norms == 0.0, 1.0, query_norms
+    )[:, None]
+    sims[query_norms == 0.0] = -np.inf
+    sims[np.arange(len(block)), block] = -np.inf
+    picks = []
+    for row in sims:
+        near = top_k(row, neighbors)
+        picks.append((near, row[near]))
+    return picks
 
 
 def vote_scores(
     rows,
     norms: np.ndarray,
     votes: sparse.csr_matrix,
-    index: int,
+    block: np.ndarray,
     neighbors: int,
     weighted: bool,
 ) -> np.ndarray:
-    """NN, CF, SVD and CCD++: each venue's vote from the neighbors users most
-    cosine-similar to user index in some user space, -inf without a positive vote.
+    """NN, CF, SVD and CCD++: for each user index in block, each venue's
+    vote from the neighbors users most cosine-similar to it in some user
+    space, -inf without a positive vote; one (len(block) x venues) array.
 
     rows are the users' vectors (embedding, visit-count or latent rows) with
     their norms, and the rows of the votes matrix line up with them. Each
     neighbor adds its vote row, scaled by its similarity when weighted (CF,
-    which keeps only positive similarities) and by 1 otherwise.
+    which keeps only positive similarities) and by 1 otherwise. The block's
+    tallies are one sparse (block x users) weight matrix times votes. Each
+    row's weights are stored in neighbor order, not column order, and the
+    product adds a venue's votes in stored order: one neighbor after another,
+    by descending similarity. A user whose row has zero norm has no
+    neighbors and gets no votes.
 
     Raises:
-        SimilarityError: if user index's row has zero norm.
-        ValueError: if neighbors < 1 (top_k's k).
+        ValueError: if neighbors < 1 (top_k's k) and block is not empty.
     """
-    near, sims = nearest_users(rows, norms, index, neighbors)
-    if weighted:
-        near, weights = near[sims > 0.0], sims[sims > 0.0]
-    else:
-        weights = np.ones(len(near))
-    tally = vote_by_visit_counts(votes, near, weights)
-    return np.where(tally > 0.0, tally, -np.inf)
+    columns, weights = [], []
+    for near, sims in nearest_users(rows, norms, block, neighbors):
+        if weighted:
+            near, sims = near[sims > 0.0], sims[sims > 0.0]
+        columns.append(near)
+        weights.append(sims if weighted else np.ones(len(near)))
+    starts = np.cumsum([0, *map(len, columns)])
+    matrix = sparse.csr_matrix(
+        (np.concatenate(weights), np.concatenate(columns), starts),
+        shape=(len(block), votes.shape[0]),
+    )
+    tally = (matrix @ votes).toarray()
+    tally[~(tally > 0.0)] = -np.inf
+    return tally
 
 
-def kiu_scores(model: EmbeddingModel, index: int, neighbors: int) -> np.ndarray:
-    """KIU and KNI: the cosine of each venue row of the model's venue block
-    to the float64 mean of user row index and its neighbors nearest user rows.
+def kiu_scores(model: EmbeddingModel, block: np.ndarray, neighbors: int) -> np.ndarray:
+    """KIU and KNI: for each user row index in block, the cosine of each
+    venue row of the model's venue block to the float64 mean of that user
+    row and its neighbors nearest user rows; one (len(block) x venues)
+    array, -inf throughout where that mean has zero norm.
 
     With no neighbors the query is the user's own row (the float64 mean of
-    one row is that row), which is KNI.
+    one row is that row), which is KNI. The neighbors come from the block's
+    one similarity product; the venue cosines are taken row by row.
 
     Raises:
-        SimilarityError: if the user's row or the mean has zero norm.
-        ValueError: if index is not a user row, or neighbors < 0 (top_k's k).
+        ValueError: if an index is not a user row, or neighbors < 0 (top_k's k).
     """
+    block = np.asarray(block, dtype=np.int64)
     count = model.vocab.user_count
-    if not 0 <= index < count:
-        raise ValueError(f"{index} is not a user row in [0, {count})")
+    outside = block[(block < 0) | (block >= count)]
+    if outside.size:
+        raise ValueError(f"{outside[0]} is not a user row in [0, {count})")
     vectors, norms = model.input_vectors, model.input_norms()
-    rows = [index]
+    picks = [np.empty(0, dtype=np.int64)] * len(block)
     if neighbors:
-        near, _ = nearest_users(vectors[:count], norms[:count], index, neighbors)
-        rows = np.r_[index, near]
-    query = vectors[rows].astype(np.float64).mean(axis=0)
-    return cosines(vectors[count:], norms[count:], query)
+        picks = [near for near, _ in nearest_users(vectors[:count], norms[:count], block, neighbors)]
+    scores = np.empty((len(block), len(vectors) - count))
+    for row, (index, near) in enumerate(zip(block, picks)):
+        query = vectors[np.concatenate(([index], near))].astype(np.float64).mean(axis=0)
+        try:
+            scores[row] = cosines(vectors[count:], norms[count:], query)
+        except SimilarityError:
+            scores[row] = -np.inf  # a zero-norm query ranks nothing
+    return scores
 
 
 def format_batch_line(result: RecommendationList) -> str:

@@ -29,8 +29,8 @@ def nearest_users(model, user: str, count: int) -> list[tuple[str, float]]:
     (user, similarity), by the neighbor pick every method uses."""
     vocab = model.vocab
     users = model.input_vectors[: vocab.user_count]
-    top, sims = recommend.nearest_users(
-        users, model.input_norms()[: vocab.user_count], vocab.index("U:" + user), count
+    ((top, sims),) = recommend.nearest_users(
+        users, model.input_norms()[: vocab.user_count], [vocab.index("U:" + user)], count
     )
     return [(vocab.token(int(i))[2:], float(s)) for i, s in zip(top, sims)]
 

@@ -145,7 +145,7 @@ def test_criterion_2_top_k_oracle_equivalence():
         features = int(rng.integers(4, 101))
         model, records = _random_model(rng, n_venues, features)
         config = ExperimentConfig(method="kni", k=10)
-        ours = embedding_recommender(config, model, Dataset(records, []))("u0")
+        ours = next(embedding_recommender(config, model, Dataset(records, []))(["u0"]))
         count = model.vocab.user_count
         query = model.input_vectors[model.vocab.index("U:u0")]
         reference = brute_force_top_k(
@@ -204,9 +204,10 @@ def test_criterion_3_metric_correctness(tmp_path):
 
 def _evaluate(recommender, truth, method):
     """The run report of recommender's lists at k = 10 over truth's users."""
+    users = sorted(truth)
     rows = [
-        score_user(user, recommender(user).venues(), truth[user], 10)
-        for user in sorted(truth)
+        score_user(user, result.venues(), truth[user], 10)
+        for user, result in zip(users, recommender(users))
     ]
     return aggregate(rows, PhaseTimings(0, 0), method=method, k=10)
 
@@ -452,7 +453,7 @@ def test_criterion_7_coverage_contract(planted_run):
     predicted = [
         int(
             top_k(
-                vote_scores(im.matrix, im.row_norms, im.matrix, im.user_index[user], 5, True),
+                vote_scores(im.matrix, im.row_norms, im.matrix, [im.user_index[user]], 5, True)[0],
                 10,
             ).size
             > 0
@@ -479,13 +480,13 @@ def test_criterion_8_kni_timing_budget():
     model.input_vectors = rng.normal(size=model.input_vectors.shape).astype(np.float32)
     model.invalidate_caches()
 
-    recommend_one = embedding_recommender(
+    recommend_users = embedding_recommender(
         ExperimentConfig(method="kni", k=10), model, Dataset(records, [])
     )
     samples = []
     for i in range(100):
         begin = time.perf_counter()
-        result = recommend_one(users[i])
+        result = next(recommend_users([users[i]]))
         samples.append(time.perf_counter() - begin)
         assert len(result.items) == 10
     median = float(np.median(samples))

@@ -59,11 +59,12 @@ def recommend_cf(im, user, neighbors, k, filter_seen=False):
     """CF's list as a run serves it: the neighbor rule over visit-count rows,
     weighted by similarity, without the user's own venues under filter_seen."""
     config = ExperimentConfig(method=CF, k=k, neighbors=neighbors, filter_seen=filter_seen)
-    return harness.serve(
+    recommend_users = harness.serve(
         config,
         im,
-        lambda index: vote_scores(im.matrix, im.row_norms, im.matrix, index, neighbors, True),
-    )(user)
+        lambda block: vote_scores(im.matrix, im.row_norms, im.matrix, block, neighbors, True),
+    )
+    return next(recommend_users([user]))
 
 
 def test_cf_twin_users_recommend_missing_venue():
@@ -311,11 +312,12 @@ def recommend_latent_neighbors(factors, im, user, neighbors, k):
     """The latent rule: the neighbor rule over user-latent rows, unit votes."""
     config = ExperimentConfig(method=SVD, k=k, neighbors=neighbors)
     rows, norms = factors.user_factors, factors.user_norms
-    return harness.serve(
+    recommend_users = harness.serve(
         config,
         im,
-        lambda index: vote_scores(rows, norms, im.matrix, index, neighbors, False),
-    )(user)
+        lambda block: vote_scores(rows, norms, im.matrix, block, neighbors, False),
+    )
+    return next(recommend_users([user]))
 
 
 def test_latent_neighbor_takes_neighbors_venues():

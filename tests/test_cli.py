@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from venue2vec import harness
 from venue2vec.cli import main
 from venue2vec.harness import ExperimentConfig
 from venue2vec.metrics import read_report_csv
@@ -387,6 +388,59 @@ def test_recommend_lists_a_repeated_user_once_and_evaluate_accepts_it(
     evaluate = ["evaluate", "--recommendations", str(out), "--input", str(fixture_file)]
     assert main([*evaluate, "--out-dir", str(tmp_path / "eval")]) == 0
     assert "(2 users)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", ["nn", "kiu"])
+def test_recommend_line_does_not_depend_on_block_mates(
+    fixture_file, tmp_path, monkeypatch, method
+):
+    """A user's line is the same whichever users share its serving block.
+    Blocks are cut to 3 users, and recommend --users over a subset (one
+    user; seven users, so the last block holds one; every third user) gives
+    each of its users the line recommend gives over the whole population.
+    BLAS picks its kernel by product shape, and kernels round differently,
+    so the second model's user rows are rescaled copies of one row per
+    community: all its similarities within a community tie up to rounding,
+    and a kernel change would reorder the neighbors."""
+    model_path = tmp_path / "model.bin"
+    assert main(
+        [
+            "train", "--input", str(fixture_file), "--features", "32",
+            "--window", "4", "--epochs", "3", "--seed", "1",
+            "--model-out", str(model_path),
+        ]
+    ) == 0
+    model = load_embedding_model(model_path)
+    vocab = model.vocab
+    monkeypatch.setattr(
+        harness, "BLOCK_BYTES", 8 * max(vocab.user_count, len(vocab) - vocab.user_count) * 3
+    )
+    tied_path = tmp_path / "tied.bin"
+    for index in range(vocab.user_count):
+        community = vocab.token(index)[2:].split("u")[0]
+        base = model.input_vectors[vocab.index(f"U:{community}u0")].copy()
+        model.input_vectors[index] = base * np.float32(1 + index / 7)
+    save_embedding_model(model, tied_path)
+
+    def lines(model_file, users=None):
+        out = tmp_path / "recs.tsv"
+        argv = [
+            "recommend", "--model", str(model_file), "--input", str(fixture_file),
+            "--method", method, "--neighbors", "4", "--topk", "5", "--out", str(out),
+        ]
+        if users is not None:
+            users_file = tmp_path / "users.txt"
+            users_file.write_text("".join(f"{user}\n" for user in users))
+            argv += ["--users", str(users_file)]
+        assert main(argv) == 0
+        return {line.split("\t")[0]: line for line in out.read_text().splitlines()}
+
+    for model_file in (model_path, tied_path):
+        everyone = lines(model_file)
+        users = sorted(everyone)
+        assert len(users) == 20
+        for subset in ([users[4]], users[:7], users[::3]):
+            assert lines(model_file, subset) == {user: everyone[user] for user in subset}
 
 
 def test_recommend_with_nan_weight_is_format_error(fixture_file, tmp_path, capsys):

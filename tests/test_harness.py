@@ -205,14 +205,13 @@ def test_partial_per_user_csv_on_mid_run_failure(tmp_path, monkeypatch):
     real = harness._recommender_for
 
     def wrapped(cfg, dataset):
-        (recommend_one,), seconds, echo, traces = real(cfg, dataset)
-        calls = {"n": 0}
+        (recommend_users,), seconds, echo, traces = real(cfg, dataset)
 
-        def flaky(user):
-            calls["n"] += 1
-            if calls["n"] > 5:
-                raise RuntimeError("recommender died")
-            return recommend_one(user)
+        def flaky(users):
+            for count, result in enumerate(recommend_users(users)):
+                if count == 5:
+                    raise RuntimeError("recommender died")
+                yield result
 
         return [flaky], seconds, echo, traces
 
@@ -380,8 +379,8 @@ def test_seen_mask_equals_full_depth_recut(method):
 
     def lists(**overrides):
         config = small_config(method=method, rank=4, **overrides)
-        (recommend_one,), *_ = harness._recommender_for(config, dataset)
-        return {user: recommend_one(user).items for user in im.users}
+        (recommend_users,), *_ = harness._recommender_for(config, dataset)
+        return {result.user: result.items for result in recommend_users(im.users)}
 
     full, masked = lists(k=len(im.venues)), lists(filter_seen=True)
     dropped = 0

@@ -1,9 +1,11 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from venue2vec import harness, recommend
 from venue2vec.baselines import svd_factorize
@@ -26,7 +28,7 @@ from venue2vec.recommend import (
     format_batch_line,
     read_batch_recommendations,
     top_k,
-    vote_by_visit_counts,
+    vote_scores,
     write_batch_recommendations,
 )
 
@@ -40,10 +42,11 @@ from oracles import (
 
 
 def _serve(model, records, method, **overrides):
-    """The per-user callable a run builds for method, over these training
-    records (the seen rule included when filter_seen is set)."""
+    """One user's list from the callable a run builds for method, over these
+    training records (the seen rule included when filter_seen is set)."""
     config = ExperimentConfig(method=method, **overrides)
-    return embedding_recommender(config, model, Dataset(train=records, test=[]))
+    recommend_users = embedding_recommender(config, model, Dataset(train=records, test=[]))
+    return lambda user: next(recommend_users([user]))
 
 
 def kiu_list(model, records, user, k, neighbors):
@@ -52,16 +55,11 @@ def kiu_list(model, records, user, k, neighbors):
     return _serve(model, records, method, k=k, neighbors=neighbors)(user)
 
 
-def _ranked(scores, table, user, k, filter_seen=False):
-    """The items a run lists for user from a fixed score row over table's
-    venues, the seen mask included under filter_seen."""
+def _ranked(score_block, table, user, k, filter_seen=False):
+    """The items a run lists for user from a score rule over table's venues,
+    the seen mask included under filter_seen."""
     config = ExperimentConfig(method=NN, k=k, filter_seen=filter_seen)
-    return harness.serve(config, table, lambda index: scores.copy())(user).items
-
-
-def _vote_row(votes):
-    """A vote tally as a score row: -inf where no positive vote."""
-    return np.where(votes > 0.0, votes, -np.inf)
+    return next(harness.serve(config, table, score_block)([user])).items
 
 
 # ------------------------------------------------------------- toy examples
@@ -120,12 +118,12 @@ def test_neighbor_pick_matches_brute_force_on_count_and_latent_rows(
     im = community_interactions
     dense = im.matrix.toarray()
     _assert_pick_is_brute_force(
-        lambda i: recommend.nearest_users(im.matrix, im.row_norms, i, 7), dense, 7
+        lambda i: recommend.nearest_users(im.matrix, im.row_norms, [i], 7)[0], dense, 7
     )
     latent = svd_factorize(im, 6, seed=1)
     rows = latent.user_factors
     _assert_pick_is_brute_force(
-        lambda i: recommend.nearest_users(rows, latent.user_norms, i, 7), rows, 7
+        lambda i: recommend.nearest_users(rows, latent.user_norms, [i], 7)[0], rows, 7
     )
 
 
@@ -141,7 +139,7 @@ def test_neighbor_pick_returns_n_when_lower_rows_tie_the_target():
         expected = brute_force_top_k(users, users[2], [0, 1, 3, 4], n)
         ranked = nearest_users(model, "u2", n)
         assert [user for user, _ in ranked] == [f"u{i}" for i, _ in expected]
-        top, _ = recommend.nearest_users(im.matrix, im.row_norms, 2, min(n, 3))
+        ((top, _),) = recommend.nearest_users(im.matrix, im.row_norms, [2], min(n, 3))
         assert list(top) == [0, 1, 3][: min(n, 3)]
 
 
@@ -162,13 +160,17 @@ def test_kiu_toy_recommends_shared_pair(toy_model, toy_records):
 
 
 def _vote(visits, neighbors, binary=False):
-    """vote_by_visit_counts over the matrix of a {user: [venues...]} table,
-    as {venue: votes} plus the ranked top 2."""
-    im = build_interactions(make_records(visits), binary)
-    rows = [im.user_index[n] for n in neighbors]
-    votes = vote_by_visit_counts(im.matrix, rows, np.ones(len(rows)))
-    voted = {im.venues[j]: float(votes[j]) for j in np.flatnonzero(votes)}
-    return voted, [(im.venues[j], float(votes[j])) for j in top_k(_vote_row(votes), 2)]
+    """The unit vote over a {user: [venues...]} table for a target "t" (who
+    visits venue "t0") whose nearest users are exactly neighbors, as
+    {venue: votes} plus the ranked top 2."""
+    im = build_interactions(make_records({**visits, "t": ["t0"]}), binary)
+    near = {*neighbors, "t"}
+    rows = np.array([[1.0, 0.0] if user in near else [0.0, 1.0] for user in im.users])
+    votes = vote_scores(
+        rows, np.linalg.norm(rows, axis=1), im.matrix, [im.user_index["t"]], len(neighbors), False
+    )[0]
+    voted = {im.venues[j]: float(votes[j]) for j in np.flatnonzero(votes > -np.inf)}
+    return voted, [(im.venues[j], float(votes[j])) for j in top_k(votes, 2)]
 
 
 def test_vote_sums_visit_counts():
@@ -188,13 +190,44 @@ def test_vote_binary_mode_counts_presence():
 def test_vote_excluded_venues_removed():
     """The seen rule drops the target's own venues from a ranked vote."""
     im = build_interactions(make_records({"u": ["v2"], "n1": ["v1", "v1"] + ["v2"] * 5}))
-    votes = vote_by_visit_counts(im.matrix, [im.user_index["n1"]], np.ones(1))
-    assert dict(_ranked(_vote_row(votes), im, "u", 2, filter_seen=True)) == {"v1": 2.0}
+    rows = np.ones((2, 1))
+
+    def score_block(block):
+        return vote_scores(rows, np.ones(2), im.matrix, block, 1, False)
+
+    assert dict(_ranked(score_block, im, "u", 2)) == {"v2": 5.0, "v1": 2.0}
+    assert dict(_ranked(score_block, im, "u", 2, filter_seen=True)) == {"v1": 2.0}
 
 
 def test_forced_outcome_neighbor_with_two_venues():
     _, ranked = _vote({"u1": ["a", "b"]}, ["u1"])
     assert {v for v, _ in ranked} == {"a", "b"}
+
+
+def _brute_force_vote_list(
+    rows, names, target, neighbors, weighted, visits, index_of, k,
+    binary=False, allowed=None, excluded=(),
+):
+    """The per-user brute-force list of the neighbor vote: target's nearest
+    rows by an exhaustive cosine scan, their visits summed by Counters in
+    neighbor order (weighted by similarity, positive ones only, for CF), and
+    nothing for a zero-norm target. Returns the list and its neighbor ties."""
+    if not rows[target].any():
+        return [], 0
+    others = [i for i in range(len(rows)) if i != target]
+    picked = brute_force_top_k(rows, rows[target], others, neighbors)
+    if weighted:
+        picked = [(i, s) for i, s in picked if s > 0.0]
+    votes = vote_reference(
+        [names[i] for i, _ in picked],
+        visits,
+        weights=[s for _, s in picked] if weighted else None,
+        binary=binary,
+        allowed=allowed,
+        excluded=excluded,
+    )
+    ties = len(picked) - len({s for _, s in picked})
+    return rank_votes_reference(votes, k, index_of), ties
 
 
 @given(
@@ -210,35 +243,117 @@ def test_forced_outcome_neighbor_with_two_venues():
 )
 @settings(max_examples=150, deadline=None)
 def test_vote_matches_counter_oracle(visits, data, binary, weighted, k):
-    """The sparse vote and its ranking equal the per-user Counter vote, ties
-    included, for count or presence tables, unit or float (CF) weights,
-    disallowed (pruned) venues zeroed as NN does, and the target's own
-    (seen) venues dropped by the seen rule."""
+    """The sparse vote and its ranking equal the per-user Counter vote over
+    brute-force neighbors, ties included, for count or presence tables,
+    unit or similarity (CF) weights, disallowed (pruned) venues dropped from
+    the vote table as NN's alignment drops them, and the target's own
+    (seen) venues dropped by the seen rule. User rows are small integers, so
+    every similarity is exact and equal ones tie."""
     records = make_records(visits)
     im = build_interactions(records, binary)
-    users, venues = sorted(visits), sorted(im.venues)
-    neighbors = data.draw(st.lists(st.sampled_from(users), unique=True))
-    # a few repeated weights, so float votes tie too
-    weight = st.sampled_from([0.25, 0.5, 1.0]) | st.floats(1e-3, 1.0)
-    weights = [data.draw(weight) for _ in neighbors] if weighted else [1.0] * len(neighbors)
-    target = data.draw(st.sampled_from(users))
-    excluded = set(visits[target]) if data.draw(st.booleans()) else set()
-    pruned = data.draw(st.sets(st.sampled_from(venues)))
-
-    rows = [im.user_index[n] for n in neighbors]
-    votes = vote_by_visit_counts(im.matrix, rows, np.array(weights))
-    votes[[im.venue_index[v] for v in pruned]] = 0.0
-    ours = _ranked(_vote_row(votes), im, target, k, filter_seen=bool(excluded))
-
-    expected_votes = vote_reference(
-        neighbors,
-        interactions_reference(records),
-        weights=weights,
-        binary=binary,
-        allowed=lambda v: v not in pruned,
-        excluded=excluded,
+    users = im.users
+    rows = np.array(
+        data.draw(
+            st.lists(
+                st.lists(st.integers(-1, 2), min_size=3, max_size=3),
+                min_size=len(users),
+                max_size=len(users),
+            )
+        ),
+        dtype=np.float64,
     )
-    assert ours == rank_votes_reference(expected_votes, k, im.venue_index.__getitem__)
+    neighbors = data.draw(st.integers(1, len(users)))
+    target = data.draw(st.sampled_from(users))
+    filter_seen = data.draw(st.booleans())
+    pruned = data.draw(st.sets(st.sampled_from(sorted(im.venues))))
+    kept = np.array([venue not in pruned for venue in im.venues], dtype=np.float64)
+    votes = (im.matrix @ sparse.diags(kept)).tocsr()
+    votes.eliminate_zeros()
+
+    def score_block(block):
+        return vote_scores(rows, np.linalg.norm(rows, axis=1), votes, block, neighbors, weighted)
+
+    ours = _ranked(score_block, im, target, k, filter_seen)
+    expected, _ = _brute_force_vote_list(
+        rows, users, im.user_index[target], neighbors, weighted,
+        interactions_reference(records), im.venue_index.__getitem__, k,
+        binary=binary,
+        allowed=lambda venue: venue not in pruned,
+        excluded=set(visits[target]) if filter_seen else (),
+    )
+    assert ours == expected
+
+
+@pytest.mark.parametrize("filter_seen", [False, True], ids=["all", "unseen"])
+@pytest.mark.parametrize("block", [1, 2, 7, None], ids=["rows1", "rows2", "rows7", "all-rows"])
+def test_vote_block_lists_match_brute_force(monkeypatch, block, filter_seen):
+    """NN, weighted CF and the unit-vote latent rule list each user exactly
+    the per-user brute-force list, ties included, whether users are served
+    in blocks of 1, 2 or 7 users or of all of them. User rows are small
+    integers, so every similarity and vote is exact in any summation order.
+    The user whose embedding and latent row is all zero lists nothing, and
+    so does a stranger."""
+    rng = np.random.default_rng(41)
+    n_users, n_venues, k, neighbors = 13, 10, 6, 4
+    visits = {
+        f"u{i}": [f"v{j}" for j in rng.integers(0, n_venues, int(rng.integers(1, 7)))]
+        for i in range(n_users)
+    }
+    records = make_records(visits)
+    reference = interactions_reference(records)
+    im = build_interactions(records)
+    served = im.users[:6] + ["stranger"] + im.users[6:]
+    if block:
+        width = max(len(im.users), len(im.venues))
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * width * block)
+    integer_rows = rng.integers(-1, 2, (n_users, 3)).astype(np.float64)
+    integer_rows[5] = 0.0
+    config = ExperimentConfig(k=k, neighbors=neighbors, filter_seen=filter_seen)
+
+    vocab = build_vocabulary(records, 1)
+    model = init_model(vocab, TrainingConfig(feature_count=3, seed=0), dtype=np.float64)
+    vocab_users = [Vocabulary.strip_prefix(t) for t in vocab.index_to_token[: vocab.user_count]]
+    model.input_vectors[: vocab.user_count] = [integer_rows[int(u[1:])] for u in vocab_users]
+    model.invalidate_caches()
+    nn = embedding_recommender(replace(config, method=NN), model, Dataset(records, []))
+    (cf,), *_ = harness._recommender_for(replace(config, method="cf"), Dataset(records, []))
+    latent_rows = integer_rows[[int(u[1:]) for u in im.users]]
+    calls = []
+
+    def latent_block(rows):
+        calls.append(len(rows))
+        return vote_scores(
+            latent_rows, np.linalg.norm(latent_rows, axis=1), im.matrix, rows, neighbors, False
+        )
+
+    latent = harness.serve(replace(config, method="svd"), im, latent_block)
+    rules = {
+        NN: (nn, model.input_vectors[: vocab.user_count], vocab_users, False,
+             lambda venue: vocab.index(Vocabulary.venue_token(venue))),
+        "cf": (cf, im.matrix.toarray(), im.users, True, im.venue_index.__getitem__),
+        "svd": (latent, latent_rows, im.users, False, im.venue_index.__getitem__),
+    }
+    ties = 0
+    for method, (recommend_users, rows, names, weighted, index_of) in rules.items():
+        results = list(recommend_users(served))
+        assert [result.user for result in results] == served
+        for result in results:
+            assert result.method == method
+            if result.user not in names:
+                assert not result.predicted
+                continue
+            excluded = set(visits[result.user]) if filter_seen else ()
+            expected, tied = _brute_force_vote_list(
+                rows, names, names.index(result.user), neighbors, weighted,
+                reference, index_of, k, excluded=excluded,
+            )
+            assert result.items == expected, (method, result.user)
+            ties += tied
+    size = block or n_users  # a block holds at most every user
+    chunks = [served[start : start + size] for start in range(0, len(served), size)]
+    assert calls == [size] * sum(chunk != ["stranger"] for chunk in chunks)
+    assert not next(latent(["u5"])).predicted  # the zero row
+    assert ties > 0  # neighbor ties were exercised
 
 
 # ------------------------------------------------------------- contracts
@@ -475,18 +590,18 @@ def test_requests_validate_bounds(toy_model):
             config.validate()
     vocab = toy_model.vocab
     index = vocab.index("U:u0")
-    scores = recommend.kiu_scores(toy_model, index, 0)
-    assert scores.shape == (len(vocab) - vocab.user_count,)
+    scores = recommend.kiu_scores(toy_model, [index], 0)
+    assert scores.shape == (1, len(vocab) - vocab.user_count)
     assert np.isfinite(scores).all()
     for k in (0, -1):
         with pytest.raises(ValueError):
-            top_k(scores, k)
+            top_k(scores[0], k)
     for bad_index, neighbors in ((index, -1), (-1, 0), (vocab.user_count, 1)):
         with pytest.raises(ValueError):
-            recommend.kiu_scores(toy_model, bad_index, neighbors)
+            recommend.kiu_scores(toy_model, [index, bad_index], neighbors)
     users = toy_model.input_vectors[: vocab.user_count]
     with pytest.raises(ValueError):
-        recommend.nearest_users(users, np.linalg.norm(users, axis=1), index, 0)
+        recommend.nearest_users(users, np.linalg.norm(users, axis=1), [index], 0)
 
 
 # ------------------------------------------------------------- properties
