@@ -10,15 +10,14 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
-from dataclasses import replace
 from pathlib import Path
 
 from . import harness, modelio, recommend
 from .corpus import FieldLayout, write_checkins
-from .embedding import write_loss_trace
+from .embedding import CBOW, MAX_WINDOW, SKIP_GRAM, write_loss_trace
 from .errors import ConfigError
 from .fixtures import FixtureSpec, generate_fixture, parse_fixture_spec
-from .harness import ExperimentConfig, SweepSpec, default_context_count
+from .harness import ExperimentConfig, SweepSpec
 from .metrics import build_ground_truth, read_report_csv
 
 
@@ -27,148 +26,104 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_layout_flags(parser) -> None:
-    parser.add_argument("--delimiter", default=None, help="field delimiter (default tab)")
-    parser.add_argument("--user-col", type=int, default=None)
-    parser.add_argument("--venue-col", type=int, default=None)
-    parser.add_argument("--time-col", type=int, default=None)
+def _window(text: str) -> int | str:
+    return text if text == MAX_WINDOW else int(text)
+
+
+def _bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+# Every experiment option, once: key -> (field, parser of its text, help).
+# The flag is the key with "_" written "-" (--min-count is min_count), a
+# config file line is "key = text", and both texts go through the parser.
+# The field is a FieldLayout field for the four layout keys, an
+# ExperimentConfig field for the rest.
+_OPTIONS = {
+    "input": ("input_path", str, "check-in file (.gz accepted)"),
+    "fixture": (
+        "fixture",
+        parse_fixture_spec,
+        "fixture spec, e.g. communities=2,users=20,venues=30,train=15,test=5,noise=0,seed=7",
+    ),
+    "boundary": ("boundary", int, "train/test split timestamp"),
+    "method": ("method", str, None),
+    "arch": ("architecture", str, None),
+    "features": ("feature_count", int, "embedding dimension F"),
+    "window": (
+        "context_count",
+        _window,
+        'context window C (int or "max"; default 20 for skip-gram, max for cbow)',
+    ),
+    "epochs": ("epoch_count", int, "training epochs E"),
+    "negative": ("negative_samples", int, "negative samples per pair"),
+    "min_count": ("min_word_count", int, "vocabulary frequency floor"),
+    "neighbors": ("neighbors", int, "neighbor count N"),
+    "topk": ("k", int, "recommendation list size k"),
+    "filter_seen": ("filter_seen", _bool, None),
+    "binary_votes": ("binary_votes", _bool, None),
+    "seed": ("seed", int, None),
+    "rank": ("rank", int, "factorization rank (default F)"),
+    "regularization": ("regularization", float, None),
+    "mf_iterations": ("mf_iterations", int, None),
+    "random_runs": ("random_runs", int, None),
+    "out_dir": ("out_dir", str, None),
+    "delimiter": ("delimiter", str, "field delimiter (default tab)"),
+    "user_col": ("user_col", int, None),
+    "venue_col": ("venue_col", int, None),
+    "time_col": ("time_col", int, None),
+}
+_CHOICES = {"method": harness.ALL_METHODS, "arch": (SKIP_GRAM, CBOW)}
 
 
 def _add_experiment_flags(parser, with_method=True) -> None:
-    parser.add_argument("--config", default=None, help="key=value config file; flags win")
-    parser.add_argument("--input", default=None, help="check-in file (.gz accepted)")
-    parser.add_argument("--fixture", default=None, help="fixture spec, e.g. communities=2,users=20,venues=30,train=15,test=5,noise=0,seed=7")
-    parser.add_argument("--boundary", type=int, default=None, help="train/test split timestamp")
-    if with_method:
-        parser.add_argument("--method", default=None, choices=harness.ALL_METHODS)
-    parser.add_argument("--arch", default=None, choices=["skip-gram", "cbow"])
-    parser.add_argument("--features", type=int, default=None, help="embedding dimension F")
-    parser.add_argument("--window", default=None, help='context window C (int or "max")')
-    parser.add_argument("--epochs", type=int, default=None, help="training epochs E")
-    parser.add_argument("--negative", type=int, default=None, help="negative samples per pair")
-    parser.add_argument("--min-count", type=int, default=None, help="vocabulary frequency floor")
-    parser.add_argument("--neighbors", type=int, default=None, help="neighbor count N")
-    parser.add_argument("--topk", type=int, default=None, help="recommendation list size k")
-    parser.add_argument("--filter-seen", action="store_true", default=None)
-    parser.add_argument("--binary-votes", action="store_true", default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--rank", type=int, default=None, help="factorization rank (default F)")
-    parser.add_argument("--regularization", type=float, default=None)
-    parser.add_argument("--mf-iterations", type=int, default=None)
-    parser.add_argument("--random-runs", type=int, default=None)
-    parser.add_argument("--out-dir", default=None)
-    _add_layout_flags(parser)
-
-
-_INT_KEYS = {
-    "boundary", "features", "epochs", "negative", "min_count", "neighbors",
-    "topk", "seed", "rank", "mf_iterations", "random_runs",
-    "user_col", "venue_col", "time_col",
-}
-_FLOAT_KEYS = {"regularization"}
-_BOOL_KEYS = {"filter_seen", "binary_votes"}
-
-_CONFIG_FIELDS = {
-    "input": "input_path",
-    "boundary": "boundary",
-    "method": "method",
-    "arch": "architecture",
-    "features": "feature_count",
-    "window": "context_count",
-    "epochs": "epoch_count",
-    "negative": "negative_samples",
-    "min_count": "min_word_count",
-    "neighbors": "neighbors",
-    "topk": "k",
-    "filter_seen": "filter_seen",
-    "binary_votes": "binary_votes",
-    "seed": "seed",
-    "rank": "rank",
-    "regularization": "regularization",
-    "mf_iterations": "mf_iterations",
-    "random_runs": "random_runs",
-    "out_dir": "out_dir",
-}
-
-
-_LAYOUT_KEYS = ("delimiter", "user_col", "venue_col", "time_col")
+    parser.add_argument("--config", help="key=value config file; flags win")
+    for key, (_, parse, text) in _OPTIONS.items():
+        flag = "--" + key.replace("_", "-")
+        if parse is _bool:
+            # an absent flag stays None, leaving the config file's value
+            parser.add_argument(flag, action="store_const", const="true", help=text)
+        elif key != "method" or with_method:
+            parser.add_argument(flag, choices=_CHOICES.get(key), help=text)
 
 
 def _parse(key: str, value: str, kind):
     try:
         return kind(value)
+    except ConfigError:
+        raise  # parse_fixture_spec names the bad item itself
     except ValueError:
         raise ConfigError(f"cannot parse {key}={value!r}") from None
 
 
-def _coerce(key: str, value):
-    if isinstance(value, str):
-        if key in _INT_KEYS or (key == "window" and value != "max"):
-            return _parse(key, value, int)
-        if key in _FLOAT_KEYS:
-            return _parse(key, value, float)
-        if key in _BOOL_KEYS:
-            lowered = value.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ConfigError(f"cannot parse boolean {key}={value!r}")
-    return value
-
-
 def build_experiment_config(args) -> ExperimentConfig:
     """Merge defaults, the --config file, and command-line flags (flags win)."""
-    merged: dict = {}
-    if getattr(args, "config", None):
-        for key, value in harness.parse_config_file(args.config).items():
-            if key == "fixture":
-                merged["fixture"] = parse_fixture_spec(value)
-                continue
-            if key not in _CONFIG_FIELDS and key not in _LAYOUT_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = _coerce(key, value)
-    for key in (*_CONFIG_FIELDS, *_LAYOUT_KEYS):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = _coerce(key, flag)
-    if getattr(args, "fixture", None):
-        merged["fixture"] = parse_fixture_spec(args.fixture)
-
-    window_given = "window" in merged
-    kwargs = {}
-    layout_kwargs = {}
-    for key, value in merged.items():
-        if key == "fixture":
-            kwargs["fixture"] = value
-        elif key in _LAYOUT_KEYS:
-            layout_kwargs[key] = value
-        else:
-            kwargs[_CONFIG_FIELDS[key]] = value
-    if layout_kwargs:
-        kwargs["layout"] = replace(FieldLayout(), **layout_kwargs)
-    config = ExperimentConfig(**kwargs)
-    if not window_given:
-        config = replace(
-            config, context_count=default_context_count(config.architecture)
-        )
-    return config
+    given = list(harness.parse_config_file(args.config).items()) if args.config else []
+    given += [
+        (key, getattr(args, key)) for key in _OPTIONS if getattr(args, key, None) is not None
+    ]
+    values = {}
+    for key, text in given:
+        if key not in _OPTIONS:
+            raise ConfigError(f"unknown config key {key!r}")
+        name, parse, _ = _OPTIONS[key]
+        values[name] = _parse(key, text, parse)
+    layout = {name: values.pop(name) for name in FieldLayout.__dataclass_fields__ if name in values}
+    return ExperimentConfig(**values, layout=FieldLayout(**layout))
 
 
 def _cmd_generate_fixture(args) -> int:
-    spec_kwargs = dict(
-        seed=args.seed,
-        communities=args.communities,
-        users_per_community=args.users_per_community,
-        venues_per_community=args.venues_per_community,
-        train_checkins_per_user=args.train_checkins,
-        test_checkins_per_user=args.test_checkins,
-        noise_rate=args.noise,
-    )
-    if args.favorites is not None:
-        spec_kwargs["favorites_per_user"] = args.favorites
-    spec = FixtureSpec(**spec_kwargs)
-    records, summary = generate_fixture(spec)
+    given = {
+        name: getattr(args, name)
+        for name in FixtureSpec.__dataclass_fields__
+        if getattr(args, name, None) is not None
+    }
+    records, summary = generate_fixture(FixtureSpec(**given))
     write_checkins(records, args.out)
     print(
         f"wrote {args.out}: {summary.user_count} users, "
@@ -249,7 +204,7 @@ def _cmd_sweep(args) -> int:
     values = (
         [v.strip() for v in args.values.split(",") if v.strip()] if args.values else ()
     )
-    parsed = [v if v == "max" else _parse("values", v, int) for v in values]
+    parsed = [_parse("values", v, _window) for v in values]
     spec = SweepSpec(axis=args.axis, values=parsed)
     reports, rows = harness.run_sweep(spec, config)
     failed = len(reports) - len(rows)
@@ -278,14 +233,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate-fixture", help="write a synthetic check-in file")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--communities", type=int, default=2)
-    p.add_argument("--users-per-community", type=int, default=20)
-    p.add_argument("--venues-per-community", type=int, default=50)
-    p.add_argument("--train-checkins", type=int, default=20)
-    p.add_argument("--test-checkins", type=int, default=5)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--favorites", type=int, default=None)
+    # an absent flag stays None and FixtureSpec's default holds
+    p.add_argument("--seed", type=int)
+    p.add_argument("--communities", type=int)
+    p.add_argument("--users-per-community", type=int)
+    p.add_argument("--venues-per-community", type=int)
+    p.add_argument("--train-checkins", type=int, dest="train_checkins_per_user")
+    p.add_argument("--test-checkins", type=int, dest="test_checkins_per_user")
+    p.add_argument("--noise", type=float, dest="noise_rate")
+    p.add_argument("--favorites", type=int, dest="favorites_per_user")
     p.set_defaults(func=_cmd_generate_fixture)
 
     p = sub.add_parser("train", help="train an embedding model")

@@ -19,7 +19,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 from scipy import sparse
 
-from .errors import EmptyVocabularyError, FormatError, TokenNotFoundError
+from .errors import ConfigError, EmptyVocabularyError, FormatError, TokenNotFoundError
 
 USER_PREFIX = "U:"
 VENUE_PREFIX = "V:"
@@ -46,6 +46,16 @@ class FieldLayout:
     user_col: int = 0
     venue_col: int = 1
     time_col: int = 2
+
+    def __post_init__(self) -> None:
+        if not self.delimiter:
+            raise ConfigError("delimiter must not be empty")
+        columns = dict(user_col=self.user_col, venue_col=self.venue_col, time_col=self.time_col)
+        for name, column in columns.items():
+            if column < 0:
+                raise ConfigError(f"{name} must be >= 0, got {column}")
+        if len(set(columns.values())) < len(columns):
+            raise ConfigError(f"user_col, venue_col and time_col must differ, got {columns}")
 
     @property
     def width(self) -> int:

@@ -36,6 +36,7 @@ from .corpus import (
     split_train_test,
 )
 from .embedding import (
+    CBOW,
     MAX_WINDOW,
     SKIP_GRAM,
     EmbeddingModel,
@@ -85,11 +86,6 @@ ERROR_MARKER = "ERROR"
 BLOCK_BYTES = 1 << 20
 
 
-def default_context_count(architecture: str) -> int | str:
-    """Per-architecture window default: 20 for skip-gram, whole-sentence for CBOW."""
-    return 20 if architecture == SKIP_GRAM else MAX_WINDOW
-
-
 def _user_seed(seed: int, user: str) -> int:
     """Process-independent per-user sub-seed (hash() is salted, crc32 is not)."""
     return (seed * 0x9E3779B1 + zlib.crc32(user.encode("utf-8"))) & 0x7FFFFFFF
@@ -105,7 +101,7 @@ class ExperimentConfig:
     method: str = recommend.KNI
     architecture: str = SKIP_GRAM
     feature_count: int = 100
-    context_count: int | str = 20
+    context_count: int | str | None = None  # None: 20 for skip-gram, "max" for CBOW
     epoch_count: int = 25
     negative_samples: int = 5
     min_word_count: int = 1
@@ -120,6 +116,10 @@ class ExperimentConfig:
     random_runs: int = 10
     out_dir: str | None = None
     layout: FieldLayout = field(default_factory=FieldLayout)
+
+    def __post_init__(self) -> None:
+        if self.context_count is None:
+            self.context_count = MAX_WINDOW if self.architecture == CBOW else 20
 
     def validate(self) -> None:
         if self.method not in ALL_METHODS:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from venue2vec import harness
-from venue2vec.cli import main
+from venue2vec.cli import build_experiment_config, build_parser, main
+from venue2vec.corpus import write_checkins
+from venue2vec.fixtures import FixtureSpec, generate_fixture
 from venue2vec.harness import ExperimentConfig
 from venue2vec.metrics import read_report_csv
 from venue2vec.modelio import load_embedding_model, save_embedding_model
@@ -235,6 +237,104 @@ def test_config_file_unknown_key(fixture_file, tmp_path):
     assert main(["run", "--config", str(conf)]) == 1
 
 
+def _config_of(argv):
+    return build_experiment_config(build_parser().parse_args(argv))
+
+
+# (key, text) for every experiment option; a text of None is a flag without
+# a value, written "true" in a config file
+OPTION_CASES = [
+    ("input", "checkins.tsv"),
+    ("fixture", "communities=3,users=4,seed=2"),
+    ("boundary", "1300000000"),
+    ("method", "svd"),
+    ("arch", "cbow"),
+    ("features", "12"),
+    ("window", "7"),
+    ("window", "max"),
+    ("epochs", "3"),
+    ("negative", "2"),
+    ("min_count", "2"),
+    ("neighbors", "4"),
+    ("topk", "6"),
+    ("filter_seen", None),
+    ("binary_votes", None),
+    ("seed", "9"),
+    ("rank", "5"),
+    ("regularization", "0.5"),
+    ("mf_iterations", "3"),
+    ("random_runs", "2"),
+    ("out_dir", "out"),
+    ("delimiter", ","),
+    ("user_col", "3"),
+    ("venue_col", "4"),
+    ("time_col", "5"),
+]
+
+
+def test_option_cases_cover_every_flag():
+    run = build_parser()._subparsers._group_actions[0].choices["run"]
+    flags = {o for action in run._actions for o in action.option_strings}
+    covered = {"--" + key.replace("_", "-") for key, _ in OPTION_CASES}
+    assert flags - {"-h", "--help", "--config"} == covered
+
+
+@pytest.mark.parametrize("key, text", OPTION_CASES)
+def test_flag_and_config_line_build_the_same_config(tmp_path, key, text):
+    flag = ["--" + key.replace("_", "-")] + ([] if text is None else [text])
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"{key} = {'true' if text is None else text}\n")
+    from_flag = _config_of(["run", *flag])
+    assert from_flag == _config_of(["run", "--config", str(conf)])
+    assert from_flag != ExperimentConfig()
+
+
+def test_flag_beats_config_file(tmp_path):
+    conf = tmp_path / "exp.conf"
+    conf.write_text("features = 8\nwindow = 3\nfilter_seen = false\nuser_col = 3\n")
+    config = _config_of(
+        ["run", "--config", str(conf), "--features", "12", "--window", "max",
+         "--filter-seen", "--user-col", "4"]
+    )
+    assert (config.feature_count, config.context_count) == (12, "max")
+    assert config.filter_seen is True
+    assert config.layout.user_col == 4
+    file_only = _config_of(["run", "--config", str(conf)])
+    assert (file_only.feature_count, file_only.context_count) == (8, 3)
+    assert file_only.filter_seen is False
+
+
+def test_generate_fixture_defaults_are_fixture_spec_defaults(tmp_path):
+    out = tmp_path / "cli.tsv"
+    assert main(["generate-fixture", "--out", str(out)]) == 0
+    expected = tmp_path / "spec.tsv"
+    write_checkins(generate_fixture(FixtureSpec())[0], expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags, conf_text, setting",
+    [
+        (["--delimiter", ""], None, "delimiter"),
+        (["--user-col", "1"], None, "user_col"),
+        (["--user-col", "-1"], None, "user_col"),
+        ([], "delimiter =\n", "delimiter"),
+    ],
+    ids=["empty-delimiter", "shared-column", "negative-column", "config-empty-delimiter"],
+)
+def test_bad_field_layout_is_config_error(
+    fixture_file, tmp_path, capsys, flags, conf_text, setting
+):
+    argv = ["run", "--input", str(fixture_file), "--method", "cf", *flags]
+    if conf_text is not None:
+        conf = tmp_path / "exp.conf"
+        conf.write_text(conf_text)
+        argv += ["--config", str(conf)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and setting in err
+
+
 def test_cbow_default_window_is_max(fixture_file, tmp_path):
     out = tmp_path / "out"
     rc = main(
@@ -300,8 +400,9 @@ def test_unparseable_value_is_config_error(fixture_file, tmp_path, capsys):
         assert main(["run", "--config", str(conf), *base]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and f"{key}={value!r}" in err
-    assert main(["run", "--window", "wide", *base]) == 1
-    assert "window='wide'" in capsys.readouterr().err
+        assert main(["run", f"--{key}", value, *base]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{key}={value!r}" in err
     assert main(["sweep", "--axis", "F", "--values", "10,x", *base]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "values='x'" in err

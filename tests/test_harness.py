@@ -12,7 +12,6 @@ from venue2vec.harness import (
     ERROR_MARKER,
     ExperimentConfig,
     SweepSpec,
-    default_context_count,
     emit_plot_data,
     infer_axis,
     parse_config_file,
@@ -83,8 +82,29 @@ def test_config_rejects_unknown_method():
 
 
 def test_default_context_count_per_architecture():
-    assert default_context_count("skip-gram") == 20
-    assert default_context_count("cbow") == "max"
+    assert ExperimentConfig().context_count == 20
+    assert ExperimentConfig(architecture="cbow").context_count == "max"
+    assert ExperimentConfig(architecture="cbow", context_count=4).context_count == 4
+    assert ExperimentConfig(context_count="max").context_count == "max"
+
+
+def test_library_cbow_default_window_is_max():
+    """The per-architecture window default holds without the CLI: the
+    longest sentence is the user token plus 12 train check-ins."""
+    fixture = FixtureSpec(
+        seed=5,
+        communities=2,
+        users_per_community=10,
+        venues_per_community=20,
+        train_checkins_per_user=12,
+        test_checkins_per_user=3,
+    )
+    report = run_experiment(
+        ExperimentConfig(
+            fixture=fixture, architecture="cbow", feature_count=8, epoch_count=2, seed=1
+        )
+    )
+    assert report.context_count == 13
 
 
 # ------------------------------------------------------------- runs
