@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Container, Sequence
 
 import numpy as np
@@ -51,10 +50,6 @@ class FactorModel:
     venue_factors: np.ndarray
     rank: int
     singular_values: np.ndarray | None = None
-
-    @cached_property
-    def user_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.user_factors, axis=1)
 
 
 def svd_factorize(

@@ -12,7 +12,6 @@ import gzip
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -351,10 +350,6 @@ class InteractionMatrix:
     venues: list[str]
     user_index: dict[str, int]
     venue_index: dict[str, int]
-
-    @cached_property
-    def row_norms(self) -> np.ndarray:
-        return np.sqrt(np.asarray(self.matrix.multiply(self.matrix).sum(axis=1)).ravel())
 
     @property
     def shape(self) -> tuple[int, int]:

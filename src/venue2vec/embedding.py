@@ -12,7 +12,7 @@ minibatch is one matrix-form SGNS step (Ji et al., arXiv 1604.04661).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -99,18 +99,6 @@ class EmbeddingModel:
     output_vectors: np.ndarray
     vocab: Vocabulary
     config: TrainingConfig
-    _input_norms: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def input_norms(self) -> np.ndarray:
-        """Row norms of the input matrix, cached after training completes."""
-        if self._input_norms is None:
-            self._input_norms = np.linalg.norm(
-                self.input_vectors.astype(np.float64, copy=False), axis=1
-            )
-        return self._input_norms
-
-    def invalidate_caches(self) -> None:
-        self._input_norms = None
 
 
 def init_model(
@@ -431,7 +419,6 @@ def train(
                 seconds=time.perf_counter() - started,
             )
         )
-    model.invalidate_caches()
     return model, trace
 
 

@@ -25,10 +25,6 @@ class TokenNotFoundError(KeyError):
     """Lookup of a token that is not in the vocabulary."""
 
 
-class SimilarityError(ValueError):
-    """Similarity query is undefined (e.g. zero-norm query vector)."""
-
-
 class EvaluationError(ValueError):
     """Metric aggregation over an empty or inconsistent user population."""
 

@@ -239,25 +239,32 @@ def embedding_recommender(
     ties break by ascending vocabulary index. The training visits are read
     only where they are used, NN's votes and the seen mask: they are aligned
     to the model's vocabulary, so pruned venues and users without history
-    vote nothing. KNI is KIU with no neighbors.
+    vote nothing. KNI is KIU with no neighbors. The input rows' norms are
+    taken here, once per call, so a model changed in place between calls
+    is served by its current rows.
     """
     if config.method == recommend.NN or config.filter_seen:
         table = build_interactions(dataset.train, config.binary_votes).aligned_to(model.vocab)
     else:
         table = InteractionMatrix.of_vocabulary(model.vocab)
+    count = model.vocab.user_count
+    vectors, norms = model.input_vectors, recommend.row_norms(model.input_vectors)
+    users, user_norms = vectors[:count], norms[:count]
     if config.method == recommend.NN:
-        count = model.vocab.user_count
-        rows, norms = model.input_vectors[:count], model.input_norms()[:count]
         return serve(
             config,
             table,
             lambda block: recommend.vote_scores(
-                rows, norms, table.matrix, block, config.neighbors, weighted=False
+                users, user_norms, table.matrix, block, config.neighbors, weighted=False
             ),
         )
     neighbors = config.neighbors if config.method == recommend.KIU else 0
     return serve(
-        config, table, lambda block: recommend.kiu_scores(model, block, neighbors)
+        config,
+        table,
+        lambda block: recommend.kiu_scores(
+            users, user_norms, vectors[count:], norms[count:], block, neighbors
+        ),
     )
 
 
@@ -303,7 +310,7 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
         return runs, time.perf_counter() - started, {}, traces
 
     if config.method == baselines.CF:
-        rows, norms, weighted = im.matrix, im.row_norms, True
+        rows, weighted = im.matrix, True
         echo = dict(neighbors=config.neighbors)
     else:  # svd / ccdpp
         rank = min(config.latent_rank(), min(im.shape))
@@ -317,8 +324,9 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
                 config.mf_iterations,
                 seed=config.seed,
             )
-        rows, norms, weighted = factors.user_factors, factors.user_norms, False
+        rows, weighted = factors.user_factors, False
         echo = dict(feature_count=config.latent_rank(), neighbors=config.neighbors)
+    norms = recommend.row_norms(rows)
     runs = [
         serve(
             config,

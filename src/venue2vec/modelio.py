@@ -143,6 +143,11 @@ def load_embedding_model(path: str | Path) -> EmbeddingModel:
             raise FormatError(f"unsupported model format version {version}")
         if arch_flag not in _FLAG_ARCHS:
             raise FormatError(f"unknown architecture flag {arch_flag}")
+        if vocab_size == 0 or feature_count == 0:
+            raise FormatError(
+                f"header claims {vocab_size} tokens of {feature_count} features "
+                f"in {path}; a model has at least one of each"
+            )
         # each token takes at least its 4-byte length and 8-byte frequency;
         # checked before allocating so a corrupt header cannot ask for terabytes
         table_start = handle.tell()

@@ -9,7 +9,8 @@ Every method is a score rule: given a block of target rows it returns a
 fresh float64 score per target and catalog venue, -inf for a venue it cannot
 list, and top_k picks each target's list. KNI is KIU with no neighbors, so
 kiu_scores serves both. NN's rule is also CF's and the latent-factor baselines' (vote_scores):
-only the user space the neighbors are picked in differs.
+only the user space the neighbors are picked in differs. The rules take row
+arrays with their row_norms, which the caller computes once per serving.
 
 All venue ids in results are raw (unprefixed) ids.
 """
@@ -23,8 +24,7 @@ from typing import Iterable
 import numpy as np
 from scipy import sparse
 
-from .embedding import EmbeddingModel
-from .errors import FormatError, SimilarityError
+from .errors import FormatError
 
 KNI = "kni"
 NN = "nn"
@@ -57,24 +57,16 @@ class RecommendationList:
         return [venue for venue, _ in self.items]
 
 
-def cosines(rows, norms: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Cosine of each row to the query, as a fresh float64 array.
+def row_norms(rows) -> np.ndarray:
+    """The float64 norm of each row of a dense array or a scipy sparse matrix.
 
-    rows is a dense array or a scipy sparse matrix and norms its precomputed
-    row norms, so a matrix's norms are computed once, not per query. The
-    query is cast to the rows' dtype for the product; a zero-norm row scores 0.
-
-    Raises:
-        SimilarityError: if the query has zero norm.
+    A serving computes its user and venue norms with this once, and the
+    score rules take them as arrays, so no norm outlives the rows it was
+    taken from.
     """
-    query = np.asarray(query, dtype=np.float64)
-    query_norm = float(np.linalg.norm(query))
-    if query_norm == 0.0:
-        raise SimilarityError("query vector has zero norm")
-    dots = rows @ query.astype(rows.dtype, copy=False)
-    return np.asarray(dots, dtype=np.float64) / (
-        np.where(norms == 0.0, 1.0, norms) * query_norm
-    )
+    if sparse.issparse(rows):
+        return np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1)).ravel())
+    return np.linalg.norm(rows.astype(np.float64, copy=False), axis=1)
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -175,35 +167,45 @@ def vote_scores(
     return tally
 
 
-def kiu_scores(model: EmbeddingModel, block: np.ndarray, neighbors: int) -> np.ndarray:
+def kiu_scores(
+    users: np.ndarray,
+    user_norms: np.ndarray,
+    venues: np.ndarray,
+    venue_norms: np.ndarray,
+    block: np.ndarray,
+    neighbors: int,
+) -> np.ndarray:
     """KIU and KNI: for each user row index in block, the cosine of each
-    venue row of the model's venue block to the float64 mean of that user
-    row and its neighbors nearest user rows; one (len(block) x venues)
-    array, -inf throughout where that mean has zero norm.
+    venue row to the float64 mean of that user row and its neighbors
+    nearest user rows; one (len(block) x venues) array, -inf throughout
+    where that mean has zero norm.
 
-    With no neighbors the query is the user's own row (the float64 mean of
-    one row is that row), which is KNI. The neighbors come from the block's
-    one similarity product; the venue cosines are taken row by row.
+    users and venues are the two blocks of one embedding matrix with their
+    row norms. With no neighbors the query is the user's own row (the
+    float64 mean of one row is that row), which is KNI. The neighbors come
+    from the block's one similarity product; each query's venue cosines are
+    one product in the venues' dtype, divided in float64, a zero-norm venue
+    scoring 0.
 
     Raises:
         ValueError: if an index is not a user row, or neighbors < 0 (top_k's k).
     """
     block = np.asarray(block, dtype=np.int64)
-    count = model.vocab.user_count
+    count = len(users)
     outside = block[(block < 0) | (block >= count)]
     if outside.size:
         raise ValueError(f"{outside[0]} is not a user row in [0, {count})")
-    vectors, norms = model.input_vectors, model.input_norms()
     picks = [np.empty(0, dtype=np.int64)] * len(block)
     if neighbors:
-        picks = [near for near, _ in nearest_users(vectors[:count], norms[:count], block, neighbors)]
-    scores = np.empty((len(block), len(vectors) - count))
+        picks = [near for near, _ in nearest_users(users, user_norms, block, neighbors)]
+    venue_norms = np.where(venue_norms == 0.0, 1.0, venue_norms)
+    scores = np.full((len(block), len(venues)), -np.inf)
     for row, (index, near) in enumerate(zip(block, picks)):
-        query = vectors[np.concatenate(([index], near))].astype(np.float64).mean(axis=0)
-        try:
-            scores[row] = cosines(vectors[count:], norms[count:], query)
-        except SimilarityError:
-            scores[row] = -np.inf  # a zero-norm query ranks nothing
+        query = users[np.concatenate(([index], near))].astype(np.float64).mean(axis=0)
+        query_norm = float(np.linalg.norm(query))
+        if query_norm != 0.0:  # a zero-norm query ranks nothing
+            dots = venues @ query.astype(venues.dtype, copy=False)
+            scores[row] = dots / (venue_norms * query_norm)
     return scores
 
 

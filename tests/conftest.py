@@ -30,7 +30,7 @@ def nearest_users(model, user: str, count: int) -> list[tuple[str, float]]:
     vocab = model.vocab
     users = model.input_vectors[: vocab.user_count]
     ((top, sims),) = recommend.nearest_users(
-        users, model.input_norms()[: vocab.user_count], [vocab.index("U:" + user)], count
+        users, recommend.row_norms(users), [vocab.index("U:" + user)], count
     )
     return [(vocab.token(int(i))[2:], float(s)) for i, s in zip(top, sims)]
 

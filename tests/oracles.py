@@ -25,7 +25,7 @@ def sgns_loss_reference(center, context, negatives) -> float:
         return 1.0 / (1.0 + math.exp(-x))
 
     def clamped_dot(a, b) -> float:
-        return float(np.clip(np.dot(a, b), -CLAMP, CLAMP))
+        return min(max(float(np.dot(a, b)), -CLAMP), CLAMP)
 
     loss = -math.log(sigmoid(clamped_dot(center, context)))
     for negative in negatives:

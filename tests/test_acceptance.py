@@ -48,7 +48,7 @@ from venue2vec.metrics import (
     prediction_coverage,
     score_user,
 )
-from venue2vec.recommend import top_k, vote_scores
+from venue2vec.recommend import row_norms, top_k, vote_scores
 
 from oracles import (
     als_final_objective,
@@ -133,7 +133,6 @@ def _random_model(rng, n_venues, features):
     config = TrainingConfig(feature_count=features, seed=int(rng.integers(2**31)))
     model = init_model(vocab, config, dtype=np.float64)
     model.input_vectors = rng.normal(size=model.input_vectors.shape)
-    model.invalidate_caches()
     return model, records
 
 
@@ -453,7 +452,7 @@ def test_criterion_7_coverage_contract(planted_run):
     predicted = [
         int(
             top_k(
-                vote_scores(im.matrix, im.row_norms, im.matrix, [im.user_index[user]], 5, True)[0],
+                vote_scores(im.matrix, row_norms(im.matrix), im.matrix, [im.user_index[user]], 5, True)[0],
                 10,
             ).size
             > 0
@@ -478,7 +477,6 @@ def test_criterion_8_kni_timing_budget():
     vocab = build_vocabulary(records, 1)
     model = init_model(vocab, TrainingConfig(feature_count=features, seed=0))
     model.input_vectors = rng.normal(size=model.input_vectors.shape).astype(np.float32)
-    model.invalidate_caches()
 
     recommend_users = embedding_recommender(
         ExperimentConfig(method="kni", k=10), model, Dataset(records, [])

@@ -12,7 +12,7 @@ from venue2vec.baselines import (
 )
 from venue2vec.corpus import build_interactions
 from venue2vec.harness import ExperimentConfig
-from venue2vec.recommend import vote_scores
+from venue2vec.recommend import row_norms, vote_scores
 
 from conftest import community_of, make_records
 from oracles import als_final_objective, jacobi_singular_values
@@ -62,7 +62,9 @@ def recommend_cf(im, user, neighbors, k, filter_seen=False):
     recommend_users = harness.serve(
         config,
         im,
-        lambda block: vote_scores(im.matrix, im.row_norms, im.matrix, block, neighbors, True),
+        lambda block: vote_scores(
+            im.matrix, row_norms(im.matrix), im.matrix, block, neighbors, True
+        ),
     )
     return next(recommend_users([user]))
 
@@ -311,7 +313,8 @@ def test_ccdpp_parameter_validation():
 def recommend_latent_neighbors(factors, im, user, neighbors, k):
     """The latent rule: the neighbor rule over user-latent rows, unit votes."""
     config = ExperimentConfig(method=SVD, k=k, neighbors=neighbors)
-    rows, norms = factors.user_factors, factors.user_norms
+    rows = factors.user_factors
+    norms = row_norms(rows)
     recommend_users = harness.serve(
         config,
         im,

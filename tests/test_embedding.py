@@ -25,14 +25,9 @@ from venue2vec.embedding import (
     resolve_window,
     train,
 )
-from venue2vec.errors import (
-    ConfigError,
-    SimilarityError,
-    TokenNotFoundError,
-    TrainingError,
-)
+from venue2vec.errors import ConfigError, TokenNotFoundError, TrainingError
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
-from venue2vec.recommend import cosines, top_k
+from venue2vec.recommend import kiu_scores, row_norms, top_k
 
 from conftest import make_records
 from oracles import brute_force_top_k, context_pairs_reference, two_token_scalar_reference
@@ -54,10 +49,12 @@ def venue_indices(vocab):
 
 def nearest(model, query, candidates, k):
     """The k candidate tokens whose model rows are most cosine-similar to
-    query, with their scores, through cosines and top_k over those rows."""
+    query, with their scores, through kiu_scores (the query as its one user
+    row, no neighbors) and top_k over those rows."""
     candidates = np.asarray(candidates)
-    rows, norms = model.input_vectors[candidates], model.input_norms()[candidates]
-    scores = cosines(rows, norms, query)
+    query = np.asarray(query, dtype=np.float64)[None, :]
+    rows = model.input_vectors[candidates]
+    (scores,) = kiu_scores(query, row_norms(query), rows, row_norms(rows), [0], 0)
     return [(model.vocab.token(int(candidates[i])), float(scores[i])) for i in top_k(scores, k)]
 
 
@@ -408,7 +405,7 @@ def test_training_output_finite_and_nonzero(community_model):
     model, _ = community_model
     assert np.isfinite(model.input_vectors).all()
     assert np.isfinite(model.output_vectors).all()
-    assert (model.input_norms() > 0).all()
+    assert (row_norms(model.input_vectors) > 0).all()
 
 
 # ---------------------------------------------------------------- lookup
@@ -441,7 +438,6 @@ def test_top_k_matches_brute_force(rng):
     config = TrainingConfig(feature_count=12, seed=0)
     model = init_model(vocab, config, dtype=np.float64)
     model.input_vectors = rng.normal(size=model.input_vectors.shape)
-    model.invalidate_caches()
     query = rng.normal(size=12)
     candidates = venue_indices(vocab)
     ours = nearest(model, query, candidates, 10)
@@ -465,7 +461,6 @@ def test_top_k_tie_break_ascending_index():
     config = TrainingConfig(feature_count=2, seed=0)
     model = init_model(vocab, config, dtype=np.float64)
     model.input_vectors = np.ones((5, 2))  # every cosine identical
-    model.invalidate_caches()
     top = nearest(model, np.ones(2), venue_indices(vocab), 3)
     assert [t for t, _ in top] == ["V:v0", "V:v1", "V:v2"]
 
@@ -478,6 +473,5 @@ def test_top_k_saturation_returns_all_candidates(toy_model):
     assert scores == sorted(scores, reverse=True)
 
 
-def test_top_k_zero_norm_query_raises(toy_model):
-    with pytest.raises(SimilarityError):
-        cosines(toy_model.input_vectors, toy_model.input_norms(), np.zeros(2))
+def test_top_k_zero_norm_query_ranks_nothing(toy_model):
+    assert nearest(toy_model, np.zeros(2), venue_indices(toy_model.vocab), 3) == []

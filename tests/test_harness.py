@@ -412,6 +412,45 @@ def test_seen_mask_equals_full_depth_recut(method):
     assert dropped > 0  # the mask removed listed venues
 
 
+def test_serving_reads_rows_changed_in_place():
+    """A serving takes its row norms from the rows as they are when it is
+    built: after a few user and venue rows are scaled in place, with no call
+    in between, a new KNI serving lists the brute-force cosine scan of the
+    changed rows and a new NN serving the vote of the brute-force
+    neighbours. Cosines do not move when a row is scaled, and a scale by 8
+    is exact, so both lists are also exactly what they were before."""
+    dataset = harness.load_dataset(small_config())
+    model, _, _ = harness.fit_embedding(small_config(), dataset)
+    model.input_vectors = model.input_vectors.astype(np.float64)  # rounds like the oracle
+    vocab, count = model.vocab, model.vocab.user_count
+    users = sorted(build_ground_truth(dataset))
+    visits = interactions_reference(dataset.train)
+    index_of = lambda v: vocab.index(Vocabulary.venue_token(v))  # noqa: E731
+
+    def lists(method):
+        config = small_config(method=method, k=5, neighbors=3)
+        recommend_users = harness.embedding_recommender(config, model, dataset)
+        return {result.user: result.items for result in recommend_users(users)}
+
+    before = lists("kni"), lists("nn")
+    rows = model.input_vectors
+    rows[[0, 2, 5]] *= 8.0
+    rows[count + np.array([0, 1, 3, 7])] *= 8.0
+    kni, nn = lists("kni"), lists("nn")
+    assert (kni, nn) == before
+    for user in users:
+        target = vocab.index(Vocabulary.user_token(user))
+        expected = brute_force_top_k(rows, rows[target], range(count, len(vocab)), 5)
+        assert [index_of(venue) for venue, _ in kni[user]] == [i for i, _ in expected]
+        assert [score for _, score in kni[user]] == pytest.approx(
+            [score for _, score in expected], abs=1e-12
+        )
+        others = [i for i in range(count) if i != target]
+        near = brute_force_top_k(rows[:count], rows[target], others, 3)
+        votes = vote_reference([vocab.token(i)[2:] for i, _ in near], visits)
+        assert nn[user] == rank_votes_reference(votes, 5, index_of)
+
+
 # ------------------------------------------------------------- sweeps
 
 

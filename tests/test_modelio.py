@@ -115,26 +115,34 @@ def test_load_rejects_token_length_past_the_table(tmp_path, toy_model):
         load_embedding_model(corrupt)
 
 
-def _model_file_with_tokens(path, tokens):
-    """A well-formed two-token model file whose token table reads tokens."""
+def _model_file_with_tokens(path, tokens, header=b""):
+    """A two-token model file whose token table reads tokens; header's bytes,
+    if any, overwrite the header's token and feature counts from byte 8 on."""
     vocab = build_vocabulary(make_records({"u1": ["v1"]}), 1)
     model = init_model(vocab, TrainingConfig(feature_count=2, seed=0))
     vocab.index_to_token = tokens
     save_embedding_model(model, path)
+    blob = bytearray(path.read_bytes())
+    blob[8 : 8 + len(header)] = header
+    path.write_bytes(bytes(blob))
     return path
 
 
 @pytest.mark.parametrize(
-    "tokens, reason",
+    "tokens, header, reason",
     [
-        (["U:u1", "v1"], r"token 1 \('v1'\) must start with V:"),
-        (["V:v1", "U:u1"], r"token 0 \('V:v1'\) must start with U:"),
-        (["U:u1", "U:u1"], "holds a token twice"),
+        (["U:u1", "v1"], b"", r"token 1 \('v1'\) must start with V:"),
+        (["V:v1", "U:u1"], b"", r"token 0 \('V:v1'\) must start with U:"),
+        (["U:u1", "U:u1"], b"", "holds a token twice"),
+        (["U:u1", "V:v1"], struct.pack("<Q", 0), "header claims 0 tokens of 2 features"),
+        (["U:u1", "V:v1"], struct.pack("<QI", 2, 0), "header claims 2 tokens of 0 features"),
     ],
-    ids=["no-prefix", "user-after-venue", "duplicate"],
+    ids=["no-prefix", "user-after-venue", "duplicate", "no-tokens", "no-features"],
 )
-def test_load_rejects_bad_token_table(tmp_path, tokens, reason):
-    path = _model_file_with_tokens(tmp_path / "model.bin", tokens)
+def test_load_rejects_bad_token_table(tmp_path, tokens, header, reason):
+    """A token table or header no model could have written is a FormatError
+    naming the file, before any vocabulary or matrix is built."""
+    path = _model_file_with_tokens(tmp_path / "model.bin", tokens, header)
     with pytest.raises(FormatError, match=reason) as error:
         load_embedding_model(path)
     assert str(path) in str(error.value)

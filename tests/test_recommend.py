@@ -27,6 +27,7 @@ from venue2vec.recommend import (
     RecommendationList,
     format_batch_line,
     read_batch_recommendations,
+    row_norms,
     top_k,
     vote_scores,
     write_batch_recommendations,
@@ -87,7 +88,6 @@ def _user_model(user_rows):
     config = TrainingConfig(feature_count=user_rows.shape[1], seed=0)
     model = init_model(vocab, config, dtype=np.float64)
     model.input_vectors[: vocab.user_count] = user_rows
-    model.invalidate_caches()
     return model
 
 
@@ -118,12 +118,12 @@ def test_neighbor_pick_matches_brute_force_on_count_and_latent_rows(
     im = community_interactions
     dense = im.matrix.toarray()
     _assert_pick_is_brute_force(
-        lambda i: recommend.nearest_users(im.matrix, im.row_norms, [i], 7)[0], dense, 7
+        lambda i: recommend.nearest_users(im.matrix, row_norms(im.matrix), [i], 7)[0], dense, 7
     )
     latent = svd_factorize(im, 6, seed=1)
     rows = latent.user_factors
     _assert_pick_is_brute_force(
-        lambda i: recommend.nearest_users(rows, latent.user_norms, [i], 7)[0], rows, 7
+        lambda i: recommend.nearest_users(rows, row_norms(rows), [i], 7)[0], rows, 7
     )
 
 
@@ -139,7 +139,7 @@ def test_neighbor_pick_returns_n_when_lower_rows_tie_the_target():
         expected = brute_force_top_k(users, users[2], [0, 1, 3, 4], n)
         ranked = nearest_users(model, "u2", n)
         assert [user for user, _ in ranked] == [f"u{i}" for i, _ in expected]
-        ((top, _),) = recommend.nearest_users(im.matrix, im.row_norms, [2], min(n, 3))
+        ((top, _),) = recommend.nearest_users(im.matrix, row_norms(im.matrix), [2], min(n, 3))
         assert list(top) == [0, 1, 3][: min(n, 3)]
 
 
@@ -314,7 +314,6 @@ def test_vote_block_lists_match_brute_force(monkeypatch, block, filter_seen):
     model = init_model(vocab, TrainingConfig(feature_count=3, seed=0), dtype=np.float64)
     vocab_users = [Vocabulary.strip_prefix(t) for t in vocab.index_to_token[: vocab.user_count]]
     model.input_vectors[: vocab.user_count] = [integer_rows[int(u[1:])] for u in vocab_users]
-    model.invalidate_caches()
     nn = embedding_recommender(replace(config, method=NN), model, Dataset(records, []))
     (cf,), *_ = harness._recommender_for(replace(config, method="cf"), Dataset(records, []))
     latent_rows = integer_rows[[int(u[1:]) for u in im.users]]
@@ -398,7 +397,6 @@ def test_kiu_all_users_uniform_vectors_degrades_gracefully():
     vocab = build_vocabulary(records, 1)
     model = init_model(vocab, TrainingConfig(feature_count=4, seed=0), dtype=np.float64)
     model.input_vectors = np.ones_like(model.input_vectors)  # every cosine ties
-    model.invalidate_caches()
     first = kiu_list(model, records, "a", 2, 50)
     second = kiu_list(model, records, "a", 2, 50)
     assert first.predicted
@@ -419,7 +417,6 @@ def _integer_model(rng, n_users, n_venues, features):
     model = init_model(vocab, TrainingConfig(feature_count=features, seed=0), dtype=np.float64)
     model.input_vectors[:n_users] = n_users * rng.integers(-1, 2, (n_users, features))
     model.input_vectors[n_users:] = rng.integers(-2, 3, (n_venues, features))
-    model.invalidate_caches()
     return model, records
 
 
@@ -494,7 +491,6 @@ def test_kiu_zero_norm_query_is_no_prediction():
     model.input_vectors[vocab.index("U:a")] = np.array([1.0, 0.0, 0.0, 0.0])
     model.input_vectors[vocab.index("U:b")] = np.array([-1.0, 0.0, 0.0, 0.0])
     model.input_vectors[vocab.index("V:x")] = np.ones(4)
-    model.invalidate_caches()
     assert not kiu_list(model, records, "a", 1, 1).predicted
 
 
@@ -562,7 +558,6 @@ def test_nn_and_kiu_serve_a_model_trained_on_other_records():
     vocab = build_vocabulary(make_records(model_visits), 1)
     model = init_model(vocab, TrainingConfig(feature_count=3, seed=0), dtype=np.float64)
     model.input_vectors = np.random.default_rng(5).normal(size=model.input_vectors.shape)
-    model.invalidate_caches()
     records = make_records(
         {"u2": ["d", "b", "z"], "u1": ["z", "c", "c", "a"], "u0": ["b", "z"], "u9": ["a", "z"]}
     )
@@ -590,7 +585,10 @@ def test_requests_validate_bounds(toy_model):
             config.validate()
     vocab = toy_model.vocab
     index = vocab.index("U:u0")
-    scores = recommend.kiu_scores(toy_model, [index], 0)
+    count = vocab.user_count
+    vectors, norms = toy_model.input_vectors, row_norms(toy_model.input_vectors)
+    users, venues = (vectors[:count], norms[:count]), (vectors[count:], norms[count:])
+    scores = recommend.kiu_scores(*users, *venues, [index], 0)
     assert scores.shape == (1, len(vocab) - vocab.user_count)
     assert np.isfinite(scores).all()
     for k in (0, -1):
@@ -598,10 +596,9 @@ def test_requests_validate_bounds(toy_model):
             top_k(scores[0], k)
     for bad_index, neighbors in ((index, -1), (-1, 0), (vocab.user_count, 1)):
         with pytest.raises(ValueError):
-            recommend.kiu_scores(toy_model, [index, bad_index], neighbors)
-    users = toy_model.input_vectors[: vocab.user_count]
+            recommend.kiu_scores(*users, *venues, [index, bad_index], neighbors)
     with pytest.raises(ValueError):
-        recommend.nearest_users(users, np.linalg.norm(users, axis=1), [index], 0)
+        recommend.nearest_users(*users, [index], 0)
 
 
 # ------------------------------------------------------------- properties
@@ -666,7 +663,6 @@ def test_concurrent_readers_agree(toy_model, toy_records):
     import threading
 
     serve = _serve(toy_model, toy_records, "kiu", k=4, neighbors=2)
-    toy_model.invalidate_caches()  # force the norm cache race too
     expected = kiu_list(toy_model, toy_records, "u0", 4, 2).items
     outputs = []
 
