@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Container, Sequence
 
 import numpy as np
+from scipy import sparse
 
-from .corpus import InteractionMatrix
 from .recommend import RecommendationList
 
 CF = "cf"
@@ -53,7 +53,7 @@ class FactorModel:
 
 
 def svd_factorize(
-    im: InteractionMatrix,
+    matrix: sparse.csr_matrix,
     rank: int,
     *,
     seed: int = 0,
@@ -65,18 +65,17 @@ def svd_factorize(
     recommendation. Requesting more than the achievable rank returns the
     achieved rank with a warning.
     """
-    m, n = im.shape
+    m, n = matrix.shape
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if rank > min(m, n):
         warnings.warn(
-            f"rank {rank} exceeds matrix dimensions {im.shape}; clamping",
+            f"rank {rank} exceeds matrix dimensions {matrix.shape}; clamping",
             stacklevel=2,
         )
         rank = min(m, n)
     rng = np.random.default_rng(seed)
     sketch = min(rank + SVD_OVERSAMPLING, min(m, n))
-    matrix = im.matrix
     probe = rng.standard_normal((n, sketch))
     basis, _ = np.linalg.qr(matrix @ probe)
     for _ in range(SVD_POWER_ITERATIONS):
@@ -104,7 +103,7 @@ def svd_factorize(
 
 
 def ccdpp_factorize(
-    im: InteractionMatrix,
+    matrix: sparse.csr_matrix,
     rank: int,
     regularization: float = 0.1,
     iterations: int = 15,
@@ -123,12 +122,12 @@ def ccdpp_factorize(
         raise ValueError("regularization must be > 0")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    m, n = im.shape
+    m, n = matrix.shape
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((m, rank)) * 0.1
     V = rng.standard_normal((n, rank)) * 0.1
 
-    csr = im.matrix.tocsr()
+    csr = matrix.tocsr()
     rows = np.repeat(np.arange(m), np.diff(csr.indptr))
     cols = csr.indices.astype(np.int64)
     residual = csr.data.astype(np.float64).copy()

@@ -2,15 +2,15 @@
 
 A "sentence" here is one user token followed by that user's venue tokens in
 ascending check-in order; it is the unit consumed by embedding training.
-User and venue tokens live in one vocabulary but are namespaced with the
-prefixes below so that identical raw ids can never collide.
+Users and venues are numbered by one index, the Vocabulary; a user and a
+venue with the same raw id are different rows.
 """
 
 from __future__ import annotations
 
 import gzip
 import warnings
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -18,10 +18,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, EmptyVocabularyError, FormatError, TokenNotFoundError
-
-USER_PREFIX = "U:"
-VENUE_PREFIX = "V:"
+from .errors import ConfigError, EmptyVocabularyError, FormatError
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,94 +183,66 @@ def split_train_test(records: Iterable[CheckinRecord], boundary: int) -> Dataset
 
 
 class Vocabulary:
-    """Token <-> index map over prefixed user and venue tokens.
+    """The one user and venue index of a training set.
 
-    Indices are assigned users first, then venues, each in order of first
-    occurrence in the training records, so user indices form the contiguous
-    range [0, user_count) and venue indices [user_count, len(vocab)).
+    Users and venues are each numbered in order of first occurrence in the
+    training records. User i is model row i and venue j model row
+    user_count + j, so user rows form the contiguous range [0, user_count)
+    and venue rows [user_count, len(vocab)); the visit table of
+    build_interactions has row i for user i and column j for venue j.
     """
 
-    def __init__(
-        self,
-        user_ids: list[str],
-        venue_ids: list[str],
-        frequency: np.ndarray,
-        min_word_count: int,
-    ):
-        self.index_to_token = [USER_PREFIX + u for u in user_ids] + [
-            VENUE_PREFIX + v for v in venue_ids
-        ]
-        self.token_to_index = {t: i for i, t in enumerate(self.index_to_token)}
+    def __init__(self, users: list[str], venues: list[str], frequency: np.ndarray):
+        self.users = users
+        self.venues = venues
+        self.user_index = {user: i for i, user in enumerate(users)}
+        self.venue_index = {venue: j for j, venue in enumerate(venues)}
         self.frequency = np.asarray(frequency, dtype=np.int64)
-        self.min_word_count = min_word_count
-        self.user_count = len(user_ids)
-        if len(self.token_to_index) != len(self.index_to_token):
-            raise ValueError("duplicate tokens in vocabulary")
-        if len(self.frequency) != len(self.index_to_token):
+        if len(self.user_index) < len(users) or len(self.venue_index) < len(venues):
+            raise ValueError("duplicate ids in vocabulary")
+        if len(self.frequency) != len(self):
             raise ValueError("frequency array does not match token count")
 
+    @property
+    def user_count(self) -> int:
+        return len(self.users)
+
     def __len__(self) -> int:
-        return len(self.index_to_token)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_index
-
-    def index(self, token: str) -> int:
-        try:
-            return self.token_to_index[token]
-        except KeyError:
-            raise TokenNotFoundError(token) from None
-
-    def token(self, index: int) -> str:
-        return self.index_to_token[index]
-
-    @staticmethod
-    def user_token(user_id: str) -> str:
-        return USER_PREFIX + user_id
-
-    @staticmethod
-    def venue_token(venue_id: str) -> str:
-        return VENUE_PREFIX + venue_id
-
-    @staticmethod
-    def strip_prefix(token: str) -> str:
-        return token[len(USER_PREFIX):]
+        return len(self.users) + len(self.venues)
 
 
 def build_vocabulary(
     train: Iterable[CheckinRecord], min_word_count: int = 1
 ) -> Vocabulary:
-    """Build the token vocabulary from training records.
+    """Build the user and venue index from training records.
 
     A user's frequency is their number of check-ins; a venue's frequency is
-    the number of times it was checked in. Tokens below min_word_count are
-    dropped (this applies to user tokens as well as venue tokens).
+    the number of times it was checked in. Ids below min_word_count are
+    dropped (this applies to users as well as venues).
     """
     if min_word_count < 1:
         raise ValueError("min_word_count must be >= 1")
-    user_freq: Counter[str] = Counter()
-    venue_freq: Counter[str] = Counter()
-    user_order: list[str] = []
-    venue_order: list[str] = []
+    user_index: dict[str, int] = {}
+    venue_index: dict[str, int] = {}
+    user_rows: list[int] = []
+    venue_rows: list[int] = []
     for record in train:
-        if record.user_id not in user_freq:
-            user_order.append(record.user_id)
-        if record.venue_id not in venue_freq:
-            venue_order.append(record.venue_id)
-        user_freq[record.user_id] += 1
-        venue_freq[record.venue_id] += 1
-    users = [u for u in user_order if user_freq[u] >= min_word_count]
-    venues = [v for v in venue_order if venue_freq[v] >= min_word_count]
+        user_rows.append(user_index.setdefault(record.user_id, len(user_index)))
+        venue_rows.append(venue_index.setdefault(record.venue_id, len(venue_index)))
+    user_freq = np.bincount(user_rows, minlength=len(user_index))
+    venue_freq = np.bincount(venue_rows, minlength=len(venue_index))
+    user_kept = user_freq >= min_word_count
+    venue_kept = venue_freq >= min_word_count
+    users = [user for user, kept in zip(user_index, user_kept) if kept]
+    venues = [venue for venue, kept in zip(venue_index, venue_kept) if kept]
     if not users and not venues:
         raise EmptyVocabularyError(
             "no token reached min_word_count "
-            f"({min_word_count}) over {sum(user_freq.values())} records"
+            f"({min_word_count}) over {len(user_rows)} records"
         )
-    frequency = np.array(
-        [user_freq[u] for u in users] + [venue_freq[v] for v in venues],
-        dtype=np.int64,
+    return Vocabulary(
+        users, venues, np.concatenate([user_freq[user_kept], venue_freq[venue_kept]])
     )
-    return Vocabulary(users, venues, frequency, min_word_count)
 
 
 @dataclass
@@ -306,21 +275,17 @@ def build_sentences(
     input order; venues pruned from the vocabulary are omitted; users whose
     sentences would contain no venue token are omitted entirely.
     """
-    per_user: defaultdict[str, list[tuple[int, int]]] = defaultdict(list)
+    per_user: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
     for record in train:
-        user_token = Vocabulary.user_token(record.user_id)
-        venue_token = Vocabulary.venue_token(record.venue_id)
-        if user_token not in vocab or venue_token not in vocab:
-            continue
-        per_user[record.user_id].append(
-            (record.timestamp, vocab.index(venue_token))
-        )
+        user = vocab.user_index.get(record.user_id)
+        venue = vocab.venue_index.get(record.venue_id)
+        if user is not None and venue is not None:
+            per_user[user].append((record.timestamp, vocab.user_count + venue))
     sentences: list[np.ndarray] = []
     max_length = 0
     total_tokens = 0
     for user_index in range(vocab.user_count):
-        user_id = Vocabulary.strip_prefix(vocab.token(user_index))
-        visits = per_user.get(user_id)
+        visits = per_user.get(user_index)
         if not visits:
             continue
         visits.sort(key=lambda pair: pair[0])  # stable: ties keep input order
@@ -335,80 +300,25 @@ def build_sentences(
     return SentenceCorpus(sentences, max_length, total_tokens)
 
 
-@dataclass
-class InteractionMatrix:
-    """Sparse user x venue visit-count matrix with index maps.
-
-    Rows and columns are numbered in order of first occurrence in the
-    records, so a venue's column follows the same order as its vocabulary
-    index. The one visit-history table: every neighbor recommender votes
-    from its rows.
-    """
-
-    matrix: sparse.csr_matrix
-    users: list[str]
-    venues: list[str]
-    user_index: dict[str, int]
-    venue_index: dict[str, int]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def venues_of(self, user: str) -> np.ndarray:
-        """Column indices of the user's visited venues (empty when unknown)."""
-        row = self.user_index.get(user)
-        if row is None:
-            return np.empty(0, dtype=np.int64)
-        return self.matrix.indices[self.matrix.indptr[row] : self.matrix.indptr[row + 1]]
-
-    @classmethod
-    def of_vocabulary(cls, vocab: Vocabulary) -> InteractionMatrix:
-        """The vocabulary's users and venues with no visits: row i is user
-        token i and column j venue token user_count + j."""
-        users = [Vocabulary.strip_prefix(t) for t in vocab.index_to_token[: vocab.user_count]]
-        venues = [Vocabulary.strip_prefix(t) for t in vocab.index_to_token[vocab.user_count :]]
-        return cls(
-            sparse.csr_matrix((len(users), len(venues))),
-            users,
-            venues,
-            {u: i for i, u in enumerate(users)},
-            {v: j for j, v in enumerate(venues)},
-        )
-
-    def aligned_to(self, vocab: Vocabulary) -> InteractionMatrix:
-        """This table re-indexed to the vocabulary, as of_vocabulary lays it
-        out. Vocabulary users without visits here get empty rows; venues the
-        vocabulary lacks are dropped."""
-        aligned = InteractionMatrix.of_vocabulary(vocab)
-        entries = self.matrix.tocoo()
-        rows = np.array([aligned.user_index.get(u, -1) for u in self.users], dtype=np.int64)
-        cols = np.array([aligned.venue_index.get(v, -1) for v in self.venues], dtype=np.int64)
-        rows, cols = rows[entries.row], cols[entries.col]
-        kept = (rows >= 0) & (cols >= 0)
-        aligned.matrix = sparse.csr_matrix(
-            (entries.data[kept], (rows[kept], cols[kept])), shape=aligned.shape
-        )
-        return aligned
-
-
 def build_interactions(
-    records: Iterable[CheckinRecord], binary: bool = False
-) -> InteractionMatrix:
-    """Count visits per (user, venue); binary mode stores 1.0 for any visit."""
-    user_index: dict[str, int] = {}
-    venue_index: dict[str, int] = {}
+    records: Iterable[CheckinRecord], vocab: Vocabulary, binary: bool = False
+) -> sparse.csr_matrix:
+    """Visits per (user, venue) over the vocabulary: row i is user i, column
+    j venue j, vocab.user_count x len(vocab.venues). Records whose user or
+    venue the vocabulary lacks are dropped, and repeat visits are summed;
+    binary mode stores 1.0 for any visit. The one visit-history table: every
+    neighbor recommender votes from its rows."""
     rows: list[int] = []
     cols: list[int] = []
     for record in records:
-        rows.append(user_index.setdefault(record.user_id, len(user_index)))
-        cols.append(venue_index.setdefault(record.venue_id, len(venue_index)))
-    if not rows:
-        raise ValueError("cannot build an interaction matrix from zero records")
-    # duplicate (user, venue) pairs are summed into one visit count
+        row = vocab.user_index.get(record.user_id)
+        col = vocab.venue_index.get(record.venue_id)
+        if row is not None and col is not None:
+            rows.append(row)
+            cols.append(col)
     matrix = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(len(user_index), len(venue_index))
+        (np.ones(len(rows)), (rows, cols)), shape=(vocab.user_count, len(vocab.venues))
     )
     if binary:
         matrix.data[:] = 1.0
-    return InteractionMatrix(matrix, list(user_index), list(venue_index), user_index, venue_index)
+    return matrix

@@ -21,10 +21,6 @@ class TrainingError(RuntimeError):
     """Training cannot proceed (e.g. empty sentence corpus)."""
 
 
-class TokenNotFoundError(KeyError):
-    """Lookup of a token that is not in the vocabulary."""
-
-
 class EvaluationError(ValueError):
     """Metric aggregation over an empty or inconsistent user population."""
 

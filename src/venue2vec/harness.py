@@ -22,13 +22,14 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from . import baselines, recommend
 from .corpus import (
     Dataset,
     FieldLayout,
-    InteractionMatrix,
     SentenceCorpus,
+    Vocabulary,
     build_interactions,
     build_sentences,
     build_vocabulary,
@@ -183,48 +184,50 @@ def fit_embedding(
 
 def serve(
     config: ExperimentConfig,
-    table: InteractionMatrix,
+    vocab: Vocabulary,
+    visits: sparse.csr_matrix | None,
     score_block: Callable[[np.ndarray], np.ndarray],
 ) -> Callable[[Sequence[str]], Iterator[recommend.RecommendationList]]:
     """The recommend callable of a score rule: score_block(rows) is a fresh
-    (len(rows) x venues) score array for the users in those table rows,
-    -inf where a venue cannot be listed.
+    (len(rows) x venues) score array for the vocabulary's users at those
+    rows, -inf where a venue cannot be listed.
 
     The callable lists the given users in order, a block at a time: one
     score_block call per block of users, as many as BLOCK_BYTES holds rows
-    of the table's width (at most the table's user count). Every call gets
+    of the vocabulary's width (at most its user count). Every call gets
     exactly that many rows, a short block repeating its rows and the
     repeats' scores dropped: BLAS picks its kernel by product shape (numpy
     sends one row to gemv, OpenBLAS small products to another kernel), the
     kernels round differently, and a user's list must not depend on which
     users share its block.
 
-    A user without a row gets an empty list, as does one whose row is all
-    -inf (an undefined similarity query); evaluation books both as coverage
-    misses. Under filter_seen each user's training venues are masked to -inf
-    before the one top-k per row, so the list is exactly the top k of the
-    unseen venues, ties included.
+    A user outside the vocabulary gets an empty list, as does one whose row
+    is all -inf (an undefined similarity query); evaluation books both as
+    coverage misses. Under filter_seen each user's venues in visits (the
+    build_interactions table over vocab) are masked to -inf before the one
+    top-k per row, so the list is exactly the top k of the unseen venues,
+    ties included.
     """
-    width = max(len(table.users), len(table.venues))
-    size = max(1, min(BLOCK_BYTES // (8 * width), len(table.users)))
+    width = max(vocab.user_count, len(vocab.venues))
+    size = max(1, min(BLOCK_BYTES // (8 * width), vocab.user_count))
 
     def recommend_users(users: Sequence[str]) -> Iterator[recommend.RecommendationList]:
         for start in range(0, len(users), size):
             block = users[start : start + size]
-            known = [user for user in block if user in table.user_index]
+            known = [user for user in block if user in vocab.user_index]
             scores = {}
             if known:
-                rows = np.array([table.user_index[user] for user in known], dtype=np.int64)
+                rows = np.array([vocab.user_index[user] for user in known], dtype=np.int64)
                 block_scores = score_block(np.resize(rows, size))[: len(rows)]
                 if config.filter_seen:
-                    block_scores[table.matrix[rows].nonzero()] = -np.inf
+                    block_scores[visits[rows].nonzero()] = -np.inf
                 scores = dict(zip(known, block_scores))
             for user in block:
                 items = []
                 if user in scores:
                     row = scores[user]
                     top = recommend.top_k(row, config.k)
-                    items = [(table.venues[j], float(row[j])) for j in top]
+                    items = [(vocab.venues[j], float(row[j])) for j in top]
                 yield recommend.RecommendationList(user, config.method, items)
 
     return recommend_users
@@ -235,33 +238,34 @@ def embedding_recommender(
 ) -> Callable[[Sequence[str]], Iterator[recommend.RecommendationList]]:
     """The KNI/NN/KIU recommend callable over a trained model (see serve).
 
-    Table row i is user row i and column j venue row user_count + j, and
-    ties break by ascending vocabulary index. The training visits are read
-    only where they are used, NN's votes and the seen mask: they are aligned
-    to the model's vocabulary, so pruned venues and users without history
+    Ties break by ascending vocabulary index. The training visits are read
+    only where they are used, NN's votes and the seen mask: they are counted
+    over the model's vocabulary, so pruned venues and users without history
     vote nothing. KNI is KIU with no neighbors. The input rows' norms are
     taken here, once per call, so a model changed in place between calls
     is served by its current rows.
     """
+    vocab = model.vocab
+    visits = None
     if config.method == recommend.NN or config.filter_seen:
-        table = build_interactions(dataset.train, config.binary_votes).aligned_to(model.vocab)
-    else:
-        table = InteractionMatrix.of_vocabulary(model.vocab)
-    count = model.vocab.user_count
+        visits = build_interactions(dataset.train, vocab, config.binary_votes)
+    count = vocab.user_count
     vectors, norms = model.input_vectors, recommend.row_norms(model.input_vectors)
     users, user_norms = vectors[:count], norms[:count]
     if config.method == recommend.NN:
         return serve(
             config,
-            table,
+            vocab,
+            visits,
             lambda block: recommend.vote_scores(
-                users, user_norms, table.matrix, block, config.neighbors, weighted=False
+                users, user_norms, visits, block, config.neighbors, weighted=False
             ),
         )
     neighbors = config.neighbors if config.method == recommend.KIU else 0
     return serve(
         config,
-        table,
+        vocab,
+        visits,
         lambda block: recommend.kiu_scores(
             users, user_norms, vectors[count:], norms[count:], block, neighbors
         ),
@@ -290,18 +294,21 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
         )
         return runs, time.perf_counter() - started, echo, traces
 
-    im = build_interactions(dataset.train, config.binary_votes)
+    vocab = build_vocabulary(dataset.train)
+    visits = build_interactions(dataset.train, vocab, config.binary_votes)
     if config.method == baselines.RANDOM:
 
         def random_run(seed: int):
             # per-user sub-seed so one run's draws are independent across users
             return lambda users: (
                 baselines.recommend_random(
-                    im.venues,
+                    vocab.venues,
                     user,
                     config.k,
                     _user_seed(seed, user),
-                    set(im.venues_of(user).tolist()) if config.filter_seen else (),
+                    set(visits[vocab.user_index[user]].indices.tolist())
+                    if config.filter_seen
+                    else (),
                 )
                 for user in users
             )
@@ -310,29 +317,30 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
         return runs, time.perf_counter() - started, {}, traces
 
     if config.method == baselines.CF:
-        rows, weighted = im.matrix, True
+        rows, weighted = visits, True
         echo = dict(neighbors=config.neighbors)
     else:  # svd / ccdpp
-        rank = min(config.latent_rank(), min(im.shape))
+        rank = min(config.latent_rank(), min(visits.shape))
         if config.method == baselines.SVD:
-            factors = baselines.svd_factorize(im, rank, seed=config.seed)
+            factors = baselines.svd_factorize(visits, rank, seed=config.seed)
         else:
             factors, traces["objective_trace"] = baselines.ccdpp_factorize(
-                im,
+                visits,
                 rank,
                 config.regularization,
                 config.mf_iterations,
                 seed=config.seed,
             )
         rows, weighted = factors.user_factors, False
-        echo = dict(feature_count=config.latent_rank(), neighbors=config.neighbors)
+        echo = dict(feature_count=factors.rank, neighbors=config.neighbors)
     norms = recommend.row_norms(rows)
     runs = [
         serve(
             config,
-            im,
+            vocab,
+            visits,
             lambda block: recommend.vote_scores(
-                rows, norms, im.matrix, block, config.neighbors, weighted
+                rows, norms, visits, block, config.neighbors, weighted
             ),
         )
     ]

@@ -1,7 +1,9 @@
 """Binary and text persistence for embedding models.
 
 The binary format is a versioned header, a length-prefixed UTF-8 token
-table with frequencies, then row-major little-endian float32 matrices.
+table with frequencies, then row-major little-endian float32 matrices. The
+table's tokens are the vocabulary's users with the prefix U:, then its
+venues with the prefix V:, so identical raw ids never collide in the file.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import USER_PREFIX, VENUE_PREFIX, Vocabulary
+from .corpus import Vocabulary
 from .embedding import CBOW, SKIP_GRAM, EmbeddingModel, TrainingConfig
 from .errors import FormatError
 
@@ -21,6 +23,16 @@ FORMAT_VERSION = 1
 
 _ARCH_FLAGS = {SKIP_GRAM: 0, CBOW: 1}
 _FLAG_ARCHS = {flag: arch for arch, flag in _ARCH_FLAGS.items()}
+
+USER_PREFIX = "U:"
+VENUE_PREFIX = "V:"
+
+
+def _tokens(vocab: Vocabulary) -> list[str]:
+    """The file's token for each model row: U: users, then V: venues."""
+    return [USER_PREFIX + user for user in vocab.users] + [
+        VENUE_PREFIX + venue for venue in vocab.venues
+    ]
 
 
 def _token_table(tokens: list[str], frequencies: np.ndarray) -> bytes:
@@ -88,7 +100,6 @@ def _vocabulary(tokens: list[str], frequencies: np.ndarray, path) -> Vocabulary:
         [t[prefix_width:] for t in tokens[:user_count]],
         [t[prefix_width:] for t in tokens[user_count:]],
         frequencies,
-        min_word_count=1,
     )
 
 
@@ -117,7 +128,7 @@ def save_embedding_model(model: EmbeddingModel, path: str | Path) -> None:
                 _ARCH_FLAGS[model.config.architecture],
             )
         )
-        handle.write(_token_table(vocab.index_to_token, vocab.frequency))
+        handle.write(_token_table(_tokens(vocab), vocab.frequency))
         _write_matrix(handle, model.input_vectors)
         _write_matrix(handle, model.output_vectors)
 
@@ -177,6 +188,6 @@ def load_embedding_model(path: str | Path) -> EmbeddingModel:
 def export_text_vectors(model: EmbeddingModel, path: str | Path) -> None:
     """Human-readable export: one line per token, the token then F decimals."""
     with open(path, "w", encoding="utf-8") as handle:
-        for index in range(len(model.vocab)):
-            values = " ".join(f"{x:.6f}" for x in model.input_vectors[index])
-            handle.write(f"{model.vocab.token(index)} {values}\n")
+        for token, row in zip(_tokens(model.vocab), model.input_vectors):
+            values = " ".join(f"{x:.6f}" for x in row)
+            handle.write(f"{token} {values}\n")

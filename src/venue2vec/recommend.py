@@ -11,8 +11,6 @@ list, and top_k picks each target's list. KNI is KIU with no neighbors, so
 kiu_scores serves both. NN's rule is also CF's and the latent-factor baselines' (vote_scores):
 only the user space the neighbors are picked in differs. The rules take row
 arrays with their row_norms, which the caller computes once per serving.
-
-All venue ids in results are raw (unprefixed) ids.
 """
 
 from __future__ import annotations
@@ -92,6 +90,19 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return survivors[np.lexsort((survivors, -scores[survivors]))][:k]
 
 
+def _user_block(block, count: int) -> np.ndarray:
+    """block as int64 user row indices.
+
+    Raises:
+        ValueError: if an index is not a user row in [0, count).
+    """
+    block = np.asarray(block, dtype=np.int64)
+    outside = block[(block < 0) | (block >= count)]
+    if outside.size:
+        raise ValueError(f"{outside[0]} is not a user row in [0, {count})")
+    return block
+
+
 def nearest_users(
     rows, norms: np.ndarray, block: np.ndarray, neighbors: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -104,9 +115,10 @@ def nearest_users(
     zero-norm row scoring 0.
 
     Raises:
-        ValueError: if neighbors < 1 (top_k's k) and block is not empty.
+        ValueError: if an index is not a row, or neighbors < 1 (top_k's k)
+            and block is not empty.
     """
-    block = np.asarray(block, dtype=np.int64)
+    block = _user_block(block, rows.shape[0])
     # rows times the block's rows, transposed: numpy and scipy multiply this
     # way round faster than rows[block] @ rows.T, whose operand is all rows
     sims = (rows @ rows[block].T).T
@@ -149,7 +161,8 @@ def vote_scores(
     neighbors and gets no votes.
 
     Raises:
-        ValueError: if neighbors < 1 (top_k's k) and block is not empty.
+        ValueError: if an index is not a user row, or neighbors < 1 (top_k's
+            k) and block is not empty.
     """
     columns, weights = [], []
     for near, sims in nearest_users(rows, norms, block, neighbors):
@@ -190,11 +203,7 @@ def kiu_scores(
     Raises:
         ValueError: if an index is not a user row, or neighbors < 0 (top_k's k).
     """
-    block = np.asarray(block, dtype=np.int64)
-    count = len(users)
-    outside = block[(block < 0) | (block >= count)]
-    if outside.size:
-        raise ValueError(f"{outside[0]} is not a user row in [0, {count})")
+    block = _user_block(block, len(users))
     picks = [np.empty(0, dtype=np.int64)] * len(block)
     if neighbors:
         picks = [near for near, _ in nearest_users(users, user_norms, block, neighbors)]

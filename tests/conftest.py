@@ -24,15 +24,36 @@ def make_records(visits: dict[str, list[str]], start: int = 1294000000):
     return records
 
 
+def visit_table(records, binary: bool = False):
+    """The vocabulary of records and its visit table, as a baseline run
+    builds them: (vocab, csr matrix)."""
+    vocab = build_vocabulary(records)
+    return vocab, build_interactions(records, vocab, binary)
+
+
+def token_of(vocab, index: int) -> str:
+    """A model row's token as the model file spells it: U:user or V:venue."""
+    if index < vocab.user_count:
+        return "U:" + vocab.users[index]
+    return "V:" + vocab.venues[index - vocab.user_count]
+
+
+def row_of(vocab, token: str) -> int:
+    """The model row of a U:user or V:venue token (inverse of token_of)."""
+    if token.startswith("U:"):
+        return vocab.user_index[token[2:]]
+    return vocab.user_count + vocab.venue_index[token[2:]]
+
+
 def nearest_users(model, user: str, count: int) -> list[tuple[str, float]]:
     """The count users nearest the target in the model's user block, as
     (user, similarity), by the neighbor pick every method uses."""
     vocab = model.vocab
     users = model.input_vectors[: vocab.user_count]
     ((top, sims),) = recommend.nearest_users(
-        users, recommend.row_norms(users), [vocab.index("U:" + user)], count
+        users, recommend.row_norms(users), [vocab.user_index[user]], count
     )
-    return [(vocab.token(int(i))[2:], float(s)) for i, s in zip(top, sims)]
+    return [(vocab.users[i], float(s)) for i, s in zip(top, sims)]
 
 
 TOY_VISITS = {
@@ -66,7 +87,7 @@ def toy_model(toy_records):
 
 @pytest.fixture(scope="session")
 def toy_interactions(toy_records):
-    return build_interactions(toy_records)
+    return visit_table(toy_records)
 
 
 COMMUNITY_SPEC = FixtureSpec(
@@ -106,7 +127,7 @@ def community_model(community_dataset):
 @pytest.fixture(scope="session")
 def community_interactions(community_dataset):
     dataset, _ = community_dataset
-    return build_interactions(dataset.train)
+    return visit_table(dataset.train)
 
 
 def community_of(venue_or_user: str) -> str:

@@ -15,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from venue2vec.baselines import ccdpp_factorize, svd_factorize
 from venue2vec.corpus import (
     CheckinRecord,
     Dataset,
-    build_interactions,
     build_sentences,
     build_vocabulary,
     split_train_test,
@@ -57,7 +57,8 @@ from oracles import (
     jacobi_singular_values,
     recompute_report_from_csv,
 )
-from test_baselines import random_decaying_matrix, wrap_dense
+from conftest import visit_table
+from test_baselines import random_decaying_matrix
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -146,11 +147,11 @@ def test_criterion_2_top_k_oracle_equivalence():
         config = ExperimentConfig(method="kni", k=10)
         ours = next(embedding_recommender(config, model, Dataset(records, []))(["u0"]))
         count = model.vocab.user_count
-        query = model.input_vectors[model.vocab.index("U:u0")]
+        query = model.input_vectors[model.vocab.user_index["u0"]]
         reference = brute_force_top_k(
             model.input_vectors, query, np.arange(count, len(model.vocab)), 10
         )
-        assert ours.venues() == [model.vocab.token(i)[2:] for i, _ in reference]
+        assert ours.venues() == [model.vocab.venues[i - count] for i, _ in reference]
         for (_, score), (_, ref_score) in zip(ours.items, reference):
             assert score == pytest.approx(ref_score, abs=1e-9)
     elapsed = time.perf_counter() - started
@@ -291,7 +292,7 @@ def test_criterion_4b_random_precision_bound(planted_run):
         fixture=ACCEPTANCE_FIXTURE, method="random", random_runs=runs, k=k, seed=5
     )
     report = run_experiment(config)
-    catalog = set(build_interactions(dataset.train).venues)
+    catalog = set(build_vocabulary(dataset.train).venues)
     expected, stderr = _chance_precision(truth, catalog, k, runs)
     z = (report.precision - expected) / stderr
     kni = reports["kni"].precision
@@ -367,7 +368,7 @@ def test_criterion_5_ccdpp_monotonic_and_matches_als():
         rank = int(rng.integers(1, 5))
         lam = float(rng.uniform(0.005, 2.0))
         _, trace = ccdpp_factorize(
-            wrap_dense(dense), rank, lam, iterations=10, seed=trial
+            sparse.csr_matrix(dense), rank, lam, iterations=10, seed=trial
         )
         assert (np.diff(trace) <= 1e-9).all(), f"objective rose on trial {trial}"
 
@@ -381,7 +382,7 @@ def test_criterion_5_ccdpp_monotonic_and_matches_als():
         observed = (dense != 0).astype(float)
         lam = 0.1
         _, trace = ccdpp_factorize(
-            wrap_dense(dense), 1, lam, iterations=300, seed=seed
+            sparse.csr_matrix(dense), 1, lam, iterations=300, seed=seed
         )
         init = np.random.default_rng(seed)
         U0 = init.standard_normal((4, 1)) * 0.1
@@ -399,14 +400,14 @@ def test_criterion_6_svd_correctness():
     rng = np.random.default_rng(23)
     for _ in range(3):
         dense = random_decaying_matrix(rng, 50, 40, ratio=0.75)
-        factors = svd_factorize(wrap_dense(dense), 10, seed=int(rng.integers(2**31)))
+        factors = svd_factorize(sparse.csr_matrix(dense), 10, seed=int(rng.integers(2**31)))
         oracle = jacobi_singular_values(dense)[:10]
         np.testing.assert_allclose(factors.singular_values, oracle, rtol=1e-6)
 
     u = rng.normal(size=12)
     v = rng.normal(size=9)
     dense = np.outer(u, v)
-    factors = svd_factorize(wrap_dense(dense), 1, seed=0)
+    factors = svd_factorize(sparse.csr_matrix(dense), 1, seed=0)
     reconstructed = factors.user_factors @ factors.venue_factors.T
     rel = np.linalg.norm(dense - reconstructed) / np.linalg.norm(dense)
     assert rel < 1e-6
@@ -446,13 +447,13 @@ def test_criterion_7_coverage_contract(planted_run):
         CheckinRecord("loner", "hermitage2", 151),
     ]
     test.append(CheckinRecord("loner", "hub", FEB_2011 + 50))
-    im = build_interactions(train)
+    vocab, counts = visit_table(train)
     truth = build_ground_truth(Dataset(train, test))
     assert len(truth) == 20
     predicted = [
         int(
             top_k(
-                vote_scores(im.matrix, row_norms(im.matrix), im.matrix, [im.user_index[user]], 5, True)[0],
+                vote_scores(counts, row_norms(counts), counts, [vocab.user_index[user]], 5, True)[0],
                 10,
             ).size
             > 0

@@ -518,8 +518,8 @@ def test_recommend_line_does_not_depend_on_block_mates(
     )
     tied_path = tmp_path / "tied.bin"
     for index in range(vocab.user_count):
-        community = vocab.token(index)[2:].split("u")[0]
-        base = model.input_vectors[vocab.index(f"U:{community}u0")].copy()
+        community = vocab.users[index].split("u")[0]
+        base = model.input_vectors[vocab.user_index[f"{community}u0"]].copy()
         model.input_vectors[index] = base * np.float32(1 + index / 7)
     save_embedding_model(model, tied_path)
 

@@ -24,7 +24,7 @@ from venue2vec.fixtures import (
     parse_fixture_spec,
 )
 
-from conftest import make_records
+from conftest import make_records, token_of
 
 
 def test_parse_single_line():
@@ -135,16 +135,16 @@ def test_vocabulary_counts_users_and_venues():
     vocab = build_vocabulary(records, 1)
     assert len(vocab) == 5
     assert vocab.user_count == 2
-    assert vocab.frequency[vocab.index("U:a")] == 3
-    assert vocab.frequency[vocab.index("V:x")] == 2
+    assert vocab.frequency[vocab.user_index["a"]] == 3
+    assert vocab.frequency[vocab.user_count + vocab.venue_index["x"]] == 2
 
 
 def test_vocabulary_min_count_prunes_rare_venue():
     records = make_records({"a": ["x", "x", "y"], "b": ["x"]})
     vocab = build_vocabulary(records, 2)
-    assert "V:y" not in vocab
-    assert "V:x" in vocab
-    assert "U:b" not in vocab  # frequency floor applies to user tokens too
+    assert "y" not in vocab.venue_index
+    assert "x" in vocab.venue_index
+    assert "b" not in vocab.user_index  # frequency floor applies to users too
     corpus = build_sentences(records, vocab)
     assert [len(s) for s in corpus.sentences] == [3]  # a: [x, x]; y dropped
 
@@ -158,7 +158,7 @@ def test_vocabulary_namespaces_never_collide():
     records = make_records({"same": ["same"]})
     vocab = build_vocabulary(records, 1)
     assert len(vocab) == 2
-    assert vocab.index("U:same") != vocab.index("V:same")
+    assert vocab.user_index["same"] != vocab.user_count + vocab.venue_index["same"]
 
 
 def test_vocabulary_checkinsjan_scale_counts():
@@ -189,7 +189,7 @@ def test_sentence_orders_venues_by_timestamp():
     ]
     vocab = build_vocabulary(records, 1)
     corpus = build_sentences(records, vocab)
-    tokens = [vocab.token(i) for i in corpus.sentences[0]]
+    tokens = [token_of(vocab, i) for i in corpus.sentences[0]]
     assert tokens == ["U:u0", "V:v1", "V:v2", "V:v3"]
     assert corpus.max_length == 4
 
@@ -201,7 +201,7 @@ def test_sentence_tie_break_is_input_order():
     ]
     vocab = build_vocabulary(records, 1)
     corpus = build_sentences(records, vocab)
-    tokens = [vocab.token(i) for i in corpus.sentences[0]]
+    tokens = [token_of(vocab, i) for i in corpus.sentences[0]]
     assert tokens == ["U:u0", "V:late", "V:early"]
 
 
@@ -209,7 +209,7 @@ def test_user_with_only_pruned_venues_is_omitted():
     records = make_records({"a": ["x", "x"], "b": ["y"]})
     vocab = build_vocabulary(records, 2)
     corpus = build_sentences(records, vocab)
-    users = {vocab.token(s[0]) for s in corpus.sentences}
+    users = {token_of(vocab, s[0]) for s in corpus.sentences}
     assert users == {"U:a"}
 
 
@@ -243,7 +243,7 @@ def test_token_conservation_property(records, min_count):
     surviving = sum(
         1
         for r in records
-        if "U:" + r.user_id in vocab and "V:" + r.venue_id in vocab
+        if r.user_id in vocab.user_index and r.venue_id in vocab.venue_index
     )
     assert sum(len(s) - 1 for s in corpus.sentences) == surviving
 

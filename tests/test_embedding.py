@@ -25,11 +25,11 @@ from venue2vec.embedding import (
     resolve_window,
     train,
 )
-from venue2vec.errors import ConfigError, TokenNotFoundError, TrainingError
+from venue2vec.errors import ConfigError, TrainingError
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 from venue2vec.recommend import kiu_scores, row_norms, top_k
 
-from conftest import make_records
+from conftest import make_records, row_of, token_of
 from oracles import brute_force_top_k, context_pairs_reference, two_token_scalar_reference
 
 
@@ -40,7 +40,7 @@ def small_vocab(n_users=2, n_venues=3):
 
 
 def row(model, token):
-    return model.input_vectors[model.vocab.index(token)]
+    return model.input_vectors[row_of(model.vocab, token)]
 
 
 def venue_indices(vocab):
@@ -55,7 +55,7 @@ def nearest(model, query, candidates, k):
     query = np.asarray(query, dtype=np.float64)[None, :]
     rows = model.input_vectors[candidates]
     (scores,) = kiu_scores(query, row_norms(query), rows, row_norms(rows), [0], 0)
-    return [(model.vocab.token(int(candidates[i])), float(scores[i])) for i in top_k(scores, k)]
+    return [(token_of(model.vocab, candidates[i]), float(scores[i])) for i in top_k(scores, k)]
 
 
 # ---------------------------------------------------------------- config
@@ -182,9 +182,9 @@ def test_two_token_corpus_matches_scalar_oracle():
         epoch_count=1500, seed=0,
     )
     model, _ = train(init_model(vocab, config), corpus)
-    u = model.input_vectors[vocab.index("U:solo")].astype(np.float64)
-    v_in = model.input_vectors[vocab.index("V:only")].astype(np.float64)
-    v_out = model.output_vectors[vocab.index("V:only")].astype(np.float64)
+    u = model.input_vectors[row_of(vocab, "U:solo")].astype(np.float64)
+    v_in = model.input_vectors[row_of(vocab, "V:only")].astype(np.float64)
+    v_out = model.output_vectors[row_of(vocab, "V:only")].astype(np.float64)
 
     def cos(a, b):
         return float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
@@ -201,7 +201,7 @@ def test_toy_corpus_co_visited_venues_mutually_nearest(toy_model):
     venue_idx = venue_indices(vocab)
     for venue, expected in (("Loc0", "Loc2"), ("Loc2", "Loc0")):
         query = row(model, "V:" + venue)
-        candidates = venue_idx[venue_idx != vocab.index("V:" + venue)]
+        candidates = venue_idx[venue_idx != row_of(vocab, "V:" + venue)]
         assert nearest(model, query, candidates, 1)[0][0] == "V:" + expected
 
 
@@ -396,7 +396,7 @@ def test_cbow_training_brings_co_occurring_tokens_close(toy_records):
     assert trace[-1].average_loss < trace[0].average_loss
     venue_idx = venue_indices(vocab)
     query = row(model, "V:Loc0")
-    candidates = venue_idx[venue_idx != vocab.index("V:Loc0")]
+    candidates = venue_idx[venue_idx != row_of(vocab, "V:Loc0")]
     top2 = {t for t, _ in nearest(model, query, candidates, 2)}
     assert "V:Loc2" in top2
 
@@ -415,11 +415,6 @@ def test_vocabulary_index_known_token(toy_model):
     vector = row(toy_model, "U:u0")
     assert vector.shape == (2,)
     assert np.isfinite(vector).all()
-
-
-def test_vocabulary_index_unknown_token(toy_model):
-    with pytest.raises(TokenNotFoundError):
-        toy_model.vocab.index("V:nowhere")
 
 
 # ---------------------------------------------------------------- top-k
@@ -442,7 +437,7 @@ def test_top_k_matches_brute_force(rng):
     candidates = venue_indices(vocab)
     ours = nearest(model, query, candidates, 10)
     reference = brute_force_top_k(model.input_vectors, query, candidates, 10)
-    assert [vocab.index(t) for t, _ in ours] == [i for i, _ in reference]
+    assert [row_of(vocab, t) for t, _ in ours] == [i for i, _ in reference]
     for (_, a), (_, b) in zip(ours, reference):
         assert a == pytest.approx(b, abs=1e-12)
 

@@ -5,7 +5,6 @@ import pytest
 
 import venue2vec.harness as harness
 from venue2vec.baselines import ccdpp_factorize, svd_factorize
-from venue2vec.corpus import Vocabulary, build_interactions
 from venue2vec.errors import ConfigError, EmitError
 from venue2vec.fixtures import FEB_2011, FixtureSpec
 from venue2vec.harness import (
@@ -26,7 +25,7 @@ from venue2vec.metrics import (
 )
 from venue2vec.recommend import read_batch_recommendations
 
-from conftest import nearest_users
+from conftest import nearest_users, visit_table
 
 from oracles import (
     brute_force_top_k,
@@ -180,13 +179,15 @@ def test_random_runs_fold_into_one_report(tmp_path):
 
 
 def test_cf_and_factorization_methods_run(tmp_path):
-    for method in ("cf", "svd", "ccdpp"):
-        report = run_experiment(
-            small_config(method=method, rank=8, out_dir=str(tmp_path / method))
-        )
+    """The report's F is the rank used: the 24 x 48 table clamps rank 100 to 24."""
+    cases = [("cf", 8, 0), ("svd", 8, 8), ("ccdpp", 8, 8), ("svd", 100, 24), ("ccdpp", 100, 24)]
+    for method, rank, reported in cases:
+        out = tmp_path / f"{method}{rank}"
+        report = run_experiment(small_config(method=method, rank=rank, out_dir=str(out)))
         assert 0.0 <= report.precision <= 1.0
         assert report.method == method
-    assert (tmp_path / "ccdpp" / "objective_trace.csv").exists()
+        assert report.feature_count == read_report_csv(out / "report.csv")[0]["F"] == reported
+    assert (tmp_path / "ccdpp8" / "objective_trace.csv").exists()
 
 
 def test_timings_recorded():
@@ -292,11 +293,11 @@ def _presence_vote_lists(config: ExperimentConfig, dataset) -> dict:
     column = {venue: j for j, venue in enumerate(venues)}
     if config.method == "nn":
         model, _, _ = harness.fit_embedding(config, dataset)
-        index_of = lambda v: model.vocab.index(Vocabulary.venue_token(v))  # noqa: E731
+        index_of = lambda v: model.vocab.user_count + model.vocab.venue_index[v]  # noqa: E731
     else:
         index_of = column.__getitem__
         presence = np.array([[float(v in visits[u]) for v in venues] for u in users])
-        binary = build_interactions(dataset.train, binary=True)
+        _, binary = visit_table(dataset.train, binary=True)
         if config.method == "cf":
             rows = presence
         elif config.method == "svd":
@@ -348,7 +349,7 @@ def test_binary_votes_vote_visit_presence(tmp_path, method):
     presence and, because the fixture has repeat visits, differs from the
     visit-count vote."""
     dataset = harness.load_dataset(small_config())
-    assert build_interactions(dataset.train).matrix.data.max() > 1  # repeat visits
+    assert visit_table(dataset.train)[1].data.max() > 1  # repeat visits
     for filter_seen in (False, True):
         lists = {}
         for binary in (False, True):
@@ -370,9 +371,9 @@ def test_filter_seen_holds_for_every_method(tmp_path):
     k is catalog size minus 7 seen venues, so some users have fewer unseen
     venues than k and some more."""
     dataset = harness.load_dataset(small_config())
-    im = build_interactions(dataset.train)
-    seen = {user: {im.venues[j] for j in im.venues_of(user)} for user in im.users}
-    k = len(im.venues) - 7
+    vocab, matrix = visit_table(dataset.train)
+    seen = {user: {vocab.venues[j] for j in matrix[i].indices} for i, user in enumerate(vocab.users)}
+    k = len(vocab.venues) - 7
     assert {len(venues) > 7 for venues in seen.values()} == {False, True}
     for method in harness.ALL_METHODS:
         config = small_config(
@@ -385,8 +386,8 @@ def test_filter_seen_holds_for_every_method(tmp_path):
             venues = [venue for venue, _ in items]
             assert seen[user].isdisjoint(venues)
             if method == "random":
-                assert len(set(venues)) == len(venues) == min(k, len(im.venues) - len(seen[user]))
-                assert set(venues) <= set(im.venues)
+                assert len(set(venues)) == len(venues) == min(k, len(vocab.venues) - len(seen[user]))
+                assert set(venues) <= set(vocab.venues)
 
 
 @pytest.mark.parametrize("method", ["kni", "nn", "kiu", "cf", "svd", "ccdpp"])
@@ -395,17 +396,17 @@ def test_seen_mask_equals_full_depth_recut(method):
     re-rank would: the filter_seen list is the unfiltered list at k =
     catalog size, the user's training venues removed, cut to k."""
     dataset = harness.load_dataset(small_config())
-    im = build_interactions(dataset.train)
+    vocab, matrix = visit_table(dataset.train)
 
     def lists(**overrides):
         config = small_config(method=method, rank=4, **overrides)
         (recommend_users,), *_ = harness._recommender_for(config, dataset)
-        return {result.user: result.items for result in recommend_users(im.users)}
+        return {result.user: result.items for result in recommend_users(vocab.users)}
 
-    full, masked = lists(k=len(im.venues)), lists(filter_seen=True)
+    full, masked = lists(k=len(vocab.venues)), lists(filter_seen=True)
     dropped = 0
-    for user in im.users:
-        seen = {im.venues[j] for j in im.venues_of(user)}
+    for i, user in enumerate(vocab.users):
+        seen = {vocab.venues[j] for j in matrix[i].indices}
         unseen = [item for item in full[user] if item[0] not in seen]
         assert masked[user] == unseen[:10]
         dropped += len(full[user]) - len(unseen)
@@ -425,7 +426,7 @@ def test_serving_reads_rows_changed_in_place():
     vocab, count = model.vocab, model.vocab.user_count
     users = sorted(build_ground_truth(dataset))
     visits = interactions_reference(dataset.train)
-    index_of = lambda v: vocab.index(Vocabulary.venue_token(v))  # noqa: E731
+    index_of = lambda v: count + vocab.venue_index[v]  # noqa: E731
 
     def lists(method):
         config = small_config(method=method, k=5, neighbors=3)
@@ -439,7 +440,7 @@ def test_serving_reads_rows_changed_in_place():
     kni, nn = lists("kni"), lists("nn")
     assert (kni, nn) == before
     for user in users:
-        target = vocab.index(Vocabulary.user_token(user))
+        target = vocab.user_index[user]
         expected = brute_force_top_k(rows, rows[target], range(count, len(vocab)), 5)
         assert [index_of(venue) for venue, _ in kni[user]] == [i for i, _ in expected]
         assert [score for _, score in kni[user]] == pytest.approx(
@@ -447,7 +448,7 @@ def test_serving_reads_rows_changed_in_place():
         )
         others = [i for i in range(count) if i != target]
         near = brute_force_top_k(rows[:count], rows[target], others, 3)
-        votes = vote_reference([vocab.token(i)[2:] for i, _ in near], visits)
+        votes = vote_reference([vocab.users[i] for i, _ in near], visits)
         assert nn[user] == rank_votes_reference(votes, 5, index_of)
 
 

@@ -24,8 +24,8 @@ def test_embedding_model_roundtrip(tmp_path, toy_model):
     assert loaded.config.feature_count == toy_model.config.feature_count
     assert len(loaded.vocab) == len(toy_model.vocab)
     assert loaded.vocab.user_count == toy_model.vocab.user_count
-    for index in range(len(toy_model.vocab)):
-        assert loaded.vocab.token(index) == toy_model.vocab.token(index)
+    assert loaded.vocab.users == toy_model.vocab.users
+    assert loaded.vocab.venues == toy_model.vocab.venues
     np.testing.assert_array_equal(loaded.vocab.frequency, toy_model.vocab.frequency)
     np.testing.assert_array_equal(loaded.input_vectors, toy_model.input_vectors)
     np.testing.assert_array_equal(loaded.output_vectors, toy_model.output_vectors)
@@ -41,6 +41,15 @@ def test_embedding_file_header_layout(tmp_path, toy_model):
     assert vocab_size == len(toy_model.vocab)
     assert features == 2
     assert arch == 0  # skip-gram
+    # the token records after the header: <u4 length, UTF-8 bytes, <u8 count
+    tokens, offset = [], 21
+    for _ in range(vocab_size):
+        (length,) = struct.unpack_from("<I", blob, offset)
+        tokens.append(blob[offset + 4 : offset + 4 + length].decode("utf-8"))
+        offset += 4 + length + 8
+    assert tokens[0] == "U:" + toy_model.vocab.users[0]
+    assert tokens[-1] == "V:" + toy_model.vocab.venues[-1]
+    assert offset == len(blob) - 2 * toy_model.input_vectors.size * 4
 
 
 def test_embedding_matrices_little_endian_f32(tmp_path, toy_model):
@@ -75,7 +84,7 @@ def test_text_export_one_line_per_token(tmp_path, toy_model):
     lines = path.read_text().splitlines()
     assert len(lines) == len(toy_model.vocab)
     token, *values = lines[0].split(" ")
-    assert token == toy_model.vocab.token(0)
+    assert token == "U:" + toy_model.vocab.users[0]
     assert len(values) == toy_model.config.feature_count
     float(values[0])  # parseable decimals
 
@@ -120,9 +129,13 @@ def _model_file_with_tokens(path, tokens, header=b""):
     if any, overwrite the header's token and feature counts from byte 8 on."""
     vocab = build_vocabulary(make_records({"u1": ["v1"]}), 1)
     model = init_model(vocab, TrainingConfig(feature_count=2, seed=0))
-    vocab.index_to_token = tokens
     save_embedding_model(model, path)
-    blob = bytearray(path.read_bytes())
+    blob = path.read_bytes()
+    table = b"".join(
+        struct.pack("<I", len(token)) + token.encode("utf-8") + struct.pack("<Q", 1)
+        for token in tokens
+    )
+    blob = bytearray(blob[:21] + table + blob[-2 * model.input_vectors.size * 4 :])
     blob[8 : 8 + len(header)] = header
     path.write_bytes(bytes(blob))
     return path

@@ -11,8 +11,6 @@ from venue2vec import harness, recommend
 from venue2vec.baselines import svd_factorize
 from venue2vec.corpus import (
     Dataset,
-    Vocabulary,
-    build_interactions,
     build_sentences,
     build_vocabulary,
     split_train_test,
@@ -33,7 +31,7 @@ from venue2vec.recommend import (
     write_batch_recommendations,
 )
 
-from conftest import community_of, make_records, nearest_users
+from conftest import community_of, make_records, nearest_users, row_of, token_of, visit_table
 from oracles import (
     brute_force_top_k,
     interactions_reference,
@@ -57,10 +55,10 @@ def kiu_list(model, records, user, k, neighbors):
 
 
 def _ranked(score_block, table, user, k, filter_seen=False):
-    """The items a run lists for user from a score rule over table's venues,
-    the seen mask included under filter_seen."""
+    """The items a run lists for user from a score rule over the venues of
+    table, a (vocab, visits) pair, the seen mask included under filter_seen."""
     config = ExperimentConfig(method=NN, k=k, filter_seen=filter_seen)
-    return next(harness.serve(config, table, score_block)([user])).items
+    return next(harness.serve(config, *table, score_block)([user])).items
 
 
 # ------------------------------------------------------------- toy examples
@@ -115,12 +113,12 @@ def test_neighbor_pick_matches_brute_force_on_embedding_rows():
 def test_neighbor_pick_matches_brute_force_on_count_and_latent_rows(
     community_interactions,
 ):
-    im = community_interactions
-    dense = im.matrix.toarray()
+    _, counts = community_interactions
+    dense = counts.toarray()
     _assert_pick_is_brute_force(
-        lambda i: recommend.nearest_users(im.matrix, row_norms(im.matrix), [i], 7)[0], dense, 7
+        lambda i: recommend.nearest_users(counts, row_norms(counts), [i], 7)[0], dense, 7
     )
-    latent = svd_factorize(im, 6, seed=1)
+    latent = svd_factorize(counts, 6, seed=1)
     rows = latent.user_factors
     _assert_pick_is_brute_force(
         lambda i: recommend.nearest_users(rows, row_norms(rows), [i], 7)[0], rows, 7
@@ -134,12 +132,12 @@ def test_neighbor_pick_returns_n_when_lower_rows_tie_the_target():
     users = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     model = _user_model(users)
     visits = {"a": ["x", "y"], "b": ["x", "y"], "c": ["x", "y"], "d": ["z"]}
-    im = build_interactions(make_records(visits))
+    _, counts = visit_table(make_records(visits))
     for n in range(1, 5):
         expected = brute_force_top_k(users, users[2], [0, 1, 3, 4], n)
         ranked = nearest_users(model, "u2", n)
         assert [user for user, _ in ranked] == [f"u{i}" for i, _ in expected]
-        ((top, _),) = recommend.nearest_users(im.matrix, row_norms(im.matrix), [2], min(n, 3))
+        ((top, _),) = recommend.nearest_users(counts, row_norms(counts), [2], min(n, 3))
         assert list(top) == [0, 1, 3][: min(n, 3)]
 
 
@@ -163,14 +161,14 @@ def _vote(visits, neighbors, binary=False):
     """The unit vote over a {user: [venues...]} table for a target "t" (who
     visits venue "t0") whose nearest users are exactly neighbors, as
     {venue: votes} plus the ranked top 2."""
-    im = build_interactions(make_records({**visits, "t": ["t0"]}), binary)
+    vocab, counts = visit_table(make_records({**visits, "t": ["t0"]}), binary)
     near = {*neighbors, "t"}
-    rows = np.array([[1.0, 0.0] if user in near else [0.0, 1.0] for user in im.users])
+    rows = np.array([[1.0, 0.0] if user in near else [0.0, 1.0] for user in vocab.users])
     votes = vote_scores(
-        rows, np.linalg.norm(rows, axis=1), im.matrix, [im.user_index["t"]], len(neighbors), False
+        rows, np.linalg.norm(rows, axis=1), counts, [vocab.user_index["t"]], len(neighbors), False
     )[0]
-    voted = {im.venues[j]: float(votes[j]) for j in np.flatnonzero(votes > -np.inf)}
-    return voted, [(im.venues[j], float(votes[j])) for j in top_k(votes, 2)]
+    voted = {vocab.venues[j]: float(votes[j]) for j in np.flatnonzero(votes > -np.inf)}
+    return voted, [(vocab.venues[j], float(votes[j])) for j in top_k(votes, 2)]
 
 
 def test_vote_sums_visit_counts():
@@ -189,14 +187,14 @@ def test_vote_binary_mode_counts_presence():
 
 def test_vote_excluded_venues_removed():
     """The seen rule drops the target's own venues from a ranked vote."""
-    im = build_interactions(make_records({"u": ["v2"], "n1": ["v1", "v1"] + ["v2"] * 5}))
+    table = visit_table(make_records({"u": ["v2"], "n1": ["v1", "v1"] + ["v2"] * 5}))
     rows = np.ones((2, 1))
 
     def score_block(block):
-        return vote_scores(rows, np.ones(2), im.matrix, block, 1, False)
+        return vote_scores(rows, np.ones(2), table[1], block, 1, False)
 
-    assert dict(_ranked(score_block, im, "u", 2)) == {"v2": 5.0, "v1": 2.0}
-    assert dict(_ranked(score_block, im, "u", 2, filter_seen=True)) == {"v1": 2.0}
+    assert dict(_ranked(score_block, table, "u", 2)) == {"v2": 5.0, "v1": 2.0}
+    assert dict(_ranked(score_block, table, "u", 2, filter_seen=True)) == {"v1": 2.0}
 
 
 def test_forced_outcome_neighbor_with_two_venues():
@@ -246,12 +244,12 @@ def test_vote_matches_counter_oracle(visits, data, binary, weighted, k):
     """The sparse vote and its ranking equal the per-user Counter vote over
     brute-force neighbors, ties included, for count or presence tables,
     unit or similarity (CF) weights, disallowed (pruned) venues dropped from
-    the vote table as NN's alignment drops them, and the target's own
+    the vote table as NN's vocabulary drops them, and the target's own
     (seen) venues dropped by the seen rule. User rows are small integers, so
     every similarity is exact and equal ones tie."""
     records = make_records(visits)
-    im = build_interactions(records, binary)
-    users = im.users
+    vocab, counts = visit_table(records, binary)
+    users = vocab.users
     rows = np.array(
         data.draw(
             st.lists(
@@ -265,18 +263,18 @@ def test_vote_matches_counter_oracle(visits, data, binary, weighted, k):
     neighbors = data.draw(st.integers(1, len(users)))
     target = data.draw(st.sampled_from(users))
     filter_seen = data.draw(st.booleans())
-    pruned = data.draw(st.sets(st.sampled_from(sorted(im.venues))))
-    kept = np.array([venue not in pruned for venue in im.venues], dtype=np.float64)
-    votes = (im.matrix @ sparse.diags(kept)).tocsr()
+    pruned = data.draw(st.sets(st.sampled_from(sorted(vocab.venues))))
+    kept = np.array([venue not in pruned for venue in vocab.venues], dtype=np.float64)
+    votes = (counts @ sparse.diags(kept)).tocsr()
     votes.eliminate_zeros()
 
     def score_block(block):
         return vote_scores(rows, np.linalg.norm(rows, axis=1), votes, block, neighbors, weighted)
 
-    ours = _ranked(score_block, im, target, k, filter_seen)
+    ours = _ranked(score_block, (vocab, counts), target, k, filter_seen)
     expected, _ = _brute_force_vote_list(
-        rows, users, im.user_index[target], neighbors, weighted,
-        interactions_reference(records), im.venue_index.__getitem__, k,
+        rows, users, vocab.user_index[target], neighbors, weighted,
+        interactions_reference(records), vocab.venue_index.__getitem__, k,
         binary=binary,
         allowed=lambda venue: venue not in pruned,
         excluded=set(visits[target]) if filter_seen else (),
@@ -301,36 +299,34 @@ def test_vote_block_lists_match_brute_force(monkeypatch, block, filter_seen):
     }
     records = make_records(visits)
     reference = interactions_reference(records)
-    im = build_interactions(records)
-    served = im.users[:6] + ["stranger"] + im.users[6:]
+    vocab, counts = visit_table(records)
+    served = vocab.users[:6] + ["stranger"] + vocab.users[6:]
     if block:
-        width = max(len(im.users), len(im.venues))
+        width = max(vocab.user_count, len(vocab.venues))
         monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * width * block)
     integer_rows = rng.integers(-1, 2, (n_users, 3)).astype(np.float64)
     integer_rows[5] = 0.0
     config = ExperimentConfig(k=k, neighbors=neighbors, filter_seen=filter_seen)
 
-    vocab = build_vocabulary(records, 1)
     model = init_model(vocab, TrainingConfig(feature_count=3, seed=0), dtype=np.float64)
-    vocab_users = [Vocabulary.strip_prefix(t) for t in vocab.index_to_token[: vocab.user_count]]
-    model.input_vectors[: vocab.user_count] = [integer_rows[int(u[1:])] for u in vocab_users]
+    model.input_vectors[: vocab.user_count] = [integer_rows[int(u[1:])] for u in vocab.users]
     nn = embedding_recommender(replace(config, method=NN), model, Dataset(records, []))
     (cf,), *_ = harness._recommender_for(replace(config, method="cf"), Dataset(records, []))
-    latent_rows = integer_rows[[int(u[1:]) for u in im.users]]
+    latent_rows = integer_rows[[int(u[1:]) for u in vocab.users]]
     calls = []
 
     def latent_block(rows):
         calls.append(len(rows))
         return vote_scores(
-            latent_rows, np.linalg.norm(latent_rows, axis=1), im.matrix, rows, neighbors, False
+            latent_rows, np.linalg.norm(latent_rows, axis=1), counts, rows, neighbors, False
         )
 
-    latent = harness.serve(replace(config, method="svd"), im, latent_block)
+    latent = harness.serve(replace(config, method="svd"), vocab, counts, latent_block)
     rules = {
-        NN: (nn, model.input_vectors[: vocab.user_count], vocab_users, False,
-             lambda venue: vocab.index(Vocabulary.venue_token(venue))),
-        "cf": (cf, im.matrix.toarray(), im.users, True, im.venue_index.__getitem__),
-        "svd": (latent, latent_rows, im.users, False, im.venue_index.__getitem__),
+        NN: (nn, model.input_vectors[: vocab.user_count], vocab.users, False,
+             lambda venue: row_of(vocab, "V:" + venue)),
+        "cf": (cf, counts.toarray(), vocab.users, True, vocab.venue_index.__getitem__),
+        "svd": (latent, latent_rows, vocab.users, False, vocab.venue_index.__getitem__),
     }
     ties = 0
     for method, (recommend_users, rows, names, weighted, index_of) in rules.items():
@@ -447,7 +443,7 @@ def test_kiu_matches_brute_force_oracle():
                     continue
                 venues = np.arange(n_users, len(model.vocab))
                 expected = brute_force_top_k(vectors, query, venues, k)
-                assert result.items == [(model.vocab.token(i)[2:], s) for i, s in expected]
+                assert result.items == [(token_of(model.vocab, i)[2:], s) for i, s in expected]
                 neighbor_ties += len(neighbors) - len({s for _, s in neighbors})
                 venue_ties += len(expected) - len({s for _, s in expected})
     assert neighbor_ties > 0 and venue_ties > 0  # ties were exercised
@@ -458,7 +454,7 @@ def test_kni_lists_do_not_depend_on_neighbors(community_model, community_dataset
     the N = 0 list whatever N the run is configured with."""
     model, _ = community_model
     dataset, _ = community_dataset
-    users = [Vocabulary.strip_prefix(t) for t in model.vocab.index_to_token[: model.vocab.user_count]]
+    users = model.vocab.users
 
     def lists(method, neighbors):
         serve = _serve(model, dataset.train, method, k=10, neighbors=neighbors)
@@ -488,9 +484,9 @@ def test_kiu_zero_norm_query_is_no_prediction():
     vocab = build_vocabulary(records, 1)
     model = init_model(vocab, TrainingConfig(feature_count=4, seed=0), dtype=np.float64)
     # adversarial geometry: the two user vectors cancel exactly
-    model.input_vectors[vocab.index("U:a")] = np.array([1.0, 0.0, 0.0, 0.0])
-    model.input_vectors[vocab.index("U:b")] = np.array([-1.0, 0.0, 0.0, 0.0])
-    model.input_vectors[vocab.index("V:x")] = np.ones(4)
+    model.input_vectors[row_of(vocab, "U:a")] = np.array([1.0, 0.0, 0.0, 0.0])
+    model.input_vectors[row_of(vocab, "U:b")] = np.array([-1.0, 0.0, 0.0, 0.0])
+    model.input_vectors[row_of(vocab, "V:x")] = np.ones(4)
     assert not kiu_list(model, records, "a", 1, 1).predicted
 
 
@@ -518,9 +514,8 @@ def test_pruned_venues_are_never_recommended():
     records, _ = generate_fixture(spec)
     train_records = split_train_test(records, FEB_2011).train
     vocab = build_vocabulary(train_records, 2)
-    interactions = build_interactions(train_records)
-    kept = {Vocabulary.strip_prefix(vocab.token(i)) for i in range(vocab.user_count, len(vocab))}
-    assert len(kept) < len(interactions.venues)  # some venues were pruned
+    kept = set(vocab.venues)
+    assert len(kept) < len(build_vocabulary(train_records, 1).venues)  # some venues were pruned
     config = TrainingConfig(feature_count=8, context_count=5, epoch_count=3, seed=1)
     model, _ = train(init_model(vocab, config), build_sentences(train_records, vocab))
     visits = interactions_reference(train_records)
@@ -531,8 +526,7 @@ def test_pruned_venues_are_never_recommended():
             )
             for method in EMBEDDING_METHODS
         }
-        for index in range(vocab.user_count):
-            user = Vocabulary.strip_prefix(vocab.token(index))
+        for user in vocab.users:
             for recommend_one in serve.values():
                 assert set(recommend_one(user).venues()) <= kept
             votes = vote_reference(
@@ -541,9 +535,7 @@ def test_pruned_venues_are_never_recommended():
                 allowed=kept.__contains__,
                 excluded=set(visits[user]) if filter_seen else (),
             )
-            expected = rank_votes_reference(
-                votes, 10, lambda v: vocab.index(Vocabulary.venue_token(v))
-            )
+            expected = rank_votes_reference(votes, 10, lambda v: row_of(vocab, "V:" + v))
             assert serve[NN](user).items == expected
 
 
@@ -567,24 +559,24 @@ def test_nn_and_kiu_serve_a_model_trained_on_other_records():
     for user in ("u0", "u1", "u2", "u3"):
         neighbors = [n for n, _ in nearest_users(model, user, 3)]
         assert user == "u3" or "u3" in neighbors
-        votes = vote_reference(neighbors, visits, allowed=lambda v: "V:" + v in vocab)
-        expected = rank_votes_reference(votes, 10, lambda v: vocab.index("V:" + v))
+        votes = vote_reference(neighbors, visits, allowed=vocab.venue_index.__contains__)
+        expected = rank_votes_reference(votes, 10, lambda v: row_of(vocab, "V:" + v))
         assert nn(user).items == expected
         assert kiu(user).items == kiu_list(model, make_records(model_visits), user, 10, 3).items
     assert not nn("u9").predicted
     assert not kiu("u9").predicted
 
 
-def test_requests_validate_bounds(toy_model):
+def test_requests_validate_bounds(toy_model, toy_interactions):
     """k and N below 1 are config errors for a run, and the library calls
-    reject them too: top_k takes k >= 1, kiu_scores a user row and N >= 0
-    (N = 0 is KNI) and nearest_users N >= 1."""
+    reject them too: top_k takes k >= 1, every score rule and nearest_users
+    a user row, kiu_scores N >= 0 (N = 0 is KNI) and nearest_users N >= 1."""
     for overrides in ({"k": 0}, {"neighbors": 0}):
         config = ExperimentConfig(method="kiu", fixture=FixtureSpec(), **overrides)
         with pytest.raises(ConfigError):
             config.validate()
     vocab = toy_model.vocab
-    index = vocab.index("U:u0")
+    index = vocab.user_index["u0"]
     count = vocab.user_count
     vectors, norms = toy_model.input_vectors, row_norms(toy_model.input_vectors)
     users, venues = (vectors[:count], norms[:count]), (vectors[count:], norms[count:])
@@ -599,6 +591,12 @@ def test_requests_validate_bounds(toy_model):
             recommend.kiu_scores(*users, *venues, [index, bad_index], neighbors)
     with pytest.raises(ValueError):
         recommend.nearest_users(*users, [index], 0)
+    _, visits = toy_interactions
+    for bad_index in (-1, count):
+        with pytest.raises(ValueError, match="is not a user row"):
+            recommend.vote_scores(*users, visits, [index, bad_index], 1, False)
+        with pytest.raises(ValueError, match="is not a user row"):
+            recommend.nearest_users(*users, [bad_index], 1)
 
 
 # ------------------------------------------------------------- properties
@@ -646,7 +644,8 @@ def test_recommendation_invariants(
         scores = [s for _, s in result.items]
         assert scores == sorted(scores, reverse=True)
         if filter_seen:
-            seen = {toy_interactions.venues[j] for j in toy_interactions.venues_of(user)}
+            vocab, visits = toy_interactions
+            seen = {vocab.venues[j] for j in visits[vocab.user_index[user]].indices}
             assert set(venues).isdisjoint(seen)
 
 
