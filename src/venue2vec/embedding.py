@@ -121,7 +121,13 @@ def init_model(
 
 
 class NegativeSamplingTable:
-    """Cumulative noise distribution over token indices, p(i) ∝ freq(i)^exponent."""
+    """Alias table of the noise distribution over token indices, p(i) ∝ freq(i)^exponent.
+
+    A draw picks a bucket i uniformly and keeps i with probability accept[i],
+    else takes alias[i] (Walker 1977; Vose 1991), so it costs O(1) whatever
+    the vocabulary size. Bucket i holds accept[i] of token i and
+    1 - accept[i] of token alias[i]; summed over the buckets this is n * p.
+    """
 
     def __init__(self, frequencies: np.ndarray, exponent: float = 0.75):
         weights = np.asarray(frequencies, dtype=np.float64) ** exponent
@@ -129,12 +135,11 @@ class NegativeSamplingTable:
         if total <= 0:
             raise TrainingError("noise distribution has no mass")
         self.probabilities = weights / total
-        self.cumulative = np.cumsum(self.probabilities)
+        self.accept, self.alias = _alias_table(self.probabilities)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        draws = np.searchsorted(self.cumulative, rng.random(size), side="right")
-        # fp round-off can leave cumulative[-1] a hair under 1.0
-        return np.minimum(draws, len(self.cumulative) - 1)
+        buckets = rng.integers(0, self.accept.size, size=size)
+        return np.where(rng.random(size) < self.accept[buckets], buckets, self.alias[buckets])
 
     def sample_excluding(
         self, rng: np.random.Generator, forbidden: np.ndarray | int, size: int
@@ -146,6 +151,41 @@ class NegativeSamplingTable:
             draws[collisions] = self.sample(rng, int(collisions.sum()))
             collisions = draws == forbidden
         return draws
+
+
+def _alias_table(probabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's (accept, alias) arrays for a distribution, built without a Python loop.
+
+    Scaled by n, a token under 1 is light and keeps its own mass as accept;
+    the rest of its bucket comes from a heavy token. Laying the lights'
+    deficits end to end and the heavies' surpluses end to end, a light takes
+    its deficit from the heavy whose surplus covers the deficit's start, as
+    Vose's sweep does. A heavy whose surplus runs out inside a light's
+    deficit covers that light in full, keeps the rest as its own accept and
+    takes its own deficit from the next heavy.
+    """
+    n = probabilities.size
+    scaled = probabilities * n
+    light = scaled < 1.0
+    # round-off can leave every weight a hair under 1 (n equal weights, n = 49)
+    light[np.argmax(scaled)] = False
+    lights, heavies = np.flatnonzero(light), np.flatnonzero(~light)
+    deficits = 1.0 - scaled[lights]
+    deficit_ends = np.cumsum(deficits)
+    surplus_ends = np.cumsum(scaled[heavies] - 1.0)
+    accept = scaled.copy()
+    alias = np.arange(n)
+    owners = np.searchsorted(surplus_ends, deficit_ends - deficits, side="right")
+    alias[lights] = heavies[np.minimum(owners, heavies.size - 1)]
+    overshoot = np.zeros(heavies.size)
+    if lights.size:
+        ends = np.minimum(np.searchsorted(deficit_ends, surplus_ends), lights.size - 1)
+        overshoot = np.clip(deficit_ends[ends] - surplus_ends, 0.0, 1.0)
+    accept[heavies] = 1.0 - overshoot
+    alias[heavies[:-1]] = heavies[1:]
+    # the last heavy's surplus ends where the deficits do, up to round-off
+    accept[heavies[-1]] = 1.0
+    return accept, alias
 
 
 def _sgns_update(
@@ -163,8 +203,10 @@ def _sgns_update(
     descends the loss.
     """
     dots = np.clip(np.matmul(rows, hidden[:, :, None])[:, :, 0], -DOT_CLAMP, DOT_CLAMP)
-    losses = np.logaddexp(0.0, -dots[:, 0]) + np.logaddexp(0.0, dots[:, 1:]).sum(axis=1)
-    coefficients = -1.0 / (1.0 + np.exp(-dots))
+    # -log σ(d) = log(1 + e^-d) and -log σ(-d) = d + log(1 + e^-d)
+    exp_neg = np.exp(-dots)
+    losses = np.log1p(exp_neg).sum(axis=1) + dots[:, 1:].sum(axis=1)
+    coefficients = -1.0 / (1.0 + exp_neg)
     coefficients[:, 0] += 1.0
     coefficients *= rates[:, None]
     return losses, coefficients, np.matmul(coefficients[:, None, :], rows)[:, 0, :]
@@ -231,8 +273,12 @@ def _sgns_step(
     """
     dtype = inputs.dtype
     distinct_in, in_rows = _by_token(members, indptr, np.ones(members.size, dtype=dtype))
-    sizes = np.diff(indptr).astype(dtype)
-    hidden = (in_rows.T @ inputs[distinct_in]) / sizes[:, None]
+    if members.size == targets.shape[0]:
+        # one member per row (skip-gram): the mean is that member's vector
+        hidden = inputs[members]
+    else:
+        sizes = np.diff(indptr).astype(dtype)
+        hidden = (in_rows.T @ inputs[distinct_in]) / sizes[:, None]
     losses, coefficients, hidden_steps = _sgns_update(hidden, outputs[targets], rates)
     rows, width = targets.shape
     distinct_out, out_rows = _by_token(
@@ -305,8 +351,9 @@ def _train_block(
 ) -> tuple[float, int]:
     """Train on one block of sentences in minibatches of batch rows.
 
-    Draws every position's window radius for the whole block, then each
-    minibatch's negatives. A skip-gram row is one (center, context) pair:
+    Draws every position's window radius for the whole block, then every
+    row's negatives in one call, and slices each minibatch's (rows, 1 + k)
+    targets out of them. A skip-gram row is one (center, context) pair:
     the center predicts the context token. A CBOW row is one window: the
     mean of its context vectors predicts the center token. Each row trains
     at its sentence's rate. Returns (summed loss, rows).
@@ -329,19 +376,17 @@ def _train_block(
     # pairs come sorted by row, so row r's members are members[indptr[r]:indptr[r + 1]]
     indptr = np.searchsorted(row_of_pair, np.arange(rows + 1))
     k = config.negative_samples
+    negatives = table.sample_excluding(rng, np.repeat(positives, k), rows * k)
+    targets = np.column_stack((positives, negatives.reshape(rows, k)))
     loss = 0.0
     for first in range(0, rows, batch):
         last = min(first + batch, rows)
-        batch_positives = positives[first:last]
-        negatives = table.sample_excluding(
-            rng, np.repeat(batch_positives, k), batch_positives.size * k
-        )
         loss += _sgns_step(
             model.input_vectors,
             model.output_vectors,
             members[indptr[first] : indptr[last]],
             indptr[first : last + 1] - indptr[first],
-            np.column_stack((batch_positives, negatives.reshape(-1, k))),
+            targets[first:last],
             row_rates[first:last],
         )
     return loss, rows
@@ -360,12 +405,12 @@ def train(
     """Train the model in place over the sentence corpus.
 
     Runs config.epoch_count epochs in one thread. Sentences are taken a
-    block at a time: the block's window radii and pairs, then each
-    minibatch's negatives, are drawn as arrays, and each minibatch of at
-    most BATCH_ROWS rows is one SGNS step that reads the weights as they
-    stood before it. The learning rate decays linearly from the initial to
-    the minimum rate across total_tokens * epochs, per sentence. Results are
-    bit-reproducible at a fixed seed.
+    block at a time: the block's window radii and pairs, then all of its
+    negatives from the alias table, are drawn as arrays, and each minibatch
+    of at most BATCH_ROWS rows is one SGNS step that reads the weights as
+    they stood before it. The learning rate decays linearly from the
+    initial to the minimum rate across total_tokens * epochs, per sentence.
+    Results are bit-reproducible at a fixed seed.
 
     Args:
         model: freshly initialized or previously trained model; mutated.

@@ -1,5 +1,4 @@
 import gzip
-import io
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from venue2vec.corpus import (
 )
 from venue2vec.errors import EmptyVocabularyError, FormatError
 from venue2vec.fixtures import (
-    FEB_2011,
     FixtureSpec,
     generate_fixture,
     parse_fixture_spec,

@@ -14,7 +14,6 @@ from venue2vec.corpus import (
 from venue2vec.embedding import (
     CBOW,
     SKIP_GRAM,
-    EmbeddingModel,
     NegativeSamplingTable,
     TrainingConfig,
     _sgns_step,
@@ -121,10 +120,37 @@ def test_init_two_dimensional_toy(toy_records):
 # ---------------------------------------------------------------- noise table
 
 
+def _alias_distribution(table):
+    """p_i = (accept_i + sum of 1 - accept_j over buckets j aliased to i) / n."""
+    accept, alias = table.accept, table.alias
+    n = accept.size
+    assert ((accept >= 0) & (accept <= 1)).all()
+    assert ((alias >= 0) & (alias < n)).all()
+    return (accept + np.bincount(alias, weights=1.0 - accept, minlength=n)) / n
+
+
 def test_table_probabilities_sum_to_one():
     table = NegativeSamplingTable(np.array([5, 1, 3, 10]))
     assert abs(table.probabilities.sum() - 1.0) <= 1e-9
-    assert abs(table.cumulative[-1] - 1.0) <= 1e-9
+    np.testing.assert_allclose(_alias_distribution(table), table.probabilities, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "frequencies",
+    [
+        # Zipf's law over a paper-sized vocabulary, ranks shuffled
+        np.random.default_rng(3).permutation(np.ceil(1e6 / np.arange(1, 57_841))),
+        np.array([16, 1]),
+        np.array([1, 1]),
+        np.array([7, 0]),
+        # 49 * (1 / 49) rounds to just under 1, so no weight scales to 1 or more
+        np.ones(49),
+    ],
+    ids=["zipf-57840", "two-skewed", "two-equal", "two-with-zero", "uniform-49"],
+)
+def test_alias_table_rebuilds_probabilities(frequencies):
+    table = NegativeSamplingTable(frequencies)
+    np.testing.assert_allclose(_alias_distribution(table), table.probabilities, rtol=0, atol=1e-12)
 
 
 def test_table_power_weighting():
@@ -234,6 +260,19 @@ def test_single_worker_training_bit_reproducible(toy_records):
     b, _ = train(init_model(vocab, config), corpus)
     assert np.array_equal(a.input_vectors, b.input_vectors)
     assert np.array_equal(a.output_vectors, b.output_vectors)
+
+
+def test_cbow_training_bit_reproducible(toy_records):
+    vocab = build_vocabulary(toy_records, 1)
+    corpus = build_sentences(toy_records, vocab)
+    config = TrainingConfig(
+        architecture=CBOW, feature_count=8, context_count="max", epoch_count=5, seed=11
+    )
+    a, trace_a = train(init_model(vocab, config), corpus)
+    b, trace_b = train(init_model(vocab, config), corpus)
+    assert np.array_equal(a.input_vectors, b.input_vectors)
+    assert np.array_equal(a.output_vectors, b.output_vectors)
+    assert [row.average_loss for row in trace_a] == [row.average_loss for row in trace_b]
 
 
 def _sentence_pairs(sentence, window, rng):

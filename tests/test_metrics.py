@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from venue2vec.corpus import CheckinRecord, Dataset
 from venue2vec.errors import EvaluationError
 from venue2vec.metrics import (
-    MetricsReport,
     PhaseTimings,
     UserResult,
     aggregate,
