@@ -158,11 +158,11 @@ def _alias_table(probabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Scaled by n, a token under 1 is light and keeps its own mass as accept;
     the rest of its bucket comes from a heavy token. Laying the lights'
-    deficits end to end and the heavies' surpluses end to end, a light takes
-    its deficit from the heavy whose surplus covers the deficit's start, as
-    Vose's sweep does. A heavy whose surplus runs out inside a light's
-    deficit covers that light in full, keeps the rest as its own accept and
-    takes its own deficit from the next heavy.
+    deficits end to end and the heavies' surpluses end to end, a light
+    takes its deficit from the heavy whose surplus covers the deficit's
+    start, as a sweep over both in index order would. A heavy whose surplus
+    runs out inside a light's deficit covers that light in full, keeps the
+    rest as its own accept and takes its own deficit from the next heavy.
     """
     n = probabilities.size
     scaled = probabilities * n
