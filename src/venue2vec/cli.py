@@ -16,7 +16,7 @@ from . import harness, modelio, recommend
 from .corpus import FieldLayout, write_checkins
 from .embedding import CBOW, MAX_WINDOW, SKIP_GRAM, write_loss_trace
 from .errors import ConfigError
-from .fixtures import FixtureSpec, generate_fixture, parse_fixture_spec
+from .fixtures import FixtureSpec, generate_fixture
 from .harness import ExperimentConfig, SweepSpec
 from .metrics import build_ground_truth, read_report_csv
 
@@ -46,11 +46,6 @@ def _bool(text: str) -> bool:
 # ExperimentConfig field for the rest.
 _OPTIONS = {
     "input": ("input_path", str, "check-in file (.gz accepted)"),
-    "fixture": (
-        "fixture",
-        parse_fixture_spec,
-        "fixture spec, e.g. communities=2,users=20,venues=30,train=15,test=5,noise=0,seed=7",
-    ),
     "boundary": ("boundary", int, "train/test split timestamp"),
     "method": ("method", str, None),
     "arch": ("architecture", str, None),
@@ -95,8 +90,6 @@ def _add_experiment_flags(parser, with_method=True) -> None:
 def _parse(key: str, value: str, kind):
     try:
         return kind(value)
-    except ConfigError:
-        raise  # parse_fixture_spec names the bad item itself
     except ValueError:
         raise ConfigError(f"cannot parse {key}={value!r}") from None
 
@@ -157,8 +150,6 @@ def _read_users_file(path: str) -> list[str]:
 
 def _cmd_recommend(args) -> int:
     config = build_experiment_config(args)
-    if config.method not in harness.EMBEDDING_METHODS:
-        raise ConfigError("recommend supports the kni, nn and kiu methods")
     model = modelio.load_embedding_model(args.model)
     dataset = harness.load_dataset(config)
     if args.users:
@@ -167,7 +158,7 @@ def _cmd_recommend(args) -> int:
         users = sorted(build_ground_truth(dataset))
     if not users:
         raise ConfigError("no target users: supply --users or test-period data")
-    recommend_users = harness.embedding_recommender(config, model, dataset)
+    recommend_users = harness.recommender(config, harness.Fit.of_model(model), dataset)
     results = list(recommend_users(users))
     recommend.write_batch_recommendations(results, args.out)
     misses = sum(1 for r in results if not r.predicted)

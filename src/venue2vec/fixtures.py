@@ -162,37 +162,3 @@ def _draw_venue(
     if foreign and noise_rate > 0.0 and rng.random() < noise_rate:
         return foreign[int(rng.integers(len(foreign)))]
     return favorites[int(rng.integers(len(favorites)))]
-
-
-def parse_fixture_spec(text: str) -> FixtureSpec:
-    """Parse a compact ``key=value,key=value`` fixture description.
-
-    Keys mirror FixtureSpec fields with short aliases: communities, users,
-    venues, train, test, noise, favorites, seed.
-    """
-    aliases = {
-        "users": "users_per_community",
-        "venues": "venues_per_community",
-        "train": "train_checkins_per_user",
-        "test": "test_checkins_per_user",
-        "noise": "noise_rate",
-        "favorites": "favorites_per_user",
-    }
-    kwargs: dict[str, float | int] = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ConfigError(f"bad fixture spec item {item!r}; expected key=value")
-        key, value = item.split("=", 1)
-        key = aliases.get(key.strip(), key.strip())
-        if key not in FixtureSpec.__dataclass_fields__:
-            raise ConfigError(f"unknown fixture spec key {key!r}")
-        try:
-            kwargs[key] = float(value) if key == "noise_rate" else int(value)
-        except ValueError:
-            raise ConfigError(f"cannot parse fixture {key}={value.strip()!r}") from None
-    spec = FixtureSpec(**kwargs)  # type: ignore[arg-type]
-    spec.validate()
-    return spec

@@ -1,12 +1,12 @@
 """Experiment orchestration: end-to-end runs, parameter sweeps, plot data.
 
-A run executes corpus construction, model building (embedding training,
-matrix factorization, or the interaction matrix for CF/Random), per-user
+A run executes corpus construction, one fit (embedding training, matrix
+factorization, or the interaction matrix for CF/Random), per-user
 recommendation and evaluation, with the modeling and recommendation phases
-timed separately. Random makes random_runs seeded runs and reports their
-mean; every other method makes one. The CLI's train, recommend and evaluate
-stages reuse the same steps (load_dataset, fit_embedding,
-embedding_recommender, evaluate_recommendations).
+timed separately. One fit serves every method it holds the rows of; Random
+serves random_runs seeded runs from it and reports their mean. The CLI's
+train, recommend and evaluate stages reuse the same steps (load_dataset,
+fit_embedding, Fit.of_model, recommender, evaluate_recommendations).
 Only training records ever reach vocabulary, sentence or matrix construction;
 test records are consumed exclusively by ground-truth building.
 """
@@ -233,58 +233,34 @@ def serve(
     return recommend_users
 
 
-def embedding_recommender(
-    config: ExperimentConfig, model: EmbeddingModel, dataset: Dataset
-) -> Callable[[Sequence[str]], Iterator[recommend.RecommendationList]]:
-    """The KNI/NN/KIU recommend callable over a trained model (see serve).
-
-    Ties break by ascending vocabulary index. The training visits are read
-    only where they are used, NN's votes and the seen mask: they are counted
-    over the model's vocabulary, so pruned venues and users without history
-    vote nothing. KNI is KIU with no neighbors. The input rows' norms are
-    taken here, once per call, so a model changed in place between calls
-    is served by its current rows.
+@dataclass
+class Fit:
+    """What serving reads, built once from the training split (see fit):
+    the methods it serves, the vocabulary, the user rows neighbours are
+    picked among (None for Random), an embedding's venue rows, the training
+    visit table (None for an embedding, whose serving counts the visits only
+    where it reads them), the report's echo fields and the traces to write.
     """
-    vocab = model.vocab
-    visits = None
-    if config.method == recommend.NN or config.filter_seen:
-        visits = build_interactions(dataset.train, vocab, config.binary_votes)
-    count = vocab.user_count
-    vectors, norms = model.input_vectors, recommend.row_norms(model.input_vectors)
-    users, user_norms = vectors[:count], norms[:count]
-    if config.method == recommend.NN:
-        return serve(
-            config,
-            vocab,
-            visits,
-            lambda block: recommend.vote_scores(
-                users, user_norms, visits, block, config.neighbors, weighted=False
-            ),
-        )
-    neighbors = config.neighbors if config.method == recommend.KIU else 0
-    return serve(
-        config,
-        vocab,
-        visits,
-        lambda block: recommend.kiu_scores(
-            users, user_norms, vectors[count:], norms[count:], block, neighbors
-        ),
-    )
+
+    methods: tuple[str, ...]
+    vocab: Vocabulary
+    users: np.ndarray | sparse.csr_matrix | None
+    venues: np.ndarray | None = None
+    visits: sparse.csr_matrix | None = None
+    echo: dict = field(default_factory=dict)
+    traces: dict = field(default_factory=dict)
+
+    @classmethod
+    def of_model(cls, model: EmbeddingModel, **fields) -> Fit:
+        """A trained embedding's fit; its rows are views of the model's."""
+        count, vectors = model.vocab.user_count, model.input_vectors
+        return cls(EMBEDDING_METHODS, model.vocab, vectors[:count], vectors[count:], **fields)
 
 
-def _recommender_for(config: ExperimentConfig, dataset: Dataset):
-    """Build the method's model.
-
-    Returns (one recommend callable per seeded run, train_seconds, the
-    report's echo fields, traces to write). Random has random_runs runs,
-    seeded config.seed + run; every other method has one.
-    """
-    started = time.perf_counter()
-    traces: dict = {}
-
+def fit(config: ExperimentConfig, dataset: Dataset) -> Fit:
+    """Build the method's model from the training records only."""
     if config.method in EMBEDDING_METHODS:
-        model, corpus, traces["loss_trace"] = fit_embedding(config, dataset)
-        runs = [embedding_recommender(config, model, dataset)]
+        model, corpus, trace = fit_embedding(config, dataset)
         echo = dict(
             arch=config.architecture,
             feature_count=config.feature_count,
@@ -292,59 +268,76 @@ def _recommender_for(config: ExperimentConfig, dataset: Dataset):
             epoch_count=config.epoch_count,
             neighbors=config.neighbors,
         )
-        return runs, time.perf_counter() - started, echo, traces
-
+        return Fit.of_model(model, echo=echo, traces={"loss_trace": trace})
     vocab = build_vocabulary(dataset.train)
     visits = build_interactions(dataset.train, vocab, config.binary_votes)
+    users, echo, traces = visits, dict(neighbors=config.neighbors), {}
     if config.method == baselines.RANDOM:
-
-        def random_run(seed: int):
-            # per-user sub-seed so one run's draws are independent across users
-            return lambda users: (
-                baselines.recommend_random(
-                    vocab.venues,
-                    user,
-                    config.k,
-                    _user_seed(seed, user),
-                    set(visits[vocab.user_index[user]].indices.tolist())
-                    if config.filter_seen
-                    else (),
-                )
-                for user in users
-            )
-
-        runs = [random_run(config.seed + run) for run in range(config.random_runs)]
-        return runs, time.perf_counter() - started, {}, traces
-
-    if config.method == baselines.CF:
-        rows, weighted = visits, True
-        echo = dict(neighbors=config.neighbors)
-    else:  # svd / ccdpp
+        users, echo = None, {}
+    elif config.method != baselines.CF:  # svd / ccdpp
         rank = min(config.latent_rank(), min(visits.shape))
         if config.method == baselines.SVD:
             factors = baselines.svd_factorize(visits, rank, seed=config.seed)
         else:
             factors, traces["objective_trace"] = baselines.ccdpp_factorize(
-                visits,
-                rank,
-                config.regularization,
-                config.mf_iterations,
-                seed=config.seed,
+                visits, rank, config.regularization, config.mf_iterations, seed=config.seed
             )
-        rows, weighted = factors.user_factors, False
-        echo = dict(feature_count=factors.rank, neighbors=config.neighbors)
-    norms = recommend.row_norms(rows)
-    runs = [
-        serve(
-            config,
-            vocab,
-            visits,
-            lambda block: recommend.vote_scores(
-                rows, norms, visits, block, config.neighbors, weighted
-            ),
+        users, echo["feature_count"] = factors.user_factors, factors.rank
+    return Fit((config.method,), vocab, users, None, visits, echo, traces)
+
+
+def recommender(
+    config: ExperimentConfig, fitted: Fit, dataset: Dataset
+) -> Callable[[Sequence[str]], Iterator[recommend.RecommendationList]]:
+    """config.method's recommend callable over a fit (see serve): the one
+    place a method's score rule is chosen.
+
+    KNI and KIU are kiu_scores, KNI with no neighbors; NN, CF, SVD and CCD++
+    are vote_scores, weighted by similarity for CF only. Ties break by
+    ascending vocabulary index. An embedding's training visits are counted
+    over its vocabulary here, for NN's votes and the seen mask only, so
+    pruned venues and users without history vote nothing. The row norms are
+    taken once per call. Random lists the first k (unseen, under
+    filter_seen) venues of a permutation seeded by config.seed and the user.
+    Every method gives a user outside the vocabulary an empty list.
+
+    Raises:
+        ConfigError: if the fit does not serve config.method.
+    """
+    if config.method not in fitted.methods:
+        raise ConfigError(f"a fit for {'/'.join(fitted.methods)} cannot serve {config.method}")
+    vocab, visits, users = fitted.vocab, fitted.visits, fitted.users
+    if visits is None and (config.method == recommend.NN or config.filter_seen):
+        visits = build_interactions(dataset.train, vocab, config.binary_votes)
+
+    if config.method == baselines.RANDOM:
+
+        def recommend_random(names: Sequence[str]) -> Iterator[recommend.RecommendationList]:
+            for user in names:
+                row = vocab.user_index.get(user)
+                if row is None:
+                    yield recommend.RecommendationList(user, config.method)
+                    continue
+                seen = set(visits[row].indices.tolist()) if config.filter_seen else ()
+                # per-user sub-seed so one run's draws are independent across users
+                seed = _user_seed(config.seed, user)
+                yield baselines.recommend_random(vocab.venues, user, config.k, seed, seen)
+
+        return recommend_random
+
+    norms = recommend.row_norms(users)
+    if config.method in (recommend.KNI, recommend.KIU):
+        venues, venue_norms = fitted.venues, recommend.row_norms(fitted.venues)
+        neighbors = config.neighbors if config.method == recommend.KIU else 0
+        rule = lambda block: recommend.kiu_scores(  # noqa: E731
+            users, norms, venues, venue_norms, block, neighbors
         )
-    ]
-    return runs, time.perf_counter() - started, echo, traces
+    else:
+        weighted = config.method == baselines.CF
+        rule = lambda block: recommend.vote_scores(  # noqa: E731
+            users, norms, visits, block, config.neighbors, weighted
+        )
+    return serve(config, vocab, visits, rule)
 
 
 def _evaluate_users(
@@ -399,7 +392,14 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
     if not ground_truth:
         raise ConfigError("no user has both train and test records")
 
-    runs, train_seconds, echo, traces = _recommender_for(config, dataset)
+    started = time.perf_counter()
+    fitted = fit(config, dataset)
+    count = config.random_runs if config.method == baselines.RANDOM else 1
+    runs = [
+        recommender(replace(config, seed=config.seed + run), fitted, dataset)
+        for run in range(count)
+    ]
+    train_seconds = time.perf_counter() - started
     many = len(runs) > 1
     reports: list[MetricsReport] = []
     for index, recommend_users in enumerate(runs):
@@ -427,7 +427,7 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
                 PhaseTimings(train_seconds, seconds),
                 method=config.method,
                 k=config.k,
-                **echo,
+                **fitted.echo,
             )
         )
     count = len(reports)
@@ -442,7 +442,7 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
         rec_s_per_user=rec_seconds / (len(ground_truth) * count),
     )
     if out_dir is not None:
-        _write_artifacts(report, out_dir, traces)
+        _write_artifacts(report, out_dir, fitted.traces)
     return report
 
 

@@ -34,9 +34,10 @@ from venue2vec.embedding import (
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 from venue2vec.harness import (
     ExperimentConfig,
-    embedding_recommender,
-    fit_embedding,
+    Fit,
+    fit,
     load_dataset,
+    recommender,
     run_experiment,
 )
 from venue2vec.metrics import (
@@ -145,7 +146,7 @@ def test_criterion_2_top_k_oracle_equivalence():
         features = int(rng.integers(4, 101))
         model, records = _random_model(rng, n_venues, features)
         config = ExperimentConfig(method="kni", k=10)
-        ours = next(embedding_recommender(config, model, Dataset(records, []))(["u0"]))
+        ours = next(recommender(config, Fit.of_model(model), Dataset(records, []))(["u0"]))
         count = model.vocab.user_count
         query = model.input_vectors[model.vocab.user_index["u0"]]
         reference = brute_force_top_k(
@@ -221,10 +222,11 @@ def planted_run():
     vocab = build_vocabulary(dataset.train, 1)
     corpus = build_sentences(dataset.train, vocab)
     model, _ = train(init_model(vocab, ACCEPTANCE_TRAINING), corpus)
+    fitted = Fit.of_model(model)
     reports = {
         method: _evaluate(
-            embedding_recommender(
-                ExperimentConfig(method=method, k=10, neighbors=30), model, dataset
+            recommender(
+                ExperimentConfig(method=method, k=10, neighbors=30), fitted, dataset
             ),
             truth,
             method,
@@ -331,10 +333,10 @@ def test_criterion_4c_novel_venues_beat_random():
     )
     dataset = load_dataset(config)
     truth = build_ground_truth(dataset)
-    model, _, _ = fit_embedding(config, dataset)
+    fitted = fit(config, dataset)
     precision = {
         method: _evaluate(
-            embedding_recommender(replace(config, method=method), model, dataset),
+            recommender(replace(config, method=method), fitted, dataset),
             truth,
             method,
         ).precision
@@ -479,8 +481,8 @@ def test_criterion_8_kni_timing_budget():
     model = init_model(vocab, TrainingConfig(feature_count=features, seed=0))
     model.input_vectors = rng.normal(size=model.input_vectors.shape).astype(np.float32)
 
-    recommend_users = embedding_recommender(
-        ExperimentConfig(method="kni", k=10), model, Dataset(records, [])
+    recommend_users = recommender(
+        ExperimentConfig(method="kni", k=10), Fit.of_model(model), Dataset(records, [])
     )
     samples = []
     for i in range(100):

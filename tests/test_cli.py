@@ -181,6 +181,18 @@ def test_recommend_with_users_file(fixture_file, tmp_path):
     assert not results[2].predicted
 
 
+def test_recommend_baseline_from_a_model_is_config_error(fixture_file, tmp_path, capsys):
+    model_path = tmp_path / "model.bin"
+    train = ["train", "--input", str(fixture_file), "--features", "4", "--epochs", "1"]
+    assert main([*train, "--model-out", str(model_path)]) == 0
+    for method in ("cf", "random", "svd", "ccdpp"):
+        argv = ["recommend", "--model", str(model_path), "--input", str(fixture_file),
+                "--method", method, "--out", str(tmp_path / "recs.tsv")]
+        assert main(argv) == 1
+        assert f"cannot serve {method}" in capsys.readouterr().err
+    assert not (tmp_path / "recs.tsv").exists()
+
+
 def test_sweep_and_plot_data(fixture_file, tmp_path):
     out = tmp_path / "sweep"
     rc = main(
@@ -245,7 +257,6 @@ def _config_of(argv):
 # a value, written "true" in a config file
 OPTION_CASES = [
     ("input", "checkins.tsv"),
-    ("fixture", "communities=3,users=4,seed=2"),
     ("boundary", "1300000000"),
     ("method", "svd"),
     ("arch", "cbow"),
@@ -406,17 +417,6 @@ def test_unparseable_value_is_config_error(fixture_file, tmp_path, capsys):
     assert main(["sweep", "--axis", "F", "--values", "10,x", *base]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "values='x'" in err
-
-
-def test_unparseable_fixture_value_is_config_error(tmp_path, capsys):
-    assert main(["run", "--fixture", "communities=x", "--method", "kni"]) == 1
-    err = capsys.readouterr().err
-    assert "config error" in err and "communities='x'" in err
-    conf = tmp_path / "exp.conf"
-    conf.write_text("fixture = communities=2,noise=lots\nmethod = kni\n")
-    assert main(["run", "--config", str(conf)]) == 1
-    err = capsys.readouterr().err
-    assert "config error" in err and "noise_rate='lots'" in err
 
 
 @pytest.mark.parametrize("axis", ["F", "E"])

@@ -16,11 +16,7 @@ from venue2vec.corpus import (
     write_checkins,
 )
 from venue2vec.errors import EmptyVocabularyError, FormatError
-from venue2vec.fixtures import (
-    FixtureSpec,
-    generate_fixture,
-    parse_fixture_spec,
-)
+from venue2vec.fixtures import FixtureSpec, generate_fixture
 
 from conftest import make_records, token_of
 
@@ -329,12 +325,3 @@ def test_fixture_deterministic_per_seed():
     first, _ = generate_fixture(spec)
     second, _ = generate_fixture(spec)
     assert first == second
-
-
-def test_parse_fixture_spec_aliases():
-    spec = parse_fixture_spec("communities=3,users=7,venues=9,train=11,test=2,noise=0.5,seed=4")
-    assert spec.communities == 3
-    assert spec.users_per_community == 7
-    assert spec.venues_per_community == 9
-    assert spec.train_checkins_per_user == 11
-    assert spec.noise_rate == 0.5

@@ -23,7 +23,7 @@ from venue2vec.metrics import (
     read_report_csv,
     score_user,
 )
-from venue2vec.recommend import read_batch_recommendations
+from venue2vec.recommend import format_batch_line, read_batch_recommendations
 
 from conftest import nearest_users, visit_table
 
@@ -223,10 +223,10 @@ def test_error_marker_written_on_failure(tmp_path, monkeypatch):
 
 def test_partial_per_user_csv_on_mid_run_failure(tmp_path, monkeypatch):
     config = small_config(out_dir=str(tmp_path / "partial"))
-    real = harness._recommender_for
+    real = harness.recommender
 
-    def wrapped(cfg, dataset):
-        (recommend_users,), seconds, echo, traces = real(cfg, dataset)
+    def wrapped(cfg, fitted, dataset):
+        recommend_users = real(cfg, fitted, dataset)
 
         def flaky(users):
             for count, result in enumerate(recommend_users(users)):
@@ -234,9 +234,9 @@ def test_partial_per_user_csv_on_mid_run_failure(tmp_path, monkeypatch):
                     raise RuntimeError("recommender died")
                 yield result
 
-        return [flaky], seconds, echo, traces
+        return flaky
 
-    monkeypatch.setattr(harness, "_recommender_for", wrapped)
+    monkeypatch.setattr(harness, "recommender", wrapped)
     with pytest.raises(RuntimeError):
         run_experiment(config)
     out = tmp_path / "partial"
@@ -400,7 +400,7 @@ def test_seen_mask_equals_full_depth_recut(method):
 
     def lists(**overrides):
         config = small_config(method=method, rank=4, **overrides)
-        (recommend_users,), *_ = harness._recommender_for(config, dataset)
+        recommend_users = harness.recommender(config, harness.fit(config, dataset), dataset)
         return {result.user: result.items for result in recommend_users(vocab.users)}
 
     full, masked = lists(k=len(vocab.venues)), lists(filter_seen=True)
@@ -423,6 +423,7 @@ def test_serving_reads_rows_changed_in_place():
     dataset = harness.load_dataset(small_config())
     model, _, _ = harness.fit_embedding(small_config(), dataset)
     model.input_vectors = model.input_vectors.astype(np.float64)  # rounds like the oracle
+    fitted = harness.Fit.of_model(model)
     vocab, count = model.vocab, model.vocab.user_count
     users = sorted(build_ground_truth(dataset))
     visits = interactions_reference(dataset.train)
@@ -430,7 +431,7 @@ def test_serving_reads_rows_changed_in_place():
 
     def lists(method):
         config = small_config(method=method, k=5, neighbors=3)
-        recommend_users = harness.embedding_recommender(config, model, dataset)
+        recommend_users = harness.recommender(config, fitted, dataset)
         return {result.user: result.items for result in recommend_users(users)}
 
     before = lists("kni"), lists("nn")
@@ -450,6 +451,60 @@ def test_serving_reads_rows_changed_in_place():
         near = brute_force_top_k(rows[:count], rows[target], others, 3)
         votes = vote_reference([vocab.users[i] for i, _ in near], visits)
         assert nn[user] == rank_votes_reference(votes, 5, index_of)
+
+
+def test_one_embedding_fit_serves_kni_nn_and_kiu(tmp_path):
+    """One skip-gram fit serves all three embedding methods, and each one's
+    lists are those its own run writes at the same seed."""
+    dataset = harness.load_dataset(small_config())
+    fitted = harness.fit(small_config(), dataset)
+    users = sorted(build_ground_truth(dataset))
+    served = {}
+    for method in harness.EMBEDDING_METHODS:
+        config = small_config(method=method, out_dir=str(tmp_path / method))
+        run_experiment(config)
+        written = (tmp_path / method / "recommendations.tsv").read_text().splitlines()
+        served[method] = [
+            format_batch_line(result)
+            for result in harness.recommender(config, fitted, dataset)(users)
+        ]
+        assert served[method] == written
+    assert served["kni"] != served["nn"] != served["kiu"]
+
+
+def test_fit_of_another_family_is_config_error():
+    """An embedding fit serves KNI, NN and KIU, a baseline's fit only that
+    baseline; any other pairing is a ConfigError, e.g. an SVD fit asked for
+    CF or an embedding fit asked for SVD."""
+    dataset = harness.load_dataset(small_config())
+    fits = {
+        method: harness.fit(small_config(method=method, rank=4, epoch_count=1), dataset)
+        for method in ("kni", "cf", "random", "svd", "ccdpp")
+    }
+    served_by = {"nn": "kni", "kiu": "kni"}
+    for method in harness.ALL_METHODS:
+        for fit_method, fitted in fits.items():
+            config = small_config(method=method)
+            if served_by.get(method, method) == fit_method:
+                harness.recommender(config, fitted, dataset)
+            else:
+                with pytest.raises(ConfigError, match=f"cannot serve {method}"):
+                    harness.recommender(config, fitted, dataset)
+
+
+@pytest.mark.parametrize("filter_seen", [False, True])
+def test_every_method_lists_nothing_for_an_unknown_user(filter_seen):
+    """All seven methods give a user outside the vocabulary an empty list,
+    beside a full list for a known user."""
+    dataset = harness.load_dataset(small_config())
+    known = sorted(build_ground_truth(dataset))[0]
+    embedding = harness.fit(small_config(epoch_count=2), dataset)
+    for method in harness.ALL_METHODS:
+        config = small_config(method=method, rank=4, filter_seen=filter_seen)
+        fitted = embedding if method in harness.EMBEDDING_METHODS else harness.fit(config, dataset)
+        stranger, user = harness.recommender(config, fitted, dataset)(["stranger", known])
+        assert (stranger.user, stranger.items) == ("stranger", [])
+        assert len(user.items) == config.k
 
 
 # ------------------------------------------------------------- sweeps
@@ -481,7 +536,7 @@ def test_sweep_identical_configs_identical_csvs(tmp_path):
 
 def test_sweep_continues_after_failure(tmp_path, monkeypatch):
     calls = {"n": 0}
-    real = harness._recommender_for
+    real = harness.fit
 
     def flaky(config, dataset):
         calls["n"] += 1
@@ -489,7 +544,7 @@ def test_sweep_continues_after_failure(tmp_path, monkeypatch):
             raise RuntimeError("boom")
         return real(config, dataset)
 
-    monkeypatch.setattr(harness, "_recommender_for", flaky)
+    monkeypatch.setattr(harness, "fit", flaky)
     spec = SweepSpec(axis="E", values=[2, 3, 4])
     reports, rows = run_sweep(spec, small_config(out_dir=str(tmp_path)))
     assert [isinstance(r, Exception) for r in reports] == [False, True, False]

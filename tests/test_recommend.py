@@ -18,7 +18,7 @@ from venue2vec.corpus import (
 from venue2vec.embedding import TrainingConfig, init_model, train
 from venue2vec.errors import ConfigError, FormatError
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
-from venue2vec.harness import EMBEDDING_METHODS, ExperimentConfig, embedding_recommender
+from venue2vec.harness import EMBEDDING_METHODS, ExperimentConfig, Fit, fit, recommender
 from venue2vec.recommend import (
     NN,
     NO_PREDICTION,
@@ -44,7 +44,7 @@ def _serve(model, records, method, **overrides):
     """One user's list from the callable a run builds for method, over these
     training records (the seen rule included when filter_seen is set)."""
     config = ExperimentConfig(method=method, **overrides)
-    recommend_users = embedding_recommender(config, model, Dataset(train=records, test=[]))
+    recommend_users = recommender(config, Fit.of_model(model), Dataset(train=records, test=[]))
     return lambda user: next(recommend_users([user]))
 
 
@@ -310,8 +310,10 @@ def test_vote_block_lists_match_brute_force(monkeypatch, block, filter_seen):
 
     model = init_model(vocab, TrainingConfig(feature_count=3, seed=0), dtype=np.float64)
     model.input_vectors[: vocab.user_count] = [integer_rows[int(u[1:])] for u in vocab.users]
-    nn = embedding_recommender(replace(config, method=NN), model, Dataset(records, []))
-    (cf,), *_ = harness._recommender_for(replace(config, method="cf"), Dataset(records, []))
+    dataset = Dataset(records, [])
+    nn = recommender(replace(config, method=NN), Fit.of_model(model), dataset)
+    cf_config = replace(config, method="cf")
+    cf = recommender(cf_config, fit(cf_config, dataset), dataset)
     latent_rows = integer_rows[[int(u[1:]) for u in vocab.users]]
     calls = []
 

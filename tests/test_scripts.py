@@ -1,5 +1,5 @@
-"""Smoke runs of the experiment scripts, which drive run_experiment and run_sweep,
-and checks that README's Library example imports what the package exports and
+"""A smoke run of the experiment script, which drives run_experiment, and
+checks that README's Library example imports what the package exports and
 that its command lines parse."""
 
 import ast
@@ -11,7 +11,6 @@ from pathlib import Path
 
 from venue2vec.cli import build_parser
 from venue2vec.harness import ALL_METHODS
-from venue2vec.metrics import read_report_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -36,15 +35,6 @@ def test_benchmark_methods_prints_one_row_per_method():
     assert done.returncode == 0, done.stderr
     rows = done.stdout.splitlines()[2:]  # header and rule first
     assert [row.split()[0] for row in rows] == list(ALL_METHODS)
-
-
-def test_sweep_axes_writes_one_row_per_axis_value(tmp_path):
-    done = _run("sweep_axes.py", "--axes", "E", "--out-dir", str(tmp_path))
-    assert done.returncode == 0, done.stderr
-    assert "axis E: 5 runs (0 failed)" in done.stdout
-    rows = read_report_csv(tmp_path / "sweep_E" / "sweep_E.csv")
-    assert [row["E"] for row in rows] == [5, 10, 15, 20, 25]
-    assert (tmp_path / "plots" / "kni_E.csv").exists()
 
 
 def test_readme_library_imports_are_the_package_exports():
