@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Write the artifact protocol: what every method writes on three seeded
+fixtures, with the timing fields zeroed.
+
+Usage:
+    python scripts/artifacts.py OUT
+
+Every command goes through venue2vec.cli.main in this one process:
+generate-fixture for each fixture (acceptance: seed 11, 4 x 50 x 100;
+noisy: seed 3, 3 x 30 x 60, noise 0.3; sparse: seed 5, 3 x 30 x 120, 30
+favourites, noise 0.3), then at F=16, C=10, E=5, N=30, k=10, seed 1:
+
+- run for all seven methods x --filter-seen x --binary-votes;
+- run for kni, nn and kiu at --min-count 2 x --filter-seen;
+- train (model, --text-out vectors, --loss-csv) at --min-count 1 and 2,
+  then recommend + evaluate for kni, nn and kiu x both flags.
+
+The timing fields (report train_s, rec_s_total and rec_s_per_user, loss
+trace seconds) are then set to 0.0, so everything left is a function of the
+code and the seeds: two runs of one commit must write identical trees
+(diff -r), and two commits can be compared the same way.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from venue2vec.cli import main as cli_main
+
+METHODS = ("kni", "nn", "kiu", "cf", "random", "svd", "ccdpp")
+EMBEDDING_METHODS = METHODS[:3]
+FIXTURES = {
+    "acceptance": ["--seed", "11", "--communities", "4", "--users-per-community", "50",
+                   "--venues-per-community", "100"],
+    "noisy": ["--seed", "3", "--communities", "3", "--users-per-community", "30",
+              "--venues-per-community", "60", "--noise", "0.3"],
+    "sparse": ["--seed", "5", "--communities", "3", "--users-per-community", "30",
+               "--venues-per-community", "120", "--favorites", "30", "--noise", "0.3"],
+}
+SETTINGS = ["--features", "16", "--window", "10", "--epochs", "5", "--neighbors", "30",
+            "--topk", "10", "--seed", "1"]
+FLAGS = {
+    "plain": [],
+    "seen": ["--filter-seen"],
+    "binary": ["--binary-votes"],
+    "seen-binary": ["--filter-seen", "--binary-votes"],
+}
+TIMINGS = ("train_s", "rec_s_total", "rec_s_per_user", "seconds")
+
+
+def commands(out: Path, fixtures: dict) -> list[list[str]]:
+    """Every CLI command of the protocol, in order, writing under out."""
+    argvs = []
+    for name, spec in fixtures.items():
+        base = out / name
+        checkins = base / "checkins.tsv"
+        argvs.append(["generate-fixture", "--out", str(checkins), *spec])
+        data = ["--input", str(checkins), *SETTINGS]
+        for method in METHODS:
+            for label, flags in FLAGS.items():
+                argvs.append(["run", *data, "--method", method, *flags,
+                              "--out-dir", str(base / "run" / method / label)])
+        for method in EMBEDDING_METHODS:
+            for label in ("plain", "seen"):
+                argvs.append(["run", *data, "--min-count", "2", "--method", method,
+                              *FLAGS[label], "--out-dir", str(base / "run-min2" / method / label)])
+        for min_count in ("1", "2"):
+            staged = base / f"staged-min{min_count}"
+            given = [*data, "--min-count", min_count]
+            model = staged / "model.bin"
+            argvs.append(["train", *given, "--model-out", str(model),
+                          "--text-out", str(staged / "vectors.txt"),
+                          "--loss-csv", str(staged / "loss.csv")])
+            for method in EMBEDDING_METHODS:
+                for label, flags in FLAGS.items():
+                    recs = staged / f"{method}-{label}.tsv"
+                    argvs.append(["recommend", "--model", str(model), *given, "--method", method,
+                                  *flags, "--out", str(recs)])
+                    argvs.append(["evaluate", "--recommendations", str(recs), *given, *flags,
+                                  "--out-dir", str(staged / method / label)])
+    return argvs
+
+
+def _zero_csv(path: Path) -> None:
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    columns = header.split(",")
+    timed = [i for i, column in enumerate(columns) if column in TIMINGS]
+    lines = [header]
+    for row in rows:
+        values = row.split(",")
+        for i in timed:
+            values[i] = "0.0"
+        lines.append(",".join(values))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _zero_json(path: Path) -> None:
+    report = json.loads(path.read_text(encoding="utf-8"))
+    report.update({key: 0.0 for key in TIMINGS if key in report})
+    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+
+
+def write_protocol(out: Path, fixtures: dict = FIXTURES) -> int:
+    """Run the protocol into out and zero its timings; the number of files."""
+    for argv in commands(out, fixtures):
+        for path in argv:
+            if path.startswith(str(out)):
+                Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(argv)
+        if code != 0:
+            raise SystemExit(f"venue2vec {' '.join(argv)} exited {code}")
+    files = sorted(path for path in out.rglob("*") if path.is_file())
+    for path in files:
+        if path.name in ("report.csv", "loss_trace.csv", "loss.csv"):
+            _zero_csv(path)
+        elif path.name == "report.json":
+            _zero_json(path)
+    return len(files)
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 1
+    out = Path(sys.argv[1])
+    print(f"wrote {write_protocol(out)} files under {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

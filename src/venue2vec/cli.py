@@ -14,11 +14,11 @@ from pathlib import Path
 
 from . import harness, modelio, recommend
 from .corpus import FieldLayout, write_checkins
-from .embedding import CBOW, MAX_WINDOW, SKIP_GRAM, write_loss_trace
+from .embedding import CBOW, MAX_WINDOW, SKIP_GRAM
 from .errors import ConfigError
 from .fixtures import FixtureSpec, generate_fixture
 from .harness import ExperimentConfig, SweepSpec
-from .metrics import build_ground_truth, read_report_csv
+from .metrics import build_ground_truth, read_report_csv, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,7 +131,7 @@ def _cmd_train(args) -> int:
     model, corpus, trace = harness.fit_embedding(config, harness.load_dataset(config))
     modelio.save_embedding_model(model, args.model_out)
     if args.loss_csv:
-        write_loss_trace(trace, args.loss_csv)
+        write_csv(args.loss_csv, *harness.loss_trace(trace))
     if args.text_out:
         modelio.export_text_vectors(model, args.text_out)
     print(

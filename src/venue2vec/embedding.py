@@ -27,6 +27,11 @@ MAX_WINDOW: Literal["max"] = "max"
 
 # Dot products are clamped here before the sigmoid; standard SGNS overflow guard.
 DOT_CLAMP = 30.0
+# The learning rate decays linearly from the initial to the minimum rate over
+# the whole run; negatives are drawn from unigram frequencies to this power.
+INITIAL_LEARNING_RATE = 0.025
+MIN_LEARNING_RATE = 1e-4
+NOISE_EXPONENT = 0.75
 
 # Rows per SGNS step: (center, context) pairs for skip-gram, windows for
 # CBOW. A step gathers a (rows, 1 + k, F) block of output vectors, so much
@@ -57,9 +62,6 @@ class TrainingConfig:
     context_count: int | Literal["max"] = 20
     epoch_count: int = 25
     negative_samples: int = 5
-    initial_learning_rate: float = 0.025
-    min_learning_rate: float = 1e-4
-    noise_exponent: float = 0.75
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -75,10 +77,6 @@ class TrainingConfig:
             raise ConfigError("epoch_count must be >= 1")
         if self.negative_samples < 1:
             raise ConfigError("negative_samples must be >= 1")
-        if not self.initial_learning_rate > self.min_learning_rate > 0:
-            raise ConfigError(
-                "need initial_learning_rate > min_learning_rate > 0"
-            )
 
 
 @dataclass
@@ -129,7 +127,7 @@ class NegativeSamplingTable:
     1 - accept[i] of token alias[i]; summed over the buckets this is n * p.
     """
 
-    def __init__(self, frequencies: np.ndarray, exponent: float = 0.75):
+    def __init__(self, frequencies: np.ndarray, exponent: float = NOISE_EXPONENT):
         weights = np.asarray(frequencies, dtype=np.float64) ** exponent
         total = weights.sum()
         if total <= 0:
@@ -289,11 +287,9 @@ def _sgns_step(
     return float(losses.sum(dtype=np.float64))
 
 
-def _learning_rate(
-    config: TrainingConfig, tokens_done: int | np.ndarray, schedule: int
-) -> np.ndarray:
+def _learning_rate(tokens_done: int | np.ndarray, schedule: int) -> np.ndarray:
     """Linear decay from the initial to the minimum rate over schedule tokens."""
-    initial, floor = config.initial_learning_rate, config.min_learning_rate
+    initial, floor = INITIAL_LEARNING_RATE, MIN_LEARNING_RATE
     return np.maximum(
         floor, initial - (initial - floor) * np.minimum(np.asarray(tokens_done) / schedule, 1.0)
     )
@@ -362,7 +358,7 @@ def _train_block(
     lengths = np.array([len(s) for s in block])
     tokens = np.concatenate(block)
     sentence_starts = tokens_done + np.cumsum(lengths) - lengths
-    rates = np.repeat(_learning_rate(config, sentence_starts, schedule), lengths)
+    rates = np.repeat(_learning_rate(sentence_starts, schedule), lengths)
     radii = rng.integers(1, window + 1, size=tokens.size)
     centers, contexts = context_pairs(lengths, radii)
     if config.architecture == SKIP_GRAM:
@@ -431,7 +427,7 @@ def train(
     if high >= len(model.vocab):
         raise TrainingError("sentence token index outside the model vocabulary")
     window = resolve_window(config.context_count, corpus.max_length)
-    table = NegativeSamplingTable(model.vocab.frequency, config.noise_exponent)
+    table = NegativeSamplingTable(model.vocab.frequency)
     schedule = max(corpus.total_tokens * config.epoch_count, 1)
     batch = max(1, min(BATCH_ROWS, corpus.total_tokens // MIN_STEPS_PER_EPOCH))
     tokens_done = 0
@@ -460,19 +456,9 @@ def train(
             EpochStats(
                 epoch=epoch,
                 average_loss=average_loss,
-                learning_rate_end=float(_learning_rate(config, tokens_done, schedule)),
+                learning_rate_end=float(_learning_rate(tokens_done, schedule)),
                 seconds=time.perf_counter() - started,
             )
         )
     return model, trace
 
-
-def write_loss_trace(trace: list[EpochStats], path) -> None:
-    """CSV loss trace: epoch, average_loss, learning_rate_end, seconds."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("epoch,average_loss,learning_rate_end,seconds\n")
-        for row in trace:
-            handle.write(
-                f"{row.epoch},{row.average_loss!r},"
-                f"{row.learning_rate_end!r},{row.seconds!r}\n"
-            )

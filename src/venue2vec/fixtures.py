@@ -35,9 +35,6 @@ class FixtureSpec:
     test_checkins_per_user: int = 5
     noise_rate: float = 0.0
     favorites_per_user: int = 8
-    train_start: int = JAN_2011
-    boundary: int = FEB_2011
-    test_end: int = MAR_2011
 
     def validate(self) -> None:
         if self.communities < 1 or self.users_per_community < 1:
@@ -50,8 +47,6 @@ class FixtureSpec:
             raise ConfigError("noise_rate must be in [0, 1]")
         if self.favorites_per_user < 1:
             raise ConfigError("favorites_per_user must be >= 1")
-        if not self.train_start < self.boundary < self.test_end:
-            raise ConfigError("fixture time windows must be ordered")
         forced = -(-self.venues_per_community // self.users_per_community)
         if forced > self.train_checkins_per_user:
             raise ConfigError(
@@ -82,9 +77,9 @@ def _venue_id(community: int, index: int) -> str:
 def generate_fixture(spec: FixtureSpec) -> tuple[list[CheckinRecord], FixtureSummary]:
     """Generate a seeded synthetic check-in log.
 
-    Train check-ins get timestamps in [train_start, boundary), test check-ins
-    in [boundary, test_end), so splitting at spec.boundary reproduces the
-    generator's own train/test counts exactly.
+    Train check-ins get timestamps in January 2011, test check-ins in
+    February 2011, so splitting at FEB_2011 (the default boundary)
+    reproduces the generator's own train/test counts exactly.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -129,10 +124,8 @@ def generate_fixture(spec: FixtureSpec) -> tuple[list[CheckinRecord], FixtureSum
                 _draw_venue(rng, favorites[u], foreign, spec.noise_rate)
                 for _ in range(spec.test_checkins_per_user)
             ]
-            train_times = rng.integers(
-                spec.train_start, spec.boundary, len(train_venues)
-            )
-            test_times = rng.integers(spec.boundary, spec.test_end, len(test_venues))
+            train_times = rng.integers(JAN_2011, FEB_2011, len(train_venues))
+            test_times = rng.integers(FEB_2011, MAR_2011, len(test_venues))
             records.extend(
                 CheckinRecord(user, venue, int(ts))
                 for venue, ts in zip(train_venues, train_times)
@@ -148,7 +141,7 @@ def generate_fixture(spec: FixtureSpec) -> tuple[list[CheckinRecord], FixtureSum
         venue_count=spec.communities * spec.venues_per_community,
         train_count=user_count * spec.train_checkins_per_user,
         test_count=user_count * spec.test_checkins_per_user,
-        boundary=spec.boundary,
+        boundary=FEB_2011,
     )
     return records, summary
 

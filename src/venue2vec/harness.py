@@ -7,6 +7,8 @@ timed separately. One fit serves every method it holds the rows of; Random
 serves random_runs seeded runs from it and reports their mean. The CLI's
 train, recommend and evaluate stages reuse the same steps (load_dataset,
 fit_embedding, Fit.of_model, recommender, evaluate_recommendations).
+A report's arch, F, C and E come from the fit, which knows what it fitted;
+its method, N and k from the serving, so one fit can be reported at any N.
 Only training records ever reach vocabulary, sentence or matrix construction;
 test records are consumed exclusively by ground-truth building.
 """
@@ -17,7 +19,7 @@ import dataclasses
 import time
 import traceback
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -46,19 +48,19 @@ from .embedding import (
     init_model,
     resolve_window,
     train,
-    write_loss_trace,
 )
 from .errors import ConfigError, EmitError, FormatError
 from .fixtures import FEB_2011, FixtureSpec, generate_fixture
 from .metrics import (
+    METRICS,
+    REPORT_COLUMNS,
     MetricsReport,
-    PhaseTimings,
     UserResult,
     aggregate,
     build_ground_truth,
     score_user,
+    write_csv,
     write_per_user_csv,
-    write_report_csv,
     write_report_json,
 )
 
@@ -75,8 +77,6 @@ SWEEP_GRIDS = {
 }
 
 _AXIS_FIELDS = {"F": "feature_count", "C": "context_count", "E": "epoch_count"}
-
-METRIC_COLUMNS = ["precision", "ndcg", "hitrate", "coverage"]
 
 ERROR_MARKER = "ERROR"
 
@@ -172,6 +172,22 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
     return split_train_test(records, config.boundary)
 
 
+def served_neighbors(method: str, neighbors: int) -> int:
+    """The N a method serves with: neighbors, but 0 for KNI (KIU with N = 0)
+    and Random, which pick no neighbours."""
+    return 0 if method in (recommend.KNI, baselines.RANDOM) else neighbors
+
+
+def _serving_echo(config: ExperimentConfig, method: str) -> dict:
+    """The report columns a serving of method decides: method, N and k."""
+    return dict(method=method, N=served_neighbors(method, config.neighbors), k=config.k)
+
+
+def loss_trace(trace: list[EpochStats]) -> tuple[list[str], list[tuple]]:
+    """The loss trace CSV's columns (EpochStats' fields) and rows."""
+    return [f.name for f in fields(EpochStats)], [astuple(stats) for stats in trace]
+
+
 def fit_embedding(
     config: ExperimentConfig, dataset: Dataset
 ) -> tuple[EmbeddingModel, SentenceCorpus, list[EpochStats]]:
@@ -239,7 +255,8 @@ class Fit:
     the methods it serves, the vocabulary, the user rows neighbours are
     picked among (None for Random), an embedding's venue rows, the training
     visit table (None for an embedding, whose serving counts the visits only
-    where it reads them), the report's echo fields and the traces to write.
+    where it reads them), the report columns the fit decides (arch, F, C, E)
+    and the traces to write, file name -> (columns, rows).
     """
 
     methods: tuple[str, ...]
@@ -263,26 +280,26 @@ def fit(config: ExperimentConfig, dataset: Dataset) -> Fit:
         model, corpus, trace = fit_embedding(config, dataset)
         echo = dict(
             arch=config.architecture,
-            feature_count=config.feature_count,
-            context_count=resolve_window(config.context_count, corpus.max_length),
-            epoch_count=config.epoch_count,
-            neighbors=config.neighbors,
+            F=config.feature_count,
+            C=resolve_window(config.context_count, corpus.max_length),
+            E=config.epoch_count,
         )
-        return Fit.of_model(model, echo=echo, traces={"loss_trace": trace})
+        return Fit.of_model(model, echo=echo, traces={"loss_trace.csv": loss_trace(trace)})
     vocab = build_vocabulary(dataset.train)
     visits = build_interactions(dataset.train, vocab, config.binary_votes)
-    users, echo, traces = visits, dict(neighbors=config.neighbors), {}
+    users, echo, traces = visits, {}, {}
     if config.method == baselines.RANDOM:
-        users, echo = None, {}
+        users = None
     elif config.method != baselines.CF:  # svd / ccdpp
         rank = min(config.latent_rank(), min(visits.shape))
         if config.method == baselines.SVD:
             factors = baselines.svd_factorize(visits, rank, seed=config.seed)
         else:
-            factors, traces["objective_trace"] = baselines.ccdpp_factorize(
+            factors, objective = baselines.ccdpp_factorize(
                 visits, rank, config.regularization, config.mf_iterations, seed=config.seed
             )
-        users, echo["feature_count"] = factors.user_factors, factors.rank
+            traces["objective_trace.csv"] = (["iteration", "objective"], list(enumerate(objective)))
+        users, echo["F"] = factors.user_factors, factors.rank
     return Fit((config.method,), vocab, users, None, visits, echo, traces)
 
 
@@ -328,7 +345,7 @@ def recommender(
     norms = recommend.row_norms(users)
     if config.method in (recommend.KNI, recommend.KIU):
         venues, venue_norms = fitted.venues, recommend.row_norms(fitted.venues)
-        neighbors = config.neighbors if config.method == recommend.KIU else 0
+        neighbors = served_neighbors(config.method, config.neighbors)
         rule = lambda block: recommend.kiu_scores(  # noqa: E731
             users, norms, venues, venue_norms, block, neighbors
         )
@@ -400,6 +417,7 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
         for run in range(count)
     ]
     train_seconds = time.perf_counter() - started
+    echo = _serving_echo(config, config.method)
     many = len(runs) > 1
     reports: list[MetricsReport] = []
     for index, recommend_users in enumerate(runs):
@@ -422,22 +440,13 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
                 results, out_dir / "recommendations.tsv"
             )
         reports.append(
-            aggregate(
-                rows,
-                PhaseTimings(train_seconds, seconds),
-                method=config.method,
-                k=config.k,
-                **fitted.echo,
-            )
+            aggregate(rows, train_s=train_seconds, rec_s=seconds, **echo, **fitted.echo)
         )
     count = len(reports)
     rec_seconds = sum(r.rec_s_total for r in reports)
     report = replace(
         reports[0],
-        precision=sum(r.precision for r in reports) / count,
-        ndcg=sum(r.ndcg for r in reports) / count,
-        hitrate=sum(r.hitrate for r in reports) / count,
-        coverage=sum(r.coverage for r in reports) / count,
+        **{metric: sum(getattr(r, metric) for r in reports) / count for metric in METRICS},
         rec_s_total=rec_seconds,
         rec_s_per_user=rec_seconds / (len(ground_truth) * count),
     )
@@ -484,30 +493,21 @@ def evaluate_recommendations(
     ]
     if not rows:
         raise ConfigError("no overlap between recommendations and evaluation users")
-    report = aggregate(
-        rows,
-        PhaseTimings(),
-        method=results[0].method,
-        k=config.k,
-        neighbors=config.neighbors,
-    )
+    report = aggregate(rows, **_serving_echo(config, methods[0]))
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_artifacts(report, out_dir, {})
     return report
 
 
 def _write_artifacts(report: MetricsReport, out_dir: Path, traces: dict) -> None:
-    """per_user.csv, report.csv and report.json, plus the traces given."""
+    """per_user.csv, report.csv and report.json, plus the traces given
+    (file name -> (columns, rows))."""
+    row = report.to_row()
     write_per_user_csv(report.per_user, out_dir / "per_user.csv")
-    write_report_csv([report.to_row()], out_dir / "report.csv")
-    write_report_json(report.to_row(), out_dir / "report.json")
-    if "loss_trace" in traces:
-        write_loss_trace(traces["loss_trace"], out_dir / "loss_trace.csv")
-    if "objective_trace" in traces:
-        with open(out_dir / "objective_trace.csv", "w", encoding="utf-8") as handle:
-            handle.write("iteration,objective\n")
-            for iteration, value in enumerate(traces["objective_trace"]):
-                handle.write(f"{iteration},{value!r}\n")
+    write_csv(out_dir / "report.csv", REPORT_COLUMNS, [row.values()])
+    write_report_json(row, out_dir / "report.json")
+    for name, (columns, rows) in traces.items():
+        write_csv(out_dir / name, columns, rows)
 
 
 @dataclass(frozen=True)
@@ -556,7 +556,7 @@ def run_sweep(
         rows.append(report.to_row())
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_report_csv(rows, out_dir / f"sweep_{spec.axis}.csv")
+        write_csv(out_dir / f"sweep_{spec.axis}.csv", REPORT_COLUMNS, (r.values() for r in rows))
     return reports, rows
 
 
@@ -598,7 +598,7 @@ def emit_plot_data(
             for row in sorted(
                 (r for r in rows if r["method"] == method), key=lambda r: r[axis]
             ):
-                for metric in METRIC_COLUMNS:
+                for metric in METRICS:
                     handle.write(f"{row[axis]},{metric},{row[metric]!r}\n")
         written[(method, axis)] = path
     return written

@@ -11,31 +11,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 from .corpus import Dataset
 from .errors import EvaluationError
 
-REPORT_COLUMNS = [
-    "method",
-    "arch",
-    "F",
-    "C",
-    "E",
-    "N",
-    "k",
-    "precision",
-    "ndcg",
-    "hitrate",
-    "coverage",
-    "train_s",
-    "rec_s_total",
-    "rec_s_per_user",
-]
-
 PER_USER_COLUMNS = ["user", "precision", "ndcg", "hit", "predicted"]
+
+# The four metrics a report holds, in column order.
+METRICS = ["precision", "ndcg", "hitrate", "coverage"]
 
 
 def precision_at_k(recommended: Sequence[str], relevant: set[str], k: int) -> float:
@@ -114,22 +100,19 @@ def build_ground_truth(dataset: Dataset) -> dict[str, set[str]]:
     return truth
 
 
-@dataclass
-class PhaseTimings:
-    """Wall-clock seconds of the modeling and recommendation phases."""
-
-    train_seconds: float = 0.0
-    recommend_seconds: float = 0.0
-
-
-@dataclass
+@dataclass(kw_only=True)
 class MetricsReport:
+    """One run's report. Its fields but per_user are the report columns, in
+    order: the method and its echoed settings (arch, F, C, E from the fit; N
+    and k from the serving), the means of the per-user rows, and timings.
+    """
+
     method: str
-    arch: str
-    feature_count: int
-    context_count: int
-    epoch_count: int
-    neighbors: int
+    arch: str = ""
+    F: int = 0
+    C: int = 0
+    E: int = 0
+    N: int = 0
     k: int
     precision: float
     ndcg: float
@@ -141,71 +124,49 @@ class MetricsReport:
     per_user: list[UserResult]
 
     def to_row(self) -> dict:
-        return {
-            "method": self.method,
-            "arch": self.arch,
-            "F": self.feature_count,
-            "C": self.context_count,
-            "E": self.epoch_count,
-            "N": self.neighbors,
-            "k": self.k,
-            "precision": self.precision,
-            "ndcg": self.ndcg,
-            "hitrate": self.hitrate,
-            "coverage": self.coverage,
-            "train_s": self.train_s,
-            "rec_s_total": self.rec_s_total,
-            "rec_s_per_user": self.rec_s_per_user,
-        }
+        return {column: getattr(self, column) for column in REPORT_COLUMNS}
+
+
+REPORT_COLUMNS = [f.name for f in fields(MetricsReport) if f.name != "per_user"]
+# each column's text parser: its field's type
+_COLUMN_TYPES = get_type_hints(MetricsReport)
 
 
 def aggregate(
-    rows: Sequence[UserResult],
-    timings: PhaseTimings,
-    *,
-    method: str,
-    arch: str = "",
-    feature_count: int = 0,
-    context_count: int = 0,
-    epoch_count: int = 0,
-    neighbors: int = 0,
-    k: int,
+    rows: Sequence[UserResult], *, train_s: float = 0.0, rec_s: float = 0.0, **echo
 ) -> MetricsReport:
-    """Arithmetic means of the per-user rows plus config and timing echo."""
+    """Arithmetic means of the per-user rows plus the echoed columns (method,
+    k and any of arch, F, C, E, N) and the phase timings in seconds."""
     if not rows:
         raise EvaluationError("cannot aggregate an empty result set")
     count = len(rows)
     return MetricsReport(
-        method=method,
-        arch=arch,
-        feature_count=feature_count,
-        context_count=context_count,
-        epoch_count=epoch_count,
-        neighbors=neighbors,
-        k=k,
+        **echo,
         precision=sum(r.precision for r in rows) / count,
         ndcg=sum(r.ndcg for r in rows) / count,
         hitrate=hit_rate([r.hit for r in rows]),
         coverage=prediction_coverage([r.predicted for r in rows]),
-        train_s=timings.train_seconds,
-        rec_s_total=timings.recommend_seconds,
-        rec_s_per_user=timings.recommend_seconds / count,
+        train_s=train_s,
+        rec_s_total=rec_s,
+        rec_s_per_user=rec_s / count,
         per_user=list(rows),
     )
 
 
-def _format_value(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line, then one line per row; floats use repr so they
+    round-trip exactly, everything else str."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(columns) + "\n")
+        for row in rows:
+            handle.write(
+                ",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+            )
 
 
 def write_per_user_csv(rows: Sequence[UserResult], path: str | Path) -> None:
-    """Per-user rows; float fields use repr so they round-trip exactly."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(PER_USER_COLUMNS) + "\n")
-        for row in rows:
-            handle.write(
-                f"{row.user},{row.precision!r},{row.ndcg!r},{row.hit},{row.predicted}\n"
-            )
+    values = ((r.user, r.precision, r.ndcg, r.hit, r.predicted) for r in rows)
+    write_csv(path, PER_USER_COLUMNS, values)
 
 
 def read_per_user_csv(path: str | Path) -> list[UserResult]:
@@ -223,16 +184,8 @@ def read_per_user_csv(path: str | Path) -> list[UserResult]:
     return rows
 
 
-def write_report_csv(rows: Sequence[dict], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(REPORT_COLUMNS) + "\n")
-        for row in rows:
-            handle.write(
-                ",".join(_format_value(row[column]) for column in REPORT_COLUMNS) + "\n"
-            )
-
-
 def read_report_csv(path: str | Path) -> list[dict]:
+    """The rows of a report CSV, each value parsed by its column's type."""
     rows: list[dict] = []
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n").split(",")
@@ -240,21 +193,7 @@ def read_report_csv(path: str | Path) -> list[dict]:
             raise EvaluationError(f"unexpected report CSV header {header}")
         for line in handle:
             values = line.rstrip("\n").split(",")
-            row: dict = dict(zip(header, values))
-            for column in ("F", "E", "N", "k"):
-                row[column] = int(row[column])
-            row["C"] = int(row["C"])
-            for column in (
-                "precision",
-                "ndcg",
-                "hitrate",
-                "coverage",
-                "train_s",
-                "rec_s_total",
-                "rec_s_per_user",
-            ):
-                row[column] = float(row[column])
-            rows.append(row)
+            rows.append({c: _COLUMN_TYPES[c](v) for c, v in zip(header, values)})
     return rows
 
 

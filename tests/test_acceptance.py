@@ -41,7 +41,6 @@ from venue2vec.harness import (
     run_experiment,
 )
 from venue2vec.metrics import (
-    PhaseTimings,
     aggregate,
     build_ground_truth,
     ndcg_at_k,
@@ -210,7 +209,7 @@ def _evaluate(recommender, truth, method):
         score_user(user, result.venues(), truth[user], 10)
         for user, result in zip(users, recommender(users))
     ]
-    return aggregate(rows, PhaseTimings(0, 0), method=method, k=10)
+    return aggregate(rows, method=method, k=10)
 
 
 @pytest.fixture(scope="module")

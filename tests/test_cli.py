@@ -1,10 +1,9 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from venue2vec import harness
+from venue2vec import embedding, harness
 from venue2vec.cli import build_experiment_config, build_parser, main
 from venue2vec.corpus import write_checkins
 from venue2vec.fixtures import FixtureSpec, generate_fixture
@@ -154,6 +153,27 @@ def test_staged_pipeline_matches_single_run(fixture_file, tmp_path):
     staged = json.loads((out_staged / "report.json").read_text())
     for metric in ("precision", "ndcg", "hitrate", "coverage"):
         assert staged[metric] == pytest.approx(single[metric], abs=1e-12)
+
+
+def test_report_n_is_the_n_served(fixture_file, tmp_path):
+    """KNI is KIU with N = 0: its report says N = 0 from run and from
+    evaluate, while KIU's says the N it served with."""
+    common = ["--input", str(fixture_file), "--features", "8", "--window", "4",
+              "--epochs", "2", "--neighbors", "5", "--topk", "5"]
+    model = tmp_path / "model.bin"
+    assert main(["train", *common, "--model-out", str(model)]) == 0
+    for method, served in (("kni", 0), ("kiu", 5)):
+        recs = tmp_path / f"{method}.tsv"
+        assert main(["run", "--method", method, *common,
+                     "--out-dir", str(tmp_path / f"run_{method}")]) == 0
+        assert main(["recommend", "--model", str(model), "--method", method, *common,
+                     "--out", str(recs)]) == 0
+        assert main(["evaluate", "--recommendations", str(recs), *common,
+                     "--out-dir", str(tmp_path / f"eval_{method}")]) == 0
+        for stage in ("run", "eval"):
+            out = tmp_path / f"{stage}_{method}"
+            assert read_report_csv(out / "report.csv")[0]["N"] == served
+            assert json.loads((out / "report.json").read_text())["N"] == served
 
 
 def test_recommend_with_users_file(fixture_file, tmp_path):
@@ -371,12 +391,7 @@ def test_workers_flag_is_config_error(fixture_file, tmp_path, capsys):
 
 def test_diverging_training_is_runtime_error(fixture_file, tmp_path, monkeypatch):
     """No flag sets the learning rate, so the test raises it behind the CLI."""
-    make_config = ExperimentConfig.training_config
-    monkeypatch.setattr(
-        ExperimentConfig,
-        "training_config",
-        lambda self: replace(make_config(self), initial_learning_rate=1e6),
-    )
+    monkeypatch.setattr(embedding, "INITIAL_LEARNING_RATE", 1e6)
     rc = main(
         [
             "train", "--input", str(fixture_file), "--features", "8",

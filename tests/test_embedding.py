@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from venue2vec import embedding
 from venue2vec.corpus import (
     SentenceCorpus,
     build_sentences,
@@ -63,11 +64,6 @@ def nearest(model, query, candidates, k):
 def test_config_rejects_zero_features():
     with pytest.raises(ConfigError):
         TrainingConfig(feature_count=0)
-
-
-def test_config_rejects_bad_learning_rates():
-    with pytest.raises(ConfigError):
-        TrainingConfig(initial_learning_rate=1e-5, min_learning_rate=1e-4)
 
 
 def test_config_rejects_unknown_architecture():
@@ -384,13 +380,11 @@ def test_minibatch_step_matches_add_at_oracle(rng):
     np.testing.assert_allclose(inputs, expected_in, rtol=0, atol=1e-12)
 
 
-def test_diverging_training_raises_naming_the_epoch(toy_records):
+def test_diverging_training_raises_naming_the_epoch(toy_records, monkeypatch):
+    monkeypatch.setattr(embedding, "INITIAL_LEARNING_RATE", 1e6)
     vocab = build_vocabulary(toy_records, 1)
     corpus = build_sentences(toy_records, vocab)
-    config = TrainingConfig(
-        feature_count=8, context_count=3, epoch_count=3, seed=1,
-        initial_learning_rate=1e6,
-    )
+    config = TrainingConfig(feature_count=8, context_count=3, epoch_count=3, seed=1)
     with pytest.raises(TrainingError, match="epoch 0"):
         train(init_model(vocab, config), corpus)
 

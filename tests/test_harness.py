@@ -103,7 +103,7 @@ def test_library_cbow_default_window_is_max():
             fixture=fixture, architecture="cbow", feature_count=8, epoch_count=2, seed=1
         )
     )
-    assert report.context_count == 13
+    assert report.C == 13
 
 
 # ------------------------------------------------------------- runs
@@ -186,7 +186,7 @@ def test_cf_and_factorization_methods_run(tmp_path):
         report = run_experiment(small_config(method=method, rank=rank, out_dir=str(out)))
         assert 0.0 <= report.precision <= 1.0
         assert report.method == method
-        assert report.feature_count == read_report_csv(out / "report.csv")[0]["F"] == reported
+        assert report.F == read_report_csv(out / "report.csv")[0]["F"] == reported
     assert (tmp_path / "ccdpp8" / "objective_trace.csv").exists()
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from venue2vec.corpus import CheckinRecord, Dataset
 from venue2vec.errors import EvaluationError
 from venue2vec.metrics import (
-    PhaseTimings,
+    REPORT_COLUMNS,
     UserResult,
     aggregate,
     build_ground_truth,
@@ -18,8 +19,8 @@ from venue2vec.metrics import (
     read_per_user_csv,
     read_report_csv,
     score_user,
+    write_csv,
     write_per_user_csv,
-    write_report_csv,
     write_report_json,
 )
 
@@ -142,7 +143,7 @@ def _rows():
 
 def test_aggregate_single_user_equals_row():
     row = UserResult("a", 0.3, 0.7, 1, 1)
-    report = aggregate([row], PhaseTimings(1.0, 2.0), method="kni", k=10)
+    report = aggregate([row], train_s=1.0, rec_s=2.0, method="kni", k=10)
     assert report.precision == 0.3
     assert report.ndcg == 0.7
     assert report.hitrate == 1.0
@@ -152,12 +153,12 @@ def test_aggregate_single_user_equals_row():
 
 def test_aggregate_two_user_mean():
     rows = [UserResult("a", 0.2, 0.1, 1, 1), UserResult("b", 0.4, 0.3, 1, 1)]
-    report = aggregate(rows, PhaseTimings(0, 0), method="kni", k=10)
+    report = aggregate(rows, method="kni", k=10)
     assert report.precision == pytest.approx(0.3)
 
 
 def test_aggregate_means():
-    report = aggregate(_rows(), PhaseTimings(0.0, 3.0), method="kni", k=10)
+    report = aggregate(_rows(), rec_s=3.0, method="kni", k=10)
     assert report.precision == pytest.approx(0.2)
     assert report.ndcg == pytest.approx(0.25)
     assert report.hitrate == pytest.approx(2 / 3)
@@ -167,14 +168,14 @@ def test_aggregate_means():
 
 def test_aggregate_empty_raises():
     with pytest.raises(EvaluationError):
-        aggregate([], PhaseTimings(0, 0), method="kni", k=10)
+        aggregate([], method="kni", k=10)
 
 
 def test_aggregate_matches_recomputation_oracle(tmp_path):
     rows = _rows()
     path = tmp_path / "per_user.csv"
     write_per_user_csv(rows, path)
-    report = aggregate(rows, PhaseTimings(0, 0), method="kni", k=10)
+    report = aggregate(rows, method="kni", k=10)
     recomputed = recompute_report_from_csv(path)
     assert abs(report.precision - recomputed["precision"]) <= 1e-12
     assert abs(report.ndcg - recomputed["ndcg"]) <= 1e-12
@@ -197,8 +198,8 @@ def test_aggregate_permutation_invariant(rows):
         UserResult(f"u{i}", p, n, int(h and c), int(c))
         for i, (p, n, h, c) in enumerate(rows)
     ]
-    forward = aggregate(built, PhaseTimings(0, 0), method="kni", k=10)
-    backward = aggregate(built[::-1], PhaseTimings(0, 0), method="kni", k=10)
+    forward = aggregate(built, method="kni", k=10)
+    backward = aggregate(built[::-1], method="kni", k=10)
     assert forward.precision == pytest.approx(backward.precision, abs=1e-12)
     assert forward.hitrate == pytest.approx(backward.hitrate, abs=1e-12)
     assert forward.coverage >= forward.hitrate  # a hit implies a prediction
@@ -264,20 +265,21 @@ def test_per_user_csv_user_id_with_commas(tmp_path):
 
 
 def test_report_csv_and_json_mirror(tmp_path):
-    report = aggregate(_rows(), PhaseTimings(1.5, 0.5), method="kni",
-                       arch="skip-gram", feature_count=100, context_count=20,
-                       epoch_count=25, neighbors=30, k=10)
+    """The whole row round-trips through report.csv and report.json, each
+    value with its type."""
+    report = aggregate(_rows(), train_s=1.5, rec_s=0.5, method="kni", arch="skip-gram",
+                       F=100, C=20, E=25, N=30, k=10)
     row = report.to_row()
+    assert list(row) == REPORT_COLUMNS == [
+        "method", "arch", "F", "C", "E", "N", "k", "precision", "ndcg", "hitrate",
+        "coverage", "train_s", "rec_s_total", "rec_s_per_user",
+    ]
     csv_path = tmp_path / "report.csv"
     json_path = tmp_path / "report.json"
-    write_report_csv([row], csv_path)
+    write_csv(csv_path, REPORT_COLUMNS, [row.values()])
     write_report_json(row, json_path)
-    back = read_report_csv(csv_path)[0]
-    assert back["method"] == "kni"
-    assert back["F"] == 100
-    assert back["precision"] == pytest.approx(report.precision)
-    import json
+    for back in (read_report_csv(csv_path)[0], json.loads(json_path.read_text())):
+        assert back == row
+        assert list(back) == REPORT_COLUMNS
+        assert [type(value) for value in back.values()] == [type(value) for value in row.values()]
 
-    mirrored = json.loads(json_path.read_text())
-    assert set(mirrored) == set(back)
-    assert mirrored["hitrate"] == pytest.approx(back["hitrate"])
