@@ -13,12 +13,13 @@ favourites, noise 0.3), then at F=16, C=10, E=5, N=30, k=10, seed 1:
 - run for all seven methods x --filter-seen x --binary-votes;
 - run for kni, nn and kiu at --min-count 2 x --filter-seen;
 - train (model, --text-out vectors, --loss-csv) at --min-count 1 and 2,
-  then recommend + evaluate for kni, nn and kiu x both flags.
+  then recommend + evaluate for kni, nn and kiu x both flags;
+- sweep for kni over E = 2, 3, then plot-data over its sweep_E.csv.
 
-The timing fields (report train_s, rec_s_total and rec_s_per_user, loss
-trace seconds) are then set to 0.0, so everything left is a function of the
-code and the seeds: two runs of one commit must write identical trees
-(diff -r), and two commits can be compared the same way.
+The timing fields (report and sweep train_s, rec_s_total and
+rec_s_per_user, loss trace seconds) are then set to 0.0, so everything left
+is a function of the code and the seeds: two runs of one commit must write
+identical trees (diff -r), and two commits can be compared the same way.
 """
 
 import contextlib
@@ -82,6 +83,11 @@ def commands(out: Path, fixtures: dict) -> list[list[str]]:
                                   *flags, "--out", str(recs)])
                     argvs.append(["evaluate", "--recommendations", str(recs), *given, *flags,
                                   "--out-dir", str(staged / method / label)])
+        sweep = base / "sweep"
+        argvs.append(["sweep", *data, "--method", "kni", "--axis", "E", "--values", "2,3",
+                      "--out-dir", str(sweep)])
+        argvs.append(["plot-data", "--reports", str(sweep / "sweep_E.csv"),
+                      "--out-dir", str(base / "plot")])
     return argvs
 
 
@@ -116,7 +122,7 @@ def write_protocol(out: Path, fixtures: dict = FIXTURES) -> int:
             raise SystemExit(f"venue2vec {' '.join(argv)} exited {code}")
     files = sorted(path for path in out.rglob("*") if path.is_file())
     for path in files:
-        if path.name in ("report.csv", "loss_trace.csv", "loss.csv"):
+        if path.name in ("report.csv", "sweep_E.csv", "loss_trace.csv", "loss.csv"):
             _zero_csv(path)
         elif path.name == "report.json":
             _zero_json(path)

@@ -18,7 +18,7 @@ from .embedding import CBOW, MAX_WINDOW, SKIP_GRAM
 from .errors import ConfigError
 from .fixtures import FixtureSpec, generate_fixture
 from .harness import ExperimentConfig, SweepSpec
-from .metrics import build_ground_truth, read_report_csv, write_csv
+from .metrics import METRICS, build_ground_truth, read_report_csv, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,7 +56,6 @@ _OPTIONS = {
         'context window C (int or "max"; default 20 for skip-gram, max for cbow)',
     ),
     "epochs": ("epoch_count", int, "training epochs E"),
-    "negative": ("negative_samples", int, "negative samples per pair"),
     "min_count": ("min_word_count", int, "vocabulary frequency floor"),
     "neighbors": ("neighbors", int, "neighbor count N"),
     "topk": ("k", int, "recommendation list size k"),
@@ -65,7 +64,6 @@ _OPTIONS = {
     "seed": ("seed", int, None),
     "rank": ("rank", int, "factorization rank (default F)"),
     "regularization": ("regularization", float, None),
-    "mf_iterations": ("mf_iterations", int, None),
     "random_runs": ("random_runs", int, None),
     "out_dir": ("out_dir", str, None),
     "delimiter": ("delimiter", str, "field delimiter (default tab)"),
@@ -110,6 +108,10 @@ def build_experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig(**values, layout=FieldLayout(**layout))
 
 
+def _summary(report) -> str:
+    return " ".join(f"{metric}={getattr(report, metric):.4f}" for metric in METRICS)
+
+
 def _cmd_generate_fixture(args) -> int:
     given = {
         name: getattr(args, name)
@@ -128,6 +130,7 @@ def _cmd_generate_fixture(args) -> int:
 
 def _cmd_train(args) -> int:
     config = build_experiment_config(args)
+    config.validate()  # before reading anything
     model, corpus, trace = harness.fit_embedding(config, harness.load_dataset(config))
     modelio.save_embedding_model(model, args.model_out)
     if args.loss_csv:
@@ -150,6 +153,7 @@ def _read_users_file(path: str) -> list[str]:
 
 def _cmd_recommend(args) -> int:
     config = build_experiment_config(args)
+    config.validate()  # before reading anything
     model = modelio.load_embedding_model(args.model)
     dataset = harness.load_dataset(config)
     if args.users:
@@ -168,14 +172,11 @@ def _cmd_recommend(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = build_experiment_config(args)
+    config.validate()  # before reading anything
     results = recommend.read_batch_recommendations(args.recommendations)
     out_dir = Path(config.out_dir or ".")
     report = harness.evaluate_recommendations(config, results, out_dir)
-    print(
-        f"{report.method}: precision={report.precision:.4f} ndcg={report.ndcg:.4f} "
-        f"hitrate={report.hitrate:.4f} coverage={report.coverage:.4f} "
-        f"({len(report.per_user)} users) -> {out_dir}"
-    )
+    print(f"{report.method}: {_summary(report)} ({len(report.per_user)} users) -> {out_dir}")
     return 0
 
 
@@ -183,8 +184,7 @@ def _cmd_run(args) -> int:
     config = build_experiment_config(args)
     report = harness.run_experiment(config)
     print(
-        f"{report.method}: precision={report.precision:.4f} ndcg={report.ndcg:.4f} "
-        f"hitrate={report.hitrate:.4f} coverage={report.coverage:.4f} "
+        f"{report.method}: {_summary(report)} "
         f"train={report.train_s:.2f}s rec={report.rec_s_total:.2f}s"
     )
     return 0

@@ -76,25 +76,6 @@ class Dataset:
         return self.test_users() - self.train_users()
 
 
-def _record_from_parts(
-    parts: list[str], layout: FieldLayout, width: int
-) -> CheckinRecord | None:
-    if len(parts) < width:
-        return None
-    user = parts[layout.user_col].strip()
-    venue = parts[layout.venue_col].strip()
-    raw_time = parts[layout.time_col].strip()
-    if not user or not venue:
-        return None
-    try:
-        timestamp = int(raw_time)
-    except ValueError:
-        return None
-    if timestamp < 0:
-        return None
-    return CheckinRecord(user, venue, timestamp)
-
-
 def parse_checkins(
     source: Iterable[str | bytes], layout: FieldLayout = FieldLayout()
 ) -> tuple[list[CheckinRecord], int]:
@@ -111,20 +92,25 @@ def parse_checkins(
             which almost always means the field layout is wrong.
     """
     records: list[CheckinRecord] = []
-    skipped = 0
-    total = 0
-    width = layout.width
+    skipped = total = 0
+    width, delimiter = layout.width, layout.delimiter
+    user_col, venue_col, time_col = layout.user_col, layout.venue_col, layout.time_col
     for raw in source:
         line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-        line = line.rstrip("\r\n")
         if not line.strip():
             continue
         total += 1
-        record = _record_from_parts(line.split(layout.delimiter), layout, width)
-        if record is None:
-            skipped += 1
-        else:
-            records.append(record)
+        parts = line.rstrip("\r\n").split(delimiter)
+        if len(parts) >= width:
+            user, venue = parts[user_col].strip(), parts[venue_col].strip()
+            try:
+                timestamp = int(parts[time_col])  # int() skips surrounding whitespace
+            except ValueError:
+                timestamp = -1
+            if user and venue and timestamp >= 0:
+                records.append(CheckinRecord(user, venue, timestamp))
+                continue
+        skipped += 1
     if total and skipped * 2 > total:
         raise FormatError(
             f"{skipped} of {total} lines malformed; field layout {layout} "

@@ -28,10 +28,12 @@ MAX_WINDOW: Literal["max"] = "max"
 # Dot products are clamped here before the sigmoid; standard SGNS overflow guard.
 DOT_CLAMP = 30.0
 # The learning rate decays linearly from the initial to the minimum rate over
-# the whole run; negatives are drawn from unigram frequencies to this power.
+# the whole run; NEGATIVE_SAMPLES negatives per target are drawn from unigram
+# frequencies to this power.
 INITIAL_LEARNING_RATE = 0.025
 MIN_LEARNING_RATE = 1e-4
 NOISE_EXPONENT = 0.75
+NEGATIVE_SAMPLES = 5
 
 # Rows per SGNS step: (center, context) pairs for skip-gram, windows for
 # CBOW. A step gathers a (rows, 1 + k, F) block of output vectors, so much
@@ -61,7 +63,6 @@ class TrainingConfig:
     feature_count: int = 100
     context_count: int | Literal["max"] = 20
     epoch_count: int = 25
-    negative_samples: int = 5
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -75,8 +76,6 @@ class TrainingConfig:
             raise ConfigError('context_count must be an int >= 1 or "max"')
         if self.epoch_count < 1:
             raise ConfigError("epoch_count must be >= 1")
-        if self.negative_samples < 1:
-            raise ConfigError("negative_samples must be >= 1")
 
 
 @dataclass
@@ -371,7 +370,7 @@ def _train_block(
     row_rates = rates[row_positions].astype(model.input_vectors.dtype)
     # pairs come sorted by row, so row r's members are members[indptr[r]:indptr[r + 1]]
     indptr = np.searchsorted(row_of_pair, np.arange(rows + 1))
-    k = config.negative_samples
+    k = NEGATIVE_SAMPLES
     negatives = table.sample_excluding(rng, np.repeat(positives, k), rows * k)
     targets = np.column_stack((positives, negatives.reshape(rows, k)))
     loss = 0.0

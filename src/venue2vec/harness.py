@@ -21,7 +21,7 @@ import traceback
 import zlib
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -104,7 +104,6 @@ class ExperimentConfig:
     feature_count: int = 100
     context_count: int | str | None = None  # None: 20 for skip-gram, "max" for CBOW
     epoch_count: int = 25
-    negative_samples: int = 5
     min_word_count: int = 1
     neighbors: int = 30
     k: int = 10
@@ -113,7 +112,6 @@ class ExperimentConfig:
     seed: int = 1
     rank: int | None = None
     regularization: float = 0.1
-    mf_iterations: int = 15
     random_runs: int = 10
     out_dir: str | None = None
     layout: FieldLayout = field(default_factory=FieldLayout)
@@ -141,10 +139,8 @@ class ExperimentConfig:
             self.training_config()  # raises ConfigError on bad values
         if self.method in (baselines.SVD, baselines.CCDPP) and self.latent_rank() < 1:
             raise ConfigError("rank must be >= 1")
-        if self.method == baselines.CCDPP and not (
-            self.regularization > 0 and self.mf_iterations >= 1
-        ):
-            raise ConfigError("ccdpp needs regularization > 0 and mf_iterations >= 1")
+        if self.method == baselines.CCDPP and not self.regularization > 0:
+            raise ConfigError("ccdpp needs regularization > 0")
 
     def training_config(self) -> TrainingConfig:
         return TrainingConfig(
@@ -152,7 +148,6 @@ class ExperimentConfig:
             feature_count=self.feature_count,
             context_count=self.context_count,
             epoch_count=self.epoch_count,
-            negative_samples=self.negative_samples,
             seed=self.seed,
         )
 
@@ -296,7 +291,7 @@ def fit(config: ExperimentConfig, dataset: Dataset) -> Fit:
             factors = baselines.svd_factorize(visits, rank, seed=config.seed)
         else:
             factors, objective = baselines.ccdpp_factorize(
-                visits, rank, config.regularization, config.mf_iterations, seed=config.seed
+                visits, rank, config.regularization, seed=config.seed
             )
             traces["objective_trace.csv"] = (["iteration", "objective"], list(enumerate(objective)))
         users, echo["F"] = factors.user_factors, factors.rank
@@ -357,24 +352,32 @@ def recommender(
     return serve(config, vocab, visits, rule)
 
 
-def _evaluate_users(
-    recommend_users,
-    ground_truth: dict[str, set[str]],
+def _score_lists(
+    lists: Iterable[recommend.RecommendationList],
+    truth: dict[str, set[str]],
     k: int,
     rows: list[UserResult],
-) -> tuple[list[recommend.RecommendationList], float]:
-    """Recommend and score every eligible user, in sorted user order.
+) -> list[recommend.RecommendationList]:
+    """The lists of users in truth, in order, each scored into rows as it
+    arrives (so rows keeps the partial results if the lists stop with an
+    exception); lists of other users are skipped.
 
-    The scored rows are appended to rows as each list arrives, so the
-    caller still holds the partial results if a recommender raises mid-run.
+    Raises:
+        ConfigError: if a scored list is longer than k.
     """
-    results: list[recommend.RecommendationList] = []
-    started = time.perf_counter()
-    users = sorted(ground_truth)
-    for user, result in zip(users, recommend_users(users)):
-        results.append(result)
-        rows.append(score_user(user, result.venues(), ground_truth[user], k))
-    return results, time.perf_counter() - started
+    scored = []
+    for result in lists:
+        relevant = truth.get(result.user)
+        if relevant is None:
+            continue
+        if len(result.items) > k:
+            raise ConfigError(
+                f"the list of user {result.user!r} holds {len(result.items)} "
+                f"venues, more than k={k}"
+            )
+        scored.append(result)
+        rows.append(score_user(result.user, result.venues(), relevant, k))
+    return scored
 
 
 def run_experiment(config: ExperimentConfig) -> MetricsReport:
@@ -423,9 +426,10 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
     for index, recommend_users in enumerate(runs):
         per_user = f"per_user_run{index}.csv" if many else "per_user.csv"
         rows: list[UserResult] = []
+        started = time.perf_counter()
         try:
-            results, seconds = _evaluate_users(
-                recommend_users, ground_truth, config.k, rows
+            results = _score_lists(
+                recommend_users(sorted(ground_truth)), ground_truth, config.k, rows
             )
         except Exception:
             # keep the partial per-user rows for post-mortem; the caller adds
@@ -433,6 +437,7 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
             if out_dir is not None and rows:
                 write_per_user_csv(rows, out_dir / per_user)
             raise
+        seconds = time.perf_counter() - started
         if out_dir is not None and many:
             write_per_user_csv(rows, out_dir / per_user)
         if out_dir is not None and index == 0:
@@ -479,18 +484,8 @@ def evaluate_recommendations(
         if result.user in users:
             raise FormatError(f"user {result.user!r} has more than one list")
         users.add(result.user)
-    truth = build_ground_truth(load_dataset(config))
-    scored = [result for result in results if result.user in truth]
-    for result in scored:
-        if len(result.items) > config.k:
-            raise ConfigError(
-                f"the list of user {result.user!r} holds {len(result.items)} "
-                f"venues, more than k={config.k}"
-            )
-    rows = [
-        score_user(result.user, result.venues(), truth[result.user], config.k)
-        for result in scored
-    ]
+    rows: list[UserResult] = []
+    _score_lists(results, build_ground_truth(load_dataset(config)), config.k, rows)
     if not rows:
         raise ConfigError("no overlap between recommendations and evaluation users")
     report = aggregate(rows, **_serving_echo(config, methods[0]))
@@ -593,13 +588,9 @@ def emit_plot_data(
     methods = sorted({row["method"] for row in rows})
     for method in methods:
         path = out_dir / f"{method}_{axis}.csv"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("axis_value,metric,value\n")
-            for row in sorted(
-                (r for r in rows if r["method"] == method), key=lambda r: r[axis]
-            ):
-                for metric in METRICS:
-                    handle.write(f"{row[axis]},{metric},{row[metric]!r}\n")
+        ordered = sorted((r for r in rows if r["method"] == method), key=lambda r: r[axis])
+        tidy = ((row[axis], metric, row[metric]) for row in ordered for metric in METRICS)
+        write_csv(path, ["axis_value", "metric", "value"], tidy)
         written[(method, axis)] = path
     return written
 

@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
 from .corpus import Dataset
 from .errors import EvaluationError
-
-PER_USER_COLUMNS = ["user", "precision", "ndcg", "hit", "predicted"]
 
 # The four metrics a report holds, in column order.
 METRICS = ["precision", "ndcg", "hitrate", "coverage"]
@@ -67,6 +66,8 @@ def prediction_coverage(predicted: Iterable[int]) -> float:
 
 @dataclass(frozen=True)
 class UserResult:
+    """One user's scores; its fields are the per-user CSV's columns, in order."""
+
     user: str
     precision: float
     ndcg: float
@@ -127,9 +128,12 @@ class MetricsReport:
         return {column: getattr(self, column) for column in REPORT_COLUMNS}
 
 
-REPORT_COLUMNS = [f.name for f in fields(MetricsReport) if f.name != "per_user"]
-# each column's text parser: its field's type
-_COLUMN_TYPES = get_type_hints(MetricsReport)
+def _columns(row_type) -> list[str]:
+    """A row type's CSV columns: its fields but per_user, in order."""
+    return [f.name for f in fields(row_type) if f.name != "per_user"]
+
+
+REPORT_COLUMNS = _columns(MetricsReport)
 
 
 def aggregate(
@@ -165,36 +169,34 @@ def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]
 
 
 def write_per_user_csv(rows: Sequence[UserResult], path: str | Path) -> None:
-    values = ((r.user, r.precision, r.ndcg, r.hit, r.predicted) for r in rows)
-    write_csv(path, PER_USER_COLUMNS, values)
+    columns = _columns(UserResult)
+    write_csv(path, columns, map(attrgetter(*columns), rows))
+
+
+def _read_csv(path: str | Path, row_type) -> list[dict]:
+    """The rows of a CSV of row_type's columns, each value parsed by its
+    field's type. Lines split from the right, so only the first value may
+    hold commas (a user id can)."""
+    columns = _columns(row_type)
+    types = get_type_hints(row_type)
+    rows: list[dict] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        header = handle.readline().rstrip("\n").split(",")
+        if header != columns:
+            raise EvaluationError(f"unexpected {row_type.__name__} CSV header {header}")
+        for line in handle:
+            values = line.rstrip("\n").rsplit(",", len(columns) - 1)
+            rows.append({c: types[c](v) for c, v in zip(columns, values)})
+    return rows
 
 
 def read_per_user_csv(path: str | Path) -> list[UserResult]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n").split(",")
-        if header != PER_USER_COLUMNS:
-            raise EvaluationError(f"unexpected per-user CSV header {header}")
-        for line in handle:
-            # from the right: a user id may itself contain commas
-            user, precision, ndcg, hit, predicted = line.rstrip("\n").rsplit(",", 4)
-            rows.append(
-                UserResult(user, float(precision), float(ndcg), int(hit), int(predicted))
-            )
-    return rows
+    return [UserResult(**row) for row in _read_csv(path, UserResult)]
 
 
 def read_report_csv(path: str | Path) -> list[dict]:
     """The rows of a report CSV, each value parsed by its column's type."""
-    rows: list[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n").split(",")
-        if header != REPORT_COLUMNS:
-            raise EvaluationError(f"unexpected report CSV header {header}")
-        for line in handle:
-            values = line.rstrip("\n").split(",")
-            rows.append({c: _COLUMN_TYPES[c](v) for c, v in zip(header, values)})
-    return rows
+    return _read_csv(path, MetricsReport)
 
 
 def write_report_json(row: dict, path: str | Path) -> None:

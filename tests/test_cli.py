@@ -284,7 +284,6 @@ OPTION_CASES = [
     ("window", "7"),
     ("window", "max"),
     ("epochs", "3"),
-    ("negative", "2"),
     ("min_count", "2"),
     ("neighbors", "4"),
     ("topk", "6"),
@@ -293,7 +292,6 @@ OPTION_CASES = [
     ("seed", "9"),
     ("rank", "5"),
     ("regularization", "0.5"),
-    ("mf_iterations", "3"),
     ("random_runs", "2"),
     ("out_dir", "out"),
     ("delimiter", ","),
@@ -410,12 +408,52 @@ def test_diverging_training_is_runtime_error(fixture_file, tmp_path, monkeypatch
         ["--method", "svd", "--features", "0"],
         ["--method", "ccdpp", "--regularization", "0"],
         ["--method", "ccdpp", "--regularization", "-1"],
-        ["--method", "ccdpp", "--mf-iterations", "0"],
     ],
 )
 def test_bad_factorization_setting_is_config_error(fixture_file, capsys, flags):
     assert main(["run", "--input", str(fixture_file), *flags]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def trained(fixture_file, tmp_path):
+    """A small model of fixture_file and its KNI lists."""
+    model, recs = tmp_path / "model.bin", tmp_path / "recs.tsv"
+    data = ["--input", str(fixture_file)]
+    train = ["train", *data, "--features", "4", "--epochs", "1", "--model-out", str(model)]
+    assert main(train) == 0
+    assert main(["recommend", "--model", str(model), *data, "--out", str(recs)]) == 0
+    return model, recs
+
+
+@pytest.mark.parametrize(
+    "stage, flags",
+    [
+        ("train", ["--min-count", "0"]),
+        ("recommend", ["--method", "kiu", "--neighbors", "0"]),
+        ("recommend", ["--topk", "0"]),
+        ("recommend", ["--method", "nn", "--neighbors", "-1"]),
+        ("evaluate", ["--neighbors", "-5"]),
+    ],
+)
+def test_every_stage_rejects_what_run_rejects(
+    fixture_file, trained, tmp_path, capsys, stage, flags
+):
+    """train, recommend and evaluate check their config as run does, before
+    they read or write anything."""
+    model, recs = trained
+    target = tmp_path / "target"
+    outputs = {
+        "train": ["--model-out", str(target)],
+        "recommend": ["--model", str(model), "--out", str(target)],
+        "evaluate": ["--recommendations", str(recs), "--out-dir", str(target)],
+    }
+    data = ["--input", str(fixture_file), *flags]
+    capsys.readouterr()
+    assert main(["run", *data]) == 1
+    assert main([stage, *data, *outputs[stage]]) == 1
+    assert capsys.readouterr().err.count("config error") == 2
+    assert not target.exists()
 
 
 def test_unparseable_value_is_config_error(fixture_file, tmp_path, capsys):
@@ -457,7 +495,7 @@ def test_evaluate_topk_below_list_length_is_config_error(fixture_file, tmp_path,
     err = capsys.readouterr().err
     assert "config error" in err
     assert f"user {first.user!r} holds {len(first.items)} venues, more than k=5" in err
-    assert not (tmp_path / "eval").exists()  # rejected before scoring
+    assert not (tmp_path / "eval").exists()  # rejected before any output
 
 
 def test_evaluate_mixed_methods_is_format_error(fixture_file, tmp_path, capsys):

@@ -215,7 +215,7 @@ def test_error_marker_written_on_failure(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise RuntimeError("mid-run failure")
 
-    monkeypatch.setattr(harness, "_evaluate_users", explode)
+    monkeypatch.setattr(harness, "_score_lists", explode)
     with pytest.raises(RuntimeError):
         run_experiment(config)
     assert (tmp_path / "broken" / ERROR_MARKER).exists()
@@ -307,7 +307,6 @@ def _presence_vote_lists(config: ExperimentConfig, dataset) -> dict:
                 binary,
                 config.latent_rank(),
                 config.regularization,
-                config.mf_iterations,
                 seed=config.seed,
             )[0].user_factors
     lists = {}

@@ -283,3 +283,15 @@ def test_report_csv_and_json_mirror(tmp_path):
         assert list(back) == REPORT_COLUMNS
         assert [type(value) for value in back.values()] == [type(value) for value in row.values()]
 
+
+def test_csv_readers_reject_a_header_that_is_not_their_columns(tmp_path):
+    """Each reader checks the header against its own row type's columns, so
+    a per-user CSV does not read as a report or the other way round."""
+    per_user, report = tmp_path / "per_user.csv", tmp_path / "report.csv"
+    write_per_user_csv(_rows(), per_user)
+    row = aggregate(_rows(), method="kni", k=10).to_row()
+    write_csv(report, REPORT_COLUMNS, [row.values()])
+    with pytest.raises(EvaluationError, match="CSV header"):
+        read_report_csv(per_user)
+    with pytest.raises(EvaluationError, match="CSV header"):
+        read_per_user_csv(report)

@@ -41,19 +41,23 @@ def test_benchmark_methods_prints_one_row_per_method():
 
 def test_artifact_protocol_zeroes_every_timing(tmp_path):
     """The protocol on one small fixture: every command succeeds, and only
-    the timing fields are zeroed in reports and loss traces."""
+    the timing fields are zeroed in reports, sweep CSVs and loss traces."""
     spec = importlib.util.spec_from_file_location("artifacts", SCRIPTS / "artifacts.py")
     artifacts = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(artifacts)
     small = {"small": ["--seed", "1", "--communities", "2", "--users-per-community", "6",
                        "--venues-per-community", "12", "--train-checkins", "8"]}
-    assert artifacts.write_protocol(tmp_path, small) == 301  # a third of the 903
+    assert artifacts.write_protocol(tmp_path, small) == 313  # a third of the 939
     report = json.loads((tmp_path / "small/run/kiu/plain/report.json").read_text())
     assert (report["N"], report["E"]) == (30, 5)
     assert (report["train_s"], report["rec_s_total"], report["rec_s_per_user"]) == (0.0,) * 3
     header, *rows = (tmp_path / "small/staged-min2/loss.csv").read_text().splitlines()
     assert header.endswith(",seconds") and len(rows) == 5
     assert all(row.endswith(",0.0") for row in rows)
+    header, *rows = (tmp_path / "small/sweep/sweep_E.csv").read_text().splitlines()
+    assert header.endswith(",train_s,rec_s_total,rec_s_per_user") and len(rows) == 2
+    assert all(row.endswith(",0.0,0.0,0.0") for row in rows)
+    assert (tmp_path / "small/plot/kni_E.csv").is_file()
 
 
 def test_readme_library_imports_are_the_package_exports():
