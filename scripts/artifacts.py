@@ -14,12 +14,16 @@ favourites, noise 0.3), then at F=16, C=10, E=5, N=30, k=10, seed 1:
 - run for kni, nn and kiu at --min-count 2 x --filter-seen;
 - train (model, --text-out vectors, --loss-csv) at --min-count 1 and 2,
   then recommend + evaluate for kni, nn and kiu x both flags;
+- recommend --users for kni, nn and kiu from the --min-count 1 model, for
+  the users in USERS (one of them unknown): kni and kiu read only the
+  model, nn also the check-ins;
 - sweep for kni over E = 2, 3, then plot-data over its sweep_E.csv.
 
 The timing fields (report and sweep train_s, rec_s_total and
 rec_s_per_user, loss trace seconds) are then set to 0.0, so everything left
 is a function of the code and the seeds: two runs of one commit must write
-identical trees (diff -r), and two commits can be compared the same way.
+identical trees (diff -r, 951 files), and two commits can be compared the
+same way.
 """
 
 import contextlib
@@ -51,6 +55,8 @@ FLAGS = {
     "seen-binary": ["--filter-seen", "--binary-votes"],
 }
 TIMINGS = ("train_s", "rec_s_total", "rec_s_per_user", "seconds")
+# the --users subset, in this order: users of every fixture, and a stranger
+USERS = ("c1u2", "nobody", "c0u0", "c0u5")
 
 
 def commands(out: Path, fixtures: dict) -> list[list[str]]:
@@ -83,6 +89,11 @@ def commands(out: Path, fixtures: dict) -> list[list[str]]:
                                   *flags, "--out", str(recs)])
                     argvs.append(["evaluate", "--recommendations", str(recs), *given, *flags,
                                   "--out-dir", str(staged / method / label)])
+        staged = base / "staged-min1"
+        for method in EMBEDDING_METHODS:
+            argvs.append(["recommend", "--model", str(staged / "model.bin"), *data,
+                          "--method", method, "--users", str(base / "users.txt"),
+                          "--out", str(staged / f"{method}-users.tsv")])
         sweep = base / "sweep"
         argvs.append(["sweep", *data, "--method", "kni", "--axis", "E", "--values", "2,3",
                       "--out-dir", str(sweep)])
@@ -112,6 +123,9 @@ def _zero_json(path: Path) -> None:
 
 def write_protocol(out: Path, fixtures: dict = FIXTURES) -> int:
     """Run the protocol into out and zero its timings; the number of files."""
+    for name in fixtures:
+        (out / name).mkdir(parents=True, exist_ok=True)
+        (out / name / "users.txt").write_text("".join(f"{user}\n" for user in USERS))
     for argv in commands(out, fixtures):
         for path in argv:
             if path.startswith(str(out)):

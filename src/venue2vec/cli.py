@@ -154,15 +154,19 @@ def _read_users_file(path: str) -> list[str]:
 def _cmd_recommend(args) -> int:
     config = build_experiment_config(args)
     config.validate()  # before reading anything
-    model = modelio.load_embedding_model(args.model)
-    dataset = harness.load_dataset(config)
+    harness.check_serves(harness.EMBEDDING_METHODS, config.method)  # what a model file serves
+    fitted = harness.Fit.of_model(modelio.load_embedding_model(args.model))
+    # the check-ins are parsed only where the lists read them
+    dataset = None
+    if not args.users or harness.reads_dataset(config, fitted):
+        dataset = harness.load_dataset(config)
     if args.users:
         users = _read_users_file(args.users)
     else:
         users = sorted(build_ground_truth(dataset))
     if not users:
         raise ConfigError("no target users: supply --users or test-period data")
-    recommend_users = harness.recommender(config, harness.Fit.of_model(model), dataset)
+    recommend_users = harness.recommender(config, fitted, dataset)
     results = list(recommend_users(users))
     recommend.write_batch_recommendations(results, args.out)
     misses = sum(1 for r in results if not r.predicted)

@@ -81,9 +81,9 @@ _AXIS_FIELDS = {"F": "feature_count", "C": "context_count", "E": "epoch_count"}
 ERROR_MARKER = "ERROR"
 
 # Users are served a block at a time, one score-rule call per block, and a
-# block's float64 arrays (its similarities to every user, its scores over the
-# catalog) hold about BLOCK_BYTES each, 2^17 entries: serving memory does not
-# grow with the population, and per-call overhead is paid per block.
+# block's float64 rows of a given width (see serve) hold about BLOCK_BYTES,
+# 2^17 entries: serving memory does not grow with the population, and
+# per-call overhead is paid per block.
 BLOCK_BYTES = 1 << 20
 
 
@@ -198,19 +198,20 @@ def serve(
     vocab: Vocabulary,
     visits: sparse.csr_matrix | None,
     score_block: Callable[[np.ndarray], np.ndarray],
+    width: int | None = None,
 ) -> Callable[[Sequence[str]], Iterator[recommend.RecommendationList]]:
     """The recommend callable of a score rule: score_block(rows) is a fresh
     (len(rows) x venues) score array for the vocabulary's users at those
     rows, -inf where a venue cannot be listed.
 
     The callable lists the given users in order, a block at a time: one
-    score_block call per block of users, as many as BLOCK_BYTES holds rows
-    of the vocabulary's width (at most its user count). Every call gets
-    exactly that many rows, a short block repeating its rows and the
-    repeats' scores dropped: BLAS picks its kernel by product shape (numpy
-    sends one row to gemv, OpenBLAS small products to another kernel), the
-    kernels round differently, and a user's list must not depend on which
-    users share its block.
+    score_block call per block of users, as many as BLOCK_BYTES holds
+    float64 rows of width entries (at most the user count). width defaults
+    to the wider of the user count and the catalog, a vote rule's dense
+    rows. No score depends on the block: the rules pick neighbours and
+    KNI/KIU venues from a shortlist whose float64 re-scores are the printed
+    scores (see recommend.cosine_margin), so a user's list does not depend
+    on which users share its block or on the BLAS kernel their shape selects.
 
     A user outside the vocabulary gets an empty list, as does one whose row
     is all -inf (an undefined similarity query); evaluation books both as
@@ -219,7 +220,7 @@ def serve(
     top-k per row, so the list is exactly the top k of the unseen venues,
     ties included.
     """
-    width = max(vocab.user_count, len(vocab.venues))
+    width = width or max(vocab.user_count, len(vocab.venues))
     size = max(1, min(BLOCK_BYTES // (8 * width), vocab.user_count))
 
     def recommend_users(users: Sequence[str]) -> Iterator[recommend.RecommendationList]:
@@ -229,7 +230,7 @@ def serve(
             scores = {}
             if known:
                 rows = np.array([vocab.user_index[user] for user in known], dtype=np.int64)
-                block_scores = score_block(np.resize(rows, size))[: len(rows)]
+                block_scores = score_block(rows)
                 if config.filter_seen:
                     block_scores[visits[rows].nonzero()] = -np.inf
                 scores = dict(zip(known, block_scores))
@@ -298,8 +299,20 @@ def fit(config: ExperimentConfig, dataset: Dataset) -> Fit:
     return Fit((config.method,), vocab, users, None, visits, echo, traces)
 
 
+def check_serves(methods: Sequence[str], method: str) -> None:
+    """Raises ConfigError if a fit for methods cannot serve method."""
+    if method not in methods:
+        raise ConfigError(f"a fit for {'/'.join(methods)} cannot serve {method}")
+
+
+def reads_dataset(config: ExperimentConfig, fitted: Fit) -> bool:
+    """Whether recommender reads the dataset: only an embedding's serving
+    does, to count the training visits NN votes from or the seen mask takes."""
+    return fitted.visits is None and (config.method == recommend.NN or config.filter_seen)
+
+
 def recommender(
-    config: ExperimentConfig, fitted: Fit, dataset: Dataset
+    config: ExperimentConfig, fitted: Fit, dataset: Dataset | None
 ) -> Callable[[Sequence[str]], Iterator[recommend.RecommendationList]]:
     """config.method's recommend callable over a fit (see serve): the one
     place a method's score rule is chosen.
@@ -311,15 +324,15 @@ def recommender(
     pruned venues and users without history vote nothing. The row norms are
     taken once per call. Random lists the first k (unseen, under
     filter_seen) venues of a permutation seeded by config.seed and the user.
-    Every method gives a user outside the vocabulary an empty list.
+    Every method gives a user outside the vocabulary an empty list. dataset
+    may be None where reads_dataset is false.
 
     Raises:
         ConfigError: if the fit does not serve config.method.
     """
-    if config.method not in fitted.methods:
-        raise ConfigError(f"a fit for {'/'.join(fitted.methods)} cannot serve {config.method}")
+    check_serves(fitted.methods, config.method)
     vocab, visits, users = fitted.vocab, fitted.visits, fitted.users
-    if visits is None and (config.method == recommend.NN or config.filter_seen):
+    if reads_dataset(config, fitted):
         visits = build_interactions(dataset.train, vocab, config.binary_votes)
 
     if config.method == baselines.RANDOM:
@@ -341,14 +354,22 @@ def recommender(
     if config.method in (recommend.KNI, recommend.KIU):
         venues, venue_norms = fitted.venues, recommend.row_norms(fitted.venues)
         neighbors = served_neighbors(config.method, config.neighbors)
+        depth = np.full(vocab.user_count, config.k)
+        if config.filter_seen:
+            # the seen mask takes at most a user's visited venues out of
+            # the top k + |seen|, so the rule keeps that many
+            depth += np.diff(visits.indptr)
         rule = lambda block: recommend.kiu_scores(  # noqa: E731
-            users, norms, venues, venue_norms, block, neighbors
+            users, norms, venues, venue_norms, block, neighbors, depth[block]
         )
-    else:
-        weighted = config.method == baselines.CF
-        rule = lambda block: recommend.vote_scores(  # noqa: E731
-            users, norms, visits, block, config.neighbors, weighted
-        )
+        # blocks sized by the users alone, so one product reads the venue
+        # rows for many users; the block's arrays over the catalog grow
+        # with it (15 users and about 13 MB per block at the paper shape)
+        return serve(config, vocab, visits, rule, vocab.user_count)
+    weighted = config.method == baselines.CF
+    rule = lambda block: recommend.vote_scores(  # noqa: E731
+        users, norms, visits, block, config.neighbors, weighted
+    )
     return serve(config, vocab, visits, rule)
 
 

@@ -103,34 +103,127 @@ def _user_block(block, count: int) -> np.ndarray:
     return block
 
 
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n = n*u / (1 - n*u): the relative error bound of an
+    n-term inner product in a precision of unit roundoff u."""
+    return n * u / (1.0 - n * u)
+
+
+def cosine_margin(features: int, dtype) -> float:
+    """A bound on |s - r| for one cosine: s as _shortlist computes it from a
+    product in dtype, r its float64 re-score.
+
+    Let c be the cosine of the float64 query q and a row v, divided by
+    their float64 norms Nq and Nv as computed, u the unit roundoff of dtype
+    (2^-24 for float32) and F the row length. Then (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1):
+
+    - the query is scaled to q / Nq in float64 and cast to dtype, each
+      entry off by a relative 2u at most;
+    - the product of that query with v is off by gamma_F |q'|.|v| <=
+      gamma_F (1 + 2u) |q| |v| / Nq, in whatever summation order the BLAS
+      kernel picks, and the cast adds at most 2u |q| |v| / Nq;
+    - the multiply by 1 / Nv, a float64 divide cast to dtype (2u) and
+      rounded once more (u), adds a relative 3u to a value of magnitude
+      about |c| <= 1;
+
+    so |s - c| <= gamma_F + 5u to first order. The re-score is one float64
+    dot product (gamma_F in float64), the product of the two norms and the
+    divide, so |r - c| <= gamma_{F+3} in float64 to first order. Every
+    term left out is a product of two of u, gamma_F and the float64 terms,
+    and with F u <= 1/200 (F up to 83,886 in float32) they add less than
+    1% to the rest: hence the factor 1.01. The bound assumes the dtype
+    product neither underflows nor overflows.
+    """
+    u = float(np.finfo(dtype).eps) / 2
+    return 1.01 * (_gamma(features, u) + 5 * u + _gamma(features + 3, 2.0**-53))
+
+
+def _shortlist(
+    queries: np.ndarray, rows: np.ndarray, norms: np.ndarray, depth, excluded=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each float64 query, every row whose float64 cosine to it can rank
+    among its depth highest, ties with the depth-th included, and those
+    cosines: three arrays (query index, row position, cosine), by query
+    index, then position. A zero-norm query and the excluded (query index,
+    position) entries rank nothing; a zero-norm row scores 0.
+
+    One product of the block's queries with rows, in the rows' dtype, gives
+    every score s to within cosine_margin of its float64 re-score r. If t is
+    a query's depth-th highest s, at least depth rows have r >= t - margin,
+    so a row among the depth highest r has s >= t - 2 margin: only those
+    rows are re-scored, each by a float64 dot product summed in numpy's
+    pairwise order over its F terms, which no block shape or BLAS kernel
+    changes.
+    """
+    count, features = rows.shape
+    query_norms = row_norms(queries)
+    live = query_norms != 0.0
+    norms = np.where(norms == 0.0, 1.0, norms)
+    scaled = queries / np.where(live, query_norms, 1.0)[:, None]
+    scores = scaled.astype(rows.dtype) @ rows.T
+    scores *= (1.0 / norms).astype(rows.dtype)
+    scores[~live] = -np.inf
+    if excluded is not None:
+        scores[excluded] = -np.inf
+    depth = np.clip(np.broadcast_to(depth, len(queries)), 1, max(count, 1))
+    cuts = count - depth
+    # the depth-th highest score, at its place once the row is partitioned
+    # around every cut in use; widened to float64 so the cut is not rounded
+    floor = np.full(len(queries), -np.inf)
+    if count:
+        floor = np.partition(scores, np.unique(cuts), axis=1)[np.arange(len(queries)), cuts]
+    # every score is above -1 - margin > -2, so -2 keeps each live score
+    # where fewer than depth are live, and still drops -inf
+    margin = cosine_margin(features, rows.dtype)
+    floor = np.maximum(floor.astype(np.float64) - 2 * margin, -2.0)
+    which, positions = np.nonzero(scores >= floor[:, None])
+    dots = np.empty(len(positions))
+    bounds = np.searchsorted(which, np.arange(len(queries) + 1))
+    for index, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        # one query at a time, so no (shortlist x F) float64 copy of the queries
+        dots[start:stop] = (rows[positions[start:stop]] * queries[index]).sum(axis=1)
+    return which, positions, dots / (norms[positions] * query_norms[which])
+
+
 def nearest_users(
     rows, norms: np.ndarray, block: np.ndarray, neighbors: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """For each row index in block, the positions of the at most neighbors
     rows most cosine-similar to it, itself excluded, ties by ascending
-    position, and their similarities; none for a zero-norm row.
+    position, and their float64 similarities; none for a zero-norm row.
 
-    rows is a dense array or a scipy sparse matrix and norms its precomputed
-    row norms. One product gives the block's similarities to every row, a
-    zero-norm row scoring 0.
+    rows is a dense array or a scipy sparse matrix of visit counts, and
+    norms its precomputed row norms. A sparse block's similarities to every
+    row are one product, exact in float64 for counts; a dense block's are
+    _shortlist's, whose float64 re-scores do not depend on the block or
+    the BLAS kernel. A zero-norm row scores 0.
 
     Raises:
         ValueError: if an index is not a row, or neighbors < 1 (top_k's k)
             and block is not empty.
     """
     block = _user_block(block, rows.shape[0])
-    # rows times the block's rows, transposed: numpy and scipy multiply this
-    # way round faster than rows[block] @ rows.T, whose operand is all rows
-    sims = (rows @ rows[block].T).T
-    if sparse.issparse(sims):
-        sims = sims.toarray()
-    sims = np.asarray(sims, dtype=np.float64, order="C")
+    self_pairs = (np.arange(len(block)), block)
+    if not sparse.issparse(rows):
+        which, positions, sims = _shortlist(
+            rows[block].astype(np.float64), rows, norms, neighbors, self_pairs
+        )
+        starts = np.searchsorted(which, np.arange(1, len(block)))
+        picks = []
+        for near, row in zip(np.split(positions, starts), np.split(sims, starts)):
+            top = top_k(row, neighbors)
+            picks.append((near[top], row[top]))
+        return picks
+    # rows times the block's rows, transposed: scipy multiplies this way
+    # round faster than rows[block] @ rows.T, whose operand is all rows
+    sims = (rows @ rows[block].T).T.toarray()
     query_norms = norms[block]
     sims /= np.where(norms == 0.0, 1.0, norms) * np.where(
         query_norms == 0.0, 1.0, query_norms
     )[:, None]
     sims[query_norms == 0.0] = -np.inf
-    sims[np.arange(len(block)), block] = -np.inf
+    sims[self_pairs] = -np.inf
     picks = []
     for row in sims:
         near = top_k(row, neighbors)
@@ -187,34 +280,36 @@ def kiu_scores(
     venue_norms: np.ndarray,
     block: np.ndarray,
     neighbors: int,
+    depth=None,
 ) -> np.ndarray:
-    """KIU and KNI: for each user row index in block, the cosine of each
-    venue row to the float64 mean of that user row and its neighbors
+    """KIU and KNI: for each user row index in block, the float64 cosine of
+    each venue row to the float64 mean of that user row and its neighbors
     nearest user rows; one (len(block) x venues) array, -inf throughout
-    where that mean has zero norm.
+    where that mean has zero norm, and -inf for every venue that cannot
+    rank among the row's depth highest cosines (an int or one per block
+    row; None keeps every venue).
 
     users and venues are the two blocks of one embedding matrix with their
     row norms. With no neighbors the query is the user's own row (the
     float64 mean of one row is that row), which is KNI. The neighbors come
-    from the block's one similarity product; each query's venue cosines are
-    one product in the venues' dtype, divided in float64, a zero-norm venue
-    scoring 0.
+    from nearest_users; the cosines and the venues kept from _shortlist, so
+    the top depth of a row, ties included, is that of the float64 cosines
+    over every venue. A zero-norm venue scores 0.
 
     Raises:
         ValueError: if an index is not a user row, or neighbors < 0 (top_k's k).
     """
     block = _user_block(block, len(users))
-    picks = [np.empty(0, dtype=np.int64)] * len(block)
+    queries = users[block].astype(np.float64)
     if neighbors:
-        picks = [near for near, _ in nearest_users(users, user_norms, block, neighbors)]
-    venue_norms = np.where(venue_norms == 0.0, 1.0, venue_norms)
+        picks = nearest_users(users, user_norms, block, neighbors)
+        for row, (index, (near, _)) in enumerate(zip(block, picks)):
+            queries[row] = users[np.concatenate(([index], near))].astype(np.float64).mean(axis=0)
+    which, positions, cosines = _shortlist(
+        queries, venues, venue_norms, len(venues) if depth is None else depth
+    )
     scores = np.full((len(block), len(venues)), -np.inf)
-    for row, (index, near) in enumerate(zip(block, picks)):
-        query = users[np.concatenate(([index], near))].astype(np.float64).mean(axis=0)
-        query_norm = float(np.linalg.norm(query))
-        if query_norm != 0.0:  # a zero-norm query ranks nothing
-            dots = venues @ query.astype(venues.dtype, copy=False)
-            scores[row] = dots / (venue_norms * query_norm)
+    scores[which, positions] = cosines
     return scores
 
 

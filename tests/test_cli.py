@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from venue2vec import embedding, harness
+from venue2vec import corpus, embedding, harness
 from venue2vec.cli import build_experiment_config, build_parser, main
 from venue2vec.corpus import write_checkins
 from venue2vec.fixtures import FixtureSpec, generate_fixture
@@ -210,7 +210,46 @@ def test_recommend_baseline_from_a_model_is_config_error(fixture_file, tmp_path,
                 "--method", method, "--out", str(tmp_path / "recs.tsv")]
         assert main(argv) == 1
         assert f"cannot serve {method}" in capsys.readouterr().err
+    # rejected before the model or the check-ins are read
+    absent = ["recommend", "--model", str(tmp_path / "absent.bin"), "--input",
+              str(tmp_path / "absent.tsv"), "--method", "cf", "--out", str(tmp_path / "recs.tsv")]
+    assert main(absent) == 1
+    assert "cannot serve cf" in capsys.readouterr().err
     assert not (tmp_path / "recs.tsv").exists()
+
+
+@pytest.mark.parametrize("method", ["kni", "kiu"])
+def test_recommend_for_given_users_reads_only_the_model(
+    fixture_file, tmp_path, monkeypatch, capsys, method
+):
+    """KNI and KIU given --users and no --filter-seen never parse the
+    check-in file, and list each user as the run over every user does; NN
+    and --filter-seen still parse it."""
+    model = tmp_path / "model.bin"
+    assert main(["train", "--input", str(fixture_file), "--features", "8", "--window", "3",
+                 "--epochs", "2", "--seed", "1", "--model-out", str(model)]) == 0
+    out = tmp_path / "recs.tsv"
+    argv = ["recommend", "--model", str(model), "--input", str(fixture_file),
+            "--neighbors", "3", "--topk", "5", "--out", str(out)]
+    assert main([*argv, "--method", method]) == 0
+    everyone = {line.split("\t")[0]: line for line in out.read_text().splitlines()}
+    users_file = tmp_path / "users.txt"
+    users_file.write_text("c1u2\nstranger\nc0u4\n")
+    given = [*argv, "--users", str(users_file)]
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the check-ins were read")
+
+    monkeypatch.setattr(corpus, "read_checkins", unread)
+    monkeypatch.setattr(harness, "read_checkins", unread)
+    assert main([*given, "--method", method]) == 0
+    assert out.read_text().splitlines() == [
+        everyone["c1u2"], f"stranger\t{method}\tno-prediction", everyone["c0u4"]
+    ]
+    capsys.readouterr()
+    for flags in (["--method", "nn"], ["--method", method, "--filter-seen"]):
+        assert main([*given, *flags]) == 2
+        assert "the check-ins were read" in capsys.readouterr().err
 
 
 def test_sweep_and_plot_data(fixture_file, tmp_path):

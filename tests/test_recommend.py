@@ -348,7 +348,8 @@ def test_vote_block_lists_match_brute_force(monkeypatch, block, filter_seen):
             ties += tied
     size = block or n_users  # a block holds at most every user
     chunks = [served[start : start + size] for start in range(0, len(served), size)]
-    assert calls == [size] * sum(chunk != ["stranger"] for chunk in chunks)
+    known = [sum(user != "stranger" for user in chunk) for chunk in chunks]
+    assert calls == [count for count in known if count]  # no block is padded
     assert not next(latent(["u5"])).predicted  # the zero row
     assert ties > 0  # neighbor ties were exercised
 
@@ -449,6 +450,92 @@ def test_kiu_matches_brute_force_oracle():
                 neighbor_ties += len(neighbors) - len({s for _, s in neighbors})
                 venue_ties += len(expected) - len({s for _, s in expected})
     assert neighbor_ties > 0 and venue_ties > 0  # ties were exercised
+
+
+def _float32_top(rows, query, candidates, k):
+    """The k candidates ranked highest by a float32 product of rows with
+    query divided by float64 norms: a ranking with no float64 re-score."""
+    candidates = np.asarray(candidates)
+    dots = rows[candidates] @ np.asarray(query, dtype=np.float32)
+    scores = dots / (row_norms(rows[candidates]) * np.linalg.norm(query))
+    return candidates[top_k(scores, k)].tolist()
+
+
+def _near_tie_rows(rng, rows, query, near, copies):
+    """Set rows[near] to one float32 row about 0.9 cosine to query plus
+    noise at float32's last bits, so their float64 cosines to query differ
+    by less than float32 rounding can tell apart; rows[copies[0]] and
+    rows[copies[1]] are the same row, an exact tie."""
+    features = rows.shape[1]
+    base = 0.9 * query / np.linalg.norm(query) + 0.3 * rng.normal(size=features) / features**0.5
+    rows[near] = base * np.linalg.norm(query) + 3e-7 * rng.normal(size=(len(near), features))
+    rows[copies[1]] = rows[copies[0]]
+
+
+@pytest.mark.parametrize("neighbors", [0, 3], ids=["kni", "kiu"])
+def test_float32_rounding_does_not_reorder_the_kiu_list(neighbors):
+    """Thirty of sixty venues have float64 cosines to the query within
+    float32 rounding of each other, two of them equal, so a float32 product
+    alone lists them in another order near the k-th. KNI's and KIU's lists,
+    with and without filter_seen (three of the thirty seen), still equal
+    the float64 brute force over the (unseen) venues, ties by position."""
+    rng = np.random.default_rng(17)
+    n_users, n_venues, features, k = 8, 60, 64, 10
+    visits = {"u0": ["v0", "v1", "v2"]}
+    for i in range(1, n_users):
+        visits[f"u{i}"] = [f"v{j}" for j in range(2 + i, n_venues, n_users - 1)]
+    records = make_records(visits)
+    vocab = build_vocabulary(records, 1)
+    model = init_model(vocab, TrainingConfig(feature_count=features, seed=0))
+    rows = model.input_vectors
+    count = vocab.user_count
+    rows[:count] = rng.normal(size=(count, features))
+    target = vocab.user_index["u0"]
+    others = [i for i in range(count) if i != target]
+    near = [i for i, _ in brute_force_top_k(rows, rows[target], others, neighbors)]
+    query = rows[[target, *near]].astype(np.float64).mean(axis=0)
+    venue_rows = [count + vocab.venue_index[f"v{j}"] for j in range(n_venues)]
+    _near_tie_rows(rng, rows, query, venue_rows[:30], (venue_rows[4], venue_rows[9]))
+    seen = {count + vocab.venue_index[v] for v in visits["u0"]}
+    venues = np.arange(count, len(vocab))
+    assert _float32_top(rows, query, venues, k) != [
+        i for i, _ in brute_force_top_k(rows, query, venues, k)
+    ]  # the float32 product alone reorders them
+    for filter_seen in (False, True):
+        candidates = [i for i in venues if not (filter_seen and i in seen)]
+        expected = brute_force_top_k(rows, query, candidates, k)
+        result = _serve(
+            model, records, recommend.KIU if neighbors else recommend.KNI,
+            k=k, neighbors=neighbors or 1, filter_seen=filter_seen,
+        )("u0")
+        assert [row_of(vocab, "V:" + v) for v in result.venues()] == [i for i, _ in expected]
+        assert [s for _, s in result.items] == pytest.approx([s for _, s in expected], abs=1e-12)
+        if filter_seen:
+            assert seen & {i for i, _ in brute_force_top_k(rows, query, venues, k)}
+
+
+def test_float32_rounding_does_not_reorder_the_neighbor_pick():
+    """Ten user rows have float64 cosines to user 0 within float32 rounding
+    of each other, two of them equal: the neighbour pick over the float32
+    rows is still the float64 brute force, ties by position, where a
+    float32 product alone reorders user 0's. So is every other pick of the
+    block but those of the ten, whose cosines to one another agree to
+    float64 rounding, where two float64 formulas can disagree."""
+    rng = np.random.default_rng(29)
+    users = rng.normal(size=(24, 64)).astype(np.float32)
+    _near_tie_rows(rng, users, users[0].astype(np.float64), list(range(5, 15)), (6, 11))
+    everyone = list(range(len(users)))
+    assert _float32_top(users, users[0], everyone[1:], 4) != [
+        i for i, _ in brute_force_top_k(users, users[0], everyone[1:], 4)
+    ]
+    picks = recommend.nearest_users(users, row_norms(users), everyone, 4)
+    for index, (top, sims) in enumerate(picks):
+        if 5 <= index < 15:
+            continue
+        others = [i for i in everyone if i != index]
+        expected = brute_force_top_k(users, users[index], others, 4)
+        assert top.tolist() == [i for i, _ in expected]
+        assert sims.tolist() == pytest.approx([s for _, s in expected], abs=1e-12)
 
 
 def test_kni_lists_do_not_depend_on_neighbors(community_model, community_dataset):

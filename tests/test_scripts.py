@@ -47,7 +47,7 @@ def test_artifact_protocol_zeroes_every_timing(tmp_path):
     spec.loader.exec_module(artifacts)
     small = {"small": ["--seed", "1", "--communities", "2", "--users-per-community", "6",
                        "--venues-per-community", "12", "--train-checkins", "8"]}
-    assert artifacts.write_protocol(tmp_path, small) == 313  # a third of the 939
+    assert artifacts.write_protocol(tmp_path, small) == 317  # a third of the 951
     report = json.loads((tmp_path / "small/run/kiu/plain/report.json").read_text())
     assert (report["N"], report["E"]) == (30, 5)
     assert (report["train_s"], report["rec_s_total"], report["rec_s_per_user"]) == (0.0,) * 3
@@ -58,6 +58,10 @@ def test_artifact_protocol_zeroes_every_timing(tmp_path):
     assert header.endswith(",train_s,rec_s_total,rec_s_per_user") and len(rows) == 2
     assert all(row.endswith(",0.0,0.0,0.0") for row in rows)
     assert (tmp_path / "small/plot/kni_E.csv").is_file()
+    for method in artifacts.EMBEDDING_METHODS:
+        lines = (tmp_path / f"small/staged-min1/{method}-users.tsv").read_text().splitlines()
+        assert [line.split("\t")[0] for line in lines] == list(artifacts.USERS)
+        assert lines[1] == f"nobody\t{method}\tno-prediction"
 
 
 def test_readme_library_imports_are_the_package_exports():
