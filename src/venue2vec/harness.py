@@ -81,9 +81,9 @@ _AXIS_FIELDS = {"F": "feature_count", "C": "context_count", "E": "epoch_count"}
 ERROR_MARKER = "ERROR"
 
 # Users are served a block at a time, one score-rule call per block, and a
-# block's float64 rows of a given width (see serve) hold about BLOCK_BYTES,
-# 2^17 entries: serving memory does not grow with the population, and
-# per-call overhead is paid per block.
+# block's float64 rows over the users (a neighbour pick's similarities) hold
+# about BLOCK_BYTES, 2^17 entries: serving memory does not grow with the
+# population, and per-call overhead is paid per block.
 BLOCK_BYTES = 1 << 20
 
 
@@ -197,49 +197,49 @@ def serve(
     config: ExperimentConfig,
     vocab: Vocabulary,
     visits: sparse.csr_matrix | None,
-    score_block: Callable[[np.ndarray], np.ndarray],
-    width: int | None = None,
+    score_block: Callable[[np.ndarray], sparse.csr_matrix],
 ) -> Callable[[Sequence[str]], Iterator[recommend.RecommendationList]]:
     """The recommend callable of a score rule: score_block(rows) is a fresh
-    (len(rows) x venues) score array for the vocabulary's users at those
-    rows, -inf where a venue cannot be listed.
+    (len(rows) x venues) CSR matrix with sorted indices, the candidates of
+    the vocabulary's users at those rows (see recommend.ranked).
 
     The callable lists the given users in order, a block at a time: one
     score_block call per block of users, as many as BLOCK_BYTES holds
-    float64 rows of width entries (at most the user count). width defaults
-    to the wider of the user count and the catalog, a vote rule's dense
-    rows. No score depends on the block: the rules pick neighbours and
-    KNI/KIU venues from a shortlist whose float64 re-scores are the printed
-    scores (see recommend.cosine_margin), so a user's list does not depend
-    on which users share its block or on the BLAS kernel their shape selects.
+    float64 rows over the users (at most the user count). No score depends
+    on the block: the rules pick neighbours and KNI/KIU venues from a
+    shortlist whose float64 re-scores are the printed scores (see
+    recommend.cosine_margin), so a user's list does not depend on which
+    users share its block or on the BLAS kernel their shape selects.
 
-    A user outside the vocabulary gets an empty list, as does one whose row
-    is all -inf (an undefined similarity query); evaluation books both as
-    coverage misses. Under filter_seen each user's venues in visits (the
-    build_interactions table over vocab) are masked to -inf before the one
-    top-k per row, so the list is exactly the top k of the unseen venues,
-    ties included.
+    A user outside the vocabulary gets an empty list, as does one with no
+    candidates (an undefined similarity query); evaluation books both as
+    coverage misses. Under filter_seen each user's stored candidates among
+    its venues in visits (the build_interactions table over vocab) are set
+    to -inf before the one top-k per row, so the list is exactly the top k
+    of the unseen venues, ties included.
     """
-    width = width or max(vocab.user_count, len(vocab.venues))
-    size = max(1, min(BLOCK_BYTES // (8 * width), vocab.user_count))
+    size = max(1, min(BLOCK_BYTES // (8 * max(1, vocab.user_count)), vocab.user_count))
+    width = len(vocab.venues)
 
     def recommend_users(users: Sequence[str]) -> Iterator[recommend.RecommendationList]:
         for start in range(0, len(users), size):
             block = users[start : start + size]
             known = [user for user in block if user in vocab.user_index]
-            scores = {}
+            lists = {}
             if known:
                 rows = np.array([vocab.user_index[user] for user in known], dtype=np.int64)
-                block_scores = score_block(rows)
-                if config.filter_seen:
-                    block_scores[visits[rows].nonzero()] = -np.inf
-                scores = dict(zip(known, block_scores))
+                scores = score_block(rows)
+                if config.filter_seen:  # one int64 key per (block row, venue) pair
+                    stored = np.repeat(np.arange(len(rows)), np.diff(scores.indptr)) * width
+                    seen_rows, seen_venues = visits[rows].nonzero()
+                    seen = seen_rows.astype(np.int64) * width + seen_venues
+                    scores.data[np.isin(stored + scores.indices, seen)] = -np.inf
+                lists = dict(zip(known, recommend.ranked(scores, config.k)))
             for user in block:
                 items = []
-                if user in scores:
-                    row = scores[user]
-                    top = recommend.top_k(row, config.k)
-                    items = [(vocab.venues[j], float(row[j])) for j in top]
+                if user in lists:
+                    columns, values = lists[user]
+                    items = [(vocab.venues[j], float(score)) for j, score in zip(columns, values)]
                 yield recommend.RecommendationList(user, config.method, items)
 
     return recommend_users
@@ -362,10 +362,7 @@ def recommender(
         rule = lambda block: recommend.kiu_scores(  # noqa: E731
             users, norms, venues, venue_norms, block, neighbors, depth[block]
         )
-        # blocks sized by the users alone, so one product reads the venue
-        # rows for many users; the block's arrays over the catalog grow
-        # with it (15 users and about 13 MB per block at the paper shape)
-        return serve(config, vocab, visits, rule, vocab.user_count)
+        return serve(config, vocab, visits, rule)
     weighted = config.method == baselines.CF
     rule = lambda block: recommend.vote_scores(  # noqa: E731
         users, norms, visits, block, config.neighbors, weighted

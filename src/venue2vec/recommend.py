@@ -5,10 +5,11 @@ Three strategies:
   NN   collect the venues of the N most similar users and sum their votes.
   KIU  rank venues by cosine to the mean of the target's and neighbors' vectors.
 
-Every method is a score rule: given a block of target rows it returns a
-fresh float64 score per target and catalog venue, -inf for a venue it cannot
-list, and top_k picks each target's list. KNI is KIU with no neighbors, so
-kiu_scores serves both. NN's rule is also CF's and the latent-factor baselines' (vote_scores):
+Every method is a score rule: given a block of target rows it returns its
+candidates, one (targets x catalog) CSR matrix with sorted indices whose
+stored entries are the only venues a target can list, and ranked picks each
+target's list from them. KNI is KIU with no neighbors, so kiu_scores serves
+both. NN's rule is also CF's and the latent-factor baselines' (vote_scores):
 only the user space the neighbors are picked in differs. The rules take row
 arrays with their row_norms, which the caller computes once per serving.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy import sparse
@@ -33,11 +34,11 @@ NO_PREDICTION = "no-prediction"
 # Below this many candidates top_k sorts them all at once; from it on, it
 # partitions first. Measured on one Xeon vCPU (k = 10 and 30, random cosines):
 # 256 candidates sort in 15 us against 16 us for partition and sort, 1,024 in
-# 45-52 us against 23-24, 9,904 in 1,220-1,240 us against 82-89. In the
-# perfbench workloads, cbow-serve's 9,904-venue rows and 1,664-user neighbour
-# picks partition (its recommend_s fell 0.78 -> 0.46 s, 10 of 10 pairs), while
-# planted-embed's 400-venue rows and baselines-run's 416-user picks and vote
-# rows of at most a few hundred venues take the one sort.
+# 45-52 us against 23-24, 9,904 in 1,220-1,240 us against 82-89. The rules
+# return shortlists of about k venues or N neighbours and vote rows of at most
+# the venues the neighbours visited, so what still partitions is CF's
+# user-wide similarity rows past 1,024 users (the paper shape's 8,320), and no
+# row of the perfbench workloads.
 PARTITION_MIN = 1024
 
 
@@ -74,8 +75,8 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     Past PARTITION_MIN entries above -inf, a partition of those entries finds
     the k-th highest score and only the entries at or above it are sorted,
     exactly, so ties at the cut are ordered like the rest. Partitioning only
-    the entries above -inf keeps vote rows, mostly -inf, off numpy's slow
-    path for many equal values.
+    the entries above -inf keeps -inf entries (the seen mask's, a neighbour
+    pick's own row) off numpy's slow path for many equal values.
 
     Raises:
         ValueError: if k < 1.
@@ -88,6 +89,20 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
         floor = np.partition(values, values.size - k)[values.size - k]
         survivors = survivors[values >= floor]
     return survivors[np.lexsort((survivors, -scores[survivors]))][:k]
+
+
+def ranked(scores: sparse.csr_matrix, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each row's top k of a candidate matrix (sorted indices): the columns
+    of its k highest stored scores above -inf, by descending score, ties by
+    ascending column, and those scores; fewer when fewer are stored.
+
+    Raises:
+        ValueError: if k < 1 and scores has a row (top_k's k).
+    """
+    for start, stop in zip(scores.indptr[:-1], scores.indptr[1:]):
+        values = scores.data[start:stop]
+        top = top_k(values, k)
+        yield scores.indices[start:stop][top], values[top]
 
 
 def _user_block(block, count: int) -> np.ndarray:
@@ -141,12 +156,12 @@ def cosine_margin(features: int, dtype) -> float:
 
 def _shortlist(
     queries: np.ndarray, rows: np.ndarray, norms: np.ndarray, depth, excluded=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> sparse.csr_matrix:
     """For each float64 query, every row whose float64 cosine to it can rank
     among its depth highest, ties with the depth-th included, and those
-    cosines: three arrays (query index, row position, cosine), by query
-    index, then position. A zero-norm query and the excluded (query index,
-    position) entries rank nothing; a zero-norm row scores 0.
+    cosines: a (queries x rows) CSR matrix with sorted indices. A zero-norm
+    query and the excluded (query index, position) entries rank nothing; a
+    zero-norm row scores 0.
 
     One product of the block's queries with rows, in the rows' dtype, gives
     every score s to within cosine_margin of its float64 re-score r. If t is
@@ -183,7 +198,8 @@ def _shortlist(
     for index, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
         # one query at a time, so no (shortlist x F) float64 copy of the queries
         dots[start:stop] = (rows[positions[start:stop]] * queries[index]).sum(axis=1)
-    return which, positions, dots / (norms[positions] * query_norms[which])
+    cosines = dots / (norms[positions] * query_norms[which])
+    return sparse.csr_matrix((cosines, positions, bounds), shape=(len(queries), count))
 
 
 def nearest_users(
@@ -206,15 +222,8 @@ def nearest_users(
     block = _user_block(block, rows.shape[0])
     self_pairs = (np.arange(len(block)), block)
     if not sparse.issparse(rows):
-        which, positions, sims = _shortlist(
-            rows[block].astype(np.float64), rows, norms, neighbors, self_pairs
-        )
-        starts = np.searchsorted(which, np.arange(1, len(block)))
-        picks = []
-        for near, row in zip(np.split(positions, starts), np.split(sims, starts)):
-            top = top_k(row, neighbors)
-            picks.append((near[top], row[top]))
-        return picks
+        shortlist = _shortlist(rows[block].astype(np.float64), rows, norms, neighbors, self_pairs)
+        return list(ranked(shortlist, neighbors))
     # rows times the block's rows, transposed: scipy multiplies this way
     # round faster than rows[block] @ rows.T, whose operand is all rows
     sims = (rows @ rows[block].T).T.toarray()
@@ -238,10 +247,11 @@ def vote_scores(
     block: np.ndarray,
     neighbors: int,
     weighted: bool,
-) -> np.ndarray:
+) -> sparse.csr_matrix:
     """NN, CF, SVD and CCD++: for each user index in block, each venue's
     vote from the neighbors users most cosine-similar to it in some user
-    space, -inf without a positive vote; one (len(block) x venues) array.
+    space; one (len(block) x venues) CSR matrix with sorted indices that
+    stores the positive votes only (every weight and vote is positive).
 
     rows are the users' vectors (embedding, visit-count or latent rows) with
     their norms, and the rows of the votes matrix line up with them. Each
@@ -268,9 +278,7 @@ def vote_scores(
         (np.concatenate(weights), np.concatenate(columns), starts),
         shape=(len(block), votes.shape[0]),
     )
-    tally = (matrix @ votes).toarray()
-    tally[~(tally > 0.0)] = -np.inf
-    return tally
+    return (matrix @ votes).sorted_indices()
 
 
 def kiu_scores(
@@ -280,14 +288,13 @@ def kiu_scores(
     venue_norms: np.ndarray,
     block: np.ndarray,
     neighbors: int,
-    depth=None,
-) -> np.ndarray:
+    depth,
+) -> sparse.csr_matrix:
     """KIU and KNI: for each user row index in block, the float64 cosine of
-    each venue row to the float64 mean of that user row and its neighbors
-    nearest user rows; one (len(block) x venues) array, -inf throughout
-    where that mean has zero norm, and -inf for every venue that cannot
-    rank among the row's depth highest cosines (an int or one per block
-    row; None keeps every venue).
+    each venue row that can rank among the depth highest (an int or one per
+    block row) to the float64 mean of that user row and its neighbors
+    nearest user rows; one (len(block) x venues) CSR matrix with sorted
+    indices, with no entry in a row whose mean has zero norm.
 
     users and venues are the two blocks of one embedding matrix with their
     row norms. With no neighbors the query is the user's own row (the
@@ -305,12 +312,7 @@ def kiu_scores(
         picks = nearest_users(users, user_norms, block, neighbors)
         for row, (index, (near, _)) in enumerate(zip(block, picks)):
             queries[row] = users[np.concatenate(([index], near))].astype(np.float64).mean(axis=0)
-    which, positions, cosines = _shortlist(
-        queries, venues, venue_norms, len(venues) if depth is None else depth
-    )
-    scores = np.full((len(block), len(venues)), -np.inf)
-    scores[which, positions] = cosines
-    return scores
+    return _shortlist(queries, venues, venue_norms, depth)
 
 
 def format_batch_line(result: RecommendationList) -> str:

@@ -56,6 +56,15 @@ def nearest_users(model, user: str, count: int) -> list[tuple[str, float]]:
     return [(vocab.users[i], float(s)) for i, s in zip(top, sims)]
 
 
+def dense_scores(scores) -> np.ndarray:
+    """A score rule's candidate matrix as a dense float64 array, -inf where
+    it stores no entry."""
+    coo = scores.tocoo()
+    dense = np.full(scores.shape, -np.inf)
+    dense[coo.row, coo.col] = coo.data
+    return dense
+
+
 TOY_VISITS = {
     # 3 users / 8 venues: Loc0 and Loc2 are always visited together, Loc7 is
     # visited only by u2, and u0 shares venues with u1 but not with u2.

@@ -57,7 +57,7 @@ from oracles import (
     jacobi_singular_values,
     recompute_report_from_csv,
 )
-from conftest import visit_table
+from conftest import dense_scores, visit_table
 from test_baselines import random_decaying_matrix
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -454,7 +454,9 @@ def test_criterion_7_coverage_contract(planted_run):
     predicted = [
         int(
             top_k(
-                vote_scores(counts, row_norms(counts), counts, [vocab.user_index[user]], 5, True)[0],
+                dense_scores(
+                    vote_scores(counts, row_norms(counts), counts, [vocab.user_index[user]], 5, True)
+                )[0],
                 10,
             ).size
             > 0

@@ -6,6 +6,7 @@ import pytest
 from venue2vec import corpus, embedding, harness
 from venue2vec.cli import build_experiment_config, build_parser, main
 from venue2vec.corpus import write_checkins
+from venue2vec.embedding import TrainingConfig, init_model
 from venue2vec.fixtures import FixtureSpec, generate_fixture
 from venue2vec.harness import ExperimentConfig
 from venue2vec.metrics import read_report_csv
@@ -250,6 +251,24 @@ def test_recommend_for_given_users_reads_only_the_model(
     for flags in (["--method", "nn"], ["--method", method, "--filter-seen"]):
         assert main([*given, *flags]) == 2
         assert "the check-ins were read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["kni", "kiu"])
+def test_recommend_from_a_model_without_users_lists_no_one(fixture_file, tmp_path, method):
+    """A model file whose token table holds only V: tokens has no user rows:
+    recommend --users lists every given user no-prediction and exits 0."""
+    vocab = corpus.Vocabulary([], ["a", "b", "c"], np.ones(3))
+    model_path = tmp_path / "venues.bin"
+    save_embedding_model(init_model(vocab, TrainingConfig(feature_count=4, seed=1)), model_path)
+    users_file = tmp_path / "users.txt"
+    users_file.write_text("c0u1\nstranger\n")
+    out = tmp_path / "recs.tsv"
+    argv = ["recommend", "--model", str(model_path), "--input", str(fixture_file),
+            "--method", method, "--users", str(users_file), "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text().splitlines() == [
+        f"c0u1\t{method}\tno-prediction", f"stranger\t{method}\tno-prediction"
+    ]
 
 
 def test_sweep_and_plot_data(fixture_file, tmp_path):
@@ -605,9 +624,7 @@ def test_recommend_line_does_not_depend_on_block_mates(
     ) == 0
     model = load_embedding_model(model_path)
     vocab = model.vocab
-    monkeypatch.setattr(
-        harness, "BLOCK_BYTES", 8 * max(vocab.user_count, len(vocab) - vocab.user_count) * 3
-    )
+    monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * vocab.user_count * 3)
     tied_path = tmp_path / "tied.bin"
     for index in range(vocab.user_count):
         community = vocab.users[index].split("u")[0]

@@ -29,7 +29,7 @@ from venue2vec.errors import ConfigError, TrainingError
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 from venue2vec.recommend import kiu_scores, row_norms, top_k
 
-from conftest import make_records, row_of, token_of
+from conftest import dense_scores, make_records, row_of, token_of
 from oracles import brute_force_top_k, context_pairs_reference, two_token_scalar_reference
 
 
@@ -54,7 +54,9 @@ def nearest(model, query, candidates, k):
     candidates = np.asarray(candidates)
     query = np.asarray(query, dtype=np.float64)[None, :]
     rows = model.input_vectors[candidates]
-    (scores,) = kiu_scores(query, row_norms(query), rows, row_norms(rows), [0], 0)
+    (scores,) = dense_scores(
+        kiu_scores(query, row_norms(query), rows, row_norms(rows), [0], 0, len(rows))
+    )
     return [(token_of(model.vocab, candidates[i]), float(scores[i])) for i in top_k(scores, k)]
 
 

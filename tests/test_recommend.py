@@ -31,7 +31,15 @@ from venue2vec.recommend import (
     write_batch_recommendations,
 )
 
-from conftest import community_of, make_records, nearest_users, row_of, token_of, visit_table
+from conftest import (
+    community_of,
+    dense_scores,
+    make_records,
+    nearest_users,
+    row_of,
+    token_of,
+    visit_table,
+)
 from oracles import (
     brute_force_top_k,
     interactions_reference,
@@ -164,8 +172,10 @@ def _vote(visits, neighbors, binary=False):
     vocab, counts = visit_table(make_records({**visits, "t": ["t0"]}), binary)
     near = {*neighbors, "t"}
     rows = np.array([[1.0, 0.0] if user in near else [0.0, 1.0] for user in vocab.users])
-    votes = vote_scores(
-        rows, np.linalg.norm(rows, axis=1), counts, [vocab.user_index["t"]], len(neighbors), False
+    votes = dense_scores(
+        vote_scores(
+            rows, np.linalg.norm(rows, axis=1), counts, [vocab.user_index["t"]], len(neighbors), False
+        )
     )[0]
     voted = {vocab.venues[j]: float(votes[j]) for j in np.flatnonzero(votes > -np.inf)}
     return voted, [(vocab.venues[j], float(votes[j])) for j in top_k(votes, 2)]
@@ -302,8 +312,7 @@ def test_vote_block_lists_match_brute_force(monkeypatch, block, filter_seen):
     vocab, counts = visit_table(records)
     served = vocab.users[:6] + ["stranger"] + vocab.users[6:]
     if block:
-        width = max(vocab.user_count, len(vocab.venues))
-        monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * width * block)
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * vocab.user_count * block)
     integer_rows = rng.integers(-1, 2, (n_users, 3)).astype(np.float64)
     integer_rows[5] = 0.0
     config = ExperimentConfig(k=k, neighbors=neighbors, filter_seen=filter_seen)
@@ -669,7 +678,8 @@ def test_requests_validate_bounds(toy_model, toy_interactions):
     count = vocab.user_count
     vectors, norms = toy_model.input_vectors, row_norms(toy_model.input_vectors)
     users, venues = (vectors[:count], norms[:count]), (vectors[count:], norms[count:])
-    scores = recommend.kiu_scores(*users, *venues, [index], 0)
+    catalog = len(vocab.venues)
+    scores = dense_scores(recommend.kiu_scores(*users, *venues, [index], 0, catalog))
     assert scores.shape == (1, len(vocab) - vocab.user_count)
     assert np.isfinite(scores).all()
     for k in (0, -1):
@@ -677,7 +687,7 @@ def test_requests_validate_bounds(toy_model, toy_interactions):
             top_k(scores[0], k)
     for bad_index, neighbors in ((index, -1), (-1, 0), (vocab.user_count, 1)):
         with pytest.raises(ValueError):
-            recommend.kiu_scores(*users, *venues, [index, bad_index], neighbors)
+            recommend.kiu_scores(*users, *venues, [index, bad_index], neighbors, catalog)
     with pytest.raises(ValueError):
         recommend.nearest_users(*users, [index], 0)
     _, visits = toy_interactions
