@@ -1,27 +1,35 @@
 #!/usr/bin/env python3
-"""Time one SGNS training epoch on the paper-shaped synthetic fixture.
+"""Time the input end and one SGNS training epoch on the paper-shaped fixture.
 
 Usage:
     python scripts/time_epoch.py [--epochs 1]
 
 The fixture is the ROADMAP's paper shape: 40 communities x 208 users x 1238
 venues, 10 train check-ins per user (8320 users, 49520 venues, 91520
-sentence tokens). It trains skip-gram (F=100, C=20) and CBOW (F=100, window
-"max") and prints, per architecture, the seconds per epoch and the (center,
-context) pairs per second. The pair count is the expectation over the
-reduced-window radius draw, the same for any implementation, so pairs per
-second compares training kernels on equal work.
+sentence tokens). It prints the best-of-3 seconds of split_train_test,
+build_vocabulary, build_sentences and build_interactions, then trains
+skip-gram (F=100, C=20) and CBOW (F=100, window "max") and prints, per
+architecture, the seconds per epoch and the (center, context) pairs per
+second. The pair count is the expectation over the reduced-window radius
+draw, the same for any implementation, so pairs per second compares
+training kernels on equal work.
 """
 
 import argparse
 import sys
+import timeit
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from venue2vec.corpus import build_sentences, build_vocabulary, split_train_test
+from venue2vec.corpus import (
+    build_interactions,
+    build_sentences,
+    build_vocabulary,
+    split_train_test,
+)
 from venue2vec.embedding import CBOW, SKIP_GRAM, TrainingConfig, init_model, resolve_window, train
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 
@@ -55,7 +63,15 @@ def main() -> int:
     train_records = split_train_test(records, FEB_2011).train
     vocab = build_vocabulary(train_records, 1)
     corpus = build_sentences(train_records, vocab)
-    lengths = np.array([len(s) for s in corpus.sentences])
+    stages = {
+        "split_train_test": lambda: split_train_test(records, FEB_2011),
+        "build_vocabulary": lambda: build_vocabulary(train_records, 1),
+        "build_sentences": lambda: build_sentences(train_records, vocab),
+        "build_interactions": lambda: build_interactions(train_records, vocab),
+    }
+    for name, stage in stages.items():
+        print(f"{name:<18} {min(timeit.repeat(stage, number=1, repeat=3)):7.3f} s (best of 3)")
+    lengths = np.diff(corpus.starts)
     print(f"{len(corpus)} sentences, {corpus.total_tokens} tokens, {len(vocab)} tokens in vocab")
     for architecture, context_count in ((SKIP_GRAM, 20), (CBOW, "max")):
         config = TrainingConfig(

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import gzip
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, EmptyVocabularyError, FormatError
+
+
+MAX_TIMESTAMP = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,13 +70,6 @@ class Dataset:
     def train_users(self) -> set[str]:
         return {r.user_id for r in self.train}
 
-    def test_users(self) -> set[str]:
-        return {r.user_id for r in self.test}
-
-    def cold_start_users(self) -> set[str]:
-        """Test-period users with no training history; excluded from evaluation."""
-        return self.test_users() - self.train_users()
-
 
 def parse_checkins(
     source: Iterable[str | bytes], layout: FieldLayout = FieldLayout()
@@ -82,7 +77,8 @@ def parse_checkins(
     """Parse a line-oriented check-in stream.
 
     Blank lines are ignored. Malformed lines (missing fields, empty ids,
-    non-integer or negative timestamps) are skipped and counted.
+    non-integer, negative or past-int64 timestamps, which the sentence
+    builder could not sort) are skipped and counted.
 
     Returns:
         (records in input order, number of skipped malformed lines)
@@ -107,7 +103,7 @@ def parse_checkins(
                 timestamp = int(parts[time_col])  # int() skips surrounding whitespace
             except ValueError:
                 timestamp = -1
-            if user and venue and timestamp >= 0:
+            if user and venue and 0 <= timestamp <= MAX_TIMESTAMP:
                 records.append(CheckinRecord(user, venue, timestamp))
                 continue
         skipped += 1
@@ -231,79 +227,70 @@ def build_vocabulary(
     )
 
 
+def _codes(
+    records: Sequence[CheckinRecord], vocab: Vocabulary
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The user rows, venue columns and timestamps of the records whose user
+    and venue the vocabulary holds, as int64 arrays in input order."""
+    users, venues = vocab.user_index, vocab.venue_index
+    rows = np.fromiter((users.get(r.user_id, -1) for r in records), np.int64, len(records))
+    cols = np.fromiter((venues.get(r.venue_id, -1) for r in records), np.int64, len(records))
+    times = np.fromiter((r.timestamp for r in records), np.int64, len(records))
+    kept = (rows >= 0) & (cols >= 0)
+    return rows[kept], cols[kept], times[kept]
+
+
 @dataclass
 class SentenceCorpus:
-    """Training sentences as arrays of vocabulary indices.
+    """Training sentences of vocabulary indices, laid end to end.
 
-    Each sentence starts with a user index followed by that user's venue
-    indices in ascending check-in order. max_length feeds the whole-sentence
-    window rule for bag-of-words training; total_tokens feeds the learning
-    rate schedule.
+    Sentence s is tokens[starts[s]:starts[s + 1]]: a user index followed by
+    that user's venue indices in ascending check-in order. max_length feeds
+    the whole-sentence window rule for bag-of-words training; total_tokens
+    feeds the learning rate schedule.
     """
 
-    sentences: list[np.ndarray]
-    max_length: int
-    total_tokens: int
+    tokens: np.ndarray
+    starts: np.ndarray
 
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.sentences)
+    @property
+    def max_length(self) -> int:
+        return int(np.diff(self.starts).max(initial=0))
+
+    @property
+    def total_tokens(self) -> int:
+        return self.tokens.size
 
     def __len__(self) -> int:
-        return len(self.sentences)
+        return self.starts.size - 1
 
 
-def build_sentences(
-    train: Iterable[CheckinRecord], vocab: Vocabulary
-) -> SentenceCorpus:
-    """Construct one sentence per in-vocabulary user.
+def build_sentences(train: Sequence[CheckinRecord], vocab: Vocabulary) -> SentenceCorpus:
+    """Construct one sentence per in-vocabulary user, in user index order.
 
     Venue tokens are ordered by ascending timestamp with ties broken by
     input order; venues pruned from the vocabulary are omitted; users whose
     sentences would contain no venue token are omitted entirely.
     """
-    per_user: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-    for record in train:
-        user = vocab.user_index.get(record.user_id)
-        venue = vocab.venue_index.get(record.venue_id)
-        if user is not None and venue is not None:
-            per_user[user].append((record.timestamp, vocab.user_count + venue))
-    sentences: list[np.ndarray] = []
-    max_length = 0
-    total_tokens = 0
-    for user_index in range(vocab.user_count):
-        visits = per_user.get(user_index)
-        if not visits:
-            continue
-        visits.sort(key=lambda pair: pair[0])  # stable: ties keep input order
-        sentence = np.fromiter(
-            (user_index, *(venue for _, venue in visits)),
-            dtype=np.int64,
-            count=len(visits) + 1,
-        )
-        sentences.append(sentence)
-        max_length = max(max_length, len(sentence))
-        total_tokens += len(sentence)
-    return SentenceCorpus(sentences, max_length, total_tokens)
+    rows, cols, times = _codes(train, vocab)
+    order = np.lexsort((times, rows))  # stable: ties keep input order
+    rows, venues = rows[order], cols[order] + vocab.user_count
+    firsts = np.flatnonzero(np.diff(rows, prepend=-1))  # each user's first venue
+    tokens = np.insert(venues, firsts, rows[firsts])
+    return SentenceCorpus(tokens, np.append(firsts + np.arange(firsts.size), tokens.size))
 
 
 def build_interactions(
-    records: Iterable[CheckinRecord], vocab: Vocabulary, binary: bool = False
+    records: Sequence[CheckinRecord], vocab: Vocabulary, binary: bool = False
 ) -> sparse.csr_matrix:
     """Visits per (user, venue) over the vocabulary: row i is user i, column
     j venue j, vocab.user_count x len(vocab.venues). Records whose user or
     venue the vocabulary lacks are dropped, and repeat visits are summed;
     binary mode stores 1.0 for any visit. The one visit-history table: every
     neighbor recommender votes from its rows."""
-    rows: list[int] = []
-    cols: list[int] = []
-    for record in records:
-        row = vocab.user_index.get(record.user_id)
-        col = vocab.venue_index.get(record.venue_id)
-        if row is not None and col is not None:
-            rows.append(row)
-            cols.append(col)
+    rows, cols, _ = _codes(records, vocab)
     matrix = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(vocab.user_count, len(vocab.venues))
+        (np.ones(rows.size), (rows, cols)), shape=(vocab.user_count, len(vocab.venues))
     )
     if binary:
         matrix.data[:] = 1.0

@@ -320,23 +320,21 @@ def context_pairs(
     return centers, contexts
 
 
-def _sentence_blocks(sentences: Sequence[np.ndarray]) -> Iterator[list[np.ndarray]]:
-    """Consecutive sentences, as many as fit in BLOCK_TOKENS tokens (at least one)."""
-    block: list[np.ndarray] = []
-    size = 0
-    for sentence in sentences:
-        if block and size + len(sentence) > BLOCK_TOKENS:
-            yield block
-            block, size = [], 0
-        block.append(sentence)
-        size += len(sentence)
-    if block:
-        yield block
+def _sentence_blocks(starts: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Index ranges [first, last) of consecutive sentences, as many as fit in
+    BLOCK_TOKENS tokens (at least one); sentence s is starts[s]:starts[s + 1]."""
+    first, count = 0, starts.size - 1
+    while first < count:
+        last = int(np.searchsorted(starts, starts[first] + BLOCK_TOKENS, side="right")) - 1
+        last = max(last, first + 1)
+        yield first, last
+        first = last
 
 
 def _train_block(
     model: EmbeddingModel,
-    block: list[np.ndarray],
+    tokens: np.ndarray,
+    lengths: np.ndarray,
     tokens_done: int,
     window: int,
     schedule: int,
@@ -346,6 +344,7 @@ def _train_block(
 ) -> tuple[float, int]:
     """Train on one block of sentences in minibatches of batch rows.
 
+    The block is its sentences' tokens laid end to end and their lengths.
     Draws every position's window radius for the whole block, then every
     row's negatives in one call, and slices each minibatch's (rows, 1 + k)
     targets out of them. A skip-gram row is one (center, context) pair:
@@ -354,8 +353,6 @@ def _train_block(
     at its sentence's rate. Returns (summed loss, rows).
     """
     config = model.config
-    lengths = np.array([len(s) for s in block])
-    tokens = np.concatenate(block)
     sentence_starts = tokens_done + np.cumsum(lengths) - lengths
     rates = np.repeat(_learning_rate(sentence_starts, schedule), lengths)
     radii = rng.integers(1, window + 1, size=tokens.size)
@@ -422,13 +419,17 @@ def train(
     config = model.config
     if len(corpus) == 0:
         raise TrainingError("cannot train on an empty sentence corpus")
-    high = max(int(s.max()) for s in corpus.sentences)
-    if high >= len(model.vocab):
+    if corpus.tokens.max() >= len(model.vocab):
         raise TrainingError("sentence token index outside the model vocabulary")
     window = resolve_window(config.context_count, corpus.max_length)
     table = NegativeSamplingTable(model.vocab.frequency)
     schedule = max(corpus.total_tokens * config.epoch_count, 1)
     batch = max(1, min(BATCH_ROWS, corpus.total_tokens // MIN_STEPS_PER_EPOCH))
+    starts, lengths = corpus.starts, np.diff(corpus.starts)
+    blocks = [
+        (corpus.tokens[starts[first] : starts[last]], lengths[first:last])
+        for first, last in _sentence_blocks(starts)
+    ]
     tokens_done = 0
     trace: list[EpochStats] = []
     for epoch in range(config.epoch_count):
@@ -438,11 +439,11 @@ def train(
         total_rows = 0
         # overflow in a diverging run is reported by the check after the epoch
         with np.errstate(all="ignore"):
-            for block in _sentence_blocks(corpus.sentences):
+            for tokens, block_lengths in blocks:
                 block_loss, block_rows = _train_block(
-                    model, block, tokens_done, window, schedule, table, rng, batch
+                    model, tokens, block_lengths, tokens_done, window, schedule, table, rng, batch
                 )
-                tokens_done += sum(len(s) for s in block)
+                tokens_done += tokens.size
                 total_loss += block_loss
                 total_rows += block_rows
         average_loss = total_loss / max(total_rows, 1)

@@ -35,10 +35,11 @@ NO_PREDICTION = "no-prediction"
 # partitions first. Measured on one Xeon vCPU (k = 10 and 30, random cosines):
 # 256 candidates sort in 15 us against 16 us for partition and sort, 1,024 in
 # 45-52 us against 23-24, 9,904 in 1,220-1,240 us against 82-89. The rules
-# return shortlists of about k venues or N neighbours and vote rows of at most
-# the venues the neighbours visited, so what still partitions is CF's
-# user-wide similarity rows past 1,024 users (the paper shape's 8,320), and no
-# row of the perfbench workloads.
+# return shortlists of about k venues or N neighbours, vote rows of at most
+# the venues the neighbours visited and CF similarity rows of the users who
+# share a venue with the target (at most 15 at the paper shape), so only a
+# denser check-in log than the paper's, where over 1,024 users share a
+# target's venues, partitions.
 PARTITION_MIN = 1024
 
 
@@ -72,11 +73,12 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k highest scores above -inf, by descending score,
     ties by ascending position; fewer when fewer are above -inf.
 
-    Past PARTITION_MIN entries above -inf, a partition of those entries finds
-    the k-th highest score and only the entries at or above it are sorted,
-    exactly, so ties at the cut are ordered like the rest. Partitioning only
-    the entries above -inf keeps -inf entries (the seen mask's, a neighbour
-    pick's own row) off numpy's slow path for many equal values.
+    Past PARTITION_MIN entries above -inf (a row of a denser log than the
+    paper's), a partition of those entries finds the k-th highest score and
+    only the entries at or above it are sorted, exactly, so ties at the cut
+    are ordered like the rest. Partitioning only the entries above -inf
+    keeps -inf entries (the seen mask's, a neighbour pick's own row) off
+    numpy's slow path for many equal values.
 
     Raises:
         ValueError: if k < 1.
@@ -210,10 +212,11 @@ def nearest_users(
     position, and their float64 similarities; none for a zero-norm row.
 
     rows is a dense array or a scipy sparse matrix of visit counts, and
-    norms its precomputed row norms. A sparse block's similarities to every
-    row are one product, exact in float64 for counts; a dense block's are
-    _shortlist's, whose float64 re-scores do not depend on the block or
-    the BLAS kernel. A zero-norm row scores 0.
+    norms its precomputed row norms. A sparse block's similarities are the
+    stored entries of one product, exact in float64 for counts, so a count
+    row's neighbors are the rows that share a column with it; a dense
+    block's are _shortlist's, whose float64 re-scores do not depend on the
+    block or the BLAS kernel, and a zero-norm dense row scores 0.
 
     Raises:
         ValueError: if an index is not a row, or neighbors < 1 (top_k's k)
@@ -226,18 +229,11 @@ def nearest_users(
         return list(ranked(shortlist, neighbors))
     # rows times the block's rows, transposed: scipy multiplies this way
     # round faster than rows[block] @ rows.T, whose operand is all rows
-    sims = (rows @ rows[block].T).T.toarray()
-    query_norms = norms[block]
-    sims /= np.where(norms == 0.0, 1.0, norms) * np.where(
-        query_norms == 0.0, 1.0, query_norms
-    )[:, None]
-    sims[query_norms == 0.0] = -np.inf
-    sims[self_pairs] = -np.inf
-    picks = []
-    for row in sims:
-        near = top_k(row, neighbors)
-        picks.append((near, row[near]))
-    return picks
+    sims = (rows @ rows[block].T).T.tocsr().sorted_indices()
+    which = np.repeat(np.arange(len(block)), np.diff(sims.indptr))
+    sims.data /= norms[sims.indices] * norms[block][which]
+    sims.data[sims.indices == block[which]] = -np.inf
+    return list(ranked(sims, neighbors))
 
 
 def vote_scores(

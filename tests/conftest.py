@@ -56,6 +56,11 @@ def nearest_users(model, user: str, count: int) -> list[tuple[str, float]]:
     return [(vocab.users[i], float(s)) for i, s in zip(top, sims)]
 
 
+def sentences_of(corpus) -> list[np.ndarray]:
+    """A sentence corpus as one token array per sentence, in corpus order."""
+    return [corpus.tokens[a:b] for a, b in zip(corpus.starts[:-1], corpus.starts[1:])]
+
+
 def dense_scores(scores) -> np.ndarray:
     """A score rule's candidate matrix as a dense float64 array, -inf where
     it stores no entry."""

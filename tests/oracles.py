@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own code paths: losses are
 written from the formula, top-k selection is a plain scored sort, the SVD
 oracle is one-sided Jacobi, the factorization oracle is full alternating
-least squares, the neighbor vote sums per-user Counters, and report
-recomputation reads the raw CSV text.
+least squares, the neighbor vote sums per-user Counters, training sentences
+sort each user's records in Python, and report recomputation reads the raw
+CSV text.
 """
 
 from __future__ import annotations
@@ -268,3 +269,16 @@ def recompute_report_from_csv(path):
         "coverage": math.fsum(predicted) / count,
         "users": count,
     }
+
+
+def sentences_reference(records, vocab) -> list[list[int]]:
+    """Training sentences by brute force: for each user in vocabulary order,
+    the user's index, then the indices of the user's venues the vocabulary
+    holds, sorted stably by timestamp; a user with no such venue is left out."""
+    sentences = []
+    for row, user in enumerate(vocab.users):
+        visits = [r for r in records if r.user_id == user and r.venue_id in vocab.venue_index]
+        visits.sort(key=lambda r: r.timestamp)
+        if visits:
+            sentences.append([row] + [vocab.user_count + vocab.venue_index[r.venue_id] for r in visits])
+    return sentences

@@ -18,7 +18,8 @@ from venue2vec.corpus import (
 from venue2vec.errors import EmptyVocabularyError, FormatError
 from venue2vec.fixtures import FixtureSpec, generate_fixture
 
-from conftest import make_records, token_of
+from conftest import make_records, sentences_of, token_of
+from oracles import sentences_reference
 
 
 def test_parse_single_line():
@@ -41,7 +42,7 @@ def test_parse_skips_malformed_line():
 
 
 @pytest.mark.parametrize(
-    "bad", ["u1\tv1", "u1\tv1\tnot-a-number", "u1\tv1\t-5", "\tv1\t100"]
+    "bad", ["u1\tv1", "u1\tv1\tnot-a-number", "u1\tv1\t-5", "\tv1\t100", f"u1\tv1\t{2**63}"]
 )
 def test_parse_malformed_variants(bad):
     records, skipped = parse_checkins([bad, "ok\tv\t1", "ok2\tv\t2"])
@@ -104,16 +105,6 @@ def test_split_degenerate_all_test():
     assert len(dataset.test) == 2
 
 
-def test_cold_start_users_flagged():
-    records = [
-        CheckinRecord("warm", "v", 1),
-        CheckinRecord("warm", "w", 10),
-        CheckinRecord("cold", "v", 12),
-    ]
-    dataset = split_train_test(records, 5)
-    assert dataset.cold_start_users() == {"cold"}
-
-
 def test_split_fixture_counts_match_generator():
     spec = FixtureSpec(seed=5, communities=2, users_per_community=10,
                        venues_per_community=20, train_checkins_per_user=12,
@@ -140,7 +131,7 @@ def test_vocabulary_min_count_prunes_rare_venue():
     assert "x" in vocab.venue_index
     assert "b" not in vocab.user_index  # frequency floor applies to users too
     corpus = build_sentences(records, vocab)
-    assert [len(s) for s in corpus.sentences] == [3]  # a: [x, x]; y dropped
+    assert [len(s) for s in sentences_of(corpus)] == [3]  # a: [x, x]; y dropped
 
 
 def test_vocabulary_empty_train_raises():
@@ -183,7 +174,7 @@ def test_sentence_orders_venues_by_timestamp():
     ]
     vocab = build_vocabulary(records, 1)
     corpus = build_sentences(records, vocab)
-    tokens = [token_of(vocab, i) for i in corpus.sentences[0]]
+    tokens = [token_of(vocab, i) for i in sentences_of(corpus)[0]]
     assert tokens == ["U:u0", "V:v1", "V:v2", "V:v3"]
     assert corpus.max_length == 4
 
@@ -195,7 +186,7 @@ def test_sentence_tie_break_is_input_order():
     ]
     vocab = build_vocabulary(records, 1)
     corpus = build_sentences(records, vocab)
-    tokens = [token_of(vocab, i) for i in corpus.sentences[0]]
+    tokens = [token_of(vocab, i) for i in sentences_of(corpus)[0]]
     assert tokens == ["U:u0", "V:late", "V:early"]
 
 
@@ -203,7 +194,7 @@ def test_user_with_only_pruned_venues_is_omitted():
     records = make_records({"a": ["x", "x"], "b": ["y"]})
     vocab = build_vocabulary(records, 2)
     corpus = build_sentences(records, vocab)
-    users = {token_of(vocab, s[0]) for s in corpus.sentences}
+    users = {token_of(vocab, s[0]) for s in sentences_of(corpus)}
     assert users == {"U:a"}
 
 
@@ -216,12 +207,12 @@ def test_max_sentence_length_683():
 
 
 @st.composite
-def record_lists(draw):
+def record_lists(draw, times=st.integers(0, 10**9)):
     users = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=30))
     records = []
     for i, user in enumerate(users):
         venue = draw(st.sampled_from(["v1", "v2", "v3", "v4"]))
-        records.append(CheckinRecord(user, venue, draw(st.integers(0, 10**9))))
+        records.append(CheckinRecord(user, venue, draw(times)))
     return records
 
 
@@ -239,7 +230,23 @@ def test_token_conservation_property(records, min_count):
         for r in records
         if r.user_id in vocab.user_index and r.venue_id in vocab.venue_index
     )
-    assert sum(len(s) - 1 for s in corpus.sentences) == surviving
+    assert sum(len(s) - 1 for s in sentences_of(corpus)) == surviving
+
+
+@given(record_lists(times=st.integers(0, 3)), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_build_sentences_matches_oracle(records, min_count):
+    """Interleaved users with tied timestamps: every sentence, token for
+    token, as the brute-force oracle builds it."""
+    try:
+        vocab = build_vocabulary(records, min_count)
+    except EmptyVocabularyError:
+        return
+    corpus = build_sentences(records, vocab)
+    expected = sentences_reference(records, vocab)
+    assert [s.tolist() for s in sentences_of(corpus)] == expected
+    assert corpus.total_tokens == sum(map(len, expected))
+    assert corpus.max_length == max(map(len, expected), default=0)
 
 
 @given(record_lists())
@@ -248,8 +255,8 @@ def test_build_sentences_deterministic(records):
     vocab = build_vocabulary(records, 1)
     first = build_sentences(records, vocab)
     second = build_sentences(records, vocab)
-    assert len(first.sentences) == len(second.sentences)
-    for a, b in zip(first.sentences, second.sentences):
+    assert len(sentences_of(first)) == len(sentences_of(second))
+    for a, b in zip(sentences_of(first), sentences_of(second)):
         assert np.array_equal(a, b)
 
 

@@ -29,7 +29,7 @@ from venue2vec.errors import ConfigError, TrainingError
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 from venue2vec.recommend import kiu_scores, row_norms, top_k
 
-from conftest import dense_scores, make_records, row_of, token_of
+from conftest import dense_scores, make_records, row_of, sentences_of, token_of
 from oracles import brute_force_top_k, context_pairs_reference, two_token_scalar_reference
 
 
@@ -285,7 +285,7 @@ def test_window_contract_skip_gram_distance_one(toy_records):
     """With C=1 no pair may span a distance greater than one position."""
     records = make_records({"u": [f"w{i}" for i in range(8)]})
     vocab = build_vocabulary(records, 1)
-    sentence = build_sentences(records, vocab).sentences[0]
+    sentence = sentences_of(build_sentences(records, vocab))[0]
     position = {int(token): i for i, token in enumerate(sentence)}
     rng = np.random.default_rng(0)
     pair_count = 0
@@ -300,7 +300,7 @@ def test_window_contract_skip_gram_distance_one(toy_records):
 def test_window_radius_never_exceeds_configured():
     records = make_records({"u": [f"w{i}" for i in range(12)]})
     vocab = build_vocabulary(records, 1)
-    sentence = build_sentences(records, vocab).sentences[0]
+    sentence = sentences_of(build_sentences(records, vocab))[0]
     position = {int(token): i for i, token in enumerate(sentence)}
     rng = np.random.default_rng(0)
     for _ in range(2):
@@ -406,8 +406,9 @@ def test_training_memory_bounded_by_block_not_corpus(architecture, window):
                             context_count=window, epoch_count=1, seed=5)
 
     def peak(repeats):
-        repeated = SentenceCorpus(corpus.sentences * repeats, corpus.max_length,
-                                  corpus.total_tokens * repeats)
+        total = corpus.total_tokens
+        starts = np.arange(repeats)[:, None] * total + corpus.starts[:-1]
+        repeated = SentenceCorpus(np.tile(corpus.tokens, repeats), np.append(starts, repeats * total))
         model = init_model(vocab, config)
         tracemalloc.start()
         try:
@@ -417,6 +418,26 @@ def test_training_memory_bounded_by_block_not_corpus(architecture, window):
             tracemalloc.stop()
 
     assert peak(4) < 1.5 * peak(1)
+
+
+def test_sentence_blocks_take_whole_sentences_greedily():
+    """Blocks cover the sentences in order; each holds at most BLOCK_TOKENS
+    tokens or one longer sentence, and could not also take the next one."""
+    lengths = [100, 120, 300, 40, 200, 57, 10, 250, 6]
+    visits = {f"u{i}": [f"v{j}" for j in range(n - 1)] for i, n in enumerate(lengths)}
+    records = make_records(visits)
+    corpus = build_sentences(records, build_vocabulary(records, 1))
+    assert corpus.max_length > embedding.BLOCK_TOKENS
+    starts = corpus.starts
+    blocks = list(embedding._sentence_blocks(starts))
+    assert [first for first, _ in blocks] == [0] + [last for _, last in blocks[:-1]]
+    assert blocks[-1][1] == len(corpus)
+    for first, last in blocks:
+        assert first < last
+        size = starts[last] - starts[first]
+        assert size <= embedding.BLOCK_TOKENS or last - first == 1
+        if last < len(corpus):
+            assert starts[last + 1] - starts[first] > embedding.BLOCK_TOKENS
 
 
 def test_cbow_training_brings_co_occurring_tokens_close(toy_records):
