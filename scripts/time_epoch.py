@@ -6,8 +6,10 @@ Usage:
 
 The fixture is the ROADMAP's paper shape: 40 communities x 208 users x 1238
 venues, 10 train check-ins per user (8320 users, 49520 venues, 91520
-sentence tokens). It prints the best-of-3 seconds of split_train_test,
-build_vocabulary, build_sentences and build_interactions, then trains
+sentence tokens). It prints the best-of-3 seconds of the whole input end:
+read_checkins over the fixture written as TSV, split_train_test,
+build_vocabulary, build_sentences, build_interactions and
+build_ground_truth. It then trains
 skip-gram (F=100, C=20) and CBOW (F=100, window "max") and prints, per
 architecture, the seconds per epoch and the (center, context) pairs per
 second. The pair count is the expectation over the reduced-window radius
@@ -17,6 +19,7 @@ training kernels on equal work.
 
 import argparse
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -28,10 +31,13 @@ from venue2vec.corpus import (
     build_interactions,
     build_sentences,
     build_vocabulary,
+    read_checkins,
     split_train_test,
+    write_checkins,
 )
 from venue2vec.embedding import CBOW, SKIP_GRAM, TrainingConfig, init_model, resolve_window, train
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
+from venue2vec.metrics import build_ground_truth
 
 PAPER_SHAPE = FixtureSpec(
     seed=1,
@@ -59,18 +65,23 @@ def main() -> int:
     parser.add_argument("--epochs", type=int, default=1)
     args = parser.parse_args()
 
-    records, _ = generate_fixture(PAPER_SHAPE)
-    train_records = split_train_test(records, FEB_2011).train
-    vocab = build_vocabulary(train_records, 1)
-    corpus = build_sentences(train_records, vocab)
-    stages = {
-        "split_train_test": lambda: split_train_test(records, FEB_2011),
-        "build_vocabulary": lambda: build_vocabulary(train_records, 1),
-        "build_sentences": lambda: build_sentences(train_records, vocab),
-        "build_interactions": lambda: build_interactions(train_records, vocab),
-    }
-    for name, stage in stages.items():
-        print(f"{name:<18} {min(timeit.repeat(stage, number=1, repeat=3)):7.3f} s (best of 3)")
+    log = generate_fixture(PAPER_SHAPE)
+    dataset = split_train_test(log, FEB_2011)
+    vocab = build_vocabulary(dataset.train, 1)
+    corpus = build_sentences(dataset.train, vocab)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "checkins.tsv"
+        write_checkins(log, path)
+        stages = {
+            "read_checkins": lambda: read_checkins(path),
+            "split_train_test": lambda: split_train_test(log, FEB_2011),
+            "build_vocabulary": lambda: build_vocabulary(dataset.train, 1),
+            "build_sentences": lambda: build_sentences(dataset.train, vocab),
+            "build_interactions": lambda: build_interactions(dataset.train, vocab),
+            "build_ground_truth": lambda: build_ground_truth(dataset),
+        }
+        for name, stage in stages.items():
+            print(f"{name:<18} {min(timeit.repeat(stage, number=1, repeat=3)):7.3f} s (best of 3)")
     lengths = np.diff(corpus.starts)
     print(f"{len(corpus)} sentences, {corpus.total_tokens} tokens, {len(vocab)} tokens in vocab")
     for architecture, context_count in ((SKIP_GRAM, 20), (CBOW, "max")):

@@ -10,7 +10,7 @@ The package root exports what the README's Library example uses; everything
 else is imported from its module (venue2vec.corpus, venue2vec.baselines, ...).
 """
 
-from .corpus import Dataset
+from .corpus import Checkins, Dataset
 from .fixtures import FixtureSpec
 from .harness import ExperimentConfig, fit, recommender, run_experiment
 

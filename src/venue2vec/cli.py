@@ -16,7 +16,7 @@ from . import harness, modelio, recommend
 from .corpus import FieldLayout, write_checkins
 from .embedding import CBOW, MAX_WINDOW, SKIP_GRAM
 from .errors import ConfigError
-from .fixtures import FixtureSpec, generate_fixture
+from .fixtures import FEB_2011, FixtureSpec, generate_fixture
 from .harness import ExperimentConfig, SweepSpec
 from .metrics import METRICS, build_ground_truth, read_report_csv, write_csv
 
@@ -118,12 +118,12 @@ def _cmd_generate_fixture(args) -> int:
         for name in FixtureSpec.__dataclass_fields__
         if getattr(args, name, None) is not None
     }
-    records, summary = generate_fixture(FixtureSpec(**given))
-    write_checkins(records, args.out)
+    log = generate_fixture(FixtureSpec(**given))
+    write_checkins(log, args.out)
+    train = int((log.times < FEB_2011).sum())
     print(
-        f"wrote {args.out}: {summary.user_count} users, "
-        f"{summary.venue_count} venues, {summary.train_count} train + "
-        f"{summary.test_count} test check-ins (boundary {summary.boundary})"
+        f"wrote {args.out}: {len(log.user_ids)} users, {len(log.venue_ids)} venues, "
+        f"{train} train + {len(log) - train} test check-ins (boundary {FEB_2011})"
     )
     return 0
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import gzip
 import warnings
+from array import array
 from dataclasses import dataclass
+from itertools import compress, repeat
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 from scipy import sparse
@@ -23,13 +25,55 @@ from .errors import ConfigError, EmptyVocabularyError, FormatError
 MAX_TIMESTAMP = np.iinfo(np.int64).max
 
 
-@dataclass(frozen=True, slots=True)
-class CheckinRecord:
-    """One (user, venue, timestamp) interaction; timestamp is epoch seconds."""
+@dataclass(frozen=True, eq=False)
+class Checkins:
+    """A check-in log as columns. Row i is user user_ids[users[i]] at venue
+    venue_ids[venues[i]] at epoch second times[i], in input order; each
+    table holds exactly the ids the rows use, numbered by first occurrence.
+    Iterating yields the (user, venue, timestamp) rows back."""
 
-    user_id: str
-    venue_id: str
-    timestamp: int
+    user_ids: list[str]
+    venue_ids: list[str]
+    users: np.ndarray
+    venues: np.ndarray
+    times: np.ndarray
+
+    @classmethod
+    def of(cls, rows: Iterable[tuple[str, str, int]]) -> Checkins:
+        """Encode (user, venue, timestamp) rows in one pass."""
+        user_index: dict[str, int] = {}
+        venue_index: dict[str, int] = {}
+        users, venues, times = array("q"), array("q"), array("q")
+        for user, venue, timestamp in rows:
+            users.append(user_index.setdefault(user, len(user_index)))
+            venues.append(venue_index.setdefault(venue, len(venue_index)))
+            times.append(timestamp)
+        columns = (np.frombuffer(column, np.int64) for column in (users, venues, times))
+        return cls(list(user_index), list(venue_index), *columns)
+
+    def __len__(self) -> int:
+        return self.times.size
+
+    def __iter__(self) -> Iterator[tuple[str, str, int]]:
+        return zip(
+            map(self.user_ids.__getitem__, self.users.tolist()),
+            map(self.venue_ids.__getitem__, self.venues.tolist()),
+            self.times.tolist(),
+        )
+
+    def _select(self, mask: np.ndarray) -> Checkins:
+        """The rows under mask, with tables of only the ids they use."""
+        user_ids, users = _renumber(self.user_ids, self.users[mask])
+        venue_ids, venues = _renumber(self.venue_ids, self.venues[mask])
+        return Checkins(user_ids, venue_ids, users, venues, self.times[mask])
+
+
+def _renumber(ids: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The ids that codes use and the codes into them, both renumbered by
+    first occurrence in codes."""
+    used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # used[order]: the ids in first-occurrence order
+    return [ids[i] for i in used[order].tolist()], np.argsort(order)[inverse]
 
 
 @dataclass(frozen=True)
@@ -64,16 +108,13 @@ class FieldLayout:
 class Dataset:
     """Chronological train/test partition of a check-in log."""
 
-    train: list[CheckinRecord]
-    test: list[CheckinRecord]
-
-    def train_users(self) -> set[str]:
-        return {r.user_id for r in self.train}
+    train: Checkins
+    test: Checkins
 
 
 def parse_checkins(
     source: Iterable[str | bytes], layout: FieldLayout = FieldLayout()
-) -> tuple[list[CheckinRecord], int]:
+) -> tuple[Checkins, int]:
     """Parse a line-oriented check-in stream.
 
     Blank lines are ignored. Malformed lines (missing fields, empty ids,
@@ -81,38 +122,41 @@ def parse_checkins(
     builder could not sort) are skipped and counted.
 
     Returns:
-        (records in input order, number of skipped malformed lines)
+        (the valid lines' check-ins, number of skipped malformed lines)
 
     Raises:
         FormatError: if more than half of the non-blank lines are malformed,
             which almost always means the field layout is wrong.
     """
-    records: list[CheckinRecord] = []
-    skipped = total = 0
+    skipped = 0
     width, delimiter = layout.width, layout.delimiter
     user_col, venue_col, time_col = layout.user_col, layout.venue_col, layout.time_col
-    for raw in source:
-        line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-        if not line.strip():
-            continue
-        total += 1
-        parts = line.rstrip("\r\n").split(delimiter)
-        if len(parts) >= width:
-            user, venue = parts[user_col].strip(), parts[venue_col].strip()
-            try:
-                timestamp = int(parts[time_col])  # int() skips surrounding whitespace
-            except ValueError:
-                timestamp = -1
-            if user and venue and 0 <= timestamp <= MAX_TIMESTAMP:
-                records.append(CheckinRecord(user, venue, timestamp))
+
+    def rows() -> Iterator[tuple[str, str, int]]:
+        nonlocal skipped
+        for raw in source:
+            line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+            if not line.strip():
                 continue
-        skipped += 1
-    if total and skipped * 2 > total:
+            parts = line.rstrip("\r\n").split(delimiter)
+            if len(parts) >= width:
+                user, venue = parts[user_col].strip(), parts[venue_col].strip()
+                try:
+                    timestamp = int(parts[time_col])  # int() skips surrounding whitespace
+                except ValueError:
+                    timestamp = -1
+                if user and venue and 0 <= timestamp <= MAX_TIMESTAMP:
+                    yield user, venue, timestamp
+                    continue
+            skipped += 1
+
+    log = Checkins.of(rows())
+    if skipped > len(log):
         raise FormatError(
-            f"{skipped} of {total} lines malformed; field layout {layout} "
+            f"{skipped} of {len(log) + skipped} lines malformed; field layout {layout} "
             "probably does not match this file"
         )
-    return records, skipped
+    return log, skipped
 
 
 def _open_text(path: str | Path) -> IO[str]:
@@ -122,46 +166,33 @@ def _open_text(path: str | Path) -> IO[str]:
     return open(path, "r", encoding="utf-8")
 
 
-def read_checkins(
-    path: str | Path, layout: FieldLayout = FieldLayout()
-) -> tuple[list[CheckinRecord], int]:
+def read_checkins(path: str | Path, layout: FieldLayout = FieldLayout()) -> tuple[Checkins, int]:
     """parse_checkins over a file path; transparently handles .gz input."""
     with _open_text(path) as handle:
         return parse_checkins(handle, layout)
 
 
-def write_checkins(
-    records: Iterable[CheckinRecord],
-    path: str | Path,
-    layout: FieldLayout = FieldLayout(),
-) -> None:
-    """Serialize records under the given layout; .gz suffix enables gzip."""
+def write_checkins(log: Checkins, path: str | Path) -> None:
+    """Write the log as user, venue, timestamp TSV; .gz suffix enables gzip."""
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
-    width = layout.width
     with opener(path, "wt", encoding="utf-8") as handle:
-        for record in records:
-            fields = [""] * width
-            fields[layout.user_col] = record.user_id
-            fields[layout.venue_col] = record.venue_id
-            fields[layout.time_col] = str(record.timestamp)
-            handle.write(layout.delimiter.join(fields) + "\n")
+        handle.writelines(f"{user}\t{venue}\t{timestamp}\n" for user, venue, timestamp in log)
 
 
-def split_train_test(records: Iterable[CheckinRecord], boundary: int) -> Dataset:
-    """Split by timestamp: train strictly before the boundary, test at or after.
+def split_train_test(log: Checkins, boundary: int) -> Dataset:
+    """Split by timestamp: train strictly before the boundary, test at or
+    after. Each side's tables hold only its own ids.
 
     Degenerate splits are legal and only produce a warning.
     """
-    train: list[CheckinRecord] = []
-    test: list[CheckinRecord] = []
-    for record in records:
-        (train if record.timestamp < boundary else test).append(record)
-    if not train:
+    before = log.times < boundary
+    dataset = Dataset(train=log._select(before), test=log._select(~before))
+    if not len(dataset.train):
         warnings.warn("train side of the split is empty", stacklevel=2)
-    if not test:
+    if not len(dataset.test):
         warnings.warn("test side of the split is empty", stacklevel=2)
-    return Dataset(train=train, test=test)
+    return dataset
 
 
 class Vocabulary:
@@ -193,10 +224,8 @@ class Vocabulary:
         return len(self.users) + len(self.venues)
 
 
-def build_vocabulary(
-    train: Iterable[CheckinRecord], min_word_count: int = 1
-) -> Vocabulary:
-    """Build the user and venue index from training records.
+def build_vocabulary(train: Checkins, min_word_count: int = 1) -> Vocabulary:
+    """Build the user and venue index from the training log's own tables.
 
     A user's frequency is their number of check-ins; a venue's frequency is
     the number of times it was checked in. Ids below min_word_count are
@@ -204,40 +233,30 @@ def build_vocabulary(
     """
     if min_word_count < 1:
         raise ValueError("min_word_count must be >= 1")
-    user_index: dict[str, int] = {}
-    venue_index: dict[str, int] = {}
-    user_rows: list[int] = []
-    venue_rows: list[int] = []
-    for record in train:
-        user_rows.append(user_index.setdefault(record.user_id, len(user_index)))
-        venue_rows.append(venue_index.setdefault(record.venue_id, len(venue_index)))
-    user_freq = np.bincount(user_rows, minlength=len(user_index))
-    venue_freq = np.bincount(venue_rows, minlength=len(venue_index))
+    user_freq = np.bincount(train.users, minlength=len(train.user_ids))
+    venue_freq = np.bincount(train.venues, minlength=len(train.venue_ids))
     user_kept = user_freq >= min_word_count
     venue_kept = venue_freq >= min_word_count
-    users = [user for user, kept in zip(user_index, user_kept) if kept]
-    venues = [venue for venue, kept in zip(venue_index, venue_kept) if kept]
+    users = list(compress(train.user_ids, user_kept))
+    venues = list(compress(train.venue_ids, venue_kept))
     if not users and not venues:
         raise EmptyVocabularyError(
             "no token reached min_word_count "
-            f"({min_word_count}) over {len(user_rows)} records"
+            f"({min_word_count}) over {len(train)} records"
         )
     return Vocabulary(
         users, venues, np.concatenate([user_freq[user_kept], venue_freq[venue_kept]])
     )
 
 
-def _codes(
-    records: Sequence[CheckinRecord], vocab: Vocabulary
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The user rows, venue columns and timestamps of the records whose user
+def _codes(log: Checkins, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The user rows, venue columns and timestamps of the check-ins whose user
     and venue the vocabulary holds, as int64 arrays in input order."""
-    users, venues = vocab.user_index, vocab.venue_index
-    rows = np.fromiter((users.get(r.user_id, -1) for r in records), np.int64, len(records))
-    cols = np.fromiter((venues.get(r.venue_id, -1) for r in records), np.int64, len(records))
-    times = np.fromiter((r.timestamp for r in records), np.int64, len(records))
+    users, venues = vocab.user_index, vocab.venue_index  # each distinct id looked up once
+    rows = np.fromiter(map(users.get, log.user_ids, repeat(-1)), np.int64)[log.users]
+    cols = np.fromiter(map(venues.get, log.venue_ids, repeat(-1)), np.int64)[log.venues]
     kept = (rows >= 0) & (cols >= 0)
-    return rows[kept], cols[kept], times[kept]
+    return rows[kept], cols[kept], log.times[kept]
 
 
 @dataclass
@@ -265,7 +284,7 @@ class SentenceCorpus:
         return self.starts.size - 1
 
 
-def build_sentences(train: Sequence[CheckinRecord], vocab: Vocabulary) -> SentenceCorpus:
+def build_sentences(train: Checkins, vocab: Vocabulary) -> SentenceCorpus:
     """Construct one sentence per in-vocabulary user, in user index order.
 
     Venue tokens are ordered by ascending timestamp with ties broken by
@@ -280,15 +299,13 @@ def build_sentences(train: Sequence[CheckinRecord], vocab: Vocabulary) -> Senten
     return SentenceCorpus(tokens, np.append(firsts + np.arange(firsts.size), tokens.size))
 
 
-def build_interactions(
-    records: Sequence[CheckinRecord], vocab: Vocabulary, binary: bool = False
-) -> sparse.csr_matrix:
+def build_interactions(log: Checkins, vocab: Vocabulary, binary: bool = False) -> sparse.csr_matrix:
     """Visits per (user, venue) over the vocabulary: row i is user i, column
-    j venue j, vocab.user_count x len(vocab.venues). Records whose user or
+    j venue j, vocab.user_count x len(vocab.venues). Check-ins whose user or
     venue the vocabulary lacks are dropped, and repeat visits are summed;
     binary mode stores 1.0 for any visit. The one visit-history table: every
     neighbor recommender votes from its rows."""
-    rows, cols, _ = _codes(records, vocab)
+    rows, cols, _ = _codes(log, vocab)
     matrix = sparse.csr_matrix(
         (np.ones(rows.size), (rows, cols)), shape=(vocab.user_count, len(vocab.venues))
     )

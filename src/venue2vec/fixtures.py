@@ -12,10 +12,11 @@ exactly predictable from the generator parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .corpus import CheckinRecord
+from .corpus import Checkins
 from .errors import ConfigError
 
 JAN_2011 = 1293840000  # 2011-01-01 00:00:00 UTC
@@ -55,17 +56,6 @@ class FixtureSpec:
             )
 
 
-@dataclass(frozen=True)
-class FixtureSummary:
-    """Counts the generator actually emitted; used as test oracles."""
-
-    user_count: int
-    venue_count: int
-    train_count: int
-    test_count: int
-    boundary: int
-
-
 def _user_id(community: int, index: int) -> str:
     return f"c{community}u{index}"
 
@@ -74,12 +64,13 @@ def _venue_id(community: int, index: int) -> str:
     return f"c{community}v{index}"
 
 
-def generate_fixture(spec: FixtureSpec) -> tuple[list[CheckinRecord], FixtureSummary]:
+def generate_fixture(spec: FixtureSpec) -> Checkins:
     """Generate a seeded synthetic check-in log.
 
     Train check-ins get timestamps in January 2011, test check-ins in
-    February 2011, so splitting at FEB_2011 (the default boundary)
-    reproduces the generator's own train/test counts exactly.
+    February 2011, so splitting at FEB_2011 (the default boundary) gives
+    each user train_checkins_per_user train and test_checkins_per_user test
+    check-ins.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -87,7 +78,7 @@ def generate_fixture(spec: FixtureSpec) -> tuple[list[CheckinRecord], FixtureSum
         [_venue_id(c, j) for j in range(spec.venues_per_community)]
         for c in range(spec.communities)
     ]
-    records: list[CheckinRecord] = []
+    rows: list[tuple[str, str, int]] = []
 
     for community in range(spec.communities):
         own_venues = venues_by_community[community]
@@ -124,26 +115,10 @@ def generate_fixture(spec: FixtureSpec) -> tuple[list[CheckinRecord], FixtureSum
                 _draw_venue(rng, favorites[u], foreign, spec.noise_rate)
                 for _ in range(spec.test_checkins_per_user)
             ]
-            train_times = rng.integers(JAN_2011, FEB_2011, len(train_venues))
-            test_times = rng.integers(FEB_2011, MAR_2011, len(test_venues))
-            records.extend(
-                CheckinRecord(user, venue, int(ts))
-                for venue, ts in zip(train_venues, train_times)
-            )
-            records.extend(
-                CheckinRecord(user, venue, int(ts))
-                for venue, ts in zip(test_venues, test_times)
-            )
-
-    user_count = spec.communities * spec.users_per_community
-    summary = FixtureSummary(
-        user_count=user_count,
-        venue_count=spec.communities * spec.venues_per_community,
-        train_count=user_count * spec.train_checkins_per_user,
-        test_count=user_count * spec.test_checkins_per_user,
-        boundary=FEB_2011,
-    )
-    return records, summary
+            train_times = rng.integers(JAN_2011, FEB_2011, len(train_venues)).tolist()
+            test_times = rng.integers(FEB_2011, MAR_2011, len(test_venues)).tolist()
+            rows.extend(zip(repeat(user), train_venues + test_venues, train_times + test_times))
+    return Checkins.of(rows)
 
 
 def _draw_venue(

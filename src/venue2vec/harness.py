@@ -159,12 +159,12 @@ class ExperimentConfig:
 def load_dataset(config: ExperimentConfig) -> Dataset:
     """The configured check-ins (input file or fixture), split at the boundary."""
     if config.fixture is not None:
-        records, _ = generate_fixture(config.fixture)
+        log = generate_fixture(config.fixture)
     elif config.input_path is not None:
-        records, _ = read_checkins(config.input_path, config.layout)
+        log, _ = read_checkins(config.input_path, config.layout)
     else:
         raise ConfigError("either an input file or a fixture spec is required")
-    return split_train_test(records, config.boundary)
+    return split_train_test(log, config.boundary)
 
 
 def served_neighbors(method: str, neighbors: int) -> int:

@@ -93,11 +93,11 @@ def score_user(
 
 def build_ground_truth(dataset: Dataset) -> dict[str, set[str]]:
     """Distinct test venues per user, restricted to users seen in train."""
-    train_users = dataset.train_users()
+    train_users = set(dataset.train.user_ids)
     truth: dict[str, set[str]] = {}
-    for record in dataset.test:
-        if record.user_id in train_users:
-            truth.setdefault(record.user_id, set()).add(record.venue_id)
+    for user, venue, _ in dataset.test:
+        if user in train_users:
+            truth.setdefault(user, set()).add(venue)
     return truth
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from venue2vec import recommend
 from venue2vec.corpus import (
-    CheckinRecord,
+    Checkins,
     build_interactions,
     build_sentences,
     build_vocabulary,
@@ -15,13 +15,8 @@ from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 
 def make_records(visits: dict[str, list[str]], start: int = 1294000000):
     """Check-ins from a {user: [venues...]} table, hourly timestamps."""
-    records = []
-    t = start
-    for user, venues in visits.items():
-        for venue in venues:
-            records.append(CheckinRecord(user, venue, t))
-            t += 3600
-    return records
+    rows = [(user, venue) for user, venues in visits.items() for venue in venues]
+    return Checkins.of((user, venue, start + 3600 * i) for i, (user, venue) in enumerate(rows))
 
 
 def visit_table(records, binary: bool = False):
@@ -117,14 +112,12 @@ COMMUNITY_SPEC = FixtureSpec(
 
 @pytest.fixture(scope="session")
 def community_dataset():
-    records, summary = generate_fixture(COMMUNITY_SPEC)
-    dataset = split_train_test(records, FEB_2011)
-    return dataset, summary
+    return split_train_test(generate_fixture(COMMUNITY_SPEC), FEB_2011)
 
 
 @pytest.fixture(scope="session")
 def community_model(community_dataset):
-    dataset, _ = community_dataset
+    dataset = community_dataset
     vocab = build_vocabulary(dataset.train, 1)
     corpus = build_sentences(dataset.train, vocab)
     config = TrainingConfig(
@@ -140,8 +133,7 @@ def community_model(community_dataset):
 
 @pytest.fixture(scope="session")
 def community_interactions(community_dataset):
-    dataset, _ = community_dataset
-    return visit_table(dataset.train)
+    return visit_table(community_dataset.train)
 
 
 def community_of(venue_or_user: str) -> str:

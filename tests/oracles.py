@@ -150,8 +150,8 @@ def als_final_objective(
 def interactions_reference(records) -> dict[str, Counter]:
     """Per-user venue visit counts as a dict of Counters."""
     interactions: dict[str, Counter] = {}
-    for record in records:
-        interactions.setdefault(record.user_id, Counter())[record.venue_id] += 1
+    for user, venue, _ in records:
+        interactions.setdefault(user, Counter())[venue] += 1
     return interactions
 
 
@@ -277,8 +277,8 @@ def sentences_reference(records, vocab) -> list[list[int]]:
     holds, sorted stably by timestamp; a user with no such venue is left out."""
     sentences = []
     for row, user in enumerate(vocab.users):
-        visits = [r for r in records if r.user_id == user and r.venue_id in vocab.venue_index]
-        visits.sort(key=lambda r: r.timestamp)
+        visits = [(t, v) for u, v, t in records if u == user and v in vocab.venue_index]
+        visits.sort(key=lambda visit: visit[0])
         if visits:
-            sentences.append([row] + [vocab.user_count + vocab.venue_index[r.venue_id] for r in visits])
+            sentences.append([row] + [vocab.user_count + vocab.venue_index[v] for _, v in visits])
     return sentences

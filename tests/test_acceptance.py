@@ -19,7 +19,7 @@ from scipy import sparse
 
 from venue2vec.baselines import ccdpp_factorize, svd_factorize
 from venue2vec.corpus import (
-    CheckinRecord,
+    Checkins,
     Dataset,
     build_sentences,
     build_vocabulary,
@@ -128,8 +128,7 @@ def test_criterion_1_gradient_correctness():
 def _random_model(rng, n_venues, features):
     users = [f"u{i}" for i in range(int(rng.integers(2, 20)))]
     venues = [f"v{j}" for j in range(n_venues)]
-    records = [CheckinRecord(u, venues[0], 1) for u in users]
-    records += [CheckinRecord(users[0], v, 2) for v in venues]
+    records = Checkins.of([(u, venues[0], 1) for u in users] + [(users[0], v, 2) for v in venues])
     vocab = build_vocabulary(records, 1)
     config = TrainingConfig(feature_count=features, seed=int(rng.integers(2**31)))
     model = init_model(vocab, config, dtype=np.float64)
@@ -145,7 +144,8 @@ def test_criterion_2_top_k_oracle_equivalence():
         features = int(rng.integers(4, 101))
         model, records = _random_model(rng, n_venues, features)
         config = ExperimentConfig(method="kni", k=10)
-        ours = next(recommender(config, Fit.of_model(model), Dataset(records, []))(["u0"]))
+        dataset = Dataset(records, Checkins.of([]))
+        ours = next(recommender(config, Fit.of_model(model), dataset)(["u0"]))
         count = model.vocab.user_count
         query = model.input_vectors[model.vocab.user_index["u0"]]
         reference = brute_force_top_k(
@@ -214,8 +214,7 @@ def _evaluate(recommender, truth, method):
 
 @pytest.fixture(scope="module")
 def planted_run():
-    records, _ = generate_fixture(ACCEPTANCE_FIXTURE)
-    dataset = split_train_test(records, FEB_2011)
+    dataset = split_train_test(generate_fixture(ACCEPTANCE_FIXTURE), FEB_2011)
     truth = build_ground_truth(dataset)
     started = time.perf_counter()
     vocab = build_vocabulary(dataset.train, 1)
@@ -440,14 +439,12 @@ def test_criterion_7_coverage_contract(planted_run):
     test = []
     for i in range(19):
         user = f"u{i}"
-        train.append(CheckinRecord(user, "hub", 100 + i))
-        train.append(CheckinRecord(user, f"own{i}", 200 + i))
-        test.append(CheckinRecord(user, "hub", FEB_2011 + i))
-    train += [
-        CheckinRecord("loner", "hermitage1", 150),
-        CheckinRecord("loner", "hermitage2", 151),
-    ]
-    test.append(CheckinRecord("loner", "hub", FEB_2011 + 50))
+        train.append((user, "hub", 100 + i))
+        train.append((user, f"own{i}", 200 + i))
+        test.append((user, "hub", FEB_2011 + i))
+    train += [("loner", "hermitage1", 150), ("loner", "hermitage2", 151)]
+    test.append(("loner", "hub", FEB_2011 + 50))
+    train, test = Checkins.of(train), Checkins.of(test)
     vocab, counts = visit_table(train)
     truth = build_ground_truth(Dataset(train, test))
     assert len(truth) == 20
@@ -476,14 +473,13 @@ def test_criterion_8_kni_timing_budget():
     n_users, n_venues, features = 200, 50_000, 100
     users = [f"u{i}" for i in range(n_users)]
     venues = [f"v{j}" for j in range(n_venues)]
-    records = [CheckinRecord(u, venues[0], 1) for u in users]
-    records += [CheckinRecord(users[0], v, 2) for v in venues]
+    records = Checkins.of([(u, venues[0], 1) for u in users] + [(users[0], v, 2) for v in venues])
     vocab = build_vocabulary(records, 1)
     model = init_model(vocab, TrainingConfig(feature_count=features, seed=0))
     model.input_vectors = rng.normal(size=model.input_vectors.shape).astype(np.float32)
 
     recommend_users = recommender(
-        ExperimentConfig(method="kni", k=10), Fit.of_model(model), Dataset(records, [])
+        ExperimentConfig(method="kni", k=10), Fit.of_model(model), Dataset(records, Checkins.of([]))
     )
     samples = []
     for i in range(100):

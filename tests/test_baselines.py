@@ -346,7 +346,7 @@ def test_latent_neighbor_exact_k_forced():
 
 
 def test_latent_pipeline_stays_in_community(community_dataset):
-    dataset, _ = community_dataset
+    dataset = community_dataset
     table = visit_table(dataset.train)
     factors = svd_factorize(table[1], 8, seed=0)
     for user in ("c0u1", "c1u2"):

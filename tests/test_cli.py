@@ -5,9 +5,9 @@ import pytest
 
 from venue2vec import corpus, embedding, harness
 from venue2vec.cli import build_experiment_config, build_parser, main
-from venue2vec.corpus import write_checkins
+from venue2vec.corpus import read_checkins, split_train_test, write_checkins
 from venue2vec.embedding import TrainingConfig, init_model
-from venue2vec.fixtures import FixtureSpec, generate_fixture
+from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 from venue2vec.harness import ExperimentConfig
 from venue2vec.metrics import read_report_csv
 from venue2vec.modelio import load_embedding_model, save_embedding_model
@@ -54,6 +54,20 @@ def test_generate_fixture_writes_parseable_file(fixture_file):
     lines = fixture_file.read_text().splitlines()
     assert len(lines) == 2 * 10 * (12 + 3)
     assert len(lines[0].split("\t")) == 3
+
+
+def test_generate_fixture_prints_the_counts_of_its_file(tmp_path, capsys):
+    path = tmp_path / "checkins.tsv"
+    argv = ["generate-fixture", "--out", str(path), "--seed", "3", "--communities", "3",
+            "--users-per-community", "7", "--venues-per-community", "12", "--noise", "0.3"]
+    assert main(argv) == 0
+    log, skipped = read_checkins(path)
+    dataset = split_train_test(log, FEB_2011)
+    assert skipped == 0
+    assert capsys.readouterr().out == (
+        f"wrote {path}: {len(log.user_ids)} users, {len(log.venue_ids)} venues, "
+        f"{len(dataset.train)} train + {len(dataset.test)} test check-ins (boundary {FEB_2011})\n"
+    )
 
 
 def test_run_end_to_end(fixture_file, tmp_path, capsys):
@@ -395,7 +409,7 @@ def test_generate_fixture_defaults_are_fixture_spec_defaults(tmp_path):
     out = tmp_path / "cli.tsv"
     assert main(["generate-fixture", "--out", str(out)]) == 0
     expected = tmp_path / "spec.tsv"
-    write_checkins(generate_fixture(FixtureSpec())[0], expected)
+    write_checkins(generate_fixture(FixtureSpec()), expected)
     assert out.read_bytes() == expected.read_bytes()
 
 

@@ -1,4 +1,5 @@
 import gzip
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from venue2vec.corpus import (
-    CheckinRecord,
+    Checkins,
     FieldLayout,
+    build_interactions,
     build_sentences,
     build_vocabulary,
     parse_checkins,
@@ -16,28 +18,28 @@ from venue2vec.corpus import (
     write_checkins,
 )
 from venue2vec.errors import EmptyVocabularyError, FormatError
-from venue2vec.fixtures import FixtureSpec, generate_fixture
+from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 
 from conftest import make_records, sentences_of, token_of
-from oracles import sentences_reference
+from oracles import interactions_reference, sentences_reference
 
 
 def test_parse_single_line():
-    records, skipped = parse_checkins(["u1\tv9\t1296000000"])
-    assert records == [CheckinRecord("u1", "v9", 1296000000)]
+    log, skipped = parse_checkins(["u1\tv9\t1296000000"])
+    assert list(log) == [("u1", "v9", 1296000000)]
     assert skipped == 0
 
 
 def test_parse_empty_stream():
-    records, skipped = parse_checkins([])
-    assert records == []
+    log, skipped = parse_checkins([])
+    assert list(log) == []
     assert skipped == 0
 
 
 def test_parse_skips_malformed_line():
     lines = ["u1\tv1\t100", "u2\t\t200", "u3\tv3\t300"]
-    records, skipped = parse_checkins(lines)
-    assert [r.user_id for r in records] == ["u1", "u3"]
+    log, skipped = parse_checkins(lines)
+    assert [user for user, _, _ in log] == ["u1", "u3"]
     assert skipped == 1
 
 
@@ -70,13 +72,13 @@ def test_parse_ignores_blank_lines():
 
 def test_parse_custom_layout():
     layout = FieldLayout(delimiter=",", user_col=2, venue_col=0, time_col=1)
-    records, _ = parse_checkins(["v7,123,alice"], layout)
-    assert records == [CheckinRecord("alice", "v7", 123)]
+    log, _ = parse_checkins(["v7,123,alice"], layout)
+    assert list(log) == [("alice", "v7", 123)]
 
 
 def test_parse_accepts_bytes_lines():
-    records, _ = parse_checkins([b"u1\tv1\t42"])
-    assert records[0].timestamp == 42
+    log, _ = parse_checkins([b"u1\tv1\t42"])
+    assert log.times.tolist() == [42]
 
 
 def test_read_checkins_gzip_roundtrip(tmp_path):
@@ -86,22 +88,22 @@ def test_read_checkins_gzip_roundtrip(tmp_path):
     with gzip.open(path, "rt") as handle:
         assert len(handle.readlines()) == 3
     back, skipped = read_checkins(path)
-    assert back == records
+    assert list(back) == list(records)
     assert skipped == 0
 
 
 def test_split_strict_boundary():
-    records = [CheckinRecord("u", "v", t) for t in (1, 2, 3)]
+    records = Checkins.of([("u", "v", t) for t in (1, 2, 3)])
     dataset = split_train_test(records, 3)
-    assert [r.timestamp for r in dataset.train] == [1, 2]
-    assert [r.timestamp for r in dataset.test] == [3]
+    assert dataset.train.times.tolist() == [1, 2]
+    assert dataset.test.times.tolist() == [3]
 
 
 def test_split_degenerate_all_test():
-    records = [CheckinRecord("u", "v", t) for t in (5, 6)]
+    records = Checkins.of([("u", "v", t) for t in (5, 6)])
     with pytest.warns(UserWarning):
         dataset = split_train_test(records, 0)
-    assert dataset.train == []
+    assert list(dataset.train) == []
     assert len(dataset.test) == 2
 
 
@@ -109,10 +111,9 @@ def test_split_fixture_counts_match_generator():
     spec = FixtureSpec(seed=5, communities=2, users_per_community=10,
                        venues_per_community=20, train_checkins_per_user=12,
                        test_checkins_per_user=4)
-    records, summary = generate_fixture(spec)
-    dataset = split_train_test(records, summary.boundary)
-    assert len(dataset.train) == summary.train_count
-    assert len(dataset.test) == summary.test_count
+    dataset = split_train_test(generate_fixture(spec), FEB_2011)
+    assert len(dataset.train) == 2 * 10 * 12
+    assert len(dataset.test) == 2 * 10 * 4
 
 
 def test_vocabulary_counts_users_and_venues():
@@ -136,7 +137,7 @@ def test_vocabulary_min_count_prunes_rare_venue():
 
 def test_vocabulary_empty_train_raises():
     with pytest.raises(EmptyVocabularyError):
-        build_vocabulary([], 1)
+        build_vocabulary(Checkins.of([]), 1)
 
 
 def test_vocabulary_namespaces_never_collide():
@@ -158,20 +159,13 @@ def test_vocabulary_checkinsjan_scale_counts():
         train_checkins_per_user=10,
         test_checkins_per_user=1,
     )
-    records, summary = generate_fixture(spec)
-    dataset = split_train_test(records, summary.boundary)
+    dataset = split_train_test(generate_fixture(spec), FEB_2011)
     vocab = build_vocabulary(dataset.train, 1)
-    assert summary.user_count == 8308
-    assert summary.venue_count == 49521
     assert len(vocab) == 57829
 
 
 def test_sentence_orders_venues_by_timestamp():
-    records = [
-        CheckinRecord("u0", "v2", 200),
-        CheckinRecord("u0", "v1", 100),
-        CheckinRecord("u0", "v3", 300),
-    ]
+    records = Checkins.of([("u0", "v2", 200), ("u0", "v1", 100), ("u0", "v3", 300)])
     vocab = build_vocabulary(records, 1)
     corpus = build_sentences(records, vocab)
     tokens = [token_of(vocab, i) for i in sentences_of(corpus)[0]]
@@ -180,10 +174,7 @@ def test_sentence_orders_venues_by_timestamp():
 
 
 def test_sentence_tie_break_is_input_order():
-    records = [
-        CheckinRecord("u0", "late", 100),
-        CheckinRecord("u0", "early", 100),
-    ]
+    records = Checkins.of([("u0", "late", 100), ("u0", "early", 100)])
     vocab = build_vocabulary(records, 1)
     corpus = build_sentences(records, vocab)
     tokens = [token_of(vocab, i) for i in sentences_of(corpus)[0]]
@@ -209,11 +200,8 @@ def test_max_sentence_length_683():
 @st.composite
 def record_lists(draw, times=st.integers(0, 10**9)):
     users = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=30))
-    records = []
-    for i, user in enumerate(users):
-        venue = draw(st.sampled_from(["v1", "v2", "v3", "v4"]))
-        records.append(CheckinRecord(user, venue, draw(times)))
-    return records
+    venues = st.sampled_from(["v1", "v2", "v3", "v4"])
+    return Checkins.of([(user, draw(venues), draw(times)) for user in users])
 
 
 @given(record_lists(), st.integers(1, 3))
@@ -227,8 +215,8 @@ def test_token_conservation_property(records, min_count):
     corpus = build_sentences(records, vocab)
     surviving = sum(
         1
-        for r in records
-        if r.user_id in vocab.user_index and r.venue_id in vocab.venue_index
+        for user, venue, _ in records
+        if user in vocab.user_index and venue in vocab.venue_index
     )
     assert sum(len(s) - 1 for s in sentences_of(corpus)) == surviving
 
@@ -249,6 +237,85 @@ def test_build_sentences_matches_oracle(records, min_count):
     assert corpus.max_length == max(map(len, expected), default=0)
 
 
+BOUNDARY = 3
+
+
+def row_strategy(times, users="abcdef", venues=5):
+    return st.tuples(
+        st.sampled_from(users), st.sampled_from([f"v{i}" for i in range(venues)]), times
+    )
+
+
+@st.composite
+def straddling_rows(draw):
+    """Rows on both sides of BOUNDARY, with test rows first in input order,
+    so a test row can be an id's first occurrence in the whole log."""
+    test_first = draw(st.lists(row_strategy(st.integers(BOUNDARY, 5)), min_size=1, max_size=8))
+    rest = draw(st.lists(row_strategy(st.integers(0, 5)), min_size=1, max_size=25))
+    train_row = draw(row_strategy(st.integers(0, BOUNDARY - 1)))
+    rest.insert(draw(st.integers(0, len(rest))), train_row)
+    return test_first + rest
+
+
+def first_occurrence(ids) -> list:
+    return list(dict.fromkeys(ids))
+
+
+@given(
+    straddling_rows(),
+    st.lists(row_strategy(st.integers(0, 5), "abcdefgh", 7), min_size=1, max_size=20),
+)
+@settings(max_examples=100, deadline=None)
+def test_encoding_matches_first_occurrence_oracle(rows, other_rows):
+    """One encoding, checked against brute force: the log decodes to its
+    rows; each side of the split is numbered by first occurrence among its
+    own rows alone; the vocabulary is a dict count of train; and the visit
+    table over another log's vocabulary (ids missing and extra, as for a
+    loaded model) is a plain count."""
+    log = Checkins.of(rows)
+    assert list(log) == rows
+    assert (log.user_ids, log.venue_ids) == (
+        first_occurrence(u for u, _, _ in rows), first_occurrence(v for _, v, _ in rows)
+    )
+
+    dataset = split_train_test(log, BOUNDARY)
+    for side, side_rows in (
+        (dataset.train, [r for r in rows if r[2] < BOUNDARY]),
+        (dataset.test, [r for r in rows if r[2] >= BOUNDARY]),
+    ):
+        assert list(side) == side_rows
+        user_ids = first_occurrence(u for u, _, _ in side_rows)
+        venue_ids = first_occurrence(v for _, v, _ in side_rows)
+        assert (side.user_ids, side.venue_ids) == (user_ids, venue_ids)
+        assert side.users.tolist() == [user_ids.index(u) for u, _, _ in side_rows]
+        assert side.venues.tolist() == [venue_ids.index(v) for _, v, _ in side_rows]
+
+    train_rows = [r for r in rows if r[2] < BOUNDARY]
+    user_counts = Counter(u for u, _, _ in train_rows)
+    venue_counts = Counter(v for _, v, _ in train_rows)
+    for min_count in (1, 2, 3):
+        users = [u for u in user_counts if user_counts[u] >= min_count]
+        venues = [v for v in venue_counts if venue_counts[v] >= min_count]
+        if not users and not venues:
+            with pytest.raises(EmptyVocabularyError):
+                build_vocabulary(dataset.train, min_count)
+            continue
+        vocab = build_vocabulary(dataset.train, min_count)
+        assert (vocab.users, vocab.venues) == (users, venues)
+        frequency = [user_counts[u] for u in users] + [venue_counts[v] for v in venues]
+        assert vocab.frequency.tolist() == frequency
+
+    vocab = build_vocabulary(Checkins.of(other_rows), 1)
+    expected = np.zeros((vocab.user_count, len(vocab.venues)))
+    for user, visits in interactions_reference(train_rows).items():
+        for venue, count in visits.items():
+            if user in vocab.user_index and venue in vocab.venue_index:
+                expected[vocab.user_index[user], vocab.venue_index[venue]] = count
+    for binary in (False, True):
+        counts = build_interactions(dataset.train, vocab, binary).toarray()
+        assert np.array_equal(counts, (expected > 0) if binary else expected)
+
+
 @given(record_lists())
 @settings(max_examples=30, deadline=None)
 def test_build_sentences_deterministic(records):
@@ -267,12 +334,12 @@ def test_dataset_roundtrip_exact(tmp_path_factory, records):
     write_checkins(records, path)
     back, skipped = read_checkins(path)
     assert skipped == 0
-    assert back == records
+    assert list(back) == list(records)
 
 
 @st.composite
 def layouts_with_records(draw):
-    """A layout with a non-alphanumeric delimiter, plus records it can hold:
+    """A layout with a non-alphanumeric delimiter, plus rows it can hold:
     ids without the delimiter or line breaks, and without surrounding
     whitespace, which the parser strips."""
     delimiter = draw(
@@ -286,41 +353,42 @@ def layouts_with_records(draw):
         ),
         min_size=1,
     ).filter(lambda text: text == text.strip())
-    records = draw(
-        st.lists(st.builds(CheckinRecord, ids, ids, st.integers(0, 2**40)), max_size=8)
-    )
-    return FieldLayout(delimiter, user_col, venue_col, time_col), records
+    rows = draw(st.lists(st.tuples(ids, ids, st.integers(0, 2**40)), max_size=8))
+    return FieldLayout(delimiter, user_col, venue_col, time_col), rows
 
 
 @given(layouts_with_records())
 @settings(max_examples=60, deadline=None)
 def test_checkins_roundtrip_under_any_layout(tmp_path_factory, case):
-    layout, records = case
+    layout, rows = case
     path = tmp_path_factory.mktemp("layout") / "data.txt"
-    write_checkins(records, path, layout)
+    with open(path, "w", encoding="utf-8") as handle:
+        for row in rows:
+            fields = [""] * layout.width
+            for column, value in zip((layout.user_col, layout.venue_col, layout.time_col), row):
+                fields[column] = str(value)
+            handle.write(layout.delimiter.join(fields) + "\n")
     back, skipped = read_checkins(path, layout)
     assert skipped == 0
-    assert back == records
+    assert list(back) == rows
 
 
 def test_fixture_zero_noise_stays_in_community():
     spec = FixtureSpec(seed=3, communities=3, users_per_community=5,
                        venues_per_community=10, train_checkins_per_user=8,
                        test_checkins_per_user=2)
-    records, _ = generate_fixture(spec)
-    for record in records:
-        assert record.user_id.split("u")[0] == record.venue_id.split("v")[0]
+    for user, venue, _ in generate_fixture(spec):
+        assert user.split("u")[0] == venue.split("v")[0]
 
 
 def test_fixture_full_noise_crosses_communities():
     spec = FixtureSpec(seed=3, communities=2, users_per_community=5,
                        venues_per_community=10, train_checkins_per_user=10,
                        test_checkins_per_user=2, noise_rate=1.0)
-    records, _ = generate_fixture(spec)
     crossed = sum(
         1
-        for r in records
-        if r.user_id.split("u")[0] != r.venue_id.split("v")[0]
+        for user, venue, _ in generate_fixture(spec)
+        if user.split("u")[0] != venue.split("v")[0]
     )
     assert crossed > 0
 
@@ -329,6 +397,4 @@ def test_fixture_deterministic_per_seed():
     spec = FixtureSpec(seed=9, communities=2, users_per_community=4,
                        venues_per_community=8, train_checkins_per_user=6,
                        test_checkins_per_user=2)
-    first, _ = generate_fixture(spec)
-    second, _ = generate_fixture(spec)
-    assert first == second
+    assert list(generate_fixture(spec)) == list(generate_fixture(spec))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from venue2vec import embedding
 from venue2vec.corpus import (
+    Checkins,
     SentenceCorpus,
     build_sentences,
     build_vocabulary,
@@ -183,7 +184,7 @@ def test_table_empirical_distribution(rng):
 
 def test_train_empty_corpus_raises():
     vocab, records = small_vocab()
-    corpus = build_sentences([], vocab)
+    corpus = build_sentences(Checkins.of([]), vocab)
     model = init_model(vocab, TrainingConfig(feature_count=4))
     with pytest.raises(TrainingError):
         train(model, corpus)
@@ -398,7 +399,7 @@ def test_training_memory_bounded_by_block_not_corpus(architecture, window):
     spec = FixtureSpec(seed=11, communities=4, users_per_community=50,
                        venues_per_community=100, train_checkins_per_user=20,
                        test_checkins_per_user=5, noise_rate=0.0)
-    records, _ = generate_fixture(spec)
+    records = generate_fixture(spec)
     train_records = split_train_test(records, FEB_2011).train
     vocab = build_vocabulary(train_records, 1)
     corpus = build_sentences(train_records, vocab)

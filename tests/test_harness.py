@@ -246,40 +246,30 @@ def test_partial_per_user_csv_on_mid_run_failure(tmp_path, monkeypatch):
 
 
 def test_no_test_record_reaches_model_construction(monkeypatch):
-    """Instrumented isolation assertion: every record passed to vocabulary,
-    sentence or matrix construction predates the split boundary."""
+    """Instrumented isolation assertion: every check-in passed to vocabulary,
+    sentence or matrix construction predates the split boundary, and the
+    log's tables hold no id that only a test check-in uses."""
     config = small_config()
     seen = []
 
-    real_vocab = harness.build_vocabulary
-    real_sentences = harness.build_sentences
-    real_matrix = harness.build_interactions
+    def spy(real):
+        def wrapped(log, *args, **kwargs):
+            seen.append(log)
+            return real(log, *args, **kwargs)
 
-    def spy_vocab(records, *args, **kwargs):
-        records = list(records)
-        seen.extend(records)
-        return real_vocab(records, *args, **kwargs)
+        return wrapped
 
-    def spy_sentences(records, *args, **kwargs):
-        records = list(records)
-        seen.extend(records)
-        return real_sentences(records, *args, **kwargs)
-
-    monkeypatch.setattr(harness, "build_vocabulary", spy_vocab)
-    monkeypatch.setattr(harness, "build_sentences", spy_sentences)
+    for name in ("build_vocabulary", "build_sentences", "build_interactions"):
+        monkeypatch.setattr(harness, name, spy(getattr(harness, name)))
     run_experiment(config)
-
-    def spy_matrix(records, *args, **kwargs):
-        records = list(records)
-        seen.extend(records)
-        return real_matrix(records, *args, **kwargs)
-
-    monkeypatch.setattr(harness, "build_interactions", spy_matrix)
     run_experiment(small_config(method="cf"))
     run_experiment(small_config(method="svd", rank=4))
 
     assert seen
-    assert all(record.timestamp < config.boundary for record in seen)
+    for log in seen:
+        assert (log.times < config.boundary).all()
+        assert set(log.user_ids) == {user for user, _, _ in log}
+        assert set(log.venue_ids) == {venue for _, venue, _ in log}
 
 
 def _presence_vote_lists(config: ExperimentConfig, dataset) -> dict:
@@ -288,8 +278,8 @@ def _presence_vote_lists(config: ExperimentConfig, dataset) -> dict:
     for NN), then the Counter vote over visit presence, without the user's
     own venues under filter_seen."""
     visits = interactions_reference(dataset.train)
-    users = list(dict.fromkeys(r.user_id for r in dataset.train))
-    venues = list(dict.fromkeys(r.venue_id for r in dataset.train))
+    users = list(dict.fromkeys(user for user, _, _ in dataset.train))
+    venues = list(dict.fromkeys(venue for _, venue, _ in dataset.train))
     column = {venue: j for j, venue in enumerate(venues)}
     if config.method == "nn":
         model, _, _ = harness.fit_embedding(config, dataset)

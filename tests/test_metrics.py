@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from venue2vec.corpus import CheckinRecord, Dataset
+from venue2vec.corpus import Checkins, Dataset
 from venue2vec.errors import EvaluationError
 from venue2vec.metrics import (
     REPORT_COLUMNS,
@@ -120,12 +120,12 @@ def test_score_user_hit_iff_positive_precision():
 
 
 def test_ground_truth_requires_train_and_test():
-    train = [CheckinRecord("a", "x", 1), CheckinRecord("b", "y", 2)]
-    test = [
-        CheckinRecord("a", "z", 10),
-        CheckinRecord("a", "z", 11),  # duplicates collapse
-        CheckinRecord("ghost", "q", 12),
-    ]
+    train = Checkins.of([("a", "x", 1), ("b", "y", 2)])
+    test = Checkins.of([
+        ("a", "z", 10),
+        ("a", "z", 11),  # duplicates collapse
+        ("ghost", "q", 12),
+    ])
     truth = build_ground_truth(Dataset(train, test))
     assert truth == {"a": {"z"}}
 

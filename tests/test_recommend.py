@@ -10,6 +10,7 @@ from scipy import sparse
 from venue2vec import harness, recommend
 from venue2vec.baselines import svd_factorize
 from venue2vec.corpus import (
+    Checkins,
     Dataset,
     build_sentences,
     build_vocabulary,
@@ -319,7 +320,7 @@ def test_vote_block_lists_match_brute_force(monkeypatch, block, filter_seen):
 
     model = init_model(vocab, TrainingConfig(feature_count=3, seed=0), dtype=np.float64)
     model.input_vectors[: vocab.user_count] = [integer_rows[int(u[1:])] for u in vocab.users]
-    dataset = Dataset(records, [])
+    dataset = Dataset(records, Checkins.of([]))
     nn = recommender(replace(config, method=NN), Fit.of_model(model), dataset)
     cf_config = replace(config, method="cf")
     cf = recommender(cf_config, fit(cf_config, dataset), dataset)
@@ -551,7 +552,7 @@ def test_kni_lists_do_not_depend_on_neighbors(community_model, community_dataset
     """The neighbors setting reaches KIU but not KNI: KNI serves every user
     the N = 0 list whatever N the run is configured with."""
     model, _ = community_model
-    dataset, _ = community_dataset
+    dataset = community_dataset
     users = model.vocab.users
 
     def lists(method, neighbors):
@@ -592,7 +593,7 @@ def test_community_fixture_recommendations_stay_in_community(
     community_model, community_dataset
 ):
     model, _ = community_model
-    dataset, _ = community_dataset
+    dataset = community_dataset
     request_users = ["c0u0", "c1u3"]
     for user in request_users:
         result = kiu_list(model, dataset.train, user, 10, 0)
@@ -609,7 +610,7 @@ def test_pruned_venues_are_never_recommended():
         train_checkins_per_user=12, test_checkins_per_user=4, noise_rate=0.3,
         favorites_per_user=30,
     )
-    records, _ = generate_fixture(spec)
+    records = generate_fixture(spec)
     train_records = split_train_test(records, FEB_2011).train
     vocab = build_vocabulary(train_records, 2)
     kept = set(vocab.venues)
