@@ -9,7 +9,9 @@ venues, 10 train check-ins per user (8320 users, 49520 venues, 91520
 sentence tokens). It prints the best-of-3 seconds of the whole input end:
 read_checkins over the fixture written as TSV, split_train_test,
 build_vocabulary, build_sentences, build_interactions and
-build_ground_truth. It then trains
+build_ground_truth. It prints the seconds of one svd_factorize and one
+ccdpp_factorize build (rank 100, seed 1, the library's other defaults) over
+the training visit table. It then trains
 skip-gram (F=100, C=20) and CBOW (F=100, window "max") and prints, per
 architecture, the seconds per epoch and the (center, context) pairs per
 second. The pair count is the expectation over the reduced-window radius
@@ -20,6 +22,7 @@ training kernels on equal work.
 import argparse
 import sys
 import tempfile
+import time
 import timeit
 from pathlib import Path
 
@@ -27,6 +30,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from venue2vec.baselines import ccdpp_factorize, svd_factorize
 from venue2vec.corpus import (
     build_interactions,
     build_sentences,
@@ -82,6 +86,11 @@ def main() -> int:
         }
         for name, stage in stages.items():
             print(f"{name:<18} {min(timeit.repeat(stage, number=1, repeat=3)):7.3f} s (best of 3)")
+    visits = build_interactions(dataset.train, vocab)
+    for name, build in (("svd_factorize", svd_factorize), ("ccdpp_factorize", ccdpp_factorize)):
+        start = time.perf_counter()
+        build(visits, 100, seed=1)
+        print(f"{name:<18} {time.perf_counter() - start:7.3f} s (rank 100)")
     lengths = np.diff(corpus.starts)
     print(f"{len(corpus)} sentences, {corpus.total_tokens} tokens, {len(vocab)} tokens in vocab")
     for architecture, context_count in ((SKIP_GRAM, 20), (CBOW, "max")):

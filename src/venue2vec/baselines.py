@@ -79,8 +79,9 @@ def svd_factorize(
     probe = rng.standard_normal((n, sketch))
     basis, _ = np.linalg.qr(matrix @ probe)
     for _ in range(SVD_POWER_ITERATIONS):
-        basis, _ = np.linalg.qr(matrix.T @ basis)
-        basis, _ = np.linalg.qr(matrix @ basis)
+        # one QR per application of A A^T: the subspace needs only the range
+        # of A A^T Q (Halko, Martinsson & Tropp, SIAM Review 2011)
+        basis, _ = np.linalg.qr(matrix @ (matrix.T @ basis))
     projected = basis.T @ matrix  # (sketch, n) dense
     left_small, values, right = np.linalg.svd(projected, full_matrices=False)
     left = basis @ left_small
@@ -124,39 +125,33 @@ def ccdpp_factorize(
         raise ValueError("iterations must be >= 1")
     m, n = matrix.shape
     rng = np.random.default_rng(seed)
-    U = rng.standard_normal((m, rank)) * 0.1
-    V = rng.standard_normal((n, rank)) * 0.1
+    # transposed: latent index t is row t of U and of V, one contiguous run
+    U = np.ascontiguousarray((rng.standard_normal((m, rank)) * 0.1).T)
+    V = np.ascontiguousarray((rng.standard_normal((n, rank)) * 0.1).T)
 
     csr = matrix.tocsr()
     rows = np.repeat(np.arange(m), np.diff(csr.indptr))
     cols = csr.indices.astype(np.int64)
     residual = csr.data.astype(np.float64).copy()
-    for t in range(rank):
-        residual -= U[rows, t] * V[cols, t]
+    for u, v in zip(U, V):
+        residual -= u[rows] * v[cols]
 
     trace: list[float] = []
     for _ in range(iterations):
-        for t in range(rank):
-            u = U[:, t].copy()
-            v = V[:, t].copy()
-            local = residual + u[rows] * v[cols]
+        for u, v in zip(U, V):
+            v_at = v[cols]
+            local = residual + u[rows] * v_at
             for _ in range(CCDPP_INNER_SWEEPS):
-                denom_u = regularization + np.bincount(
-                    rows, weights=v[cols] ** 2, minlength=m
-                )
-                u = np.bincount(rows, weights=local * v[cols], minlength=m) / denom_u
-                denom_v = regularization + np.bincount(
-                    cols, weights=u[rows] ** 2, minlength=n
-                )
-                v = np.bincount(cols, weights=local * u[rows], minlength=n) / denom_v
-            residual = local - u[rows] * v[cols]
-            U[:, t] = u
-            V[:, t] = v
-        objective = float(
-            residual @ residual
-            + regularization * (np.sum(U * U) + np.sum(V * V))
-        )
-        trace.append(objective)
+                denom_u = regularization + np.bincount(rows, weights=v_at * v_at, minlength=m)
+                u[:] = np.bincount(rows, weights=local * v_at, minlength=m) / denom_u
+                u_at = u[rows]
+                denom_v = regularization + np.bincount(cols, weights=u_at * u_at, minlength=n)
+                v[:] = np.bincount(cols, weights=local * u_at, minlength=n) / denom_v
+                v_at = v[cols]
+            residual = local - u_at * v_at
+        # squared in the returned (rows, rank) layout: each sum adds in that order
+        squares = np.sum(np.square(U.T, order="C")) + np.sum(np.square(V.T, order="C"))
+        trace.append(float(residual @ residual + regularization * squares))
 
-    return FactorModel(user_factors=U, venue_factors=V, rank=rank), trace
+    return FactorModel(np.ascontiguousarray(U.T), np.ascontiguousarray(V.T), rank), trace
 

@@ -71,9 +71,13 @@ class Checkins:
 def _renumber(ids: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The ids that codes use and the codes into them, both renumbered by
     first occurrence in codes."""
-    used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # used[order]: the ids in first-occurrence order
-    return [ids[i] for i in used[order].tolist()], np.argsort(order)[inverse]
+    first = np.full(len(ids), codes.size)
+    np.minimum.at(first, codes, np.arange(codes.size))
+    used = np.flatnonzero(first < codes.size)
+    used = used[np.argsort(first[used])]  # the used ids in first-occurrence order
+    renumbered = np.empty(len(ids), dtype=np.int64)
+    renumbered[used] = np.arange(used.size)
+    return [ids[i] for i in used.tolist()], renumbered[codes]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ venues with the prefix V:, so identical raw ids never collide in the file.
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
 from pathlib import Path
@@ -26,6 +27,10 @@ _FLAG_ARCHS = {flag: arch for arch, flag in _ARCH_FLAGS.items()}
 
 USER_PREFIX = "U:"
 VENUE_PREFIX = "V:"
+# both prefixes are two characters: a token splits into prefix and id by slicing
+_PREFIX = operator.itemgetter(slice(None, len(USER_PREFIX)))
+_ID = operator.itemgetter(slice(len(USER_PREFIX), None))
+_TOKEN_LENGTH = struct.Struct("<I")
 
 
 def _tokens(vocab: Vocabulary) -> list[str]:
@@ -67,15 +72,18 @@ def _read_token_table(table: bytes, count: int) -> tuple[list[str], np.ndarray, 
     """
     tokens: list[str] = []
     frequency_at: list[int] = []
+    unpack_length = _TOKEN_LENGTH.unpack_from
     offset = 0
     try:
         for _ in range(count):
-            end = offset + 4 + int.from_bytes(table[offset : offset + 4], "little")
+            end = offset + 4 + unpack_length(table, offset)[0]
             tokens.append(table[offset + 4 : end].decode("utf-8"))
             frequency_at.append(end)
             offset = end + 8
     except UnicodeDecodeError as error:
         raise FormatError(f"token table holds invalid UTF-8: {error}") from None
+    except struct.error:  # a length field past the table's end
+        raise FormatError("model file truncated inside the token table") from None
     if offset > len(table):
         raise FormatError("model file truncated inside the token table")
     raw = np.frombuffer(table, dtype=np.uint8)
@@ -85,22 +93,20 @@ def _read_token_table(table: bytes, count: int) -> tuple[list[str], np.ndarray, 
 
 def _vocabulary(tokens: list[str], frequencies: np.ndarray, path) -> Vocabulary:
     """The vocabulary of a token table: U: tokens, then V: tokens, none twice."""
-    user_count = sum(1 for t in tokens if t.startswith(USER_PREFIX))
-    for position, token in enumerate(tokens):
-        prefix = USER_PREFIX if position < user_count else VENUE_PREFIX
-        if not token.startswith(prefix):
-            raise FormatError(
-                f"{path}: token {position} ({token!r}) must start with {prefix}; "
-                "the table holds U: tokens, then V: tokens"
-            )
-    if len(set(tokens)) != len(tokens):
-        raise FormatError(f"{path}: the token table holds a token twice")
-    prefix_width = len(USER_PREFIX)
-    return Vocabulary(
-        [t[prefix_width:] for t in tokens[:user_count]],
-        [t[prefix_width:] for t in tokens[user_count:]],
-        frequencies,
-    )
+    prefixes = list(map(_PREFIX, tokens))
+    user_count = prefixes.count(USER_PREFIX)
+    expected = [USER_PREFIX] * user_count + [VENUE_PREFIX] * (len(tokens) - user_count)
+    if prefixes != expected:
+        position = next(i for i, (got, want) in enumerate(zip(prefixes, expected)) if got != want)
+        raise FormatError(
+            f"{path}: token {position} ({tokens[position]!r}) must start with "
+            f"{expected[position]}; the table holds U: tokens, then V: tokens"
+        )
+    ids = list(map(_ID, tokens))
+    try:
+        return Vocabulary(ids[:user_count], ids[user_count:], frequencies)
+    except ValueError:  # one frequency per token, so the failed check is an id twice
+        raise FormatError(f"{path}: the token table holds a token twice") from None
 
 
 def _write_matrix(handle, matrix: np.ndarray) -> None:

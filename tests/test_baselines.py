@@ -16,7 +16,7 @@ from venue2vec.harness import ExperimentConfig
 from venue2vec.recommend import row_norms, vote_scores
 
 from conftest import community_of, make_records, visit_table
-from oracles import als_final_objective, jacobi_singular_values
+from oracles import als_final_objective, ccdpp_reference, jacobi_singular_values
 
 
 def matrix_from(visits):
@@ -199,11 +199,34 @@ def random_decaying_matrix(rng, m=50, n=40, ratio=0.75):
     return (left * spectrum) @ right
 
 
+def rank_deficient_visits():
+    """A 6 x 5 visit table of rank 4: a and b, d and e visit alike."""
+    _, visits = matrix_from(
+        {
+            "a": ["x", "y"],
+            "b": ["x", "y"],
+            "c": ["y", "z", "w"],
+            "d": ["z", "w"],
+            "e": ["z", "w"],
+            "f": ["v", "x"],
+        }
+    )
+    return visits
+
+
 def test_svd_singular_values_match_jacobi_oracle(rng):
-    dense = random_decaying_matrix(rng)
-    factors = svd_factorize(sparse.csr_matrix(dense), 10, seed=3)
-    oracle = jacobi_singular_values(dense)[:10]
-    np.testing.assert_allclose(factors.singular_values, oracle, rtol=1e-6)
+    # tall, wide and rank-deficient inputs: each power iteration's one QR is
+    # of a rows x sketch block, the long side of a tall matrix, the short of a wide one
+    cases = [
+        (random_decaying_matrix(rng), 10),
+        (random_decaying_matrix(rng, m=120, n=30).T, 10),
+        (random_decaying_matrix(rng, m=120, n=30), 10),
+        (rank_deficient_visits().toarray(), 4),
+    ]
+    for dense, rank in cases:
+        factors = svd_factorize(sparse.csr_matrix(dense), rank, seed=3)
+        oracle = jacobi_singular_values(dense)[:rank]
+        np.testing.assert_allclose(factors.singular_values, oracle, rtol=1e-6)
 
 
 def test_svd_spanning_sketch_exact_on_flat_spectrum(rng):
@@ -216,17 +239,32 @@ def test_svd_spanning_sketch_exact_on_flat_spectrum(rng):
 
 
 def test_svd_left_basis_orthonormal(rng):
-    dense = rng.normal(size=(30, 20))
-    factors = svd_factorize(sparse.csr_matrix(dense), 6, seed=1)
-    basis = factors.user_factors / np.sqrt(factors.singular_values)
-    np.testing.assert_allclose(basis.T @ basis, np.eye(6), atol=1e-8)
+    cases = [
+        (sparse.csr_matrix(rng.normal(size=(30, 20))), 6),
+        (sparse.csr_matrix(rng.normal(size=(90, 12))), 6),
+        (rank_deficient_visits(), 4),
+    ]
+    for matrix, rank in cases:
+        factors = svd_factorize(matrix, rank, seed=1)
+        basis = factors.user_factors / np.sqrt(factors.singular_values)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(rank), atol=1e-8)
 
 
-def test_svd_rank_clamped_with_warning():
+def test_svd_rank_clamped_with_warning(rng):
     _, visits = matrix_from({"a": ["x", "y"], "b": ["x"]})
     with pytest.warns(UserWarning):
         factors = svd_factorize(visits, 10, seed=0)
     assert factors.rank <= 2
+    # past the tall matrix's 5 columns; past the visit table's rank 4
+    for matrix, requested, achieved in (
+        (sparse.csr_matrix(rng.normal(size=(12, 5))), 10, 5),
+        (rank_deficient_visits(), 10, 4),
+        (rank_deficient_visits(), 5, 4),
+    ):
+        with pytest.warns(UserWarning):
+            factors = svd_factorize(matrix, requested, seed=0)
+        assert factors.rank == achieved
+        assert factors.user_factors.shape == (matrix.shape[0], achieved)
 
 
 def test_svd_eckart_young_not_beaten_by_als(rng):
@@ -289,6 +327,24 @@ def test_ccdpp_recovers_planted_rank_two(rng):
     reconstructed = factors.user_factors @ factors.venue_factors.T
     rel = np.linalg.norm(dense - reconstructed) / np.linalg.norm(dense)
     assert rel < 1e-3
+
+
+def test_ccdpp_bit_identical_to_column_reference(rng):
+    """Factors held one latent index per row give the column loop's factors
+    and objective trace byte for byte, at rank 1 and above, wide and tall,
+    with a row and a column holding a single entry."""
+    for m, n, rank in ((7, 19, 1), (7, 19, 4), (23, 6, 1), (23, 6, 5), (40, 300, 12)):
+        dense = rng.integers(1, 5, size=(m, n)) * (rng.random((m, n)) < 0.4)
+        dense[:, 1] = 0
+        dense[4, 1] = 2
+        dense[0] = 0
+        dense[0, 2] = 3
+        matrix = sparse.csr_matrix(dense.astype(np.float64))
+        factors, trace = ccdpp_factorize(matrix, rank, 0.1, iterations=6, seed=m)
+        U, V, expected = ccdpp_reference(matrix, rank, 0.1, iterations=6, seed=m)
+        assert factors.user_factors.tobytes() == U.tobytes()
+        assert factors.venue_factors.tobytes() == V.tobytes()
+        assert np.array(trace).tobytes() == np.array(expected).tobytes()
 
 
 def test_ccdpp_parameter_validation():

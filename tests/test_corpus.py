@@ -1,4 +1,5 @@
 import gzip
+import random
 from collections import Counter
 
 import numpy as np
@@ -111,9 +112,25 @@ def test_split_fixture_counts_match_generator():
     spec = FixtureSpec(seed=5, communities=2, users_per_community=10,
                        venues_per_community=20, train_checkins_per_user=12,
                        test_checkins_per_user=4)
-    dataset = split_train_test(generate_fixture(spec), FEB_2011)
+    log = generate_fixture(spec)
+    dataset = split_train_test(log, FEB_2011)
     assert len(dataset.train) == 2 * 10 * 12
     assert len(dataset.test) == 2 * 10 * 4
+    # each side numbered by first occurrence among its own rows, checked
+    # against a dict on the fixture's rows and on the same rows shuffled
+    rows = list(log)
+    random.Random(5).shuffle(rows)
+    for log in (log, Checkins.of(rows)):
+        dataset = split_train_test(log, FEB_2011)
+        for side, side_rows in (
+            (dataset.train, [r for r in log if r[2] < FEB_2011]),
+            (dataset.test, [r for r in log if r[2] >= FEB_2011]),
+        ):
+            user_code = {u: i for i, u in enumerate(first_occurrence(r[0] for r in side_rows))}
+            venue_code = {v: i for i, v in enumerate(first_occurrence(r[1] for r in side_rows))}
+            assert (side.user_ids, side.venue_ids) == (list(user_code), list(venue_code))
+            assert side.users.tolist() == [user_code[r[0]] for r in side_rows]
+            assert side.venues.tolist() == [venue_code[r[1]] for r in side_rows]
 
 
 def test_vocabulary_counts_users_and_venues():
