@@ -1,9 +1,9 @@
 """Skip-gram and CBOW token embeddings trained with negative sampling.
 
-Two weight matrices are kept: input (center) vectors and output (context)
-vectors. All similarity queries run against the input matrix for users and
-venues alike, so the three vector-space recommenders stay mutually
-consistent. Training is minibatched SGD over sentences with a linearly
+Two weight matrices are kept, input (center) vectors over output (context)
+vectors in one block. All similarity queries run against the input matrix
+for users and venues alike, so the three vector-space recommenders stay
+mutually consistent. Training is minibatched SGD over sentences with a linearly
 decaying learning rate; a per-position window radius is drawn uniformly from
 [1, C] exactly like the classic word2vec reduced-window trick. Each
 minibatch is one matrix-form SGNS step (Ji et al., arXiv 1604.04661).
@@ -90,12 +90,23 @@ class EpochStats:
 
 @dataclass
 class EmbeddingModel:
-    """Trained (or freshly initialized) token embeddings plus their vocabulary."""
+    """Trained (or freshly initialized) token embeddings plus their vocabulary.
 
-    input_vectors: np.ndarray
-    output_vectors: np.ndarray
+    weights is one C-contiguous (2V x F) block, the model file's layout:
+    the V input rows over the V output rows, each half read as a view.
+    """
+
+    weights: np.ndarray
     vocab: Vocabulary
     config: TrainingConfig
+
+    @property
+    def input_vectors(self) -> np.ndarray:
+        return self.weights[: self.weights.shape[0] // 2]
+
+    @property
+    def output_vectors(self) -> np.ndarray:
+        return self.weights[self.weights.shape[0] // 2 :]
 
 
 def init_model(
@@ -108,13 +119,11 @@ def init_model(
     """
     if len(vocab) == 0:
         raise ConfigError("cannot initialize a model over an empty vocabulary")
-    feature_count = config.feature_count
+    size, feature_count = len(vocab), config.feature_count
     rng = np.random.default_rng(config.seed)
-    input_vectors = (
-        (rng.random((len(vocab), feature_count)) - 0.5) / feature_count
-    ).astype(dtype)
-    output_vectors = np.zeros((len(vocab), feature_count), dtype=dtype)
-    return EmbeddingModel(input_vectors, output_vectors, vocab, config)
+    weights = np.zeros((2 * size, feature_count), dtype=dtype)
+    weights[:size] = (rng.random((size, feature_count)) - 0.5) / feature_count
+    return EmbeddingModel(weights, vocab, config)
 
 
 class NegativeSamplingTable:
@@ -234,26 +243,9 @@ def negative_sampling_gradient(
     return float(losses[0]), -center_steps[0], row_gradients[0], row_gradients[1:]
 
 
-def _by_token(
-    tokens: np.ndarray, indptr: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, sparse.csc_matrix]:
-    """The distinct tokens of a minibatch and a (distinct x rows) weight matrix.
-
-    Row r of the minibatch holds tokens[indptr[r]:indptr[r + 1]] with
-    weights[indptr[r]:indptr[r + 1]]. The matrix times per-row vectors adds
-    each row's vector, times its weight, to each of its tokens, a token
-    repeated within or across rows once per occurrence, in a fixed order.
-    """
-    distinct, index = np.unique(tokens, return_inverse=True)
-    matrix = sparse.csc_matrix(
-        (weights, index, indptr), shape=(distinct.size, indptr.size - 1)
-    )
-    return distinct, matrix
-
-
 def _sgns_step(
-    inputs: np.ndarray,
-    outputs: np.ndarray,
+    weights: np.ndarray,
+    slot: np.ndarray,
     members: np.ndarray,
     indptr: np.ndarray,
     targets: np.ndarray,
@@ -261,28 +253,40 @@ def _sgns_step(
 ) -> float:
     """Apply one minibatch SGNS step in place; returns the summed loss.
 
-    Row r's hidden vector is the mean of the input vectors of
-    members[indptr[r]:indptr[r + 1]] (its center token for skip-gram, its
-    context tokens for CBOW); targets[r] holds its positive then its
-    negative tokens. As in word2vec's averaged CBOW, each member gets the
-    row's full hidden step. Every row reads the weights as they stood
-    before the step.
+    weights holds V input rows over V output rows. Row r's hidden vector is
+    the mean of the input vectors of members[indptr[r]:indptr[r + 1]] (its
+    center token for skip-gram, its context tokens for CBOW); targets[r]
+    holds its positive then its negative tokens, read from the output rows.
+    As in word2vec's averaged CBOW, each member gets the row's full hidden
+    step. Every row reads the weights as they stood before the step. slot
+    is scratch of 2V ints whose contents on entry do not matter.
     """
-    dtype = inputs.dtype
-    distinct_in, in_rows = _by_token(members, indptr, np.ones(members.size, dtype=dtype))
-    if members.size == targets.shape[0]:
-        # one member per row (skip-gram): the mean is that member's vector
-        hidden = inputs[members]
-    else:
-        sizes = np.diff(indptr).astype(dtype)
-        hidden = (in_rows.T @ inputs[distinct_in]) / sizes[:, None]
-    losses, coefficients, hidden_steps = _sgns_update(hidden, outputs[targets], rates)
+    size, dtype = weights.shape[0] // 2, weights.dtype
     rows, width = targets.shape
-    distinct_out, out_rows = _by_token(
-        targets.ravel(), np.arange(0, rows * width + 1, width), coefficients.ravel()
+    if members.size == rows:
+        # one member per row (skip-gram): the mean is that member's vector
+        hidden = weights[members]
+    else:
+        means = sparse.csr_matrix(
+            (np.ones(members.size, dtype=dtype), members, indptr), shape=(rows, size)
+        )
+        hidden = (means @ weights[:size]) / np.diff(indptr).astype(dtype)[:, None]
+    tokens = np.concatenate((members, targets.ravel()))
+    tokens[members.size :] += size
+    losses, coefficients, hidden_steps = _sgns_update(
+        hidden, weights[tokens[members.size :].reshape(rows, width)], rates
     )
-    outputs[distinct_out] += out_rows @ hidden
-    inputs[distinct_in] += in_rows @ hidden_steps
+    # each distinct row once, without a sort: one position per row keeps its claim on its slot
+    positions = np.arange(tokens.size)
+    slot[tokens] = positions
+    distinct = tokens[slot[tokens] == positions]
+    slot[distinct] = np.arange(distinct.size)
+    # column r < rows adds row r's hidden step to its members, column rows + r
+    # adds coefficient times row r's hidden vector to its targets, in a fixed order
+    data = np.concatenate((np.ones(members.size, dtype=dtype), coefficients.ravel()))
+    starts = np.concatenate((indptr, np.arange(members.size + width, tokens.size + 1, width)))
+    scatter = sparse.csc_matrix((data, slot[tokens], starts), shape=(distinct.size, 2 * rows))
+    weights[distinct] += scatter @ np.vstack((hidden_steps, hidden))
     return float(losses.sum(dtype=np.float64))
 
 
@@ -341,6 +345,7 @@ def _train_block(
     table: NegativeSamplingTable,
     rng: np.random.Generator,
     batch: int,
+    slot: np.ndarray,
 ) -> tuple[float, int]:
     """Train on one block of sentences in minibatches of batch rows.
 
@@ -364,7 +369,7 @@ def _train_block(
         row_positions, row_of_pair = np.unique(centers, return_inverse=True)
         members, positives = tokens[contexts], tokens[row_positions]
     rows = positives.size
-    row_rates = rates[row_positions].astype(model.input_vectors.dtype)
+    row_rates = rates[row_positions].astype(model.weights.dtype)
     # pairs come sorted by row, so row r's members are members[indptr[r]:indptr[r + 1]]
     indptr = np.searchsorted(row_of_pair, np.arange(rows + 1))
     k = NEGATIVE_SAMPLES
@@ -374,8 +379,8 @@ def _train_block(
     for first in range(0, rows, batch):
         last = min(first + batch, rows)
         loss += _sgns_step(
-            model.input_vectors,
-            model.output_vectors,
+            model.weights,
+            slot,
             members[indptr[first] : indptr[last]],
             indptr[first : last + 1] - indptr[first],
             targets[first:last],
@@ -430,6 +435,7 @@ def train(
         (corpus.tokens[starts[first] : starts[last]], lengths[first:last])
         for first, last in _sentence_blocks(starts)
     ]
+    slot = np.empty(model.weights.shape[0], dtype=np.int64)
     tokens_done = 0
     trace: list[EpochStats] = []
     for epoch in range(config.epoch_count):
@@ -441,14 +447,15 @@ def train(
         with np.errstate(all="ignore"):
             for tokens, block_lengths in blocks:
                 block_loss, block_rows = _train_block(
-                    model, tokens, block_lengths, tokens_done, window, schedule, table, rng, batch
+                    model, tokens, block_lengths, tokens_done, window, schedule, table, rng,
+                    batch, slot,
                 )
                 tokens_done += tokens.size
                 total_loss += block_loss
                 total_rows += block_rows
         average_loss = total_loss / max(total_rows, 1)
-        weights = (model.input_vectors, model.output_vectors)
-        if not (np.isfinite(average_loss) and all(np.isfinite(w).all() for w in weights)):
+        halves = (model.input_vectors, model.output_vectors)
+        if not (np.isfinite(average_loss) and all(np.isfinite(w).all() for w in halves)):
             raise TrainingError(
                 f"training diverged in epoch {epoch}: non-finite loss or weights"
             )

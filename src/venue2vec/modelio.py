@@ -109,17 +109,6 @@ def _vocabulary(tokens: list[str], frequencies: np.ndarray, path) -> Vocabulary:
         raise FormatError(f"{path}: the token table holds a token twice") from None
 
 
-def _write_matrix(handle, matrix: np.ndarray) -> None:
-    handle.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
-
-
-def _read_matrix(handle, rows: int, cols: int) -> np.ndarray:
-    matrix = np.fromfile(handle, dtype="<f4", count=rows * cols)
-    if matrix.size != rows * cols:
-        raise FormatError("model file truncated")
-    return matrix.reshape(rows, cols)
-
-
 def save_embedding_model(model: EmbeddingModel, path: str | Path) -> None:
     """Write magic, version, |vocab|, F, architecture flag, vocabulary, matrices."""
     vocab = model.vocab
@@ -135,8 +124,8 @@ def save_embedding_model(model: EmbeddingModel, path: str | Path) -> None:
             )
         )
         handle.write(_token_table(_tokens(vocab), vocab.frequency))
-        _write_matrix(handle, model.input_vectors)
-        _write_matrix(handle, model.output_vectors)
+        # from the block's own buffer: a float32 block is written without a copy
+        handle.write(np.ascontiguousarray(model.weights, dtype="<f4").data)
 
 
 def load_embedding_model(path: str | Path) -> EmbeddingModel:
@@ -181,14 +170,16 @@ def load_embedding_model(path: str | Path) -> EmbeddingModel:
         )
         handle.seek(table_start + table_size)
         vocab = _vocabulary(tokens, frequencies, path)
-        input_vectors = _read_matrix(handle, vocab_size, feature_count)
-        output_vectors = _read_matrix(handle, vocab_size, feature_count)
-    if not (np.isfinite(input_vectors).all() and np.isfinite(output_vectors).all()):
+        weights = np.fromfile(handle, dtype="<f4", count=matrix_bytes // 4)
+    if weights.size != matrix_bytes // 4:
+        raise FormatError("model file truncated")
+    weights = weights.reshape(2 * vocab_size, feature_count)
+    if not all(np.isfinite(half).all() for half in np.split(weights, 2)):
         raise FormatError(f"{path} holds a non-finite weight (NaN or inf)")
     config = TrainingConfig(
         architecture=_FLAG_ARCHS[arch_flag], feature_count=feature_count
     )
-    return EmbeddingModel(input_vectors, output_vectors, vocab, config)
+    return EmbeddingModel(weights, vocab, config)
 
 
 def export_text_vectors(model: EmbeddingModel, path: str | Path) -> None:

@@ -66,7 +66,9 @@ def row_norms(rows) -> np.ndarray:
     """
     if sparse.issparse(rows):
         return np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1)).ravel())
-    return np.linalg.norm(rows.astype(np.float64, copy=False), axis=1)
+    # 4096 rows at a time: float64 copies of a whole catalog would set a serving's peak memory
+    blocks = np.split(rows, range(4096, len(rows), 4096))
+    return np.concatenate([np.linalg.norm(b.astype(np.float64, copy=False), axis=1) for b in blocks])
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:

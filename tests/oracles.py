@@ -4,6 +4,7 @@ Everything here deliberately avoids the library's own code paths: losses are
 written from the formula, top-k selection is a plain scored sort, the SVD
 oracle is one-sided Jacobi, the factorization oracle is full alternating
 least squares, the CCD++ reference is the column-at-a-time loop the library
+replaced, the SGNS step reference is the two-scatter step the library
 replaced, the neighbor vote sums per-user Counters, training sentences
 sort each user's records in Python, and report recomputation reads the raw
 CSV text.
@@ -16,6 +17,9 @@ import random
 from collections import Counter
 
 import numpy as np
+from scipy import sparse
+
+from venue2vec.embedding import _sgns_update
 
 CLAMP = 30.0
 
@@ -188,6 +192,37 @@ def ccdpp_reference(matrix, rank, regularization=0.1, iterations=15, *, seed=0):
         trace.append(objective)
 
     return U, V, trace
+
+
+def _by_token(tokens, indptr, weights):
+    """The distinct tokens of a minibatch and a (distinct x rows) matrix that
+    adds each row's vector, times its weight, to each of its tokens."""
+    distinct, index = np.unique(tokens, return_inverse=True)
+    matrix = sparse.csc_matrix(
+        (weights, index, indptr), shape=(distinct.size, indptr.size - 1)
+    )
+    return distinct, matrix
+
+
+def sgns_step_reference(inputs, outputs, members, indptr, targets, rates) -> float:
+    """One minibatch SGNS step over separate input and output arrays, in
+    place: the tested _sgns_update between two np.unique calls and two csc
+    products, one per array; returns the summed loss."""
+    dtype = inputs.dtype
+    distinct_in, in_rows = _by_token(members, indptr, np.ones(members.size, dtype=dtype))
+    if members.size == targets.shape[0]:
+        hidden = inputs[members]
+    else:
+        sizes = np.diff(indptr).astype(dtype)
+        hidden = (in_rows.T @ inputs[distinct_in]) / sizes[:, None]
+    losses, coefficients, hidden_steps = _sgns_update(hidden, outputs[targets], rates)
+    rows, width = targets.shape
+    distinct_out, out_rows = _by_token(
+        targets.ravel(), np.arange(0, rows * width + 1, width), coefficients.ravel()
+    )
+    outputs[distinct_out] += out_rows @ hidden
+    inputs[distinct_in] += in_rows @ hidden_steps
+    return float(losses.sum(dtype=np.float64))
 
 
 def interactions_reference(records) -> dict[str, Counter]:

@@ -132,7 +132,7 @@ def _random_model(rng, n_venues, features):
     vocab = build_vocabulary(records, 1)
     config = TrainingConfig(feature_count=features, seed=int(rng.integers(2**31)))
     model = init_model(vocab, config, dtype=np.float64)
-    model.input_vectors = rng.normal(size=model.input_vectors.shape)
+    model.input_vectors[:] = rng.normal(size=model.input_vectors.shape)
     return model, records
 
 
@@ -476,7 +476,7 @@ def test_criterion_8_kni_timing_budget():
     records = Checkins.of([(u, venues[0], 1) for u in users] + [(users[0], v, 2) for v in venues])
     vocab = build_vocabulary(records, 1)
     model = init_model(vocab, TrainingConfig(feature_count=features, seed=0))
-    model.input_vectors = rng.normal(size=model.input_vectors.shape).astype(np.float32)
+    model.input_vectors[:] = rng.normal(size=model.input_vectors.shape).astype(np.float32)
 
     recommend_users = recommender(
         ExperimentConfig(method="kni", k=10), Fit.of_model(model), Dataset(records, Checkins.of([]))

@@ -1,4 +1,7 @@
+import importlib.util
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +34,12 @@ from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 from venue2vec.recommend import kiu_scores, row_norms, top_k
 
 from conftest import dense_scores, make_records, row_of, sentences_of, token_of
-from oracles import brute_force_top_k, context_pairs_reference, two_token_scalar_reference
+from oracles import (
+    brute_force_top_k,
+    context_pairs_reference,
+    sgns_step_reference,
+    two_token_scalar_reference,
+)
 
 
 def small_vocab(n_users=2, n_venues=3):
@@ -352,16 +360,19 @@ def test_batched_step_rows_match_negative_sampling_gradient(rng):
 
 def test_minibatch_step_matches_add_at_oracle(rng):
     """Repeated tokens, within a row and across rows, each get their step:
-    the step equals per-row gradients scattered with np.add.at."""
+    the step equals per-row gradients scattered with np.add.at. Token 3 is a
+    member and a target of the same step, and its input and output rows
+    each get only their own half's steps."""
     vocab_size, dim = 6, 4
-    inputs = rng.normal(size=(vocab_size, dim))
-    outputs = rng.normal(size=(vocab_size, dim))
+    weights = rng.normal(size=(2 * vocab_size, dim))
+    inputs, outputs = weights[:vocab_size], weights[vocab_size:]
     # CBOW-shaped rows of 1 to 4 members, tokens 0, 4 and 2 twice in a row
     rows_of_members = [[2], [0, 0, 5], [1, 3], [4, 4, 1, 0], [5], [2, 5, 2]]
     sizes = np.array([len(row) for row in rows_of_members])
     indptr = np.concatenate(([0], np.cumsum(sizes)))
     members = np.concatenate(rows_of_members)
     targets = rng.integers(0, vocab_size, size=(sizes.size, 4))
+    targets[2, 0] = targets[4, 2] = 3
     rates = rng.uniform(0.1, 1.0, size=sizes.size)
     assert np.unique(targets).size < targets.size
 
@@ -377,10 +388,42 @@ def test_minibatch_step_matches_add_at_oracle(rng):
         np.add.at(expected_out, targets[r], -rate * np.vstack((g_context, g_negatives)))
         np.add.at(expected_in, row_members, -rate * np.broadcast_to(g_hidden, (row_members.size, dim)))
 
-    loss = _sgns_step(inputs, outputs, members, indptr, targets, rates)
+    # the slot scratch's contents on entry do not matter
+    slot = rng.integers(-5, 50, size=2 * vocab_size)
+    loss = _sgns_step(weights, slot, members, indptr, targets, rates)
     assert loss == pytest.approx(expected_loss, abs=1e-12)
     np.testing.assert_allclose(outputs, expected_out, rtol=0, atol=1e-12)
     np.testing.assert_allclose(inputs, expected_in, rtol=0, atol=1e-12)
+
+
+def _planted_corpus():
+    """Vocabulary and sentences of criterion 4a's planted fixture."""
+    spec = FixtureSpec(seed=11, communities=4, users_per_community=50,
+                       venues_per_community=100, train_checkins_per_user=20,
+                       test_checkins_per_user=5, noise_rate=0.0)
+    train_records = split_train_test(generate_fixture(spec), FEB_2011).train
+    vocab = build_vocabulary(train_records, 1)
+    return vocab, build_sentences(train_records, vocab)
+
+
+@pytest.mark.parametrize("architecture,window", [(SKIP_GRAM, 10), (CBOW, "max")])
+def test_training_bit_identical_to_two_scatter_reference(monkeypatch, architecture, window):
+    """Training through the one-scatter step over the weight block gives the
+    two-scatter reference's weights and loss trace byte for byte."""
+    vocab, corpus = _planted_corpus()
+    config = TrainingConfig(architecture=architecture, feature_count=32,
+                            context_count=window, epoch_count=3, seed=5)
+    model, trace = train(init_model(vocab, config), corpus)
+
+    def reference_step(weights, slot, members, indptr, targets, rates):
+        inputs, outputs = np.split(weights, 2)
+        return sgns_step_reference(inputs, outputs, members, indptr, targets, rates)
+
+    monkeypatch.setattr(embedding, "_sgns_step", reference_step)
+    expected, expected_trace = train(init_model(vocab, config), corpus)
+    assert model.weights.tobytes() == expected.weights.tobytes()
+    losses = [[row.average_loss for row in t] for t in (trace, expected_trace)]
+    assert np.array(losses[0]).tobytes() == np.array(losses[1]).tobytes()
 
 
 def test_diverging_training_raises_naming_the_epoch(toy_records, monkeypatch):
@@ -419,6 +462,32 @@ def test_training_memory_bounded_by_block_not_corpus(architecture, window):
             tracemalloc.stop()
 
     assert peak(4) < 1.5 * peak(1)
+
+
+def test_cbow_epoch_peak_below_half_a_weight_block():
+    """One CBOW epoch on the 8-community paper-sparsity fixture (V = 11,568,
+    F = 100, a 9.3 MB block) allocates at its peak less than half of the
+    model's weight block: training steps the block in place and copies
+    neither of its halves."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "time_epoch.py"
+    spec = importlib.util.spec_from_file_location("time_epoch", script)
+    time_epoch = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(time_epoch)
+    records = generate_fixture(replace(time_epoch.PAPER_SHAPE, communities=8))
+    train_records = split_train_test(records, FEB_2011).train
+    vocab = build_vocabulary(train_records, 1)
+    corpus = build_sentences(train_records, vocab)
+    config = TrainingConfig(architecture=CBOW, feature_count=100,
+                            context_count="max", epoch_count=1, seed=1)
+    model = init_model(vocab, config)
+    assert model.weights.shape == (2 * 11_568, 100)
+    tracemalloc.start()
+    try:
+        train(model, corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.weights.nbytes / 2
 
 
 def test_sentence_blocks_take_whole_sentences_greedily():
@@ -489,7 +558,7 @@ def test_top_k_matches_brute_force(rng):
     vocab, _ = small_vocab(4, 96)
     config = TrainingConfig(feature_count=12, seed=0)
     model = init_model(vocab, config, dtype=np.float64)
-    model.input_vectors = rng.normal(size=model.input_vectors.shape)
+    model.input_vectors[:] = rng.normal(size=model.input_vectors.shape)
     query = rng.normal(size=12)
     candidates = venue_indices(vocab)
     ours = nearest(model, query, candidates, 10)
@@ -512,7 +581,7 @@ def test_top_k_tie_break_ascending_index():
     vocab, _ = small_vocab(1, 4)
     config = TrainingConfig(feature_count=2, seed=0)
     model = init_model(vocab, config, dtype=np.float64)
-    model.input_vectors = np.ones((5, 2))  # every cosine identical
+    model.input_vectors[:] = np.ones((5, 2))  # every cosine identical
     top = nearest(model, np.ones(2), venue_indices(vocab), 3)
     assert [t for t, _ in top] == ["V:v0", "V:v1", "V:v2"]
 

@@ -411,7 +411,7 @@ def test_serving_reads_rows_changed_in_place():
     is exact, so both lists are also exactly what they were before."""
     dataset = harness.load_dataset(small_config())
     model, _, _ = harness.fit_embedding(small_config(), dataset)
-    model.input_vectors = model.input_vectors.astype(np.float64)  # rounds like the oracle
+    model.weights = model.weights.astype(np.float64)  # rounds like the oracle
     fitted = harness.Fit.of_model(model)
     vocab, count = model.vocab, model.vocab.user_count
     users = sorted(build_ground_truth(dataset))

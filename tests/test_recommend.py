@@ -405,7 +405,7 @@ def test_kiu_all_users_uniform_vectors_degrades_gracefully():
     records = make_records({"a": ["x"], "b": ["y"], "c": ["z"]})
     vocab = build_vocabulary(records, 1)
     model = init_model(vocab, TrainingConfig(feature_count=4, seed=0), dtype=np.float64)
-    model.input_vectors = np.ones_like(model.input_vectors)  # every cosine ties
+    model.input_vectors[:] = 1.0  # every cosine ties
     first = kiu_list(model, records, "a", 2, 50)
     second = kiu_list(model, records, "a", 2, 50)
     assert first.predicted
@@ -648,7 +648,7 @@ def test_nn_and_kiu_serve_a_model_trained_on_other_records():
     model_visits = {"u0": ["a", "b"], "u1": ["b", "c"], "u2": ["c", "d"], "u3": ["d", "a"]}
     vocab = build_vocabulary(make_records(model_visits), 1)
     model = init_model(vocab, TrainingConfig(feature_count=3, seed=0), dtype=np.float64)
-    model.input_vectors = np.random.default_rng(5).normal(size=model.input_vectors.shape)
+    model.input_vectors[:] = np.random.default_rng(5).normal(size=model.input_vectors.shape)
     records = make_records(
         {"u2": ["d", "b", "z"], "u1": ["z", "c", "c", "a"], "u0": ["b", "z"], "u9": ["a", "z"]}
     )
