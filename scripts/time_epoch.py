@@ -11,7 +11,8 @@ read_checkins over the fixture written as TSV, split_train_test,
 build_vocabulary, build_sentences, build_interactions and
 build_ground_truth. It prints the seconds of one svd_factorize and one
 ccdpp_factorize build (rank 100, seed 1, the library's other defaults) over
-the training visit table. It then trains
+the training visit table, and the seconds of one seeded Random serving (k=10,
+seed 1) of the evaluation users over the 49,520-venue catalog. It then trains
 skip-gram (F=100, C=20) and CBOW (F=100, window "max") and prints, per
 architecture, the seconds per epoch and the (center, context) pairs per
 second. The pair count is the expectation over the reduced-window radius
@@ -36,7 +37,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from venue2vec.baselines import ccdpp_factorize, svd_factorize
+from venue2vec.baselines import RANDOM, ccdpp_factorize, svd_factorize
 from venue2vec.corpus import (
     build_interactions,
     build_sentences,
@@ -47,7 +48,7 @@ from venue2vec.corpus import (
 )
 from venue2vec.embedding import CBOW, SKIP_GRAM, TrainingConfig, init_model, resolve_window, train
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
-from venue2vec.harness import ExperimentConfig, run_experiment
+from venue2vec.harness import ExperimentConfig, fit, recommender, run_experiment
 from venue2vec.metrics import build_ground_truth
 from venue2vec.recommend import KNI
 
@@ -99,6 +100,16 @@ def main() -> int:
         start = time.perf_counter()
         build(visits, 100, seed=1)
         print(f"{name:<18} {time.perf_counter() - start:7.3f} s (rank 100)")
+    config = ExperimentConfig(fixture=PAPER_SHAPE, method=RANDOM, seed=1)
+    recommend_users = recommender(config, fit(config, dataset), dataset)
+    users = sorted(build_ground_truth(dataset))
+    start = time.perf_counter()
+    for _ in recommend_users(users):
+        pass
+    print(
+        f"{'random serving':<18} {time.perf_counter() - start:7.3f} s "
+        f"({len(users)} users, {len(vocab.venues)} venues, k={config.k})"
+    )
     lengths = np.diff(corpus.starts)
     print(f"{len(corpus)} sentences, {corpus.total_tokens} tokens, {len(vocab)} tokens in vocab")
     for architecture, context_count in ((SKIP_GRAM, 20), (CBOW, "max")):

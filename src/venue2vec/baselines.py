@@ -3,19 +3,17 @@
 CF and the two factorization baselines score through NN's neighbor rule
 (recommend.vote_scores): CF picks neighbors among visit-count rows
 and weights their votes by similarity, SVD and CCD++ pick them among
-user-latent rows and vote like NN.
+user-latent rows and vote like NN. Random needs no model: its score rule is
+recommend.random_scores.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Container, Sequence
 
 import numpy as np
 from scipy import sparse
-
-from .recommend import RecommendationList
 
 CF = "cf"
 RANDOM = "random"
@@ -25,21 +23,6 @@ CCDPP = "ccdpp"
 SVD_OVERSAMPLING = 10  # extra sketch columns beyond the rank
 SVD_POWER_ITERATIONS = 2  # subspace iterations that sharpen the sketch
 CCDPP_INNER_SWEEPS = 2  # alternating u/v updates per latent index
-
-
-def recommend_random(
-    catalog: Sequence[str], user: str, k: int, seed: int, seen: Container[int]
-) -> RecommendationList:
-    """k distinct venues drawn uniformly without replacement from the catalog
-    minus the seen positions: the first k unseen venues of one seeded
-    permutation, each scored 1 / (1 + its place in the permutation)."""
-    if not catalog:
-        raise ValueError("random recommender needs a non-empty venue catalog")
-    order = np.random.default_rng(seed).permutation(len(catalog))
-    # the first k + |seen| draws hold k unseen venues, or every one there is
-    head = order[: k + len(seen)].tolist()
-    items = [(catalog[i], 1.0 / (p + 1)) for p, i in enumerate(head) if i not in seen]
-    return RecommendationList(user, RANDOM, items[:k])
 
 
 @dataclass

@@ -264,14 +264,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run one parameter axis sweep")
     _add_experiment_flags(p)
-    p.add_argument("--axis", required=True, choices=["F", "C", "E"])
+    p.add_argument("--axis", required=True, choices=list(harness.SWEEP_AXES))
     p.add_argument("--values", default=None, help="comma-separated axis values")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("plot-data", help="tidy metric-vs-parameter CSVs")
     p.add_argument("--reports", nargs="+", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--axis", default=None, choices=["F", "C", "E"])
+    p.add_argument("--axis", default=None, choices=list(harness.SWEEP_AXES))
     p.set_defaults(func=_cmd_plot_data)
 
     return parser

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import time
 import traceback
-import zlib
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -68,15 +67,14 @@ EMBEDDING_METHODS = (recommend.KNI, recommend.NN, recommend.KIU)
 BASELINE_METHODS = (baselines.CF, baselines.RANDOM, baselines.SVD, baselines.CCDPP)
 ALL_METHODS = EMBEDDING_METHODS + BASELINE_METHODS
 
-# Sweep grids used throughout the experiments: feature count 10..100 step 10,
-# window 5..20 step 5, epochs 5..25 step 5.
-SWEEP_GRIDS = {
-    "F": list(range(10, 101, 10)),
-    "C": [5, 10, 15, 20],
-    "E": [5, 10, 15, 20, 25],
+# The sweep axes, each a report column: the ExperimentConfig field it sets and
+# its grid (feature count 10..100 step 10, window 5..20 step 5, epochs 5..25
+# step 5).
+SWEEP_AXES = {
+    "F": ("feature_count", list(range(10, 101, 10))),
+    "C": ("context_count", [5, 10, 15, 20]),
+    "E": ("epoch_count", [5, 10, 15, 20, 25]),
 }
-
-_AXIS_FIELDS = {"F": "feature_count", "C": "context_count", "E": "epoch_count"}
 
 ERROR_MARKER = "ERROR"
 
@@ -85,11 +83,6 @@ ERROR_MARKER = "ERROR"
 # about BLOCK_BYTES, 2^17 entries: serving memory does not grow with the
 # population, and per-call overhead is paid per block.
 BLOCK_BYTES = 1 << 20
-
-
-def _user_seed(seed: int, user: str) -> int:
-    """Process-independent per-user sub-seed (hash() is salted, crc32 is not)."""
-    return (seed * 0x9E3779B1 + zlib.crc32(user.encode("utf-8"))) & 0x7FFFFFFF
 
 
 @dataclass
@@ -133,8 +126,8 @@ class ExperimentConfig:
             raise ConfigError("k and neighbors must be >= 1")
         if self.min_word_count < 1:
             raise ConfigError("min_word_count must be >= 1")
-        if self.random_runs < 1:
-            raise ConfigError("random_runs must be >= 1")
+        if self.random_runs < 1 or self.seed < 0:
+            raise ConfigError("random_runs must be >= 1 and seed >= 0")
         if self.method in EMBEDDING_METHODS:
             self.training_config()  # raises ConfigError on bad values
         if self.method in (baselines.SVD, baselines.CCDPP) and self.latent_rank() < 1:
@@ -318,14 +311,13 @@ def recommender(
     place a method's score rule is chosen.
 
     KNI and KIU are kiu_scores, KNI with no neighbors; NN, CF, SVD and CCD++
-    are vote_scores, weighted by similarity for CF only. Ties break by
-    ascending vocabulary index. An embedding's training visits are counted
-    over its vocabulary here, for NN's votes and the seen mask only, so
-    pruned venues and users without history vote nothing. The row norms are
-    taken once per call. Random lists the first k (unseen, under
-    filter_seen) venues of a permutation seeded by config.seed and the user.
-    Every method gives a user outside the vocabulary an empty list. dataset
-    may be None where reads_dataset is false.
+    are vote_scores, weighted by similarity for CF only; Random is
+    random_scores, the head of a permutation seeded by config.seed and the
+    user's row. Ties break by ascending vocabulary index. An embedding's
+    training visits are counted over its vocabulary here, for NN's votes and
+    the seen mask only, so pruned venues and users without history vote
+    nothing. The row norms are taken once per call. dataset may be None
+    where reads_dataset is false.
 
     Raises:
         ConfigError: if the fit does not serve config.method.
@@ -334,39 +326,28 @@ def recommender(
     vocab, visits, users = fitted.vocab, fitted.visits, fitted.users
     if reads_dataset(config, fitted):
         visits = build_interactions(dataset.train, vocab, config.binary_votes)
+    # KNI, KIU and Random keep k venues, or k + |seen| under filter_seen:
+    # the seen mask takes at most a user's visited venues out of them
+    depth = np.full(vocab.user_count, config.k)
+    if config.filter_seen:
+        depth += np.diff(visits.indptr)
 
     if config.method == baselines.RANDOM:
-
-        def recommend_random(names: Sequence[str]) -> Iterator[recommend.RecommendationList]:
-            for user in names:
-                row = vocab.user_index.get(user)
-                if row is None:
-                    yield recommend.RecommendationList(user, config.method)
-                    continue
-                seen = set(visits[row].indices.tolist()) if config.filter_seen else ()
-                # per-user sub-seed so one run's draws are independent across users
-                seed = _user_seed(config.seed, user)
-                yield baselines.recommend_random(vocab.venues, user, config.k, seed, seen)
-
-        return recommend_random
-
-    norms = recommend.row_norms(users)
-    if config.method in (recommend.KNI, recommend.KIU):
+        rule = lambda block: recommend.random_scores(  # noqa: E731
+            vocab.user_count, len(vocab.venues), block, depth[block], config.seed
+        )
+    elif config.method in (recommend.KNI, recommend.KIU):
+        norms = recommend.row_norms(users)
         venues, venue_norms = fitted.venues, recommend.row_norms(fitted.venues)
         neighbors = served_neighbors(config.method, config.neighbors)
-        depth = np.full(vocab.user_count, config.k)
-        if config.filter_seen:
-            # the seen mask takes at most a user's visited venues out of
-            # the top k + |seen|, so the rule keeps that many
-            depth += np.diff(visits.indptr)
         rule = lambda block: recommend.kiu_scores(  # noqa: E731
             users, norms, venues, venue_norms, block, neighbors, depth[block]
         )
-        return serve(config, vocab, visits, rule)
-    weighted = config.method == baselines.CF
-    rule = lambda block: recommend.vote_scores(  # noqa: E731
-        users, norms, visits, block, config.neighbors, weighted
-    )
+    else:
+        norms, weighted = recommend.row_norms(users), config.method == baselines.CF
+        rule = lambda block: recommend.vote_scores(  # noqa: E731
+            users, norms, visits, block, config.neighbors, weighted
+        )
     return serve(config, vocab, visits, rule)
 
 
@@ -531,9 +512,9 @@ class SweepSpec:
     values: Sequence[int | str] = ()
 
     def resolved_values(self) -> list:
-        if self.axis not in _AXIS_FIELDS:
-            raise ConfigError(f"sweep axis must be one of {sorted(_AXIS_FIELDS)}")
-        values = list(self.values) if self.values else list(SWEEP_GRIDS[self.axis])
+        if self.axis not in SWEEP_AXES:
+            raise ConfigError(f"sweep axis must be one of {sorted(SWEEP_AXES)}")
+        values = list(self.values or SWEEP_AXES[self.axis][1])
         if self.axis != "C" and MAX_WINDOW in values:
             raise ConfigError(f"sweep axis {self.axis} takes integers; only C accepts 'max'")
         return values
@@ -550,7 +531,7 @@ def run_sweep(
     values = spec.resolved_values()
     if not values:
         raise ConfigError("sweep needs at least one value")
-    field_name = _AXIS_FIELDS[spec.axis]
+    field_name = SWEEP_AXES[spec.axis][0]
     out_dir = Path(base.out_dir) if base.out_dir else None
     reports: list[MetricsReport | Exception] = []
     rows: list[dict] = []
@@ -573,18 +554,25 @@ def run_sweep(
     return reports, rows
 
 
-def infer_axis(rows: Sequence[dict]) -> str:
-    """The single F/C/E column that varies across rows."""
-    varying = [
-        axis
-        for axis, column in _AXIS_FIELDS.items()
-        if len({row[axis] for row in rows}) > 1
-    ]
-    if len(varying) > 1:
-        raise EmitError(f"reports vary along multiple axes: {varying}")
-    if not varying:
-        raise EmitError("reports do not vary along any of F, C, E")
-    return varying[0]
+def infer_axis(rows: Sequence[dict], axis: str | None = None) -> str:
+    """The sweep axis rows vary along: axis if given, else the single F/C/E
+    column that varies, from one scan of the rows.
+
+    Raises:
+        EmitError: if axis is not F, C or E, if a column other than axis
+            varies, or if axis is None and no column varies.
+    """
+    varying = [name for name in SWEEP_AXES if len({row[name] for row in rows}) > 1]
+    if axis is None:
+        if not varying:
+            raise EmitError("reports do not vary along any of F, C, E")
+        axis = varying[0]
+    elif axis not in SWEEP_AXES:
+        raise EmitError(f"unknown axis {axis!r}")
+    for other in varying:
+        if other != axis:
+            raise EmitError(f"reports mix axes {axis} and {other}")
+    return axis
 
 
 def emit_plot_data(
@@ -593,13 +581,7 @@ def emit_plot_data(
     """Tidy (axis_value, metric, value) CSVs, one file per (method, axis)."""
     if not rows:
         raise EmitError("no reports to emit")
-    if axis is None:
-        axis = infer_axis(rows)
-    if axis not in _AXIS_FIELDS:
-        raise EmitError(f"unknown axis {axis!r}")
-    for other in _AXIS_FIELDS:
-        if other != axis and len({row[other] for row in rows}) > 1:
-            raise EmitError(f"reports mix axes {axis} and {other}")
+    axis = infer_axis(rows, axis)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[tuple[str, str], Path] = {}

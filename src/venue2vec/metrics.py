@@ -176,17 +176,25 @@ def write_per_user_csv(rows: Sequence[UserResult], path: str | Path) -> None:
 def _read_csv(path: str | Path, row_type) -> list[dict]:
     """The rows of a CSV of row_type's columns, each value parsed by its
     field's type. Lines split from the right, so only the first value may
-    hold commas (a user id can)."""
+    hold commas (a user id can). A header that is not the columns, or a row
+    (a blank line too) without a value of its column's type per column,
+    raises EvaluationError naming the path and line."""
     columns = _columns(row_type)
     types = get_type_hints(row_type)
     rows: list[dict] = []
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n").split(",")
         if header != columns:
-            raise EvaluationError(f"unexpected {row_type.__name__} CSV header {header}")
-        for line in handle:
+            name = row_type.__name__
+            raise EvaluationError(f"{path} line 1: unexpected {name} CSV header {header}")
+        for number, line in enumerate(handle, 2):
             values = line.rstrip("\n").rsplit(",", len(columns) - 1)
-            rows.append({c: types[c](v) for c, v in zip(columns, values)})
+            try:  # zip's strict raises ValueError on a short row, as a type does on its text
+                rows.append({c: types[c](v) for c, v in zip(columns, values, strict=True)})
+            except ValueError:
+                raise EvaluationError(
+                    f"{path} line {number}: expected {len(columns)} values, got {line!r}"
+                ) from None
     return rows
 
 

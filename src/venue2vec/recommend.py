@@ -5,13 +5,13 @@ Three strategies:
   NN   collect the venues of the N most similar users and sum their votes.
   KIU  rank venues by cosine to the mean of the target's and neighbors' vectors.
 
-Every method is a score rule: given a block of target rows it returns its
-candidates, one (targets x catalog) CSR matrix with sorted indices whose
-stored entries are the only venues a target can list, and ranked picks each
-target's list from them. KNI is KIU with no neighbors, so kiu_scores serves
-both. NN's rule is also CF's and the latent-factor baselines' (vote_scores):
-only the user space the neighbors are picked in differs. The rules take row
-arrays with their row_norms, which the caller computes once per serving.
+Every method, Random too (random_scores), is a score rule: given a block of
+target rows it returns its candidates, one (targets x catalog) CSR matrix
+with sorted indices whose stored entries are the only venues a target can
+list, and ranked picks each target's list from them. KNI is KIU with no
+neighbors, so kiu_scores serves both. NN's rule is also CF's and the latent
+baselines' (vote_scores): only the user space of the neighbors differs. The
+rules take row arrays with the row_norms the caller computes once per serving.
 """
 
 from __future__ import annotations
@@ -311,6 +311,32 @@ def kiu_scores(
         for row, (index, (near, _)) in enumerate(zip(block, picks)):
             queries[row] = users[np.concatenate(([index], near))].astype(np.float64).mean(axis=0)
     return _shortlist(queries, venues, venue_norms, depth)
+
+
+def random_scores(users: int, venues: int, block, depth, seed: int) -> sparse.csr_matrix:
+    """Random: for each user row index in block, the first min(depth, venues)
+    venues (depth an int or one per block row) of a uniform permutation
+    seeded by (seed, row), each scored 1 / (1 + its place); one (len(block) x
+    venues) CSR matrix with sorted indices. A partial Fisher-Yates shuffle
+    draws one place at a time, so a row costs O(depth) and a deeper draw
+    extends a shallower one (the seen mask keeps the permutation's order).
+
+    Raises:
+        ValueError: if an index is not a user row.
+    """
+    block = _user_block(block, users)
+    depth = np.minimum(np.broadcast_to(depth, len(block)), venues)
+    starts = np.concatenate(([0], np.cumsum(depth)))
+    order: list[int] = []
+    for row, count in zip(block.tolist(), depth.tolist()):
+        picks = np.random.default_rng((seed, row)).integers(np.arange(count), venues)
+        swaps: dict[int, int] = {}  # position -> the venue swapped into it
+        for place, pick in enumerate(picks.tolist()):
+            order.append(swaps.get(pick, pick))
+            swaps[pick] = swaps.get(place, place)
+    places = np.arange(starts[-1]) - np.repeat(starts[:-1], depth)
+    scores = (1.0 / (1.0 + places), np.array(order, dtype=np.int64), starts)
+    return sparse.csr_matrix(scores, shape=(len(block), venues)).sorted_indices()
 
 
 def format_batch_line(result: RecommendationList) -> str:

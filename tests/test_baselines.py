@@ -8,12 +8,11 @@ from venue2vec.baselines import (
     SVD,
     FactorModel,
     ccdpp_factorize,
-    recommend_random,
     svd_factorize,
 )
 from venue2vec.corpus import build_interactions, build_vocabulary
 from venue2vec.harness import ExperimentConfig
-from venue2vec.recommend import row_norms, vote_scores
+from venue2vec.recommend import random_scores, ranked, row_norms, vote_scores
 
 from conftest import community_of, make_records, visit_table
 from oracles import als_final_objective, ccdpp_reference, jacobi_singular_values
@@ -131,45 +130,66 @@ def test_cf_all_neighbors_binary_matches_brute_force(rng):
 # ------------------------------------------------------------- random
 
 
+def draws(venues, depth, seed, rows=(0,)):
+    """Each row's (venues in permutation order, their scores) from random_scores."""
+    scores = random_scores(max(rows) + 1, venues, rows, depth, seed)
+    return [(columns.tolist(), values.tolist()) for columns, values in ranked(scores, venues)]
+
+
 def test_random_full_catalog_is_permutation():
-    result = recommend_random(["a", "b", "c"], "u", k=3, seed=1, seen=())
-    assert sorted(result.venues()) == ["a", "b", "c"]
+    [(venues, scores)] = draws(3, 3, seed=1)
+    assert sorted(venues) == [0, 1, 2]
+    assert scores == [1.0, 1 / 2, 1 / 3]
 
 
 def test_random_k_above_catalog_returns_all():
-    result = recommend_random(["a", "b"], "u", k=10, seed=0, seen=())
-    assert sorted(result.venues()) == ["a", "b"]
+    [(venues, _)] = draws(2, 10, seed=0)
+    assert sorted(venues) == [0, 1]
 
 
 def test_random_seeded_determinism():
-    first = recommend_random(list("abcdefgh"), "u", k=4, seed=7, seen=())
-    second = recommend_random(list("abcdefgh"), "u", k=4, seed=7, seen=())
-    assert first.venues() == second.venues()
-    third = recommend_random(list("abcdefgh"), "u", k=4, seed=8, seen=())
-    assert first.venues() != third.venues()
+    first, second = draws(8, 4, seed=7), draws(8, 4, seed=7)
+    assert first == second
+    assert first != draws(8, 4, seed=8)
+    assert first != draws(8, 4, seed=7, rows=(1,))
 
 
-def test_random_seen_venues_are_skipped_in_permutation_order():
-    """With seen positions the list is the unfiltered permutation without
-    them, each venue keeping its score 1 / (1 + place in the permutation)."""
-    catalog = list("abcdefgh")
-    full = recommend_random(catalog, "u", k=8, seed=3, seen=())
-    seen = [catalog.index(v) for v in full.venues()[:5:2]]
-    unseen = recommend_random(catalog, "u", k=3, seed=3, seen=seen)
-    expected = [(v, s) for v, s in full.items if catalog.index(v) not in seen][:3]
-    assert unseen.items == expected
+def test_random_deeper_draw_extends_shallower():
+    """A row's depth-d draw is the head of its deeper draws, each venue at
+    the same place and score: the seen mask then leaves the unseen venues
+    in the order of the full permutation."""
+    [full] = draws(8, 8, seed=3, rows=(2,))
+    for depth in range(1, 8):
+        [head] = draws(8, depth, seed=3, rows=(2,))
+        assert head == (full[0][:depth], full[1][:depth])
 
 
-def test_random_precision_matches_analytic_expectation(rng):
+def test_random_ordered_pairs_are_uniform():
+    """Every ordered pair of 4 venues heads a depth-2 draw about equally
+    often: over 12,000 seeded rows each of the 12 counts lies within 5
+    binomial standard deviations of 1,000. Without its swap bookkeeping the
+    draw lists place 1's pick itself: never venue 0, and a repeat 1 time in 4."""
+    rows = 12_000
+    counts = {}
+    for venues, _ in draws(4, 2, seed=11, rows=range(rows)):
+        counts[tuple(venues)] = counts.get(tuple(venues), 0) + 1
+    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+    p = 1 / len(pairs)
+    sd = np.sqrt(rows * p * (1 - p))
+    assert set(counts) == set(pairs)
+    for pair in pairs:
+        assert abs(counts[pair] - rows * p) <= 5 * sd, pair
+
+
+def test_random_precision_matches_analytic_expectation():
     """Uniform draws: E[precision@k] = |relevant| / |catalog|."""
-    catalog = [f"v{i}" for i in range(500)]
-    relevant = set(catalog[:5])
-    k = 10
-    hits = []
-    for seed in range(2000):
-        picks = recommend_random(catalog, "u", k=k, seed=seed, seen=()).venues()
-        hits.append(len(set(picks) & relevant) / k)
-    expected = len(relevant) / len(catalog)
+    relevant, k = set(range(5)), 10
+    hits = [
+        len(set(venues) & relevant) / k
+        for seed in range(2000)
+        for venues, _ in draws(500, k, seed=seed)
+    ]
+    expected = len(relevant) / 500
     assert np.mean(hits) == pytest.approx(expected, abs=3e-3)
 
 

@@ -80,6 +80,14 @@ def test_config_rejects_unknown_method():
         small_config(method="alchemy").validate()
 
 
+@pytest.mark.parametrize("method", ["random", "kni", "svd"])
+def test_config_rejects_a_negative_seed(method):
+    """Every seeded draw takes a non-negative seed: Random's (seed, row),
+    training's and the factorizations'."""
+    with pytest.raises(ConfigError, match="seed >= 0"):
+        small_config(method=method, seed=-1).validate()
+
+
 def test_default_context_count_per_architecture():
     assert ExperimentConfig().context_count == 20
     assert ExperimentConfig(architecture="cbow").context_count == "max"
@@ -379,7 +387,7 @@ def test_filter_seen_holds_for_every_method(tmp_path):
                 assert set(venues) <= set(vocab.venues)
 
 
-@pytest.mark.parametrize("method", ["kni", "nn", "kiu", "cf", "svd", "ccdpp"])
+@pytest.mark.parametrize("method", ["kni", "nn", "kiu", "cf", "random", "svd", "ccdpp"])
 def test_seen_mask_equals_full_depth_recut(method):
     """Masking the seen venues before the top-k lists what a full-depth
     re-rank would: the filter_seen list is the unfiltered list at k =

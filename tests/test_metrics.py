@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -295,3 +296,22 @@ def test_csv_readers_reject_a_header_that_is_not_their_columns(tmp_path):
         read_report_csv(per_user)
     with pytest.raises(EvaluationError, match="CSV header"):
         read_per_user_csv(report)
+
+
+@pytest.mark.parametrize("damage", ["short", "blank", "type"])
+def test_csv_readers_reject_a_row_without_every_value(tmp_path, damage):
+    """A row cut short, a blank line or a value of the wrong type raises
+    EvaluationError naming the file and line, instead of a row dict that
+    lacks columns (plot-data then died with KeyError)."""
+    path = tmp_path / "report.csv"
+    row = aggregate(_rows(), method="kni", k=10).to_row()
+    write_csv(path, REPORT_COLUMNS, [row.values(), row.values()])
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = {
+        "short": ",".join(lines[2].split(",")[:8]) + "\n",
+        "blank": "\n",
+        "type": lines[2].replace(",10,", ",ten,", 1),
+    }[damage]
+    path.write_text("".join(lines))
+    with pytest.raises(EvaluationError, match=re.escape(f"{path} line 3: expected 14 values")):
+        read_report_csv(path)

@@ -697,6 +697,8 @@ def test_requests_validate_bounds(toy_model, toy_interactions):
             recommend.vote_scores(*users, visits, [index, bad_index], 1, False)
         with pytest.raises(ValueError, match="is not a user row"):
             recommend.nearest_users(*users, [bad_index], 1)
+        with pytest.raises(ValueError, match="is not a user row"):
+            recommend.random_scores(count, catalog, [index, bad_index], 1, seed=0)
 
 
 # ------------------------------------------------------------- properties
