@@ -11,8 +11,9 @@ read_checkins over the fixture written as TSV, split_train_test,
 build_vocabulary, build_sentences, build_interactions and
 build_ground_truth. It prints the seconds of one svd_factorize and one
 ccdpp_factorize build (rank 100, seed 1, the library's other defaults) over
-the training visit table, and the seconds of one seeded Random serving (k=10,
-seed 1) of the evaluation users over the 49,520-venue catalog. It then trains
+the training visit table, and the seconds of two seeded Random servings (k=10,
+seed 1) of the evaluation users over the 49,520-venue catalog, one plain
+and one under filter_seen, which draws each user k + |seen| deep. It then trains
 skip-gram (F=100, C=20) and CBOW (F=100, window "max") and prints, per
 architecture, the seconds per epoch and the (center, context) pairs per
 second. The pair count is the expectation over the reduced-window radius
@@ -100,16 +101,20 @@ def main() -> int:
         start = time.perf_counter()
         build(visits, 100, seed=1)
         print(f"{name:<18} {time.perf_counter() - start:7.3f} s (rank 100)")
-    config = ExperimentConfig(fixture=PAPER_SHAPE, method=RANDOM, seed=1)
-    recommend_users = recommender(config, fit(config, dataset), dataset)
     users = sorted(build_ground_truth(dataset))
-    start = time.perf_counter()
-    for _ in recommend_users(users):
-        pass
-    print(
-        f"{'random serving':<18} {time.perf_counter() - start:7.3f} s "
-        f"({len(users)} users, {len(vocab.venues)} venues, k={config.k})"
-    )
+    for filter_seen in (False, True):
+        config = ExperimentConfig(
+            fixture=PAPER_SHAPE, method=RANDOM, seed=1, filter_seen=filter_seen
+        )
+        recommend_users = recommender(config, fit(config, dataset), dataset)
+        start = time.perf_counter()
+        for _ in recommend_users(users):
+            pass
+        print(
+            f"{'random serving':<18} {time.perf_counter() - start:7.3f} s "
+            f"({len(users)} users, {len(vocab.venues)} venues, k={config.k}"
+            f"{', filter_seen' if filter_seen else ''})"
+        )
     lengths = np.diff(corpus.starts)
     print(f"{len(corpus)} sentences, {corpus.total_tokens} tokens, {len(vocab)} tokens in vocab")
     for architecture, context_count in ((SKIP_GRAM, 20), (CBOW, "max")):

@@ -232,7 +232,8 @@ def serve(
                 items = []
                 if user in lists:
                     columns, values = lists[user]
-                    items = [(vocab.venues[j], float(score)) for j, score in zip(columns, values)]
+                    names = map(vocab.venues.__getitem__, columns.tolist())
+                    items = list(zip(names, values.tolist()))
                 yield recommend.RecommendationList(user, config.method, items)
 
     return recommend_users

@@ -313,30 +313,100 @@ def kiu_scores(
     return _shortlist(queries, venues, venue_norms, depth)
 
 
+# splitmix64's increment, the odd integer nearest 2^64 / phi (Steele, Lea and
+# Flood, "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+# random_scores draws at most this many venues per pass (more only for one
+# row that needs more), so a deep draw, near the whole catalog, takes
+# passes of bounded memory: about 80 bytes of temporaries per draw
+DRAW_BLOCK = 1 << 18
+
+
+def _mix64(states: np.ndarray) -> np.ndarray:
+    """splitmix64's output mix of each uint64 state: a bijection of the
+    64-bit integers whose every output bit depends on every input bit.
+    Array arithmetic wraps modulo 2^64 without a warning."""
+    states = (states ^ (states >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    states = (states ^ (states >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return states ^ (states >> np.uint64(31))
+
+
+def _first_distinct(keys: np.ndarray, counts: np.ndarray, venues: int):
+    """Over the first counts[i] >= 1 draws of each stream keys[i], each
+    distinct venue's stream, the venue and its place in order of first
+    draw, sorted by (stream, venue). Draw j is splitmix64's j-th output from
+    state key, taken to [0, venues) as floor(draw * venues / 2^64), exactly,
+    in two 32-bit halves (venues < 2^32)."""
+    starts = np.cumsum(counts) - counts
+    which = np.repeat(np.arange(len(keys)), counts)
+    index = np.arange(len(which)) - starts[which] + 1
+    draws = _mix64(keys[which] + index.astype(np.uint64) * _GAMMA)
+    span = np.uint64(venues)
+    low = ((draws & np.uint64(0xFFFFFFFF)) * span) >> np.uint64(32)
+    picks = (((draws >> np.uint64(32)) * span + low) >> np.uint64(32)).astype(np.int64)
+    # a (stream, venue) pair's first draw is the least position among its draws
+    pairs = which * venues + picks
+    order = np.argsort(pairs)
+    pairs = pairs[order]
+    groups = np.flatnonzero(np.concatenate(([True], pairs[1:] != pairs[:-1])))
+    first = np.minimum.reduceat(order, groups)
+    # the first draws up to each position, counted in stream order; a
+    # stream's own first draw is always one, so its places start at 0
+    new = np.zeros(len(which), dtype=bool)
+    new[first] = True
+    seen = np.cumsum(new)
+    which = which[first]
+    return which, picks[first], seen[first] - seen[starts[which]]
+
+
 def random_scores(users: int, venues: int, block, depth, seed: int) -> sparse.csr_matrix:
     """Random: for each user row index in block, the first min(depth, venues)
     venues (depth an int or one per block row) of a uniform permutation
     seeded by (seed, row), each scored 1 / (1 + its place); one (len(block) x
-    venues) CSR matrix with sorted indices. A partial Fisher-Yates shuffle
-    draws one place at a time, so a row costs O(depth) and a deeper draw
+    venues) CSR matrix with sorted indices.
+
+    Each row owns a counter-based stream of uniform venues, draw j a pure
+    function of (seed, row, j), so a block is drawn in array operations and
+    no row depends on the rows that share its block or on their depths. The
+    permutation is the stream's distinct venues in order of first draw:
+    given the venues drawn before, the next new one is uniform over the
+    rest, up to splitmix64's own quality and the mapping's bias (each venue
+    is drawn with probability within 2^-64 of 1 / venues). A deeper draw
     extends a shallower one (the seen mask keeps the permutation's order).
+    A row of depth d takes venues * (H(venues) - H(venues - d)) draws on
+    average (H the harmonic numbers), about d + d^2 / (2 venues) for d well
+    below venues; a row left short draws again with twice as many.
 
     Raises:
-        ValueError: if an index is not a user row.
+        ValueError: if an index is not a user row, or seed is not in [0, 2^64).
     """
     block = _user_block(block, users)
-    depth = np.minimum(np.broadcast_to(depth, len(block)), venues)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    depth = np.minimum(np.broadcast_to(depth, len(block)), venues).astype(np.int64)
+    root = _mix64(np.array([seed], dtype=np.uint64))
+    keys = _mix64(root + (block.astype(np.uint64) + np.uint64(1)) * _GAMMA)
+    # the expected draws, venues * (H(venues) - H(venues - d)) with H(x) ~
+    # ln(x + 1/2) + const, and a margin, so most rows take one pass
+    expected = venues * np.log((venues + 0.5) / (venues - depth + 0.5))
+    draws = np.ceil(1.1 * expected).astype(np.int64) + 8
     starts = np.concatenate(([0], np.cumsum(depth)))
-    order: list[int] = []
-    for row, count in zip(block.tolist(), depth.tolist()):
-        picks = np.random.default_rng((seed, row)).integers(np.arange(count), venues)
-        swaps: dict[int, int] = {}  # position -> the venue swapped into it
-        for place, pick in enumerate(picks.tolist()):
-            order.append(swaps.get(pick, pick))
-            swaps[pick] = swaps.get(place, place)
-    places = np.arange(starts[-1]) - np.repeat(starts[:-1], depth)
-    scores = (1.0 / (1.0 + places), np.array(order, dtype=np.int64), starts)
-    return sparse.csr_matrix(scores, shape=(len(block), venues)).sorted_indices()
+    columns, scores = np.empty(starts[-1], dtype=np.int64), np.empty(starts[-1])
+    pending = np.flatnonzero(depth)
+    while pending.size:
+        fits = np.searchsorted(np.cumsum(draws[pending]), DRAW_BLOCK, "right")
+        take = pending[: max(1, fits)]
+        which, picks, places = _first_distinct(keys[take], draws[take], venues)
+        done = np.bincount(which, minlength=len(take)) >= depth[take]
+        keep = done[which] & (places < depth[take][which])
+        which = which[keep]
+        # each done row's venues, in venue order, fill its slots
+        slots = starts[take[which]] + np.arange(len(which)) - np.searchsorted(which, which)
+        columns[slots], scores[slots] = picks[keep], 1.0 / (1.0 + places[keep])
+        draws[take[~done]] *= 2
+        pending = np.concatenate((pending[len(take) :], take[~done]))
+    return sparse.csr_matrix((scores, columns, starts), shape=(len(block), venues))
 
 
 def format_batch_line(result: RecommendationList) -> str:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from venue2vec import harness
+from venue2vec import harness, recommend
 from venue2vec.baselines import (
     CF,
     SVD,
@@ -167,8 +167,8 @@ def test_random_deeper_draw_extends_shallower():
 def test_random_ordered_pairs_are_uniform():
     """Every ordered pair of 4 venues heads a depth-2 draw about equally
     often: over 12,000 seeded rows each of the 12 counts lies within 5
-    binomial standard deviations of 1,000. Without its swap bookkeeping the
-    draw lists place 1's pick itself: never venue 0, and a repeat 1 time in 4."""
+    binomial standard deviations of 1,000. A draw that ordered a stream's
+    venues by their last draw instead of their first fails it."""
     rows = 12_000
     counts = {}
     for venues, _ in draws(4, 2, seed=11, rows=range(rows)):
@@ -179,6 +179,40 @@ def test_random_ordered_pairs_are_uniform():
     assert set(counts) == set(pairs)
     for pair in pairs:
         assert abs(counts[pair] - rows * p) <= 5 * sd, pair
+
+
+def test_random_places_are_uniform_to_the_end():
+    """Each of 5 venues takes each of the 5 places of a full draw about
+    equally often: over 10,000 seeded rows each of the 25 (place, venue)
+    counts lies within 5 binomial standard deviations of 2,000, so the
+    draw stays uniform where most of the catalog is taken."""
+    rows, venues = 10_000, 5
+    counts = np.zeros((venues, venues), dtype=np.int64)
+    for order, _ in draws(venues, venues, seed=13, rows=range(rows)):
+        assert sorted(order) == list(range(venues))
+        counts[np.arange(venues), order] += 1
+    p = 1 / venues
+    assert np.all(np.abs(counts - rows * p) <= 5 * np.sqrt(rows * p * (1 - p))), counts
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_random_rejects_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed"):
+        random_scores(1, 4, [0], 2, seed)
+
+
+def test_random_draw_does_not_depend_on_its_passes(monkeypatch):
+    """Drawn one row per pass (DRAW_BLOCK at 1), a block of rows at mixed
+    depths, some the whole catalog, stores exactly what one pass stores,
+    with sorted indices."""
+    depth = np.random.default_rng(5).integers(1, 45, 30)
+    whole = random_scores(30, 40, np.arange(30), depth, 9)
+    monkeypatch.setattr(recommend, "DRAW_BLOCK", 1)
+    passes = random_scores(30, 40, np.arange(30), depth, 9)
+    assert whole.has_sorted_indices
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(passes, part), getattr(whole, part))
+    assert np.array_equal(np.diff(whole.indptr), np.minimum(depth, 40))
 
 
 def test_random_precision_matches_analytic_expectation():

@@ -5,6 +5,7 @@ import pytest
 
 import venue2vec.harness as harness
 from venue2vec.baselines import ccdpp_factorize, svd_factorize
+from venue2vec.corpus import Checkins, Dataset
 from venue2vec.errors import ConfigError, EmitError
 from venue2vec.fixtures import FEB_2011, FixtureSpec
 from venue2vec.harness import (
@@ -408,6 +409,31 @@ def test_seen_mask_equals_full_depth_recut(method):
         assert masked[user] == unseen[:10]
         dropped += len(full[user]) - len(unseen)
     assert dropped > 0  # the mask removed listed venues
+
+
+def test_random_list_does_not_depend_on_its_block(monkeypatch):
+    """Served a user at a time, three at a time or all in one block, every
+    Random list under filter_seen is the same: rows of one block draw to
+    different depths (k + |seen|), and one user's visits cover all but
+    three venues of the catalog, so its draw runs to the catalog's end."""
+    dataset = harness.load_dataset(small_config())
+    heavy = dataset.train.user_ids[0]
+    own = {venue for user, venue, _ in dataset.train if user == heavy}
+    unseen = [venue for venue in dataset.train.venue_ids if venue not in own][:3]
+    extra = [(heavy, venue, 1294000000) for venue in dataset.train.venue_ids if venue not in unseen]
+    dataset = Dataset(Checkins.of([*dataset.train, *extra]), dataset.test)
+    config = small_config(method="random", filter_seen=True)
+    vocab, _ = visit_table(dataset.train)
+
+    def lists():
+        recommend_users = harness.recommender(config, harness.fit(config, dataset), dataset)
+        return [result.items for result in recommend_users(vocab.users)]
+
+    whole = lists()
+    assert sorted(venue for venue, _ in whole[vocab.user_index[heavy]]) == sorted(unseen)
+    for block in (1, 3):
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * vocab.user_count * block)
+        assert lists() == whole
 
 
 def test_serving_reads_rows_changed_in_place():
