@@ -7,18 +7,19 @@ Usage:
 The fixture is the ROADMAP's paper shape: 40 communities x 208 users x 1238
 venues, 10 train check-ins per user (8320 users, 49520 venues, 91520
 sentence tokens). It prints the best-of-3 seconds of the whole input end:
-read_checkins over the fixture written as TSV, split_train_test,
-build_vocabulary, build_sentences, build_interactions and
-build_ground_truth. It prints the seconds of one svd_factorize and one
-ccdpp_factorize build (rank 100, seed 1, the library's other defaults) over
-the training visit table, and the seconds of two seeded Random servings (k=10,
-seed 1) of the evaluation users over the 49,520-venue catalog, one plain
-and one under filter_seen, which draws each user k + |seen| deep. It then trains
-skip-gram (F=100, C=20) and CBOW (F=100, window "max") and prints, per
-architecture, the seconds per epoch and the (center, context) pairs per
-second. The pair count is the expectation over the reduced-window radius
-draw, the same for any implementation, so pairs per second compares
-training kernels on equal work.
+read_checkins over the fixture written as a 108,160-line TSV (with its
+lines per second), split_train_test, build_vocabulary, build_sentences,
+build_interactions and build_ground_truth. It prints the seconds of one
+svd_factorize and one ccdpp_factorize build (rank 100, seed 1, the
+library's other defaults) over the training visit table, and the seconds of
+two seeded Random servings (k=10, seed 1) of the evaluation users over the
+49,520-venue catalog, one plain and one under filter_seen, which draws each
+user k + |seen| deep. It then trains skip-gram (F=100, C=20) and CBOW
+(F=100, window "max") and prints, per architecture, the seconds per epoch
+and the (center, context) pairs per second. The pair count is the
+expectation over the reduced-window radius draw, the same for any
+implementation, so pairs per second compares training kernels on equal
+work.
 
 Last it prints KNI's precision and hit rate after 25 epochs (F=100,
 seed 1) for skip-gram (C=20) and CBOW (window "max") on the 8-community
@@ -95,7 +96,9 @@ def main() -> int:
             "build_ground_truth": lambda: build_ground_truth(dataset),
         }
         for name, stage in stages.items():
-            print(f"{name:<18} {min(timeit.repeat(stage, number=1, repeat=3)):7.3f} s (best of 3)")
+            best = min(timeit.repeat(stage, number=1, repeat=3))
+            rate = f", {len(log) / best:,.0f} lines/s" if name == "read_checkins" else ""
+            print(f"{name:<18} {best:7.3f} s (best of 3{rate})")
     visits = build_interactions(dataset.train, vocab)
     for name, build in (("svd_factorize", svd_factorize), ("ccdpp_factorize", ccdpp_factorize)):
         start = time.perf_counter()

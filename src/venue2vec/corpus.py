@@ -12,7 +12,7 @@ import gzip
 import warnings
 from array import array
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -116,14 +116,298 @@ class Dataset:
     test: Checkins
 
 
+CHUNK_CHARS = 1 << 17  # characters of a check-in file parsed per array pass
+BATCH_LINES = 1 << 12  # lines of an iterable source parsed per array pass
+
+# _HIGH_BYTES[k] keeps the first k bytes of a big-endian 64-bit word, _LOW_BYTES[k] the last k
+_HIGH_BYTES = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], dtype=np.uint64)
+_LOW_BYTES = np.array([2 ** (8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_ZEROS = np.uint64(0x3030303030303030)  # "0" in every byte
+
+
+def _parse_line(line: str, layout: FieldLayout) -> tuple[str, str, int] | None:
+    """The per-line rule: a non-blank line's (user, venue, timestamp), or None
+    if it is malformed (missing fields, empty ids, a timestamp that is not an
+    integer in [0, MAX_TIMESTAMP])."""
+    parts = line.split(layout.delimiter)
+    if len(parts) >= layout.width:
+        user, venue = parts[layout.user_col].strip(), parts[layout.venue_col].strip()
+        try:
+            timestamp = int(parts[layout.time_col])  # int() skips surrounding whitespace
+        except ValueError:
+            return None
+        if user and venue and 0 <= timestamp <= MAX_TIMESTAMP:
+            return user, venue, timestamp
+    return None
+
+
+def _words(keys: np.ndarray) -> int:
+    """8-byte words per key: one for a uint64 key, more for a bytes key."""
+    return 1 if keys.dtype == np.uint64 else keys.dtype.itemsize // 8
+
+
+def _widen(keys: np.ndarray, words: int) -> np.ndarray:
+    """The same keys at words words each; their order is kept."""
+    if _words(keys) == words:
+        return keys
+    if keys.dtype == np.uint64:
+        keys = keys.astype(">u8").view("S8")
+    return keys.astype(f"S{8 * words}")
+
+
+def _field_keys(raw: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each printable ASCII field raw[start:start + length] as a key that
+    sorts as its bytes do: its bytes NUL-padded to whole 8-byte words, as a
+    big-endian uint64 when every field fits in one word, as bytes otherwise."""
+    words = max(1, -(-int(lengths.max(initial=1)) // 8))
+    padded = raw + bytes(8 * words)
+    at = np.ndarray((len(padded) - 7,), ">u8", padded, strides=(1,))  # the word at each byte
+    columns = [
+        np.bitwise_and(
+            at[starts + 8 * q], _HIGH_BYTES[np.clip(lengths - 8 * q, 0, 8)], dtype=np.uint64
+        )
+        for q in range(words)
+    ]
+    if words == 1:
+        return columns[0]
+    return np.stack(columns, axis=1).astype(">u8").view(f"S{8 * words}").ravel()
+
+
+def _string_keys(names: list[str]) -> np.ndarray:
+    """The keys of these printable ASCII ids, as _field_keys makes them."""
+    lengths = np.fromiter(map(len, names), np.int64, len(names))
+    starts = np.cumsum(lengths + 1) - lengths - 1
+    return _field_keys("\n".join(names).encode("ascii"), starts, lengths)
+
+
+def _key_names(keys: np.ndarray) -> list[str]:
+    """The ids the keys stand for."""
+    if keys.dtype == np.uint64:
+        keys = keys.astype(">u8").view("S8")
+    return b"\n".join(keys.tolist()).decode("ascii").split("\n") if keys.size else []
+
+
+def _digits(
+    raw: bytes, starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each field raw[start:start + length], and whether the
+    field is 1 to 18 ASCII digits (so its value is an int64). Eight digits
+    at a time: a big-endian word holds them with the last one lowest, and
+    three multiply-adds of halves combine them."""
+    ok = (lengths > 0) & (lengths <= 18)
+    values = np.zeros(starts.size, np.int64)
+    padded = bytes(16) + raw
+    at = np.ndarray((len(padded) - 7,), ">u8", padded, strides=(1,))  # the word at each byte
+    ends = starts + lengths + 16  # in padded
+    for word in range(-(-int(lengths[ok].max(initial=0)) // 8)):  # the last 8 digits first
+        kept = _LOW_BYTES[np.clip(lengths - 8 * word, 0, 8)]
+        digits = np.bitwise_xor(at[ends - 8 * word - 8], _ZEROS, dtype=np.uint64) & kept
+        ok &= (digits | (digits + 0x7676767676767676)) & 0x8080808080808080 == 0  # each <= 9
+        digits = (digits >> 8 & 0x00FF00FF00FF00FF) * 10 + (digits & 0x00FF00FF00FF00FF)
+        digits = (digits >> 16 & 0x0000FFFF0000FFFF) * 100 + (digits & 0x0000FFFF0000FFFF)
+        digits = (digits >> 32) * 10000 + (digits & 0xFFFFFFFF)
+        values += digits.astype(np.int64) * 10 ** (8 * word)
+    return values, ok
+
+
+def _group(keys: np.ndarray, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct keys in sorted order, the least line each is on, and the
+    index into them of every key."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    head = np.ones(keys.size, bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    group = np.empty(keys.size, np.int64)
+    group[order] = np.cumsum(head) - 1
+    first = np.minimum.reduceat(lines[order], heads) if heads.size else heads
+    return ordered[heads], first, group
+
+
+class _IdTable:
+    """Ids numbered by first occurrence over successive blocks of lines. A
+    printable ASCII id is looked up by its key in one sorted array, so a
+    block's ids are found in array operations; any other id, which only a
+    line under the per-line rule can hold, by a dict."""
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.keys = np.empty(0, np.uint64)  # sorted
+        self.codes = np.empty(0, np.int64)  # the code of each key
+        self.others: dict[str, int] = {}
+
+    def encode(
+        self,
+        keys: np.ndarray,
+        key_lines: np.ndarray,
+        names: list[str],
+        name_lines: np.ndarray,
+        codes: np.ndarray,
+    ) -> None:
+        """Write into codes[line] the code of the id on that line: keys[i]
+        is the key of the id on key_lines[i], names[j] the id on
+        name_lines[j]. Ids the table lacks get the next codes, in order of
+        their first line."""
+        keyed = np.array([name.isascii() and name.isprintable() for name in names], bool)
+        if keyed.any():
+            more = _string_keys(list(compress(names, keyed)))
+            words = max(_words(keys), _words(more))
+            keys = np.concatenate((_widen(keys, words), _widen(more, words)))
+            key_lines = np.concatenate((key_lines, name_lines[keyed]))
+        others, other_lines = list(compress(names, ~keyed)), name_lines[~keyed]
+        words = max(_words(keys), _words(self.keys))
+        keys, self.keys = _widen(keys, words), _widen(self.keys, words)
+
+        distinct, first, group = _group(keys, key_lines)
+        at = np.searchsorted(self.keys, distinct)
+        held = at < self.keys.size
+        known = np.zeros(distinct.size, bool)
+        known[held] = self.keys[at[held]] == distinct[held]
+        found = np.empty(distinct.size, np.int64)
+        found[known] = self.codes[at[known]]
+        new_others: dict[str, int] = {}  # each new id's first line
+        for name, line in zip(others, other_lines.tolist()):
+            if name not in self.others:
+                new_others.setdefault(name, line)
+
+        # number the new ids by first line: the keyed ones, then any others merged in
+        new = np.flatnonzero(~known)
+        fresh = new[np.argsort(first[new])]
+        other_firsts = np.fromiter(new_others.values(), np.int64, len(new_others))
+        rank = np.argsort(np.concatenate((first[fresh], other_firsts)))
+        numbered = np.empty(rank.size, np.int64)
+        numbered[rank] = np.arange(len(self.ids), len(self.ids) + rank.size)
+        found[fresh] = numbered[: fresh.size]
+        self.others.update(zip(new_others, numbered[fresh.size :].tolist()))
+        fresh_names = _key_names(distinct[fresh])
+        if new_others:
+            fresh_names += new_others
+            fresh_names = [fresh_names[i] for i in rank.tolist()]
+        self.ids.extend(fresh_names)
+
+        if new.size:  # insert the new keys into the sorted table
+            put = at[new] + np.arange(new.size)
+            kept = np.ones(self.keys.size + new.size, bool)
+            kept[put] = False
+            table = np.empty(kept.size, self.keys.dtype)
+            table[put], table[kept] = distinct[new], self.keys
+            table_codes = np.empty(kept.size, np.int64)
+            table_codes[put], table_codes[kept] = found[new], self.codes
+            self.keys, self.codes = table, table_codes
+
+        codes[key_lines] = found[group]
+        codes[other_lines] = [self.others[name] for name in others]
+
+
+class _Parser:
+    """Parses blocks of whole lines into one check-in log.
+
+    A plain line is parsed in array operations over its block: it has
+    exactly the layout's fields, split by a one-byte delimiter; every byte
+    is printable ASCII or the delimiter; its ids are non-empty with no space
+    at either end; and its timestamp is 1 to 18 ASCII digits. Its ids are
+    encoded by sorting their bytes as keys, its timestamp by digit
+    arithmetic. Every other non-blank line takes the per-line rule
+    (_parse_line), and both kinds feed one first-occurrence numbering in
+    input order, so the result is the per-line rule's on every line.
+    """
+
+    def __init__(self, layout: FieldLayout):
+        self.layout = layout
+        delimiter = layout.delimiter
+        self.byte = None  # the delimiter as one byte, when a line can be plain
+        if len(delimiter) == 1 and delimiter.isascii() and delimiter not in "\r\n":
+            self.byte = ord(delimiter)
+            self.expected = bytes(range(0x20, 0x7F)) + bytes((self.byte, 10))
+            self.odd = np.ones(256, bool)
+            self.odd[np.frombuffer(self.expected, np.uint8)] = False
+        self.users, self.venues = _IdTable(), _IdTable()
+        self.columns = [np.empty(0, np.int64) for _ in range(3)]
+        self.skipped = 0
+
+    def _plain(self, raw: bytes, buf: np.ndarray):
+        """The block's line ends, its plain lines, and their user and venue
+        fields (starts, lengths) and timestamps."""
+        if self.byte is None:
+            none = np.empty(0, np.int64)
+            return np.flatnonzero(buf == 10), none, (none, none), (none, none), none
+        width = self.layout.width
+        marks = np.flatnonzero((buf == self.byte) | (buf == 10))
+        bounds = np.concatenate(([-1], marks))
+        closing = np.flatnonzero(buf[marks] == 10) + 1  # each line's newline, in bounds
+        ends = bounds[closing]
+        plain = np.diff(closing, prepend=0) == width  # width - 1 delimiters, then the newline
+        if raw.translate(None, self.expected):
+            plain[np.searchsorted(ends, np.flatnonzero(self.odd[buf]))] = False
+        lines = np.flatnonzero(plain)
+        before = closing[lines] - width  # the mark before each plain line, in bounds
+
+        def field(column: int) -> tuple[np.ndarray, np.ndarray]:
+            starts = bounds[before + column] + 1
+            return starts, bounds[before + column + 1] - starts
+
+        user, venue = field(self.layout.user_col), field(self.layout.venue_col)
+        times, ok = _digits(raw, *field(self.layout.time_col))
+        for starts, lengths in (user, venue):
+            ok &= (lengths > 0) & (buf[starts] != 32) & (buf[starts + lengths - 1] != 32)
+        return ends, lines[ok], (user[0][ok], user[1][ok]), (venue[0][ok], venue[1][ok]), times[ok]
+
+    def feed(self, text: str, overrides: dict[int, str] | None = None) -> None:
+        """Parse text, whole lines each ending in a newline; line i reads as
+        overrides[i] where that is given."""
+        raw = text.encode("utf-8", "surrogatepass")
+        buf = np.frombuffer(raw, np.uint8)
+        ends, lines, user, venue, times = self._plain(raw, buf)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        rest = ends > starts  # an empty line is blank
+        rest[lines] = False
+        rest = np.flatnonzero(rest)
+        rows, row_lines = [], []
+        overrides = overrides or {}
+        for i, start, end in zip(rest.tolist(), starts[rest].tolist(), ends[rest].tolist()):
+            line = overrides.get(i) or raw[start:end].decode("utf-8", "surrogatepass")
+            if not line.strip():
+                continue
+            row = _parse_line(line, self.layout)
+            if row is None:
+                self.skipped += 1
+            else:
+                rows.append(row)
+                row_lines.append(i)
+        row_lines = np.array(row_lines, np.int64)
+        row_users, row_venues, row_times = zip(*rows) if rows else ((), (), ())
+        users, venues, line_times = (np.empty(ends.size, np.int64) for _ in range(3))
+        self.users.encode(_field_keys(raw, *user), lines, list(row_users), row_lines, users)
+        self.venues.encode(_field_keys(raw, *venue), lines, list(row_venues), row_lines, venues)
+        line_times[lines] = times
+        line_times[row_lines] = row_times
+        valid = np.union1d(lines, row_lines) if rows else lines
+        size = self.columns[0].size
+        for column, values in zip(self.columns, (users, venues, line_times)):
+            column.resize(size + valid.size, refcheck=False)  # grows in place: no copy held
+            column[size:] = values[valid]
+
+    def result(self) -> tuple[Checkins, int]:
+        log = Checkins(self.users.ids, self.venues.ids, *self.columns)
+        if self.skipped > len(log):
+            raise FormatError(
+                f"{self.skipped} of {len(log) + self.skipped} lines malformed; field layout "
+                f"{self.layout} probably does not match this file"
+            )
+        return log, self.skipped
+
+
 def parse_checkins(
     source: Iterable[str | bytes], layout: FieldLayout = FieldLayout()
 ) -> tuple[Checkins, int]:
-    """Parse a line-oriented check-in stream.
+    """Parse a line-oriented check-in stream: each item is one line, str or
+    UTF-8 bytes, with or without its line ending.
 
-    Blank lines are ignored. Malformed lines (missing fields, empty ids,
-    non-integer, negative or past-int64 timestamps, which the sentence
-    builder could not sort) are skipped and counted.
+    Blank and whitespace-only lines are ignored. Ids are stripped of
+    surrounding whitespace. Malformed lines (missing fields, empty ids,
+    timestamps that are not integers in [0, 2^63), which the sentence
+    builder could not sort) are skipped and counted. Lines are parsed
+    BATCH_LINES at a time in array operations (see _Parser).
 
     Returns:
         (the valid lines' check-ins, number of skipped malformed lines)
@@ -131,36 +415,26 @@ def parse_checkins(
     Raises:
         FormatError: if more than half of the non-blank lines are malformed,
             which almost always means the field layout is wrong.
+        UnicodeDecodeError: on a bytes line that is not UTF-8.
     """
-    skipped = 0
-    width, delimiter = layout.width, layout.delimiter
-    user_col, venue_col, time_col = layout.user_col, layout.venue_col, layout.time_col
-
-    def rows() -> Iterator[tuple[str, str, int]]:
-        nonlocal skipped
-        for raw in source:
-            line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-            if not line.strip():
-                continue
-            parts = line.rstrip("\r\n").split(delimiter)
-            if len(parts) >= width:
-                user, venue = parts[user_col].strip(), parts[venue_col].strip()
-                try:
-                    timestamp = int(parts[time_col])  # int() skips surrounding whitespace
-                except ValueError:
-                    timestamp = -1
-                if user and venue and 0 <= timestamp <= MAX_TIMESTAMP:
-                    yield user, venue, timestamp
-                    continue
-            skipped += 1
-
-    log = Checkins.of(rows())
-    if skipped > len(log):
-        raise FormatError(
-            f"{skipped} of {len(log) + skipped} lines malformed; field layout {layout} "
-            "probably does not match this file"
-        )
-    return log, skipped
+    parser = _Parser(layout)
+    source = iter(source)
+    while batch := list(islice(source, BATCH_LINES)):
+        lines = [
+            (raw.decode("utf-8") if isinstance(raw, bytes) else raw).rstrip("\r\n")
+            for raw in batch
+        ]
+        text = "\n".join(lines) + "\n"
+        overrides = None
+        if text.count("\n") > len(lines):  # a line holds a line break of its own
+            # such a line is given as "\0", one character and so never plain,
+            # and the per-line rule reads the line itself
+            overrides = {i: line for i, line in enumerate(lines) if "\n" in line}
+            text = "".join(
+                "\0\n" if i in overrides else line + "\n" for i, line in enumerate(lines)
+            )
+        parser.feed(text, overrides)
+    return parser.result()
 
 
 def _open_text(path: str | Path) -> IO[str]:
@@ -171,9 +445,22 @@ def _open_text(path: str | Path) -> IO[str]:
 
 
 def read_checkins(path: str | Path, layout: FieldLayout = FieldLayout()) -> tuple[Checkins, int]:
-    """parse_checkins over a file path; transparently handles .gz input."""
+    """parse_checkins over a file path, UTF-8 with universal newlines;
+    transparently handles .gz input. The file is read CHUNK_CHARS characters
+    at a time and parsed a chunk of whole lines at a time, so memory beyond
+    the result is bounded by the chunk."""
+    parser = _Parser(layout)
     with _open_text(path) as handle:
-        return parse_checkins(handle, layout)
+        pieces: list[str] = []
+        while text := handle.read(CHUNK_CHARS):
+            cut = text.rfind("\n") + 1
+            if cut:
+                parser.feed("".join(pieces) + text[:cut])
+                pieces = []
+            pieces.append(text[cut:])
+        if tail := "".join(pieces):
+            parser.feed(tail + "\n")
+    return parser.result()
 
 
 def write_checkins(log: Checkins, path: str | Path) -> None:

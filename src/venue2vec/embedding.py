@@ -259,7 +259,9 @@ def _sgns_step(
     holds its positive then its negative tokens, read from the output rows.
     As in word2vec's averaged CBOW, each member gets the row's full hidden
     step. Every row reads the weights as they stood before the step. slot
-    is scratch of 2V ints whose contents on entry do not matter.
+    is int32 scratch of 2V entries whose contents on entry do not matter;
+    members and indptr are int32 too, so the sparse constructors take every
+    index array as it is, without scanning it for its range.
     """
     size, dtype = weights.shape[0] // 2, weights.dtype
     rows, width = targets.shape
@@ -284,7 +286,9 @@ def _sgns_step(
     # column r < rows adds row r's hidden step to its members, column rows + r
     # adds coefficient times row r's hidden vector to its targets, in a fixed order
     data = np.concatenate((np.ones(members.size, dtype=dtype), coefficients.ravel()))
-    starts = np.concatenate((indptr, np.arange(members.size + width, tokens.size + 1, width)))
+    starts = np.concatenate(
+        (indptr, np.arange(members.size + width, tokens.size + 1, width, dtype=np.int32))
+    )
     scatter = sparse.csc_matrix((data, slot[tokens], starts), shape=(distinct.size, 2 * rows))
     weights[distinct] += scatter @ np.vstack((hidden_steps, hidden))
     return float(losses.sum(dtype=np.float64))
@@ -371,7 +375,7 @@ def _train_block(
     rows = positives.size
     row_rates = rates[row_positions].astype(model.weights.dtype)
     # pairs come sorted by row, so row r's members are members[indptr[r]:indptr[r + 1]]
-    indptr = np.searchsorted(row_of_pair, np.arange(rows + 1))
+    indptr = np.searchsorted(row_of_pair, np.arange(rows + 1)).astype(np.int32)
     k = NEGATIVE_SAMPLES
     negatives = table.sample_excluding(rng, np.repeat(positives, k), rows * k)
     targets = np.column_stack((positives, negatives.reshape(rows, k)))
@@ -431,11 +435,13 @@ def train(
     schedule = max(corpus.total_tokens * config.epoch_count, 1)
     batch = max(1, min(BATCH_ROWS, corpus.total_tokens // MIN_STEPS_PER_EPOCH))
     starts, lengths = corpus.starts, np.diff(corpus.starts)
+    if model.weights.shape[0] >= 2**31:
+        raise TrainingError("a vocabulary of 2^30 tokens or more does not fit int32 indices")
     blocks = [
-        (corpus.tokens[starts[first] : starts[last]], lengths[first:last])
+        (corpus.tokens[starts[first] : starts[last]].astype(np.int32), lengths[first:last])
         for first, last in _sentence_blocks(starts)
     ]
-    slot = np.empty(model.weights.shape[0], dtype=np.int64)
+    slot = np.empty(model.weights.shape[0], dtype=np.int32)
     tokens_done = 0
     trace: list[EpochStats] = []
     for epoch in range(config.epoch_count):

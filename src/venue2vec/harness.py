@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import time
 import traceback
+import warnings
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -128,6 +129,12 @@ class ExperimentConfig:
             raise ConfigError("min_word_count must be >= 1")
         if self.random_runs < 1 or self.seed < 0:
             raise ConfigError("random_runs must be >= 1 and seed >= 0")
+        if self.method == baselines.RANDOM and self.seed + self.random_runs > 2**64:
+            # run r draws with seed + r, and Random's streams are keyed by 64 bits
+            raise ConfigError(
+                f"random's seeds run from seed to seed + random_runs - 1 = "
+                f"{self.seed + self.random_runs - 1}, which must be below 2^64"
+            )
         if self.method in EMBEDDING_METHODS:
             self.training_config()  # raises ConfigError on bad values
         if self.method in (baselines.SVD, baselines.CCDPP) and self.latent_rank() < 1:
@@ -154,7 +161,11 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
     if config.fixture is not None:
         log = generate_fixture(config.fixture)
     elif config.input_path is not None:
-        log, _ = read_checkins(config.input_path, config.layout)
+        log, skipped = read_checkins(config.input_path, config.layout)
+        if skipped:
+            warnings.warn(
+                f"{config.input_path}: skipped {skipped} malformed lines", stacklevel=2
+            )
     else:
         raise ConfigError("either an input file or a fixture spec is required")
     return split_train_test(log, config.boundary)

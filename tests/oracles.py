@@ -5,9 +5,9 @@ written from the formula, top-k selection is a plain scored sort, the SVD
 oracle is one-sided Jacobi, the factorization oracle is full alternating
 least squares, the CCD++ reference is the column-at-a-time loop the library
 replaced, the SGNS step reference is the two-scatter step the library
-replaced, the neighbor vote sums per-user Counters, training sentences
-sort each user's records in Python, and report recomputation reads the raw
-CSV text.
+replaced, the neighbor vote sums per-user Counters, the check-in parser is
+the per-line loop the library replaced, training sentences sort each user's
+records in Python, and report recomputation reads the raw CSV text.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from venue2vec.embedding import _sgns_update
+from venue2vec.errors import FormatError
 
 CLAMP = 30.0
 
@@ -360,3 +361,33 @@ def sentences_reference(records, vocab) -> list[list[int]]:
         if visits:
             sentences.append([row] + [vocab.user_count + vocab.venue_index[v] for _, v in visits])
     return sentences
+
+
+def parse_checkins_reference(source, layout) -> tuple[list[tuple[str, str, int]], int]:
+    """The per-line check-in parser the library replaced: each item of
+    source is one line (str, or bytes decoded as UTF-8); blank lines are
+    ignored, and a line whose fields are missing, whose stripped ids are
+    empty or whose timestamp is not an integer in [0, 2^63) is skipped.
+    Returns (the valid lines' (user, venue, timestamp) rows, skipped count);
+    raises FormatError when more than half of the non-blank lines are
+    skipped."""
+    rows, skipped = [], 0
+    for raw in source:
+        line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        if not line.strip():
+            continue
+        parts = line.rstrip("\r\n").split(layout.delimiter)
+        if len(parts) >= layout.width:
+            user = parts[layout.user_col].strip()
+            venue = parts[layout.venue_col].strip()
+            try:
+                timestamp = int(parts[layout.time_col])
+            except ValueError:
+                timestamp = -1
+            if user and venue and 0 <= timestamp < 2**63:
+                rows.append((user, venue, timestamp))
+                continue
+        skipped += 1
+    if skipped > len(rows):
+        raise FormatError(f"{skipped} of {len(rows) + skipped} lines malformed")
+    return rows, skipped

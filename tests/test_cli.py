@@ -70,6 +70,16 @@ def test_generate_fixture_prints_the_counts_of_its_file(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("seed,runs", [(2**64, "1"), (2**64 - 9, "10")])
+def test_random_seed_past_64_bits_is_config_error(fixture_file, tmp_path, capsys, seed, runs):
+    """A Random run whose last seed reaches 2^64 stops at validation with
+    exit 1, before any seeded draw."""
+    rc = main(["run", "--input", str(fixture_file), "--method", "random", "--seed", str(seed),
+               "--random-runs", runs, "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "below 2^64" in capsys.readouterr().err
+
+
 def test_run_end_to_end(fixture_file, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(

@@ -1,12 +1,15 @@
 import gzip
 import random
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from venue2vec import corpus
 from venue2vec.corpus import (
     Checkins,
     FieldLayout,
@@ -22,7 +25,7 @@ from venue2vec.errors import EmptyVocabularyError, FormatError
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 
 from conftest import make_records, sentences_of, token_of
-from oracles import interactions_reference, sentences_reference
+from oracles import interactions_reference, parse_checkins_reference, sentences_reference
 
 
 def test_parse_single_line():
@@ -91,6 +94,181 @@ def test_read_checkins_gzip_roundtrip(tmp_path):
     back, skipped = read_checkins(path)
     assert list(back) == list(records)
     assert skipped == 0
+
+
+# Lines of every kind the parser must treat as the per-line rule does: plain
+# lines (printable ASCII ids, 1-18 digit timestamps) and every other kind.
+PLAIN_IDS = st.text("abcxyz0189-_.:", min_size=1, max_size=20)
+ODD_IDS = st.sampled_from(
+    [" a", "a ", "\xa0a", "a\u2003", "\u3000", "\xe9", "\u65e5\u672c", "a\x00", "a\x0bb",
+     "a\tb", "a b", "a\nb", "a\rb", "a\x85b", "a\u2028b", "", " ", "0123456789abcdefghij",
+     "a\x7fb"]
+)
+PLAIN_TIMES = st.integers(0, 10**18 - 1).map(str)
+ODD_TIMES = st.sampled_from(
+    ["+5", " 5", "5 ", "1_0", "-5", "-0", "", "x", "٣", "0" * 19 + "7", str(2**63 - 1),
+     str(2**63), str(10**18), "1e3", "5\xa0"]
+)
+
+
+@st.composite
+def checkin_layouts(draw):
+    delimiter = draw(st.sampled_from(["\t", ",", " ", "::", "\t\t", "é"]))
+    width = draw(st.integers(3, 5))
+    user_col, venue_col, time_col = draw(st.permutations(range(width)))[:3]
+    return FieldLayout(delimiter, user_col, venue_col, time_col)
+
+
+@st.composite
+def checkin_lines(draw, layout):
+    """Lines without their endings: mostly plain, with blank, padded,
+    non-ASCII, short, long and odd-timestamp lines mixed in."""
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["plain"] * 4 + ["odd", "blank", "short", "long"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\xa0", " \x0c "])))
+            continue
+        odd = kind == "odd"
+        fields = [draw(PLAIN_IDS) for _ in range(layout.width)]
+        fields[layout.user_col] = draw(ODD_IDS if odd and draw(st.booleans()) else PLAIN_IDS)
+        fields[layout.venue_col] = draw(ODD_IDS if odd and draw(st.booleans()) else PLAIN_IDS)
+        fields[layout.time_col] = draw(ODD_TIMES if odd and draw(st.booleans()) else PLAIN_TIMES)
+        if kind == "short":
+            fields = fields[: draw(st.integers(0, layout.width - 1))]
+        if kind == "long":
+            fields += draw(st.lists(PLAIN_IDS, min_size=1, max_size=2))
+        lines.append(layout.delimiter.join(fields))
+    return lines
+
+
+def assert_same_parse(parse, reference):
+    """parse() and reference() give the same check-ins and skipped count, or
+    raise the same exception type."""
+    try:
+        rows, skipped = reference()
+    except (FormatError, UnicodeDecodeError) as error:
+        with pytest.raises(type(error)):
+            parse()
+        return
+    log, log_skipped = parse()
+    assert log_skipped == skipped
+    assert list(log) == rows
+    users = first_occurrence(user for user, _, _ in rows)
+    venues = first_occurrence(venue for _, venue, _ in rows)
+    assert (log.user_ids, log.venue_ids) == (users, venues)
+    assert log.users.tolist() == [users.index(user) for user, _, _ in rows]
+    assert log.venues.tolist() == [venues.index(venue) for _, venue, _ in rows]
+    assert log.times.tolist() == [timestamp for _, _, timestamp in rows]
+    assert all(column.dtype == np.int64 for column in (log.users, log.venues, log.times))
+
+
+@given(st.data(), checkin_layouts(), st.integers(1, 40), st.integers(1, 8))
+@settings(max_examples=150, deadline=None)
+def test_parse_matches_per_line_reference(tmp_path_factory, data, layout, chunk, batch):
+    """Files (plain and gzip, with \\n, \\r\\n and lone \\r endings) and
+    lists of str and bytes lines parse as the per-line reference does, at
+    any chunk and batch size."""
+    lines = data.draw(checkin_lines(layout))
+    endings = [data.draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + ending for line, ending in zip(lines, endings))
+    if data.draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line break after the last line
+    folder = tmp_path_factory.mktemp("parse")
+    plain, packed = folder / "checkins.tsv", folder / "checkins.tsv.gz"
+    plain.write_bytes(text.encode("utf-8"))
+    packed.write_bytes(gzip.compress(text.encode("utf-8")))
+    items = [
+        (line + ending).encode("utf-8") if data.draw(st.booleans()) else line + ending
+        for line, ending in zip(lines, endings)
+    ]
+    with mock.patch.object(corpus, "CHUNK_CHARS", chunk), mock.patch.object(
+        corpus, "BATCH_LINES", batch
+    ):
+        for path in (plain, packed):
+            with corpus._open_text(path) as handle:
+                assert_same_parse(
+                    lambda: read_checkins(path, layout),
+                    lambda: parse_checkins_reference(handle, layout),
+                )
+        assert_same_parse(
+            lambda: parse_checkins(items, layout), lambda: parse_checkins_reference(items, layout)
+        )
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        ["u\tv\t1\nw\tx\t2", "u\tv\t3"],  # a line break inside one line
+        ["u\nx\tv\t1", "u\tv\t3"],  # a line break inside an id
+        ["u\tv\t1\rw\tx\t2", "u\tv\t3"],  # a lone \r inside one line
+        ["u\tv\t1\r\r\n", "u\tv\t2\n\n"],  # several endings at once
+        ["\ud800\tv\t1", "u\tv\t2"],  # a lone surrogate in a str id
+    ],
+)
+def test_parse_list_lines_hold_what_a_file_cannot(items):
+    assert_same_parse(
+        lambda: parse_checkins(items), lambda: parse_checkins_reference(items, FieldLayout())
+    )
+
+
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"u\tv\xe9\t1"])
+def test_parse_invalid_utf8_raises_as_per_line_reference(tmp_path, bad):
+    items = [b"u\tv\t1\n", bad + b"\n", b"w\tx\t2\n"]
+    assert_same_parse(
+        lambda: parse_checkins(items), lambda: parse_checkins_reference(items, FieldLayout())
+    )
+    path = tmp_path / "checkins.tsv"
+    path.write_bytes(b"".join(items))
+    with pytest.raises(UnicodeDecodeError):
+        read_checkins(path)
+
+
+def test_parse_does_not_depend_on_chunk_size(tmp_path):
+    """A file of plain and other lines parses the same whether it is read a
+    few characters at a time or whole."""
+    lines = []
+    for i in range(300):
+        user, venue = f"user{i % 17}", f"venue-{i % 41:04d}" * (1 + i % 3)
+        lines.append(
+            [f"{user}\t{venue}\t{1296000000 + i}", f" {user}\t{venue}\t+{i}", "",
+             f"ü{i % 5}\t{venue}\t{i}", f"{user}\t{venue}", f"{user}\t{venue}\t{2**63}"][i % 6]
+        )
+    path = tmp_path / "checkins.tsv"
+    path.write_text("\r\n".join(lines), encoding="utf-8")
+    whole, skipped = read_checkins(path)
+    assert len(whole) == 150 and skipped == 100
+    for chunk in (1, 2, 3, 7, 64):
+        with mock.patch.object(corpus, "CHUNK_CHARS", chunk):
+            log, chunk_skipped = read_checkins(path)
+        assert chunk_skipped == skipped
+        assert (log.user_ids, log.venue_ids) == (whole.user_ids, whole.venue_ids)
+        for column in ("users", "venues", "times"):
+            assert np.array_equal(getattr(log, column), getattr(whole, column))
+
+
+def test_parse_memory_is_bounded_by_the_chunk(tmp_path):
+    """With a small chunk, the parse's traced peak beyond its output columns
+    is the same for a file four times as long over the same ids: nothing is
+    held per line of the file but the result."""
+    excess = []
+    for lines in (8000, 32000):
+        path = tmp_path / f"checkins{lines}.tsv"
+        path.write_text(
+            "".join(f"u{i % 50}\tv{i % 90}\t{1296000000 + i}\n" for i in range(lines))
+        )
+        with mock.patch.object(corpus, "CHUNK_CHARS", 16384):
+            read_checkins(path)  # warm up caches that outlive a call
+            tracemalloc.start()
+            try:
+                log, _ = read_checkins(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(log) == lines
+        excess.append(peak - 3 * 8 * lines)
+    # one more int64 per line of the file would add 192,000 bytes
+    assert excess[1] - excess[0] < 24_000, excess
 
 
 def test_split_strict_boundary():

@@ -89,6 +89,25 @@ def test_config_rejects_a_negative_seed(method):
         small_config(method=method, seed=-1).validate()
 
 
+@pytest.mark.parametrize("seed,runs", [(2**64, 1), (2**64 - 9, 10)])
+def test_config_rejects_random_seeds_past_64_bits(seed, runs):
+    """Random's run r is keyed by seed + r in 64 bits, so the last run's seed
+    must be below 2^64; the other methods take any seed >= 0."""
+    with pytest.raises(ConfigError, match="below 2\\^64"):
+        small_config(method="random", seed=seed, random_runs=runs).validate()
+    small_config(method="random", seed=seed - 1, random_runs=runs).validate()
+    small_config(method="svd", seed=seed, random_runs=runs).validate()
+
+
+def test_load_dataset_warns_with_the_skipped_count(tmp_path):
+    path = tmp_path / "checkins.tsv"
+    path.write_text("u\tv\t1\nnot a line\nw\tx\t2\nu\tx\t-3\ny\tv\t4\n")
+    config = ExperimentConfig(input_path=str(path), boundary=3)
+    with pytest.warns(UserWarning, match=f"{path}: skipped 2 malformed lines"):
+        dataset = harness.load_dataset(config)
+    assert (len(dataset.train), len(dataset.test)) == (2, 1)
+
+
 def test_default_context_count_per_architecture():
     assert ExperimentConfig().context_count == 20
     assert ExperimentConfig(architecture="cbow").context_count == "max"
