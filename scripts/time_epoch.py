@@ -7,8 +7,10 @@ Usage:
 The fixture is the ROADMAP's paper shape: 40 communities x 208 users x 1238
 venues, 10 train check-ins per user (8320 users, 49520 venues, 91520
 sentence tokens). It prints the best-of-3 seconds of the whole input end:
-read_checkins over the fixture written as a 108,160-line TSV (with its
-lines per second), split_train_test, build_vocabulary, build_sentences,
+read_checkins over the fixture written as a 108,160-line TSV, the same
+read with every venue id rewritten as a distinct 24-character hexadecimal
+id (the length of Foursquare's venue ids; "read_checkins hex"), both with
+their lines per second, split_train_test, build_vocabulary, build_sentences,
 build_interactions and build_ground_truth. It prints the seconds of one
 svd_factorize and one ccdpp_factorize build (rank 100, seed 1, the
 library's other defaults) over the training visit table, and the seconds of
@@ -84,11 +86,15 @@ def main() -> int:
     dataset = split_train_test(log, FEB_2011)
     vocab = build_vocabulary(dataset.train, 1)
     corpus = build_sentences(dataset.train, vocab)
+    # an odd multiplier permutes [0, 2^96), so the hexadecimal ids are distinct
+    hex_venues = [f"{j * 0x9E3779B97F4A7C15 % 2**96:024x}" for j in range(len(log.venue_ids))]
     with tempfile.TemporaryDirectory() as scratch:
-        path = Path(scratch) / "checkins.tsv"
+        path, hex_path = Path(scratch) / "checkins.tsv", Path(scratch) / "hex_venues.tsv"
         write_checkins(log, path)
+        write_checkins(replace(log, venue_ids=hex_venues), hex_path)
         stages = {
             "read_checkins": lambda: read_checkins(path),
+            "read_checkins hex": lambda: read_checkins(hex_path),
             "split_train_test": lambda: split_train_test(log, FEB_2011),
             "build_vocabulary": lambda: build_vocabulary(dataset.train, 1),
             "build_sentences": lambda: build_sentences(dataset.train, vocab),
@@ -97,7 +103,8 @@ def main() -> int:
         }
         for name, stage in stages.items():
             best = min(timeit.repeat(stage, number=1, repeat=3))
-            rate = f", {len(log) / best:,.0f} lines/s" if name == "read_checkins" else ""
+            reads = name.startswith("read_checkins")
+            rate = f", {len(log) / best:,.0f} lines/s" if reads else ""
             print(f"{name:<18} {best:7.3f} s (best of 3{rate})")
     visits = build_interactions(dataset.train, vocab)
     for name, build in (("svd_factorize", svd_factorize), ("ccdpp_factorize", ccdpp_factorize)):

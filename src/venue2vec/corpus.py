@@ -12,7 +12,7 @@ import gzip
 import warnings
 from array import array
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -117,7 +117,6 @@ class Dataset:
 
 
 CHUNK_CHARS = 1 << 17  # characters of a check-in file parsed per array pass
-BATCH_LINES = 1 << 12  # lines of an iterable source parsed per array pass
 
 # _HIGH_BYTES[k] keeps the first k bytes of a big-endian 64-bit word, _LOW_BYTES[k] the last k
 _HIGH_BYTES = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], dtype=np.uint64)
@@ -141,24 +140,10 @@ def _parse_line(line: str, layout: FieldLayout) -> tuple[str, str, int] | None:
     return None
 
 
-def _words(keys: np.ndarray) -> int:
-    """8-byte words per key: one for a uint64 key, more for a bytes key."""
-    return 1 if keys.dtype == np.uint64 else keys.dtype.itemsize // 8
-
-
-def _widen(keys: np.ndarray, words: int) -> np.ndarray:
-    """The same keys at words words each; their order is kept."""
-    if _words(keys) == words:
-        return keys
-    if keys.dtype == np.uint64:
-        keys = keys.astype(">u8").view("S8")
-    return keys.astype(f"S{8 * words}")
-
-
 def _field_keys(raw: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Each printable ASCII field raw[start:start + length] as a key that
-    sorts as its bytes do: its bytes NUL-padded to whole 8-byte words, as a
-    big-endian uint64 when every field fits in one word, as bytes otherwise."""
+    """Each printable ASCII field raw[start:start + length] as a key: its
+    bytes NUL-padded to whole 8-byte words, as a big-endian uint64 when every
+    field fits in one word, as bytes otherwise."""
     words = max(1, -(-int(lengths.max(initial=1)) // 8))
     padded = raw + bytes(8 * words)
     at = np.ndarray((len(padded) - 7,), ">u8", padded, strides=(1,))  # the word at each byte
@@ -171,13 +156,6 @@ def _field_keys(raw: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarr
     if words == 1:
         return columns[0]
     return np.stack(columns, axis=1).astype(">u8").view(f"S{8 * words}").ravel()
-
-
-def _string_keys(names: list[str]) -> np.ndarray:
-    """The keys of these printable ASCII ids, as _field_keys makes them."""
-    lengths = np.fromiter(map(len, names), np.int64, len(names))
-    starts = np.cumsum(lengths + 1) - lengths - 1
-    return _field_keys("\n".join(names).encode("ascii"), starts, lengths)
 
 
 def _key_names(keys: np.ndarray) -> list[str]:
@@ -210,93 +188,25 @@ def _digits(
     return values, ok
 
 
-def _group(keys: np.ndarray, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct keys in sorted order, the least line each is on, and the
-    index into them of every key."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    head = np.ones(keys.size, bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    heads = np.flatnonzero(head)
-    group = np.empty(keys.size, np.int64)
-    group[order] = np.cumsum(head) - 1
-    first = np.minimum.reduceat(lines[order], heads) if heads.size else heads
-    return ordered[heads], first, group
-
-
-class _IdTable:
-    """Ids numbered by first occurrence over successive blocks of lines. A
-    printable ASCII id is looked up by its key in one sorted array, so a
-    block's ids are found in array operations; any other id, which only a
-    line under the per-line rule can hold, by a dict."""
-
-    def __init__(self) -> None:
-        self.ids: list[str] = []
-        self.keys = np.empty(0, np.uint64)  # sorted
-        self.codes = np.empty(0, np.int64)  # the code of each key
-        self.others: dict[str, int] = {}
-
-    def encode(
-        self,
-        keys: np.ndarray,
-        key_lines: np.ndarray,
-        names: list[str],
-        name_lines: np.ndarray,
-        codes: np.ndarray,
-    ) -> None:
-        """Write into codes[line] the code of the id on that line: keys[i]
-        is the key of the id on key_lines[i], names[j] the id on
-        name_lines[j]. Ids the table lacks get the next codes, in order of
-        their first line."""
-        keyed = np.array([name.isascii() and name.isprintable() for name in names], bool)
-        if keyed.any():
-            more = _string_keys(list(compress(names, keyed)))
-            words = max(_words(keys), _words(more))
-            keys = np.concatenate((_widen(keys, words), _widen(more, words)))
-            key_lines = np.concatenate((key_lines, name_lines[keyed]))
-        others, other_lines = list(compress(names, ~keyed)), name_lines[~keyed]
-        words = max(_words(keys), _words(self.keys))
-        keys, self.keys = _widen(keys, words), _widen(self.keys, words)
-
-        distinct, first, group = _group(keys, key_lines)
-        at = np.searchsorted(self.keys, distinct)
-        held = at < self.keys.size
-        known = np.zeros(distinct.size, bool)
-        known[held] = self.keys[at[held]] == distinct[held]
-        found = np.empty(distinct.size, np.int64)
-        found[known] = self.codes[at[known]]
-        new_others: dict[str, int] = {}  # each new id's first line
-        for name, line in zip(others, other_lines.tolist()):
-            if name not in self.others:
-                new_others.setdefault(name, line)
-
-        # number the new ids by first line: the keyed ones, then any others merged in
-        new = np.flatnonzero(~known)
-        fresh = new[np.argsort(first[new])]
-        other_firsts = np.fromiter(new_others.values(), np.int64, len(new_others))
-        rank = np.argsort(np.concatenate((first[fresh], other_firsts)))
-        numbered = np.empty(rank.size, np.int64)
-        numbered[rank] = np.arange(len(self.ids), len(self.ids) + rank.size)
-        found[fresh] = numbered[: fresh.size]
-        self.others.update(zip(new_others, numbered[fresh.size :].tolist()))
-        fresh_names = _key_names(distinct[fresh])
-        if new_others:
-            fresh_names += new_others
-            fresh_names = [fresh_names[i] for i in rank.tolist()]
-        self.ids.extend(fresh_names)
-
-        if new.size:  # insert the new keys into the sorted table
-            put = at[new] + np.arange(new.size)
-            kept = np.ones(self.keys.size + new.size, bool)
-            kept[put] = False
-            table = np.empty(kept.size, self.keys.dtype)
-            table[put], table[kept] = distinct[new], self.keys
-            table_codes = np.empty(kept.size, np.int64)
-            table_codes[put], table_codes[kept] = found[new], self.codes
-            self.keys, self.codes = table, table_codes
-
-        codes[key_lines] = found[group]
-        codes[other_lines] = [self.others[name] for name in others]
+def _number(
+    index: dict[str, int],
+    keys: np.ndarray,
+    key_lines: np.ndarray,
+    names: list[str],
+    name_lines: np.ndarray,
+    codes: np.ndarray,
+) -> None:
+    """Write into codes[line] the index code of the id on that line: keys[i]
+    is the key of the id on key_lines[i], names[j] the id on name_lines[j],
+    each in line order. Ids the index lacks get the next codes, in order of
+    their first line."""
+    distinct, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    named = _key_names(distinct) + names
+    order = np.argsort(np.concatenate((key_lines[first], name_lines)))
+    found = np.empty(len(named), np.int64)
+    found[order] = [index.setdefault(named[i], len(index)) for i in order.tolist()]
+    codes[key_lines] = found[group]
+    codes[name_lines] = found[distinct.size :]
 
 
 class _Parser:
@@ -306,10 +216,11 @@ class _Parser:
     exactly the layout's fields, split by a one-byte delimiter; every byte
     is printable ASCII or the delimiter; its ids are non-empty with no space
     at either end; and its timestamp is 1 to 18 ASCII digits. Its ids are
-    encoded by sorting their bytes as keys, its timestamp by digit
-    arithmetic. Every other non-blank line takes the per-line rule
-    (_parse_line), and both kinds feed one first-occurrence numbering in
-    input order, so the result is the per-line rule's on every line.
+    packed into keys, and each distinct key of the block is decoded once;
+    its timestamp is read by digit arithmetic. Every other non-blank line
+    takes the per-line rule (_parse_line), and both kinds feed one dict per
+    table that numbers ids by first occurrence in input order, so the result
+    is the per-line rule's on every line.
     """
 
     def __init__(self, layout: FieldLayout):
@@ -321,7 +232,8 @@ class _Parser:
             self.expected = bytes(range(0x20, 0x7F)) + bytes((self.byte, 10))
             self.odd = np.ones(256, bool)
             self.odd[np.frombuffer(self.expected, np.uint8)] = False
-        self.users, self.venues = _IdTable(), _IdTable()
+        self.users: dict[str, int] = {}
+        self.venues: dict[str, int] = {}
         self.columns = [np.empty(0, np.int64) for _ in range(3)]
         self.skipped = 0
 
@@ -352,10 +264,9 @@ class _Parser:
             ok &= (lengths > 0) & (buf[starts] != 32) & (buf[starts + lengths - 1] != 32)
         return ends, lines[ok], (user[0][ok], user[1][ok]), (venue[0][ok], venue[1][ok]), times[ok]
 
-    def feed(self, text: str, overrides: dict[int, str] | None = None) -> None:
-        """Parse text, whole lines each ending in a newline; line i reads as
-        overrides[i] where that is given."""
-        raw = text.encode("utf-8", "surrogatepass")
+    def feed(self, text: str) -> None:
+        """Parse text, whole lines each ending in a newline."""
+        raw = text.encode("utf-8")
         buf = np.frombuffer(raw, np.uint8)
         ends, lines, user, venue, times = self._plain(raw, buf)
         starts = np.concatenate(([0], ends[:-1] + 1))
@@ -363,9 +274,8 @@ class _Parser:
         rest[lines] = False
         rest = np.flatnonzero(rest)
         rows, row_lines = [], []
-        overrides = overrides or {}
         for i, start, end in zip(rest.tolist(), starts[rest].tolist(), ends[rest].tolist()):
-            line = overrides.get(i) or raw[start:end].decode("utf-8", "surrogatepass")
+            line = raw[start:end].decode("utf-8")
             if not line.strip():
                 continue
             row = _parse_line(line, self.layout)
@@ -377,8 +287,8 @@ class _Parser:
         row_lines = np.array(row_lines, np.int64)
         row_users, row_venues, row_times = zip(*rows) if rows else ((), (), ())
         users, venues, line_times = (np.empty(ends.size, np.int64) for _ in range(3))
-        self.users.encode(_field_keys(raw, *user), lines, list(row_users), row_lines, users)
-        self.venues.encode(_field_keys(raw, *venue), lines, list(row_venues), row_lines, venues)
+        _number(self.users, _field_keys(raw, *user), lines, list(row_users), row_lines, users)
+        _number(self.venues, _field_keys(raw, *venue), lines, list(row_venues), row_lines, venues)
         line_times[lines] = times
         line_times[row_lines] = row_times
         valid = np.union1d(lines, row_lines) if rows else lines
@@ -388,53 +298,13 @@ class _Parser:
             column[size:] = values[valid]
 
     def result(self) -> tuple[Checkins, int]:
-        log = Checkins(self.users.ids, self.venues.ids, *self.columns)
+        log = Checkins(list(self.users), list(self.venues), *self.columns)
         if self.skipped > len(log):
             raise FormatError(
                 f"{self.skipped} of {len(log) + self.skipped} lines malformed; field layout "
                 f"{self.layout} probably does not match this file"
             )
         return log, self.skipped
-
-
-def parse_checkins(
-    source: Iterable[str | bytes], layout: FieldLayout = FieldLayout()
-) -> tuple[Checkins, int]:
-    """Parse a line-oriented check-in stream: each item is one line, str or
-    UTF-8 bytes, with or without its line ending.
-
-    Blank and whitespace-only lines are ignored. Ids are stripped of
-    surrounding whitespace. Malformed lines (missing fields, empty ids,
-    timestamps that are not integers in [0, 2^63), which the sentence
-    builder could not sort) are skipped and counted. Lines are parsed
-    BATCH_LINES at a time in array operations (see _Parser).
-
-    Returns:
-        (the valid lines' check-ins, number of skipped malformed lines)
-
-    Raises:
-        FormatError: if more than half of the non-blank lines are malformed,
-            which almost always means the field layout is wrong.
-        UnicodeDecodeError: on a bytes line that is not UTF-8.
-    """
-    parser = _Parser(layout)
-    source = iter(source)
-    while batch := list(islice(source, BATCH_LINES)):
-        lines = [
-            (raw.decode("utf-8") if isinstance(raw, bytes) else raw).rstrip("\r\n")
-            for raw in batch
-        ]
-        text = "\n".join(lines) + "\n"
-        overrides = None
-        if text.count("\n") > len(lines):  # a line holds a line break of its own
-            # such a line is given as "\0", one character and so never plain,
-            # and the per-line rule reads the line itself
-            overrides = {i: line for i, line in enumerate(lines) if "\n" in line}
-            text = "".join(
-                "\0\n" if i in overrides else line + "\n" for i, line in enumerate(lines)
-            )
-        parser.feed(text, overrides)
-    return parser.result()
 
 
 def _open_text(path: str | Path) -> IO[str]:
@@ -445,10 +315,25 @@ def _open_text(path: str | Path) -> IO[str]:
 
 
 def read_checkins(path: str | Path, layout: FieldLayout = FieldLayout()) -> tuple[Checkins, int]:
-    """parse_checkins over a file path, UTF-8 with universal newlines;
-    transparently handles .gz input. The file is read CHUNK_CHARS characters
-    at a time and parsed a chunk of whole lines at a time, so memory beyond
-    the result is bounded by the chunk."""
+    """Parse a line-oriented check-in file, UTF-8 with universal newlines;
+    a .gz suffix enables transparent gzip.
+
+    Blank and whitespace-only lines are ignored. Ids are stripped of
+    surrounding whitespace. Malformed lines (missing fields, empty ids,
+    timestamps that are not integers in [0, 2^63), which the sentence
+    builder could not sort) are skipped and counted. The file is read
+    CHUNK_CHARS characters at a time and parsed a chunk of whole lines at a
+    time in array operations (see _Parser), so memory beyond the result is
+    bounded by the chunk.
+
+    Returns:
+        (the valid lines' check-ins, number of skipped malformed lines)
+
+    Raises:
+        FormatError: if more than half of the non-blank lines are malformed,
+            which almost always means the field layout is wrong.
+        UnicodeDecodeError: on bytes that are not UTF-8.
+    """
     parser = _Parser(layout)
     with _open_text(path) as handle:
         pieces: list[str] = []

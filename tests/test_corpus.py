@@ -16,7 +16,6 @@ from venue2vec.corpus import (
     build_interactions,
     build_sentences,
     build_vocabulary,
-    parse_checkins,
     read_checkins,
     split_train_test,
     write_checkins,
@@ -28,21 +27,28 @@ from conftest import make_records, sentences_of, token_of
 from oracles import interactions_reference, parse_checkins_reference, sentences_reference
 
 
-def test_parse_single_line():
-    log, skipped = parse_checkins(["u1\tv9\t1296000000"])
+def read_lines(tmp_path, lines, layout=FieldLayout()):
+    """read_checkins over a file of these lines, each ended by a newline."""
+    path = tmp_path / "checkins.tsv"
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+    return read_checkins(path, layout)
+
+
+def test_parse_single_line(tmp_path):
+    log, skipped = read_lines(tmp_path, ["u1\tv9\t1296000000"])
     assert list(log) == [("u1", "v9", 1296000000)]
     assert skipped == 0
 
 
-def test_parse_empty_stream():
-    log, skipped = parse_checkins([])
+def test_parse_empty_stream(tmp_path):
+    log, skipped = read_lines(tmp_path, [])
     assert list(log) == []
     assert skipped == 0
 
 
-def test_parse_skips_malformed_line():
+def test_parse_skips_malformed_line(tmp_path):
     lines = ["u1\tv1\t100", "u2\t\t200", "u3\tv3\t300"]
-    log, skipped = parse_checkins(lines)
+    log, skipped = read_lines(tmp_path, lines)
     assert [user for user, _, _ in log] == ["u1", "u3"]
     assert skipped == 1
 
@@ -50,39 +56,34 @@ def test_parse_skips_malformed_line():
 @pytest.mark.parametrize(
     "bad", ["u1\tv1", "u1\tv1\tnot-a-number", "u1\tv1\t-5", "\tv1\t100", f"u1\tv1\t{2**63}"]
 )
-def test_parse_malformed_variants(bad):
-    records, skipped = parse_checkins([bad, "ok\tv\t1", "ok2\tv\t2"])
+def test_parse_malformed_variants(tmp_path, bad):
+    records, skipped = read_lines(tmp_path, [bad, "ok\tv\t1", "ok2\tv\t2"])
     assert len(records) == 2
     assert skipped == 1
 
 
-def test_parse_majority_malformed_is_format_error():
+def test_parse_majority_malformed_is_format_error(tmp_path):
     with pytest.raises(FormatError):
-        parse_checkins(["a,b,100", "c,d,200", "u\tv\t300"])
+        read_lines(tmp_path, ["a,b,100", "c,d,200", "u\tv\t300"])
 
 
-def test_parse_exactly_half_malformed_is_tolerated():
+def test_parse_exactly_half_malformed_is_tolerated(tmp_path):
     # the format-error threshold is strictly more than half
-    records, skipped = parse_checkins(["bad", "u\tv\t1", "also bad", "w\tx\t2"])
+    records, skipped = read_lines(tmp_path, ["bad", "u\tv\t1", "also bad", "w\tx\t2"])
     assert len(records) == 2
     assert skipped == 2
 
 
-def test_parse_ignores_blank_lines():
-    records, skipped = parse_checkins(["", "   ", "u\tv\t1", "\n"])
+def test_parse_ignores_blank_lines(tmp_path):
+    records, skipped = read_lines(tmp_path, ["", "   ", "u\tv\t1", "\n"])
     assert len(records) == 1
     assert skipped == 0
 
 
-def test_parse_custom_layout():
+def test_parse_custom_layout(tmp_path):
     layout = FieldLayout(delimiter=",", user_col=2, venue_col=0, time_col=1)
-    log, _ = parse_checkins(["v7,123,alice"], layout)
+    log, _ = read_lines(tmp_path, ["v7,123,alice"], layout)
     assert list(log) == [("alice", "v7", 123)]
-
-
-def test_parse_accepts_bytes_lines():
-    log, _ = parse_checkins([b"u1\tv1\t42"])
-    assert log.times.tolist() == [42]
 
 
 def test_read_checkins_gzip_roundtrip(tmp_path):
@@ -163,12 +164,11 @@ def assert_same_parse(parse, reference):
     assert all(column.dtype == np.int64 for column in (log.users, log.venues, log.times))
 
 
-@given(st.data(), checkin_layouts(), st.integers(1, 40), st.integers(1, 8))
+@given(st.data(), checkin_layouts(), st.integers(1, 40))
 @settings(max_examples=150, deadline=None)
-def test_parse_matches_per_line_reference(tmp_path_factory, data, layout, chunk, batch):
-    """Files (plain and gzip, with \\n, \\r\\n and lone \\r endings) and
-    lists of str and bytes lines parse as the per-line reference does, at
-    any chunk and batch size."""
+def test_parse_matches_per_line_reference(tmp_path_factory, data, layout, chunk):
+    """Files (plain and gzip, with \\n, \\r\\n and lone \\r endings) parse
+    as the per-line reference does, at any chunk size."""
     lines = data.draw(checkin_lines(layout))
     endings = [data.draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
     text = "".join(line + ending for line, ending in zip(lines, endings))
@@ -178,46 +178,18 @@ def test_parse_matches_per_line_reference(tmp_path_factory, data, layout, chunk,
     plain, packed = folder / "checkins.tsv", folder / "checkins.tsv.gz"
     plain.write_bytes(text.encode("utf-8"))
     packed.write_bytes(gzip.compress(text.encode("utf-8")))
-    items = [
-        (line + ending).encode("utf-8") if data.draw(st.booleans()) else line + ending
-        for line, ending in zip(lines, endings)
-    ]
-    with mock.patch.object(corpus, "CHUNK_CHARS", chunk), mock.patch.object(
-        corpus, "BATCH_LINES", batch
-    ):
+    with mock.patch.object(corpus, "CHUNK_CHARS", chunk):
         for path in (plain, packed):
             with corpus._open_text(path) as handle:
                 assert_same_parse(
                     lambda: read_checkins(path, layout),
                     lambda: parse_checkins_reference(handle, layout),
                 )
-        assert_same_parse(
-            lambda: parse_checkins(items, layout), lambda: parse_checkins_reference(items, layout)
-        )
-
-
-@pytest.mark.parametrize(
-    "items",
-    [
-        ["u\tv\t1\nw\tx\t2", "u\tv\t3"],  # a line break inside one line
-        ["u\nx\tv\t1", "u\tv\t3"],  # a line break inside an id
-        ["u\tv\t1\rw\tx\t2", "u\tv\t3"],  # a lone \r inside one line
-        ["u\tv\t1\r\r\n", "u\tv\t2\n\n"],  # several endings at once
-        ["\ud800\tv\t1", "u\tv\t2"],  # a lone surrogate in a str id
-    ],
-)
-def test_parse_list_lines_hold_what_a_file_cannot(items):
-    assert_same_parse(
-        lambda: parse_checkins(items), lambda: parse_checkins_reference(items, FieldLayout())
-    )
 
 
 @pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"u\tv\xe9\t1"])
 def test_parse_invalid_utf8_raises_as_per_line_reference(tmp_path, bad):
     items = [b"u\tv\t1\n", bad + b"\n", b"w\tx\t2\n"]
-    assert_same_parse(
-        lambda: parse_checkins(items), lambda: parse_checkins_reference(items, FieldLayout())
-    )
     path = tmp_path / "checkins.tsv"
     path.write_bytes(b"".join(items))
     with pytest.raises(UnicodeDecodeError):
@@ -226,10 +198,14 @@ def test_parse_invalid_utf8_raises_as_per_line_reference(tmp_path, bad):
 
 def test_parse_does_not_depend_on_chunk_size(tmp_path):
     """A file of plain and other lines parses the same whether it is read a
-    few characters at a time or whole."""
+    few characters at a time or whole. Venue ids of 10 to 30 characters and
+    of at most 8 recur across chunks, so one chunk's keys can be one word
+    wide and the next chunk's wider."""
     lines = []
     for i in range(300):
         user, venue = f"user{i % 17}", f"venue-{i % 41:04d}" * (1 + i % 3)
+        if i % 12 == 6:  # every other plain line
+            venue = f"v{i % 5}"
         lines.append(
             [f"{user}\t{venue}\t{1296000000 + i}", f" {user}\t{venue}\t+{i}", "",
              f"ü{i % 5}\t{venue}\t{i}", f"{user}\t{venue}", f"{user}\t{venue}\t{2**63}"][i % 6]
