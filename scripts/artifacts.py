@@ -8,7 +8,8 @@ Usage:
 Every command goes through venue2vec.cli.main in this one process:
 generate-fixture for each fixture (acceptance: seed 11, 4 x 50 x 100;
 noisy: seed 3, 3 x 30 x 60, noise 0.3; sparse: seed 5, 3 x 30 x 120, 30
-favourites, noise 0.3), then at F=16, C=10, E=5, N=30, k=10, seed 1:
+favourites, noise 0.3), then at F=16, C=10, E=5, seed 1 (TRAINING) and
+N=30, k=10 (SERVING):
 
 - run for all seven methods x --filter-seen x --binary-votes;
 - run for kni, nn and kiu at --min-count 2 x --filter-seen;
@@ -18,6 +19,10 @@ favourites, noise 0.3), then at F=16, C=10, E=5, N=30, k=10, seed 1:
   the users in USERS (one of them unknown): kni and kiu read only the
   model, nn also the check-ins;
 - sweep for kni over E = 2, 3, then plot-data over its sweep_E.csv.
+
+run and sweep take both groups of settings. Each staged command takes only
+the flags it reads: train the input, TRAINING and --min-count; recommend the
+input, SERVING, the method and the two flags; evaluate the input and SERVING.
 
 The timing fields (report and sweep train_s, rec_s_total and
 rec_s_per_user, loss trace seconds) are then set to 0.0, so everything left
@@ -46,8 +51,8 @@ FIXTURES = {
     "sparse": ["--seed", "5", "--communities", "3", "--users-per-community", "30",
                "--venues-per-community", "120", "--favorites", "30", "--noise", "0.3"],
 }
-SETTINGS = ["--features", "16", "--window", "10", "--epochs", "5", "--neighbors", "30",
-            "--topk", "10", "--seed", "1"]
+TRAINING = ["--features", "16", "--window", "10", "--epochs", "5", "--seed", "1"]
+SERVING = ["--neighbors", "30", "--topk", "10"]
 FLAGS = {
     "plain": [],
     "seen": ["--filter-seen"],
@@ -66,7 +71,8 @@ def commands(out: Path, fixtures: dict) -> list[list[str]]:
         base = out / name
         checkins = base / "checkins.tsv"
         argvs.append(["generate-fixture", "--out", str(checkins), *spec])
-        data = ["--input", str(checkins), *SETTINGS]
+        given = ["--input", str(checkins)]
+        data = [*given, *TRAINING, *SERVING]
         for method in METHODS:
             for label, flags in FLAGS.items():
                 argvs.append(["run", *data, "--method", method, *flags,
@@ -77,22 +83,22 @@ def commands(out: Path, fixtures: dict) -> list[list[str]]:
                               *FLAGS[label], "--out-dir", str(base / "run-min2" / method / label)])
         for min_count in ("1", "2"):
             staged = base / f"staged-min{min_count}"
-            given = [*data, "--min-count", min_count]
             model = staged / "model.bin"
-            argvs.append(["train", *given, "--model-out", str(model),
+            argvs.append(["train", *given, *TRAINING, "--min-count", min_count,
+                          "--model-out", str(model),
                           "--text-out", str(staged / "vectors.txt"),
                           "--loss-csv", str(staged / "loss.csv")])
             for method in EMBEDDING_METHODS:
                 for label, flags in FLAGS.items():
                     recs = staged / f"{method}-{label}.tsv"
-                    argvs.append(["recommend", "--model", str(model), *given, "--method", method,
-                                  *flags, "--out", str(recs)])
-                    argvs.append(["evaluate", "--recommendations", str(recs), *given, *flags,
+                    argvs.append(["recommend", "--model", str(model), *given, *SERVING,
+                                  "--method", method, *flags, "--out", str(recs)])
+                    argvs.append(["evaluate", "--recommendations", str(recs), *given, *SERVING,
                                   "--out-dir", str(staged / method / label)])
         staged = base / "staged-min1"
         for method in EMBEDDING_METHODS:
-            argvs.append(["recommend", "--model", str(staged / "model.bin"), *data,
-                          "--method", method, "--users", str(base / "users.txt"),
+            argvs.append(["recommend", "--model", str(staged / "model.bin"), *given,
+                          *SERVING, "--method", method, "--users", str(base / "users.txt"),
                           "--out", str(staged / f"{method}-users.tsv")])
         sweep = base / "sweep"
         argvs.append(["sweep", *data, "--method", "kni", "--axis", "E", "--values", "2,3",

@@ -2,12 +2,15 @@
 
 Subcommands: generate-fixture, train, recommend, evaluate, run, sweep,
 plot-data. Exit codes: 0 success, 1 configuration error, 2 runtime failure.
-Flags override values from an optional key=value --config file.
+Flags override values from an optional key=value --config file. The file may
+hold any experiment key; train, recommend and evaluate take flags only for
+the keys they read, run and sweep for every key.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 import traceback
 from pathlib import Path
@@ -73,15 +76,25 @@ _OPTIONS = {
 }
 _CHOICES = {"method": harness.ALL_METHODS, "arch": (SKIP_GRAM, CBOW)}
 
+# The keys each staged command reads and so takes flags for; run and sweep
+# take every key. A --config file may hold any key (see the module docstring).
+_INPUT_KEYS = ("input", "boundary", "delimiter", "user_col", "venue_col", "time_col")
+_STAGE_KEYS = {
+    "train": _INPUT_KEYS + ("arch", "features", "window", "epochs", "min_count", "seed"),
+    "recommend": _INPUT_KEYS + ("method", "neighbors", "topk", "filter_seen", "binary_votes"),
+    "evaluate": _INPUT_KEYS + ("neighbors", "topk", "out_dir"),  # N is echoed in the report
+}
 
-def _add_experiment_flags(parser, with_method=True) -> None:
-    parser.add_argument("--config", help="key=value config file; flags win")
-    for key, (_, parse, text) in _OPTIONS.items():
+
+def _add_experiment_flags(parser, keys=tuple(_OPTIONS)) -> None:
+    parser.add_argument("--config", help="key=value file of any experiment keys; flags win")
+    for key in keys:
+        _, parse, text = _OPTIONS[key]
         flag = "--" + key.replace("_", "-")
         if parse is _bool:
             # an absent flag stays None, leaving the config file's value
             parser.add_argument(flag, action="store_const", const="true", help=text)
-        elif key != "method" or with_method:
+        else:
             parser.add_argument(flag, choices=_CHOICES.get(key), help=text)
 
 
@@ -240,21 +253,21 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_generate_fixture)
 
     p = sub.add_parser("train", help="train an embedding model")
-    _add_experiment_flags(p, with_method=False)
+    _add_experiment_flags(p, _STAGE_KEYS["train"])
     p.add_argument("--model-out", required=True)
     p.add_argument("--loss-csv", default=None)
     p.add_argument("--text-out", default=None, help="also export readable vectors")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("recommend", help="batch recommendations from a saved model")
-    _add_experiment_flags(p)
+    _add_experiment_flags(p, _STAGE_KEYS["recommend"])
     p.add_argument("--model", required=True)
     p.add_argument("--users", default=None, help="file with one target user per line; repeats are listed once")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_recommend)
 
     p = sub.add_parser("evaluate", help="score a batch recommendation file")
-    _add_experiment_flags(p, with_method=False)
+    _add_experiment_flags(p, _STAGE_KEYS["evaluate"])
     p.add_argument("--recommendations", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
@@ -277,7 +290,40 @@ def build_parser() -> _Parser:
     return parser
 
 
+# glibc's mallopt parameters (malloc.h) and the values main gives them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 8 << 20
+_TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES  # glibc's own pairing
+
+
+def _fix_malloc_thresholds() -> bool:
+    """Give glibc's malloc fixed thresholds for the rest of the process.
+
+    Left adaptive, glibc raises its mmap threshold to the size of each
+    mapped block it frees, so once a model's weights are freed, later blocks
+    of that size come from the heap, and whether they land on pages already
+    resident depends on what earlier commands in the process left there:
+    one seed's cbow-serve benchmark run, every command in one process,
+    peaked at 77 MB or at 89 MB from run to run. Fixed, every block of
+    _MMAP_THRESHOLD_BYTES or more is mapped when allocated and unmapped when
+    freed, so it counts towards resident memory exactly while it lives.
+    Smaller blocks stay on the heap, which keeps at most
+    _TRIM_THRESHOLD_BYTES free at its top. Returns whether glibc took both
+    settings; elsewhere it changes nothing and returns False.
+    """
+    if not sys.platform.startswith("linux"):
+        return False
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "gnu_get_libc_version"):  # musl and others
+        return False
+    return bool(
+        libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        and libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
+    _fix_malloc_thresholds()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

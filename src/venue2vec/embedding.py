@@ -1,12 +1,13 @@
 """Skip-gram and CBOW token embeddings trained with negative sampling.
 
 Two weight matrices are kept, input (center) vectors over output (context)
-vectors in one block. All similarity queries run against the input matrix
-for users and venues alike, so the three vector-space recommenders stay
-mutually consistent. Training is minibatched SGD over sentences with a linearly
-decaying learning rate; a per-position window radius is drawn uniformly from
-[1, C] exactly like the classic word2vec reduced-window trick. Each
-minibatch is one matrix-form SGNS step (Ji et al., arXiv 1604.04661).
+vectors in one block. This module only trains them; serving
+(harness.Fit.of_model) reads users and venues alike from the input matrix,
+so the three vector-space recommenders stay mutually consistent. Training
+is minibatched SGD over sentences with a linearly decaying learning rate; a
+per-position window radius is drawn uniformly from [1, C] exactly like the
+classic word2vec reduced-window trick. Each minibatch is one matrix-form
+SGNS step (Ji et al., arXiv 1604.04661).
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ BLOCK_TOKENS = 256
 # learning rate then leaves non-finite weights in the epoch where it starts:
 # a single step per epoch can grow the weights to 1e18 and leave them finite.
 MIN_STEPS_PER_EPOCH = 16
+# init_model draws the input half this many bytes of float64 at a time, so it
+# makes no float64 copy of the whole half: at 11.6k tokens and F=100 two such
+# copies (8.8 MiB each) set the train command's peak memory.
+INIT_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,12 @@ def init_model(
     size, feature_count = len(vocab), config.feature_count
     rng = np.random.default_rng(config.seed)
     weights = np.zeros((2 * size, feature_count), dtype=dtype)
-    weights[:size] = (rng.random((size, feature_count)) - 0.5) / feature_count
+    # one stream of draws in row order, whatever the block: each draw takes
+    # the generator's next 64 bits
+    rows = max(1, INIT_BLOCK_BYTES // (8 * feature_count))
+    for start in range(0, size, rows):
+        draws = rng.random((min(rows, size - start), feature_count))
+        weights[start : start + len(draws)] = (draws - 0.5) / feature_count
     return EmbeddingModel(weights, vocab, config)
 
 

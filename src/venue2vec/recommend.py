@@ -1,9 +1,13 @@
-"""Top-k venue recommendation from a trained embedding model.
+"""Top-k venue recommendation for all seven methods, and the batch file of
+their lists.
 
-Three strategies:
+The embedding methods, over a trained model's user and venue rows:
   KNI  rank venues by cosine similarity to the target user's vector.
   NN   collect the venues of the N most similar users and sum their votes.
   KIU  rank venues by cosine to the mean of the target's and neighbors' vectors.
+The baselines: CF votes like NN over visit-count rows, weighted by
+similarity; SVD and CCD++ like NN over latent user factors; Random lists a
+seeded permutation of the catalog.
 
 Every method, Random too (random_scores), is a score rule: given a block of
 target rows it returns its candidates, one (targets x catalog) CSR matrix
@@ -30,6 +34,7 @@ NN = "nn"
 KIU = "kiu"
 
 NO_PREDICTION = "no-prediction"
+_SEPARATORS = "\t\n\r"  # the batch file's field and line separators
 
 # Below this many candidates top_k sorts them all at once; from it on, it
 # partitions first. Measured on one Xeon vCPU (k = 10 and 30, random cosines):
@@ -419,10 +424,28 @@ def format_batch_line(result: RecommendationList) -> str:
 def write_batch_recommendations(
     results: Iterable[RecommendationList], path: str | Path
 ) -> None:
-    """One line per user: user, method, then venue:score pairs (tab-separated)."""
+    """One line per user: user, method, then venue:score pairs (tab-separated).
+
+    Raises:
+        FormatError: naming the id and the path if an id holds a tab or a
+            line break, which its line could not carry; nothing is written.
+    """
+    lines = []
+    for result in results:
+        line = format_batch_line(result)
+        # a line carries its ids if its only separators are its own tabs
+        if sum(map(line.count, _SEPARATORS)) != max(len(result.items), 1) + 1:
+            name = next(
+                name for name in (result.user, result.method, *result.venues())
+                if any(char in name for char in _SEPARATORS)
+            )
+            raise FormatError(
+                f"{path}: id {name!r} holds a tab or a line break, which a "
+                f"recommendation line cannot carry"
+            )
+        lines.append(line + "\n")
     with open(path, "w", encoding="utf-8") as handle:
-        for result in results:
-            handle.write(format_batch_line(result) + "\n")
+        handle.writelines(lines)
 
 
 def _venue_score(pair: str) -> tuple[str, float]:

@@ -1,9 +1,11 @@
+import ctypes
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from venue2vec import corpus, embedding, harness
+from venue2vec import cli, corpus, embedding, harness
 from venue2vec.cli import build_experiment_config, build_parser, main
 from venue2vec.corpus import read_checkins, split_train_test, write_checkins
 from venue2vec.embedding import TrainingConfig, init_model
@@ -159,20 +161,20 @@ def test_train_recommend_evaluate_pipeline(fixture_file, tmp_path):
 def test_staged_pipeline_matches_single_run(fixture_file, tmp_path):
     """train + recommend + evaluate must reproduce run's metrics exactly:
     the same seed trains the same model either way."""
-    common = ["--input", str(fixture_file), "--features", "12", "--window", "4",
-              "--epochs", "6", "--seed", "9"]
+    data = ["--input", str(fixture_file)]
+    training = ["--features", "12", "--window", "4", "--epochs", "6", "--seed", "9"]
     out_run = tmp_path / "single"
-    assert main(["run", "--method", "kni", "--topk", "5", *common,
+    assert main(["run", "--method", "kni", "--topk", "5", *data, *training,
                  "--out-dir", str(out_run)]) == 0
 
     model_path = tmp_path / "model.bin"
     batch_path = tmp_path / "recs.tsv"
     out_staged = tmp_path / "staged"
-    assert main(["train", *common, "--model-out", str(model_path)]) == 0
+    assert main(["train", *data, *training, "--model-out", str(model_path)]) == 0
     assert main(["recommend", "--model", str(model_path), "--method", "kni",
-                 "--topk", "5", *common, "--out", str(batch_path)]) == 0
+                 "--topk", "5", *data, "--out", str(batch_path)]) == 0
     assert main(["evaluate", "--recommendations", str(batch_path), "--topk", "5",
-                 *common, "--out-dir", str(out_staged)]) == 0
+                 *data, "--out-dir", str(out_staged)]) == 0
 
     single = json.loads((out_run / "report.json").read_text())
     staged = json.loads((out_staged / "report.json").read_text())
@@ -183,17 +185,18 @@ def test_staged_pipeline_matches_single_run(fixture_file, tmp_path):
 def test_report_n_is_the_n_served(fixture_file, tmp_path):
     """KNI is KIU with N = 0: its report says N = 0 from run and from
     evaluate, while KIU's says the N it served with."""
-    common = ["--input", str(fixture_file), "--features", "8", "--window", "4",
-              "--epochs", "2", "--neighbors", "5", "--topk", "5"]
+    data = ["--input", str(fixture_file)]
+    training = ["--features", "8", "--window", "4", "--epochs", "2"]
+    serving = ["--neighbors", "5", "--topk", "5"]
     model = tmp_path / "model.bin"
-    assert main(["train", *common, "--model-out", str(model)]) == 0
+    assert main(["train", *data, *training, "--model-out", str(model)]) == 0
     for method, served in (("kni", 0), ("kiu", 5)):
         recs = tmp_path / f"{method}.tsv"
-        assert main(["run", "--method", method, *common,
+        assert main(["run", "--method", method, *data, *training, *serving,
                      "--out-dir", str(tmp_path / f"run_{method}")]) == 0
-        assert main(["recommend", "--model", str(model), "--method", method, *common,
+        assert main(["recommend", "--model", str(model), "--method", method, *data, *serving,
                      "--out", str(recs)]) == 0
-        assert main(["evaluate", "--recommendations", str(recs), *common,
+        assert main(["evaluate", "--recommendations", str(recs), *data, *serving,
                      "--out-dir", str(tmp_path / f"eval_{method}")]) == 0
         for stage in ("run", "eval"):
             out = tmp_path / f"{stage}_{method}"
@@ -383,11 +386,85 @@ OPTION_CASES = [
 ]
 
 
+def _flags_of(command: str) -> set[str]:
+    parser = build_parser()._subparsers._group_actions[0].choices[command]
+    return {o for action in parser._actions for o in action.option_strings} - {"-h", "--help"}
+
+
 def test_option_cases_cover_every_flag():
-    run = build_parser()._subparsers._group_actions[0].choices["run"]
-    flags = {o for action in run._actions for o in action.option_strings}
     covered = {"--" + key.replace("_", "-") for key, _ in OPTION_CASES}
-    assert flags - {"-h", "--help", "--config"} == covered
+    assert _flags_of("run") - {"--config"} == covered
+
+
+INPUT_FLAGS = {"--config", "--input", "--boundary", "--delimiter", "--user-col", "--venue-col",
+               "--time-col"}
+
+
+@pytest.mark.parametrize(
+    "stage, flags",
+    [
+        ("train", {"--arch", "--features", "--window", "--epochs", "--min-count", "--seed",
+                   "--model-out", "--loss-csv", "--text-out"}),
+        ("recommend", {"--method", "--neighbors", "--topk", "--filter-seen", "--binary-votes",
+                       "--model", "--users", "--out"}),
+        ("evaluate", {"--neighbors", "--topk", "--out-dir", "--recommendations"}),
+    ],
+)
+def test_each_stage_takes_the_flags_it_reads(stage, flags):
+    assert _flags_of(stage) == INPUT_FLAGS | flags
+
+
+@pytest.mark.parametrize(
+    "stage, unread",
+    [("train", ["--topk", "5"]), ("recommend", ["--epochs", "3"]), ("evaluate", ["--filter-seen"])],
+)
+def test_unread_flag_is_config_error(tmp_path, capsys, stage, unread):
+    """A staged command given a flag it does not read stops with exit 1 and
+    names the flag, before it reads its input (every input path is absent,
+    which would exit 2) or writes anything."""
+    target = tmp_path / "target"
+    outputs = {
+        "train": ["--model-out", str(target)],
+        "recommend": ["--model", str(tmp_path / "model.bin"), "--out", str(target)],
+        "evaluate": ["--recommendations", str(tmp_path / "recs.tsv"), "--out-dir", str(target)],
+    }
+    data = ["--input", str(tmp_path / "checkins.tsv")]
+    assert main([stage, *data, *outputs[stage], *unread]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and unread[0] in err
+    assert not target.exists()
+
+
+def test_one_config_file_drives_every_stage_to_run_metrics(fixture_file, tmp_path):
+    """The --config file is the whole experiment: one file holding every
+    experiment key drives train, recommend and evaluate, each reading the
+    keys it needs, to the metrics run reaches from the same file."""
+    columns = [line.split("\t") for line in fixture_file.read_text().splitlines()]
+    log = tmp_path / "checkins.csv"
+    log.write_text("".join(f"{t},{user},{venue}\n" for user, venue, t in columns))
+    conf = tmp_path / "exp.conf"
+    conf.write_text(
+        f"input = {log}\nboundary = {FEB_2011}\nmethod = kiu\narch = skip-gram\n"
+        "features = 8\nwindow = 3\nepochs = 2\nmin_count = 1\nneighbors = 4\ntopk = 5\n"
+        "filter_seen = true\nbinary_votes = true\nseed = 3\nrank = 6\n"
+        "regularization = 0.5\nrandom_runs = 2\n"
+        f"out_dir = {tmp_path / 'out'}\ndelimiter = ,\nuser_col = 1\nvenue_col = 2\n"
+        "time_col = 0\n"
+    )
+    assert {key for key, _ in OPTION_CASES} == set(harness.parse_config_file(conf))
+    config = ["--config", str(conf)]
+    assert main(["run", *config]) == 0
+    single = json.loads((tmp_path / "out" / "report.json").read_text())
+    model, recs = tmp_path / "model.bin", tmp_path / "recs.tsv"
+    assert main(["train", *config, "--model-out", str(model)]) == 0
+    assert main(["recommend", *config, "--model", str(model), "--out", str(recs)]) == 0
+    assert main(["evaluate", *config, "--recommendations", str(recs)]) == 0
+    staged = json.loads((tmp_path / "out" / "report.json").read_text())
+    # evaluate's report replaced run's: it knows no fit, so its F is 0
+    assert (single["F"], staged["F"]) == (8, 0)
+    assert (staged["method"], staged["N"], staged["k"]) == ("kiu", 4, 5)
+    for metric in ("precision", "ndcg", "hitrate", "coverage"):
+        assert staged[metric] == pytest.approx(single[metric], abs=1e-12)
 
 
 @pytest.mark.parametrize("key, text", OPTION_CASES)
@@ -613,12 +690,13 @@ def test_recommend_lists_a_repeated_user_once_and_evaluate_accepts_it(
     fixture_file, tmp_path, capsys
 ):
     model_path = tmp_path / "model.bin"
-    common = ["--input", str(fixture_file), "--features", "4", "--epochs", "1"]
-    assert main(["train", *common, "--model-out", str(model_path)]) == 0
+    data = ["--input", str(fixture_file)]
+    assert main(["train", *data, "--features", "4", "--epochs", "1",
+                 "--model-out", str(model_path)]) == 0
     users_file = tmp_path / "users.txt"
     users_file.write_text("c0u1\nc1u0\nc0u1\n")
     out = tmp_path / "recs.tsv"
-    argv = ["recommend", *common, "--model", str(model_path), "--method", "kni"]
+    argv = ["recommend", *data, "--model", str(model_path), "--method", "kni"]
     assert main([*argv, "--users", str(users_file), "--out", str(out)]) == 0
     assert [r.user for r in read_batch_recommendations(out)] == ["c0u1", "c1u0"]
     evaluate = ["evaluate", "--recommendations", str(out), "--input", str(fixture_file)]
@@ -679,17 +757,45 @@ def test_recommend_line_does_not_depend_on_block_mates(
 
 def test_recommend_with_nan_weight_is_format_error(fixture_file, tmp_path, capsys):
     model_path = tmp_path / "model.bin"
-    common = ["--input", str(fixture_file), "--features", "4", "--epochs", "1"]
-    assert main(["train", *common, "--model-out", str(model_path)]) == 0
+    data = ["--input", str(fixture_file)]
+    assert main(["train", *data, "--features", "4", "--epochs", "1",
+                 "--model-out", str(model_path)]) == 0
     model = load_embedding_model(model_path)
     model.input_vectors[0, 1] = np.nan  # one user row
     save_embedding_model(model, model_path)
     capsys.readouterr()
     out = tmp_path / "recs.tsv"
-    argv = ["recommend", *common, "--model", str(model_path), "--method", "kni"]
+    argv = ["recommend", *data, "--model", str(model_path), "--method", "kni"]
     assert main([*argv, "--out", str(out)]) == 2
     assert f"{model_path} holds a non-finite weight" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_id_with_a_tab_is_format_error_naming_it(fixture_file, tmp_path, capsys):
+    """A comma-separated log may hold a tab inside an id, which no
+    recommendation line can carry: run, and recommend --users given such a
+    name, stop with exit 2 naming the id and the file, and write no list."""
+    log = tmp_path / "checkins.csv"
+    log.write_text(fixture_file.read_text().replace("\t", ",").replace("c0u1,", "c0\tu1,"))
+    out = tmp_path / "run"
+    argv = ["--input", str(log), "--delimiter", ","]
+    capsys.readouterr()
+    assert main(["run", *argv, "--method", "cf", "--out-dir", str(out)]) == 2
+    recs = out / "recommendations.tsv"
+    assert f"{recs}: id 'c0\\tu1' holds a tab" in capsys.readouterr().err
+    assert not recs.exists()
+
+    model = tmp_path / "model.bin"
+    assert main(["train", "--input", str(fixture_file), "--features", "4", "--epochs", "1",
+                 "--model-out", str(model)]) == 0
+    users_file = tmp_path / "users.txt"
+    users_file.write_text("c0u0\nc1\tu2\n")
+    recs = tmp_path / "recs.tsv"
+    capsys.readouterr()
+    assert main(["recommend", "--model", str(model), "--input", str(fixture_file),
+                 "--users", str(users_file), "--out", str(recs)]) == 2
+    assert f"{recs}: id 'c1\\tu2' holds a tab" in capsys.readouterr().err
+    assert not recs.exists()
 
 
 def test_sweep_names_each_failed_value(fixture_file, tmp_path, capsys):
@@ -699,3 +805,25 @@ def test_sweep_names_each_failed_value(fixture_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "sweep C: 1 runs ok, 1 failed" in captured.out
     assert 'C=0: context_count must be an int >= 1 or "max"' in captured.err.splitlines()
+
+
+def test_fixed_malloc_thresholds_keep_large_blocks_mapped():
+    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+    if libc is None or not hasattr(libc, "mallinfo2"):
+        pytest.skip("needs glibc 2.33 or later")
+
+    class Mallinfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd",
+            "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+    libc.mallinfo2.restype = Mallinfo2
+    assert cli._fix_malloc_thresholds()
+    size = 2 * cli._MMAP_THRESHOLD_BYTES
+    # glibc's adaptive rule would serve the second block from the heap, once
+    # the first, mapped, block of its size was freed
+    for _ in range(2):
+        mapped = libc.mallinfo2().hblkhd
+        block = np.ones(size, dtype=np.uint8)
+        assert libc.mallinfo2().hblkhd - mapped >= size
+        del block

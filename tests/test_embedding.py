@@ -118,6 +118,16 @@ def test_init_row_recomputable_from_seeded_stream():
     )
 
 
+def test_init_drawn_in_blocks_is_one_stream(monkeypatch):
+    # two rows a block: five tokens take two whole blocks and a partial one
+    monkeypatch.setattr(embedding, "INIT_BLOCK_BYTES", 2 * 8 * 4)
+    vocab, _ = small_vocab()
+    model = init_model(vocab, TrainingConfig(feature_count=4, seed=9))
+    stream = (np.random.default_rng(9).random((len(vocab), 4)) - 0.5) / 4
+    np.testing.assert_array_equal(model.input_vectors, stream.astype(np.float32))
+    assert not model.output_vectors.any()
+
+
 def test_init_two_dimensional_toy(toy_records):
     vocab = build_vocabulary(toy_records, 1)
     model = init_model(vocab, TrainingConfig(feature_count=2, seed=0))

@@ -814,6 +814,25 @@ def test_batch_no_prediction_line():
     assert line == f"u9\tnn\t{NO_PREDICTION}"
 
 
+@pytest.mark.parametrize(
+    "result, name",
+    [
+        (RecommendationList("c0\tu1", "kni"), "c0\tu1"),
+        (RecommendationList("u", "kni", [("a", 0.5), ("loc\r4", 0.25)]), "loc\r4"),
+        (RecommendationList("u", "kni", [("loc\n4", 0.5)]), "loc\n4"),
+    ],
+    ids=["tab-in-user", "return-in-venue", "newline-in-venue"],
+)
+def test_batch_id_with_a_separator_is_format_error(tmp_path, result, name):
+    """An id holding a tab or a line break would split its line, so the
+    writer names it and the file, and writes nothing."""
+    path = tmp_path / "batch.tsv"
+    fine = RecommendationList("u0", "kni", [("a", 0.5)])
+    with pytest.raises(FormatError, match=re.escape(f"{path}: id {name!r}")):
+        write_batch_recommendations([fine, result], path)
+    assert not path.exists()
+
+
 def test_batch_venue_ids_with_colons(tmp_path):
     results = [RecommendationList("u", "kni", [("loc:4:a", 0.5)])]
     path = tmp_path / "batch.tsv"
