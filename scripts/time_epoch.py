@@ -16,7 +16,10 @@ svd_factorize and one ccdpp_factorize build (rank 100, seed 1, the
 library's other defaults) over the training visit table, and the seconds of
 two seeded Random servings (k=10, seed 1) of the evaluation users over the
 49,520-venue catalog, one plain and one under filter_seen, which draws each
-user k + |seen| deep. It then trains skip-gram (F=100, C=20) and CBOW
+user k + |seen| deep, and the rec_s_total and rec_s_per_user of one
+run_experiment of CF and of Random (random_runs=1, seed 1, k=10) over the
+evaluation users: the serving, ranking and scoring of every user. It then
+trains skip-gram (F=100, C=20) and CBOW
 (F=100, window "max") and prints, per architecture, the seconds per epoch
 and the (center, context) pairs per second. The pair count is the
 expectation over the reduced-window radius draw, the same for any
@@ -41,7 +44,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from venue2vec.baselines import RANDOM, ccdpp_factorize, svd_factorize
+from venue2vec.baselines import CF, RANDOM, ccdpp_factorize, svd_factorize
 from venue2vec.corpus import (
     build_interactions,
     build_sentences,
@@ -124,6 +127,15 @@ def main() -> int:
             f"{'random serving':<18} {time.perf_counter() - start:7.3f} s "
             f"({len(users)} users, {len(vocab.venues)} venues, k={config.k}"
             f"{', filter_seen' if filter_seen else ''})"
+        )
+    for method in (CF, RANDOM):
+        report = run_experiment(
+            ExperimentConfig(fixture=PAPER_SHAPE, method=method, seed=1, random_runs=1)
+        )
+        print(
+            f"{method + ' run':<18} {report.rec_s_total:7.3f} s rec_s_total, "
+            f"{1e6 * report.rec_s_per_user:.1f} us rec_s_per_user "
+            f"({len(report.per_user)} users, k={report.k})"
         )
     lengths = np.diff(corpus.starts)
     print(f"{len(corpus)} sentences, {corpus.total_tokens} tokens, {len(vocab)} tokens in vocab")

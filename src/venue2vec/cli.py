@@ -15,6 +15,8 @@ import sys
 import traceback
 from pathlib import Path
 
+import numpy as np
+
 from . import harness, modelio, recommend
 from .corpus import FieldLayout, write_checkins
 from .embedding import CBOW, MAX_WINDOW, SKIP_GRAM
@@ -179,11 +181,10 @@ def _cmd_recommend(args) -> int:
         users = sorted(build_ground_truth(dataset))
     if not users:
         raise ConfigError("no target users: supply --users or test-period data")
-    recommend_users = harness.recommender(config, fitted, dataset)
-    results = list(recommend_users(users))
-    recommend.write_batch_recommendations(results, args.out)
-    misses = sum(1 for r in results if not r.predicted)
-    print(f"wrote {len(results)} recommendation lines to {args.out} ({misses} no-prediction)")
+    blocks = list(harness.recommender(config, fitted, dataset).blocks(users))
+    recommend.write_batch_blocks(blocks, config.method, fitted.vocab.venues, args.out)
+    misses = sum(int((np.diff(top.indptr) == 0).sum()) for _, top in blocks)
+    print(f"wrote {len(users)} recommendation lines to {args.out} ({misses} no-prediction)")
     return 0
 
 

@@ -1,9 +1,9 @@
 """Experiment orchestration: end-to-end runs, parameter sweeps, plot data.
 
 A run executes corpus construction, one fit (embedding training, matrix
-factorization, or the interaction matrix for CF/Random), per-user
-recommendation and evaluation, with the modeling and recommendation phases
-timed separately. One fit serves every method it holds the rows of; Random
+factorization, or the interaction matrix for CF/Random), then serves,
+ranks and scores the users a block at a time in array operations, with the
+modeling and recommendation phases timed separately. One fit serves every method it holds the rows of; Random
 serves random_runs seeded runs from it and reports their mean. The CLI's
 train, recommend and evaluate stages reuse the same steps (load_dataset,
 fit_embedding, Fit.of_model, recommender, evaluate_recommendations).
@@ -55,10 +55,11 @@ from .metrics import (
     METRICS,
     REPORT_COLUMNS,
     MetricsReport,
+    TruthTable,
     UserResult,
     aggregate,
     build_ground_truth,
-    score_user,
+    score_block,
     write_csv,
     write_per_user_csv,
     write_report_json,
@@ -79,10 +80,11 @@ SWEEP_AXES = {
 
 ERROR_MARKER = "ERROR"
 
-# Users are served a block at a time, one score-rule call per block, and a
-# block's float64 rows over the users (a neighbour pick's similarities) hold
-# about BLOCK_BYTES, 2^17 entries: serving memory does not grow with the
-# population, and per-call overhead is paid per block.
+# Users are served a block at a time, one score-rule call and one ranking
+# per block, and a block's float64 rows over the users (a neighbour pick's
+# similarities; for Random, which builds none, its rows as deep as its
+# deepest draw) hold about BLOCK_BYTES, 2^17 entries: serving memory does
+# not grow with the population, and per-call overhead is paid per block.
 BLOCK_BYTES = 1 << 20
 
 
@@ -197,57 +199,92 @@ def fit_embedding(
     return model, corpus, trace
 
 
+@dataclass
+class Recommender:
+    """A method's serving (see serve). Called with a sequence of user names,
+    it yields their RecommendationLists in order; blocks(users) yields the
+    same lists a block at a time, as arrays.
+
+    rank_block(rows) is the ranked (len(rows) x venues) matrix of the
+    vocabulary's users at those rows (see recommend.ranked), and size the
+    most users a block holds.
+    """
+
+    method: str
+    vocab: Vocabulary
+    rank_block: Callable[[np.ndarray], sparse.csr_matrix]
+    size: int
+
+    def blocks(self, users: Sequence[str]) -> Iterator[tuple[Sequence[str], sparse.csr_matrix]]:
+        """(a block of users, their ranked matrix): row i of the matrix
+        stores user i's list, venue columns and scores in rank order, and
+        nothing for a user outside the vocabulary. One rank_block call per
+        block that holds a known user."""
+        index, width = self.vocab.user_index, len(self.vocab.venues)
+        for start in range(0, len(users), self.size):
+            block = users[start : start + self.size]
+            rows = np.array([index.get(user, -1) for user in block], dtype=np.int64)
+            known = np.flatnonzero(rows >= 0)
+            lengths = np.zeros(len(block), dtype=np.int64)
+            data, columns = np.empty(0), np.empty(0, dtype=np.int64)
+            if known.size:
+                top = self.rank_block(rows[known])
+                lengths[known] = np.diff(top.indptr)
+                data, columns = top.data, top.indices
+            starts = np.concatenate(([0], np.cumsum(lengths)))
+            yield block, sparse.csr_matrix((data, columns, starts), shape=(len(block), width))
+
+    def __call__(self, users: Sequence[str]) -> Iterator[recommend.RecommendationList]:
+        names = self.vocab.venues
+        for block, top in self.blocks(users):
+            venues = list(map(names.__getitem__, top.indices.tolist()))
+            scores, bounds = top.data.tolist(), top.indptr.tolist()
+            for user, start, stop in zip(block, bounds, bounds[1:]):
+                items = list(zip(venues[start:stop], scores[start:stop]))
+                yield recommend.RecommendationList(user, self.method, items)
+
+
 def serve(
     config: ExperimentConfig,
     vocab: Vocabulary,
     visits: sparse.csr_matrix | None,
     score_block: Callable[[np.ndarray], sparse.csr_matrix],
-) -> Callable[[Sequence[str]], Iterator[recommend.RecommendationList]]:
-    """The recommend callable of a score rule: score_block(rows) is a fresh
+    row_bytes: int | None = None,
+) -> Recommender:
+    """The Recommender of a score rule: score_block(rows) is a fresh
     (len(rows) x venues) CSR matrix with sorted indices, the candidates of
     the vocabulary's users at those rows (see recommend.ranked).
 
-    The callable lists the given users in order, a block at a time: one
-    score_block call per block of users, as many as BLOCK_BYTES holds
-    float64 rows over the users (at most the user count). No score depends
-    on the block: the rules pick neighbours and KNI/KIU venues from a
-    shortlist whose float64 re-scores are the printed scores (see
-    recommend.cosine_margin), so a user's list does not depend on which
-    users share its block or on the BLAS kernel their shape selects.
+    Users are served a block at a time: one score_block call and one
+    ranking per block, of as many users as BLOCK_BYTES holds rows of
+    row_bytes each (at most the user count). row_bytes defaults to a
+    float64 row over the users, the size of a neighbour pick's similarities.
+    No score depends on the block: the rules pick neighbours and KNI/KIU
+    venues from a shortlist whose float64 re-scores are the printed scores
+    (see recommend.cosine_margin), so a user's list does not depend on
+    which users share its block or on the BLAS kernel their shape selects.
 
     A user outside the vocabulary gets an empty list, as does one with no
     candidates (an undefined similarity query); evaluation books both as
     coverage misses. Under filter_seen each user's stored candidates among
     its venues in visits (the build_interactions table over vocab) are set
-    to -inf before the one top-k per row, so the list is exactly the top k
+    to -inf before the block is ranked, so the list is exactly the top k
     of the unseen venues, ties included.
     """
-    size = max(1, min(BLOCK_BYTES // (8 * max(1, vocab.user_count)), vocab.user_count))
+    row_bytes = row_bytes or 8 * max(1, vocab.user_count)
+    size = max(1, min(BLOCK_BYTES // row_bytes, vocab.user_count))
     width = len(vocab.venues)
 
-    def recommend_users(users: Sequence[str]) -> Iterator[recommend.RecommendationList]:
-        for start in range(0, len(users), size):
-            block = users[start : start + size]
-            known = [user for user in block if user in vocab.user_index]
-            lists = {}
-            if known:
-                rows = np.array([vocab.user_index[user] for user in known], dtype=np.int64)
-                scores = score_block(rows)
-                if config.filter_seen:  # one int64 key per (block row, venue) pair
-                    stored = np.repeat(np.arange(len(rows)), np.diff(scores.indptr)) * width
-                    seen_rows, seen_venues = visits[rows].nonzero()
-                    seen = seen_rows.astype(np.int64) * width + seen_venues
-                    scores.data[np.isin(stored + scores.indices, seen)] = -np.inf
-                lists = dict(zip(known, recommend.ranked(scores, config.k)))
-            for user in block:
-                items = []
-                if user in lists:
-                    columns, values = lists[user]
-                    names = map(vocab.venues.__getitem__, columns.tolist())
-                    items = list(zip(names, values.tolist()))
-                yield recommend.RecommendationList(user, config.method, items)
+    def rank_block(rows: np.ndarray) -> sparse.csr_matrix:
+        scores = score_block(rows)
+        if config.filter_seen:  # one int64 key per (block row, venue) pair
+            stored = np.repeat(np.arange(len(rows)), np.diff(scores.indptr)) * width
+            seen_rows, seen_venues = visits[rows].nonzero()
+            seen = seen_rows.astype(np.int64) * width + seen_venues
+            scores.data[np.isin(stored + scores.indices, seen)] = -np.inf
+        return recommend.ranked(scores, config.k)
 
-    return recommend_users
+    return Recommender(config.method, vocab, rank_block, size)
 
 
 @dataclass
@@ -316,20 +353,20 @@ def reads_dataset(config: ExperimentConfig, fitted: Fit) -> bool:
     return fitted.visits is None and (config.method == recommend.NN or config.filter_seen)
 
 
-def recommender(
-    config: ExperimentConfig, fitted: Fit, dataset: Dataset | None
-) -> Callable[[Sequence[str]], Iterator[recommend.RecommendationList]]:
-    """config.method's recommend callable over a fit (see serve): the one
-    place a method's score rule is chosen.
+def recommender(config: ExperimentConfig, fitted: Fit, dataset: Dataset | None) -> Recommender:
+    """config.method's Recommender over a fit (see serve): the one place a
+    method's score rule, and so its block size, is chosen.
 
     KNI and KIU are kiu_scores, KNI with no neighbors; NN, CF, SVD and CCD++
     are vote_scores, weighted by similarity for CF only; Random is
     random_scores, the head of a permutation seeded by config.seed and the
-    user's row. Ties break by ascending vocabulary index. An embedding's
-    training visits are counted over its vocabulary here, for NN's votes and
-    the seen mask only, so pruned venues and users without history vote
-    nothing. The row norms are taken once per call. dataset may be None
-    where reads_dataset is false.
+    user's row. Ties break by ascending vocabulary index. Random's blocks
+    are sized by its own float64 rows, as deep as its deepest draw, since it
+    builds no rows over the users. An embedding's training visits are
+    counted over its vocabulary here, for NN's votes and the seen mask
+    only, so pruned venues and users without history vote nothing. The row
+    norms are taken once per call. dataset may be None where reads_dataset
+    is false.
 
     Raises:
         ConfigError: if the fit does not serve config.method.
@@ -344,10 +381,12 @@ def recommender(
     if config.filter_seen:
         depth += np.diff(visits.indptr)
 
+    row_bytes = None  # serve's default: a float64 row over the users
     if config.method == baselines.RANDOM:
         rule = lambda block: recommend.random_scores(  # noqa: E731
             vocab.user_count, len(vocab.venues), block, depth[block], config.seed
         )
+        row_bytes = 8 * int(depth.max(initial=config.k))
     elif config.method in (recommend.KNI, recommend.KIU):
         norms = recommend.row_norms(users)
         venues, venue_norms = fitted.venues, recommend.row_norms(fitted.venues)
@@ -360,34 +399,27 @@ def recommender(
         rule = lambda block: recommend.vote_scores(  # noqa: E731
             users, norms, visits, block, config.neighbors, weighted
         )
-    return serve(config, vocab, visits, rule)
+    return serve(config, vocab, visits, rule, row_bytes)
 
 
 def _score_lists(
-    lists: Iterable[recommend.RecommendationList],
-    truth: dict[str, set[str]],
+    blocks: Iterable[tuple[Sequence[str], sparse.csr_matrix]],
+    truth: TruthTable,
     k: int,
     rows: list[UserResult],
-) -> list[recommend.RecommendationList]:
-    """The lists of users in truth, in order, each scored into rows as it
-    arrives (so rows keeps the partial results if the lists stop with an
-    exception); lists of other users are skipped.
-
-    Raises:
-        ConfigError: if a scored list is longer than k.
+) -> list[tuple[Sequence[str], sparse.csr_matrix]]:
+    """Score blocks of lists, (users, their lists' venue columns in rank
+    order as the rows of a CSR matrix) as Recommender.blocks yields them,
+    into rows as each block arrives, so rows keeps the partial results if
+    the blocks stop with an exception. truth's rows are the blocks' users,
+    one block after another. Returns the blocks.
     """
-    scored = []
-    for result in lists:
-        relevant = truth.get(result.user)
-        if relevant is None:
-            continue
-        if len(result.items) > k:
-            raise ConfigError(
-                f"the list of user {result.user!r} holds {len(result.items)} "
-                f"venues, more than k={k}"
-            )
-        scored.append(result)
-        rows.append(score_user(result.user, result.venues(), relevant, k))
+    scored, start = [], 0
+    for users, top in blocks:
+        block_truth = truth.rows(start, start + len(users))
+        rows.extend(score_block(users, top.indices, top.indptr, block_truth, k))
+        scored.append((users, top))
+        start += len(users)
     return scored
 
 
@@ -431,6 +463,10 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
         for run in range(count)
     ]
     train_seconds = time.perf_counter() - started
+    # the ground truth as arrays over the fit's venue columns, like the
+    # ground truth itself built once and outside the timed phases
+    users = sorted(ground_truth)
+    truth = TruthTable.of(users, ground_truth, fitted.vocab.venue_index)
     echo = _serving_echo(config, config.method)
     many = len(runs) > 1
     reports: list[MetricsReport] = []
@@ -439,9 +475,7 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
         rows: list[UserResult] = []
         started = time.perf_counter()
         try:
-            results = _score_lists(
-                recommend_users(sorted(ground_truth)), ground_truth, config.k, rows
-            )
+            blocks = _score_lists(recommend_users.blocks(users), truth, config.k, rows)
         except Exception:
             # keep the partial per-user rows for post-mortem; the caller adds
             # the ERROR marker next to them
@@ -452,8 +486,8 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
         if out_dir is not None and many:
             write_per_user_csv(rows, out_dir / per_user)
         if out_dir is not None and index == 0:
-            recommend.write_batch_recommendations(
-                results, out_dir / "recommendations.tsv"
+            recommend.write_batch_blocks(
+                blocks, config.method, fitted.vocab.venues, out_dir / "recommendations.tsv"
             )
         reports.append(
             aggregate(rows, train_s=train_seconds, rec_s=seconds, **echo, **fitted.echo)
@@ -495,10 +529,27 @@ def evaluate_recommendations(
         if result.user in users:
             raise FormatError(f"user {result.user!r} has more than one list")
         users.add(result.user)
-    rows: list[UserResult] = []
-    _score_lists(results, build_ground_truth(load_dataset(config)), config.k, rows)
-    if not rows:
+    ground_truth = build_ground_truth(load_dataset(config))
+    scored = [result for result in results if result.user in ground_truth]
+    for result in scored:
+        if len(result.items) > config.k:
+            raise ConfigError(
+                f"the list of user {result.user!r} holds {len(result.items)} "
+                f"venues, more than k={config.k}"
+            )
+    if not scored:
         raise ConfigError("no overlap between recommendations and evaluation users")
+    # the file's venues, numbered once, as the columns of one block
+    columns: dict[str, int] = {}
+    codes = [columns.setdefault(venue, len(columns)) for r in scored for venue in r.venues()]
+    starts = np.cumsum([0, *(len(result.items) for result in scored)])
+    top = sparse.csr_matrix(
+        (np.ones(len(codes)), np.array(codes, dtype=np.int64), starts),
+        shape=(len(scored), len(columns)),
+    )
+    names = [result.user for result in scored]
+    rows: list[UserResult] = []
+    _score_lists([(names, top)], TruthTable.of(names, ground_truth, columns), config.k, rows)
     report = aggregate(rows, **_serving_echo(config, methods[0]))
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_artifacts(report, out_dir, {})

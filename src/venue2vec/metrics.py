@@ -16,6 +16,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
+import numpy as np
+
 from .corpus import Dataset
 from .errors import EvaluationError
 
@@ -89,6 +91,80 @@ def score_user(
         hit=1 if precision > 0 else 0,
         predicted=1,
     )
+
+
+@dataclass(frozen=True)
+class TruthTable:
+    """The ground truth of the users at rows 0, 1, ... over a numbering of
+    width venue columns, as arrays: keys holds row * width + column for
+    each relevant venue that has a column, sorted, and relevant each row's
+    count of relevant venues, those without a column included (they can
+    never be listed, but count in the ideal DCG). No array is users x venues.
+    """
+
+    keys: np.ndarray
+    relevant: np.ndarray
+    width: int
+
+    @classmethod
+    def of(
+        cls, users: Sequence[str], truth: dict[str, set[str]], columns: dict[str, int]
+    ) -> TruthTable:
+        """The table of users (each in truth) over the venue numbering columns."""
+        width = len(columns)
+        keys = [
+            row * width + columns[venue]
+            for row, user in enumerate(users)
+            for venue in truth[user]
+            if venue in columns
+        ]
+        relevant = np.array([len(truth[user]) for user in users], dtype=np.int64)
+        return cls(np.sort(np.array(keys, dtype=np.int64)), relevant, width)
+
+    def rows(self, start: int, stop: int) -> TruthTable:
+        """The table of rows start..stop - 1, renumbered from 0."""
+        low, high = np.searchsorted(self.keys, [start * self.width, stop * self.width])
+        keys = self.keys[low:high] - start * self.width
+        return TruthTable(keys, self.relevant[start:stop], self.width)
+
+
+def score_block(
+    users: Sequence[str], columns: np.ndarray, starts: np.ndarray, truth: TruthTable, k: int
+) -> list[UserResult]:
+    """Score a block of lists at once: user i's list is the venue columns
+    columns[starts[i]:starts[i + 1]] in rank order, at most k of them, scored
+    against truth's row i. Each row equals score_user's for the same list
+    over the same names, bit for bit: a column listed twice counts once in
+    precision and at each of its ranks in NDCG, the discounts come from
+    math.log2, each DCG is summed rank by rank as score_user sums it, and
+    the ideal DCG is the same sequential sum of the first min(k, relevant)
+    discounts.
+    """
+    count = len(users)
+    lengths = np.diff(starts)
+    row_of = np.repeat(np.arange(count), lengths)
+    keys = row_of * truth.width + columns
+    found = np.searchsorted(truth.keys, keys)
+    hits = found < len(truth.keys)
+    hits[hits] = truth.keys[found[hits]] == keys[hits]
+    distinct = np.unique(keys[hits]) // truth.width
+    precision = np.bincount(distinct, minlength=count) / k
+    longest = int(lengths.max(initial=0))
+    discounts = np.array([1.0 / math.log2(rank + 2) for rank in range(longest)])
+    gains = np.where(hits, discounts[np.arange(len(keys)) - starts[row_of]], 0.0)
+    dcg = np.zeros(count)
+    for rank in range(longest):  # rank by rank, the order score_user sums in
+        longer = np.flatnonzero(lengths > rank)
+        dcg[longer] += gains[starts[longer] + rank]
+    ideal = [0.0]
+    for rank in range(min(k, int(truth.relevant.max(initial=0)))):
+        ideal.append(ideal[-1] + 1.0 / math.log2(rank + 2))
+    ideal = np.array(ideal)[np.minimum(truth.relevant, k)]
+    ndcg = np.divide(dcg, ideal, out=np.zeros(count), where=ideal > 0)
+    hit = (precision > 0).astype(np.int64)
+    predicted = (lengths > 0).astype(np.int64)
+    scores = (precision.tolist(), ndcg.tolist(), hit.tolist(), predicted.tolist())
+    return list(map(UserResult, users, *scores))
 
 
 def build_ground_truth(dataset: Dataset) -> dict[str, set[str]]:

@@ -40,13 +40,20 @@ def row_of(vocab, token: str) -> int:
     return vocab.user_count + vocab.venue_index[token[2:]]
 
 
+def ranked_rows(top) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each row of a ranked matrix (see recommend.ranked) as (columns,
+    scores), in rank order."""
+    bounds = top.indptr.tolist()
+    return [(top.indices[a:b], top.data[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def nearest_users(model, user: str, count: int) -> list[tuple[str, float]]:
     """The count users nearest the target in the model's user block, as
     (user, similarity), by the neighbor pick every method uses."""
     vocab = model.vocab
     users = model.input_vectors[: vocab.user_count]
-    ((top, sims),) = recommend.nearest_users(
-        users, recommend.row_norms(users), [vocab.user_index[user]], count
+    ((top, sims),) = ranked_rows(
+        recommend.nearest_users(users, recommend.row_norms(users), [vocab.user_index[user]], count)
     )
     return [(vocab.users[i], float(s)) for i, s in zip(top, sims)]
 

@@ -14,7 +14,7 @@ from venue2vec.corpus import build_interactions, build_vocabulary
 from venue2vec.harness import ExperimentConfig
 from venue2vec.recommend import random_scores, ranked, row_norms, vote_scores
 
-from conftest import community_of, make_records, visit_table
+from conftest import community_of, make_records, ranked_rows, visit_table
 from oracles import als_final_objective, ccdpp_reference, jacobi_singular_values
 
 
@@ -132,8 +132,8 @@ def test_cf_all_neighbors_binary_matches_brute_force(rng):
 
 def draws(venues, depth, seed, rows=(0,)):
     """Each row's (venues in permutation order, their scores) from random_scores."""
-    scores = random_scores(max(rows) + 1, venues, rows, depth, seed)
-    return [(columns.tolist(), values.tolist()) for columns, values in ranked(scores, venues)]
+    top = ranked(random_scores(max(rows) + 1, venues, rows, depth, seed), venues)
+    return [(columns.tolist(), values.tolist()) for columns, values in ranked_rows(top)]
 
 
 def test_random_full_catalog_is_permutation():

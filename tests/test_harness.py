@@ -250,21 +250,20 @@ def test_error_marker_written_on_failure(tmp_path, monkeypatch):
 
 
 def test_partial_per_user_csv_on_mid_run_failure(tmp_path, monkeypatch):
+    """Users are served in blocks of 5, and the serving dies after its first
+    block: the run fails, and the per-user CSV holds that block's 5 rows."""
     config = small_config(out_dir=str(tmp_path / "partial"))
-    real = harness.recommender
+    vocab, _ = visit_table(harness.load_dataset(config).train)
+    monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * vocab.user_count * 5)
+    real = harness.Recommender.blocks
 
-    def wrapped(cfg, fitted, dataset):
-        recommend_users = real(cfg, fitted, dataset)
+    def flaky(self, users):
+        for count, block in enumerate(real(self, users)):
+            if count == 1:
+                raise RuntimeError("recommender died")
+            yield block
 
-        def flaky(users):
-            for count, result in enumerate(recommend_users(users)):
-                if count == 5:
-                    raise RuntimeError("recommender died")
-                yield result
-
-        return flaky
-
-    monkeypatch.setattr(harness, "recommender", wrapped)
+    monkeypatch.setattr(harness.Recommender, "blocks", flaky)
     with pytest.raises(RuntimeError):
         run_experiment(config)
     out = tmp_path / "partial"
@@ -450,8 +449,10 @@ def test_random_list_does_not_depend_on_its_block(monkeypatch):
 
     whole = lists()
     assert sorted(venue for venue, _ in whole[vocab.user_index[heavy]]) == sorted(unseen)
+    # Random's blocks hold BLOCK_BYTES of float64 rows as deep as its deepest draw
+    depth = config.k + len(vocab.venues) - len(unseen)
     for block in (1, 3):
-        monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * vocab.user_count * block)
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * depth * block)
         assert lists() == whole
 
 

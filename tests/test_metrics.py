@@ -2,14 +2,16 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from venue2vec.corpus import Checkins, Dataset
 from venue2vec.errors import EvaluationError
 from venue2vec.metrics import (
     REPORT_COLUMNS,
+    TruthTable,
     UserResult,
     aggregate,
     build_ground_truth,
@@ -19,6 +21,7 @@ from venue2vec.metrics import (
     prediction_coverage,
     read_per_user_csv,
     read_report_csv,
+    score_block,
     score_user,
     write_csv,
     write_per_user_csv,
@@ -115,6 +118,53 @@ def test_score_user_hit_iff_positive_precision():
     assert hit_row.hit == 1 and hit_row.precision > 0
     miss_row = score_user("u", ["x", "y"], {"a"}, 2)
     assert miss_row.hit == 0 and miss_row.precision == 0.0
+
+
+# Listed venues: c* are in the fit's catalog, x* are not (a hand-edited
+# file can list them); relevant venues also come from r*, which no list
+# holds and so have no column.
+_CATALOG = [f"c{i}" for i in range(8)]
+_LISTED = _CATALOG + [f"x{i}" for i in range(3)]
+
+
+@given(
+    users=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(_LISTED), max_size=20),
+            st.sets(st.sampled_from(_LISTED + ["r0", "r1", "r2"]), max_size=12),
+        ),
+        max_size=6,
+    ),
+    k=st.integers(1, 20),
+    cut=st.integers(0, 6),
+)
+@example(users=[(["c1", "c1", "c2"], {"c1"})], k=3, cut=0)
+@example(users=[([], {"c1"}), (["x0"], {"x0", "r0"}), (["c3"], set())], k=1, cut=2)
+@settings(max_examples=300, deadline=None)
+def test_score_block_equals_score_user(users, k, cut):
+    """The block scorer's rows are score_user's, compared with ==, so bit
+    for bit: for empty lists, lists shorter than k, a venue repeated in one
+    list (precision counts it once, NDCG at each rank), venues outside the
+    truth and outside the catalog, relevant venues no list holds, and k
+    from 1 to 20. The users are scored in two blocks split at cut, each
+    against its rows of one truth table."""
+    users = [(venues[:k], relevant) for venues, relevant in users]
+    names = [f"u{i}" for i in range(len(users))]
+    truth = {name: relevant for name, (_, relevant) in zip(names, users)}
+    columns = {venue: column for column, venue in enumerate(_CATALOG)}
+    codes = [columns.setdefault(venue, len(columns)) for venues, _ in users for venue in venues]
+    starts = np.cumsum([0, *(len(venues) for venues, _ in users)])
+    table = TruthTable.of(names, truth, columns)
+    cut = min(cut, len(users))
+    rows = []
+    for low, high in ((0, cut), (cut, len(users))):
+        block = slice(starts[low], starts[high])
+        block_codes = np.array(codes[block], dtype=np.int64)
+        block_starts = starts[low : high + 1] - starts[low]
+        rows += score_block(names[low:high], block_codes, block_starts, table.rows(low, high), k)
+    expected = [score_user(name, venues, truth[name], k) for name, (venues, _) in zip(names, users)]
+    assert rows == expected
+    assert [type(row.hit) for row in rows] == [int] * len(rows)
 
 
 # ------------------------------------------------------------- ground truth

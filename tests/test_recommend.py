@@ -21,10 +21,13 @@ from venue2vec.errors import ConfigError, FormatError
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 from venue2vec.harness import EMBEDDING_METHODS, ExperimentConfig, Fit, fit, recommender
 from venue2vec.recommend import (
+    LONG_ROW,
     NN,
     NO_PREDICTION,
+    PARTITION_MIN,
     RecommendationList,
     format_batch_line,
+    ranked,
     read_batch_recommendations,
     row_norms,
     top_k,
@@ -37,6 +40,7 @@ from conftest import (
     dense_scores,
     make_records,
     nearest_users,
+    ranked_rows,
     row_of,
     token_of,
     visit_table,
@@ -125,12 +129,14 @@ def test_neighbor_pick_matches_brute_force_on_count_and_latent_rows(
     _, counts = community_interactions
     dense = counts.toarray()
     _assert_pick_is_brute_force(
-        lambda i: recommend.nearest_users(counts, row_norms(counts), [i], 7)[0], dense, 7
+        lambda i: ranked_rows(recommend.nearest_users(counts, row_norms(counts), [i], 7))[0],
+        dense,
+        7,
     )
     latent = svd_factorize(counts, 6, seed=1)
     rows = latent.user_factors
     _assert_pick_is_brute_force(
-        lambda i: recommend.nearest_users(rows, row_norms(rows), [i], 7)[0], rows, 7
+        lambda i: ranked_rows(recommend.nearest_users(rows, row_norms(rows), [i], 7))[0], rows, 7
     )
 
 
@@ -146,7 +152,8 @@ def test_neighbor_pick_returns_n_when_lower_rows_tie_the_target():
         expected = brute_force_top_k(users, users[2], [0, 1, 3, 4], n)
         ranked = nearest_users(model, "u2", n)
         assert [user for user, _ in ranked] == [f"u{i}" for i, _ in expected]
-        ((top, _),) = recommend.nearest_users(counts, row_norms(counts), [2], min(n, 3))
+        near = recommend.nearest_users(counts, row_norms(counts), [2], min(n, 3))
+        ((top, _),) = ranked_rows(near)
         assert list(top) == [0, 1][: min(n, 3)]
 
 
@@ -538,7 +545,7 @@ def test_float32_rounding_does_not_reorder_the_neighbor_pick():
     assert _float32_top(users, users[0], everyone[1:], 4) != [
         i for i, _ in brute_force_top_k(users, users[0], everyone[1:], 4)
     ]
-    picks = recommend.nearest_users(users, row_norms(users), everyone, 4)
+    picks = ranked_rows(recommend.nearest_users(users, row_norms(users), everyone, 4))
     for index, (top, sims) in enumerate(picks):
         if 5 <= index < 15:
             continue
@@ -725,6 +732,48 @@ def test_top_k_equals_full_lexsort(scores, k, copies):
     live = np.flatnonzero(scores > -np.inf)
     expected = live[np.lexsort((live, -scores[live]))][:k]
     assert top_k(scores, k).tolist() == expected.tolist()
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from([0, 1, 5, 30, LONG_ROW + 1, 300, PARTITION_MIN + 40]),
+            st.sampled_from([0.0, 0.3, 1.0]),  # the share of -inf entries
+            st.sampled_from([3, 50, 0]),  # distinct scores; 0: continuous
+        ),
+        max_size=8,
+    ),
+    k=st.sampled_from([1, 2, 10, 30, 64, 2000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=[(300, 0.0, 3), (0, 0.0, 3), (PARTITION_MIN + 40, 0.3, 50)], k=10, seed=0)
+@example(rows=[(LONG_ROW + 1, 1.0, 0), (LONG_ROW + 1, 0.0, 0)], k=1, seed=1)
+@settings(max_examples=150, deadline=None)
+def test_ranked_block_equals_top_k_per_row(rows, k, seed):
+    """ranked lists each row of a block exactly as top_k lists the row on
+    its own: under ties at the cut (few distinct scores), -inf entries (the
+    seen mask's, a neighbour pick's own row), empty rows, rows past
+    LONG_ROW, which ranked cuts before its sort, and rows past
+    PARTITION_MIN, where top_k partitions."""
+    rng = np.random.default_rng(seed)
+    columns, values, starts = [], [], [0]
+    width = PARTITION_MIN + 100
+    for length, dropped, distinct in rows:
+        columns.append(np.sort(rng.choice(width, length, replace=False)))
+        scores = rng.integers(0, distinct, length) / 7 if distinct else rng.normal(size=length)
+        scores[rng.random(length) < dropped] = -np.inf
+        values.append(scores)
+        starts.append(starts[-1] + length)
+    scores = sparse.csr_matrix(
+        (np.concatenate([[], *values]), np.concatenate([[], *columns]).astype(np.int64), starts),
+        shape=(len(rows), width),
+    )
+    top = ranked(scores, k)
+    assert top.shape == scores.shape
+    for (listed, listed_scores), row_columns, row_values in zip(ranked_rows(top), columns, values):
+        expected = top_k(row_values, k)
+        assert listed.tolist() == row_columns[expected].tolist()
+        assert listed_scores.tobytes() == row_values[expected].tobytes()
 
 
 @given(
