@@ -263,7 +263,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("recommend", help="batch recommendations from a saved model")
     _add_experiment_flags(p, _STAGE_KEYS["recommend"])
     p.add_argument("--model", required=True)
-    p.add_argument("--users", default=None, help="file with one target user per line; repeats are listed once")
+    p.add_argument(
+        "--users", default=None, help="file with one target user per line; repeats are listed once"
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_recommend)
 

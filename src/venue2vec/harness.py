@@ -3,10 +3,11 @@
 A run executes corpus construction, one fit (embedding training, matrix
 factorization, or the interaction matrix for CF/Random), then serves,
 ranks and scores the users a block at a time in array operations, with the
-modeling and recommendation phases timed separately. One fit serves every method it holds the rows of; Random
-serves random_runs seeded runs from it and reports their mean. The CLI's
-train, recommend and evaluate stages reuse the same steps (load_dataset,
-fit_embedding, Fit.of_model, recommender, evaluate_recommendations).
+modeling and recommendation phases timed separately. One fit serves every
+method it holds the rows of; Random serves random_runs seeded runs from it
+and reports their mean. The CLI's train, recommend and evaluate stages
+reuse the same steps (load_dataset, fit_embedding, Fit.of_model,
+recommender, evaluate_recommendations).
 A report's arch, F, C and E come from the fit, which knows what it fitted;
 its method, N and k from the serving, so one fit can be reported at any N.
 Only training records ever reach vocabulary, sentence or matrix construction;

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -37,22 +37,11 @@ KIU = "kiu"
 NO_PREDICTION = "no-prediction"
 _SEPARATORS = "\t\n\r"  # the batch file's field and line separators
 
-# Below this many candidates top_k sorts them all at once; from it on, it
-# partitions first. Measured on one Xeon vCPU (k = 10 and 30, random cosines):
-# 256 candidates sort in 15 us against 16 us for partition and sort, 1,024 in
-# 45-52 us against 23-24, 9,904 in 1,220-1,240 us against 82-89. The rules
-# return shortlists of about k venues or N neighbours, vote rows of at most
-# the venues the neighbours visited and CF similarity rows of the users who
-# share a venue with the target (at most 15 at the paper shape), so only a
-# denser check-in log than the paper's, where over 1,024 users share a
-# target's venues, partitions.
-PARTITION_MIN = 1024
-
 # ranked cuts a row with more entries above -inf than this (and than k) to
 # those that can rank, before the block's sort. Measured on one Xeon vCPU:
 # SVD vote rows of about 260 entries (k = 10) ranked in 3.5 ms with the cut
 # and 4.6 ms without it, CF similarity rows of about 580 entries (k = 30)
-# in 73 ms and 177 ms, against 114 ms for top_k per row; shortlists of
+# in 73 ms and 177 ms, against 114 ms for a sort per row; shortlists of
 # about k entries are never cut.
 LONG_ROW = 64
 
@@ -80,33 +69,12 @@ def row_norms(rows) -> np.ndarray:
     """
     if sparse.issparse(rows):
         return np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1)).ravel())
-    # 4096 rows at a time: float64 copies of a whole catalog would set a serving's peak memory
+    # 4096 rows at a time: float64 copies of a whole catalog would set a
+    # serving's peak memory
     blocks = np.split(rows, range(4096, len(rows), 4096))
-    return np.concatenate([np.linalg.norm(b.astype(np.float64, copy=False), axis=1) for b in blocks])
-
-
-def top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k highest scores above -inf, by descending score,
-    ties by ascending position; fewer when fewer are above -inf.
-
-    Past PARTITION_MIN entries above -inf (a row of a denser log than the
-    paper's), a partition of those entries finds the k-th highest score and
-    only the entries at or above it are sorted, exactly, so ties at the cut
-    are ordered like the rest. Partitioning only the entries above -inf
-    keeps -inf entries (the seen mask's, a neighbour pick's own row) off
-    numpy's slow path for many equal values.
-
-    Raises:
-        ValueError: if k < 1.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    survivors = np.flatnonzero(scores > -np.inf)
-    if PARTITION_MIN < survivors.size and k < survivors.size:
-        values = scores[survivors]
-        floor = np.partition(values, values.size - k)[values.size - k]
-        survivors = survivors[values >= floor]
-    return survivors[np.lexsort((survivors, -scores[survivors]))][:k]
+    return np.concatenate(
+        [np.linalg.norm(b.astype(np.float64, copy=False), axis=1) for b in blocks]
+    )
 
 
 def _floors(values: np.ndarray, lengths: np.ndarray, long: np.ndarray, k: int) -> np.ndarray:
@@ -139,17 +107,18 @@ def ranked(scores: sparse.csr_matrix, k: int) -> sparse.csr_matrix:
     the whole block at once: a CSR matrix of the same shape whose row i
     stores the columns of row i's k highest stored scores above -inf, with
     those scores, in rank order (by descending score, ties by ascending
-    column: top_k's list of the row); fewer when fewer are stored. Its
-    indices are in rank order, not sorted.
+    column); fewer when fewer are stored. Its indices are in rank order,
+    not sorted.
 
     The block's entries above -inf are sorted stably by descending score,
     then by row, so ties keep their ascending columns. A row with more than
-    LONG_ROW of them (and more than k) is first cut, as top_k partitions
-    past PARTITION_MIN: only its entries above a floor at most its k-th
-    highest score (see _floors), and the first k at the floor, can rank.
+    LONG_ROW of them (and more than k) is first cut: only its entries above
+    a floor at most its k-th highest score (see _floors), and the first k
+    at the floor, can rank.
 
     Raises:
-        ValueError: if k < 1 and scores has a row (top_k's k).
+        ValueError: if k < 1 and scores has a row (ranked's k); a block
+            with no row is returned empty at any k.
     """
     count = scores.shape[0]
     if k < 1 and count:
@@ -294,7 +263,7 @@ def nearest_users(rows, norms: np.ndarray, block: np.ndarray, neighbors: int) ->
     block or the BLAS kernel, and a zero-norm dense row scores 0.
 
     Raises:
-        ValueError: if an index is not a row, or neighbors < 1 (top_k's k)
+        ValueError: if an index is not a row, or neighbors < 1 (ranked's k)
             and block is not empty.
     """
     block = _user_block(block, rows.shape[0])
@@ -335,7 +304,7 @@ def vote_scores(
     A user whose row has zero norm has no neighbors and gets no votes.
 
     Raises:
-        ValueError: if an index is not a user row, or neighbors < 1 (top_k's
+        ValueError: if an index is not a user row, or neighbors < 1 (ranked's
             k) and block is not empty.
     """
     weights = nearest_users(rows, norms, block, neighbors)
@@ -370,7 +339,7 @@ def kiu_scores(
     over every venue. A zero-norm venue scores 0.
 
     Raises:
-        ValueError: if an index is not a user row, or neighbors < 0 (top_k's k).
+        ValueError: if an index is not a user row, or neighbors < 0 (ranked's k).
     """
     block = _user_block(block, len(users))
     queries = users[block].astype(np.float64)
@@ -478,63 +447,23 @@ def random_scores(users: int, venues: int, block, depth, seed: int) -> sparse.cs
     return sparse.csr_matrix((scores, columns, starts), shape=(len(block), venues))
 
 
-def format_batch_line(result: RecommendationList) -> str:
-    if not result.predicted:
-        return f"{result.user}\t{result.method}\t{NO_PREDICTION}"
-    pairs = "\t".join(f"{venue}:{score:.6f}" for venue, score in result.items)
-    return f"{result.user}\t{result.method}\t{pairs}"
-
-
-def _write_batch(
-    path: str | Path, lines: list[str], tabs: int, ids: Callable[[], Iterable[str]]
-) -> None:
-    """Write batch lines, each ending in its newline, whose own fields are
-    split by tabs tabs in all.
-
-    Raises:
-        FormatError: naming the first of ids() that holds a tab or a line
-            break, if the lines hold any separator beyond their own (one
-            count per separator for the whole file); nothing is written.
-    """
-    text = "".join(lines)
-    if text.count("\t") != tabs or text.count("\n") != len(lines) or "\r" in text:
-        name = next(name for name in ids() if any(char in name for char in _SEPARATORS))
-        raise FormatError(
-            f"{path}: id {name!r} holds a tab or a line break, which a "
-            f"recommendation line cannot carry"
-        )
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-
-
-def write_batch_recommendations(
-    results: Iterable[RecommendationList], path: str | Path
-) -> None:
-    """One line per user: user, method, then venue:score pairs (tab-separated).
-
-    Raises:
-        FormatError: naming the id and the path if an id holds a tab or a
-            line break, which its line could not carry; nothing is written.
-    """
-    results = list(results)
-    lines = [format_batch_line(result) + "\n" for result in results]
-    tabs = sum(max(len(result.items), 1) + 1 for result in results)
-    ids = lambda: (name for r in results for name in (r.user, r.method, *r.venues()))  # noqa: E731
-    _write_batch(path, lines, tabs, ids)
-
-
 def write_batch_blocks(
     blocks: Iterable[tuple[Sequence[str], sparse.csr_matrix]],
     method: str,
     venues: Sequence[str],
     path: str | Path,
 ) -> None:
-    """write_batch_recommendations' file, straight from ranked blocks: each
-    block is (users, a matrix whose row i stores user i's list as venue
-    columns and scores in rank order), and venues names the columns.
+    """The batch file of ranked blocks, one line per user: user, method,
+    then venue:score pairs in rank order, or no-prediction for an empty
+    list (tab-separated). Each block is (users, a matrix whose row i stores
+    user i's list as venue columns and scores in rank order, see ranked),
+    and venues names the columns.
 
     Raises:
-        FormatError: as write_batch_recommendations.
+        FormatError: naming the path and the first id, line by line, that
+            holds a tab or a line break, which its line could not carry
+            (one count per separator over the whole file); nothing is
+            written.
     """
     blocks = list(blocks)
     lines, tabs = [], 0
@@ -546,15 +475,20 @@ def write_batch_blocks(
             listed = "\t".join(pairs[start:stop]) if stop > start else NO_PREDICTION
             lines.append(f"{user}\t{method}\t{listed}\n")
             tabs += max(stop - start, 1) + 1
-
-    def ids():  # line by line, as write_batch_recommendations names them
+    text = "".join(lines)
+    if text.count("\t") != tabs or text.count("\n") != len(lines) or "\r" in text:
         for users, top in blocks:
             bounds = top.indptr.tolist()
             for user, start, stop in zip(users, bounds, bounds[1:]):
                 names = map(venues.__getitem__, top.indices[start:stop].tolist())
-                yield from (user, method, *names)
-
-    _write_batch(path, lines, tabs, ids)
+                for name in (user, method, *names):
+                    if any(char in name for char in _SEPARATORS):
+                        raise FormatError(
+                            f"{path}: id {name!r} holds a tab or a line break, which a "
+                            f"recommendation line cannot carry"
+                        )
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _venue_score(pair: str) -> tuple[str, float]:
@@ -565,7 +499,7 @@ def _venue_score(pair: str) -> tuple[str, float]:
 
 
 def read_batch_recommendations(path: str | Path) -> list[RecommendationList]:
-    """Inverse of write_batch_recommendations.
+    """Inverse of write_batch_blocks: each line as a RecommendationList.
 
     Raises:
         FormatError: naming the path and line of a line with fewer than two

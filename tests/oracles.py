@@ -86,6 +86,15 @@ def brute_force_top_k(matrix, query, candidate_indices, k):
     return [(index, -neg_score) for neg_score, index in scored[:k]]
 
 
+def top_k_reference(scores, k) -> np.ndarray:
+    """Positions of the k highest scores above -inf, by descending score,
+    ties by ascending position: the plain (-score, position) lexsort of the
+    entries above -inf, cut to k."""
+    scores = np.asarray(scores, dtype=np.float64)
+    live = np.flatnonzero(scores > -np.inf)
+    return live[np.lexsort((live, -scores[live]))][:k]
+
+
 def jacobi_singular_values(matrix, tol: float = 1e-13, max_sweeps: int = 60):
     """Singular values via one-sided Jacobi rotations on the columns."""
     work = np.array(matrix, dtype=np.float64, copy=True)

@@ -48,7 +48,7 @@ from venue2vec.metrics import (
     prediction_coverage,
     score_user,
 )
-from venue2vec.recommend import row_norms, top_k, vote_scores
+from venue2vec.recommend import ranked, row_norms, vote_scores
 
 from oracles import (
     als_final_objective,
@@ -57,7 +57,7 @@ from oracles import (
     jacobi_singular_values,
     recompute_report_from_csv,
 )
-from conftest import dense_scores, visit_table
+from conftest import visit_table
 from test_baselines import random_decaying_matrix
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -450,12 +450,10 @@ def test_criterion_7_coverage_contract(planted_run):
     assert len(truth) == 20
     predicted = [
         int(
-            top_k(
-                dense_scores(
-                    vote_scores(counts, row_norms(counts), counts, [vocab.user_index[user]], 5, True)
-                )[0],
+            ranked(
+                vote_scores(counts, row_norms(counts), counts, [vocab.user_index[user]], 5, True),
                 10,
-            ).size
+            ).nnz
             > 0
         )
         for user in sorted(truth)

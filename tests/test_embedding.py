@@ -31,9 +31,9 @@ from venue2vec.embedding import (
 )
 from venue2vec.errors import ConfigError, TrainingError
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
-from venue2vec.recommend import kiu_scores, row_norms, top_k
+from venue2vec.recommend import kiu_scores, ranked, row_norms
 
-from conftest import dense_scores, make_records, row_of, sentences_of, token_of
+from conftest import make_records, ranked_rows, row_of, sentences_of, token_of
 from oracles import (
     brute_force_top_k,
     context_pairs_reference,
@@ -59,14 +59,13 @@ def venue_indices(vocab):
 def nearest(model, query, candidates, k):
     """The k candidate tokens whose model rows are most cosine-similar to
     query, with their scores, through kiu_scores (the query as its one user
-    row, no neighbors) and top_k over those rows."""
+    row, no neighbors) ranked over those rows."""
     candidates = np.asarray(candidates)
     query = np.asarray(query, dtype=np.float64)[None, :]
     rows = model.input_vectors[candidates]
-    (scores,) = dense_scores(
-        kiu_scores(query, row_norms(query), rows, row_norms(rows), [0], 0, len(rows))
-    )
-    return [(token_of(model.vocab, candidates[i]), float(scores[i])) for i in top_k(scores, k)]
+    scores = kiu_scores(query, row_norms(query), rows, row_norms(rows), [0], 0, len(rows))
+    ((top, sims),) = ranked_rows(ranked(scores, k))
+    return [(token_of(model.vocab, candidates[i]), float(s)) for i, s in zip(top, sims)]
 
 
 # ---------------------------------------------------------------- config

@@ -24,7 +24,7 @@ from venue2vec.metrics import (
     read_report_csv,
     score_user,
 )
-from venue2vec.recommend import format_batch_line, read_batch_recommendations
+from venue2vec.recommend import read_batch_recommendations, write_batch_blocks
 
 from conftest import nearest_users, visit_table
 
@@ -498,7 +498,8 @@ def test_serving_reads_rows_changed_in_place():
 
 def test_one_embedding_fit_serves_kni_nn_and_kiu(tmp_path):
     """One skip-gram fit serves all three embedding methods, and each one's
-    lists are those its own run writes at the same seed."""
+    recommendations.tsv is, byte for byte, the file of the fit-once
+    serving's blocks at the same seed."""
     dataset = harness.load_dataset(small_config())
     fitted = harness.fit(small_config(), dataset)
     users = sorted(build_ground_truth(dataset))
@@ -506,12 +507,11 @@ def test_one_embedding_fit_serves_kni_nn_and_kiu(tmp_path):
     for method in harness.EMBEDDING_METHODS:
         config = small_config(method=method, out_dir=str(tmp_path / method))
         run_experiment(config)
-        written = (tmp_path / method / "recommendations.tsv").read_text().splitlines()
-        served[method] = [
-            format_batch_line(result)
-            for result in harness.recommender(config, fitted, dataset)(users)
-        ]
-        assert served[method] == written
+        path = tmp_path / f"{method}-served.tsv"
+        blocks = harness.recommender(config, fitted, dataset).blocks(users)
+        write_batch_blocks(blocks, method, fitted.vocab.venues, path)
+        served[method] = path.read_bytes()
+        assert served[method] == (tmp_path / method / "recommendations.tsv").read_bytes()
     assert served["kni"] != served["nn"] != served["kiu"]
 
 

@@ -24,15 +24,12 @@ from venue2vec.recommend import (
     LONG_ROW,
     NN,
     NO_PREDICTION,
-    PARTITION_MIN,
     RecommendationList,
-    format_batch_line,
     ranked,
     read_batch_recommendations,
     row_norms,
-    top_k,
     vote_scores,
-    write_batch_recommendations,
+    write_batch_blocks,
 )
 
 from conftest import (
@@ -49,6 +46,7 @@ from oracles import (
     brute_force_top_k,
     interactions_reference,
     rank_votes_reference,
+    top_k_reference,
     vote_reference,
 )
 
@@ -180,13 +178,13 @@ def _vote(visits, neighbors, binary=False):
     vocab, counts = visit_table(make_records({**visits, "t": ["t0"]}), binary)
     near = {*neighbors, "t"}
     rows = np.array([[1.0, 0.0] if user in near else [0.0, 1.0] for user in vocab.users])
-    votes = dense_scores(
-        vote_scores(
-            rows, np.linalg.norm(rows, axis=1), counts, [vocab.user_index["t"]], len(neighbors), False
-        )
-    )[0]
+    scores = vote_scores(
+        rows, np.linalg.norm(rows, axis=1), counts, [vocab.user_index["t"]], len(neighbors), False
+    )
+    votes = dense_scores(scores)[0]
     voted = {vocab.venues[j]: float(votes[j]) for j in np.flatnonzero(votes > -np.inf)}
-    return voted, [(vocab.venues[j], float(votes[j])) for j in top_k(votes, 2)]
+    ((top, top_votes),) = ranked_rows(ranked(scores, 2))
+    return voted, [(vocab.venues[j], float(v)) for j, v in zip(top, top_votes)]
 
 
 def test_vote_sums_visit_counts():
@@ -475,7 +473,7 @@ def _float32_top(rows, query, candidates, k):
     candidates = np.asarray(candidates)
     dots = rows[candidates] @ np.asarray(query, dtype=np.float32)
     scores = dots / (row_norms(rows[candidates]) * np.linalg.norm(query))
-    return candidates[top_k(scores, k)].tolist()
+    return candidates[top_k_reference(scores, k)].tolist()
 
 
 def _near_tie_rows(rng, rows, query, near, copies):
@@ -675,8 +673,9 @@ def test_nn_and_kiu_serve_a_model_trained_on_other_records():
 
 def test_requests_validate_bounds(toy_model, toy_interactions):
     """k and N below 1 are config errors for a run, and the library calls
-    reject them too: top_k takes k >= 1, every score rule and nearest_users
-    a user row, kiu_scores N >= 0 (N = 0 is KNI) and nearest_users N >= 1."""
+    reject them too: ranked takes k >= 1 for a block with a row (an empty
+    block is returned empty at any k), every score rule and nearest_users a
+    user row, kiu_scores N >= 0 (N = 0 is KNI) and nearest_users N >= 1."""
     for overrides in ({"k": 0}, {"neighbors": 0}):
         config = ExperimentConfig(method="kiu", fixture=FixtureSpec(), **overrides)
         with pytest.raises(ConfigError):
@@ -687,12 +686,14 @@ def test_requests_validate_bounds(toy_model, toy_interactions):
     vectors, norms = toy_model.input_vectors, row_norms(toy_model.input_vectors)
     users, venues = (vectors[:count], norms[:count]), (vectors[count:], norms[count:])
     catalog = len(vocab.venues)
-    scores = dense_scores(recommend.kiu_scores(*users, *venues, [index], 0, catalog))
+    scores = recommend.kiu_scores(*users, *venues, [index], 0, catalog)
     assert scores.shape == (1, len(vocab) - vocab.user_count)
-    assert np.isfinite(scores).all()
+    assert np.isfinite(dense_scores(scores)).all()
     for k in (0, -1):
         with pytest.raises(ValueError):
-            top_k(scores[0], k)
+            ranked(scores, k)
+    empty = ranked(sparse.csr_matrix((0, catalog)), 0)
+    assert empty.shape == (0, catalog) and empty.nnz == 0
     for bad_index, neighbors in ((index, -1), (-1, 0), (vocab.user_count, 1)):
         with pytest.raises(ValueError):
             recommend.kiu_scores(*users, *venues, [index, bad_index], neighbors, catalog)
@@ -712,32 +713,9 @@ def test_requests_validate_bounds(toy_model, toy_interactions):
 
 
 @given(
-    scores=st.lists(
-        st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0]) | st.floats(-3.0, 3.0),
-        max_size=40,
-    ),
-    k=st.integers(1, 45),
-    copies=st.sampled_from([1, 60]),
-)
-@example(scores=[-np.inf] * 4, k=2, copies=1)
-@example(scores=[1.0, -np.inf, 1.0, 0.0, 1.0], k=9, copies=1)
-@example(scores=[-np.inf] * 30 + [1.0], k=45, copies=60)
-@settings(max_examples=300, deadline=None)
-def test_top_k_equals_full_lexsort(scores, k, copies):
-    """top_k is the full (-score, position) sort of the entries above -inf,
-    cut to k: under heavy ties, -inf entries, all--inf rows and k past the
-    number of candidates, both for short rows and for rows past
-    PARTITION_MIN candidates (60 copies), where top_k partitions first."""
-    scores = np.tile(np.array(scores, dtype=np.float64), copies)
-    live = np.flatnonzero(scores > -np.inf)
-    expected = live[np.lexsort((live, -scores[live]))][:k]
-    assert top_k(scores, k).tolist() == expected.tolist()
-
-
-@given(
     rows=st.lists(
         st.tuples(
-            st.sampled_from([0, 1, 5, 30, LONG_ROW + 1, 300, PARTITION_MIN + 40]),
+            st.sampled_from([0, 1, 5, 30, LONG_ROW + 1, 300, 1064]),
             st.sampled_from([0.0, 0.3, 1.0]),  # the share of -inf entries
             st.sampled_from([3, 50, 0]),  # distinct scores; 0: continuous
         ),
@@ -746,18 +724,18 @@ def test_top_k_equals_full_lexsort(scores, k, copies):
     k=st.sampled_from([1, 2, 10, 30, 64, 2000]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(rows=[(300, 0.0, 3), (0, 0.0, 3), (PARTITION_MIN + 40, 0.3, 50)], k=10, seed=0)
+@example(rows=[(300, 0.0, 3), (0, 0.0, 3), (1064, 0.3, 50)], k=10, seed=0)
 @example(rows=[(LONG_ROW + 1, 1.0, 0), (LONG_ROW + 1, 0.0, 0)], k=1, seed=1)
 @settings(max_examples=150, deadline=None)
 def test_ranked_block_equals_top_k_per_row(rows, k, seed):
-    """ranked lists each row of a block exactly as top_k lists the row on
-    its own: under ties at the cut (few distinct scores), -inf entries (the
-    seen mask's, a neighbour pick's own row), empty rows, rows past
-    LONG_ROW, which ranked cuts before its sort, and rows past
-    PARTITION_MIN, where top_k partitions."""
+    """ranked lists each row of a block exactly as the plain (-score,
+    column) sort of the row on its own (top_k_reference): under ties at the
+    cut (few distinct scores), -inf entries (the seen mask's, a neighbour
+    pick's own row), empty rows, and rows past LONG_ROW, which ranked cuts
+    before its sort, up to rows of about a thousand entries."""
     rng = np.random.default_rng(seed)
     columns, values, starts = [], [], [0]
-    width = PARTITION_MIN + 100
+    width = 1124
     for length, dropped, distinct in rows:
         columns.append(np.sort(rng.choice(width, length, replace=False)))
         scores = rng.integers(0, distinct, length) / 7 if distinct else rng.normal(size=length)
@@ -771,7 +749,7 @@ def test_ranked_block_equals_top_k_per_row(rows, k, seed):
     top = ranked(scores, k)
     assert top.shape == scores.shape
     for (listed, listed_scores), row_columns, row_values in zip(ranked_rows(top), columns, values):
-        expected = top_k(row_values, k)
+        expected = top_k_reference(row_values, k)
         assert listed.tolist() == row_columns[expected].tolist()
         assert listed_scores.tobytes() == row_values[expected].tobytes()
 
@@ -831,13 +809,30 @@ def test_concurrent_readers_agree(toy_model, toy_records):
 # ------------------------------------------------------------- batch format
 
 
+def _write_lists(results, path):
+    """Write lists of one method through write_batch_blocks: their venues
+    numbered in order of first listing, the lists one ranked block."""
+    index, columns, scores, starts = {}, [], [], [0]
+    for result in results:
+        for venue, score in result.items:
+            columns.append(index.setdefault(venue, len(index)))
+            scores.append(score)
+        starts.append(len(columns))
+    top = sparse.csr_matrix(
+        (np.array(scores, dtype=np.float64), np.array(columns, dtype=np.int64), starts),
+        shape=(len(results), len(index)),
+    )
+    (method,) = {result.method for result in results} or {NN}
+    write_batch_blocks([([result.user for result in results], top)], method, list(index), path)
+
+
 def test_batch_roundtrip(tmp_path, toy_model, toy_records):
     results = [
         kiu_list(toy_model, toy_records, "u0", 3, 0),
         RecommendationList("ghost", "kni"),
     ]
     path = tmp_path / "batch.tsv"
-    write_batch_recommendations(results, path)
+    _write_lists(results, path)
     back = read_batch_recommendations(path)
     assert back[0].user == "u0"
     assert back[0].venues() == results[0].venues()
@@ -858,9 +853,10 @@ def test_malformed_batch_line_is_format_error(tmp_path, line):
         read_batch_recommendations(path)
 
 
-def test_batch_no_prediction_line():
-    line = format_batch_line(RecommendationList("u9", "nn"))
-    assert line == f"u9\tnn\t{NO_PREDICTION}"
+def test_batch_no_prediction_line(tmp_path):
+    path = tmp_path / "batch.tsv"
+    _write_lists([RecommendationList("u9", "nn")], path)
+    assert path.read_text(encoding="utf-8") == f"u9\tnn\t{NO_PREDICTION}\n"
 
 
 @pytest.mark.parametrize(
@@ -878,14 +874,14 @@ def test_batch_id_with_a_separator_is_format_error(tmp_path, result, name):
     path = tmp_path / "batch.tsv"
     fine = RecommendationList("u0", "kni", [("a", 0.5)])
     with pytest.raises(FormatError, match=re.escape(f"{path}: id {name!r}")):
-        write_batch_recommendations([fine, result], path)
+        _write_lists([fine, result], path)
     assert not path.exists()
 
 
 def test_batch_venue_ids_with_colons(tmp_path):
     results = [RecommendationList("u", "kni", [("loc:4:a", 0.5)])]
     path = tmp_path / "batch.tsv"
-    write_batch_recommendations(results, path)
+    _write_lists(results, path)
     back = read_batch_recommendations(path)
     assert back[0].items[0][0] == "loc:4:a"
 
@@ -899,27 +895,26 @@ batch_ids = st.text(
 
 
 @given(
-    results=st.lists(
-        st.builds(
-            RecommendationList,
+    method=st.sampled_from(["kni", "nn", "kiu", "cf", "random", "svd", "ccdpp"]),
+    lists=st.lists(
+        st.tuples(
             batch_ids,
-            st.sampled_from(["kni", "nn", "kiu", "cf", "random", "svd", "ccdpp"]),
             st.lists(
                 st.tuples(batch_ids, st.floats(-1e6, 1e6, allow_nan=False)),
                 max_size=5,
             ),
         ),
         max_size=6,
-    )
+    ),
 )
 @settings(max_examples=60, deadline=None)
-def test_batch_roundtrip_any_ids(tmp_path_factory, results):
+def test_batch_roundtrip_any_ids(tmp_path_factory, method, lists):
+    """Any ids without a separator, one method per file (a run or a
+    recommend stage serves one)."""
     path = tmp_path_factory.mktemp("batch") / "batch.tsv"
-    write_batch_recommendations(results, path)
+    _write_lists([RecommendationList(user, method, items) for user, items in lists], path)
     expected = [
-        RecommendationList(
-            r.user, r.method, [(venue, float(f"{score:.6f}")) for venue, score in r.items]
-        )
-        for r in results
+        RecommendationList(user, method, [(venue, float(f"{score:.6f}")) for venue, score in items])
+        for user, items in lists
     ]
     assert read_batch_recommendations(path) == expected
