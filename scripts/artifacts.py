@@ -15,19 +15,22 @@ N=30, k=10 (SERVING):
 - run for kni, nn and kiu at --min-count 2 x --filter-seen;
 - train (model, --text-out vectors, --loss-csv) at --min-count 1 and 2,
   then recommend + evaluate for kni, nn and kiu x both flags;
+- the same for one CBOW model (train --arch cbow), with recommend +
+  evaluate for kni, nn and kiu, plain and --filter-seen;
 - recommend --users for kni, nn and kiu from the --min-count 1 model, for
   the users in USERS (one of them unknown): kni and kiu read only the
   model, nn also the check-ins;
 - sweep for kni over E = 2, 3, then plot-data over its sweep_E.csv.
 
 run and sweep take both groups of settings. Each staged command takes only
-the flags it reads: train the input, TRAINING and --min-count; recommend the
-input, SERVING, the method and the two flags; evaluate the input and SERVING.
+the flags it reads: train the input, TRAINING and --min-count or --arch;
+recommend the input, SERVING, the method and the two flags; evaluate the
+input and SERVING.
 
 The timing fields (report and sweep train_s, rec_s_total and
 rec_s_per_user, loss trace seconds) are then set to 0.0, so everything left
 is a function of the code and the seeds: two runs of one commit must write
-identical trees (diff -r, 951 files), and two commits can be compared the
+identical trees (diff -r, 1,032 files), and two commits can be compared the
 same way.
 """
 
@@ -95,6 +98,18 @@ def commands(out: Path, fixtures: dict) -> list[list[str]]:
                                   "--method", method, *flags, "--out", str(recs)])
                     argvs.append(["evaluate", "--recommendations", str(recs), *given, *SERVING,
                                   "--out-dir", str(staged / method / label)])
+        staged = base / "staged-cbow"
+        argvs.append(["train", *given, *TRAINING, "--arch", "cbow",
+                      "--model-out", str(staged / "model.bin"),
+                      "--text-out", str(staged / "vectors.txt"),
+                      "--loss-csv", str(staged / "loss.csv")])
+        for method in EMBEDDING_METHODS:
+            for label in ("plain", "seen"):
+                recs = staged / f"{method}-{label}.tsv"
+                argvs.append(["recommend", "--model", str(staged / "model.bin"), *given,
+                              *SERVING, "--method", method, *FLAGS[label], "--out", str(recs)])
+                argvs.append(["evaluate", "--recommendations", str(recs), *given, *SERVING,
+                              "--out-dir", str(staged / method / label)])
         staged = base / "staged-min1"
         for method in EMBEDDING_METHODS:
             argvs.append(["recommend", "--model", str(staged / "model.bin"), *given,

@@ -4,20 +4,46 @@
 Usage:
     python scripts/benchmark_methods.py [--communities 4] [--epochs 25] ...
 
-Trains the embedding methods (kni / nn / kiu), the matrix-factorization
-baselines (svd / ccdpp), classic cf, and the seeded random baseline on the
-same planted-community fixture, then prints precision / ndcg / hitrate /
-coverage plus the modeling and recommendation timings per method.
+Fits one skip-gram model that serves the embedding methods (kni / nn / kiu),
+and runs the matrix-factorization baselines (svd / ccdpp), classic cf and
+the seeded random baseline on the same planted-community fixture, then
+prints precision / ndcg / hitrate / coverage plus the modeling and
+recommendation timings per method. The three embedding rows share the one
+fit's train_s.
 """
 
 import argparse
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from venue2vec.fixtures import FixtureSpec
-from venue2vec.harness import ALL_METHODS, ExperimentConfig, run_experiment
+from venue2vec.harness import (
+    ALL_METHODS,
+    EMBEDDING_METHODS,
+    ExperimentConfig,
+    fit,
+    load_dataset,
+    recommender,
+    run_experiment,
+)
+from venue2vec.metrics import TruthTable, aggregate, evaluation_users, score_block
+
+
+def serve_and_score(config, fitted, dataset, users, truth, train_s):
+    """The report of config.method's lists of users from fitted, scored a
+    block at a time against truth's rows, as run scores them."""
+    started = time.perf_counter()
+    rows, start = [], 0
+    for names, top in recommender(config, fitted, dataset).blocks(users):
+        block_truth = truth.rows(start, start + len(names))
+        rows += score_block(names, top.indices, top.indptr, block_truth, config.k)
+        start += len(names)
+    seconds = time.perf_counter() - started
+    return aggregate(rows, train_s=train_s, rec_s=seconds, method=config.method, k=config.k)
 
 
 def main() -> int:
@@ -34,7 +60,6 @@ def main() -> int:
     parser.add_argument("--neighbors", type=int, default=30)
     parser.add_argument("--topk", type=int, default=10)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--out-dir", default=None)
     args = parser.parse_args()
 
     fixture = FixtureSpec(
@@ -46,23 +71,31 @@ def main() -> int:
         test_checkins_per_user=args.test_checkins,
         noise_rate=args.noise,
     )
+    base = ExperimentConfig(
+        fixture=fixture,
+        feature_count=args.features,
+        context_count=args.window,
+        epoch_count=args.epochs,
+        neighbors=args.neighbors,
+        k=args.topk,
+        seed=args.seed,
+    )
+    dataset = load_dataset(base)
+    started = time.perf_counter()
+    fitted = fit(base, dataset)  # one skip-gram fit serves kni, nn and kiu
+    train_s = time.perf_counter() - started
+    users = evaluation_users(dataset)
+    truth = TruthTable.of(dataset.test, users, fitted.vocab.venue_index)
 
     header = f"{'method':<8} {'precision':>9} {'ndcg':>7} {'hitrate':>8} {'coverage':>9} {'train_s':>8} {'rec_s':>7}"
     print(header)
     print("-" * len(header))
     for method in ALL_METHODS:
-        config = ExperimentConfig(
-            fixture=fixture,
-            method=method,
-            feature_count=args.features,
-            context_count=args.window,
-            epoch_count=args.epochs,
-            neighbors=args.neighbors,
-            k=args.topk,
-            seed=args.seed,
-            out_dir=f"{args.out_dir}/{method}" if args.out_dir else None,
-        )
-        report = run_experiment(config)
+        config = replace(base, method=method)
+        if method in EMBEDDING_METHODS:
+            report = serve_and_score(config, fitted, dataset, users, truth, train_s)
+        else:
+            report = run_experiment(config)
         print(
             f"{method:<8} {report.precision:>9.4f} {report.ndcg:>7.4f} "
             f"{report.hitrate:>8.4f} {report.coverage:>9.4f} "

@@ -11,7 +11,8 @@ read_checkins over the fixture written as a 108,160-line TSV, the same
 read with every venue id rewritten as a distinct 24-character hexadecimal
 id (the length of Foursquare's venue ids; "read_checkins hex"), both with
 their lines per second, split_train_test, build_vocabulary, build_sentences,
-build_interactions and build_ground_truth. It prints the seconds of one
+build_interactions and the ground truth (evaluation_users, then
+TruthTable.of over the vocabulary's venues). It prints the seconds of one
 svd_factorize and one ccdpp_factorize build (rank 100, seed 1, the
 library's other defaults) over the training visit table, and the seconds of
 two seeded Random servings (k=10, seed 1) of the evaluation users over the
@@ -56,7 +57,7 @@ from venue2vec.corpus import (
 from venue2vec.embedding import CBOW, SKIP_GRAM, TrainingConfig, init_model, resolve_window, train
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 from venue2vec.harness import ExperimentConfig, fit, recommender, run_experiment
-from venue2vec.metrics import build_ground_truth
+from venue2vec.metrics import TruthTable, evaluation_users
 from venue2vec.recommend import KNI
 
 PAPER_SHAPE = FixtureSpec(
@@ -102,7 +103,9 @@ def main() -> int:
             "build_vocabulary": lambda: build_vocabulary(dataset.train, 1),
             "build_sentences": lambda: build_sentences(dataset.train, vocab),
             "build_interactions": lambda: build_interactions(dataset.train, vocab),
-            "build_ground_truth": lambda: build_ground_truth(dataset),
+            "ground truth": lambda: TruthTable.of(
+                dataset.test, evaluation_users(dataset), vocab.venue_index
+            ),
         }
         for name, stage in stages.items():
             best = min(timeit.repeat(stage, number=1, repeat=3))
@@ -114,7 +117,7 @@ def main() -> int:
         start = time.perf_counter()
         build(visits, 100, seed=1)
         print(f"{name:<18} {time.perf_counter() - start:7.3f} s (rank 100)")
-    users = sorted(build_ground_truth(dataset))
+    users = evaluation_users(dataset)
     for filter_seen in (False, True):
         config = ExperimentConfig(
             fixture=PAPER_SHAPE, method=RANDOM, seed=1, filter_seen=filter_seen

@@ -23,7 +23,7 @@ from .embedding import CBOW, MAX_WINDOW, SKIP_GRAM
 from .errors import ConfigError
 from .fixtures import FEB_2011, FixtureSpec, generate_fixture
 from .harness import ExperimentConfig, SweepSpec
-from .metrics import METRICS, build_ground_truth, read_report_csv, write_csv
+from .metrics import METRICS, evaluation_users, read_report_csv, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,7 +178,7 @@ def _cmd_recommend(args) -> int:
     if args.users:
         users = _read_users_file(args.users)
     else:
-        users = sorted(build_ground_truth(dataset))
+        users = evaluation_users(dataset)
     if not users:
         raise ConfigError("no target users: supply --users or test-period data")
     blocks = list(harness.recommender(config, fitted, dataset).blocks(users))
@@ -191,9 +191,8 @@ def _cmd_recommend(args) -> int:
 def _cmd_evaluate(args) -> int:
     config = build_experiment_config(args)
     config.validate()  # before reading anything
-    results = recommend.read_batch_recommendations(args.recommendations)
     out_dir = Path(config.out_dir or ".")
-    report = harness.evaluate_recommendations(config, results, out_dir)
+    report = harness.evaluate_recommendations(config, args.recommendations, out_dir)
     print(f"{report.method}: {_summary(report)} ({len(report.per_user)} users) -> {out_dir}")
     return 0
 
@@ -210,11 +209,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = build_experiment_config(args)
-    values = (
-        [v.strip() for v in args.values.split(",") if v.strip()] if args.values else ()
-    )
-    parsed = [_parse("values", v, _window) for v in values]
-    spec = SweepSpec(axis=args.axis, values=parsed)
+    values = None  # the axis's grid; a --values that lists no value is a config error
+    if args.values is not None:
+        values = [_parse("values", v.strip(), _window) for v in args.values.split(",") if v.strip()]
+    spec = SweepSpec(axis=args.axis, values=values)
     reports, rows = harness.run_sweep(spec, config)
     failed = len(reports) - len(rows)
     for value, report in zip(spec.resolved_values(), reports):

@@ -7,11 +7,12 @@ modeling and recommendation phases timed separately. One fit serves every
 method it holds the rows of; Random serves random_runs seeded runs from it
 and reports their mean. The CLI's train, recommend and evaluate stages
 reuse the same steps (load_dataset, fit_embedding, Fit.of_model,
-recommender, evaluate_recommendations).
+recommender, evaluate_recommendations, which reads a batch file as one
+ranked block and scores it as run scores its served blocks).
 A report's arch, F, C and E come from the fit, which knows what it fitted;
 its method, N and k from the serving, so one fit can be reported at any N.
 Only training records ever reach vocabulary, sentence or matrix construction;
-test records are consumed exclusively by ground-truth building.
+test records only the ground truth (evaluation_users, TruthTable.of).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .metrics import (
     TruthTable,
     UserResult,
     aggregate,
-    build_ground_truth,
+    evaluation_users,
     score_block,
     write_csv,
     write_per_user_csv,
@@ -202,16 +203,15 @@ def fit_embedding(
 
 @dataclass
 class Recommender:
-    """A method's serving (see serve). Called with a sequence of user names,
-    it yields their RecommendationLists in order; blocks(users) yields the
-    same lists a block at a time, as arrays.
+    """A method's serving (see serve). blocks(users) yields the users' lists
+    a block at a time as ranked matrices; called with user names, it yields
+    them by name, one RecommendationList per user, in order.
 
     rank_block(rows) is the ranked (len(rows) x venues) matrix of the
     vocabulary's users at those rows (see recommend.ranked), and size the
     most users a block holds.
     """
 
-    method: str
     vocab: Vocabulary
     rank_block: Callable[[np.ndarray], sparse.csr_matrix]
     size: int
@@ -242,7 +242,7 @@ class Recommender:
             scores, bounds = top.data.tolist(), top.indptr.tolist()
             for user, start, stop in zip(block, bounds, bounds[1:]):
                 items = list(zip(venues[start:stop], scores[start:stop]))
-                yield recommend.RecommendationList(user, self.method, items)
+                yield recommend.RecommendationList(user, items)
 
 
 def serve(
@@ -285,7 +285,7 @@ def serve(
             scores.data[np.isin(stored + scores.indices, seen)] = -np.inf
         return recommend.ranked(scores, config.k)
 
-    return Recommender(config.method, vocab, rank_block, size)
+    return Recommender(vocab, rank_block, size)
 
 
 @dataclass
@@ -452,8 +452,8 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
     per_user.csv and recommendations.tsv are run 0's.
     """
     dataset = load_dataset(config)
-    ground_truth = build_ground_truth(dataset)
-    if not ground_truth:
+    users = evaluation_users(dataset)
+    if not users:
         raise ConfigError("no user has both train and test records")
 
     started = time.perf_counter()
@@ -464,10 +464,8 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
         for run in range(count)
     ]
     train_seconds = time.perf_counter() - started
-    # the ground truth as arrays over the fit's venue columns, like the
-    # ground truth itself built once and outside the timed phases
-    users = sorted(ground_truth)
-    truth = TruthTable.of(users, ground_truth, fitted.vocab.venue_index)
+    # the ground truth over the fit's venue columns, outside the timed phases
+    truth = TruthTable.of(dataset.test, users, fitted.vocab.venue_index)
     echo = _serving_echo(config, config.method)
     many = len(runs) > 1
     reports: list[MetricsReport] = []
@@ -499,7 +497,7 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
         reports[0],
         **{metric: sum(getattr(r, metric) for r in reports) / count for metric in METRICS},
         rec_s_total=rec_seconds,
-        rec_s_per_user=rec_seconds / (len(ground_truth) * count),
+        rec_s_per_user=rec_seconds / (len(users) * count),
     )
     if out_dir is not None:
         _write_artifacts(report, out_dir, fitted.traces)
@@ -507,50 +505,45 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
 
 
 def evaluate_recommendations(
-    config: ExperimentConfig,
-    results: Sequence[recommend.RecommendationList],
-    out_dir: Path,
+    config: ExperimentConfig, path: str | Path, out_dir: Path
 ) -> MetricsReport:
-    """Score saved recommendation lists of one method against the test
-    split, in list order.
+    """Score the batch file at path, the lists of one method, against the
+    test split, in file order.
 
     Lists of users outside the evaluation population are skipped; the
     report is written into out_dir.
 
     Raises:
-        FormatError: if the lists come from more than one method, naming
-            them, or a user has more than one list, naming the user.
+        FormatError: if the file is not a batch file (see
+            recommend.read_batch_blocks), if its lists come from more than
+            one method, naming them, or a user has more than one list,
+            naming the user.
         ConfigError: if a scored list is longer than config.k.
     """
-    methods = sorted({result.method for result in results})
+    users, methods, venues, top = recommend.read_batch_blocks(path)
+    methods = sorted(set(methods))
     if len(methods) > 1:
         raise FormatError(f"the lists mix methods {methods}; evaluate one method at a time")
-    users: set[str] = set()
-    for result in results:
-        if result.user in users:
-            raise FormatError(f"user {result.user!r} has more than one list")
-        users.add(result.user)
-    ground_truth = build_ground_truth(load_dataset(config))
-    scored = [result for result in results if result.user in ground_truth]
-    for result in scored:
-        if len(result.items) > config.k:
+    listed: set[str] = set()
+    for user in users:
+        if user in listed:
+            raise FormatError(f"user {user!r} has more than one list")
+        listed.add(user)
+    dataset = load_dataset(config)
+    population = set(evaluation_users(dataset))
+    scored = [row for row, user in enumerate(users) if user in population]
+    lengths = np.diff(top.indptr).tolist()
+    for row in scored:
+        if lengths[row] > config.k:
             raise ConfigError(
-                f"the list of user {result.user!r} holds {len(result.items)} "
+                f"the list of user {users[row]!r} holds {lengths[row]} "
                 f"venues, more than k={config.k}"
             )
     if not scored:
         raise ConfigError("no overlap between recommendations and evaluation users")
-    # the file's venues, numbered once, as the columns of one block
-    columns: dict[str, int] = {}
-    codes = [columns.setdefault(venue, len(columns)) for r in scored for venue in r.venues()]
-    starts = np.cumsum([0, *(len(result.items) for result in scored)])
-    top = sparse.csr_matrix(
-        (np.ones(len(codes)), np.array(codes, dtype=np.int64), starts),
-        shape=(len(scored), len(columns)),
-    )
-    names = [result.user for result in scored]
+    names = [users[row] for row in scored]
     rows: list[UserResult] = []
-    _score_lists([(names, top)], TruthTable.of(names, ground_truth, columns), config.k, rows)
+    _score_lists([(names, top[scored])], TruthTable.of(dataset.test, names, venues), config.k, rows)
     report = aggregate(rows, **_serving_echo(config, methods[0]))
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_artifacts(report, out_dir, {})
@@ -573,12 +566,12 @@ class SweepSpec:
     """One swept axis; the other parameters stay fixed at the base config."""
 
     axis: str
-    values: Sequence[int | str] = ()
+    values: Sequence[int | str] | None = None  # None: the axis's grid
 
     def resolved_values(self) -> list:
         if self.axis not in SWEEP_AXES:
             raise ConfigError(f"sweep axis must be one of {sorted(SWEEP_AXES)}")
-        values = list(self.values or SWEEP_AXES[self.axis][1])
+        values = list(SWEEP_AXES[self.axis][1] if self.values is None else self.values)
         if self.axis != "C" and MAX_WINDOW in values:
             raise ConfigError(f"sweep axis {self.axis} takes integers; only C accepts 'max'")
         return values

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
-from .corpus import Dataset
+from .corpus import Checkins, Dataset
 from .errors import EvaluationError
 
 # The four metrics a report holds, in column order.
@@ -107,19 +107,19 @@ class TruthTable:
     width: int
 
     @classmethod
-    def of(
-        cls, users: Sequence[str], truth: dict[str, set[str]], columns: dict[str, int]
-    ) -> TruthTable:
-        """The table of users (each in truth) over the venue numbering columns."""
-        width = len(columns)
-        keys = [
-            row * width + columns[venue]
-            for row, user in enumerate(users)
-            for venue in truth[user]
-            if venue in columns
-        ]
-        relevant = np.array([len(truth[user]) for user in users], dtype=np.int64)
-        return cls(np.sort(np.array(keys, dtype=np.int64)), relevant, width)
+    def of(cls, test: Checkins, users: Sequence[str], columns: dict[str, int]) -> TruthTable:
+        """The table of users, in that order, over the venue numbering
+        columns: each user's distinct venues in the test check-ins, with one
+        lookup per distinct id and the check-ins in array operations."""
+        row_of = {user: row for row, user in enumerate(users)}
+        user_rows = np.array([row_of.get(user, -1) for user in test.user_ids], dtype=np.int64)
+        column = np.array([columns.get(venue, -1) for venue in test.venue_ids], dtype=np.int64)
+        kept = user_rows[test.users] >= 0
+        # each (row, test venue) pair once
+        pairs = np.unique(user_rows[test.users[kept]] * len(column) + test.venues[kept])
+        rows, venues = np.divmod(pairs, len(column))
+        keys = (rows * len(columns) + column[venues])[column[venues] >= 0]
+        return cls(np.sort(keys), np.bincount(rows, minlength=len(users)), len(columns))
 
     def rows(self, start: int, stop: int) -> TruthTable:
         """The table of rows start..stop - 1, renumbered from 0."""
@@ -167,14 +167,10 @@ def score_block(
     return list(map(UserResult, users, *scores))
 
 
-def build_ground_truth(dataset: Dataset) -> dict[str, set[str]]:
-    """Distinct test venues per user, restricted to users seen in train."""
-    train_users = set(dataset.train.user_ids)
-    truth: dict[str, set[str]] = {}
-    for user, venue, _ in dataset.test:
-        if user in train_users:
-            truth.setdefault(user, set()).add(venue)
-    return truth
+def evaluation_users(dataset: Dataset) -> list[str]:
+    """The evaluation population, sorted: users with both a train and a
+    test check-in."""
+    return sorted(set(dataset.test.user_ids).intersection(dataset.train.user_ids))
 
 
 @dataclass(kw_only=True)
@@ -220,12 +216,13 @@ def aggregate(
     if not rows:
         raise EvaluationError("cannot aggregate an empty result set")
     count = len(rows)
+    precision, ndcg, hits, predicted = zip(*map(attrgetter(*_columns(UserResult)[1:]), rows))
     return MetricsReport(
         **echo,
-        precision=sum(r.precision for r in rows) / count,
-        ndcg=sum(r.ndcg for r in rows) / count,
-        hitrate=hit_rate([r.hit for r in rows]),
-        coverage=prediction_coverage([r.predicted for r in rows]),
+        precision=sum(precision) / count,
+        ndcg=sum(ndcg) / count,
+        hitrate=hit_rate(hits),
+        coverage=prediction_coverage(predicted),
         train_s=train_s,
         rec_s_total=rec_s,
         rec_s_per_user=rec_s / count,

@@ -21,9 +21,8 @@ rules take row arrays with the row_norms the caller computes once per serving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -46,18 +45,11 @@ _SEPARATORS = "\t\n\r"  # the batch file's field and line separators
 LONG_ROW = 64
 
 
-@dataclass
-class RecommendationList:
+class RecommendationList(NamedTuple):
+    """One user's list by name: (venue, score) pairs in rank order."""
+
     user: str
-    method: str
-    items: list[tuple[str, float]] = field(default_factory=list)
-
-    @property
-    def predicted(self) -> bool:
-        return bool(self.items)
-
-    def venues(self) -> list[str]:
-        return [venue for venue, _ in self.items]
+    items: list[tuple[str, float]]
 
 
 def row_norms(rows) -> np.ndarray:
@@ -491,35 +483,38 @@ def write_batch_blocks(
         handle.write(text)
 
 
-def _venue_score(pair: str) -> tuple[str, float]:
-    venue, colon, score = pair.rpartition(":")
-    if not colon:
-        raise ValueError(pair)
-    return venue, float(score)
-
-
-def read_batch_recommendations(path: str | Path) -> list[RecommendationList]:
-    """Inverse of write_batch_blocks: each line as a RecommendationList.
+def read_batch_blocks(path: str | Path) -> tuple[list, list, dict[str, int], sparse.csr_matrix]:
+    """Inverse of write_batch_blocks: each line's user and method, the
+    file's venues numbered by first occurrence (venue -> column), and one
+    CSR block whose row i stores line i's list as venue columns and scores
+    in rank order (blank lines are skipped).
 
     Raises:
         FormatError: naming the path and line of a line with fewer than two
             tab-separated fields or a pair that is not venue:score.
     """
-    results = []
+    users, methods, columns, scores, starts = [], [], [], [], [0]
+    venues: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             try:
-                user, method, *rest = line.split("\t")
-                if rest == [NO_PREDICTION]:
-                    rest = []
-                items = [_venue_score(pair) for pair in rest]
+                user, method, *pairs = line.split("\t")
+                for pair in [] if pairs == [NO_PREDICTION] else pairs:
+                    venue, colon, score = pair.rpartition(":")
+                    if not colon:
+                        raise ValueError(pair)
+                    scores.append(float(score))
+                    columns.append(venues.setdefault(venue, len(venues)))
             except ValueError:
                 raise FormatError(
                     f"{path} line {number}: expected user, method and venue:score "
                     f"fields separated by tabs, got {line!r}"
                 ) from None
-            results.append(RecommendationList(user, method, items))
-    return results
+            users.append(user)
+            methods.append(method)
+            starts.append(len(columns))
+    top = (np.array(scores), np.array(columns, dtype=np.int64), starts)
+    return users, methods, venues, sparse.csr_matrix(top, shape=(len(users), len(venues)))

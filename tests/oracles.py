@@ -7,7 +7,8 @@ least squares, the CCD++ reference is the column-at-a-time loop the library
 replaced, the SGNS step reference is the two-scatter step the library
 replaced, the neighbor vote sums per-user Counters, the check-in parser is
 the per-line loop the library replaced, training sentences sort each user's
-records in Python, and report recomputation reads the raw CSV text.
+records in Python, the ground truth is a dict of sets built row by row, and
+report recomputation reads the raw CSV text.
 """
 
 from __future__ import annotations
@@ -357,6 +358,17 @@ def recompute_report_from_csv(path):
         "coverage": math.fsum(predicted) / count,
         "users": count,
     }
+
+
+def ground_truth_reference(dataset) -> dict[str, set[str]]:
+    """Distinct test venues per user, restricted to users seen in train: a
+    loop over the test rows into a dict of sets."""
+    train_users = set(dataset.train.user_ids)
+    truth: dict[str, set[str]] = {}
+    for user, venue, _ in dataset.test:
+        if user in train_users:
+            truth.setdefault(user, set()).add(venue)
+    return truth
 
 
 def sentences_reference(records, vocab) -> list[list[int]]:

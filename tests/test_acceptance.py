@@ -42,7 +42,6 @@ from venue2vec.harness import (
 )
 from venue2vec.metrics import (
     aggregate,
-    build_ground_truth,
     ndcg_at_k,
     precision_at_k,
     prediction_coverage,
@@ -54,10 +53,11 @@ from oracles import (
     als_final_objective,
     brute_force_top_k,
     finite_difference_gradients,
+    ground_truth_reference,
     jacobi_singular_values,
     recompute_report_from_csv,
 )
-from conftest import visit_table
+from conftest import venues_of, visit_table
 from test_baselines import random_decaying_matrix
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -151,7 +151,7 @@ def test_criterion_2_top_k_oracle_equivalence():
         reference = brute_force_top_k(
             model.input_vectors, query, np.arange(count, len(model.vocab)), 10
         )
-        assert ours.venues() == [model.vocab.venues[i - count] for i, _ in reference]
+        assert venues_of(ours) == [model.vocab.venues[i - count] for i, _ in reference]
         for (_, score), (_, ref_score) in zip(ours.items, reference):
             assert score == pytest.approx(ref_score, abs=1e-9)
     elapsed = time.perf_counter() - started
@@ -206,7 +206,7 @@ def _evaluate(recommender, truth, method):
     """The run report of recommender's lists at k = 10 over truth's users."""
     users = sorted(truth)
     rows = [
-        score_user(user, result.venues(), truth[user], 10)
+        score_user(user, venues_of(result), truth[user], 10)
         for user, result in zip(users, recommender(users))
     ]
     return aggregate(rows, method=method, k=10)
@@ -215,7 +215,7 @@ def _evaluate(recommender, truth, method):
 @pytest.fixture(scope="module")
 def planted_run():
     dataset = split_train_test(generate_fixture(ACCEPTANCE_FIXTURE), FEB_2011)
-    truth = build_ground_truth(dataset)
+    truth = ground_truth_reference(dataset)
     started = time.perf_counter()
     vocab = build_vocabulary(dataset.train, 1)
     corpus = build_sentences(dataset.train, vocab)
@@ -330,7 +330,7 @@ def test_criterion_4c_novel_venues_beat_random():
         k=10, seed=1, filter_seen=True,
     )
     dataset = load_dataset(config)
-    truth = build_ground_truth(dataset)
+    truth = ground_truth_reference(dataset)
     fitted = fit(config, dataset)
     precision = {
         method: _evaluate(
@@ -446,7 +446,7 @@ def test_criterion_7_coverage_contract(planted_run):
     test.append(("loner", "hub", FEB_2011 + 50))
     train, test = Checkins.of(train), Checkins.of(test)
     vocab, counts = visit_table(train)
-    truth = build_ground_truth(Dataset(train, test))
+    truth = ground_truth_reference(Dataset(train, test))
     assert len(truth) == 20
     predicted = [
         int(

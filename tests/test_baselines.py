@@ -14,7 +14,7 @@ from venue2vec.corpus import build_interactions, build_vocabulary
 from venue2vec.harness import ExperimentConfig
 from venue2vec.recommend import random_scores, ranked, row_norms, vote_scores
 
-from conftest import community_of, make_records, ranked_rows, visit_table
+from conftest import community_of, make_records, ranked_rows, venues_of, visit_table
 from oracles import als_final_objective, ccdpp_reference, jacobi_singular_values
 
 
@@ -63,7 +63,7 @@ def recommend_cf(table, user, neighbors, k, filter_seen=False):
 def test_cf_twin_users_recommend_missing_venue():
     table = matrix_from({"a": ["x", "y"], "b": ["x", "y", "z"]})
     result = recommend_cf(table, "a", neighbors=1, k=1, filter_seen=True)
-    assert result.venues() == ["z"]
+    assert venues_of(result) == ["z"]
     assert result.items[0][1] == pytest.approx(2 / (np.sqrt(2) * np.sqrt(3)))
 
 
@@ -76,8 +76,8 @@ def test_cf_isolated_user_gets_no_prediction():
             "loner": ["p1", "p2", "p3"],
         }
     )
-    assert not recommend_cf(table, "loner", neighbors=5, k=3).predicted
-    assert recommend_cf(table, "a", neighbors=5, k=3).predicted
+    assert not recommend_cf(table, "loner", neighbors=5, k=3).items
+    assert recommend_cf(table, "a", neighbors=5, k=3).items
 
 
 def test_cf_hand_computed_scores():
@@ -85,14 +85,14 @@ def test_cf_hand_computed_scores():
     result = recommend_cf(table, "A", neighbors=2, k=3, filter_seen=True)
     cos_ab = 0.5
     cos_ac = 1 / np.sqrt(6)
-    assert result.venues() == ["z", "w"]
+    assert venues_of(result) == ["z", "w"]
     assert result.items[0][1] == pytest.approx(cos_ab + cos_ac, abs=1e-12)
     assert result.items[1][1] == pytest.approx(cos_ac, abs=1e-12)
 
 
 def test_cf_unknown_user_no_prediction():
     table = matrix_from({"a": ["x"]})
-    assert not recommend_cf(table, "ghost", neighbors=1, k=1).predicted
+    assert not recommend_cf(table, "ghost", neighbors=1, k=1).items
 
 
 def test_cf_all_neighbors_binary_matches_brute_force(rng):
@@ -122,7 +122,7 @@ def test_cf_all_neighbors_binary_matches_brute_force(rng):
         if total > 0:
             scores[venue] = total
     expected = sorted(scores, key=lambda v: (-scores[v], vocab.venue_index[v]))[:5]
-    assert result.venues() == expected
+    assert venues_of(result) == expected
     for venue, score in result.items:
         assert score == pytest.approx(scores[venue], abs=1e-12)
 
@@ -436,7 +436,7 @@ def test_latent_neighbor_takes_neighbors_venues():
         rank=2,
     )
     result = recommend_latent_neighbors(factors, table, "a", neighbors=1, k=2)
-    assert set(result.venues()) == {"x", "z"}  # b's venues, vote weight 1 each
+    assert set(venues_of(result)) == {"x", "z"}  # b's venues, vote weight 1 each
 
 
 def test_latent_identical_rows_are_top_neighbors():
@@ -444,7 +444,7 @@ def test_latent_identical_rows_are_top_neighbors():
     latent = np.array([[0.5, 0.5], [0.5, 0.5], [-0.9, 0.1]])
     factors = FactorModel(latent, np.zeros((3, 2)), 2)
     result = recommend_latent_neighbors(factors, table, "a", neighbors=1, k=1)
-    assert result.venues() == ["y"]  # b is a's perfect cosine twin
+    assert venues_of(result) == ["y"]  # b is a's perfect cosine twin
 
 
 def test_latent_neighbor_exact_k_forced():
@@ -452,7 +452,7 @@ def test_latent_neighbor_exact_k_forced():
     latent = np.array([[1.0, 0.0], [0.8, 0.2]])
     factors = FactorModel(latent, np.zeros((3, 2)), 2)
     result = recommend_latent_neighbors(factors, table, "a", neighbors=1, k=2)
-    assert set(result.venues()) == {"p", "q"}
+    assert set(venues_of(result)) == {"p", "q"}
 
 
 def test_latent_pipeline_stays_in_community(community_dataset):
@@ -461,6 +461,6 @@ def test_latent_pipeline_stays_in_community(community_dataset):
     factors = svd_factorize(table[1], 8, seed=0)
     for user in ("c0u1", "c1u2"):
         result = recommend_latent_neighbors(factors, table, user, neighbors=5, k=10)
-        assert result.predicted
+        assert result.items
         for venue, _ in result.items:
             assert community_of(venue) == community_of(user)

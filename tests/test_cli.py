@@ -13,7 +13,8 @@ from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 from venue2vec.harness import ExperimentConfig
 from venue2vec.metrics import read_report_csv
 from venue2vec.modelio import load_embedding_model, save_embedding_model
-from venue2vec.recommend import read_batch_recommendations
+
+from conftest import batch_lists
 
 
 @pytest.fixture()
@@ -138,9 +139,9 @@ def test_train_recommend_evaluate_pipeline(fixture_file, tmp_path):
         ]
     )
     assert rc == 0
-    results = read_batch_recommendations(batch_path)
+    results = batch_lists(batch_path)
     assert len(results) == 20
-    assert all(len(r.items) == 5 for r in results)
+    assert all(len(items) == 5 for _, items in results)
 
     out = tmp_path / "eval"
     rc = main(
@@ -224,9 +225,9 @@ def test_recommend_with_users_file(fixture_file, tmp_path):
         ]
     )
     assert rc == 0
-    results = read_batch_recommendations(batch_path)
-    assert [r.user for r in results] == ["c0u0", "c1u1", "missing-user"]
-    assert not results[2].predicted
+    results = batch_lists(batch_path)
+    assert [user for user, _ in results] == ["c0u0", "c1u1", "missing-user"]
+    assert not results[2][1]
 
 
 def test_recommend_baseline_from_a_model_is_config_error(fixture_file, tmp_path, capsys):
@@ -642,18 +643,33 @@ def test_sweep_max_on_integer_axis_is_config_error(fixture_file, tmp_path, capsy
     assert not out_dir.exists()  # rejected before any run started
 
 
+@pytest.mark.parametrize("values", [",", "", " , "])
+def test_sweep_values_listing_no_value_is_config_error(
+    fixture_file, tmp_path, capsys, monkeypatch, values
+):
+    """A --values that parses to no value exits 1 and trains nothing; the
+    default grid is only for a sweep without --values."""
+    monkeypatch.setattr(harness, "run_experiment", lambda config: pytest.fail("a run started"))
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--input", str(fixture_file), "--method", "kni", "--axis", "E",
+            "--values", values, "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    assert "sweep needs at least one value" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_evaluate_topk_below_list_length_is_config_error(fixture_file, tmp_path, capsys):
     out = tmp_path / "run"
     argv = ["--input", str(fixture_file), "--method", "cf", "--neighbors", "5"]
     assert main(["run", *argv, "--topk", "10", "--out-dir", str(out)]) == 0
     batch = out / "recommendations.tsv"
-    first = next(r for r in read_batch_recommendations(batch) if len(r.items) > 5)
+    user, items = next(line for line in batch_lists(batch) if len(line[1]) > 5)
     capsys.readouterr()
     evaluate = ["evaluate", "--recommendations", str(batch), "--input", str(fixture_file)]
     assert main([*evaluate, "--topk", "5", "--out-dir", str(tmp_path / "eval")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err
-    assert f"user {first.user!r} holds {len(first.items)} venues, more than k=5" in err
+    assert f"user {user!r} holds {len(items)} venues, more than k=5" in err
     assert not (tmp_path / "eval").exists()  # rejected before any output
 
 
@@ -698,7 +714,7 @@ def test_recommend_lists_a_repeated_user_once_and_evaluate_accepts_it(
     out = tmp_path / "recs.tsv"
     argv = ["recommend", *data, "--model", str(model_path), "--method", "kni"]
     assert main([*argv, "--users", str(users_file), "--out", str(out)]) == 0
-    assert [r.user for r in read_batch_recommendations(out)] == ["c0u1", "c1u0"]
+    assert [user for user, _ in batch_lists(out)] == ["c0u1", "c1u0"]
     evaluate = ["evaluate", "--recommendations", str(out), "--input", str(fixture_file)]
     assert main([*evaluate, "--out-dir", str(tmp_path / "eval")]) == 0
     assert "(2 users)" in capsys.readouterr().out

@@ -19,17 +19,18 @@ from venue2vec.harness import (
     run_sweep,
 )
 from venue2vec.metrics import (
-    build_ground_truth,
+    evaluation_users,
     read_per_user_csv,
     read_report_csv,
     score_user,
 )
-from venue2vec.recommend import read_batch_recommendations, write_batch_blocks
+from venue2vec.recommend import write_batch_blocks
 
-from conftest import nearest_users, visit_table
+from conftest import batch_lists, nearest_users, visit_table
 
 from oracles import (
     brute_force_top_k,
+    ground_truth_reference,
     interactions_reference,
     rank_votes_reference,
     vote_reference,
@@ -188,10 +189,10 @@ def test_random_runs_fold_into_one_report(tmp_path):
         assert getattr(report, metric) == sum(m[metric] for m in per_run) / 3
     assert (out / "per_user.csv").read_bytes() == (out / "per_user_run0.csv").read_bytes()
 
-    truth = build_ground_truth(harness.load_dataset(small_config()))
+    truth = ground_truth_reference(harness.load_dataset(small_config()))
     rescored = [
-        score_user(result.user, result.venues(), truth[result.user], 10)
-        for result in read_batch_recommendations(out / "recommendations.tsv")
+        score_user(user, [venue for venue, _ in items], truth[user], 10)
+        for user, items in batch_lists(out / "recommendations.tsv")
     ]
     assert rescored == read_per_user_csv(out / "per_user.csv")
 
@@ -327,7 +328,7 @@ def _presence_vote_lists(config: ExperimentConfig, dataset) -> dict:
                 seed=config.seed,
             )[0].user_factors
     lists = {}
-    for user in build_ground_truth(dataset):
+    for user in evaluation_users(dataset):
         weights, excluded = None, ()
         if config.method == "nn":
             neighbors = [n for n, _ in nearest_users(model, user, config.neighbors)]
@@ -355,7 +356,7 @@ def _run_lists(config: ExperimentConfig) -> dict:
     """{user: items} of the recommendations.tsv a run writes to config.out_dir."""
     run_experiment(config)
     path = Path(config.out_dir) / "recommendations.tsv"
-    return {r.user: r.items for r in read_batch_recommendations(path)}
+    return dict(batch_lists(path))
 
 
 @pytest.mark.parametrize("method", ["nn", "cf", "svd", "ccdpp"])
@@ -397,7 +398,7 @@ def test_filter_seen_holds_for_every_method(tmp_path):
             out_dir=str(tmp_path / method),
         )
         lists = _run_lists(config)
-        assert set(lists) == set(build_ground_truth(dataset))
+        assert set(lists) == set(evaluation_users(dataset))
         for user, items in lists.items():
             venues = [venue for venue, _ in items]
             assert seen[user].isdisjoint(venues)
@@ -468,7 +469,7 @@ def test_serving_reads_rows_changed_in_place():
     model.weights = model.weights.astype(np.float64)  # rounds like the oracle
     fitted = harness.Fit.of_model(model)
     vocab, count = model.vocab, model.vocab.user_count
-    users = sorted(build_ground_truth(dataset))
+    users = evaluation_users(dataset)
     visits = interactions_reference(dataset.train)
     index_of = lambda v: count + vocab.venue_index[v]  # noqa: E731
 
@@ -502,7 +503,7 @@ def test_one_embedding_fit_serves_kni_nn_and_kiu(tmp_path):
     serving's blocks at the same seed."""
     dataset = harness.load_dataset(small_config())
     fitted = harness.fit(small_config(), dataset)
-    users = sorted(build_ground_truth(dataset))
+    users = evaluation_users(dataset)
     served = {}
     for method in harness.EMBEDDING_METHODS:
         config = small_config(method=method, out_dir=str(tmp_path / method))
@@ -540,7 +541,7 @@ def test_every_method_lists_nothing_for_an_unknown_user(filter_seen):
     """All seven methods give a user outside the vocabulary an empty list,
     beside a full list for a known user."""
     dataset = harness.load_dataset(small_config())
-    known = sorted(build_ground_truth(dataset))[0]
+    known = evaluation_users(dataset)[0]
     embedding = harness.fit(small_config(epoch_count=2), dataset)
     for method in harness.ALL_METHODS:
         config = small_config(method=method, rank=4, filter_seen=filter_seen)
@@ -608,6 +609,7 @@ def test_sweep_default_grids():
     assert SweepSpec(axis="F").resolved_values() == list(range(10, 101, 10))
     assert SweepSpec(axis="C").resolved_values() == [5, 10, 15, 20]
     assert SweepSpec(axis="E").resolved_values() == [5, 10, 15, 20, 25]
+    assert SweepSpec(axis="E", values=[]).resolved_values() == []  # no value is not the grid
     with pytest.raises(ConfigError):
         SweepSpec(axis="Z").resolved_values()
 

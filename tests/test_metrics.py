@@ -14,7 +14,7 @@ from venue2vec.metrics import (
     TruthTable,
     UserResult,
     aggregate,
-    build_ground_truth,
+    evaluation_users,
     hit_rate,
     ndcg_at_k,
     precision_at_k,
@@ -28,7 +28,7 @@ from venue2vec.metrics import (
     write_report_json,
 )
 
-from oracles import recompute_report_from_csv
+from oracles import ground_truth_reference, recompute_report_from_csv
 
 
 # ------------------------------------------------------------- precision
@@ -154,7 +154,8 @@ def test_score_block_equals_score_user(users, k, cut):
     columns = {venue: column for column, venue in enumerate(_CATALOG)}
     codes = [columns.setdefault(venue, len(columns)) for venues, _ in users for venue in venues]
     starts = np.cumsum([0, *(len(venues) for venues, _ in users)])
-    table = TruthTable.of(names, truth, columns)
+    test = Checkins.of((name, venue, 0) for name in names for venue in sorted(truth[name]))
+    table = TruthTable.of(test, names, columns)
     cut = min(cut, len(users))
     rows = []
     for low, high in ((0, cut), (cut, len(users))):
@@ -177,8 +178,58 @@ def test_ground_truth_requires_train_and_test():
         ("a", "z", 11),  # duplicates collapse
         ("ghost", "q", 12),
     ])
-    truth = build_ground_truth(Dataset(train, test))
-    assert truth == {"a": {"z"}}
+    assert evaluation_users(Dataset(train, test)) == ["a"]
+    table = TruthTable.of(test, ["a"], {"x": 0, "z": 1})
+    assert (table.keys.tolist(), table.relevant.tolist(), table.width) == ([1], [1], 2)
+
+
+_IDS = st.sampled_from([f"{prefix}{i}" for prefix in "uv" for i in range(6)])
+
+
+@given(
+    train=st.lists(st.tuples(_IDS, _IDS), max_size=20),
+    test=st.lists(st.tuples(_IDS, _IDS), max_size=30),
+    columned=st.lists(_IDS, unique=True),
+    order=st.randoms(use_true_random=False),
+    asked=st.integers(0, 12),
+)
+@example(  # a duplicate check-in, a test user absent from train, a venue without a column
+    train=[("u0", "v0")],
+    test=[("u0", "v1"), ("u0", "v1"), ("u0", "v2"), ("u1", "v1")],
+    columned=["v1"],
+    order=None,
+    asked=1,
+)
+@settings(max_examples=200, deadline=None)
+def test_truth_table_equals_the_dict_of_sets_reference(train, test, columned, order, asked):
+    """TruthTable.of over the test columns equals the table of the dict of
+    sets built row by row (oracles.ground_truth_reference): a user's
+    duplicate check-ins count once, test users absent from train and users
+    not asked for hold no row, the users come in any order, and a relevant
+    venue outside columns counts in relevant but holds no key. Ids are
+    drawn from one pool, so a venue may share a user's name."""
+    dataset = Dataset(
+        Checkins.of((user, venue, 1) for user, venue in train),
+        Checkins.of((user, venue, 2) for user, venue in test),
+    )
+    truth = ground_truth_reference(dataset)
+    users = evaluation_users(dataset)
+    assert users == sorted(truth)
+    if order is not None:
+        order.shuffle(users)
+    users = users[:asked]
+    columns = {venue: column for column, venue in enumerate(columned)}
+    width = len(columns)
+    table = TruthTable.of(dataset.test, users, columns)
+    keys = sorted(
+        row * width + columns[venue]
+        for row, user in enumerate(users)
+        for venue in truth[user]
+        if venue in columns
+    )
+    assert table.keys.tolist() == keys
+    assert table.relevant.tolist() == [len(truth[user]) for user in users]
+    assert table.width == width
 
 
 # ------------------------------------------------------------- aggregate

@@ -24,15 +24,15 @@ from venue2vec.recommend import (
     LONG_ROW,
     NN,
     NO_PREDICTION,
-    RecommendationList,
     ranked,
-    read_batch_recommendations,
+    read_batch_blocks,
     row_norms,
     vote_scores,
     write_batch_blocks,
 )
 
 from conftest import (
+    batch_lists,
     community_of,
     dense_scores,
     make_records,
@@ -40,6 +40,7 @@ from conftest import (
     ranked_rows,
     row_of,
     token_of,
+    venues_of,
     visit_table,
 )
 from oracles import (
@@ -77,8 +78,7 @@ def _ranked(score_block, table, user, k, filter_seen=False):
 
 def test_kni_toy_top2_are_the_users_own_cluster(toy_model, toy_records):
     result = kiu_list(toy_model, toy_records, "u0", 2, 0)
-    assert result.method == "kni"
-    venues = result.venues()
+    venues = venues_of(result)
     assert venues[0] == "Loc1"  # visited twice by u0 and nobody else
     assert set(venues) < {"Loc0", "Loc1", "Loc2"}
 
@@ -158,14 +158,14 @@ def test_neighbor_pick_returns_n_when_lower_rows_tie_the_target():
 def test_nn_toy_recommends_from_neighbor_history(toy_model, toy_records):
     result = _serve(toy_model, toy_records, NN, k=2, neighbors=1)("u0")
     u1_venues = {"Loc0", "Loc4", "Loc2", "Loc3", "Loc5", "Loc6"}
-    assert set(result.venues()) <= u1_venues
+    assert set(venues_of(result)) <= u1_venues
     # all votes tie at one visit, so ties order by token index
-    assert result.venues() == ["Loc0", "Loc2"]
+    assert venues_of(result) == ["Loc0", "Loc2"]
 
 
 def test_kiu_toy_recommends_shared_pair(toy_model, toy_records):
     result = kiu_list(toy_model, toy_records, "u0", 2, 1)
-    assert set(result.venues()) == {"Loc0", "Loc2"}
+    assert set(venues_of(result)) == {"Loc0", "Loc2"}
 
 
 # ------------------------------------------------------------- vote rule
@@ -350,9 +350,8 @@ def test_vote_block_lists_match_brute_force(monkeypatch, block, filter_seen):
         results = list(recommend_users(served))
         assert [result.user for result in results] == served
         for result in results:
-            assert result.method == method
             if result.user not in names:
-                assert not result.predicted
+                assert not result.items
                 continue
             excluded = set(visits[result.user]) if filter_seen else ()
             expected, tied = _brute_force_vote_list(
@@ -365,7 +364,7 @@ def test_vote_block_lists_match_brute_force(monkeypatch, block, filter_seen):
     chunks = [served[start : start + size] for start in range(0, len(served), size)]
     known = [sum(user != "stranger" for user in chunk) for chunk in chunks]
     assert calls == [count for count in known if count]  # no block is padded
-    assert not next(latent(["u5"])).predicted  # the zero row
+    assert not next(latent(["u5"])).items  # the zero row
     assert ties > 0  # neighbor ties were exercised
 
 
@@ -378,7 +377,6 @@ def test_unknown_user_is_no_prediction(toy_model, toy_records):
         _serve(toy_model, toy_records, NN, k=3, neighbors=1)("stranger"),
         kiu_list(toy_model, toy_records, "stranger", 3, 1),
     ):
-        assert not result.predicted
         assert result.items == []
 
 
@@ -392,7 +390,7 @@ def test_kni_saturation_returns_all_venues(toy_model, toy_records):
 def test_filter_seen_removes_training_venues(toy_model, toy_records):
     serve = _serve(toy_model, toy_records, "kni", k=8, neighbors=1, filter_seen=True)
     result = serve("u0")
-    assert set(result.venues()).isdisjoint({"Loc0", "Loc1", "Loc2"})
+    assert set(venues_of(result)).isdisjoint({"Loc0", "Loc1", "Loc2"})
 
 
 def test_kiu_without_other_users_reduces_to_kni():
@@ -403,7 +401,7 @@ def test_kiu_without_other_users_reduces_to_kni():
     model, _ = train(init_model(vocab, config), corpus)
     kiu = kiu_list(model, records, "only", 2, 5)
     kni = kiu_list(model, records, "only", 2, 0)
-    assert kiu.venues() == kni.venues()
+    assert venues_of(kiu) == venues_of(kni)
 
 
 def test_kiu_all_users_uniform_vectors_degrades_gracefully():
@@ -413,9 +411,9 @@ def test_kiu_all_users_uniform_vectors_degrades_gracefully():
     model.input_vectors[:] = 1.0  # every cosine ties
     first = kiu_list(model, records, "a", 2, 50)
     second = kiu_list(model, records, "a", 2, 50)
-    assert first.predicted
+    assert first.items
     assert first.items == second.items  # deterministic under total ties
-    assert first.venues() == ["x", "y"]  # ascending token index
+    assert venues_of(first) == ["x", "y"]  # ascending token index
 
 
 def _integer_model(rng, n_users, n_venues, features):
@@ -449,15 +447,14 @@ def test_kiu_matches_brute_force_oracle():
             for target in range(n_users):
                 k = int(rng.integers(1, n_venues + 3))
                 result = kiu_list(model, records, f"u{target}", k, n)
-                assert result.method == ("kni" if n == 0 else "kiu")
                 if not vectors[target].any():
-                    assert not result.predicted
+                    assert not result.items
                     continue
                 others = [i for i in range(n_users) if i != target]
                 neighbors = brute_force_top_k(vectors, vectors[target], others, n)
                 query = vectors[[target, *(i for i, _ in neighbors)]].mean(axis=0)
                 if not query.any():
-                    assert not result.predicted
+                    assert not result.items
                     continue
                 venues = np.arange(n_users, len(model.vocab))
                 expected = brute_force_top_k(vectors, query, venues, k)
@@ -523,7 +520,7 @@ def test_float32_rounding_does_not_reorder_the_kiu_list(neighbors):
             model, records, recommend.KIU if neighbors else recommend.KNI,
             k=k, neighbors=neighbors or 1, filter_seen=filter_seen,
         )("u0")
-        assert [row_of(vocab, "V:" + v) for v in result.venues()] == [i for i, _ in expected]
+        assert [row_of(vocab, "V:" + v) for v in venues_of(result)] == [i for i, _ in expected]
         assert [s for _, s in result.items] == pytest.approx([s for _, s in expected], abs=1e-12)
         if filter_seen:
             assert seen & {i for i, _ in brute_force_top_k(rows, query, venues, k)}
@@ -575,7 +572,7 @@ def test_nn_binary_votes_flag(toy_model, toy_records):
     # u2 visited Loc7 twice; binary votes flatten that to one
     counted = _serve(toy_model, toy_records, NN, k=8, neighbors=2)("u1")
     binary = _serve(toy_model, toy_records, NN, k=8, neighbors=2, binary_votes=True)("u1")
-    assert set(binary.venues()) <= set(counted.venues()) | {"Loc7"}
+    assert set(venues_of(binary)) <= set(venues_of(counted)) | {"Loc7"}
     assert all(score == int(score) for _, score in binary.items)
     counted_scores = dict(counted.items)
     if "Loc7" in counted_scores:
@@ -591,7 +588,7 @@ def test_kiu_zero_norm_query_is_no_prediction():
     model.input_vectors[row_of(vocab, "U:a")] = np.array([1.0, 0.0, 0.0, 0.0])
     model.input_vectors[row_of(vocab, "U:b")] = np.array([-1.0, 0.0, 0.0, 0.0])
     model.input_vectors[row_of(vocab, "V:x")] = np.ones(4)
-    assert not kiu_list(model, records, "a", 1, 1).predicted
+    assert not kiu_list(model, records, "a", 1, 1).items
 
 
 def test_community_fixture_recommendations_stay_in_community(
@@ -632,7 +629,7 @@ def test_pruned_venues_are_never_recommended():
         }
         for user in vocab.users:
             for recommend_one in serve.values():
-                assert set(recommend_one(user).venues()) <= kept
+                assert set(venues_of(recommend_one(user))) <= kept
             votes = vote_reference(
                 [n for n, _ in nearest_users(model, user, 5)],
                 visits,
@@ -667,8 +664,8 @@ def test_nn_and_kiu_serve_a_model_trained_on_other_records():
         expected = rank_votes_reference(votes, 10, lambda v: row_of(vocab, "V:" + v))
         assert nn(user).items == expected
         assert kiu(user).items == kiu_list(model, make_records(model_visits), user, 10, 3).items
-    assert not nn("u9").predicted
-    assert not kiu("u9").predicted
+    assert not nn("u9").items
+    assert not kiu("u9").items
 
 
 def test_requests_validate_bounds(toy_model, toy_interactions):
@@ -767,7 +764,7 @@ def test_recommendation_invariants(
     for method in EMBEDDING_METHODS:
         serve = _serve(toy_model, toy_records, method, k=k, neighbors=n, filter_seen=filter_seen)
         result = serve(user)
-        venues = result.venues()
+        venues = venues_of(result)
         assert len(venues) == len(set(venues))
         assert len(venues) <= k
         scores = [s for _, s in result.items]
@@ -809,36 +806,36 @@ def test_concurrent_readers_agree(toy_model, toy_records):
 # ------------------------------------------------------------- batch format
 
 
-def _write_lists(results, path):
-    """Write lists of one method through write_batch_blocks: their venues
-    numbered in order of first listing, the lists one ranked block."""
+def _write_lists(lists, path, method=NN):
+    """Write (user, items) lists of one method through write_batch_blocks:
+    their venues numbered in order of first listing, the lists one ranked
+    block."""
     index, columns, scores, starts = {}, [], [], [0]
-    for result in results:
-        for venue, score in result.items:
+    for _, items in lists:
+        for venue, score in items:
             columns.append(index.setdefault(venue, len(index)))
             scores.append(score)
         starts.append(len(columns))
     top = sparse.csr_matrix(
         (np.array(scores, dtype=np.float64), np.array(columns, dtype=np.int64), starts),
-        shape=(len(results), len(index)),
+        shape=(len(lists), len(index)),
     )
-    (method,) = {result.method for result in results} or {NN}
-    write_batch_blocks([([result.user for result in results], top)], method, list(index), path)
+    write_batch_blocks([([user for user, _ in lists], top)], method, list(index), path)
 
 
 def test_batch_roundtrip(tmp_path, toy_model, toy_records):
-    results = [
-        kiu_list(toy_model, toy_records, "u0", 3, 0),
-        RecommendationList("ghost", "kni"),
-    ]
+    """read_batch_blocks gives back each line's user and method, the file's
+    venues by first occurrence and the lists as one ranked block."""
+    result = kiu_list(toy_model, toy_records, "u0", 3, 0)
     path = tmp_path / "batch.tsv"
-    _write_lists(results, path)
-    back = read_batch_recommendations(path)
-    assert back[0].user == "u0"
-    assert back[0].venues() == results[0].venues()
-    for (_, a), (_, b) in zip(back[0].items, results[0].items):
-        assert a == pytest.approx(b, abs=1e-6)
-    assert not back[1].predicted
+    _write_lists([result, ("ghost", [])], path, method="kni")
+    users, methods, venues, top = read_batch_blocks(path)
+    assert (users, methods, list(venues)) == (["u0", "ghost"], ["kni", "kni"], venues_of(result))
+    assert venues == {venue: column for column, venue in enumerate(venues_of(result))}
+    assert top.shape == (2, 3)
+    assert top.indptr.tolist() == [0, 3, 3]  # ghost's no-prediction line lists nothing
+    assert top.indices.tolist() == [0, 1, 2]
+    assert top.data.tolist() == pytest.approx([s for _, s in result.items], abs=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -850,21 +847,21 @@ def test_malformed_batch_line_is_format_error(tmp_path, line):
     path = tmp_path / "batch.tsv"
     path.write_text(f"u1\tkni\t{NO_PREDICTION}\n\n{line}\n", encoding="utf-8")
     with pytest.raises(FormatError, match=re.escape(f"{path} line 3")):
-        read_batch_recommendations(path)
+        read_batch_blocks(path)
 
 
 def test_batch_no_prediction_line(tmp_path):
     path = tmp_path / "batch.tsv"
-    _write_lists([RecommendationList("u9", "nn")], path)
+    _write_lists([("u9", [])], path)
     assert path.read_text(encoding="utf-8") == f"u9\tnn\t{NO_PREDICTION}\n"
 
 
 @pytest.mark.parametrize(
     "result, name",
     [
-        (RecommendationList("c0\tu1", "kni"), "c0\tu1"),
-        (RecommendationList("u", "kni", [("a", 0.5), ("loc\r4", 0.25)]), "loc\r4"),
-        (RecommendationList("u", "kni", [("loc\n4", 0.5)]), "loc\n4"),
+        (("c0\tu1", []), "c0\tu1"),
+        (("u", [("a", 0.5), ("loc\r4", 0.25)]), "loc\r4"),
+        (("u", [("loc\n4", 0.5)]), "loc\n4"),
     ],
     ids=["tab-in-user", "return-in-venue", "newline-in-venue"],
 )
@@ -872,18 +869,16 @@ def test_batch_id_with_a_separator_is_format_error(tmp_path, result, name):
     """An id holding a tab or a line break would split its line, so the
     writer names it and the file, and writes nothing."""
     path = tmp_path / "batch.tsv"
-    fine = RecommendationList("u0", "kni", [("a", 0.5)])
+    fine = ("u0", [("a", 0.5)])
     with pytest.raises(FormatError, match=re.escape(f"{path}: id {name!r}")):
         _write_lists([fine, result], path)
     assert not path.exists()
 
 
 def test_batch_venue_ids_with_colons(tmp_path):
-    results = [RecommendationList("u", "kni", [("loc:4:a", 0.5)])]
     path = tmp_path / "batch.tsv"
-    _write_lists(results, path)
-    back = read_batch_recommendations(path)
-    assert back[0].items[0][0] == "loc:4:a"
+    _write_lists([("u", [("loc:4:a", 0.5)])], path)
+    assert read_batch_blocks(path)[2] == {"loc:4:a": 0}
 
 
 # a batch line is tab-separated, so ids may hold anything but tabs and line breaks
@@ -910,11 +905,17 @@ batch_ids = st.text(
 @settings(max_examples=60, deadline=None)
 def test_batch_roundtrip_any_ids(tmp_path_factory, method, lists):
     """Any ids without a separator, one method per file (a run or a
-    recommend stage serves one)."""
+    recommend stage serves one): read_batch_blocks inverts
+    write_batch_blocks, scores to their six printed decimals, with the
+    venues numbered by first occurrence in the file."""
     path = tmp_path_factory.mktemp("batch") / "batch.tsv"
-    _write_lists([RecommendationList(user, method, items) for user, items in lists], path)
-    expected = [
-        RecommendationList(user, method, [(venue, float(f"{score:.6f}")) for venue, score in items])
+    _write_lists(lists, path, method)
+    users, methods, venues, top = read_batch_blocks(path)
+    assert users == [user for user, _ in lists]
+    assert methods == [method] * len(lists)
+    assert list(venues) == list(dict.fromkeys(venue for _, items in lists for venue, _ in items))
+    assert list(venues.values()) == list(range(len(venues)))
+    assert batch_lists(path) == [
+        (user, [(venue, float(f"{score:.6f}")) for venue, score in items])
         for user, items in lists
     ]
-    assert read_batch_recommendations(path) == expected

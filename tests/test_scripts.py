@@ -47,7 +47,7 @@ def test_artifact_protocol_zeroes_every_timing(tmp_path):
     spec.loader.exec_module(artifacts)
     small = {"small": ["--seed", "1", "--communities", "2", "--users-per-community", "6",
                        "--venues-per-community", "12", "--train-checkins", "8"]}
-    assert artifacts.write_protocol(tmp_path, small) == 317  # a third of the 951
+    assert artifacts.write_protocol(tmp_path, small) == 344  # a third of the 1,032
     report = json.loads((tmp_path / "small/run/kiu/plain/report.json").read_text())
     assert (report["N"], report["E"]) == (30, 5)
     assert (report["train_s"], report["rec_s_total"], report["rec_s_per_user"]) == (0.0,) * 3
