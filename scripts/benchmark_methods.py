@@ -29,21 +29,9 @@ from venue2vec.harness import (
     load_dataset,
     recommender,
     run_experiment,
+    score_lists,
 )
-from venue2vec.metrics import TruthTable, aggregate, evaluation_users, score_block
-
-
-def serve_and_score(config, fitted, dataset, users, truth, train_s):
-    """The report of config.method's lists of users from fitted, scored a
-    block at a time against truth's rows, as run scores them."""
-    started = time.perf_counter()
-    rows, start = [], 0
-    for names, top in recommender(config, fitted, dataset).blocks(users):
-        block_truth = truth.rows(start, start + len(names))
-        rows += score_block(names, top.indices, top.indptr, block_truth, config.k)
-        start += len(names)
-    seconds = time.perf_counter() - started
-    return aggregate(rows, train_s=train_s, rec_s=seconds, method=config.method, k=config.k)
+from venue2vec.metrics import TruthTable, aggregate, evaluation_users
 
 
 def main() -> int:
@@ -92,8 +80,11 @@ def main() -> int:
     print("-" * len(header))
     for method in ALL_METHODS:
         config = replace(base, method=method)
-        if method in EMBEDDING_METHODS:
-            report = serve_and_score(config, fitted, dataset, users, truth, train_s)
+        if method in EMBEDDING_METHODS:  # served and scored a block at a time, as run does
+            rows, started = [], time.perf_counter()
+            score_lists(recommender(config, fitted, dataset, users), truth, config.k, rows)
+            seconds = time.perf_counter() - started
+            report = aggregate(rows, train_s=train_s, rec_s=seconds, method=method, k=config.k)
         else:
             report = run_experiment(config)
         print(

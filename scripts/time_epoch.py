@@ -16,10 +16,11 @@ TruthTable.of over the vocabulary's venues). It prints the seconds of one
 svd_factorize and one ccdpp_factorize build (rank 100, seed 1, the
 library's other defaults) over the training visit table, and the seconds of
 two seeded Random servings (k=10, seed 1) of the evaluation users over the
-49,520-venue catalog, one plain and one under filter_seen, which draws each
-user k + |seen| deep, and the rec_s_total and rec_s_per_user of one
-run_experiment of CF and of Random (random_runs=1, seed 1, k=10) over the
-evaluation users: the serving, ranking and scoring of every user. It then
+49,520-venue catalog, each iterated to its last ranked block, one plain
+and one under filter_seen, which draws each user k + |seen| deep, and the
+rec_s_total and rec_s_per_user of one run_experiment of CF and of Random
+(random_runs=1, seed 1, k=10) over the evaluation users: the serving,
+ranking and scoring of every user. It then
 trains skip-gram (F=100, C=20) and CBOW
 (F=100, window "max") and prints, per architecture, the seconds per epoch
 and the (center, context) pairs per second. The pair count is the
@@ -122,9 +123,9 @@ def main() -> int:
         config = ExperimentConfig(
             fixture=PAPER_SHAPE, method=RANDOM, seed=1, filter_seen=filter_seen
         )
-        recommend_users = recommender(config, fit(config, dataset), dataset)
+        blocks = recommender(config, fit(config, dataset), dataset, users)
         start = time.perf_counter()
-        for _ in recommend_users(users):
+        for _ in blocks:
             pass
         print(
             f"{'random serving':<18} {time.perf_counter() - start:7.3f} s "

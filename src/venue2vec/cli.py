@@ -181,7 +181,7 @@ def _cmd_recommend(args) -> int:
         users = evaluation_users(dataset)
     if not users:
         raise ConfigError("no target users: supply --users or test-period data")
-    blocks = list(harness.recommender(config, fitted, dataset).blocks(users))
+    blocks = list(harness.recommender(config, fitted, dataset, users))
     recommend.write_batch_blocks(blocks, config.method, fitted.vocab.venues, args.out)
     misses = sum(int((np.diff(top.indptr) == 0).sum()) for _, top in blocks)
     print(f"wrote {len(users)} recommendation lines to {args.out} ({misses} no-prediction)")

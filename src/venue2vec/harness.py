@@ -3,12 +3,14 @@
 A run executes corpus construction, one fit (embedding training, matrix
 factorization, or the interaction matrix for CF/Random), then serves,
 ranks and scores the users a block at a time in array operations, with the
-modeling and recommendation phases timed separately. One fit serves every
-method it holds the rows of; Random serves random_runs seeded runs from it
-and reports their mean. The CLI's train, recommend and evaluate stages
-reuse the same steps (load_dataset, fit_embedding, Fit.of_model,
-recommender, evaluate_recommendations, which reads a batch file as one
-ranked block and scores it as run scores its served blocks).
+modeling and recommendation phases timed separately. A serving is one
+generator (recommender, then serve) that yields each block of users with
+its ranked CSR matrix, and score_lists scores the blocks as they arrive.
+One fit serves every method it holds the rows of; Random serves
+random_runs seeded runs from it and reports their mean. The CLI's train,
+recommend and evaluate stages reuse the same steps (load_dataset,
+fit_embedding, Fit.of_model, recommender, evaluate_recommendations, which
+reads a batch file as one ranked block and scores it with score_lists).
 A report's arch, F, C and E come from the fit, which knows what it fitted;
 its method, N and k from the serving, so one fit can be reported at any N.
 Only training records ever reach vocabulary, sentence or matrix construction;
@@ -201,65 +203,26 @@ def fit_embedding(
     return model, corpus, trace
 
 
-@dataclass
-class Recommender:
-    """A method's serving (see serve). blocks(users) yields the users' lists
-    a block at a time as ranked matrices; called with user names, it yields
-    them by name, one RecommendationList per user, in order.
-
-    rank_block(rows) is the ranked (len(rows) x venues) matrix of the
-    vocabulary's users at those rows (see recommend.ranked), and size the
-    most users a block holds.
-    """
-
-    vocab: Vocabulary
-    rank_block: Callable[[np.ndarray], sparse.csr_matrix]
-    size: int
-
-    def blocks(self, users: Sequence[str]) -> Iterator[tuple[Sequence[str], sparse.csr_matrix]]:
-        """(a block of users, their ranked matrix): row i of the matrix
-        stores user i's list, venue columns and scores in rank order, and
-        nothing for a user outside the vocabulary. One rank_block call per
-        block that holds a known user."""
-        index, width = self.vocab.user_index, len(self.vocab.venues)
-        for start in range(0, len(users), self.size):
-            block = users[start : start + self.size]
-            rows = np.array([index.get(user, -1) for user in block], dtype=np.int64)
-            known = np.flatnonzero(rows >= 0)
-            lengths = np.zeros(len(block), dtype=np.int64)
-            data, columns = np.empty(0), np.empty(0, dtype=np.int64)
-            if known.size:
-                top = self.rank_block(rows[known])
-                lengths[known] = np.diff(top.indptr)
-                data, columns = top.data, top.indices
-            starts = np.concatenate(([0], np.cumsum(lengths)))
-            yield block, sparse.csr_matrix((data, columns, starts), shape=(len(block), width))
-
-    def __call__(self, users: Sequence[str]) -> Iterator[recommend.RecommendationList]:
-        names = self.vocab.venues
-        for block, top in self.blocks(users):
-            venues = list(map(names.__getitem__, top.indices.tolist()))
-            scores, bounds = top.data.tolist(), top.indptr.tolist()
-            for user, start, stop in zip(block, bounds, bounds[1:]):
-                items = list(zip(venues[start:stop], scores[start:stop]))
-                yield recommend.RecommendationList(user, items)
-
-
 def serve(
     config: ExperimentConfig,
     vocab: Vocabulary,
     visits: sparse.csr_matrix | None,
     score_block: Callable[[np.ndarray], sparse.csr_matrix],
+    users: Sequence[str],
     row_bytes: int | None = None,
-) -> Recommender:
-    """The Recommender of a score rule: score_block(rows) is a fresh
-    (len(rows) x venues) CSR matrix with sorted indices, the candidates of
-    the vocabulary's users at those rows (see recommend.ranked).
+) -> Iterator[tuple[Sequence[str], sparse.csr_matrix]]:
+    """A score rule's lists of users, a block at a time: yields (a block of
+    users, their ranked matrix), in order. Row i of the matrix stores user
+    i's list, venue columns and scores in rank order (see recommend.ranked),
+    and nothing for a user outside the vocabulary. score_block(rows) is a
+    fresh (len(rows) x venues) CSR matrix with sorted indices, the
+    candidates of the vocabulary's users at those rows.
 
     Users are served a block at a time: one score_block call and one
-    ranking per block, of as many users as BLOCK_BYTES holds rows of
-    row_bytes each (at most the user count). row_bytes defaults to a
-    float64 row over the users, the size of a neighbour pick's similarities.
+    ranking per block that holds a known user, of as many users as
+    BLOCK_BYTES holds rows of row_bytes each (at most the user count).
+    row_bytes defaults to a float64 row over the users, the size of a
+    neighbour pick's similarities.
     No score depends on the block: the rules pick neighbours and KNI/KIU
     venues from a shortlist whose float64 re-scores are the printed scores
     (see recommend.cosine_margin), so a user's list does not depend on
@@ -274,18 +237,26 @@ def serve(
     """
     row_bytes = row_bytes or 8 * max(1, vocab.user_count)
     size = max(1, min(BLOCK_BYTES // row_bytes, vocab.user_count))
-    width = len(vocab.venues)
-
-    def rank_block(rows: np.ndarray) -> sparse.csr_matrix:
-        scores = score_block(rows)
-        if config.filter_seen:  # one int64 key per (block row, venue) pair
-            stored = np.repeat(np.arange(len(rows)), np.diff(scores.indptr)) * width
-            seen_rows, seen_venues = visits[rows].nonzero()
-            seen = seen_rows.astype(np.int64) * width + seen_venues
-            scores.data[np.isin(stored + scores.indices, seen)] = -np.inf
-        return recommend.ranked(scores, config.k)
-
-    return Recommender(vocab, rank_block, size)
+    index, width = vocab.user_index, len(vocab.venues)
+    for start in range(0, len(users), size):
+        block = users[start : start + size]
+        rows = np.array([index.get(user, -1) for user in block], dtype=np.int64)
+        known = np.flatnonzero(rows >= 0)
+        lengths = np.zeros(len(block), dtype=np.int64)
+        data, columns = np.empty(0), np.empty(0, dtype=np.int64)
+        if known.size:
+            rows = rows[known]
+            scores = score_block(rows)
+            if config.filter_seen:  # one int64 key per (block row, venue) pair
+                stored = np.repeat(np.arange(len(rows)), np.diff(scores.indptr)) * width
+                seen_rows, seen_venues = visits[rows].nonzero()
+                seen = seen_rows.astype(np.int64) * width + seen_venues
+                scores.data[np.isin(stored + scores.indices, seen)] = -np.inf
+            top = recommend.ranked(scores, config.k)
+            lengths[known] = np.diff(top.indptr)
+            data, columns = top.data, top.indices
+        starts = np.concatenate(([0], np.cumsum(lengths)))
+        yield block, sparse.csr_matrix((data, columns, starts), shape=(len(block), width))
 
 
 @dataclass
@@ -354,9 +325,11 @@ def reads_dataset(config: ExperimentConfig, fitted: Fit) -> bool:
     return fitted.visits is None and (config.method == recommend.NN or config.filter_seen)
 
 
-def recommender(config: ExperimentConfig, fitted: Fit, dataset: Dataset | None) -> Recommender:
-    """config.method's Recommender over a fit (see serve): the one place a
-    method's score rule, and so its block size, is chosen.
+def recommender(
+    config: ExperimentConfig, fitted: Fit, dataset: Dataset | None, users: Sequence[str]
+) -> Iterator[tuple[Sequence[str], sparse.csr_matrix]]:
+    """config.method's serving of users over a fit, serve's blocks: the one
+    place a method's score rule, and so its block size, is chosen.
 
     KNI and KIU are kiu_scores, KNI with no neighbors; NN, CF, SVD and CCD++
     are vote_scores, weighted by similarity for CF only; Random is
@@ -366,14 +339,14 @@ def recommender(config: ExperimentConfig, fitted: Fit, dataset: Dataset | None) 
     builds no rows over the users. An embedding's training visits are
     counted over its vocabulary here, for NN's votes and the seen mask
     only, so pruned venues and users without history vote nothing. The row
-    norms are taken once per call. dataset may be None where reads_dataset
-    is false.
+    norms are taken once per call, before the blocks are iterated. dataset
+    may be None where reads_dataset is false.
 
     Raises:
         ConfigError: if the fit does not serve config.method.
     """
     check_serves(fitted.methods, config.method)
-    vocab, visits, users = fitted.vocab, fitted.visits, fitted.users
+    vocab, visits, rows = fitted.vocab, fitted.visits, fitted.users
     if reads_dataset(config, fitted):
         visits = build_interactions(dataset.train, vocab, config.binary_votes)
     # KNI, KIU and Random keep k venues, or k + |seen| under filter_seen:
@@ -389,31 +362,31 @@ def recommender(config: ExperimentConfig, fitted: Fit, dataset: Dataset | None) 
         )
         row_bytes = 8 * int(depth.max(initial=config.k))
     elif config.method in (recommend.KNI, recommend.KIU):
-        norms = recommend.row_norms(users)
+        norms = recommend.row_norms(rows)
         venues, venue_norms = fitted.venues, recommend.row_norms(fitted.venues)
         neighbors = served_neighbors(config.method, config.neighbors)
         rule = lambda block: recommend.kiu_scores(  # noqa: E731
-            users, norms, venues, venue_norms, block, neighbors, depth[block]
+            rows, norms, venues, venue_norms, block, neighbors, depth[block]
         )
     else:
-        norms, weighted = recommend.row_norms(users), config.method == baselines.CF
+        norms, weighted = recommend.row_norms(rows), config.method == baselines.CF
         rule = lambda block: recommend.vote_scores(  # noqa: E731
-            users, norms, visits, block, config.neighbors, weighted
+            rows, norms, visits, block, config.neighbors, weighted
         )
-    return serve(config, vocab, visits, rule, row_bytes)
+    return serve(config, vocab, visits, rule, users, row_bytes)
 
 
-def _score_lists(
+def score_lists(
     blocks: Iterable[tuple[Sequence[str], sparse.csr_matrix]],
     truth: TruthTable,
     k: int,
     rows: list[UserResult],
 ) -> list[tuple[Sequence[str], sparse.csr_matrix]]:
     """Score blocks of lists, (users, their lists' venue columns in rank
-    order as the rows of a CSR matrix) as Recommender.blocks yields them,
-    into rows as each block arrives, so rows keeps the partial results if
-    the blocks stop with an exception. truth's rows are the blocks' users,
-    one block after another. Returns the blocks.
+    order as the rows of a CSR matrix) as serve yields them, into rows as
+    each block arrives, so rows keeps the partial results if the blocks
+    stop with an exception. truth's rows are the blocks' users, one block
+    after another. Returns the blocks.
     """
     scored, start = [], 0
     for users, top in blocks:
@@ -460,7 +433,7 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
     fitted = fit(config, dataset)
     count = config.random_runs if config.method == baselines.RANDOM else 1
     runs = [
-        recommender(replace(config, seed=config.seed + run), fitted, dataset)
+        recommender(replace(config, seed=config.seed + run), fitted, dataset, users)
         for run in range(count)
     ]
     train_seconds = time.perf_counter() - started
@@ -469,12 +442,12 @@ def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsRe
     echo = _serving_echo(config, config.method)
     many = len(runs) > 1
     reports: list[MetricsReport] = []
-    for index, recommend_users in enumerate(runs):
+    for index, served in enumerate(runs):
         per_user = f"per_user_run{index}.csv" if many else "per_user.csv"
         rows: list[UserResult] = []
         started = time.perf_counter()
         try:
-            blocks = _score_lists(recommend_users.blocks(users), truth, config.k, rows)
+            blocks = score_lists(served, truth, config.k, rows)
         except Exception:
             # keep the partial per-user rows for post-mortem; the caller adds
             # the ERROR marker next to them
@@ -543,7 +516,7 @@ def evaluate_recommendations(
         raise ConfigError("no overlap between recommendations and evaluation users")
     names = [users[row] for row in scored]
     rows: list[UserResult] = []
-    _score_lists([(names, top[scored])], TruthTable.of(dataset.test, names, venues), config.k, rows)
+    score_lists([(names, top[scored])], TruthTable.of(dataset.test, names, venues), config.k, rows)
     report = aggregate(rows, **_serving_echo(config, methods[0]))
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_artifacts(report, out_dir, {})

@@ -22,7 +22,7 @@ rules take row arrays with the row_norms the caller computes once per serving.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -43,13 +43,6 @@ _SEPARATORS = "\t\n\r"  # the batch file's field and line separators
 # in 73 ms and 177 ms, against 114 ms for a sort per row; shortlists of
 # about k entries are never cut.
 LONG_ROW = 64
-
-
-class RecommendationList(NamedTuple):
-    """One user's list by name: (venue, score) pairs in rank order."""
-
-    user: str
-    items: list[tuple[str, float]]
 
 
 def row_norms(rows) -> np.ndarray:

@@ -47,20 +47,27 @@ def ranked_rows(top) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(top.indices[a:b], top.data[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def venues_of(result) -> list[str]:
-    """A RecommendationList's venues, in rank order."""
-    return [venue for venue, _ in result.items]
+def named_lists(blocks, venues) -> list[tuple[str, list[tuple[str, float]]]]:
+    """Blocks of lists, (users, ranked matrix) as harness.serve yields them,
+    as one (user, [(venue, score), ...]) per user in order, each column
+    named by venues."""
+    return [
+        (user, [(venues[j], score) for j, score in zip(listed.tolist(), scores.tolist())])
+        for users, top in blocks
+        for user, (listed, scores) in zip(users, ranked_rows(top))
+    ]
+
+
+def venues_of(items) -> list[str]:
+    """A list's venues, in rank order."""
+    return [venue for venue, _ in items]
 
 
 def batch_lists(path) -> list[tuple[str, list[tuple[str, float]]]]:
     """A batch file's lists as (user, [(venue, score), ...]), line by line,
     read through read_batch_blocks."""
     users, _, columns, top = recommend.read_batch_blocks(path)
-    venues = list(columns)
-    return [
-        (user, [(venues[j], score) for j, score in zip(listed.tolist(), scores.tolist())])
-        for user, (listed, scores) in zip(users, ranked_rows(top))
-    ]
+    return named_lists([(users, top)], list(columns))
 
 
 def nearest_users(model, user: str, count: int) -> list[tuple[str, float]]:

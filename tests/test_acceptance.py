@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from venue2vec import harness
 from venue2vec.baselines import ccdpp_factorize, svd_factorize
 from venue2vec.corpus import (
     Checkins,
@@ -57,7 +58,7 @@ from oracles import (
     jacobi_singular_values,
     recompute_report_from_csv,
 )
-from conftest import venues_of, visit_table
+from conftest import named_lists, venues_of, visit_table
 from test_baselines import random_decaying_matrix
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -145,14 +146,16 @@ def test_criterion_2_top_k_oracle_equivalence():
         model, records = _random_model(rng, n_venues, features)
         config = ExperimentConfig(method="kni", k=10)
         dataset = Dataset(records, Checkins.of([]))
-        ours = next(recommender(config, Fit.of_model(model), dataset)(["u0"]))
+        fitted = Fit.of_model(model)
+        blocks = recommender(config, fitted, dataset, ["u0"])
+        ((_, ours),) = named_lists(blocks, fitted.vocab.venues)
         count = model.vocab.user_count
         query = model.input_vectors[model.vocab.user_index["u0"]]
         reference = brute_force_top_k(
             model.input_vectors, query, np.arange(count, len(model.vocab)), 10
         )
         assert venues_of(ours) == [model.vocab.venues[i - count] for i, _ in reference]
-        for (_, score), (_, ref_score) in zip(ours.items, reference):
+        for (_, score), (_, ref_score) in zip(ours, reference):
             assert score == pytest.approx(ref_score, abs=1e-9)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -202,14 +205,15 @@ def test_criterion_3_metric_correctness(tmp_path):
 # ---------------------------------------------------------------- criterion 4
 
 
-def _evaluate(recommender, truth, method):
-    """The run report of recommender's lists at k = 10 over truth's users."""
-    users = sorted(truth)
+def _evaluate(config, fitted, dataset, truth):
+    """The run report of config.method's lists from fitted at k = 10 over
+    truth's users."""
+    blocks = recommender(config, fitted, dataset, sorted(truth))
     rows = [
-        score_user(user, venues_of(result), truth[user], 10)
-        for user, result in zip(users, recommender(users))
+        score_user(user, venues_of(items), truth[user], 10)
+        for user, items in named_lists(blocks, fitted.vocab.venues)
     ]
-    return aggregate(rows, method=method, k=10)
+    return aggregate(rows, method=config.method, k=10)
 
 
 @pytest.fixture(scope="module")
@@ -223,11 +227,7 @@ def planted_run():
     fitted = Fit.of_model(model)
     reports = {
         method: _evaluate(
-            recommender(
-                ExperimentConfig(method=method, k=10, neighbors=30), fitted, dataset
-            ),
-            truth,
-            method,
+            ExperimentConfig(method=method, k=10, neighbors=30), fitted, dataset, truth
         )
         for method in ("kni", "nn", "kiu")
     }
@@ -333,11 +333,7 @@ def test_criterion_4c_novel_venues_beat_random():
     truth = ground_truth_reference(dataset)
     fitted = fit(config, dataset)
     precision = {
-        method: _evaluate(
-            recommender(replace(config, method=method), fitted, dataset),
-            truth,
-            method,
-        ).precision
+        method: _evaluate(replace(config, method=method), fitted, dataset, truth).precision
         for method in ("kni", "nn", "kiu")
     }
     random = run_experiment(replace(config, method="random", random_runs=10)).precision
@@ -466,7 +462,7 @@ def test_criterion_7_coverage_contract(planted_run):
 # ---------------------------------------------------------------- criterion 8
 
 
-def test_criterion_8_kni_timing_budget():
+def test_criterion_8_kni_timing_budget(monkeypatch):
     rng = np.random.default_rng(31)
     n_users, n_venues, features = 200, 50_000, 100
     users = [f"u{i}" for i in range(n_users)]
@@ -476,15 +472,19 @@ def test_criterion_8_kni_timing_budget():
     model = init_model(vocab, TrainingConfig(feature_count=features, seed=0))
     model.input_vectors[:] = rng.normal(size=model.input_vectors.shape).astype(np.float32)
 
-    recommend_users = recommender(
-        ExperimentConfig(method="kni", k=10), Fit.of_model(model), Dataset(records, Checkins.of([]))
+    monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * n_users)  # one user a block
+    blocks = recommender(
+        ExperimentConfig(method="kni", k=10),
+        Fit.of_model(model),
+        Dataset(records, Checkins.of([])),
+        users[:100],
     )
     samples = []
-    for i in range(100):
+    for _ in range(100):
         begin = time.perf_counter()
-        result = next(recommend_users([users[i]]))
+        _, top = next(blocks)
         samples.append(time.perf_counter() - begin)
-        assert len(result.items) == 10
+        assert top.nnz == 10
     median = float(np.median(samples))
     assert median < 0.2
     _line(8, True, f"median KNI latency {median * 1000:.1f} ms over 50k venues")

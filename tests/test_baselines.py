@@ -14,7 +14,7 @@ from venue2vec.corpus import build_interactions, build_vocabulary
 from venue2vec.harness import ExperimentConfig
 from venue2vec.recommend import random_scores, ranked, row_norms, vote_scores
 
-from conftest import community_of, make_records, ranked_rows, venues_of, visit_table
+from conftest import community_of, make_records, named_lists, ranked_rows, venues_of, visit_table
 from oracles import als_final_objective, ccdpp_reference, jacobi_singular_values
 
 
@@ -51,20 +51,21 @@ def recommend_cf(table, user, neighbors, k, filter_seen=False):
     weighted by similarity, without the user's own venues under filter_seen."""
     vocab, visits = table
     config = ExperimentConfig(method=CF, k=k, neighbors=neighbors, filter_seen=filter_seen)
-    recommend_users = harness.serve(
+    blocks = harness.serve(
         config,
         vocab,
         visits,
         lambda block: vote_scores(visits, row_norms(visits), visits, block, neighbors, True),
+        [user],
     )
-    return next(recommend_users([user]))
+    return named_lists(blocks, vocab.venues)[0][1]
 
 
 def test_cf_twin_users_recommend_missing_venue():
     table = matrix_from({"a": ["x", "y"], "b": ["x", "y", "z"]})
     result = recommend_cf(table, "a", neighbors=1, k=1, filter_seen=True)
     assert venues_of(result) == ["z"]
-    assert result.items[0][1] == pytest.approx(2 / (np.sqrt(2) * np.sqrt(3)))
+    assert result[0][1] == pytest.approx(2 / (np.sqrt(2) * np.sqrt(3)))
 
 
 def test_cf_isolated_user_gets_no_prediction():
@@ -76,8 +77,8 @@ def test_cf_isolated_user_gets_no_prediction():
             "loner": ["p1", "p2", "p3"],
         }
     )
-    assert not recommend_cf(table, "loner", neighbors=5, k=3).items
-    assert recommend_cf(table, "a", neighbors=5, k=3).items
+    assert not recommend_cf(table, "loner", neighbors=5, k=3)
+    assert recommend_cf(table, "a", neighbors=5, k=3)
 
 
 def test_cf_hand_computed_scores():
@@ -86,13 +87,13 @@ def test_cf_hand_computed_scores():
     cos_ab = 0.5
     cos_ac = 1 / np.sqrt(6)
     assert venues_of(result) == ["z", "w"]
-    assert result.items[0][1] == pytest.approx(cos_ab + cos_ac, abs=1e-12)
-    assert result.items[1][1] == pytest.approx(cos_ac, abs=1e-12)
+    assert result[0][1] == pytest.approx(cos_ab + cos_ac, abs=1e-12)
+    assert result[1][1] == pytest.approx(cos_ac, abs=1e-12)
 
 
 def test_cf_unknown_user_no_prediction():
     table = matrix_from({"a": ["x"]})
-    assert not recommend_cf(table, "ghost", neighbors=1, k=1).items
+    assert not recommend_cf(table, "ghost", neighbors=1, k=1)
 
 
 def test_cf_all_neighbors_binary_matches_brute_force(rng):
@@ -123,7 +124,7 @@ def test_cf_all_neighbors_binary_matches_brute_force(rng):
             scores[venue] = total
     expected = sorted(scores, key=lambda v: (-scores[v], vocab.venue_index[v]))[:5]
     assert venues_of(result) == expected
-    for venue, score in result.items:
+    for venue, score in result:
         assert score == pytest.approx(scores[venue], abs=1e-12)
 
 
@@ -418,13 +419,14 @@ def recommend_latent_neighbors(factors, table, user, neighbors, k):
     config = ExperimentConfig(method=SVD, k=k, neighbors=neighbors)
     rows = factors.user_factors
     norms = row_norms(rows)
-    recommend_users = harness.serve(
+    blocks = harness.serve(
         config,
         vocab,
         visits,
         lambda block: vote_scores(rows, norms, visits, block, neighbors, False),
+        [user],
     )
-    return next(recommend_users([user]))
+    return named_lists(blocks, vocab.venues)[0][1]
 
 
 def test_latent_neighbor_takes_neighbors_venues():
@@ -461,6 +463,6 @@ def test_latent_pipeline_stays_in_community(community_dataset):
     factors = svd_factorize(table[1], 8, seed=0)
     for user in ("c0u1", "c1u2"):
         result = recommend_latent_neighbors(factors, table, user, neighbors=5, k=10)
-        assert result.items
-        for venue, _ in result.items:
+        assert result
+        for venue, _ in result:
             assert community_of(venue) == community_of(user)

@@ -26,7 +26,7 @@ from venue2vec.metrics import (
 )
 from venue2vec.recommend import write_batch_blocks
 
-from conftest import batch_lists, nearest_users, visit_table
+from conftest import batch_lists, named_lists, nearest_users, visit_table
 
 from oracles import (
     brute_force_top_k,
@@ -244,7 +244,7 @@ def test_error_marker_written_on_failure(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise RuntimeError("mid-run failure")
 
-    monkeypatch.setattr(harness, "_score_lists", explode)
+    monkeypatch.setattr(harness, "score_lists", explode)
     with pytest.raises(RuntimeError):
         run_experiment(config)
     assert (tmp_path / "broken" / ERROR_MARKER).exists()
@@ -256,15 +256,15 @@ def test_partial_per_user_csv_on_mid_run_failure(tmp_path, monkeypatch):
     config = small_config(out_dir=str(tmp_path / "partial"))
     vocab, _ = visit_table(harness.load_dataset(config).train)
     monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * vocab.user_count * 5)
-    real = harness.Recommender.blocks
+    real = harness.serve
 
-    def flaky(self, users):
-        for count, block in enumerate(real(self, users)):
+    def flaky(*args):
+        for count, block in enumerate(real(*args)):
             if count == 1:
                 raise RuntimeError("recommender died")
             yield block
 
-    monkeypatch.setattr(harness.Recommender, "blocks", flaky)
+    monkeypatch.setattr(harness, "serve", flaky)
     with pytest.raises(RuntimeError):
         run_experiment(config)
     out = tmp_path / "partial"
@@ -417,8 +417,8 @@ def test_seen_mask_equals_full_depth_recut(method):
 
     def lists(**overrides):
         config = small_config(method=method, rank=4, **overrides)
-        recommend_users = harness.recommender(config, harness.fit(config, dataset), dataset)
-        return {result.user: result.items for result in recommend_users(vocab.users)}
+        blocks = harness.recommender(config, harness.fit(config, dataset), dataset, vocab.users)
+        return dict(named_lists(blocks, vocab.venues))
 
     full, masked = lists(k=len(vocab.venues)), lists(filter_seen=True)
     dropped = 0
@@ -445,8 +445,8 @@ def test_random_list_does_not_depend_on_its_block(monkeypatch):
     vocab, _ = visit_table(dataset.train)
 
     def lists():
-        recommend_users = harness.recommender(config, harness.fit(config, dataset), dataset)
-        return [result.items for result in recommend_users(vocab.users)]
+        blocks = harness.recommender(config, harness.fit(config, dataset), dataset, vocab.users)
+        return [items for _, items in named_lists(blocks, vocab.venues)]
 
     whole = lists()
     assert sorted(venue for venue, _ in whole[vocab.user_index[heavy]]) == sorted(unseen)
@@ -475,8 +475,7 @@ def test_serving_reads_rows_changed_in_place():
 
     def lists(method):
         config = small_config(method=method, k=5, neighbors=3)
-        recommend_users = harness.recommender(config, fitted, dataset)
-        return {result.user: result.items for result in recommend_users(users)}
+        return dict(named_lists(harness.recommender(config, fitted, dataset, users), vocab.venues))
 
     before = lists("kni"), lists("nn")
     rows = model.input_vectors
@@ -509,7 +508,7 @@ def test_one_embedding_fit_serves_kni_nn_and_kiu(tmp_path):
         config = small_config(method=method, out_dir=str(tmp_path / method))
         run_experiment(config)
         path = tmp_path / f"{method}-served.tsv"
-        blocks = harness.recommender(config, fitted, dataset).blocks(users)
+        blocks = harness.recommender(config, fitted, dataset, users)
         write_batch_blocks(blocks, method, fitted.vocab.venues, path)
         served[method] = path.read_bytes()
         assert served[method] == (tmp_path / method / "recommendations.tsv").read_bytes()
@@ -530,10 +529,10 @@ def test_fit_of_another_family_is_config_error():
         for fit_method, fitted in fits.items():
             config = small_config(method=method)
             if served_by.get(method, method) == fit_method:
-                harness.recommender(config, fitted, dataset)
-            else:
+                harness.recommender(config, fitted, dataset, [])
+            else:  # raised at the call, before the blocks are iterated
                 with pytest.raises(ConfigError, match=f"cannot serve {method}"):
-                    harness.recommender(config, fitted, dataset)
+                    harness.recommender(config, fitted, dataset, [])
 
 
 @pytest.mark.parametrize("filter_seen", [False, True])
@@ -546,9 +545,10 @@ def test_every_method_lists_nothing_for_an_unknown_user(filter_seen):
     for method in harness.ALL_METHODS:
         config = small_config(method=method, rank=4, filter_seen=filter_seen)
         fitted = embedding if method in harness.EMBEDDING_METHODS else harness.fit(config, dataset)
-        stranger, user = harness.recommender(config, fitted, dataset)(["stranger", known])
-        assert (stranger.user, stranger.items) == ("stranger", [])
-        assert len(user.items) == config.k
+        blocks = harness.recommender(config, fitted, dataset, ["stranger", known])
+        stranger, (user, items) = named_lists(blocks, fitted.vocab.venues)
+        assert stranger == ("stranger", []) and user == known
+        assert len(items) == config.k
 
 
 # ------------------------------------------------------------- sweeps

@@ -36,6 +36,7 @@ from conftest import (
     community_of,
     dense_scores,
     make_records,
+    named_lists,
     nearest_users,
     ranked_rows,
     row_of,
@@ -53,11 +54,13 @@ from oracles import (
 
 
 def _serve(model, records, method, **overrides):
-    """One user's list from the callable a run builds for method, over these
-    training records (the seen rule included when filter_seen is set)."""
+    """One user's (venue, score) list from the serving a run builds for
+    method, over these training records (the seen rule included when
+    filter_seen is set)."""
     config = ExperimentConfig(method=method, **overrides)
-    recommend_users = recommender(config, Fit.of_model(model), Dataset(train=records, test=[]))
-    return lambda user: next(recommend_users([user]))
+    fitted, dataset = Fit.of_model(model), Dataset(train=records, test=[])
+    venues = fitted.vocab.venues
+    return lambda user: named_lists(recommender(config, fitted, dataset, [user]), venues)[0][1]
 
 
 def kiu_list(model, records, user, k, neighbors):
@@ -70,7 +73,8 @@ def _ranked(score_block, table, user, k, filter_seen=False):
     """The items a run lists for user from a score rule over the venues of
     table, a (vocab, visits) pair, the seen mask included under filter_seen."""
     config = ExperimentConfig(method=NN, k=k, filter_seen=filter_seen)
-    return next(harness.serve(config, *table, score_block)([user])).items
+    blocks = harness.serve(config, *table, score_block, [user])
+    return named_lists(blocks, table[0].venues)[0][1]
 
 
 # ------------------------------------------------------------- toy examples
@@ -326,9 +330,9 @@ def test_vote_block_lists_match_brute_force(monkeypatch, block, filter_seen):
     model = init_model(vocab, TrainingConfig(feature_count=3, seed=0), dtype=np.float64)
     model.input_vectors[: vocab.user_count] = [integer_rows[int(u[1:])] for u in vocab.users]
     dataset = Dataset(records, Checkins.of([]))
-    nn = recommender(replace(config, method=NN), Fit.of_model(model), dataset)
+    nn = recommender(replace(config, method=NN), Fit.of_model(model), dataset, served)
     cf_config = replace(config, method="cf")
-    cf = recommender(cf_config, fit(cf_config, dataset), dataset)
+    cf = recommender(cf_config, fit(cf_config, dataset), dataset, served)
     latent_rows = integer_rows[[int(u[1:]) for u in vocab.users]]
     calls = []
 
@@ -338,7 +342,8 @@ def test_vote_block_lists_match_brute_force(monkeypatch, block, filter_seen):
             latent_rows, np.linalg.norm(latent_rows, axis=1), counts, rows, neighbors, False
         )
 
-    latent = harness.serve(replace(config, method="svd"), vocab, counts, latent_block)
+    latent_config = replace(config, method="svd")
+    latent = harness.serve(latent_config, vocab, counts, latent_block, served)
     rules = {
         NN: (nn, model.input_vectors[: vocab.user_count], vocab.users, False,
              lambda venue: row_of(vocab, "V:" + venue)),
@@ -346,25 +351,26 @@ def test_vote_block_lists_match_brute_force(monkeypatch, block, filter_seen):
         "svd": (latent, latent_rows, vocab.users, False, vocab.venue_index.__getitem__),
     }
     ties = 0
-    for method, (recommend_users, rows, names, weighted, index_of) in rules.items():
-        results = list(recommend_users(served))
-        assert [result.user for result in results] == served
-        for result in results:
-            if result.user not in names:
-                assert not result.items
+    for method, (blocks, rows, names, weighted, index_of) in rules.items():
+        results = named_lists(blocks, vocab.venues)
+        assert [user for user, _ in results] == served
+        for user, items in results:
+            if user not in names:
+                assert not items
                 continue
-            excluded = set(visits[result.user]) if filter_seen else ()
+            excluded = set(visits[user]) if filter_seen else ()
             expected, tied = _brute_force_vote_list(
-                rows, names, names.index(result.user), neighbors, weighted,
+                rows, names, names.index(user), neighbors, weighted,
                 reference, index_of, k, excluded=excluded,
             )
-            assert result.items == expected, (method, result.user)
+            assert items == expected, (method, user)
             ties += tied
     size = block or n_users  # a block holds at most every user
     chunks = [served[start : start + size] for start in range(0, len(served), size)]
     known = [sum(user != "stranger" for user in chunk) for chunk in chunks]
     assert calls == [count for count in known if count]  # no block is padded
-    assert not next(latent(["u5"])).items  # the zero row
+    ((_, top),) = harness.serve(latent_config, vocab, counts, latent_block, ["u5"])
+    assert not top.nnz  # the zero row
     assert ties > 0  # neighbor ties were exercised
 
 
@@ -377,13 +383,13 @@ def test_unknown_user_is_no_prediction(toy_model, toy_records):
         _serve(toy_model, toy_records, NN, k=3, neighbors=1)("stranger"),
         kiu_list(toy_model, toy_records, "stranger", 3, 1),
     ):
-        assert result.items == []
+        assert result == []
 
 
 def test_kni_saturation_returns_all_venues(toy_model, toy_records):
     result = kiu_list(toy_model, toy_records, "u0", 100, 0)
-    assert len(result.items) == 8
-    scores = [s for _, s in result.items]
+    assert len(result) == 8
+    scores = [s for _, s in result]
     assert scores == sorted(scores, reverse=True)
 
 
@@ -411,8 +417,8 @@ def test_kiu_all_users_uniform_vectors_degrades_gracefully():
     model.input_vectors[:] = 1.0  # every cosine ties
     first = kiu_list(model, records, "a", 2, 50)
     second = kiu_list(model, records, "a", 2, 50)
-    assert first.items
-    assert first.items == second.items  # deterministic under total ties
+    assert first
+    assert first == second  # deterministic under total ties
     assert venues_of(first) == ["x", "y"]  # ascending token index
 
 
@@ -448,17 +454,17 @@ def test_kiu_matches_brute_force_oracle():
                 k = int(rng.integers(1, n_venues + 3))
                 result = kiu_list(model, records, f"u{target}", k, n)
                 if not vectors[target].any():
-                    assert not result.items
+                    assert not result
                     continue
                 others = [i for i in range(n_users) if i != target]
                 neighbors = brute_force_top_k(vectors, vectors[target], others, n)
                 query = vectors[[target, *(i for i, _ in neighbors)]].mean(axis=0)
                 if not query.any():
-                    assert not result.items
+                    assert not result
                     continue
                 venues = np.arange(n_users, len(model.vocab))
                 expected = brute_force_top_k(vectors, query, venues, k)
-                assert result.items == [(token_of(model.vocab, i)[2:], s) for i, s in expected]
+                assert result == [(token_of(model.vocab, i)[2:], s) for i, s in expected]
                 neighbor_ties += len(neighbors) - len({s for _, s in neighbors})
                 venue_ties += len(expected) - len({s for _, s in expected})
     assert neighbor_ties > 0 and venue_ties > 0  # ties were exercised
@@ -521,7 +527,7 @@ def test_float32_rounding_does_not_reorder_the_kiu_list(neighbors):
             k=k, neighbors=neighbors or 1, filter_seen=filter_seen,
         )("u0")
         assert [row_of(vocab, "V:" + v) for v in venues_of(result)] == [i for i, _ in expected]
-        assert [s for _, s in result.items] == pytest.approx([s for _, s in expected], abs=1e-12)
+        assert [s for _, s in result] == pytest.approx([s for _, s in expected], abs=1e-12)
         if filter_seen:
             assert seen & {i for i, _ in brute_force_top_k(rows, query, venues, k)}
 
@@ -573,11 +579,11 @@ def test_nn_binary_votes_flag(toy_model, toy_records):
     counted = _serve(toy_model, toy_records, NN, k=8, neighbors=2)("u1")
     binary = _serve(toy_model, toy_records, NN, k=8, neighbors=2, binary_votes=True)("u1")
     assert set(venues_of(binary)) <= set(venues_of(counted)) | {"Loc7"}
-    assert all(score == int(score) for _, score in binary.items)
-    counted_scores = dict(counted.items)
+    assert all(score == int(score) for _, score in binary)
+    counted_scores = dict(counted)
     if "Loc7" in counted_scores:
         assert counted_scores["Loc7"] == 2.0
-        assert dict(binary.items)["Loc7"] == 1.0
+        assert dict(binary)["Loc7"] == 1.0
 
 
 def test_kiu_zero_norm_query_is_no_prediction():
@@ -588,7 +594,7 @@ def test_kiu_zero_norm_query_is_no_prediction():
     model.input_vectors[row_of(vocab, "U:a")] = np.array([1.0, 0.0, 0.0, 0.0])
     model.input_vectors[row_of(vocab, "U:b")] = np.array([-1.0, 0.0, 0.0, 0.0])
     model.input_vectors[row_of(vocab, "V:x")] = np.ones(4)
-    assert not kiu_list(model, records, "a", 1, 1).items
+    assert not kiu_list(model, records, "a", 1, 1)
 
 
 def test_community_fixture_recommendations_stay_in_community(
@@ -599,8 +605,8 @@ def test_community_fixture_recommendations_stay_in_community(
     request_users = ["c0u0", "c1u3"]
     for user in request_users:
         result = kiu_list(model, dataset.train, user, 10, 0)
-        assert len(result.items) == 10
-        for venue, _ in result.items:
+        assert len(result) == 10
+        for venue, _ in result:
             assert community_of(venue) == community_of(user)
 
 
@@ -637,7 +643,7 @@ def test_pruned_venues_are_never_recommended():
                 excluded=set(visits[user]) if filter_seen else (),
             )
             expected = rank_votes_reference(votes, 10, lambda v: row_of(vocab, "V:" + v))
-            assert serve[NN](user).items == expected
+            assert serve[NN](user) == expected
 
 
 def test_nn_and_kiu_serve_a_model_trained_on_other_records():
@@ -662,10 +668,10 @@ def test_nn_and_kiu_serve_a_model_trained_on_other_records():
         assert user == "u3" or "u3" in neighbors
         votes = vote_reference(neighbors, visits, allowed=vocab.venue_index.__contains__)
         expected = rank_votes_reference(votes, 10, lambda v: row_of(vocab, "V:" + v))
-        assert nn(user).items == expected
-        assert kiu(user).items == kiu_list(model, make_records(model_visits), user, 10, 3).items
-    assert not nn("u9").items
-    assert not kiu("u9").items
+        assert nn(user) == expected
+        assert kiu(user) == kiu_list(model, make_records(model_visits), user, 10, 3)
+    assert not nn("u9")
+    assert not kiu("u9")
 
 
 def test_requests_validate_bounds(toy_model, toy_interactions):
@@ -767,7 +773,7 @@ def test_recommendation_invariants(
         venues = venues_of(result)
         assert len(venues) == len(set(venues))
         assert len(venues) <= k
-        scores = [s for _, s in result.items]
+        scores = [s for _, s in result]
         assert scores == sorted(scores, reverse=True)
         if filter_seen:
             vocab, visits = toy_interactions
@@ -779,21 +785,21 @@ def test_deterministic_across_calls(toy_model, toy_records):
     serve = _serve(toy_model, toy_records, NN, k=4, neighbors=2)
     first = serve("u0")
     second = serve("u0")
-    assert first.items == second.items
+    assert first == second
 
 
 def test_concurrent_readers_agree(toy_model, toy_records):
-    """Recommendation queries are read-only: many threads sharing one
-    served KIU callable, one answer."""
+    """Recommendation queries are read-only: many threads serving KIU
+    from one fit, one answer."""
     import threading
 
     serve = _serve(toy_model, toy_records, "kiu", k=4, neighbors=2)
-    expected = kiu_list(toy_model, toy_records, "u0", 4, 2).items
+    expected = kiu_list(toy_model, toy_records, "u0", 4, 2)
     outputs = []
 
     def worker():
         for _ in range(20):
-            outputs.append(serve("u0").items)
+            outputs.append(serve("u0"))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:
@@ -828,14 +834,14 @@ def test_batch_roundtrip(tmp_path, toy_model, toy_records):
     venues by first occurrence and the lists as one ranked block."""
     result = kiu_list(toy_model, toy_records, "u0", 3, 0)
     path = tmp_path / "batch.tsv"
-    _write_lists([result, ("ghost", [])], path, method="kni")
+    _write_lists([("u0", result), ("ghost", [])], path, method="kni")
     users, methods, venues, top = read_batch_blocks(path)
     assert (users, methods, list(venues)) == (["u0", "ghost"], ["kni", "kni"], venues_of(result))
     assert venues == {venue: column for column, venue in enumerate(venues_of(result))}
     assert top.shape == (2, 3)
     assert top.indptr.tolist() == [0, 3, 3]  # ghost's no-prediction line lists nothing
     assert top.indices.tolist() == [0, 1, 2]
-    assert top.data.tolist() == pytest.approx([s for _, s in result.items], abs=1e-6)
+    assert top.data.tolist() == pytest.approx([s for _, s in result], abs=1e-6)
 
 
 @pytest.mark.parametrize(

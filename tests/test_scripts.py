@@ -1,9 +1,12 @@
 """Smoke runs of the experiment script, which drives run_experiment, and of
 the artifact protocol script, and checks that README's Library example
-imports what the package exports and that its command lines parse."""
+imports what the package exports and runs, and that its command lines
+parse."""
 
 import ast
+import contextlib
 import importlib.util
+import io
 import json
 import re
 import shlex
@@ -12,7 +15,10 @@ import sys
 from pathlib import Path
 
 from venue2vec.cli import build_parser
+from venue2vec.fixtures import generate_fixture
 from venue2vec.harness import ALL_METHODS
+
+from conftest import COMMUNITY_SPEC
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -64,11 +70,16 @@ def test_artifact_protocol_zeroes_every_timing(tmp_path):
         assert lines[1] == f"nobody\t{method}\tno-prediction"
 
 
+def _library_example() -> str:
+    """The code of README's Library example."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library", 1)[1]
+    return section.split("```python", 1)[1].split("```", 1)[0]
+
+
 def test_readme_library_imports_are_the_package_exports():
     """README's Library example imports resolve, and they are exactly the
     names the package root re-exports."""
-    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library", 1)[1]
-    code = section.split("```python", 1)[1].split("```", 1)[0]
+    code = _library_example()
     imports = [node for node in ast.parse(code).body if isinstance(node, ast.ImportFrom)]
     assert [node.module for node in imports] == ["venue2vec"]
     exec(compile(ast.Module(body=imports, type_ignores=[]), "README.md", "exec"), {})
@@ -80,6 +91,23 @@ def test_readme_library_imports_are_the_package_exports():
         for alias in node.names
     }
     assert {alias.name for alias in imports[0].names} == exported
+
+
+def test_readme_library_example_runs():
+    """README's Library example runs as written, over a small fixture's rows
+    and a few of its users plus one the fit never saw: it prints the run's
+    metrics, then one line per (method, user), in order, the stranger's
+    list empty."""
+    rows = list(generate_fixture(COMMUNITY_SPEC))
+    users = ["c0u0", "c1u3", "stranger", "c0u7"]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(_library_example(), "README.md", "exec"), {"rows": rows, "users": users})
+    report, *lines = printed.getvalue().splitlines()
+    assert len(report.split()) == 3
+    methods = ("kni", "nn", "kiu")
+    assert [line.split()[:2] for line in lines] == [[m, u] for m in methods for u in users]
+    assert all(line.endswith("stranger []") for line in lines[2::4])
 
 
 def test_readme_command_lines_parse():
