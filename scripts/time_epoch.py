@@ -1,40 +1,42 @@
 #!/usr/bin/env python3
-"""Time the input end and one SGNS training epoch on the paper-shaped fixture.
+"""Time venue2vec layer by layer, score every method, and print one JSON document.
 
 Usage:
     python scripts/time_epoch.py [--epochs 1]
 
-The fixture is the ROADMAP's paper shape: 40 communities x 208 users x 1238
-venues, 10 train check-ins per user (8320 users, 49520 venues, 91520
-sentence tokens). It prints the best-of-3 seconds of the whole input end:
-read_checkins over the fixture written as a 108,160-line TSV, the same
-read with every venue id rewritten as a distinct 24-character hexadecimal
-id (the length of Foursquare's venue ids; "read_checkins hex"), both with
-their lines per second, split_train_test, build_vocabulary, build_sentences,
-build_interactions and the ground truth (evaluation_users, then
-TruthTable.of over the vocabulary's venues). It prints the seconds of one
-svd_factorize and one ccdpp_factorize build (rank 100, seed 1, the
-library's other defaults) over the training visit table, and the seconds of
-two seeded Random servings (k=10, seed 1) of the evaluation users over the
-49,520-venue catalog, each iterated to its last ranked block, one plain
-and one under filter_seen, which draws each user k + |seen| deep, and the
-rec_s_total and rec_s_per_user of one run_experiment of CF and of Random
-(random_runs=1, seed 1, k=10) over the evaluation users: the serving,
-ranking and scoring of every user. It then
-trains skip-gram (F=100, C=20) and CBOW
-(F=100, window "max") and prints, per architecture, the seconds per epoch
-and the (center, context) pairs per second. The pair count is the
-expectation over the reduced-window radius draw, the same for any
-implementation, so pairs per second compares training kernels on equal
-work.
-
-Last it prints KNI's precision and hit rate after 25 epochs (F=100,
-seed 1) for skip-gram (C=20) and CBOW (window "max") on the 8-community
-fixture, the paper shape's sparsity at a fifth of its size, so a training
-change that breaks learning, or fixes it, shows at the paper's sparsity.
+machine            nproc, the CPU model where /proc/cpuinfo names one, and the
+                   Python, numpy and scipy versions.
+paper_shape        on PAPER_SHAPE, the ROADMAP's paper shape (8320 users,
+                   49520 venues, 91520 sentence tokens):
+  stage_s          the best-of-3 seconds of each input stage: read_checkins of
+                   the fixture as a 108,160-line TSV, and of that TSV with
+                   24-character hexadecimal venue ids, as Foursquare's
+                   (read_checkins_hex), split_train_test, build_vocabulary,
+                   build_sentences, build_interactions and ground_truth.
+  lines_per_s      the two reads' lines per second.
+  build_s          svd_factorize and ccdpp_factorize (rank 100, seed 1).
+  random_serving_s two seeded Random servings (k=10, seed 1), iterated to
+                   their last ranked block: plain, and filter_seen.
+  run              rec_s_total and rec_s_per_user of one cf and one random
+                   run_experiment (random_runs=1): serve, rank, score.
+  corpus           evaluation users, venues, sentences, tokens, vocabulary.
+  training         per architecture at its default window C (F=100, seed 1):
+                   s_per_epoch over --epochs epochs, pairs_per_epoch (the
+                   expectation over the reduced-window radius draw, the same
+                   for any kernel) and pairs_per_s.
+eight_communities  KNI's precision and hit rate after 25 epochs (F=100, seed 1)
+                   of each architecture on PAPER_SHAPE with 8 communities:
+                   the paper's sparsity at a fifth of its size.
+planted            per method on PLANTED: precision, ndcg, hitrate, coverage,
+                   train_s and rec_s. One skip-gram fit serves kni, nn and kiu,
+                   which share its train_s; the baselines go through
+                   run_experiment, and random is the mean of its 10 runs.
 """
 
 import argparse
+import json
+import os
+import platform
 import sys
 import tempfile
 import time
@@ -43,22 +45,18 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from venue2vec.baselines import CF, RANDOM, ccdpp_factorize, svd_factorize
-from venue2vec.corpus import (
-    build_interactions,
-    build_sentences,
-    build_vocabulary,
-    read_checkins,
-    split_train_test,
-    write_checkins,
-)
-from venue2vec.embedding import CBOW, SKIP_GRAM, TrainingConfig, init_model, resolve_window, train
+from venue2vec.corpus import (build_interactions, build_sentences, build_vocabulary,
+                              read_checkins, split_train_test, write_checkins)
+from venue2vec.embedding import CBOW, SKIP_GRAM, init_model, resolve_window, train
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
-from venue2vec.harness import ExperimentConfig, fit, recommender, run_experiment
-from venue2vec.metrics import TruthTable, evaluation_users
+from venue2vec.harness import (ALL_METHODS, EMBEDDING_METHODS, ExperimentConfig, fit,
+                               load_dataset, recommender, run_experiment, score_lists)
+from venue2vec.metrics import TruthTable, aggregate, evaluation_users
 from venue2vec.recommend import KNI
 
 PAPER_SHAPE = FixtureSpec(
@@ -68,6 +66,13 @@ PAPER_SHAPE = FixtureSpec(
     venues_per_community=1238,
     train_checkins_per_user=10,
     test_checkins_per_user=3,
+)
+
+# the planted-community acceptance fixture and the settings every method runs with
+PLANTED = ExperimentConfig(
+    fixture=FixtureSpec(seed=11, communities=4, users_per_community=50, venues_per_community=100,
+                        train_checkins_per_user=20, test_checkins_per_user=5, noise_rate=0.0),
+    feature_count=32, context_count=10, epoch_count=25, neighbors=30, k=10, seed=11,
 )
 
 
@@ -82,15 +87,26 @@ def expected_pairs(lengths: np.ndarray, window: int) -> float:
     return total
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--epochs", type=int, default=1)
-    args = parser.parse_args()
+def machine() -> dict:
+    if hasattr(os, "sched_getaffinity"):  # the cores this process may run on, as nproc counts
+        info = dict(nproc=len(os.sched_getaffinity(0)))
+    else:
+        info = dict(nproc=os.cpu_count())
+    cpuinfo = Path("/proc/cpuinfo")
+    lines = cpuinfo.read_text().splitlines() if cpuinfo.is_file() else []
+    models = [line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")]
+    if models:
+        info["cpu_model"] = models[0]
+    info.update(python=platform.python_version(), numpy=np.__version__, scipy=scipy.__version__)
+    return info
 
-    log = generate_fixture(PAPER_SHAPE)
+
+def paper_shape(spec: FixtureSpec, epochs: int) -> dict:
+    log = generate_fixture(spec)
     dataset = split_train_test(log, FEB_2011)
     vocab = build_vocabulary(dataset.train, 1)
     corpus = build_sentences(dataset.train, vocab)
+    users = evaluation_users(dataset)
     # an odd multiplier permutes [0, 2^96), so the hexadecimal ids are distinct
     hex_venues = [f"{j * 0x9E3779B97F4A7C15 % 2**96:024x}" for j in range(len(log.venue_ids))]
     with tempfile.TemporaryDirectory() as scratch:
@@ -99,81 +115,116 @@ def main() -> int:
         write_checkins(replace(log, venue_ids=hex_venues), hex_path)
         stages = {
             "read_checkins": lambda: read_checkins(path),
-            "read_checkins hex": lambda: read_checkins(hex_path),
+            "read_checkins_hex": lambda: read_checkins(hex_path),
             "split_train_test": lambda: split_train_test(log, FEB_2011),
             "build_vocabulary": lambda: build_vocabulary(dataset.train, 1),
             "build_sentences": lambda: build_sentences(dataset.train, vocab),
             "build_interactions": lambda: build_interactions(dataset.train, vocab),
-            "ground truth": lambda: TruthTable.of(
+            "ground_truth": lambda: TruthTable.of(
                 dataset.test, evaluation_users(dataset), vocab.venue_index
             ),
         }
-        for name, stage in stages.items():
-            best = min(timeit.repeat(stage, number=1, repeat=3))
-            reads = name.startswith("read_checkins")
-            rate = f", {len(log) / best:,.0f} lines/s" if reads else ""
-            print(f"{name:<18} {best:7.3f} s (best of 3{rate})")
+        stage_s = {name: min(timeit.repeat(stage, number=1, repeat=3))
+                   for name, stage in stages.items()}
+    build_s, random_serving_s, runs, training = {}, {}, {}, {}
     visits = build_interactions(dataset.train, vocab)
     for name, build in (("svd_factorize", svd_factorize), ("ccdpp_factorize", ccdpp_factorize)):
         start = time.perf_counter()
         build(visits, 100, seed=1)
-        print(f"{name:<18} {time.perf_counter() - start:7.3f} s (rank 100)")
-    users = evaluation_users(dataset)
-    for filter_seen in (False, True):
-        config = ExperimentConfig(
-            fixture=PAPER_SHAPE, method=RANDOM, seed=1, filter_seen=filter_seen
-        )
+        build_s[name] = time.perf_counter() - start
+    for serving, filter_seen in (("plain", False), ("filter_seen", True)):
+        config = ExperimentConfig(fixture=spec, method=RANDOM, seed=1, filter_seen=filter_seen)
         blocks = recommender(config, fit(config, dataset), dataset, users)
         start = time.perf_counter()
         for _ in blocks:
             pass
-        print(
-            f"{'random serving':<18} {time.perf_counter() - start:7.3f} s "
-            f"({len(users)} users, {len(vocab.venues)} venues, k={config.k}"
-            f"{', filter_seen' if filter_seen else ''})"
-        )
+        random_serving_s[serving] = time.perf_counter() - start
     for method in (CF, RANDOM):
-        report = run_experiment(
-            ExperimentConfig(fixture=PAPER_SHAPE, method=method, seed=1, random_runs=1)
-        )
-        print(
-            f"{method + ' run':<18} {report.rec_s_total:7.3f} s rec_s_total, "
-            f"{1e6 * report.rec_s_per_user:.1f} us rec_s_per_user "
-            f"({len(report.per_user)} users, k={report.k})"
-        )
+        config = ExperimentConfig(fixture=spec, method=method, seed=1, random_runs=1)
+        report = run_experiment(config)
+        runs[method] = dict(rec_s_total=report.rec_s_total, rec_s_per_user=report.rec_s_per_user)
     lengths = np.diff(corpus.starts)
-    print(f"{len(corpus)} sentences, {corpus.total_tokens} tokens, {len(vocab)} tokens in vocab")
-    for architecture, context_count in ((SKIP_GRAM, 20), (CBOW, "max")):
-        config = TrainingConfig(
-            architecture=architecture,
-            feature_count=100,
-            context_count=context_count,
-            epoch_count=args.epochs,
-            seed=1,
-        )
+    for architecture in (SKIP_GRAM, CBOW):
+        config = ExperimentConfig(
+            architecture=architecture, feature_count=100, epoch_count=epochs, seed=1
+        ).training_config()
         _, trace = train(init_model(vocab, config), corpus)
         seconds = float(np.mean([row.seconds for row in trace]))
-        pairs = expected_pairs(lengths, resolve_window(context_count, corpus.max_length))
-        print(
-            f"{architecture:<9} C={context_count!s:<4} {seconds:7.2f} s/epoch "
-            f"{pairs / seconds:10.0f} pairs/s ({pairs:.0f} pairs/epoch)"
+        pairs = expected_pairs(lengths, resolve_window(config.context_count, corpus.max_length))
+        training[architecture] = dict(C=config.context_count, s_per_epoch=seconds,
+                                      pairs_per_epoch=pairs, pairs_per_s=pairs / seconds)
+    return dict(
+        stage_s=stage_s,
+        lines_per_s={
+            name: len(log) / seconds
+            for name, seconds in stage_s.items()
+            if name.startswith("read_checkins")
+        },
+        build_s=build_s,
+        random_serving_s=random_serving_s,
+        run=runs,
+        corpus=dict(users=len(users), venues=len(vocab.venues), sentences=len(corpus),
+                    tokens=corpus.total_tokens, vocabulary=len(vocab)),
+        training=training,
+    )
+
+
+def eight_communities(spec: FixtureSpec) -> dict:
+    doc = {}
+    for architecture in (SKIP_GRAM, CBOW):
+        config = ExperimentConfig(
+            fixture=spec, method=KNI, architecture=architecture, feature_count=100,
+            epoch_count=25, seed=1,
         )
-    for architecture, context_count in ((SKIP_GRAM, 20), (CBOW, "max")):
-        report = run_experiment(
-            ExperimentConfig(
-                fixture=replace(PAPER_SHAPE, communities=8),
-                method=KNI,
-                architecture=architecture,
-                feature_count=100,
-                context_count=context_count,
-                epoch_count=25,
-                seed=1,
-            )
+        report = run_experiment(config)
+        doc[architecture] = dict(C=config.training_config().context_count,
+                                 precision=report.precision, hitrate=report.hitrate)
+    return doc
+
+
+def planted(spec: FixtureSpec) -> dict:
+    base = replace(PLANTED, fixture=spec)
+    dataset = load_dataset(base)
+    started = time.perf_counter()
+    fitted = fit(base, dataset)  # one skip-gram fit serves kni, nn and kiu
+    train_s = time.perf_counter() - started
+    users = evaluation_users(dataset)
+    truth = TruthTable.of(dataset.test, users, fitted.vocab.venue_index)
+    doc = {}
+    for method in ALL_METHODS:
+        config = replace(base, method=method)
+        if method in EMBEDDING_METHODS:  # served and scored a block at a time, as run does
+            rows, started = [], time.perf_counter()
+            score_lists(recommender(config, fitted, dataset, users), truth, config.k, rows)
+            seconds = time.perf_counter() - started
+            report = aggregate(rows, train_s=train_s, rec_s=seconds, method=method, k=config.k)
+        else:
+            report = run_experiment(config)
+        doc[method] = dict(
+            precision=report.precision,
+            ndcg=report.ndcg,
+            hitrate=report.hitrate,
+            coverage=report.coverage,
+            train_s=report.train_s,
+            rec_s=report.rec_s_total,
         )
-        print(
-            f"{architecture:<9} C={context_count!s:<4} KNI after 25 epochs, 8 communities: "
-            f"precision {report.precision:.4f} hit rate {report.hitrate:.4f}"
-        )
+    return doc
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--epochs", type=int, default=1)
+    args = parser.parse_args()
+    doc = dict(
+        machine=machine(),
+        paper_shape=paper_shape(PAPER_SHAPE, args.epochs),
+        eight_communities=eight_communities(replace(PAPER_SHAPE, communities=8)),
+        planted=planted(PLANTED.fixture),
+    )
+    json.dump(doc, sys.stdout, indent=2)
+    print()
     return 0
 
 

@@ -116,10 +116,6 @@ class ExperimentConfig:
     out_dir: str | None = None
     layout: FieldLayout = field(default_factory=FieldLayout)
 
-    def __post_init__(self) -> None:
-        if self.context_count is None:
-            self.context_count = MAX_WINDOW if self.architecture == CBOW else 20
-
     def validate(self) -> None:
         if self.method not in ALL_METHODS:
             raise ConfigError(
@@ -149,10 +145,13 @@ class ExperimentConfig:
             raise ConfigError("ccdpp needs regularization > 0")
 
     def training_config(self) -> TrainingConfig:
+        window = self.context_count
+        if window is None:
+            window = MAX_WINDOW if self.architecture == CBOW else 20
         return TrainingConfig(
             architecture=self.architecture,
             feature_count=self.feature_count,
-            context_count=self.context_count,
+            context_count=window,
             epoch_count=self.epoch_count,
             seed=self.seed,
         )
@@ -291,7 +290,7 @@ def fit(config: ExperimentConfig, dataset: Dataset) -> Fit:
         echo = dict(
             arch=config.architecture,
             F=config.feature_count,
-            C=resolve_window(config.context_count, corpus.max_length),
+            C=resolve_window(model.config.context_count, corpus.max_length),
             E=config.epoch_count,
         )
         return Fit.of_model(model, echo=echo, traces={"loss_trace.csv": loss_trace(trace)})

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -110,10 +111,17 @@ def test_load_dataset_warns_with_the_skipped_count(tmp_path):
 
 
 def test_default_context_count_per_architecture():
-    assert ExperimentConfig().context_count == 20
-    assert ExperimentConfig(architecture="cbow").context_count == "max"
-    assert ExperimentConfig(architecture="cbow", context_count=4).context_count == 4
-    assert ExperimentConfig(context_count="max").context_count == "max"
+    """An unset window is the architecture's default when the training
+    config is built, so a config replaced onto CBOW trains at "max"."""
+
+    def window(config):
+        return config.training_config().context_count
+
+    assert window(ExperimentConfig()) == 20
+    assert window(ExperimentConfig(architecture="cbow")) == "max"
+    assert window(replace(ExperimentConfig(), architecture="cbow")) == "max"
+    assert window(ExperimentConfig(architecture="cbow", context_count=4)) == 4
+    assert window(ExperimentConfig(context_count="max")) == "max"
 
 
 def test_library_cbow_default_window_is_max():

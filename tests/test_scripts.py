@@ -1,7 +1,7 @@
-"""Smoke runs of the experiment script, which drives run_experiment, and of
-the artifact protocol script, and checks that README's Library example
-imports what the package exports and runs, and that its command lines
-parse."""
+"""Runs of the benchmark script, whose planted section must agree with
+run_experiment, and of the artifact protocol script, and checks that
+README's Library example imports what the package exports and runs, and
+that its command lines parse."""
 
 import ast
 import contextlib
@@ -10,13 +10,13 @@ import io
 import json
 import re
 import shlex
-import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from venue2vec.cli import build_parser
-from venue2vec.fixtures import generate_fixture
-from venue2vec.harness import ALL_METHODS
+from venue2vec.fixtures import FixtureSpec, generate_fixture
+from venue2vec.harness import ALL_METHODS, run_experiment
 
 from conftest import COMMUNITY_SPEC
 
@@ -24,33 +24,50 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
 
-def _run(script: str, *args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, str(SCRIPTS / script), *args],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+# 104 users and 128 venues: the paper section's rank-100 builds need 100 of each
+TINY = FixtureSpec(seed=5, communities=8, users_per_community=13, venues_per_community=16,
+                   train_checkins_per_user=10, test_checkins_per_user=3)
 
 
-def test_benchmark_methods_prints_one_row_per_method():
-    done = _run(
-        "benchmark_methods.py",
-        "--communities", "2", "--users-per-community", "8",
-        "--venues-per-community", "16", "--train-checkins", "8",
-        "--test-checkins", "3", "--features", "8", "--epochs", "2",
-    )
-    assert done.returncode == 0, done.stderr
-    rows = done.stdout.splitlines()[2:]  # header and rule first
-    assert [row.split()[0] for row in rows] == list(ALL_METHODS)
+def _load(script: str):
+    spec = importlib.util.spec_from_file_location(script, SCRIPTS / f"{script}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_script_prints_one_json_document(monkeypatch, capsys):
+    """time_epoch.py with every fixture the tiny one: stdout is one JSON
+    document of the four sections, and the planted section has one entry
+    per method whose accuracy is run_experiment's for that method."""
+    time_epoch = _load("time_epoch")
+    planted = replace(time_epoch.PLANTED, fixture=TINY)
+    monkeypatch.setattr(time_epoch, "PAPER_SHAPE", TINY)
+    monkeypatch.setattr(time_epoch, "PLANTED", planted)
+    monkeypatch.setattr(sys, "argv", ["time_epoch.py"])
+    assert time_epoch.main() == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["machine", "paper_shape", "eight_communities", "planted"]
+    assert {"nproc", "python", "numpy", "scipy"} <= set(doc["machine"])
+    paper = doc["paper_shape"]
+    assert list(paper) == ["stage_s", "lines_per_s", "build_s", "random_serving_s", "run",
+                           "corpus", "training"]
+    assert len(paper["stage_s"]) == 7 and list(paper["run"]) == ["cf", "random"]
+    assert paper["corpus"]["users"] == 104
+    windows = {"skip-gram": 20, "cbow": "max"}
+    for section in (paper["training"], doc["eight_communities"]):
+        assert {arch: entry["C"] for arch, entry in section.items()} == windows
+    assert list(doc["planted"]) == list(ALL_METHODS)
+    accuracy = ("precision", "ndcg", "hitrate", "coverage")
+    for method, entry in doc["planted"].items():
+        report = run_experiment(replace(planted, method=method))
+        assert [entry[name] for name in accuracy] == [getattr(report, name) for name in accuracy]
 
 
 def test_artifact_protocol_zeroes_every_timing(tmp_path):
     """The protocol on one small fixture: every command succeeds, and only
     the timing fields are zeroed in reports, sweep CSVs and loss traces."""
-    spec = importlib.util.spec_from_file_location("artifacts", SCRIPTS / "artifacts.py")
-    artifacts = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(artifacts)
+    artifacts = _load("artifacts")
     small = {"small": ["--seed", "1", "--communities", "2", "--users-per-community", "6",
                        "--venues-per-community", "12", "--train-checkins", "8"]}
     assert artifacts.write_protocol(tmp_path, small) == 344  # a third of the 1,032
