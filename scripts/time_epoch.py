@@ -28,9 +28,9 @@ eight_communities  KNI's precision and hit rate after 25 epochs (F=100, seed 1)
                    of each architecture on PAPER_SHAPE with 8 communities:
                    the paper's sparsity at a fifth of its size.
 planted            per method on PLANTED: precision, ndcg, hitrate, coverage,
-                   train_s and rec_s. One skip-gram fit serves kni, nn and kiu,
-                   which share its train_s; the baselines go through
-                   run_experiment, and random is the mean of its 10 runs.
+                   train_s and rec_s (one serving's seconds) from one
+                   run_experiments: one skip-gram fit serves kni, nn and kiu,
+                   and random is the mean of its 10 runs.
 """
 
 import argparse
@@ -54,9 +54,9 @@ from venue2vec.corpus import (build_interactions, build_sentences, build_vocabul
                               read_checkins, split_train_test, write_checkins)
 from venue2vec.embedding import CBOW, SKIP_GRAM, init_model, resolve_window, train
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
-from venue2vec.harness import (ALL_METHODS, EMBEDDING_METHODS, ExperimentConfig, fit,
-                               load_dataset, recommender, run_experiment, score_lists)
-from venue2vec.metrics import TruthTable, aggregate, evaluation_users
+from venue2vec.harness import (ALL_METHODS, ExperimentConfig, fit, recommender, run_experiment,
+                               run_experiments)
+from venue2vec.metrics import TruthTable, evaluation_users
 from venue2vec.recommend import KNI
 
 PAPER_SHAPE = FixtureSpec(
@@ -183,31 +183,15 @@ def eight_communities(spec: FixtureSpec) -> dict:
 
 
 def planted(spec: FixtureSpec) -> dict:
-    base = replace(PLANTED, fixture=spec)
-    dataset = load_dataset(base)
-    started = time.perf_counter()
-    fitted = fit(base, dataset)  # one skip-gram fit serves kni, nn and kiu
-    train_s = time.perf_counter() - started
-    users = evaluation_users(dataset)
-    truth = TruthTable.of(dataset.test, users, fitted.vocab.venue_index)
+    reports = run_experiments([replace(PLANTED, fixture=spec, method=m) for m in ALL_METHODS])
     doc = {}
-    for method in ALL_METHODS:
-        config = replace(base, method=method)
-        if method in EMBEDDING_METHODS:  # served and scored a block at a time, as run does
-            rows, started = [], time.perf_counter()
-            score_lists(recommender(config, fitted, dataset, users), truth, config.k, rows)
-            seconds = time.perf_counter() - started
-            report = aggregate(rows, train_s=train_s, rec_s=seconds, method=method, k=config.k)
-        else:
-            report = run_experiment(config)
-        doc[method] = dict(
-            precision=report.precision,
-            ndcg=report.ndcg,
-            hitrate=report.hitrate,
-            coverage=report.coverage,
-            train_s=report.train_s,
-            rec_s=report.rec_s_total,
-        )
+    for method, report in zip(ALL_METHODS, reports):
+        if isinstance(report, Exception):
+            raise report
+        servings = PLANTED.random_runs if method == RANDOM else 1
+        doc[method] = dict(precision=report.precision, ndcg=report.ndcg, hitrate=report.hitrate,
+                           coverage=report.coverage, train_s=report.train_s,
+                           rec_s=report.rec_s_total / servings)
     return doc
 
 

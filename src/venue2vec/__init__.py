@@ -12,6 +12,6 @@ else is imported from its module (venue2vec.corpus, venue2vec.baselines, ...).
 
 from .corpus import Checkins, Dataset
 from .fixtures import FixtureSpec
-from .harness import ExperimentConfig, fit, recommender, run_experiment
+from .harness import ExperimentConfig, fit, recommender, run_experiment, run_experiments
 
 __version__ = "0.1.0"

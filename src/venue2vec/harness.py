@@ -1,9 +1,10 @@
 """Experiment orchestration: end-to-end runs, parameter sweeps, plot data.
 
-A run executes corpus construction, one fit (embedding training, matrix
-factorization, or the interaction matrix for CF/Random), then serves,
-ranks and scores the users a block at a time in array operations, with the
-modeling and recommendation phases timed separately. A serving is one
+run_experiments is the one run loop. A run loads its input and fits
+(embedding training, matrix factorization, or the interaction matrix for
+CF/Random), each reused from the previous config where it matches, then
+serves, ranks and scores the users a block at a time in array operations,
+with the modeling and recommendation phases timed separately. A serving is one
 generator (recommender, then serve) that yields each block of users with
 its ranked CSR matrix, and score_lists scores the blocks as they arrive.
 One fit serves every method it holds the rows of; Random serves
@@ -19,7 +20,6 @@ test records only the ground truth (evaluation_users, TruthTable.of).
 
 from __future__ import annotations
 
-import dataclasses
 import time
 import traceback
 import warnings
@@ -397,45 +397,75 @@ def score_lists(
 
 
 def run_experiment(config: ExperimentConfig) -> MetricsReport:
-    """Execute one full run and write artifacts into config.out_dir if set.
-
-    On a failure, invalid configuration included, an ERROR marker file (plus
-    the partial per-user CSV of a run that died mid-way) is left in the
-    output directory before the exception propagates.
-    """
-    out_dir = Path(config.out_dir) if config.out_dir else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        config.validate()
-        return _run_experiment(config, out_dir)
-    except Exception as exc:
-        if out_dir is not None:
-            (out_dir / ERROR_MARKER).write_text(
-                f"{exc}\n\n{traceback.format_exc()}", encoding="utf-8"
-            )
-        raise
+    """One full run, its artifacts written into config.out_dir if set:
+    run_experiments' one-config case, raising the exception it records."""
+    (result,) = run_experiments([config])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
-def _run_experiment(config: ExperimentConfig, out_dir: Path | None) -> MetricsReport:
-    """Every run of the method, then their mean (a single run is its own mean).
+def _fit_key(config: ExperimentConfig) -> ExperimentConfig:
+    """config with the fields fit does not read cleared and method as its family
+    (kni, nn and kiu are one); seed, rank and the like stay for every family."""
+    family = recommend.KNI if config.method in EMBEDDING_METHODS else config.method
+    return replace(config, method=family, neighbors=0, k=0, filter_seen=False,
+                   random_runs=0, out_dir=None)
+
+
+def run_experiments(configs: Iterable[ExperimentConfig]) -> list[MetricsReport | Exception]:
+    """Each config's full run in order, its artifacts written into its out_dir
+    if set: one entry per config, its report or the exception it failed with
+    (leaving an ERROR marker, plus the partial per-user CSV of a run that died
+    mid-way); the rest still run. The previous dataset is reused for the same
+    input, and the previous fit, with its seconds, for an equal _fit_key; each
+    is dropped before the next is built."""
+    results: list[MetricsReport | Exception] = []
+    data_key = fit_key = dataset = users = fitted = None
+    for config in configs:
+        out_dir = Path(config.out_dir) if config.out_dir else None
+        try:
+            if out_dir is not None:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            config.validate()
+            source = (config.input_path, config.fixture, config.boundary, config.layout)
+            if source != data_key:
+                data_key = fit_key = dataset = fitted = None
+                dataset = load_dataset(config)
+                users, data_key = evaluation_users(dataset), source
+            if not users:
+                raise ConfigError("no user has both train and test records")
+            key = _fit_key(config)
+            if key != fit_key:
+                fit_key = fitted = None
+                started = time.perf_counter()
+                fitted = fit(config, dataset)
+                fit_seconds, fit_key = time.perf_counter() - started, key
+            results.append(_run_experiment(config, dataset, users, fitted, fit_seconds, out_dir))
+        except Exception as exc:
+            if out_dir is not None and out_dir.is_dir():
+                (out_dir / ERROR_MARKER).write_text(
+                    f"{exc}\n\n{traceback.format_exc()}", encoding="utf-8"
+                )
+            results.append(exc)
+    return results
+
+
+def _run_experiment(config: ExperimentConfig, dataset: Dataset, users: list[str], fitted: Fit,
+                    fit_seconds: float, out_dir: Path | None) -> MetricsReport:
+    """Every run of the method over a fit that took fit_seconds, then their
+    mean (a single run is its own mean).
 
     With more than one run each run's rows go to per_user_run{i}.csv;
     per_user.csv and recommendations.tsv are run 0's.
     """
-    dataset = load_dataset(config)
-    users = evaluation_users(dataset)
-    if not users:
-        raise ConfigError("no user has both train and test records")
-
     started = time.perf_counter()
-    fitted = fit(config, dataset)
     count = config.random_runs if config.method == baselines.RANDOM else 1
     runs = [
         recommender(replace(config, seed=config.seed + run), fitted, dataset, users)
         for run in range(count)
     ]
-    train_seconds = time.perf_counter() - started
+    train_seconds = fit_seconds + time.perf_counter() - started
     # the ground truth over the fit's venue columns, outside the timed phases
     truth = TruthTable.of(dataset.test, users, fitted.vocab.venue_index)
     echo = _serving_echo(config, config.method)
@@ -552,7 +582,8 @@ class SweepSpec:
 def run_sweep(
     spec: SweepSpec, base: ExperimentConfig
 ) -> tuple[list[MetricsReport | Exception], list[dict]]:
-    """One run per axis value; failures are recorded and the sweep continues.
+    """One run per axis value, through run_experiments: the input is read
+    once, and a failed value is recorded while the sweep continues.
 
     Returns the reports (the exception where a run failed) and the combined
     rows, and writes sweep_<axis>.csv under base.out_dir when set.
@@ -562,21 +593,12 @@ def run_sweep(
         raise ConfigError("sweep needs at least one value")
     field_name = SWEEP_AXES[spec.axis][0]
     out_dir = Path(base.out_dir) if base.out_dir else None
-    reports: list[MetricsReport | Exception] = []
-    rows: list[dict] = []
-    for value in values:
-        run_config = dataclasses.replace(
-            base,
-            **{field_name: value},
-            out_dir=str(out_dir / f"{spec.axis}={value}") if out_dir else None,
-        )
-        try:
-            report = run_experiment(run_config)
-        except Exception as exc:
-            reports.append(exc)
-            continue
-        reports.append(report)
-        rows.append(report.to_row())
+    reports = run_experiments(
+        replace(base, **{field_name: value},
+                out_dir=str(out_dir / f"{spec.axis}={value}") if out_dir else None)
+        for value in values
+    )
+    rows = [report.to_row() for report in reports if not isinstance(report, Exception)]
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(out_dir / f"sweep_{spec.axis}.csv", REPORT_COLUMNS, (r.values() for r in rows))

@@ -43,17 +43,10 @@ def _tokens(vocab: Vocabulary) -> list[str]:
 def _token_table(tokens: list[str], frequencies: np.ndarray) -> bytes:
     """Per token: its UTF-8 byte length as <u4, the bytes, its frequency as <u8."""
     encoded = [token.encode("utf-8") for token in tokens]
-    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    ends = np.cumsum(lengths + 12)
-    length_at = (ends - lengths - 12)[:, None] + np.arange(4)
-    frequency_at = (ends - 8)[:, None] + np.arange(8)
-    table = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
-    text = np.ones(table.size, dtype=bool)
-    text[length_at] = text[frequency_at] = False
-    table[length_at] = lengths.astype("<u4").view(np.uint8).reshape(-1, 4)
-    table[frequency_at] = frequencies.astype("<u8").view(np.uint8).reshape(-1, 8)
-    table[text] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    return table.tobytes()
+    return b"".join([
+        _TOKEN_LENGTH.pack(len(data)) + data + struct.pack("<Q", frequency)
+        for data, frequency in zip(encoded, frequencies.tolist())
+    ])
 
 
 def _read_exact(handle, size: int) -> bytes:

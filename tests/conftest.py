@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from venue2vec import recommend
+from venue2vec import harness, recommend
 from venue2vec.corpus import (
     Checkins,
     build_interactions,
@@ -24,6 +24,20 @@ def visit_table(records, binary: bool = False):
     builds them: (vocab, csr matrix)."""
     vocab = build_vocabulary(records)
     return vocab, build_interactions(records, vocab, binary)
+
+
+def count_loads_and_fits(monkeypatch) -> dict:
+    """Wraps harness.load_dataset and harness.fit; the dict counts their calls."""
+    calls = {"load_dataset": 0, "fit": 0}
+    for name in calls:
+        real = getattr(harness, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    return calls
 
 
 def token_of(vocab, index: int) -> str:

@@ -27,7 +27,13 @@ from venue2vec.metrics import (
 )
 from venue2vec.recommend import write_batch_blocks
 
-from conftest import batch_lists, named_lists, nearest_users, visit_table
+from conftest import (
+    batch_lists,
+    count_loads_and_fits,
+    named_lists,
+    nearest_users,
+    visit_table,
+)
 
 from oracles import (
     brute_force_top_k,
@@ -559,7 +565,71 @@ def test_every_method_lists_nothing_for_an_unknown_user(filter_seen):
         assert len(items) == config.k
 
 
+# ------------------------------------------------------------- the run loop
+
+
+def test_run_experiments_loads_once_and_fits_once_per_family(tmp_path, monkeypatch):
+    """kni, nn, kiu, cf and random on one base: one load and three fits, and
+    each report, per_user.csv and recommendations.tsv equal a run_experiment
+    of that config alone."""
+    methods = ("kni", "nn", "kiu", "cf", "random")
+    configs = {
+        run: [small_config(method=m, out_dir=str(tmp_path / run / m)) for m in methods]
+        for run in ("alone", "loop")
+    }
+    alone = {method: run_experiment(config) for method, config in zip(methods, configs["alone"])}
+    calls = count_loads_and_fits(monkeypatch)
+    reports = harness.run_experiments(configs["loop"])
+    assert calls == {"load_dataset": 1, "fit": 3}
+    timings = ("train_s", "rec_s_total", "rec_s_per_user")
+    for method, report in zip(methods, reports):
+        row, expected = report.to_row(), alone[method].to_row()
+        assert {k: v for k, v in row.items() if k not in timings} == {
+            k: v for k, v in expected.items() if k not in timings
+        }
+        for name in ("per_user.csv", "recommendations.tsv"):
+            loop = (tmp_path / "loop" / method / name).read_bytes()
+            assert loop == (tmp_path / "alone" / method / name).read_bytes()
+
+
+def test_run_experiments_refits_after_a_failed_fit(tmp_path, monkeypatch):
+    """A config whose fit raises gets its exception and ERROR marker, and the
+    next config of the same fit key fits again rather than reuse a missing fit."""
+    calls = count_loads_and_fits(monkeypatch)
+    counted_fit = harness.fit
+
+    def flaky(config, dataset):
+        if calls["fit"] == 0:
+            calls["fit"] += 1
+            raise RuntimeError("boom")
+        return counted_fit(config, dataset)
+
+    monkeypatch.setattr(harness, "fit", flaky)
+    failed, report = harness.run_experiments(
+        [small_config(method=method, out_dir=str(tmp_path / method)) for method in ("kni", "nn")]
+    )
+    assert isinstance(failed, RuntimeError) and str(failed) == "boom"
+    assert (tmp_path / "kni" / ERROR_MARKER).exists()
+    assert report.method == "nn" and not (tmp_path / "nn" / ERROR_MARKER).exists()
+    assert calls == {"load_dataset": 1, "fit": 2}
+
+
+def test_run_experiments_loads_again_for_another_fixture(monkeypatch):
+    calls = count_loads_and_fits(monkeypatch)
+    other = replace(SMALL_FIXTURE, seed=8)
+    harness.run_experiments([small_config(method="cf"), small_config(method="cf", fixture=other)])
+    assert calls == {"load_dataset": 2, "fit": 2}
+
+
 # ------------------------------------------------------------- sweeps
+
+
+def test_sweep_reads_its_input_once(monkeypatch):
+    """Every E is a fit field, so each value fits, from one load."""
+    calls = count_loads_and_fits(monkeypatch)
+    _, rows = run_sweep(SweepSpec(axis="E", values=[2, 3, 4]), small_config())
+    assert [row["E"] for row in rows] == [2, 3, 4]
+    assert calls == {"load_dataset": 1, "fit": 3}
 
 
 def test_sweep_runs_one_report_per_value(tmp_path):

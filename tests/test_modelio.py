@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from venue2vec.corpus import build_vocabulary
+from venue2vec.corpus import Vocabulary, build_vocabulary
 from venue2vec.embedding import TrainingConfig, init_model
 from venue2vec.errors import FormatError
 from venue2vec.modelio import (
@@ -29,6 +29,24 @@ def test_embedding_model_roundtrip(tmp_path, toy_model):
     np.testing.assert_array_equal(loaded.vocab.frequency, toy_model.vocab.frequency)
     np.testing.assert_array_equal(loaded.input_vectors, toy_model.input_vectors)
     np.testing.assert_array_equal(loaded.output_vectors, toy_model.output_vectors)
+
+
+def test_roundtrip_of_multibyte_ids_and_wide_frequencies(tmp_path):
+    """Token lengths count UTF-8 bytes, not characters, and frequencies take
+    all 64 bits: ids with multi-byte characters and frequencies of 2^32 and
+    more come back as saved."""
+    vocab = Vocabulary(["café", "u2"], ["東京", "v2"], np.array([2**32 + 5, 1, 2**40, 3]))
+    model = init_model(vocab, TrainingConfig(feature_count=2, seed=0))
+    path = tmp_path / "model.bin"
+    save_embedding_model(model, path)
+    first = "U:café".encode("utf-8")
+    assert path.read_bytes()[21 : 21 + 4 + len(first) + 8] == (
+        struct.pack("<I", 7) + first + struct.pack("<Q", 2**32 + 5)
+    )
+    loaded = load_embedding_model(path)
+    assert (loaded.vocab.users, loaded.vocab.venues) == (vocab.users, vocab.venues)
+    assert loaded.vocab.frequency.tolist() == [2**32 + 5, 1, 2**40, 3]
+    np.testing.assert_array_equal(loaded.weights, model.weights)
 
 
 def test_embedding_file_header_layout(tmp_path, toy_model):

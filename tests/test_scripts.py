@@ -1,7 +1,7 @@
 """Runs of the benchmark script, whose planted section must agree with
-run_experiment, and of the artifact protocol script, and checks that
-README's Library example imports what the package exports and runs, and
-that its command lines parse."""
+run_experiment and make one load and five fits, and of the artifact
+protocol script, and checks that README's Library example imports what the
+package exports and runs, and that its command lines parse."""
 
 import ast
 import contextlib
@@ -13,12 +13,13 @@ import shlex
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 from venue2vec.cli import build_parser
 from venue2vec.fixtures import FixtureSpec, generate_fixture
 from venue2vec.harness import ALL_METHODS, run_experiment
 
-from conftest import COMMUNITY_SPEC
+from conftest import COMMUNITY_SPEC, count_loads_and_fits
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -62,6 +63,32 @@ def test_benchmark_script_prints_one_json_document(monkeypatch, capsys):
     for method, entry in doc["planted"].items():
         report = run_experiment(replace(planted, method=method))
         assert [entry[name] for name in accuracy] == [getattr(report, name) for name in accuracy]
+
+
+def test_planted_table_loads_once_and_fits_once_per_family(monkeypatch):
+    """The planted table is one run_experiments over the seven methods: one
+    dataset load, and five fits, kni's serving nn and kiu too."""
+    time_epoch = _load("time_epoch")
+    calls = count_loads_and_fits(monkeypatch)
+    assert list(time_epoch.planted(TINY)) == list(ALL_METHODS)
+    assert calls == {"load_dataset": 1, "fit": 5}
+
+
+def test_planted_rec_s_is_one_serving(monkeypatch):
+    """Random's rec_s_total sums its 10 runs; the table's rec_s is one
+    serving's seconds for every method, so Random's is a tenth of it."""
+    time_epoch = _load("time_epoch")
+
+    def reports(configs):
+        return [SimpleNamespace(precision=0.0, ndcg=0.0, hitrate=0.0, coverage=1.0,
+                                train_s=1.0, rec_s_total=2.0) for _ in configs]
+
+    monkeypatch.setattr(time_epoch, "run_experiments", reports)
+    doc = time_epoch.planted(TINY)
+    assert time_epoch.PLANTED.random_runs == 10
+    assert {method: entry["rec_s"] for method, entry in doc.items()} == {
+        method: 0.2 if method == "random" else 2.0 for method in ALL_METHODS
+    }
 
 
 def test_artifact_protocol_zeroes_every_timing(tmp_path):
@@ -112,16 +139,18 @@ def test_readme_library_imports_are_the_package_exports():
 
 def test_readme_library_example_runs():
     """README's Library example runs as written, over a small fixture's rows
-    and a few of its users plus one the fit never saw: it prints the run's
-    metrics, then one line per (method, user), in order, the stranger's
-    list empty."""
+    and a few of its users plus one the fit never saw: it prints the
+    seven-method table, one row of three metrics per method, then one line
+    per (method, user), in order, the stranger's list empty."""
     rows = list(generate_fixture(COMMUNITY_SPEC))
     users = ["c0u0", "c1u3", "stranger", "c0u7"]
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
         exec(compile(_library_example(), "README.md", "exec"), {"rows": rows, "users": users})
-    report, *lines = printed.getvalue().splitlines()
-    assert len(report.split()) == 3
+    lines = printed.getvalue().splitlines()
+    table, lines = lines[: len(ALL_METHODS)], lines[len(ALL_METHODS) :]
+    assert [row.split()[0] for row in table] == list(ALL_METHODS)
+    assert all(len(row.split()) == 4 for row in table)
     methods = ("kni", "nn", "kiu")
     assert [line.split()[:2] for line in lines] == [[m, u] for m in methods for u in users]
     assert all(line.endswith("stranger []") for line in lines[2::4])
