@@ -17,6 +17,12 @@ paper_shape        on PAPER_SHAPE, the ROADMAP's paper shape (8320 users,
   build_s          svd_factorize and ccdpp_factorize (rank 100, seed 1).
   random_serving_s two seeded Random servings (k=10, seed 1), iterated to
                    their last ranked block: plain, and filter_seen.
+  model_io         save_s and load_s (best of 3) and bytes of the model file
+                   of a stand-in model: init_model over the vocabulary
+                   (57,840 tokens), F=100, seed 1, no training.
+  serving_s        kni: s, one KNI serving (k=10) of the evaluation users
+                   over the stand-in model, from recommender's row norms to
+                   its last ranked block, and us_per_user.
   run              rec_s_total and rec_s_per_user of one cf and one random
                    run_experiment (random_runs=1): serve, rank, score.
   corpus           evaluation users, venues, sentences, tokens, vocabulary.
@@ -54,9 +60,10 @@ from venue2vec.corpus import (build_interactions, build_sentences, build_vocabul
                               read_checkins, split_train_test, write_checkins)
 from venue2vec.embedding import CBOW, SKIP_GRAM, init_model, resolve_window, train
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
-from venue2vec.harness import (ALL_METHODS, ExperimentConfig, fit, recommender, run_experiment,
-                               run_experiments)
+from venue2vec.harness import (ALL_METHODS, ExperimentConfig, Fit, fit, recommender,
+                               run_experiment, run_experiments)
 from venue2vec.metrics import TruthTable, evaluation_users
+from venue2vec.modelio import load_embedding_model, save_embedding_model
 from venue2vec.recommend import KNI
 
 PAPER_SHAPE = FixtureSpec(
@@ -139,6 +146,21 @@ def paper_shape(spec: FixtureSpec, epochs: int) -> dict:
         for _ in blocks:
             pass
         random_serving_s[serving] = time.perf_counter() - start
+    kni = ExperimentConfig(fixture=spec, method=KNI, feature_count=100, seed=1)
+    model = init_model(vocab, kni.training_config())
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "model.bin"
+        model_io = {
+            name: min(timeit.repeat(step, number=1, repeat=3))
+            for name, step in (("save_s", lambda: save_embedding_model(model, path)),
+                               ("load_s", lambda: load_embedding_model(path)))
+        }
+        model_io["bytes"] = path.stat().st_size
+    start = time.perf_counter()
+    for _ in recommender(kni, Fit.of_model(model), dataset, users):
+        pass
+    seconds = time.perf_counter() - start
+    serving_s = dict(kni=dict(s=seconds, us_per_user=1e6 * seconds / len(users)))
     for method in (CF, RANDOM):
         config = ExperimentConfig(fixture=spec, method=method, seed=1, random_runs=1)
         report = run_experiment(config)
@@ -162,6 +184,8 @@ def paper_shape(spec: FixtureSpec, epochs: int) -> dict:
         },
         build_s=build_s,
         random_serving_s=random_serving_s,
+        model_io=model_io,
+        serving_s=serving_s,
         run=runs,
         corpus=dict(users=len(users), venues=len(vocab.venues), sentences=len(corpus),
                     tokens=corpus.total_tokens, vocabulary=len(vocab)),

@@ -1,14 +1,17 @@
 """Binary and text persistence for embedding models.
 
-The binary format is a versioned header, a length-prefixed UTF-8 token
-table with frequencies, then row-major little-endian float32 matrices. The
-table's tokens are the vocabulary's users with the prefix U:, then its
-venues with the prefix V:, so identical raw ids never collide in the file.
+A binary model file (format 2) is the magic V2VM; a little-endian header of
+the format version (<u4), token count V (<u8), feature count F (<u4) and
+architecture flag (u1: 0 skip-gram, 1 CBOW); the token table: the V tokens'
+UTF-8 byte lengths as <u4, then their V frequencies as <u8, then the tokens'
+bytes end to end; then the input and output matrices, V x F each, row-major
+little-endian float32. So a file is exactly 21 + 12 V + the summed lengths +
+8 V F bytes long. The tokens are the vocabulary's users with the prefix U:,
+then its venues with the prefix V:, so identical raw ids never collide.
 """
 
 from __future__ import annotations
 
-import operator
 import os
 import struct
 from pathlib import Path
@@ -20,17 +23,18 @@ from .embedding import CBOW, SKIP_GRAM, EmbeddingModel, TrainingConfig
 from .errors import FormatError
 
 EMBEDDING_MAGIC = b"V2VM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _ARCH_FLAGS = {SKIP_GRAM: 0, CBOW: 1}
 _FLAG_ARCHS = {flag: arch for arch, flag in _ARCH_FLAGS.items()}
+_HEADER = struct.Struct("<IQIB")
+_TABLE_START = len(EMBEDDING_MAGIC) + _HEADER.size
 
 USER_PREFIX = "U:"
 VENUE_PREFIX = "V:"
-# both prefixes are two characters: a token splits into prefix and id by slicing
-_PREFIX = operator.itemgetter(slice(None, len(USER_PREFIX)))
-_ID = operator.itemgetter(slice(len(USER_PREFIX), None))
-_TOKEN_LENGTH = struct.Struct("<I")
+# both prefixes are two ASCII characters, so a token's prefix is its first
+# two bytes, read as one big-endian 16-bit code
+_USER_CODE, _VENUE_CODE = (int.from_bytes(p.encode(), "big") for p in (USER_PREFIX, VENUE_PREFIX))
 
 
 def _tokens(vocab: Vocabulary) -> list[str]:
@@ -40,13 +44,9 @@ def _tokens(vocab: Vocabulary) -> list[str]:
     ]
 
 
-def _token_table(tokens: list[str], frequencies: np.ndarray) -> bytes:
-    """Per token: its UTF-8 byte length as <u4, the bytes, its frequency as <u8."""
-    encoded = [token.encode("utf-8") for token in tokens]
-    return b"".join([
-        _TOKEN_LENGTH.pack(len(data)) + data + struct.pack("<Q", frequency)
-        for data, frequency in zip(encoded, frequencies.tolist())
-    ])
+def _char_starts(data: bytes) -> np.ndarray:
+    """Whether each byte of UTF-8 data starts a character (is not 10xxxxxx)."""
+    return (np.frombuffer(data, dtype=np.uint8) & 0xC0) != 0x80
 
 
 def _read_exact(handle, size: int) -> bytes:
@@ -56,46 +56,41 @@ def _read_exact(handle, size: int) -> bytes:
     return data
 
 
-def _read_token_table(table: bytes, count: int) -> tuple[list[str], np.ndarray, int]:
-    """Inverse of _token_table over the first count records of table.
-
-    Returns (tokens, frequencies, bytes the records take). Each record's
-    offset depends on the length before it, so the records are walked one
-    at a time in memory; the frequencies are then read as one array.
+def _vocabulary(lengths: np.ndarray, frequencies: np.ndarray, data: bytes, path) -> Vocabulary:
+    """The vocabulary of a token table: the tokens' byte lengths and
+    frequencies and their bytes end to end, decoded once and sliced. The
+    tokens must be valid UTF-8, U: tokens, then V: tokens, none twice.
     """
-    tokens: list[str] = []
-    frequency_at: list[int] = []
-    unpack_length = _TOKEN_LENGTH.unpack_from
-    offset = 0
     try:
-        for _ in range(count):
-            end = offset + 4 + unpack_length(table, offset)[0]
-            tokens.append(table[offset + 4 : end].decode("utf-8"))
-            frequency_at.append(end)
-            offset = end + 8
+        text = data.decode("utf-8")
     except UnicodeDecodeError as error:
-        raise FormatError(f"token table holds invalid UTF-8: {error}") from None
-    except struct.error:  # a length field past the table's end
-        raise FormatError("model file truncated inside the token table") from None
-    if offset > len(table):
-        raise FormatError("model file truncated inside the token table")
-    raw = np.frombuffer(table, dtype=np.uint8)
-    frequencies = raw[np.array(frequency_at, dtype=np.int64)[:, None] + np.arange(8)]
-    return tokens, frequencies.view("<u8")[:, 0].astype(np.int64), offset
-
-
-def _vocabulary(tokens: list[str], frequencies: np.ndarray, path) -> Vocabulary:
-    """The vocabulary of a token table: U: tokens, then V: tokens, none twice."""
-    prefixes = list(map(_PREFIX, tokens))
-    user_count = prefixes.count(USER_PREFIX)
-    expected = [USER_PREFIX] * user_count + [VENUE_PREFIX] * (len(tokens) - user_count)
-    if prefixes != expected:
-        position = next(i for i, (got, want) in enumerate(zip(prefixes, expected)) if got != want)
+        raise FormatError(f"{path}: token table holds invalid UTF-8: {error}") from None
+    ends = np.cumsum(lengths, dtype=np.int64)
+    starts = ends - lengths
+    padded = np.frombuffer(data + bytes(2), dtype=np.uint8)  # a second byte for every token
+    codes = np.where(lengths < 2, -1, padded[starts].astype(np.int64) << 8 | padded[starts + 1])
+    if len(text) != len(data):  # a character takes more than one byte
+        first = np.append(_char_starts(data), True)
+        inside = np.flatnonzero(~first[starts])
+        if inside.size:
+            raise FormatError(
+                f"{path}: token {inside[0]} starts inside a character, so the token "
+                f"table holds invalid UTF-8"
+            )
+        # each byte offset's character offset: the character starts before it
+        chars = np.concatenate(([0], np.cumsum(first[:-1])))
+        starts, ends = chars[starts], chars[ends]
+    user_count = int(np.count_nonzero(codes == _USER_CODE))
+    expected = np.where(np.arange(len(codes)) < user_count, _USER_CODE, _VENUE_CODE)
+    wrong = np.flatnonzero(codes != expected)
+    if wrong.size:
+        position = int(wrong[0])
         raise FormatError(
-            f"{path}: token {position} ({tokens[position]!r}) must start with "
-            f"{expected[position]}; the table holds U: tokens, then V: tokens"
+            f"{path}: token {position} ({text[starts[position] : ends[position]]!r}) must start "
+            f"with {USER_PREFIX if position < user_count else VENUE_PREFIX}; the table holds "
+            f"U: tokens, then V: tokens"
         )
-    ids = list(map(_ID, tokens))
+    ids = [text[a:b] for a, b in zip((starts + len(USER_PREFIX)).tolist(), ends.tolist())]
     try:
         return Vocabulary(ids[:user_count], ids[user_count:], frequencies)
     except ValueError:  # one frequency per token, so the failed check is an id twice
@@ -103,20 +98,22 @@ def _vocabulary(tokens: list[str], frequencies: np.ndarray, path) -> Vocabulary:
 
 
 def save_embedding_model(model: EmbeddingModel, path: str | Path) -> None:
-    """Write magic, version, |vocab|, F, architecture flag, vocabulary, matrices."""
-    vocab = model.vocab
+    """Write magic, header, token table and matrices (see the module docstring)."""
+    vocab, config = model.vocab, model.config
+    tokens = _tokens(vocab)
+    text = "".join(tokens)
+    data = text.encode("utf-8")
+    ends = np.cumsum(np.fromiter(map(len, tokens), np.int64, len(tokens)))
+    if len(data) != len(text):  # a character takes more than one byte
+        # each character offset's byte offset: where the character starts
+        ends = np.append(np.flatnonzero(_char_starts(data)), len(data))[ends]
     with open(path, "wb") as handle:
-        handle.write(EMBEDDING_MAGIC)
-        handle.write(
-            struct.pack(
-                "<IQIB",
-                FORMAT_VERSION,
-                len(vocab),
-                model.config.feature_count,
-                _ARCH_FLAGS[model.config.architecture],
-            )
-        )
-        handle.write(_token_table(_tokens(vocab), vocab.frequency))
+        handle.write(EMBEDDING_MAGIC + _HEADER.pack(
+            FORMAT_VERSION, len(vocab), config.feature_count, _ARCH_FLAGS[config.architecture]
+        ))
+        handle.write(np.diff(ends, prepend=0).astype("<u4").data)
+        handle.write(vocab.frequency.astype("<u8").data)
+        handle.write(data)
         # from the block's own buffer: a float32 block is written without a copy
         handle.write(np.ascontiguousarray(model.weights, dtype="<f4").data)
 
@@ -129,14 +126,15 @@ def load_embedding_model(path: str | Path) -> EmbeddingModel:
     as defaults.
 
     Raises:
-        FormatError: if the file is not a well-formed model file, or a weight
-            is NaN or infinite.
+        FormatError: if the file is not a well-formed model file of this
+            format version, is longer than its header and token lengths
+            say, or a weight is NaN or infinite.
     """
     with open(path, "rb") as handle:
         if _read_exact(handle, 4) != EMBEDDING_MAGIC:
             raise FormatError(f"{path} is not an embedding model file")
-        version, vocab_size, feature_count, arch_flag = struct.unpack(
-            "<IQIB", _read_exact(handle, 17)
+        version, vocab_size, feature_count, arch_flag = _HEADER.unpack(
+            _read_exact(handle, _HEADER.size)
         )
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported model format version {version}")
@@ -147,31 +145,36 @@ def load_embedding_model(path: str | Path) -> EmbeddingModel:
                 f"header claims {vocab_size} tokens of {feature_count} features "
                 f"in {path}; a model has at least one of each"
             )
-        # each token takes at least its 4-byte length and 8-byte frequency;
-        # checked before allocating so a corrupt header cannot ask for terabytes
-        table_start = handle.tell()
-        remaining = os.fstat(handle.fileno()).st_size - table_start
+        # each token takes its 4-byte length and 8-byte frequency; checked
+        # before allocating so a corrupt header cannot ask for terabytes
+        size = os.fstat(handle.fileno()).st_size
         matrix_bytes = 2 * vocab_size * feature_count * 4
-        if vocab_size * 12 + matrix_bytes > remaining:
+        if _TABLE_START + vocab_size * 12 + matrix_bytes > size:
             raise FormatError(
                 f"header claims {vocab_size} tokens of {feature_count} features, "
-                f"more than the {remaining} bytes left in {path}"
+                f"more than the {size - _TABLE_START} bytes left in {path}"
             )
-        # the table is what the matrices leave, unless the file has a tail
-        tokens, frequencies, table_size = _read_token_table(
-            handle.read(remaining - matrix_bytes), vocab_size
-        )
-        handle.seek(table_start + table_size)
-        vocab = _vocabulary(tokens, frequencies, path)
+        table = _read_exact(handle, vocab_size * 12)
+        lengths = np.frombuffer(table, dtype="<u4", count=vocab_size)
+        frequencies = np.frombuffer(table, dtype="<u8", offset=vocab_size * 4)
+        text_bytes = int(lengths.sum(dtype=np.int64))
+        extra = size - handle.tell() - text_bytes - matrix_bytes
+        if extra < 0:
+            raise FormatError(
+                f"{path} is truncated: {-extra} bytes short of what its header and token "
+                f"table's lengths say"
+            )
+        if extra > 0:
+            raise FormatError(f"{path} holds {extra} bytes after its weights")
+        data = _read_exact(handle, text_bytes)
+        vocab = _vocabulary(lengths, frequencies.astype(np.int64), data, path)
         weights = np.fromfile(handle, dtype="<f4", count=matrix_bytes // 4)
-    if weights.size != matrix_bytes // 4:
+    if weights.size != matrix_bytes // 4:  # the file shrank while it was read
         raise FormatError("model file truncated")
     weights = weights.reshape(2 * vocab_size, feature_count)
     if not all(np.isfinite(half).all() for half in np.split(weights, 2)):
         raise FormatError(f"{path} holds a non-finite weight (NaN or inf)")
-    config = TrainingConfig(
-        architecture=_FLAG_ARCHS[arch_flag], feature_count=feature_count
-    )
+    config = TrainingConfig(architecture=_FLAG_ARCHS[arch_flag], feature_count=feature_count)
     return EmbeddingModel(weights, vocab, config)
 
 

@@ -54,12 +54,12 @@ def row_norms(rows) -> np.ndarray:
     """
     if sparse.issparse(rows):
         return np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1)).ravel())
-    # 4096 rows at a time: float64 copies of a whole catalog would set a
-    # serving's peak memory
+    # 4096 rows at a time: float64 squares of a whole catalog would set a
+    # serving's peak memory. One float64 array of squares per block, summed
+    # pairwise along the row as np.linalg.norm sums it, without its copies
     blocks = np.split(rows, range(4096, len(rows), 4096))
-    return np.concatenate(
-        [np.linalg.norm(b.astype(np.float64, copy=False), axis=1) for b in blocks]
-    )
+    squares = (np.multiply(b, b, dtype=np.float64) for b in blocks)
+    return np.concatenate([np.sqrt(np.add.reduce(s, axis=1)) for s in squares])
 
 
 def _floors(values: np.ndarray, lengths: np.ndarray, long: np.ndarray, k: int) -> np.ndarray:
@@ -224,7 +224,7 @@ def _shortlist(
     # where fewer than depth are live, and still drops -inf
     margin = cosine_margin(features, rows.dtype)
     floor = np.maximum(floor.astype(np.float64) - 2 * margin, -2.0)
-    which, positions = np.nonzero(scores >= floor[:, None])
+    which, positions = np.divmod(np.flatnonzero(scores >= floor[:, None]), count)
     dots = np.empty(len(positions))
     bounds = np.searchsorted(which, np.arange(len(queries) + 1))
     for index, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):

@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the library's own code paths: losses are
 written from the formula, top-k selection is a plain scored sort, the SVD
-oracle is one-sided Jacobi, the factorization oracle is full alternating
+oracle is one-sided Jacobi, row norms are np.linalg.norm's, the factorization oracle is full alternating
 least squares, the CCD++ reference is the column-at-a-time loop the library
 replaced, the SGNS step reference is the two-scatter step the library
 replaced, the neighbor vote sums per-user Counters, the check-in parser is
@@ -94,6 +94,12 @@ def top_k_reference(scores, k) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     live = np.flatnonzero(scores > -np.inf)
     return live[np.lexsort((live, -scores[live]))][:k]
+
+
+def row_norms_reference(rows) -> np.ndarray:
+    """The float64 norm of each dense row by np.linalg.norm over a float64
+    copy: the form recommend.row_norms replaced."""
+    return np.linalg.norm(np.asarray(rows).astype(np.float64, copy=False), axis=1)
 
 
 def jacobi_singular_values(matrix, tol: float = 1e-13, max_sweeps: int = 60):

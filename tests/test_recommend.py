@@ -48,6 +48,7 @@ from oracles import (
     brute_force_top_k,
     interactions_reference,
     rank_votes_reference,
+    row_norms_reference,
     top_k_reference,
     vote_reference,
 )
@@ -78,6 +79,18 @@ def _ranked(score_block, table, user, k, filter_seen=False):
 
 
 # ------------------------------------------------------------- toy examples
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_norms_equal_np_linalg_norm_bit_for_bit(dtype):
+    """row_norms' one float64 product per 4096-row block sums as
+    np.linalg.norm does: equal bit for bit over several blocks, a zero row
+    and an odd row length included."""
+    rows = np.random.default_rng(3).standard_normal((9_000, 101)).astype(dtype) * 7
+    rows[4_100] = 0.0
+    norms = row_norms(rows)
+    assert norms.dtype == np.float64 and norms[4_100] == 0.0
+    assert norms.tobytes() == row_norms_reference(rows).tobytes()
 
 
 def test_kni_toy_top2_are_the_users_own_cluster(toy_model, toy_records):

@@ -51,9 +51,14 @@ def test_benchmark_script_prints_one_json_document(monkeypatch, capsys):
     assert list(doc) == ["machine", "paper_shape", "eight_communities", "planted"]
     assert {"nproc", "python", "numpy", "scipy"} <= set(doc["machine"])
     paper = doc["paper_shape"]
-    assert list(paper) == ["stage_s", "lines_per_s", "build_s", "random_serving_s", "run",
-                           "corpus", "training"]
+    assert list(paper) == ["stage_s", "lines_per_s", "build_s", "random_serving_s", "model_io",
+                           "serving_s", "run", "corpus", "training"]
     assert len(paper["stage_s"]) == 7 and list(paper["run"]) == ["cf", "random"]
+    assert list(paper["model_io"]) == ["save_s", "load_s", "bytes"]
+    # per token: 12 table bytes, 2 x 100 float32 weights and its id's bytes
+    assert paper["model_io"]["bytes"] > 21 + paper["corpus"]["vocabulary"] * (12 + 800)
+    assert list(paper["serving_s"]) == ["kni"] and list(paper["serving_s"]["kni"]) == [
+        "s", "us_per_user"]
     assert paper["corpus"]["users"] == 104
     windows = {"skip-gram": 20, "cbow": "max"}
     for section in (paper["training"], doc["eight_communities"]):
