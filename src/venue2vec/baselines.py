@@ -101,6 +101,19 @@ def ccdpp_factorize(
     V are updated in closed form over the residual matrix. Returns the model
     and the objective value after each outer iteration (non-increasing by
     construction of the coordinate updates).
+
+    Each half-step of an inner sweep is one sparse product over one (2m x 2n)
+    block-diagonal CSR matrix both = [[L, 0], [0, P]], built once per call:
+    L holds the observed pattern with the current rank-one target (the
+    residual plus the latent index's own term) as its data, P the same
+    pattern with every entry 1. both @ [v, v*v] gives each user's numerator
+    sum(L_uv v_v) and denominator sum(v_v^2) at once, and both.T @ [u, u*u]
+    (the CSC view of the same arrays) each venue's. CSR's product adds each
+    row's terms in stored order from 0, and the CSC view's scatters into
+    each column in that same order, which is the order bincount over the
+    entries' rows or columns adds them in, with the same rounded products,
+    so the factors and trace are those of the per-entry bincount form
+    (tests/oracles.ccdpp_reference).
     """
     if regularization <= 0:
         raise ValueError("regularization must be > 0")
@@ -113,25 +126,40 @@ def ccdpp_factorize(
     V = np.ascontiguousarray((rng.standard_normal((n, rank)) * 0.1).T)
 
     csr = matrix.tocsr()
-    rows = np.repeat(np.arange(m), np.diff(csr.indptr))
+    nnz, indptr = len(csr.indices), csr.indptr.astype(np.int64)
+    rows = np.repeat(np.arange(m), np.diff(indptr))
     cols = csr.indices.astype(np.int64)
-    residual = csr.data.astype(np.float64).copy()
+    residual = csr.data.astype(np.float64)
     for u, v in zip(U, V):
         residual -= u[rows] * v[cols]
 
+    # built from new arrays: local is written in place, never matrix's data
+    both = sparse.csr_matrix(
+        (
+            np.concatenate((np.zeros(nnz), np.ones(nnz))),
+            np.concatenate((cols, cols + n)),
+            np.concatenate((indptr[:-1], indptr + nnz)),
+        ),
+        shape=(2 * m, 2 * n),
+    )
+    by_venue = both.T
+    local = both.data[:nnz]
+    # a factor column, then its squares: one product's operand
+    us, vs = np.empty(2 * m), np.empty(2 * n)
     trace: list[float] = []
     for _ in range(iterations):
         for u, v in zip(U, V):
-            v_at = v[cols]
-            local = residual + u[rows] * v_at
+            np.add(residual, u[rows] * v[cols], out=local)
             for _ in range(CCDPP_INNER_SWEEPS):
-                denom_u = regularization + np.bincount(rows, weights=v_at * v_at, minlength=m)
-                u[:] = np.bincount(rows, weights=local * v_at, minlength=m) / denom_u
-                u_at = u[rows]
-                denom_v = regularization + np.bincount(cols, weights=u_at * u_at, minlength=n)
-                v[:] = np.bincount(cols, weights=local * u_at, minlength=n) / denom_v
-                v_at = v[cols]
-            residual = local - u_at * v_at
+                vs[:n] = v
+                np.multiply(v, v, out=vs[n:])
+                sums = both @ vs
+                np.divide(sums[:m], regularization + sums[m:], out=u)
+                us[:m] = u
+                np.multiply(u, u, out=us[m:])
+                sums = by_venue @ us
+                np.divide(sums[:n], regularization + sums[n:], out=v)
+            np.subtract(local, u[rows] * v[cols], out=residual)
         # squared in the returned (rows, rank) layout: each sum adds in that order
         squares = np.sum(np.square(U.T, order="C")) + np.sum(np.square(V.T, order="C"))
         trace.append(float(residual @ residual + regularization * squares))

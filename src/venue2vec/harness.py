@@ -338,7 +338,8 @@ def recommender(
     builds no rows over the users. An embedding's training visits are
     counted over its vocabulary here, for NN's votes and the seen mask
     only, so pruned venues and users without history vote nothing. The row
-    norms are taken once per call, before the blocks are iterated. dataset
+    norms are taken once per call, before the blocks are iterated, the
+    user norms only where neighbours are picked. dataset
     may be None where reads_dataset is false.
 
     Raises:
@@ -361,9 +362,10 @@ def recommender(
         )
         row_bytes = 8 * int(depth.max(initial=config.k))
     elif config.method in (recommend.KNI, recommend.KIU):
-        norms = recommend.row_norms(rows)
-        venues, venue_norms = fitted.venues, recommend.row_norms(fitted.venues)
         neighbors = served_neighbors(config.method, config.neighbors)
+        # only a neighbour pick reads the user norms: KNI queries with the row itself
+        norms = recommend.row_norms(rows) if neighbors else None
+        venues, venue_norms = fitted.venues, recommend.row_norms(fitted.venues)
         rule = lambda block: recommend.kiu_scores(  # noqa: E731
             rows, norms, venues, venue_norms, block, neighbors, depth[block]
         )

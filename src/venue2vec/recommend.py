@@ -303,7 +303,7 @@ def vote_scores(
 
 def kiu_scores(
     users: np.ndarray,
-    user_norms: np.ndarray,
+    user_norms: np.ndarray | None,
     venues: np.ndarray,
     venue_norms: np.ndarray,
     block: np.ndarray,
@@ -318,7 +318,8 @@ def kiu_scores(
 
     users and venues are the two blocks of one embedding matrix with their
     row norms. With no neighbors the query is the user's own row (the
-    float64 mean of one row is that row), which is KNI. The neighbors come
+    float64 mean of one row is that row), which is KNI, and user_norms is
+    not read (it may be None). The neighbors come
     from nearest_users; the cosines and the venues kept from _shortlist, so
     the top depth of a row, ties included, is that of the float64 cosines
     over every venue. A zero-norm venue scores 0.

@@ -11,6 +11,7 @@ from venue2vec.baselines import (
     svd_factorize,
 )
 from venue2vec.corpus import build_interactions, build_vocabulary
+from venue2vec.fixtures import FixtureSpec, generate_fixture
 from venue2vec.harness import ExperimentConfig
 from venue2vec.recommend import random_scores, ranked, row_norms, vote_scores
 
@@ -387,19 +388,52 @@ def test_ccdpp_recovers_planted_rank_two(rng):
 def test_ccdpp_bit_identical_to_column_reference(rng):
     """Factors held one latent index per row give the column loop's factors
     and objective trace byte for byte, at rank 1 and above, wide and tall,
-    with a row and a column holding a single entry."""
+    with a row and a column holding a single entry, with an all-empty row
+    and column (whose factor rows are 0), and on a fixture's visit table,
+    counts and binary."""
+
+    def assert_reference(matrix, rank, seed):
+        factors, trace = ccdpp_factorize(matrix, rank, 0.1, iterations=6, seed=seed)
+        U, V, expected = ccdpp_reference(matrix, rank, 0.1, iterations=6, seed=seed)
+        assert factors.user_factors.tobytes() == U.tobytes()
+        assert factors.venue_factors.tobytes() == V.tobytes()
+        assert np.array(trace).tobytes() == np.array(expected).tobytes()
+        return factors
+
     for m, n, rank in ((7, 19, 1), (7, 19, 4), (23, 6, 1), (23, 6, 5), (40, 300, 12)):
         dense = rng.integers(1, 5, size=(m, n)) * (rng.random((m, n)) < 0.4)
         dense[:, 1] = 0
         dense[4, 1] = 2
         dense[0] = 0
         dense[0, 2] = 3
-        matrix = sparse.csr_matrix(dense.astype(np.float64))
-        factors, trace = ccdpp_factorize(matrix, rank, 0.1, iterations=6, seed=m)
-        U, V, expected = ccdpp_reference(matrix, rank, 0.1, iterations=6, seed=m)
-        assert factors.user_factors.tobytes() == U.tobytes()
-        assert factors.venue_factors.tobytes() == V.tobytes()
-        assert np.array(trace).tobytes() == np.array(expected).tobytes()
+        assert_reference(sparse.csr_matrix(dense.astype(np.float64)), rank, m)
+
+    # an all-empty user row and venue column: their factor rows are 0
+    dense = rng.integers(1, 5, size=(9, 13)) * (rng.random((9, 13)) < 0.5)
+    dense[3] = 0
+    dense[:, 7] = 0
+    for rank in (1, 3):
+        factors = assert_reference(sparse.csr_matrix(dense.astype(np.float64)), rank, rank)
+        assert not factors.user_factors[3].any()
+        assert not factors.venue_factors[7].any()
+    # a fixture's visit table, visit counts and binary
+    spec = FixtureSpec(seed=5, communities=2, users_per_community=15, venues_per_community=40,
+                       train_checkins_per_user=6, test_checkins_per_user=2, noise_rate=0.1)
+    records = generate_fixture(spec)
+    vocab = build_vocabulary(records)
+    for binary in (False, True):
+        for rank in (1, 8):
+            assert_reference(build_interactions(records, vocab, binary), rank, 3)
+
+
+def test_ccdpp_leaves_its_input_alone():
+    """A fit reads the caller's matrix and writes none of its arrays."""
+    _, visits = matrix_from({"a": ["x", "x", "y"], "b": ["y", "z"], "c": ["x", "z", "z"]})
+    before = visits.data.copy(), visits.indices.copy(), visits.indptr.copy()
+    ccdpp_factorize(visits, 2, 0.1, iterations=3, seed=0)
+    for array, original in zip((visits.data, visits.indices, visits.indptr), before):
+        assert array.dtype == original.dtype
+        assert array.tobytes() == original.tobytes()
 
 
 def test_ccdpp_parameter_validation():

@@ -510,6 +510,32 @@ def test_serving_reads_rows_changed_in_place():
         assert nn[user] == rank_votes_reference(votes, 5, index_of)
 
 
+def test_only_a_neighbour_pick_takes_user_norms(monkeypatch):
+    """KNI picks no neighbours, so its serving takes the norms of the venue
+    rows (and of its query blocks) but not of the user rows; KIU takes the
+    user rows' once."""
+    dataset = harness.load_dataset(small_config())
+    fitted = harness.fit(small_config(), dataset)
+    users = evaluation_users(dataset)
+
+    def lists(method):
+        config = small_config(method=method, k=5, neighbors=3)
+        blocks = harness.recommender(config, fitted, dataset, users)
+        return list(named_lists(blocks, fitted.vocab.venues))
+
+    normed = []
+    real = harness.recommend.row_norms
+    monkeypatch.setattr(
+        harness.recommend, "row_norms", lambda rows: normed.append(rows) or real(rows)
+    )
+    lists("kni")
+    assert sum(rows is fitted.venues for rows in normed) == 1
+    assert not any(rows is fitted.users for rows in normed)
+    normed.clear()
+    lists("kiu")
+    assert sum(rows is fitted.users for rows in normed) == 1
+
+
 def test_one_embedding_fit_serves_kni_nn_and_kiu(tmp_path):
     """One skip-gram fit serves all three embedding methods, and each one's
     recommendations.tsv is, byte for byte, the file of the fit-once
