@@ -8,21 +8,24 @@ machine            nproc, the CPU model where /proc/cpuinfo names one, and the
                    Python, numpy and scipy versions.
 paper_shape        on PAPER_SHAPE, the ROADMAP's paper shape (8320 users,
                    49520 venues, 91520 sentence tokens):
-  stage_s          the best-of-3 seconds of each input stage: read_checkins of
-                   the fixture as a 108,160-line TSV, and of that TSV with
-                   24-character hexadecimal venue ids, as Foursquare's
-                   (read_checkins_hex), split_train_test, build_vocabulary,
-                   build_sentences, build_interactions and ground_truth.
+  stage_s          the best-of-3 seconds of each input stage: generate_fixture
+                   of PAPER_SHAPE, read_checkins of the fixture as a
+                   108,160-line TSV, and of that TSV with 24-character
+                   hexadecimal venue ids, as Foursquare's (read_checkins_hex),
+                   split_train_test, build_vocabulary, build_sentences,
+                   build_interactions and ground_truth.
   lines_per_s      the two reads' lines per second.
-  build_s          svd_factorize and ccdpp_factorize (rank 100, seed 1).
-  random_serving_s two seeded Random servings (k=10, seed 1), iterated to
-                   their last ranked block: plain, and filter_seen.
+  build_s          svd_factorize and ccdpp_factorize (rank 100, seed 1),
+                   best of 3.
+  random_serving_s two seeded Random servings (k=10, seed 1), best of 3, from
+                   the recommender call to the last ranked block: plain, and
+                   filter_seen.
   model_io         save_s and load_s (best of 3) and bytes of the model file
                    of a stand-in model: init_model over the vocabulary
                    (57,840 tokens), F=100, seed 1, no training.
   serving_s        kni: s, one KNI serving (k=10) of the evaluation users
-                   over the stand-in model, from recommender's row norms to
-                   its last ranked block, and us_per_user.
+                   over the stand-in model, best of 3, from recommender's row
+                   norms to its last ranked block, and us_per_user.
   run              rec_s_total and rec_s_per_user of one cf and one random
                    run_experiment (random_runs=1): serve, rank, score.
   corpus           evaluation users, venues, sentences, tokens, vocabulary.
@@ -45,8 +48,8 @@ import os
 import platform
 import sys
 import tempfile
-import time
 import timeit
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -94,6 +97,17 @@ def expected_pairs(lengths: np.ndarray, window: int) -> float:
     return total
 
 
+def best_of_3(step) -> float:
+    """The fewest seconds of three calls of step."""
+    return min(timeit.repeat(step, number=1, repeat=3))
+
+
+def serving_seconds(config: ExperimentConfig, fitted: Fit, dataset, users) -> float:
+    """The best-of-3 seconds of one serving, from the recommender call (the
+    row norms included) to its last ranked block."""
+    return best_of_3(lambda: deque(recommender(config, fitted, dataset, users), maxlen=0))
+
+
 def machine() -> dict:
     if hasattr(os, "sched_getaffinity"):  # the cores this process may run on, as nproc counts
         info = dict(nproc=len(os.sched_getaffinity(0)))
@@ -121,6 +135,7 @@ def paper_shape(spec: FixtureSpec, epochs: int) -> dict:
         write_checkins(log, path)
         write_checkins(replace(log, venue_ids=hex_venues), hex_path)
         stages = {
+            "generate_fixture": lambda: generate_fixture(spec),
             "read_checkins": lambda: read_checkins(path),
             "read_checkins_hex": lambda: read_checkins(hex_path),
             "split_train_test": lambda: split_train_test(log, FEB_2011),
@@ -131,35 +146,26 @@ def paper_shape(spec: FixtureSpec, epochs: int) -> dict:
                 dataset.test, evaluation_users(dataset), vocab.venue_index
             ),
         }
-        stage_s = {name: min(timeit.repeat(stage, number=1, repeat=3))
-                   for name, stage in stages.items()}
-    build_s, random_serving_s, runs, training = {}, {}, {}, {}
+        stage_s = {name: best_of_3(stage) for name, stage in stages.items()}
     visits = build_interactions(dataset.train, vocab)
-    for name, build in (("svd_factorize", svd_factorize), ("ccdpp_factorize", ccdpp_factorize)):
-        start = time.perf_counter()
-        build(visits, 100, seed=1)
-        build_s[name] = time.perf_counter() - start
+    build_s = {name: best_of_3(lambda: build(visits, 100, seed=1))
+               for name, build in (("svd_factorize", svd_factorize),
+                                   ("ccdpp_factorize", ccdpp_factorize))}
+    random_serving_s, runs, training = {}, {}, {}
     for serving, filter_seen in (("plain", False), ("filter_seen", True)):
         config = ExperimentConfig(fixture=spec, method=RANDOM, seed=1, filter_seen=filter_seen)
-        blocks = recommender(config, fit(config, dataset), dataset, users)
-        start = time.perf_counter()
-        for _ in blocks:
-            pass
-        random_serving_s[serving] = time.perf_counter() - start
+        random_serving_s[serving] = serving_seconds(config, fit(config, dataset), dataset, users)
     kni = ExperimentConfig(fixture=spec, method=KNI, feature_count=100, seed=1)
     model = init_model(vocab, kni.training_config())
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "model.bin"
         model_io = {
-            name: min(timeit.repeat(step, number=1, repeat=3))
+            name: best_of_3(step)
             for name, step in (("save_s", lambda: save_embedding_model(model, path)),
                                ("load_s", lambda: load_embedding_model(path)))
         }
         model_io["bytes"] = path.stat().st_size
-    start = time.perf_counter()
-    for _ in recommender(kni, Fit.of_model(model), dataset, users):
-        pass
-    seconds = time.perf_counter() - start
+    seconds = serving_seconds(kni, Fit.of_model(model), dataset, users)
     serving_s = dict(kni=dict(s=seconds, us_per_user=1e6 * seconds / len(users)))
     for method in (CF, RANDOM):
         config = ExperimentConfig(fixture=spec, method=method, seed=1, random_runs=1)

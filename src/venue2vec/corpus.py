@@ -9,10 +9,11 @@ venue with the same raw id are different rows.
 from __future__ import annotations
 
 import gzip
+import re
 import warnings
 from array import array
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, filterfalse, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -61,11 +62,20 @@ class Checkins:
             self.times.tolist(),
         )
 
+    @classmethod
+    def numbered(cls, user_ids: list[str], venue_ids: list[str], users, venues, times) -> Checkins:
+        """The log of rows (user_ids[users[i]], venue_ids[venues[i]], times[i])
+        for int64 code columns, its tables cut to the ids the rows use and
+        renumbered by first occurrence."""
+        user_ids, users = _renumber(user_ids, users)
+        venue_ids, venues = _renumber(venue_ids, venues)
+        return cls(user_ids, venue_ids, users, venues, times)
+
     def _select(self, mask: np.ndarray) -> Checkins:
         """The rows under mask, with tables of only the ids they use."""
-        user_ids, users = _renumber(self.user_ids, self.users[mask])
-        venue_ids, venues = _renumber(self.venue_ids, self.venues[mask])
-        return Checkins(user_ids, venue_ids, users, venues, self.times[mask])
+        return Checkins.numbered(
+            self.user_ids, self.venue_ids, self.users[mask], self.venues[mask], self.times[mask]
+        )
 
 
 def _renumber(ids: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -349,7 +359,20 @@ def read_checkins(path: str | Path, layout: FieldLayout = FieldLayout()) -> tupl
 
 
 def write_checkins(log: Checkins, path: str | Path) -> None:
-    """Write the log as user, venue, timestamp TSV; .gz suffix enables gzip."""
+    """Write the log as user, venue, timestamp TSV; .gz suffix enables gzip.
+
+    Raises:
+        FormatError: before anything is written, naming the first id or
+            timestamp read_checkins would not read back as written: an
+            empty id, one with whitespace at either end or holding a tab,
+            newline or carriage return, or a negative timestamp.
+    """
+    readable = re.compile(r"\S(?:[^\t\n\r]*\S)?").fullmatch  # an id read_checkins reads back
+    for kind, ids in (("user", log.user_ids), ("venue", log.venue_ids)):
+        for name in filterfalse(readable, ids):
+            raise FormatError(f"{path}: {kind} id {name!r} would not read back as written")
+    if (negative := log.times < 0).any():
+        raise FormatError(f"{path}: timestamp {log.times[negative.argmax()]} is negative")
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
     with opener(path, "wt", encoding="utf-8") as handle:

@@ -7,12 +7,15 @@ the same co-visit pattern, so a recommender that recovers the structure can
 place a user's future venues near the top of its ranking. A coverage pass
 guarantees every venue is visited at least once, which makes vocabulary sizes
 exactly predictable from the generator parameters.
+
+The generator draws integer indices: venue c * venues_per_community + j is
+c{c}v{j} and user c * users_per_community + u is c{c}u{u}, and the log is
+built from those code columns (Checkins.numbered), with no id-string rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -56,14 +59,6 @@ class FixtureSpec:
             )
 
 
-def _user_id(community: int, index: int) -> str:
-    return f"c{community}u{index}"
-
-
-def _venue_id(community: int, index: int) -> str:
-    return f"c{community}v{index}"
-
-
 def generate_fixture(spec: FixtureSpec) -> Checkins:
     """Generate a seeded synthetic check-in log.
 
@@ -74,59 +69,37 @@ def generate_fixture(spec: FixtureSpec) -> Checkins:
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    venues_by_community = [
-        [_venue_id(c, j) for j in range(spec.venues_per_community)]
-        for c in range(spec.communities)
-    ]
-    rows: list[tuple[str, str, int]] = []
-
+    users, venues = spec.users_per_community, spec.venues_per_community
+    foreign = (spec.communities - 1) * venues  # the other communities' venues
+    noisy = foreign > 0 and spec.noise_rate > 0.0
+    per_user = spec.train_checkins_per_user + spec.test_checkins_per_user
+    visited, times = [], []
     for community in range(spec.communities):
-        own_venues = venues_by_community[community]
-        foreign = [
-            venue
-            for other, group in enumerate(venues_by_community)
-            if other != community
-            for venue in group
-        ]
+        first = community * venues  # the community's first venue
+        own = np.arange(first, first + venues)
         # Partition the community's venues into favorite sets; users mapped to
         # the same set share a co-visit pattern the embedding can recover.
-        n_sets = max(1, len(own_venues) // min(spec.favorites_per_user, len(own_venues)))
-        shuffled = [own_venues[j] for j in rng.permutation(len(own_venues))]
-        favorite_sets = [
-            [str(v) for v in part] for part in np.array_split(shuffled, n_sets)
-        ]
-        favorites = [
-            favorite_sets[u % n_sets] for u in range(spec.users_per_community)
-        ]
-        # Coverage pass: round-robin every community venue onto some user so
-        # no venue stays unvisited.
-        forced: list[list[str]] = [[] for _ in range(spec.users_per_community)]
-        for j, venue in enumerate(own_venues):
-            forced[j % spec.users_per_community].append(venue)
-
-        for u in range(spec.users_per_community):
-            user = _user_id(community, u)
-            train_venues = list(forced[u])
-            while len(train_venues) < spec.train_checkins_per_user:
-                train_venues.append(
-                    _draw_venue(rng, favorites[u], foreign, spec.noise_rate)
-                )
-            test_venues = [
-                _draw_venue(rng, favorites[u], foreign, spec.noise_rate)
-                for _ in range(spec.test_checkins_per_user)
-            ]
-            train_times = rng.integers(JAN_2011, FEB_2011, len(train_venues)).tolist()
-            test_times = rng.integers(FEB_2011, MAR_2011, len(test_venues)).tolist()
-            rows.extend(zip(repeat(user), train_venues + test_venues, train_times + test_times))
-    return Checkins.of(rows)
-
-
-def _draw_venue(
-    rng: np.random.Generator,
-    favorites: list[str],
-    foreign: list[str],
-    noise_rate: float,
-) -> str:
-    if foreign and noise_rate > 0.0 and rng.random() < noise_rate:
-        return foreign[int(rng.integers(len(foreign)))]
-    return favorites[int(rng.integers(len(favorites)))]
+        n_sets = max(1, venues // min(spec.favorites_per_user, venues))
+        favorite_sets = np.array_split(own[rng.permutation(venues)], n_sets)
+        for u in range(users):
+            favorites = favorite_sets[u % n_sets].tolist()
+            # Coverage pass: the community's venues round-robin onto its
+            # users, so no venue stays unvisited; then the user's draws.
+            row = own[u::users].tolist()
+            for _ in range(per_user - len(row)):
+                if noisy and rng.random() < spec.noise_rate:
+                    drawn = int(rng.integers(foreign))  # numbered past the own block
+                    row.append(drawn + venues if drawn >= first else drawn)
+                else:
+                    row.append(favorites[int(rng.integers(len(favorites)))])
+            visited += row
+            times.append(rng.integers(JAN_2011, FEB_2011, spec.train_checkins_per_user))
+            times.append(rng.integers(FEB_2011, MAR_2011, spec.test_checkins_per_user))
+    communities = range(spec.communities)
+    return Checkins.numbered(
+        [f"c{c}u{u}" for c in communities for u in range(users)],
+        [f"c{c}v{j}" for c in communities for j in range(venues)],
+        np.repeat(np.arange(spec.communities * users), per_user),
+        np.array(visited, np.int64),
+        np.concatenate(times),
+    )

@@ -334,13 +334,13 @@ def recommender(
     are vote_scores, weighted by similarity for CF only; Random is
     random_scores, the head of a permutation seeded by config.seed and the
     user's row. Ties break by ascending vocabulary index. Random's blocks
-    are sized by its own float64 rows, as deep as its deepest draw, since it
-    builds no rows over the users. An embedding's training visits are
-    counted over its vocabulary here, for NN's votes and the seen mask
-    only, so pruned venues and users without history vote nothing. The row
-    norms are taken once per call, before the blocks are iterated, the
-    user norms only where neighbours are picked. dataset
-    may be None where reads_dataset is false.
+    are sized by its own float64 rows, as deep as its deepest draw but at
+    most the catalog, since it builds no rows over the users. An
+    embedding's training visits are counted over its vocabulary here, for
+    NN's votes and the seen mask only, so pruned venues and users without
+    history vote nothing. The row norms are taken once per call, before the
+    blocks are iterated, the user norms only where neighbours are picked.
+    dataset may be None where reads_dataset is false.
 
     Raises:
         ConfigError: if the fit does not serve config.method.
@@ -360,7 +360,7 @@ def recommender(
         rule = lambda block: recommend.random_scores(  # noqa: E731
             vocab.user_count, len(vocab.venues), block, depth[block], config.seed
         )
-        row_bytes = 8 * int(depth.max(initial=config.k))
+        row_bytes = 8 * min(int(depth.max(initial=config.k)), len(vocab.venues))
     elif config.method in (recommend.KNI, recommend.KIU):
         neighbors = served_neighbors(config.method, config.neighbors)
         # only a neighbour pick reads the user norms: KNI queries with the row itself

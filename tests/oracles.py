@@ -7,8 +7,9 @@ least squares, the CCD++ reference is the column-at-a-time loop the library
 replaced, the SGNS step reference is the two-scatter step the library
 replaced, the neighbor vote sums per-user Counters, the check-in parser is
 the per-line loop the library replaced, training sentences sort each user's
-records in Python, the ground truth is a dict of sets built row by row, and
-report recomputation reads the raw CSV text.
+records in Python, the ground truth is a dict of sets built row by row,
+report recomputation reads the raw CSV text, and the fixture generator is
+the id-string row builder the library replaced.
 """
 
 from __future__ import annotations
@@ -16,12 +17,15 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from itertools import repeat
 
 import numpy as np
 from scipy import sparse
 
+from venue2vec.corpus import Checkins
 from venue2vec.embedding import _sgns_update
 from venue2vec.errors import FormatError
+from venue2vec.fixtures import FEB_2011, JAN_2011, MAR_2011
 
 CLAMP = 30.0
 
@@ -418,3 +422,79 @@ def parse_checkins_reference(source, layout) -> tuple[list[tuple[str, str, int]]
     if skipped > len(rows):
         raise FormatError(f"{skipped} of {len(rows) + skipped} lines malformed")
     return rows, skipped
+
+
+def _user_id(community: int, index: int) -> str:
+    return f"c{community}u{index}"
+
+
+def _venue_id(community: int, index: int) -> str:
+    return f"c{community}v{index}"
+
+
+def generate_fixture_reference(spec) -> Checkins:
+    """Generate a seeded synthetic check-in log.
+
+    Train check-ins get timestamps in January 2011, test check-ins in
+    February 2011, so splitting at FEB_2011 (the default boundary) gives
+    each user train_checkins_per_user train and test_checkins_per_user test
+    check-ins.
+    """
+    spec.validate()
+    rng = np.random.default_rng(spec.seed)
+    venues_by_community = [
+        [_venue_id(c, j) for j in range(spec.venues_per_community)]
+        for c in range(spec.communities)
+    ]
+    rows: list[tuple[str, str, int]] = []
+
+    for community in range(spec.communities):
+        own_venues = venues_by_community[community]
+        foreign = [
+            venue
+            for other, group in enumerate(venues_by_community)
+            if other != community
+            for venue in group
+        ]
+        # Partition the community's venues into favorite sets; users mapped to
+        # the same set share a co-visit pattern the embedding can recover.
+        n_sets = max(1, len(own_venues) // min(spec.favorites_per_user, len(own_venues)))
+        shuffled = [own_venues[j] for j in rng.permutation(len(own_venues))]
+        favorite_sets = [
+            [str(v) for v in part] for part in np.array_split(shuffled, n_sets)
+        ]
+        favorites = [
+            favorite_sets[u % n_sets] for u in range(spec.users_per_community)
+        ]
+        # Coverage pass: round-robin every community venue onto some user so
+        # no venue stays unvisited.
+        forced: list[list[str]] = [[] for _ in range(spec.users_per_community)]
+        for j, venue in enumerate(own_venues):
+            forced[j % spec.users_per_community].append(venue)
+
+        for u in range(spec.users_per_community):
+            user = _user_id(community, u)
+            train_venues = list(forced[u])
+            while len(train_venues) < spec.train_checkins_per_user:
+                train_venues.append(
+                    _draw_venue(rng, favorites[u], foreign, spec.noise_rate)
+                )
+            test_venues = [
+                _draw_venue(rng, favorites[u], foreign, spec.noise_rate)
+                for _ in range(spec.test_checkins_per_user)
+            ]
+            train_times = rng.integers(JAN_2011, FEB_2011, len(train_venues)).tolist()
+            test_times = rng.integers(FEB_2011, MAR_2011, len(test_venues)).tolist()
+            rows.extend(zip(repeat(user), train_venues + test_venues, train_times + test_times))
+    return Checkins.of(rows)
+
+
+def _draw_venue(
+    rng: np.random.Generator,
+    favorites: list[str],
+    foreign: list[str],
+    noise_rate: float,
+) -> str:
+    if foreign and noise_rate > 0.0 and rng.random() < noise_rate:
+        return foreign[int(rng.integers(len(foreign)))]
+    return favorites[int(rng.integers(len(favorites)))]

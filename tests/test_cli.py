@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import json
 import sys
 
@@ -499,6 +500,39 @@ def test_generate_fixture_defaults_are_fixture_spec_defaults(tmp_path):
     expected = tmp_path / "spec.tsv"
     write_checkins(generate_fixture(FixtureSpec()), expected)
     assert out.read_bytes() == expected.read_bytes()
+
+
+# generate-fixture's files, pinned by sha256: FixtureSpec's defaults, the
+# benchmark's three workload fixtures at seed 1 and the artifact protocol's three
+PAPER_SHAPED = ["--users-per-community", "208", "--venues-per-community", "1238",
+                "--train-checkins", "10", "--test-checkins", "3", "--noise", "0.0"]
+FIXTURE_DIGESTS = {
+    "5edaa80ace5eef5541395b4acd7f9635f8c9ba55b645812e9ae2ec78e7a729cd": [],
+    "63e82c2d450aaf05ae9c8a68ae14e2dec45a5e2519bd22fa211f124fe7b0bf89": [
+        "--seed", "1", "--communities", "4", "--users-per-community", "50",
+        "--venues-per-community", "100", "--train-checkins", "20", "--test-checkins", "5",
+        "--noise", "0.0"],
+    "f7640c80a9bbe72c95bea5fd6f33949f6e91f0834dfe63834700934941cc7748": [
+        "--seed", "1", "--communities", "8", *PAPER_SHAPED],
+    "0b251615c51e5fdbbbfb709e591de4e8bd90ac9590d4ef1e5e04112ce4624e1e": [
+        "--seed", "1", "--communities", "2", *PAPER_SHAPED],
+    "8b0536845b10737c96000160e341f91412e6593bc176fc6e692a15bf0420e613": [
+        "--seed", "11", "--communities", "4", "--users-per-community", "50",
+        "--venues-per-community", "100"],
+    "25cada7d850758cb7d1b59ab9682fe4bf260f9d9c7d062e1c19cba2e16cd8d62": [
+        "--seed", "3", "--communities", "3", "--users-per-community", "30",
+        "--venues-per-community", "60", "--noise", "0.3"],
+    "adf25dafbbb26c9f88721dcad5547f214165a766f8af1819b99d6eec3c1db4a6": [
+        "--seed", "5", "--communities", "3", "--users-per-community", "30",
+        "--venues-per-community", "120", "--favorites", "30", "--noise", "0.3"],
+}
+
+
+@pytest.mark.parametrize("digest, flags", FIXTURE_DIGESTS.items())
+def test_generate_fixture_writes_the_pinned_bytes(tmp_path, digest, flags):
+    out = tmp_path / "checkins.tsv"
+    assert main(["generate-fixture", "--out", str(out), *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,12 @@ from venue2vec.errors import EmptyVocabularyError, FormatError
 from venue2vec.fixtures import FEB_2011, FixtureSpec, generate_fixture
 
 from conftest import make_records, sentences_of, token_of
-from oracles import interactions_reference, parse_checkins_reference, sentences_reference
+from oracles import (
+    generate_fixture_reference,
+    interactions_reference,
+    parse_checkins_reference,
+    sentences_reference,
+)
 
 
 def read_lines(tmp_path, lines, layout=FieldLayout()):
@@ -508,6 +513,68 @@ def test_dataset_roundtrip_exact(tmp_path_factory, records):
     assert list(back) == list(records)
 
 
+def assert_same_log(log, other):
+    """The same tables, and columns of the same values and dtypes."""
+    assert (log.user_ids, log.venue_ids) == (other.user_ids, other.venue_ids)
+    for column in ("users", "venues", "times"):
+        ours, theirs = getattr(log, column), getattr(other, column)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+
+# ids read_checkins reads back as written, and the kinds of id it does not
+readable_ids = st.text(st.characters(exclude_categories=("Cs",)), min_size=1).filter(
+    lambda text: text == text.strip() and not any(char in text for char in "\t\n\r")
+)
+whitespace = st.sampled_from([chr(code) for code in range(0x3001) if chr(code).isspace()])
+unreadable_ids = st.one_of(
+    st.just(""),
+    whitespace,
+    st.builds("{}{}{}".format, readable_ids, st.sampled_from("\t\n\r"), readable_ids),
+    st.builds("{}{}".format, whitespace, readable_ids),
+    st.builds("{}{}".format, readable_ids, whitespace),
+)
+readable_rows = st.tuples(readable_ids, readable_ids, st.integers(0, 2**63 - 1))
+
+
+@given(st.lists(readable_rows, max_size=12), st.sampled_from(["log.tsv", "log.tsv.gz"]))
+@settings(max_examples=80, deadline=None)
+def test_written_log_reads_back_equal(tmp_path_factory, rows, name):
+    """read_checkins of a written log is the log: the same tables, and
+    columns of the same values and dtypes."""
+    log = Checkins.of(rows)
+    path = tmp_path_factory.mktemp("written") / name
+    write_checkins(log, path)
+    back, skipped = read_checkins(path)
+    assert skipped == 0
+    assert_same_log(back, log)
+
+
+@given(
+    st.lists(readable_rows, min_size=1, max_size=8),
+    st.data(),
+    st.sampled_from(["user", "venue", "timestamp"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_unreadable_log_is_format_error_before_writing(tmp_path_factory, rows, data, field):
+    """An empty id, one with whitespace at either end or holding a tab,
+    newline or carriage return, or a negative timestamp: write_checkins
+    raises FormatError naming it and writes nothing."""
+    row = data.draw(st.integers(0, len(rows) - 1))
+    user, venue, timestamp = rows[row]
+    if field == "timestamp":
+        bad = timestamp = data.draw(st.integers(-(2**63), -1))
+    else:
+        bad = data.draw(unreadable_ids)
+        user, venue = (bad, venue) if field == "user" else (user, bad)
+    rows[row] = (user, venue, timestamp)
+    path = tmp_path_factory.mktemp("unreadable") / "log.tsv"
+    with pytest.raises(FormatError) as error:
+        write_checkins(Checkins.of(rows), path)
+    named = f"timestamp {bad}" if field == "timestamp" else f"{field} id {bad!r}"
+    assert named in str(error.value)
+    assert not path.exists()
+
+
 @st.composite
 def layouts_with_records(draw):
     """A layout with a non-alphanumeric delimiter, plus rows it can hold:
@@ -569,3 +636,29 @@ def test_fixture_deterministic_per_seed():
                        venues_per_community=8, train_checkins_per_user=6,
                        test_checkins_per_user=2)
     assert list(generate_fixture(spec)) == list(generate_fixture(spec))
+
+
+@st.composite
+def fixture_specs(draw):
+    """Small generator settings: 1-4 communities, favourites above and below
+    the venue count, venue counts not divisible by user counts, no test
+    check-ins, and each noise rate the generator branches on."""
+    users, venues = draw(st.integers(1, 7)), draw(st.integers(1, 30))
+    return FixtureSpec(
+        seed=draw(st.integers(0, 2**32)),
+        communities=draw(st.integers(1, 4)),
+        users_per_community=users,
+        venues_per_community=venues,
+        train_checkins_per_user=-(-venues // users) + draw(st.integers(0, 4)),
+        test_checkins_per_user=draw(st.integers(0, 3)),
+        noise_rate=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        favorites_per_user=draw(st.integers(1, 40)),
+    )
+
+
+@given(fixture_specs())
+@settings(max_examples=150, deadline=None)
+def test_fixture_matches_the_row_builder(spec):
+    """The index generator's log is the id-string row builder's: the same
+    tables, and columns of the same values and dtypes."""
+    assert_same_log(generate_fixture(spec), generate_fixture_reference(spec))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import venue2vec.harness as harness
+from venue2vec import recommend
 from venue2vec.baselines import ccdpp_factorize, svd_factorize
 from venue2vec.corpus import Checkins, Dataset
 from venue2vec.errors import ConfigError, EmitError
@@ -464,11 +465,39 @@ def test_random_list_does_not_depend_on_its_block(monkeypatch):
 
     whole = lists()
     assert sorted(venue for venue, _ in whole[vocab.user_index[heavy]]) == sorted(unseen)
-    # Random's blocks hold BLOCK_BYTES of float64 rows as deep as its deepest draw
-    depth = config.k + len(vocab.venues) - len(unseen)
+    # Random's blocks hold BLOCK_BYTES of float64 rows as deep as its deepest
+    # draw, at most the catalog
+    depth = min(config.k + len(vocab.venues) - len(unseen), len(vocab.venues))
     for block in (1, 3):
         monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * depth * block)
         assert lists() == whole
+
+
+def test_random_rows_are_at_most_the_catalog_deep(monkeypatch):
+    """k far above the catalog: Random's rows are sized by the catalog, so
+    one block holds the 40 users of FixtureSpec() and random_scores is
+    called once, where rows k deep would take one block per user. The lists
+    are those of one user per block."""
+    config = ExperimentConfig(fixture=FixtureSpec(), method="random", k=10**6, seed=3)
+    dataset = harness.load_dataset(config)
+    fitted = harness.fit(config, dataset)
+    calls, real = [], recommend.random_scores
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(recommend, "random_scores", counted)
+    users, venues = fitted.vocab.users, fitted.vocab.venues
+
+    def lists():
+        return named_lists(harness.recommender(config, fitted, dataset, users), venues)
+
+    whole = lists()
+    assert len(users) == 40 and len(calls) == 1
+    assert all(len(items) == len(venues) for _, items in whole)
+    monkeypatch.setattr(harness, "BLOCK_BYTES", 1)  # one user per block
+    assert lists() == whole and len(calls) == 41
 
 
 def test_serving_reads_rows_changed_in_place():

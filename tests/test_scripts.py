@@ -53,7 +53,8 @@ def test_benchmark_script_prints_one_json_document(monkeypatch, capsys):
     paper = doc["paper_shape"]
     assert list(paper) == ["stage_s", "lines_per_s", "build_s", "random_serving_s", "model_io",
                            "serving_s", "run", "corpus", "training"]
-    assert len(paper["stage_s"]) == 7 and list(paper["run"]) == ["cf", "random"]
+    assert len(paper["stage_s"]) == 8 and list(paper["run"]) == ["cf", "random"]
+    assert next(iter(paper["stage_s"])) == "generate_fixture"
     assert list(paper["model_io"]) == ["save_s", "load_s", "bytes"]
     # per token: 12 table bytes, 2 x 100 float32 weights and its id's bytes
     assert paper["model_io"]["bytes"] > 21 + paper["corpus"]["vocabulary"] * (12 + 800)
